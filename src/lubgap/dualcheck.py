@@ -41,7 +41,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from .fields import ProblemParams, _eval3, _graded_nodes, subflow_indices
+from .fields import (
+    ProblemParams,
+    _eval3,
+    _graded_nodes,
+    subflow_indices,
+    subflow_scale,
+)
 from .quadrature import CachedAntiderivative, QuadSpec, integrate_1d
 
 __all__ = ["EllReport", "energy", "dual_tensor", "ell", "err_sweep"]
@@ -253,23 +259,6 @@ def _q_table(profile, k, w1, w2):
 # ---------------------------------------------------------------------------
 
 
-def _subflow_scale(k, params):
-    """Velocity scale of sub-flow ``k``; zero means the field vanishes."""
-    U1, U2, U3 = params.U
-    w1, w2, w3 = params.omega
-    if k == 0:
-        return max(abs(v) for v in (*params.U, *params.omega))
-    if k == 1:
-        return abs(U1 - w2 * params.profile.R)
-    if k == 2:
-        return abs(U2 + w1 * params.profile.R)
-    if k == 3:
-        return abs(U3)
-    if k == 4:
-        return abs(w3)
-    return max(abs(w1), abs(w2))  # k in (5, 6)
-
-
 def _dual_tensor_many(k, params, x1, x2, x3):
     """Dual tensor field ``S(k)`` at points; shape (3, 3, n).
 
@@ -280,7 +269,7 @@ def _dual_tensor_many(k, params, x1, x2, x3):
     mu, R = params.mu, prof.R
     n = x1.size
     S = np.zeros((3, 3, n))
-    if k in (0, 4, 5) or _subflow_scale(k, params) == 0.0:
+    if k in (0, 4, 5) or subflow_scale(k, params) == 0.0:
         return S
 
     h = np.broadcast_to(np.asarray(prof.h(x1, x2), float), (n,))
@@ -403,7 +392,7 @@ def energy(params: ProblemParams, spec: QuadSpec | None = None) -> float:
     def pointfun(x1, x2, x3):
         total = np.zeros((3, 3, x1.size))
         for k in ks:
-            if _subflow_scale(k, params) == 0.0:
+            if subflow_scale(k, params) == 0.0:
                 continue
             _u, _p, grad = _eval3(k, params, x1, x2, x3)
             total += grad
@@ -445,7 +434,7 @@ def ell(i: int, j: int, params: ProblemParams, spec: QuadSpec | None = None) -> 
         raise ValueError("ell is implemented for 3D problems")
     if i not in subflow_indices(3) or j not in subflow_indices(3):
         raise ValueError(f"unknown sub-flow pair ({i}, {j})")
-    if _subflow_scale(i, params) == 0.0 or _subflow_scale(j, params) == 0.0:
+    if subflow_scale(i, params) == 0.0 or subflow_scale(j, params) == 0.0:
         return 0.0
     spec = spec or QuadSpec(rel_tol=1e-7, abs_tol=1e-12)
     mu = params.mu
@@ -503,7 +492,7 @@ def err_sweep(params: ProblemParams, eps_list, spec: QuadSpec | None = None) -> 
     if eps_grid[0] / eps_grid[-1] < 10.0:
         raise ValueError("epsilon grid must span at least a decade")
 
-    active = [k for k in _SWEEP_SUBFLOWS if _subflow_scale(k, params) > 0.0]
+    active = [k for k in _SWEEP_SUBFLOWS if subflow_scale(k, params) > 0.0]
     pairs = tuple(
         (a, b) for ai, a in enumerate(active) for b in active[ai:]
     )

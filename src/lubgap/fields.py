@@ -40,6 +40,7 @@ __all__ = [
     "ProblemParams",
     "FieldEval",
     "subflow_indices",
+    "subflow_scale",
     "eval_field",
     "eval_field_many",
     "boundary_target",
@@ -57,6 +58,34 @@ def subflow_indices(dimension: int) -> tuple[int, ...]:
     if dimension == 2:
         return tuple(range(5))
     raise ValueError("dimension must be 2 or 3")
+
+
+def subflow_scale(k: int, params: ProblemParams) -> float:
+    """Velocity scale of sub-flow ``k``; zero means the field vanishes."""
+    prof = params.profile
+    if prof.dimension == 2:
+        U1, U2 = params.U
+        w0 = params.omega
+        if k == 0:
+            return max(abs(U1), abs(U2), abs(w0))
+        if k == 1:
+            return abs(U1 + w0 * prof.R)
+        if k == 2:
+            return abs(U2)
+        return abs(w0)  # k in (3, 4)
+    U1, U2, U3 = params.U
+    w1, w2, w3 = params.omega
+    if k == 0:
+        return max(abs(v) for v in (*params.U, *params.omega))
+    if k == 1:
+        return abs(U1 - w2 * prof.R)
+    if k == 2:
+        return abs(U2 + w1 * prof.R)
+    if k == 3:
+        return abs(U3)
+    if k == 4:
+        return abs(w3)
+    return max(abs(w1), abs(w2))  # k in (5, 6)
 
 
 @dataclass(frozen=True)
@@ -179,6 +208,16 @@ class _RotationTable:
     The table error is measured against direct adaptive quadrature at
     fixed sample points, including points next to the flat rim, and
     surfaced via ``abs_error`` / ``rel_error``.
+
+    The rotation pressure reads the table four times per point, at
+    ``(x1, x2)``, ``(r, x2)``, ``(x2, x1)`` and ``(r, x1)``.  By the parity
+    of ``Q`` all four depend on ``(|x1|, |x2|)`` alone, up to the sign of
+    the first argument, so :meth:`q_pairs` reads the spline once per
+    distinct pair and scatters the values back.  The ring points of the
+    numeric route repeat each pair four times (see
+    :func:`lubgap.traction._fvec_graded_ring`) and the vertical Gauss rule
+    of the dual check repeats each planar point, so most lookups are
+    shared.
     """
 
     def __init__(self, profile: GapProfile):
@@ -228,6 +267,22 @@ class _RotationTable:
         a, c = np.broadcast_arrays(a, c)
         first = np.hypot(a, c) if self._radial else np.abs(a)
         return np.sign(a) * self._spline.ev(first.ravel(), np.abs(c).ravel()).reshape(a.shape)
+
+    def q_pairs(self, x1, x2):
+        """``Q(x1, x2), Q(r, x2), Q(x2, x1), Q(r, x1)`` for 1D point arrays.
+
+        Bit-identical to four :meth:`q` calls, with one lookup per distinct
+        ``(|x1|, |x2|)`` pair.
+        """
+        pairs, inv = np.unique(np.abs(x1) + 1j * np.abs(x2), return_inverse=True)
+        a, c = pairs.real, pairs.imag
+        r = np.full_like(a, self.profile.r)
+        return (
+            np.sign(x1) * self.q(a, c)[inv],
+            self.q(r, c)[inv],
+            np.sign(x2) * self.q(c, a)[inv],
+            self.q(r, a)[inv],
+        )
 
     def _direct(self, a: float, c: float) -> float:
         prof = self.profile
@@ -491,9 +546,9 @@ def _eval3(k: int, params: ProblemParams, x1, x2, x3):
         grad[0, 2] = -6.0 * B1 * x3
         grad[1, 2] = -6.0 * B2 * x3
         grad[2, 2] = A3 + 3.0 * B3 * x3sq
-        tab = _rotation_table_3d(prof)
-        G1 = w2 * (tab.q(x1, x2) - tab.q(np.full_like(x1, prof.r), x2))
-        G2 = -w1 * (tab.q(x2, x1) + tab.q(np.full_like(x1, prof.r), x1))
+        q12, qr2, q21, qr1 = _rotation_table_3d(prof).q_pairs(x1, x2)
+        G1 = w2 * (q12 - qr2)
+        G2 = -w1 * (q21 + qr1)
         p[:] = mu * (-A3 + 3.0 * B3 * x3sq - 6.0 * G1 - 6.0 * G2)
         return u, p, grad
 

@@ -177,7 +177,10 @@ def integrate_vector(
     ``(ncomp, n)`` (or ``(n,)`` for a single component).  All components
     share the panel schedule; panels are bisected (worst first by summed
     error) until every component meets
-    ``max(abs_tol, rel_tol * |value_c|)``.
+    ``max(abs_tol, rel_tol * |value_c|)`` or sits at its roundoff floor,
+    the sum of the per-panel floors ``50 * eps * int |f_c|``.  Bisection
+    cannot reduce that floor, so, as in QUADPACK, a value that cancels
+    below it stops refinement instead of exhausting the budget.
 
     When ``ncheck`` is given, only the first ``ncheck`` components drive
     refinement and the convergence test; the rest are carried along (used
@@ -215,7 +218,9 @@ def integrate_vector(
     while True:
         values, errors, resabs = totals()
         target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))
-        if np.all(errors[:ncheck] <= target[:ncheck]):
+        floor = sum(50.0 * _EPS * p[6] for p in panels)
+        done = (errors <= target) | (errors <= floor)
+        if np.all(done[:ncheck]):
             break
         if len(panels) >= spec.max_subdivisions:
             errors = errors + 1e-15 * resabs

@@ -16,7 +16,12 @@ adaptive radial pass; the ring reduction at each radius uses either a
 data of the translation/spin sub-flows; a 64-vs-32-point difference is
 folded into the error estimate) or, for the rotation sub-flow whose
 pressure varies over an angular width ``delta/t`` near the cardinal
-angles, Gauss-Kronrod panels graded toward those angles.  The identity
+angles, Gauss-Kronrod panels graded toward those angles.  Those panels
+are built on the octant ``[0, pi/4]`` and mirrored onto the other seven
+octants by sign flips and a ``(cos, sin)`` swap, so the ring points
+repeat each ``(|x1|, |x2|)`` pair exactly and the rotation pressure table
+is read once per distinct pair.  Sub-flows whose velocity scale is zero
+are skipped by :func:`total_numeric`.  The identity
 ``n dS = (d1 h/2, d2 h/2, -1) dx'`` removes the normalization roundoff.
 Pressure-cache interpolation errors are propagated into the reported
 error bounds.
@@ -35,6 +40,7 @@ from .fields import (
     eval_field_many,
     pressure_cache_error,
     subflow_indices,
+    subflow_scale,
 )
 from .geometry import SurfacePoint
 from .quadrature import (
@@ -111,14 +117,17 @@ def _pressure_error_bound(k: int, params: ProblemParams) -> float:
     return 6.0 * params.mu * amp * pce
 
 
-def _ring_components(k, params, ts, theta):
-    """Force/torque ring integrands: (6, nt, ntheta) traction moments."""
+def _ring_components(k, params, ts, cos, sin):
+    """Force/torque ring integrands: (6, nt, ntheta) traction moments.
+
+    ``cos``/``sin`` are the ring directions; every radius in ``ts`` uses
+    the same ones."""
     prof = params.profile
     mu, eps, R = params.mu, prof.eps, prof.R
     nt = ts.size
-    t = np.repeat(ts, theta.size)
-    x1 = t * np.tile(np.cos(theta), nt)
-    x2 = t * np.tile(np.sin(theta), nt)
+    t = np.repeat(ts, cos.size)
+    x1 = t * np.tile(cos, nt)
+    x2 = t * np.tile(sin, nt)
     h = np.broadcast_to(np.asarray(prof.h_radial(t), float), t.shape)
     u, p, grad = eval_field_many(k, params, x1, x2, 0.5 * h)
     g1, g2 = prof.h_grad(x1, x2)
@@ -139,7 +148,7 @@ def _ring_components(k, params, ts, theta):
             nu[0] * w[1] - nu[1] * w[0],
         ]
     )
-    return np.concatenate([w, tq]).reshape(6, nt, theta.size)
+    return np.concatenate([w, tq]).reshape(6, nt, cos.size)
 
 
 def _fvec_trapezoid(k, params):
@@ -149,15 +158,41 @@ def _fvec_trapezoid(k, params):
     translation/spin sub-flows; a 64-vs-32-point difference provides the
     angular error estimate (components 6..11)."""
     theta = 2.0 * np.pi * np.arange(_NTHETA) / _NTHETA
+    cos, sin = np.cos(theta), np.sin(theta)
     dtheta = 2.0 * np.pi / _NTHETA
 
     def fvec(ts: np.ndarray) -> np.ndarray:
-        comps = _ring_components(k, params, ts, theta)
+        comps = _ring_components(k, params, ts, cos, sin)
         full = comps.sum(axis=2) * dtheta
         half = comps[:, :, ::2].sum(axis=2) * (2.0 * dtheta)
         return np.concatenate([full, np.abs(full - half)]) * ts[None, :]
 
     return fvec, _NTHETA
+
+
+def _mirrored_ring(profile):
+    """Directions and panel half-widths of the graded rotation ring.
+
+    Returns ``(cos, sin, half)``: ``cos``/``sin`` hold the 15 Kronrod
+    nodes of each panel, panel by panel, and ``half`` the panel
+    half-widths in ``theta``.  The panels are graded toward the cardinal
+    angles, built on the first octant ``[0, pi/4]`` and mirrored onto the
+    other seven by sign flips and by swapping ``(cos, sin)``.  The ring is
+    therefore invariant, bit for bit, under the eight symmetries of the
+    square.
+    """
+    dth = profile.boundary_layer_scale() / profile.r
+    centers = [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2.0 * np.pi]
+    edges = _graded_nodes(0.0, 2.0 * np.pi, centers, dth, n_side=14, n_uniform=17)
+    edges = np.append(edges[edges < 0.25 * np.pi], 0.25 * np.pi)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    theta = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
+    c, s = np.cos(theta), np.sin(theta)
+    # octants counter-clockwise: theta, pi/2 - theta, pi/2 + theta, pi - theta, ...
+    cos = np.concatenate([c, s, -s, -c, -c, -s, s, c])
+    sin = np.concatenate([s, c, c, s, -s, -c, -c, -s])
+    return cos, sin, np.tile(half, 8)
 
 
 def _fvec_graded_ring(k, params):
@@ -166,20 +201,19 @@ def _fvec_graded_ring(k, params):
     The rotation pressure's nested integrals switch on over an angular
     width ``delta / t`` around each cardinal angle, which a uniform ring
     rule cannot resolve; panels graded toward ``0, pi/2, pi, 3pi/2`` at
-    the worst-case width ``delta / r`` are used instead.  The summed
-    Kronrod-vs-Gauss panel differences (components 6..11) bound the
-    angular error."""
-    prof = params.profile
-    dth = prof.boundary_layer_scale() / prof.r
-    centers = [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2.0 * np.pi]
-    edges = _graded_nodes(0.0, 2.0 * np.pi, centers, dth, n_side=14, n_uniform=17)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    theta = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
+    the worst-case width ``delta / r`` are used instead
+    (:func:`_mirrored_ring`).  The ring is octant-mirrored: since
+    ``t * (-c) == -(t * c)`` holds exactly, the eight images of a node
+    share ``(|x1|, |x2|)`` up to a swap, so each ring repeats every
+    rotation-table lookup four times and the table is read once per
+    distinct pair (see :class:`lubgap.fields._RotationTable`).  The
+    summed Kronrod-vs-Gauss panel differences (components 6..11) bound
+    the angular error."""
+    cos, sin, half = _mirrored_ring(params.profile)
     npan = half.size
 
     def fvec(ts: np.ndarray) -> np.ndarray:
-        comps = _ring_components(k, params, ts, theta)
+        comps = _ring_components(k, params, ts, cos, sin)
         pan = comps.reshape(6, ts.size, npan, _NODES.size)
         resk = (pan @ _WEIGHTS_K) * half
         resg = (pan[..., _GAUSS_IDX] @ _WEIGHTS_G) * half
@@ -187,7 +221,7 @@ def _fvec_graded_ring(k, params):
         err = np.abs(resk - resg).sum(axis=2)
         return np.concatenate([full, err]) * ts[None, :]
 
-    return fvec, theta.size
+    return fvec, cos.size
 
 
 def _force_numeric_3d(k, params, rel_tol, max_subdivisions):
@@ -300,11 +334,25 @@ def total_numeric(
     rel_tol: float = 1e-8,
     max_subdivisions: int = 2000,
 ) -> TotalResult:
-    """Total force/torque: sum of :func:`force_numeric` over all sub-flows."""
+    """Total force/torque: sum of :func:`force_numeric` over all sub-flows.
+
+    A sub-flow whose velocity scale is zero vanishes identically; it is
+    not integrated (and builds no pressure table) and contributes an
+    all-zero :class:`ForceResult` with ``evaluations = 0``.
+    """
     d = params.profile.dimension
     per = {}
     for k in subflow_indices(d):
-        per[k] = force_numeric(k, params, rel_tol, max_subdivisions)
+        if subflow_scale(k, params) == 0.0:
+            per[k] = ForceResult(
+                F=np.zeros(d),
+                T=np.zeros(3) if d == 3 else 0.0,
+                F_err=np.zeros(d),
+                T_err=np.zeros(3) if d == 3 else 0.0,
+                evaluations=0,
+            )
+        else:
+            per[k] = force_numeric(k, params, rel_tol, max_subdivisions)
     F = np.sum([res.F for res in per.values()], axis=0)
     F_err = np.sum([res.F_err for res in per.values()], axis=0)
     if d == 3:

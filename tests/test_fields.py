@@ -6,13 +6,18 @@ import pytest
 
 from lubgap.fields import (
     ProblemParams,
+    _rotation_table_3d,
+    _RotationTable,
     boundary_target,
     divergence,
     eval_field,
+    eval_field_many,
     pressure_cache_error,
     subflow_indices,
+    subflow_scale,
 )
 from lubgap.geometry import GapProfile, surface_sample
+from lubgap.traction import _mirrored_ring
 
 RNG_SEED = 74250
 
@@ -326,3 +331,82 @@ class TestLinearity:
             assert np.max(np.abs(u2 - 2.0 * u1)) <= 1e-12 * max(
                 float(np.max(np.abs(u2))), 1e-30
             )
+
+
+def _direct_lookups(tab, x1, x2):
+    """The rotation pressure's four table reads, one :meth:`q` call each."""
+    r = np.full_like(x1, tab.profile.r)
+    return tab.q(x1, x2), tab.q(r, x2), tab.q(x2, x1), tab.q(r, x1)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestRotationLookups:
+    # The k = 6 pressure reads the rotation table once per distinct
+    # (|x1|, |x2|) pair; every value must stay bit-identical to four
+    # direct lookups per point.
+
+    @staticmethod
+    def _point_sets(prof):
+        cos, sin, _half = _mirrored_ring(prof)
+        ts = np.array([0.0, 0.3 * prof.boundary_layer_scale(), 0.07, 0.5 * prof.r, prof.r])
+        rng = np.random.default_rng(RNG_SEED + 7)
+        x1, x2 = rng.uniform(-prof.r, prof.r, (2, 400))
+        x1[:4] = (0.0, -0.0, 0.2, -0.2)
+        x2[:4] = (0.3, 0.3, 0.0, -0.0)
+        return {
+            "ring": (np.outer(ts, cos).ravel(), np.outer(ts, sin).ravel()),
+            "random": (x1, x2),
+            "single": (np.array([0.13]), np.array([-0.07])),
+        }
+
+    @pytest.mark.parametrize("which", ["prof3d", "prof3d_flat"])
+    def test_pairs_match_direct_lookups(self, which, request):
+        prof = request.getfixturevalue(which)
+        tab = _rotation_table_3d(prof)
+        for name, (x1, x2) in self._point_sets(prof).items():
+            got = tab.q_pairs(x1, x2)
+            want = _direct_lookups(tab, x1, x2)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape == x1.shape, name
+                assert np.array_equal(_bits(g), _bits(w)), name
+
+    @pytest.mark.parametrize("which", ["params3d", "params3d_flat"])
+    def test_pressure_matches_direct_lookups(self, which, request, monkeypatch):
+        params = request.getfixturevalue(which)
+        prof = params.profile
+        results = []
+        for lookups in (None, _direct_lookups):
+            if lookups is not None:
+                monkeypatch.setattr(_RotationTable, "q_pairs", lookups)
+            for x1, x2 in self._point_sets(prof).values():
+                x3 = 0.3 * np.asarray(prof.h(x1, x2), float)
+                results.append(eval_field_many(6, params, x1, x2, x3)[1])
+        half = len(results) // 2
+        for got, want in zip(results[:half], results[half:]):
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+class TestSubflowScale:
+    def test_zero_exactly_when_field_vanishes(self, prof3d, prof2d):
+        cases = [
+            (ProblemParams(profile=prof3d, U=(0.0, 0.0, -1.0)), {3}),
+            (ProblemParams(profile=prof3d, U=(0.0, 0.0, 0.0), omega=(0.0, 0.0, 0.3)), {4}),
+            (ProblemParams(profile=prof3d, U=(0.0, 0.0, 0.0), omega=(0.1, 0.0, 0.0)), {2, 5, 6}),
+            (ProblemParams(profile=prof2d, U=(0.0, 0.5), omega=0.0), {2}),
+            (ProblemParams(profile=prof2d, U=(0.0, 0.0), omega=0.2), {1, 3, 4}),
+        ]
+        rng = np.random.default_rng(RNG_SEED + 8)
+        for params, active in cases:
+            dim = params.profile.dimension
+            pts = interior_points(params.profile, 3, rng)
+            for k in subflow_indices(dim):
+                scale = subflow_scale(k, params)
+                assert (scale > 0.0) == (k in active or k == 0), (dim, k)
+                if scale == 0.0:
+                    for x in pts:
+                        ev = eval_field(k, params, x)
+                        assert np.all(ev.u == 0.0) and ev.p == 0.0
+                        assert np.all(ev.grad_u == 0.0)

@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from lubgap.fields import ProblemParams, subflow_indices
+from lubgap.fields import (
+    ProblemParams,
+    _rotation_cache_2d,
+    _rotation_table_3d,
+    subflow_indices,
+)
 from lubgap.geometry import GapProfile, surface_sample
+from lubgap.quadrature import _WEIGHTS_K
 from lubgap.traction import (
+    _mirrored_ring,
     force_numeric,
     leading_coefficient,
     total_numeric,
@@ -149,7 +156,108 @@ class TestForceNumeric:
         assert res.F.shape == (2,)
 
 
+# the eight symmetries of the square acting on (cos, sin)
+_OCTANT_MAPS = [
+    lambda c, s: (c, s),
+    lambda c, s: (s, c),
+    lambda c, s: (-s, c),
+    lambda c, s: (-c, s),
+    lambda c, s: (-c, -s),
+    lambda c, s: (-s, -c),
+    lambda c, s: (s, -c),
+    lambda c, s: (c, -s),
+]
+
+
+class TestRotationRing:
+    @pytest.mark.parametrize(
+        "kind, m, s",
+        [
+            ("m-convex", 2.0, 0.0),
+            ("m-convex", 2.5, 0.0),
+            ("m-convex", 4.0, 0.0),
+            ("m-convex", 8.0, 0.0),
+            ("flat-capped", 2.0, 0.1),
+        ],
+    )
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_ring_invariant_under_octant_maps(self, kind, m, s, eps):
+        prof = GapProfile(kind=kind, m=m, s=s, eps=eps, r=0.5, R=2.0, dimension=3)
+        cos, sin, half = _mirrored_ring(prof)
+        w = (half[:, None] * _WEIGHTS_K[None, :]).ravel()
+        assert cos.shape == sin.shape == w.shape
+        assert np.sum(w) == pytest.approx(2.0 * np.pi, rel=1e-14)
+
+        def canonical(c, s_):
+            order = np.lexsort((w, s_, c))
+            return np.stack([c[order], s_[order], w[order]]).view(np.uint64)
+
+        ref = canonical(cos, sin)
+        for octant_map in _OCTANT_MAPS:
+            assert np.array_equal(canonical(*octant_map(cos, sin)), ref)
+        # so a ring of radius t repeats each (|x1|, |x2|) pair four times
+        t = 0.3 * prof.r
+        pairs = np.unique(np.abs(t * cos) + 1j * np.abs(t * sin))
+        assert pairs.size == cos.size // 4
+
+    # force_numeric(6) on the general3d problem (m = 2, r = 0.5, R = 2,
+    # U = (0.3, -0.2, -0.5), omega = (0.15, 0.2, 0.1)) from the full-circle
+    # ring that preceded the mirrored one: mirroring must not move them
+    _K6_REFERENCE = {
+        1e-2: (
+            [11.659655576494542, -8.744741682388284, 75.37550453841286],
+            [-10.112676536964438, -13.483568715935448, 1.7224249170743295e-17],
+            [6.244612544156109e-05, 6.241882753493534e-05, 0.00012523846233375454],
+            [0.0004080570555805045, 0.00040808347815658106, 0.0004079330152229288],
+        ),
+        1e-3: (
+            [117.75385062661043, -88.31538796879512, 815.4690032393337],
+            [-86.34396701128347, -115.12528934987787, -1.3639023940193437e-17],
+            [0.0036347331072840126, 0.0036334019275405484, 0.007296075433900593],
+            [0.023764362746144203, 0.02376560248763093, 0.02375916937232568],
+        ),
+        1e-4: (
+            [1178.0555311668911, -883.5416483772359, 8235.558907418148],
+            [-833.5016454579754, -1111.335527274612, 6.321560793244731e-17],
+            [0.17538686893957411, 0.17533719090303165, 0.35172468989664196],
+            [1.147317062844121, 1.1473635020533095, 1.1471530302926862],
+        ),
+    }
+
+    @pytest.mark.parametrize("eps", sorted(_K6_REFERENCE))
+    def test_rotation_force_unchanged(self, eps):
+        params = ProblemParams(
+            profile=mconvex(eps=eps), mu=1.0, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1)
+        )
+        F, T, F_err, T_err = (np.array(v) for v in self._K6_REFERENCE[eps])
+        res = force_numeric(6, params)
+        scale = max(float(np.max(np.abs(F))), float(np.max(np.abs(T))))
+        assert np.max(np.abs(res.F - F)) <= 1e-9 * scale
+        assert np.max(np.abs(res.T - T)) <= 1e-9 * scale
+        assert res.F_err == pytest.approx(F_err, rel=1e-2)
+        assert res.T_err == pytest.approx(T_err, rel=1e-2)
+
+
 class TestTotalNumeric:
+    def test_zero_scale_subflows_skipped(self):
+        # a pure squeeze never integrates (or tabulates) the rotation
+        # sub-flow, in 3D (k = 6) and in 2D (k = 4)
+        squeeze3 = ProblemParams(profile=mconvex(eps=2e-3), U=(0.0, 0.0, -1.0))
+        squeeze2 = ProblemParams(
+            profile=mconvex(eps=2e-3, dimension=2), U=(0.0, -1.0), omega=0.0
+        )
+        cases = [(squeeze3, 6, 3, _rotation_table_3d), (squeeze2, 4, 2, _rotation_cache_2d)]
+        for params, k, k_squeeze, table in cases:
+            table.cache_clear()
+            res = total_numeric(params)
+            zero = res.per_subflow[k]
+            for v in (zero.F, zero.T, zero.F_err, zero.T_err):
+                v = np.atleast_1d(v)
+                assert np.all(v == 0.0) and not np.any(np.signbit(v))
+            assert zero.evaluations == 0
+            assert table.cache_info().currsize == 0
+            assert res.per_subflow[k_squeeze].evaluations > 0
+
     def test_superposition(self, prof3d):
         U = (0.3, -0.2, -0.5)
         w = (0.15, 0.2, 0.1)
