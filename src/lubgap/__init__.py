@@ -16,12 +16,14 @@ Module map
 :mod:`lubgap.geometry`
     Gap profiles, surface sampling, and the flat-cap validity check.
 :mod:`lubgap.quadrature`
-    Adaptive quadrature settings shared by the numeric routes.
+    The one quadrature layer: adaptive Gauss-Kronrod integration, the
+    Gauss-Kronrod panel and trapezoid ring rules, cumulative tables.
 :mod:`lubgap.fields`
     Closed-form velocity/pressure fields of the seven elementary
     sub-flows and their boundary data.
 :mod:`lubgap.traction`
-    Surface traction and numeric force/torque integrals.
+    Traction moments on the gap boundary and the numeric force/torque
+    driver (2D and 3D).
 :mod:`lubgap.asymptotics`
     Blow-up expansions with explicit coefficients and interval
     residuals; exponent fitting.
@@ -63,7 +65,7 @@ from .special import (
     phi_leading,
     psi,
 )
-from .traction import ForceResult, TotalResult, force_numeric, total_numeric, traction
+from .traction import ForceResult, TotalResult, force_numeric, total_numeric
 
 __all__ = [
     "AsymptoticExpansion",
@@ -111,7 +113,6 @@ __all__ = [
     "subflow_indices",
     "surface_sample",
     "total_numeric",
-    "traction",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -49,10 +49,11 @@ from .fields import (
     subflow_scale,
 )
 from .quadrature import CachedAntiderivative, QuadSpec, integrate_1d
+from .quadrature import kronrod_panels, trapezoid_ring
 
 __all__ = ["EllReport", "energy", "dual_tensor", "ell", "err_sweep"]
 
-_NTHETA = 64
+_RING = trapezoid_ring()
 _NGAUSS = 5
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_NGAUSS)
 
@@ -202,18 +203,12 @@ class _QPotential:
         # Cumulative Gauss-Kronrod along x1 on the graded panels, all x2
         # lines evaluated in one vectorized kernel call (the line-by-line
         # cached-antiderivative construction, batched).
-        from .quadrature import _NODES, _WEIGHTS_K
-
-        a, b = axis[:-1], axis[1:]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        x1pan = mid[:, None] + half[:, None] * _NODES[None, :]  # (npan, 15)
-        X1 = np.broadcast_to(x1pan[:, :, None], (*x1pan.shape, axis.size)).reshape(-1)
-        X2 = np.broadcast_to(axis[None, None, :], (*x1pan.shape, axis.size)).reshape(-1)
+        rule = kronrod_panels(axis)
+        shape = (axis.size, *rule.x.shape)  # (x2 line, x1 panel, node)
+        X1 = np.broadcast_to(rule.x, shape).reshape(-1)
+        X2 = np.broadcast_to(axis[:, None, None], shape).reshape(-1)
         fa, fb = kernels(X1, X2)
-        shape = (a.size, _NODES.size, axis.size)
-        panA = np.einsum("k,pkm->pm", _WEIGHTS_K, fa.reshape(shape)) * half[:, None]
-        panB = np.einsum("k,pkm->pm", _WEIGHTS_K, fb.reshape(shape)) * half[:, None]
+        cum = rule.sums(np.stack([fa.reshape(shape), fb.reshape(shape)]))[2]
         # Anchored at the core edge x1 = -r/4.  The divergence-free row
         # structure only pins d q_1 / d x1, so q_1 is gauge-free up to an
         # additive function of x2; anchoring each line at the core edge keeps
@@ -222,11 +217,8 @@ class _QPotential:
         # near-axis lines (the primitive is largest at the gap center), which
         # enters q_1 with an x3^2 profile, is *not* pure trace, and destroys
         # the boundedness of the error form the tensors exist to certify.
-        valsA = np.concatenate([np.zeros((1, axis.size)), np.cumsum(panA, axis=0)])
-        valsB = np.concatenate([np.zeros((1, axis.size)), np.cumsum(panB, axis=0)])
-
-        self._splineA = RectBivariateSpline(axis, axis, valsA)
-        self._splineB = RectBivariateSpline(axis, axis, valsB)
+        self._splineA = RectBivariateSpline(axis, axis, cum[0].T)
+        self._splineB = RectBivariateSpline(axis, axis, cum[1].T)
 
         # probe the spline between nodes against a direct line integral
         mids = 0.5 * (axis[:-1] + axis[1:])
@@ -249,7 +241,8 @@ class _QPotential:
         return self._splineA.ev(x1, x2), self._splineB.ev(x1, x2)
 
 
-@lru_cache(maxsize=8)
+# a 3-eps dual sweep needs 9 tables: one k = 3 and two k = 6 per eps
+@lru_cache(maxsize=16)
 def _q_table(profile, k, w1, w2):
     return _QPotential(profile, k, w1, w2)
 
@@ -346,26 +339,28 @@ def _volume_integrate(pointfun, params, rmax, spec):
     """Integrate ``pointfun(x1, x2, x3)`` over ``{|x'| < rmax, |x3| < h/2}``.
 
     Radial direction adaptive (Gauss-Kronrod, split at the boundary-layer
-    scale and the flat radius), 64-point angular rule, 5-point Gauss rule
-    vertically across the local gap.
+    scale and the flat radius), the shared 64-point trapezoid ring
+    (:func:`lubgap.quadrature.trapezoid_ring`, full rule only), 5-point
+    Gauss rule vertically across the local gap.
     """
     prof = params.profile
-    theta = 2.0 * np.pi * np.arange(_NTHETA) / _NTHETA
+    theta = _RING.x[0]
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    dtheta = 2.0 * np.pi / _NTHETA
+    ntheta = theta.size
+    dtheta = _RING.weights[0] * _RING.half[0]
 
     def radial(ts: np.ndarray) -> np.ndarray:
         nt = ts.size
-        x1 = (ts[:, None] * cos_t[None, :]).reshape(nt * _NTHETA)
-        x2 = (ts[:, None] * sin_t[None, :]).reshape(nt * _NTHETA)
+        x1 = (ts[:, None] * cos_t[None, :]).reshape(nt * ntheta)
+        x2 = (ts[:, None] * sin_t[None, :]).reshape(nt * ntheta)
         h = np.asarray(prof.h(x1, x2), float)
         half = 0.5 * h
         x1f = np.repeat(x1, _NGAUSS)
         x2f = np.repeat(x2, _NGAUSS)
         x3f = (half[:, None] * _GAUSS_X[None, :]).reshape(-1)
-        vals = pointfun(x1f, x2f, x3f).reshape(nt * _NTHETA, _NGAUSS)
+        vals = pointfun(x1f, x2f, x3f).reshape(nt * ntheta, _NGAUSS)
         vert = (vals * _GAUSS_W[None, :]).sum(axis=1) * half
-        rings = vert.reshape(nt, _NTHETA).sum(axis=1) * dtheta
+        rings = vert.reshape(nt, ntheta).sum(axis=1) * dtheta
         return rings * ts
 
     spec = spec.with_splits([p for p in prof.radial_splits() if p < rmax])

@@ -33,8 +33,7 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from .geometry import GapProfile, SurfacePoint
-from .quadrature import CachedAntiderivative, QuadSpec, integrate_1d
-from .quadrature import _NODES as _PANEL_NODES, _WEIGHTS_K as _PANEL_WEIGHTS
+from .quadrature import CachedAntiderivative, QuadSpec, integrate_1d, kronrod_panels
 
 __all__ = [
     "ProblemParams",
@@ -215,7 +214,7 @@ class _RotationTable:
     the first argument, so :meth:`q_pairs` reads the spline once per
     distinct pair and scatters the values back.  The ring points of the
     numeric route repeat each pair four times (see
-    :func:`lubgap.traction._fvec_graded_ring`) and the vertical Gauss rule
+    :func:`lubgap.traction._mirrored_ring`) and the vertical Gauss rule
     of the dual check repeats each planar point, so most lookups are
     shared.
     """
@@ -235,28 +234,18 @@ class _RotationTable:
                 edges = p_nodes
                 if 0.0 < c < edges[-1] and c not in edges:
                     edges = np.sort(np.append(edges, c))
-                a, b = edges[:-1], edges[1:]
-                half = 0.5 * (b - a)
-                mid = 0.5 * (a + b)
-                x = mid[:, None] + half[:, None] * _PANEL_NODES[None, :]
+                rule = kronrod_panels(edges)
+                x = rule.x
                 f = x * np.sqrt(np.maximum(x * x - c * c, 0.0)) / h3(x)
                 f[x < c] = 0.0
-                panel = half * (f @ _PANEL_WEIGHTS)
-                cum = np.concatenate([[0.0], np.cumsum(panel)])
-                idx = np.searchsorted(edges, p_nodes)
-                table[:, jc] = cum[idx]
+                table[:, jc] = rule.sums(f)[2][np.searchsorted(edges, p_nodes)]
         else:
             p_nodes = _graded_nodes(0.0, r, [0.0], delta, n_side=96)
             c_nodes = _graded_nodes(0.0, r, [0.0], delta, n_side=80)
-            a, b = p_nodes[:-1], p_nodes[1:]
-            half = 0.5 * (b - a)
-            mid = 0.5 * (a + b)
-            t = mid[:, None] + half[:, None] * _PANEL_NODES[None, :]
-            table = np.empty((p_nodes.size, c_nodes.size))
-            for jc, c in enumerate(c_nodes):
-                f = t * t / profile.h_radial(np.hypot(t, c)) ** 3
-                panel = half * (f @ _PANEL_WEIGHTS)
-                table[:, jc] = np.concatenate([[0.0], np.cumsum(panel)])
+            rule = kronrod_panels(p_nodes)
+            t = rule.x
+            c = c_nodes[:, None, None]
+            table = rule.sums(t * t / profile.h_radial(np.hypot(t, c)) ** 3)[2].T
         self._spline = RectBivariateSpline(p_nodes, c_nodes, table, kx=3, ky=3, s=0)
         self._measure_error()
 

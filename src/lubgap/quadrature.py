@@ -1,22 +1,22 @@
-"""Adaptive quadrature engines.
+"""The quadrature layer shared by the numeric routes.
 
-Three entry points are provided:
-
-* :func:`integrate_1d` -- adaptive Gauss-Kronrod (15/7 embedded pair)
-  bisection on an interval, honoring user-supplied split points.
-* :func:`integrate_surface` -- surface integral over the top gap boundary
-  of a 3D profile, written in polar coordinates as
-  ``int_0^r int_0^{2pi} g * J(t) * t dtheta dt`` with the radial axis split
-  at the ``eps^(1/m)`` boundary-layer scale (and at the flat radius ``s``
-  for flat-capped profiles).  The angular direction uses a fixed 64-point
-  trapezoid rule: the integrands that occur are low-degree trigonometric
-  polynomials in theta times radial factors, for which the trapezoid rule
-  is spectrally exact (checked by doubling the resolution in tests).
-* :func:`integrate_nested` -- outer integral of a function that consumes a
-  running inner integral ``inner(x) = int kernel``; the inner integral is
-  tabulated once on a Chebyshev-spaced grid as a cached cumulative
-  antiderivative and interpolated, with the interpolation error measured
-  and kept below a tenth of the total budget.
+* :func:`integrate_vector` / :func:`integrate_1d` -- adaptive
+  Gauss-Kronrod (15/7 embedded pair) bisection on an interval, honoring
+  split points; every component of a vector integrand shares one panel
+  schedule.
+* :class:`PanelRule` -- a fixed composite rule with an embedded
+  lower-order rule, held as data: the nodes of each panel, the
+  half-widths, and the node weights on ``[-1, 1]``.  :func:`kronrod_panels`
+  places the 15/7 pair on given panel edges; it serves the cumulative
+  tables (:class:`CachedAntiderivative`, the rotation-pressure and
+  dual-potential tables) and the graded angular ring of the rotation
+  sub-flow.  :func:`trapezoid_ring` is the 64-point periodic trapezoid
+  rule on ``[0, 2pi]`` as a single panel whose embedded rule is the even
+  nodes: the ring of the translation/spin sub-flows and of the dual
+  check's volume integrals.
+* :class:`CachedAntiderivative` -- a cumulative antiderivative tabulated
+  once on a Chebyshev-spaced grid and interpolated by a cubic spline
+  with a measured interpolation error.
 
 All engines are stateless and re-entrant; caches are created per call.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -36,8 +36,9 @@ __all__ = [
     "QuadratureError",
     "integrate_1d",
     "integrate_vector",
-    "integrate_surface",
-    "integrate_nested",
+    "PanelRule",
+    "kronrod_panels",
+    "trapezoid_ring",
     "CachedAntiderivative",
 ]
 
@@ -116,7 +117,6 @@ class QuadResult:
     value: float
     error_estimate: float
     evaluations: int
-    cache_error: float = 0.0  # interpolation error of a nested-integral cache
 
 
 class QuadratureError(RuntimeError):
@@ -267,37 +267,62 @@ def integrate_1d(
     return QuadResult(float(values[0]), float(errors[0]), nevals)
 
 
-def integrate_surface(g, profile, spec: QuadSpec | None = None) -> QuadResult:
-    """Integrate ``g`` over the top gap boundary of a 3D profile.
+class PanelRule(NamedTuple):
+    """A composite rule with an embedded lower-order rule, held as data.
 
-    Computed as ``int_0^r [ t * J(t) * (2pi/64) * sum_theta g ] dt`` with the
-    radial axis split at ``eps^(1/m)`` (and at ``s`` for flat-capped
-    profiles).  ``g`` receives a :class:`~lubgap.geometry.SurfacePoint`.
+    ``x[p]`` holds the nodes of panel ``p`` and ``half[p]`` its
+    half-width; ``weights`` are the node weights on ``[-1, 1]``, the same
+    on every panel, and ``embedded`` / ``embedded_weights`` the positions
+    and weights of the embedded rule's nodes.
     """
-    from . import geometry  # local import to avoid a cycle
 
-    if profile.dimension != 3:
-        raise ValueError("integrate_surface requires a 3D profile")
-    spec = spec or QuadSpec(rel_tol=1e-9)
-    spec = spec.with_splits(profile.radial_splits())
+    x: np.ndarray
+    half: np.ndarray
+    weights: np.ndarray
+    embedded: np.ndarray
+    embedded_weights: np.ndarray
 
-    ntheta = 64
-    theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    dtheta = 2.0 * np.pi / ntheta
+    def sums(self, fx: np.ndarray, embedded: bool = False):
+        """Per-panel sums of values ``fx`` of shape ``(..., npan, nodes)``.
 
-    def radial(ts: np.ndarray) -> np.ndarray:
-        out = np.empty_like(ts)
-        for i, t in enumerate(ts):
-            acc = 0.0
-            for c, s in zip(cos_t, sin_t):
-                sp = geometry.surface_sample(profile, "top", (t * c, t * s))
-                acc += g(sp)
-            # jac is radial: take it from the last sample of this ring
-            out[i] = acc * dtheta * t * sp.jac
-        return out
+        Returns ``(full, low, cum)`` over the last axis: the sums of the
+        full rule, those of the embedded rule (``None`` unless
+        ``embedded``), and the cumulative full sums at the panel edges,
+        starting from 0.
+        """
+        full = (fx @ self.weights) * self.half
+        low = None
+        if embedded:
+            low = (fx[..., self.embedded] @ self.embedded_weights) * self.half
+        cum = np.cumsum(full, axis=-1)
+        return full, low, np.concatenate([np.zeros_like(cum[..., :1]), cum], axis=-1)
 
-    return integrate_1d(radial, 0.0, profile.r, spec, vectorized=True)
+
+def kronrod_panels(edges: np.ndarray) -> PanelRule:
+    """The 15-point Kronrod rule, with its embedded 7-point Gauss rule, on
+    the panels between consecutive ``edges``."""
+    a, b = edges[:-1], edges[1:]
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    x = mid[:, None] + half[:, None] * _NODES[None, :]
+    return PanelRule(x, half, _WEIGHTS_K, _GAUSS_IDX, _WEIGHTS_G)
+
+
+def trapezoid_ring() -> PanelRule:
+    """The 64-point periodic trapezoid rule on ``[0, 2pi]`` as one panel.
+
+    Its embedded rule is the 32-point rule on the even nodes.  Spectrally
+    accurate for smooth periodic data.
+    """
+    n = 64
+    x = 2.0 * np.pi * np.arange(n) / n
+    return PanelRule(
+        x[None, :],
+        np.array([np.pi]),
+        np.full(n, 2.0 / n),
+        np.arange(0, n, 2),
+        np.full(n // 2, 4.0 / n),
+    )
 
 
 class CachedAntiderivative:
@@ -365,56 +390,12 @@ class CachedAntiderivative:
     def _cumulative(self, nodes: np.ndarray) -> np.ndarray:
         # Gauss-Kronrod value of the kernel on every inter-node panel,
         # evaluated in one vectorized call.
-        a, b = nodes[:-1], nodes[1:]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        x = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-        fx = np.asarray(self.kernel(x), dtype=float).reshape(len(a), _NODES.size)
-        self.evaluations += x.size
-        panel = half * (fx @ _WEIGHTS_K)
-        cum = np.concatenate([[0.0], np.cumsum(panel)])
+        rule = kronrod_panels(nodes)
+        fx = np.asarray(self.kernel(rule.x.ravel()), dtype=float).reshape(rule.x.shape)
+        self.evaluations += rule.x.size
+        cum = rule.sums(fx)[2]
         # re-zero at x0
         return cum - np.interp(self.x0, nodes, cum)
 
     def __call__(self, x):
         return self._spline(x)
-
-
-def integrate_nested(
-    outer: Callable[[float, float], float],
-    kernel: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    spec: QuadSpec | None = None,
-    inner_lower: float | None = None,
-    kernel_splits: Sequence[float] = (),
-) -> QuadResult:
-    """Integrate ``outer(x, inner(x))`` over ``[a, b]``.
-
-    ``inner(x) = int_{inner_lower}^{x} kernel(t) dt`` is evaluated through a
-    cached cumulative-antiderivative table (see
-    :class:`CachedAntiderivative`); the table's interpolation error budget
-    is a tenth of the requested tolerance and the measured value is
-    surfaced in ``QuadResult.cache_error``.
-    """
-    spec = spec or QuadSpec()
-    if inner_lower is None:
-        inner_lower = a
-    lo = min(a, b, inner_lower)
-    hi = max(a, b, inner_lower)
-    cache_tol = 0.1 * max(spec.rel_tol, 1e-14)
-    cache = CachedAntiderivative(
-        kernel, lo, hi, inner_lower, cache_tol, split_points=kernel_splits
-    )
-
-    def f(xs: np.ndarray) -> np.ndarray:
-        inner = cache(xs)
-        return np.array([float(outer(x, K)) for x, K in zip(xs, inner)])
-
-    res = integrate_1d(f, a, b, spec, vectorized=True)
-    return QuadResult(
-        res.value,
-        res.error_estimate,
-        res.evaluations + cache.evaluations,
-        cache_error=cache.interp_error,
-    )

@@ -21,7 +21,6 @@ expansions cannot masquerade as vanishing forces.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .asymptotics import TheoremResult, fit_exponent, force_asymptotic
@@ -121,13 +120,12 @@ def _component_values(total: TotalResult, dimension: int):
     return tot_vals, tot_errs, per
 
 
-def build_report(config: RunConfig, max_workers: int = 4) -> Report:
+def build_report(config: RunConfig) -> Report:
     """Compute everything the config asks for and assemble a :class:`Report`.
 
-    Sweep points run on a worker pool; rows are assembled in deterministic
-    order regardless of completion order.  A failed epsilon point is
-    recorded in ``errors`` and its numeric cells stay blank; the sweep is
-    never aborted by a single point.
+    Sweep points are solved one after another, in descending ``eps``.  A
+    failed epsilon point is recorded in ``errors`` and its numeric cells
+    stay blank; the sweep is never aborted by a single point.
     """
     problem = config.problem
     dimension = problem.profile.dimension
@@ -148,23 +146,16 @@ def build_report(config: RunConfig, max_workers: int = 4) -> Report:
 
     numeric_results: dict = {}
     errors = []
-    if want_numeric:
-
-        def solve(eps):
-            par = replace(problem, profile=replace(problem.profile, eps=eps))
-            return total_numeric(
+    for eps in eps_grid if want_numeric else ():
+        par = replace(problem, profile=replace(problem.profile, eps=eps))
+        try:
+            numeric_results[eps] = total_numeric(
                 par,
                 rel_tol=max(config.quadrature.rel_tol, 1e-12),
                 max_subdivisions=max(config.quadrature.max_subdivisions, 200),
             )
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {eps: pool.submit(solve, eps) for eps in eps_grid}
-        for eps in eps_grid:
-            try:
-                numeric_results[eps] = futures[eps].result()
-            except Exception as exc:  # noqa: BLE001 - embedded per row by contract
-                errors.append({"eps": eps, "error": f"{type(exc).__name__}: {exc}"})
+        except Exception as exc:  # noqa: BLE001 - embedded per row by contract
+            errors.append({"eps": eps, "error": f"{type(exc).__name__}: {exc}"})
 
     rows = []
     for eps in eps_grid:

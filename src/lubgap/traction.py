@@ -1,4 +1,4 @@
-"""Surface tractions and numeric force/torque integrals.
+"""Numeric force and torque: the traction moments integrated over the gap.
 
 The hydrodynamic force and torque on the top particle are surface
 integrals of the Newtonian traction over the top gap boundary,
@@ -10,21 +10,23 @@ with ``n`` the outward normal of the particle and ``nu`` the lever arm
 about its centroid.  In 2D the torque is the scalar
 ``nu1 (sigma n)_2 - nu2 (sigma n)_1``.
 
-All force and torque components of one sub-flow are integrated in a single
-adaptive radial pass; the ring reduction at each radius uses either a
-64-point trapezoid sum (spectrally accurate for the smooth periodic ring
-data of the translation/spin sub-flows; a 64-vs-32-point difference is
-folded into the error estimate) or, for the rotation sub-flow whose
-pressure varies over an angular width ``delta/t`` near the cardinal
-angles, Gauss-Kronrod panels graded toward those angles.  Those panels
-are built on the octant ``[0, pi/4]`` and mirrored onto the other seven
-octants by sign flips and a ``(cos, sin)`` swap, so the ring points
-repeat each ``(|x1|, |x2|)`` pair exactly and the rotation pressure table
-is read once per distinct pair.  Sub-flows whose velocity scale is zero
-are skipped by :func:`total_numeric`.  The identity
-``n dS = (d1 h/2, d2 h/2, -1) dx'`` removes the normalization roundoff.
-Pressure-cache interpolation errors are propagated into the reported
-error bounds.
+One integrand serves both dimensions: :func:`traction_moments` evaluates
+``w = sigma N`` and ``nu x w`` on the boundary ``x3 = h/2``, with the
+area-weighted normal ``N = (grad h / 2, -1)`` (the identity
+``n dS = N dx'`` removes the normalization roundoff).  One driver,
+:func:`force_numeric`, integrates all force and torque components of a
+sub-flow in a single adaptive pass (:func:`lubgap.quadrature.integrate_vector`)
+after a coarse probe that fixes the absolute tolerance: over ``[-r, r]``
+in 2D, radially over ring integrals in 3D.  A ring is its directions plus
+an angular rule held as data (:class:`lubgap.quadrature.PanelRule`), and
+its embedded rule bounds the angular error: the 64-point trapezoid for the
+translation/spin sub-flows, whose ring data are smooth and periodic, and,
+for the rotation sub-flow whose pressure varies over an angular width
+``delta/t`` near the cardinal angles, Gauss-Kronrod panels graded toward
+those angles and mirrored from the first octant onto the other seven
+(:func:`_mirrored_ring`).  Sub-flows whose velocity scale is zero are
+skipped by :func:`total_numeric`.  Pressure-table errors are propagated
+into the reported error bounds.
 """
 
 from __future__ import annotations
@@ -36,45 +38,21 @@ import numpy as np
 from .fields import (
     ProblemParams,
     _graded_nodes,
-    eval_field,
     eval_field_many,
     pressure_cache_error,
     subflow_indices,
     subflow_scale,
 )
-from .geometry import SurfacePoint
-from .quadrature import (
-    _GAUSS_IDX,
-    _NODES,
-    _WEIGHTS_G,
-    _WEIGHTS_K,
-    QuadSpec,
-    integrate_vector,
-)
+from .quadrature import QuadSpec, integrate_vector, kronrod_panels, trapezoid_ring
 
 __all__ = [
-    "traction",
+    "traction_moments",
     "ForceResult",
     "TotalResult",
     "force_numeric",
     "total_numeric",
     "leading_coefficient",
 ]
-
-_NTHETA = 64
-
-
-def traction(k: int, params: ProblemParams, sp: SurfacePoint) -> np.ndarray:
-    """Traction ``sigma n`` of sub-flow ``k`` at surface point ``sp``.
-
-    Uses the unit normal stored on ``sp``; the stress is assembled from the
-    analytic velocity gradient and pressure.
-    """
-    x = (*sp.xprime, sp.x3) if params.profile.dimension == 3 else (sp.xprime, sp.x3)
-    ev = eval_field(k, params, x)
-    sig = params.mu * (ev.grad_u + ev.grad_u.T)
-    sig -= ev.p * np.eye(params.profile.dimension)
-    return sig @ np.asarray(sp.n)
 
 
 @dataclass(frozen=True)
@@ -117,194 +95,84 @@ def _pressure_error_bound(k: int, params: ProblemParams) -> float:
     return 6.0 * params.mu * amp * pce
 
 
-def _ring_components(k, params, ts, cos, sin):
-    """Force/torque ring integrands: (6, nt, ntheta) traction moments.
+def traction_moments(k: int, params: ProblemParams, xprime, h) -> np.ndarray:
+    """Traction moments of sub-flow ``k`` at points of the top gap boundary.
 
-    ``cos``/``sin`` are the ring directions; every radius in ``ts`` uses
-    the same ones."""
+    ``xprime`` holds the planar coordinates of the points, ``(x1, x2)`` in
+    3D and ``(x1,)`` in 2D, and ``h`` the gap there.  The field is taken on
+    the boundary ``x3 = h/2`` and its stress contracted with the
+    area-weighted normal ``N = (grad h / 2, -1)``, so ``N dx' = n dS``.
+    Returns ``w = sigma N`` followed by the moment ``nu x w`` about the top
+    centroid, ``nu = (x', (h - eps)/2 - R)``: shape ``(6, n)`` in 3D and
+    ``(3, n)`` in 2D, where the moment is the scalar ``nu1 w2 - nu2 w1``.
+    """
     prof = params.profile
     mu, eps, R = params.mu, prof.eps, prof.R
-    nt = ts.size
-    t = np.repeat(ts, cos.size)
-    x1 = t * np.tile(cos, nt)
-    x2 = t * np.tile(sin, nt)
-    h = np.broadcast_to(np.asarray(prof.h_radial(t), float), t.shape)
-    u, p, grad = eval_field_many(k, params, x1, x2, 0.5 * h)
-    g1, g2 = prof.h_grad(x1, x2)
+    grad_h = prof.h_grad(*xprime) if prof.dimension == 3 else (prof.dh(*xprime),)
+    _u, p, grad = eval_field_many(k, params, *xprime, 0.5 * h)
     njac = np.stack(
-        [
-            0.5 * np.broadcast_to(np.asarray(g1, float), t.shape),
-            0.5 * np.broadcast_to(np.asarray(g2, float), t.shape),
-            -np.ones_like(t),
-        ]
+        [0.5 * np.broadcast_to(np.asarray(g, float), h.shape) for g in grad_h]
+        + [-np.ones_like(h)]
     )
     two_d = grad + grad.transpose(1, 0, 2)
     w = mu * np.einsum("ijn,jn->in", two_d, njac) - p[None, :] * njac
-    nu = np.stack([x1, x2, (0.5 * (h - eps) - R)])
-    tq = np.stack(
-        [
-            nu[1] * w[2] - nu[2] * w[1],
-            nu[2] * w[0] - nu[0] * w[2],
-            nu[0] * w[1] - nu[1] * w[0],
-        ]
-    )
-    return np.concatenate([w, tq]).reshape(6, nt, cos.size)
+    nu = np.stack([*xprime, 0.5 * (h - eps) - R])
+    if prof.dimension == 2:
+        return np.concatenate([w, (nu[0] * w[1] - nu[1] * w[0])[None, :]])
+    return np.concatenate([w, np.cross(nu, w, axis=0)])
 
 
-def _fvec_trapezoid(k, params):
-    """Radial integrand with a uniform trapezoid ring rule.
-
-    Spectrally accurate for the smooth periodic ring data of the
-    translation/spin sub-flows; a 64-vs-32-point difference provides the
-    angular error estimate (components 6..11)."""
-    theta = 2.0 * np.pi * np.arange(_NTHETA) / _NTHETA
-    cos, sin = np.cos(theta), np.sin(theta)
-    dtheta = 2.0 * np.pi / _NTHETA
-
-    def fvec(ts: np.ndarray) -> np.ndarray:
-        comps = _ring_components(k, params, ts, cos, sin)
-        full = comps.sum(axis=2) * dtheta
-        half = comps[:, :, ::2].sum(axis=2) * (2.0 * dtheta)
-        return np.concatenate([full, np.abs(full - half)]) * ts[None, :]
-
-    return fvec, _NTHETA
+_TRAPEZOID = trapezoid_ring()
+_TRAPEZOID_RING = (np.cos(_TRAPEZOID.x[0]), np.sin(_TRAPEZOID.x[0]), _TRAPEZOID)
 
 
 def _mirrored_ring(profile):
-    """Directions and panel half-widths of the graded rotation ring.
+    """The graded angular ring of the rotation sub-flow.
 
-    Returns ``(cos, sin, half)``: ``cos``/``sin`` hold the 15 Kronrod
-    nodes of each panel, panel by panel, and ``half`` the panel
-    half-widths in ``theta``.  The panels are graded toward the cardinal
-    angles, built on the first octant ``[0, pi/4]`` and mirrored onto the
-    other seven by sign flips and by swapping ``(cos, sin)``.  The ring is
-    therefore invariant, bit for bit, under the eight symmetries of the
-    square.
+    Returns ``(cos, sin, rule)``: ``rule`` holds 15-point Gauss-Kronrod
+    panels graded toward the cardinal angles, where the rotation pressure
+    switches on over a width ``delta / t`` that a uniform rule cannot
+    resolve; ``cos``/``sin`` are the ring directions at its nodes, panel
+    by panel.  The panels are built on the first octant ``[0, pi/4]`` and
+    mirrored onto the other seven by sign flips and by swapping
+    ``(cos, sin)``.  The ring is therefore invariant, bit for bit, under
+    the eight symmetries of the square: since ``t * (-c) == -(t * c)``
+    exactly, a ring of radius ``t`` repeats each ``(|x1|, |x2|)`` pair four
+    times and the rotation table is read once per distinct pair (see
+    :class:`lubgap.fields._RotationTable`).
     """
     dth = profile.boundary_layer_scale() / profile.r
     centers = [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2.0 * np.pi]
     edges = _graded_nodes(0.0, 2.0 * np.pi, centers, dth, n_side=14, n_uniform=17)
-    edges = np.append(edges[edges < 0.25 * np.pi], 0.25 * np.pi)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    theta = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    c, s = np.cos(theta), np.sin(theta)
+    rule = kronrod_panels(np.append(edges[edges < 0.25 * np.pi], 0.25 * np.pi))
+    th = rule.x
+    c, s = np.cos(th), np.sin(th)
+    q = 0.5 * np.pi
     # octants counter-clockwise: theta, pi/2 - theta, pi/2 + theta, pi - theta, ...
-    cos = np.concatenate([c, s, -s, -c, -c, -s, s, c])
-    sin = np.concatenate([s, c, c, s, -s, -c, -c, -s])
-    return cos, sin, np.tile(half, 8)
-
-
-def _fvec_graded_ring(k, params):
-    """Radial integrand with sinh-graded Gauss-Kronrod ring panels.
-
-    The rotation pressure's nested integrals switch on over an angular
-    width ``delta / t`` around each cardinal angle, which a uniform ring
-    rule cannot resolve; panels graded toward ``0, pi/2, pi, 3pi/2`` at
-    the worst-case width ``delta / r`` are used instead
-    (:func:`_mirrored_ring`).  The ring is octant-mirrored: since
-    ``t * (-c) == -(t * c)`` holds exactly, the eight images of a node
-    share ``(|x1|, |x2|)`` up to a swap, so each ring repeats every
-    rotation-table lookup four times and the table is read once per
-    distinct pair (see :class:`lubgap.fields._RotationTable`).  The
-    summed Kronrod-vs-Gauss panel differences (components 6..11) bound
-    the angular error."""
-    cos, sin, half = _mirrored_ring(params.profile)
-    npan = half.size
-
-    def fvec(ts: np.ndarray) -> np.ndarray:
-        comps = _ring_components(k, params, ts, cos, sin)
-        pan = comps.reshape(6, ts.size, npan, _NODES.size)
-        resk = (pan @ _WEIGHTS_K) * half
-        resg = (pan[..., _GAUSS_IDX] @ _WEIGHTS_G) * half
-        full = resk.sum(axis=2)
-        err = np.abs(resk - resg).sum(axis=2)
-        return np.concatenate([full, err]) * ts[None, :]
-
-    return fvec, cos.size
-
-
-def _force_numeric_3d(k, params, rel_tol, max_subdivisions):
-    prof = params.profile
-    eps, R = prof.eps, prof.R
-    fvec, ntheta = (
-        _fvec_graded_ring(k, params) if k == 6 else _fvec_trapezoid(k, params)
+    cos = np.concatenate([c, s, -s, -c, -c, -s, s, c]).ravel()
+    sin = np.concatenate([s, c, c, s, -s, -c, -c, -s]).ravel()
+    theta = np.concatenate(
+        [th, q - th, q + th, 2 * q - th, 2 * q + th, 3 * q - th, 3 * q + th, 4 * q - th]
     )
-
-    splits = prof.radial_splits()
-    probe = QuadSpec(abs_tol=1e300, rel_tol=1.0, split_points=splits)
-    vals0, _, n0 = integrate_vector(fvec, 0.0, prof.r, probe, ncomp=12, ncheck=6)
-    scale = max(float(np.max(np.abs(vals0[:6]))), 1e-300)
-    spec = QuadSpec(
-        abs_tol=rel_tol * scale,
-        rel_tol=rel_tol,
-        max_subdivisions=max_subdivisions,
-        split_points=splits,
-    )
-    vals, errs, nev = integrate_vector(fvec, 0.0, prof.r, spec, ncomp=12, ncheck=6)
-
-    ang_err = np.maximum(vals[6:], 0.0)
-    perr = _pressure_error_bound(k, params)
-    area = np.pi * prof.r**2
-    gmax = float(prof.dh_radial(prof.r))
-    lever = float(np.hypot(prof.r, R + 0.5 * (prof.h_radial(prof.r) - eps)))
-    p_F = perr * area * np.array([0.5 * gmax, 0.5 * gmax, 1.0])
-    p_T = perr * area * lever * (1.0 + 0.5 * gmax) * np.ones(3)
-    return ForceResult(
-        F=vals[:3].copy(),
-        T=vals[3:6].copy(),
-        F_err=errs[:3] + ang_err[:3] + p_F,
-        T_err=errs[3:6] + ang_err[3:6] + p_T,
-        evaluations=(n0 + nev) * ntheta,
-    )
+    return cos, sin, rule._replace(x=theta, half=np.tile(rule.half, 8))
 
 
-def _force_numeric_2d(k, params, rel_tol, max_subdivisions):
-    prof = params.profile
-    mu, eps, R = params.mu, prof.eps, prof.R
+def _ring_moments(k, params, ring, ts):
+    """Traction moments integrated over the rings of radii ``ts``: (12, nt).
 
-    def fvec(xs: np.ndarray) -> np.ndarray:
-        h = np.broadcast_to(np.asarray(prof.h(xs), float), xs.shape)
-        x2 = 0.5 * h
-        u, p, grad = eval_field_many(k, params, xs, x2)
-        g = np.broadcast_to(np.asarray(prof.dh(xs), float), xs.shape)
-        njac = np.stack([0.5 * g, -np.ones_like(xs)])
-        two_d = grad + grad.transpose(1, 0, 2)
-        w = mu * np.einsum("ijn,jn->in", two_d, njac) - p[None, :] * njac
-        nu1 = xs
-        nu2 = 0.5 * (h - eps) - R
-        tq = nu1 * w[1] - nu2 * w[0]
-        return np.concatenate([w, tq[None, :]])
-
-    delta = prof.boundary_layer_scale()
-    splits = sorted(
-        {p for base in (delta, prof.s) for p in (base, -base) if 0.0 < abs(p) < prof.r}
-        | {0.0}
-    )
-    probe = QuadSpec(abs_tol=1e300, rel_tol=1.0, split_points=splits)
-    vals0, _, n0 = integrate_vector(fvec, -prof.r, prof.r, probe, ncomp=3)
-    scale = max(float(np.max(np.abs(vals0))), 1e-300)
-    spec = QuadSpec(
-        abs_tol=rel_tol * scale,
-        rel_tol=rel_tol,
-        max_subdivisions=max_subdivisions,
-        split_points=splits,
-    )
-    vals, errs, nev = integrate_vector(fvec, -prof.r, prof.r, spec, ncomp=3)
-
-    perr = _pressure_error_bound(k, params)
-    length = 2.0 * prof.r
-    gmax = float(prof.dh_radial(prof.r))
-    lever = float(np.hypot(prof.r, R + 0.5 * (prof.h_radial(prof.r) - eps)))
-    p_F = perr * length * np.array([0.5 * gmax, 1.0])
-    p_T = perr * length * lever * (1.0 + 0.5 * gmax)
-    return ForceResult(
-        F=vals[:2].copy(),
-        T=float(vals[2]),
-        F_err=errs[:2] + p_F,
-        T_err=float(errs[2]) + p_T,
-        evaluations=n0 + nev,
-    )
+    ``ring`` is ``(cos, sin, rule)``: the ring directions and the angular
+    rule as data.  Rows 0..5 are ``t`` times the ring integrals of the
+    moments by the full rule; rows 6..11 ``t`` times the summed per-panel
+    differences from the embedded rule, which bound the angular error.
+    """
+    cos, sin, rule = ring
+    nt = ts.size
+    t = np.repeat(ts, cos.size)
+    xprime = (t * np.tile(cos, nt), t * np.tile(sin, nt))
+    h = np.broadcast_to(np.asarray(params.profile.h_radial(t), float), t.shape)
+    pan = traction_moments(k, params, xprime, h).reshape(6, nt, *rule.x.shape)
+    full, low, _ = rule.sums(pan, embedded=True)
+    return np.concatenate([full.sum(axis=2), np.abs(full - low).sum(axis=2)]) * ts[None, :]
 
 
 def force_numeric(
@@ -315,18 +183,65 @@ def force_numeric(
 ) -> ForceResult:
     """Force and torque of sub-flow ``k`` on the top particle.
 
-    Integrates the traction over the top gap boundary with the radial axis
-    split at the ``eps^(1/m)`` layer scale (and the flat radius); in 2D the
-    interval is additionally split at ``x1 = 0``.  Tolerances are relative
-    to the largest force/torque component of this sub-flow.
+    Integrates the traction moments over the top gap boundary: in 3D
+    radially over ring integrals (the graded ring for the rotation
+    sub-flow ``k = 6``, the trapezoid ring otherwise), split at the
+    ``eps^(1/m)`` layer scale and the flat radius; in 2D over
+    ``[-r, r]``, split there and at ``x1 = 0``.  A coarse probe pass sets
+    the absolute tolerance, so tolerances are relative to the largest
+    force/torque component of this sub-flow.  The bounds add the
+    quadrature estimate, the angular estimate (3D) and the pressure-table
+    error spread over the boundary's measure (``pi r^2`` or ``2 r``).
     """
-    if k not in subflow_indices(params.profile.dimension):
-        raise ValueError(
-            f"sub-flow index {k} invalid for dimension {params.profile.dimension}"
+    prof = params.profile
+    d = prof.dimension
+    if k not in subflow_indices(d):
+        raise ValueError(f"sub-flow index {k} invalid for dimension {d}")
+    if d == 3:
+        ring = _mirrored_ring(prof) if k == 6 else _TRAPEZOID_RING
+        fvec = lambda ts: _ring_moments(k, params, ring, ts)
+        lo, splits, nring = 0.0, prof.radial_splits(), ring[0].size
+        ncomp, nmom, measure = 12, 6, np.pi * prof.r**2
+    else:
+
+        def fvec(xs):
+            h = np.broadcast_to(np.asarray(prof.h(xs), float), xs.shape)
+            return traction_moments(k, params, (xs,), h)
+
+        delta = prof.boundary_layer_scale()
+        splits = sorted(
+            {p for base in (delta, prof.s) for p in (base, -base) if 0.0 < abs(p) < prof.r}
+            | {0.0}
         )
-    if params.profile.dimension == 3:
-        return _force_numeric_3d(k, params, rel_tol, max_subdivisions)
-    return _force_numeric_2d(k, params, rel_tol, max_subdivisions)
+        lo, nring, ncomp, nmom, measure = -prof.r, 1, 3, 3, 2.0 * prof.r
+
+    probe = QuadSpec(abs_tol=1e300, rel_tol=1.0, split_points=splits)
+    vals0, _, n0 = integrate_vector(fvec, lo, prof.r, probe, ncomp=ncomp, ncheck=nmom)
+    scale = max(float(np.max(np.abs(vals0[:nmom]))), 1e-300)
+    spec = QuadSpec(
+        abs_tol=rel_tol * scale,
+        rel_tol=rel_tol,
+        max_subdivisions=max_subdivisions,
+        split_points=splits,
+    )
+    vals, errs, nev = integrate_vector(fvec, lo, prof.r, spec, ncomp=ncomp, ncheck=nmom)
+
+    err = errs[:nmom] + np.maximum(vals[nmom:], 0.0) if d == 3 else errs
+    perr = _pressure_error_bound(k, params)
+    gmax = float(prof.dh_radial(prof.r))
+    lever = float(np.hypot(prof.r, prof.R + 0.5 * (prof.h_radial(prof.r) - prof.eps)))
+    p_F = perr * measure * np.array([0.5 * gmax] * (d - 1) + [1.0])
+    p_T = perr * measure * lever * (1.0 + 0.5 * gmax)
+    T, T_err = vals[d:nmom].copy(), err[d:nmom] + p_T
+    if d == 2:
+        T, T_err = float(T[0]), float(T_err[0])
+    return ForceResult(
+        F=vals[:d].copy(),
+        T=T,
+        F_err=err[:d] + p_F,
+        T_err=T_err,
+        evaluations=(n0 + nev) * nring,
+    )
 
 
 def total_numeric(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lubgap import dualcheck
 from lubgap.asymptotics import fit_exponent
 from lubgap.dualcheck import EllReport, dual_tensor, ell, energy, err_sweep
 from lubgap.fields import ProblemParams
@@ -177,6 +178,43 @@ class TestErrSweep:
         assert len(rep.values[(3, 3)]) == 3
         assert all(v >= 0.0 for v in rep.values[(3, 3)])
         assert (3, 3) in rep.slopes
+
+    def test_dual_tables_built_once(self, monkeypatch):
+        # a 3-eps sweep over the sub-flows 1, 3 and 6 (k = 2 has zero scale:
+        # U2 + w1 R = 0) needs 9 dual tables, one k = 3 and two k = 6 per
+        # eps; run serially, pair by pair, each must be built once.  Cheap
+        # stand-in tables keep the test fast: only the cache is under test.
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return list(map(fn, jobs))
+
+        class TableStub:
+            def __init__(self, profile, k, w1, w2):
+                pass
+
+            def __call__(self, x1, x2):
+                return np.zeros_like(x1), np.zeros_like(x1)
+
+        monkeypatch.setattr(dualcheck, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(dualcheck, "_QPotential", TableStub)
+        prof = GapProfile(kind="m-convex", m=2.0, s=0.0, eps=1e-1, r=0.5, R=2.0, dimension=3)
+        params = ProblemParams(profile=prof, U=(0.3, -0.2, -0.5), omega=(0.1, 0.2, 0.1))
+        dualcheck._q_table.cache_clear()
+        try:
+            rep = err_sweep(params, (1e-1, 3e-2, 1e-2), QuadSpec(rel_tol=1e-2, abs_tol=1e-3))
+            assert rep.pairs == ((1, 1), (1, 3), (1, 6), (3, 3), (3, 6), (6, 6))
+            assert dualcheck._q_table.cache_info().misses == 9
+        finally:
+            dualcheck._q_table.cache_clear()
 
     def test_grid_validation(self, params3d):
         with pytest.raises(ValueError):

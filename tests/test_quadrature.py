@@ -1,4 +1,4 @@
-"""Adaptive 1D, surface, and nested integration engines."""
+"""Adaptive integration, panel rules, and cumulative tables."""
 
 import math
 
@@ -7,15 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lubgap.geometry import GapProfile
 from lubgap.quadrature import (
     CachedAntiderivative,
     QuadratureError,
     QuadResult,
     QuadSpec,
     integrate_1d,
-    integrate_nested,
-    integrate_surface,
+    kronrod_panels,
+    trapezoid_ring,
 )
 
 
@@ -96,48 +95,30 @@ class TestIntegrate1d:
         )
 
 
-class TestIntegrateSurface:
-    def _profile(self, eps=1e-3):
-        return GapProfile(
-            kind="m-convex", m=2.0, s=0.0, eps=eps, r=0.5, R=2.0, dimension=3
-        )
+class TestPanelRules:
+    def test_kronrod_panels_cumulative(self):
+        # degree 6 is below the 7-point Gauss degree, so both rules are exact
+        edges = np.array([-1.0, -0.2, 0.5, 1.5])
+        rule = kronrod_panels(edges)
+        full, low, cum = rule.sums(rule.x**6, embedded=True)
+        assert full.shape == low.shape == (3,)
+        assert np.max(np.abs(full - low)) <= 1e-14
+        assert cum == pytest.approx((edges**7 - edges[0] ** 7) / 7.0, rel=1e-13)
+        assert rule.sums(np.stack([rule.x, -rule.x]))[2].shape == (2, 4)
 
-    def test_cap_area(self):
-        # area of the paraboloid cap: 2*pi * int_0^r sqrt(1+t^2) t dt
-        res = integrate_surface(lambda sp: 1.0, self._profile())
-        expected = (2.0 * math.pi / 3.0) * (1.25**1.5 - 1.0)
-        assert res.value == pytest.approx(expected, rel=1e-9)
-
-    def test_projected_area(self):
-        # n3 * dS = -dx' exactly, so integrating n3 gives -pi r^2
-        res = integrate_surface(lambda sp: sp.n[2], self._profile())
-        assert res.value == pytest.approx(-math.pi * 0.25, rel=1e-10)
-
-    def test_odd_integrand_vanishes(self):
-        # a pure relative target is unreachable on an exactly-zero integral
-        spec = QuadSpec(abs_tol=1e-12, rel_tol=1e-9)
-        res = integrate_surface(lambda sp: sp.xprime[0], self._profile(), spec)
-        assert abs(res.value) <= max(res.error_estimate, 1e-12)
-
-    def test_projection_identity_flat(self):
-        prof = GapProfile(
-            kind="flat-capped", m=2.0, s=0.1, eps=1e-3, r=0.5, R=2.0, dimension=3
-        )
-        res = integrate_surface(lambda sp: -sp.n[2], prof)
-        assert res.value == pytest.approx(math.pi * 0.25, rel=1e-9)
+    def test_trapezoid_ring(self):
+        # the ring is one panel of [0, 2pi]; its embedded rule the even nodes
+        ring = trapezoid_ring()
+        assert ring.x.shape == (1, 64)
+        full, low, _ = ring.sums(np.cos(3.0 * ring.x) ** 2, embedded=True)
+        assert full[0] == pytest.approx(np.pi, rel=1e-14)
+        assert low[0] == pytest.approx(np.pi, rel=1e-14)
+        full, low, _ = ring.sums(np.cos(16.0 * ring.x) ** 2, embedded=True)
+        assert full[0] == pytest.approx(np.pi, rel=1e-14)
+        assert low[0] == pytest.approx(2.0 * np.pi, rel=1e-14)
 
 
 class TestNested:
-    def test_polynomial(self):
-        # inner(x) = int_0^x t^2 dt = x^3/3; outer integral over [0,1] = 1/12
-        res = integrate_nested(
-            outer=lambda x, inner: inner,
-            kernel=lambda t: t * t,
-            a=0.0,
-            b=1.0,
-        )
-        assert res.value == pytest.approx(1.0 / 12.0, rel=1e-8)
-
     def test_anchor_point_is_zero(self):
         cache = CachedAntiderivative(
             lambda t: t * t, lo=-0.5, hi=0.5, x0=-0.5, tol=1e-10

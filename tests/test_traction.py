@@ -11,14 +11,13 @@ from lubgap.fields import (
     _rotation_table_3d,
     subflow_indices,
 )
-from lubgap.geometry import GapProfile, surface_sample
-from lubgap.quadrature import _WEIGHTS_K
+from lubgap.geometry import GapProfile
 from lubgap.traction import (
     _mirrored_ring,
     force_numeric,
     leading_coefficient,
     total_numeric,
-    traction,
+    traction_moments,
 )
 
 
@@ -28,18 +27,25 @@ def mconvex(m=2.0, eps=1e-3, dimension=3, r=0.5, R=2.0):
     )
 
 
+def moments_at(k, params, xprime):
+    """``(w, nu x w)`` of :func:`traction_moments` at one boundary point."""
+    pts = tuple(np.array([float(v)]) for v in np.atleast_1d(xprime))
+    mom = traction_moments(k, params, pts, params.profile.h(*pts))[:, 0]
+    d = params.profile.dimension
+    return mom[:d], mom[d:]
+
+
 class TestTraction:
     def test_pure_shear_at_apex(self, params3d):
-        # at the apex n = (0,0,-1), the A-terms vanish by parity and the
+        # at the apex N = n = (0,0,-1), the A-terms vanish by parity and the
         # shear sub-flow traction reduces to (-mu (U1 - w2 R)/eps, 0, 0)
         prof = params3d.profile
-        sp = surface_sample(prof, "top", (0.0, 0.0))
-        tr = traction(1, params3d, sp)
+        w, _ = moments_at(1, params3d, (0.0, 0.0))
         c = params3d.U[0] - params3d.omega[1] * prof.R
         expected = -params3d.mu * c / prof.eps
-        assert tr[0] == pytest.approx(expected, rel=1e-12)
-        assert abs(tr[1]) <= 1e-12 * abs(expected)
-        assert abs(tr[2]) <= 1e-12 * abs(expected)
+        assert w[0] == pytest.approx(expected, rel=1e-12)
+        assert abs(w[1]) <= 1e-12 * abs(expected)
+        assert abs(w[2]) <= 1e-12 * abs(expected)
 
     def test_linear_in_motion(self, prof3d):
         base = ProblemParams(
@@ -48,10 +54,9 @@ class TestTraction:
         double = ProblemParams(
             profile=prof3d, mu=1.0, U=(0.6, -0.4, -1.0), omega=(0.3, 0.4, 0.2)
         )
-        sp = surface_sample(prof3d, "top", (0.21, -0.13))
         for k in subflow_indices(3):
-            t1 = traction(k, base, sp)
-            t2 = traction(k, double, sp)
+            t1 = np.concatenate(moments_at(k, base, (0.21, -0.13)))
+            t2 = np.concatenate(moments_at(k, double, (0.21, -0.13)))
             assert np.max(np.abs(t2 - 2.0 * t1)) <= 1e-11 * max(
                 float(np.max(np.abs(t2))), 1e-30
             )
@@ -65,15 +70,17 @@ class TestTraction:
             params = ProblemParams(
                 profile=prof, mu=1.0, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1)
             )
-            sp = surface_sample(prof, "top", (0.0, 0.0))
-            vals.append(float(np.max(np.abs(traction(0, params, sp)))))
+            w, _ = moments_at(0, params, (0.0, 0.0))
+            vals.append(float(np.max(np.abs(w))))
         assert max(vals) <= 10.0 * min(vals)
 
     def test_2d(self, params2d):
-        sp = surface_sample(params2d.profile, "top", 0.2)
-        tr = traction(1, params2d, sp)
-        assert tr.shape == (2,)
-        assert np.all(np.isfinite(tr))
+        x1 = np.array([-0.3, 0.0, 0.2])
+        mom = traction_moments(1, params2d, (x1,), params2d.profile.h(x1))
+        assert mom.shape == (3, 3)  # w1, w2 and the scalar torque
+        assert np.all(np.isfinite(mom))
+        w, tq = moments_at(1, params2d, 0.2)
+        assert w.shape == (2,) and tq.shape == (1,)
 
 
 class TestForceNumeric:
@@ -183,9 +190,9 @@ class TestRotationRing:
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
     def test_ring_invariant_under_octant_maps(self, kind, m, s, eps):
         prof = GapProfile(kind=kind, m=m, s=s, eps=eps, r=0.5, R=2.0, dimension=3)
-        cos, sin, half = _mirrored_ring(prof)
-        w = (half[:, None] * _WEIGHTS_K[None, :]).ravel()
-        assert cos.shape == sin.shape == w.shape
+        cos, sin, rule = _mirrored_ring(prof)
+        w = (rule.half[:, None] * rule.weights[None, :]).ravel()
+        assert cos.shape == sin.shape == w.shape == (rule.x.size,)
         assert np.sum(w) == pytest.approx(2.0 * np.pi, rel=1e-14)
 
         def canonical(c, s_):
@@ -236,6 +243,119 @@ class TestRotationRing:
         assert np.max(np.abs(res.T - T)) <= 1e-9 * scale
         assert res.F_err == pytest.approx(F_err, rel=1e-2)
         assert res.T_err == pytest.approx(T_err, rel=1e-2)
+
+
+class TestReferenceValues:
+    # force_numeric on the params3d / params2d fixtures (m = 2, eps = 1e-3)
+    # before the traction integrands and drivers were folded into one:
+    # (F, T, F_err, T_err, evaluations) per dimension and sub-flow
+    _REFERENCE = {
+        3: {
+            0: (
+                [0.09326603190344701, -0.06994952392758524, 1.4444151605454298e-18],
+                [-0.131615551600588, -0.17548740213411737, 7.583796165255376e-19],
+                [1.1304206222865345e-15, 8.487828482778594e-16, 1.4859434404476333e-18],
+                [1.5971323999818942e-15, 2.124088530710167e-15, 1.0516731498717769e-18],
+                3840,
+            ),
+            1: (
+                [1.8126761802368663, -2.3529151158617323e-20, -6.6994189225477334e-18],
+                [-6.052761906758886e-22, -3.6253523604737325, -1.4721725569037065e-18],
+                [6.022133043453079e-12, 6.690415674080469e-19, 1.501737128949818e-17],
+                [1.5973950027410276e-18, 1.2044063352589815e-11, 7.042488039616886e-18],
+                9600,
+            ),
+            2: (
+                [-1.8563563631730738e-19, -1.8126761802368656, 1.6191822042255479e-18],
+                [-3.625352360473731, 2.664335989030229e-19, 1.1675282252088996e-17],
+                [6.45885305936273e-19, 6.022056072401149e-12, 1.2547621407248727e-17],
+                [1.204403193919922e-11, 1.9910127336145986e-18, 5.377745188281749e-18],
+                9600,
+            ),
+            3: (
+                [-1.4072445760415992e-15, -2.1173233937807775e-16, 2343.2817604029237],
+                [-5.396578475137973e-16, 6.805355997621827e-15, -3.5736371020483424e-17],
+                [6.680626847271476e-05, 6.680626847142432e-05, 0.00014374011387145835],
+                [0.0004375204951436372, 0.0004375204951457597, 0.0004375204951277628],
+                9600,
+            ),
+            4: (
+                [1.4062111452233391e-18, 1.1386689053912158e-17, -8.01679015881442e-20],
+                [2.3730750352286693e-17, -1.4180967937294306e-18, -0.08654461720197612],
+                [6.0208299559557574e-18, 6.444457177814176e-18, 7.731001449090473e-19],
+                [1.3527532569600562e-17, 1.5977298232913604e-17, 1.962965699089395e-10],
+                7680,
+            ),
+            5: (
+                [-0.07672714015950802, 0.05754535511963102, -1.3984112771255002e-18],
+                [0.10772760245741098, 0.14363680327654796, -5.8527798284865e-19],
+                [1.9854131167778516e-10, 1.4890598330678663e-10, 8.156054484111181e-19],
+                [2.9953942735823067e-10, 3.993859060796894e-10, 7.56331735219886e-19],
+                7680,
+            ),
+            6: (
+                [117.75385061338856, -88.31538796004143, 815.46900319407],
+                [-86.34396700332246, -115.12528933776332, -2.267355569456631e-19],
+                [0.0036359411071687072, 0.0036344338457763954, 0.007303004049834825],
+                [0.023765332787220855, 0.023766739235749332, 0.023759169372325688],
+                234000,
+            ),
+        },
+        2: {
+            0: (
+                [-0.14583333333333337, 0.0],
+                [-0.2744791666666666],
+                [1.7649085775783536e-15, 3.7819469519536143e-16],
+                [3.3218100727992574e-15],
+                120,
+            ),
+            1: (
+                [-86.63026682207216, 2.220446049250313e-16],
+                [-173.70471851073324],
+                [1.546796689542603e-08, 1.725172568709189e-11],
+                [3.0928304177600245e-08],
+                300,
+            ),
+            2: (
+                [5.684341886080802e-14, 44691.716443666155],
+                [2.4158453015843406e-13],
+                [0.0001059027294673676, 0.0003280165805294256],
+                [0.0006800164999815623],
+                300,
+            ),
+            3: (
+                [0.11296801849693615, -8.673617379884035e-19],
+                [0.2102493446512905],
+                [3.31294687741846e-10, 8.599985851344004e-11],
+                [6.745672575252983e-10],
+                240,
+            ),
+            4: (
+                [-2338.1151741651734, 9309.705135461572],
+                [-2228.144559459],
+                [1.0248844939145289e-06, 3.208285325571147e-06],
+                [6.50572142116396e-06],
+                300,
+            ),
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "d, k", [(d, k) for d in (3, 2) for k in subflow_indices(d)]
+    )
+    def test_force_numeric_unchanged(self, d, k, params3d, params2d):
+        params = params3d if d == 3 else params2d
+        res = force_numeric(k, params)
+        F, T, F_err, T_err, nev = self._REFERENCE[d][k]
+        ref = np.array(F + T)
+        scale = float(np.max(np.abs(ref)))
+        got = np.concatenate([res.F, np.atleast_1d(res.T)])
+        got_err = np.concatenate([res.F_err, np.atleast_1d(res.T_err)])
+        # the rings only sum in a different order: values and bounds agree
+        # to roundoff of the sub-flow's largest component
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+        assert np.max(np.abs(got_err - np.array(F_err + T_err))) <= 1e-12 * scale
+        assert res.evaluations == nev
 
 
 class TestTotalNumeric:
