@@ -11,16 +11,18 @@ Module map
 ----------
 
 :mod:`lubgap.special`
-    Gamma-function coefficient table and gap-moment integrals
-    (``phi``/``psi``), plus the asymptotic-expansion containers.
+    Gamma-function coefficient table, gap-moment integrals
+    (``phi``/``psi``) and their closed-form tails (``gap_tail``), plus
+    the asymptotic-expansion containers.
 :mod:`lubgap.geometry`
     Gap profiles, surface sampling, and the flat-cap validity check.
 :mod:`lubgap.quadrature`
-    The one quadrature layer: adaptive Gauss-Kronrod integration, the
-    Gauss-Kronrod panel and trapezoid ring rules, cumulative tables.
+    The one quadrature layer: adaptive Gauss-Kronrod integration, and
+    the Gauss-Kronrod panel and trapezoid ring rules that the cumulative
+    tables and the rotation ring are built on.
 :mod:`lubgap.fields`
     Closed-form velocity/pressure fields of the seven elementary
-    sub-flows and their boundary data.
+    sub-flows and their boundary data; the 3D rotation pressure table.
 :mod:`lubgap.traction`
     Traction moments on the gap boundary and the numeric force/torque
     driver (2D and 3D).

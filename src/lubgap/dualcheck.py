@@ -26,10 +26,10 @@ consistency test against the force asymptotics, not an equality test.
 Planar Laplacians of the construction coefficients are computed by central
 finite differences (step ``1e-5 * r``) with Richardson extrapolation; the
 extrapolation discrepancy is tracked as a verification of the step choice.
-The inner integrals defining ``q_1`` and ``q_2`` are evaluated through the
-same cached cumulative-antiderivative machinery used for the nested
-pressure integrals, tabulated line by line and interpolated with a
-bivariate spline whose measured error is recorded.
+The inner integrals defining ``q_1`` and ``q_2`` are cumulative
+Gauss-Kronrod sums along ``x1``, tabulated line by line and interpolated
+with a bivariate spline whose error, measured against a refined
+Gauss-Kronrod line, is recorded.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from .fields import (
     subflow_indices,
     subflow_scale,
 )
-from .quadrature import CachedAntiderivative, QuadSpec, integrate_1d
-from .quadrature import kronrod_panels, trapezoid_ring
+from .quadrature import QuadSpec, integrate_1d, kronrod_panels, trapezoid_ring
 
 __all__ = ["EllReport", "energy", "dual_tensor", "ell", "err_sweep"]
 
@@ -158,14 +157,19 @@ def _coeff_funcs(k, profile, w1=0.0, w2=0.0):
     raise ValueError("correction coefficients exist only for sub-flows 3 and 6")
 
 
+# sub-panels per probe interval of the reference line of _QPotential
+_PROBE_SPLIT = 32
+
+
 class _QPotential:
     """Tabulated inner integrals of the diagonal correction ``q_1``.
 
     ``q_1 = alpha * (QA(x') + 3 x3^2 QB(x'))`` with
     ``QA = int_{-r/4}^{x1} (lap A1 - d1 A3) dx1`` and
     ``QB = int_{-r/4}^{x1} (lap B1 + d1 B3) dx1`` at fixed ``x2``.  Each ``x2``
-    line is integrated once through a cached cumulative antiderivative and
-    the lines are joined by a bivariate spline over the core square.
+    line is integrated once by cumulative Gauss-Kronrod sums on a graded
+    axis and the lines are joined by a bivariate spline over the core
+    square.
 
     Attributes
     ----------
@@ -173,7 +177,8 @@ class _QPotential:
         Largest Richardson discrepancy seen while forming the integrands,
         relative to the integrand scale.
     interp_error : float
-        Measured relative spline error at offset probe points.
+        Measured relative spline error at offset probe points on one line,
+        against Gauss-Kronrod panels 32 times finer between the probes.
     """
 
     def __init__(self, profile, k, w1=0.0, w2=0.0):
@@ -185,7 +190,6 @@ class _QPotential:
         if profile.kind == "flat-capped" and profile.s < bound:
             centers += [-profile.s, profile.s]
         axis = _graded_nodes(-bound, bound, centers, delta, n_side=48, n_uniform=25)
-        splits = tuple(c for c in (-delta, 0.0, delta) if -bound < c < bound)
 
         self.fd_error = 0.0
 
@@ -201,8 +205,7 @@ class _QPotential:
             return fa, fb
 
         # Cumulative Gauss-Kronrod along x1 on the graded panels, all x2
-        # lines evaluated in one vectorized kernel call (the line-by-line
-        # cached-antiderivative construction, batched).
+        # lines evaluated in one vectorized kernel call.
         rule = kronrod_panels(axis)
         shape = (axis.size, *rule.x.shape)  # (x2 line, x1 panel, node)
         X1 = np.broadcast_to(rule.x, shape).reshape(-1)
@@ -224,14 +227,12 @@ class _QPotential:
         mids = 0.5 * (axis[:-1] + axis[1:])
         probe_x1 = mids[:: max(1, mids.size // 8)]
         probe_x2 = float(mids[mids.size // 3])
-        direct = CachedAntiderivative(
-            lambda x1: kernels(np.asarray(x1, float), probe_x2)[0],
-            -bound,
-            bound,
-            -bound,
-            1e-9,
-            split_points=splits,
-        )(probe_x1)
+        knots = np.concatenate([[-bound], probe_x1])
+        frac = np.arange(_PROBE_SPLIT) / _PROBE_SPLIT
+        sub = knots[:-1, None] + np.diff(knots)[:, None] * frac
+        line = kronrod_panels(np.append(sub.ravel(), knots[-1]))
+        fa = kernels(line.x.ravel(), probe_x2)[0].reshape(line.x.shape)
+        direct = line.sums(fa)[2][_PROBE_SPLIT::_PROBE_SPLIT]
         approx = self._splineA.ev(probe_x1, np.full_like(probe_x1, probe_x2))
         scale = max(float(np.max(np.abs(direct))), 1e-300)
         self.interp_error = float(np.max(np.abs(approx - direct))) / scale
@@ -245,6 +246,21 @@ class _QPotential:
 @lru_cache(maxsize=16)
 def _q_table(profile, k, w1, w2):
     return _QPotential(profile, k, w1, w2)
+
+
+def _q_tables(k, params):
+    """The potential tables of sub-flow ``k`` in {3, 6}, for ``q_1`` and ``q_2``.
+
+    ``q_2`` reads its table at swapped coordinates ``(x2, x1)``: the squeeze
+    coefficients are symmetric under the swap, so one table serves both; the
+    rotation needs the swapped-axes orientation ``(-w2, -w1)``.
+    """
+    prof = params.profile
+    if k == 3:
+        table = _q_table(prof, 3, 0.0, 0.0)
+        return table, table
+    w1, w2, _w3 = params.omega
+    return _q_table(prof, 6, w1, w2), _q_table(prof, 6, -w2, -w1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +301,11 @@ def _dual_tensor_many(k, params, x1, x2, x3):
     # k in (3, 6): correct the field's own stress on the diagonal
     _u, p, grad = _eval3(k, params, x1, x2, x3)
     w1, w2, _w3 = params.omega
-    if k == 3:
-        alpha = mu * params.U[2]
-        table = _q_table(prof, 3, 0.0, 0.0)
-        QA1, QB1 = table(x1, x2)
-        QA2, QB2 = table(x2, x1)  # the swap symmetry of the squeeze coefficients
-        A1, B1, A3, B3 = _coeff_funcs(3, prof)
-    else:
-        alpha = mu
-        table1 = _q_table(prof, 6, w1, w2)
-        table2 = _q_table(prof, 6, -w2, -w1)  # swapped-axes orientation
-        QA1, QB1 = table1(x1, x2)
-        QA2, QB2 = table2(x2, x1)
-        A1, B1, A3, B3 = _coeff_funcs(6, prof, w1, w2)
+    alpha = mu * params.U[2] if k == 3 else mu
+    table1, table2 = _q_tables(k, params)
+    QA1, QB1 = table1(x1, x2)
+    QA2, QB2 = table2(x2, x1)
+    A1, B1, A3, B3 = _coeff_funcs(k, prof, w1, w2)
 
     step = 1e-5 * prof.r
     lapA3, _ = _fd_lap(A3, x1, x2, step)
@@ -476,8 +484,9 @@ def err_sweep(params: ProblemParams, eps_list, spec: QuadSpec | None = None) -> 
 
     Covers the diagonal pairs ``(i, i)`` for the four sub-flows with nonzero
     dual tensors and every cross pair among them whose velocity scales are
-    nonzero.  Tasks are independent and run on a thread pool.  A fitted
-    slope below -0.2 flags a boundedness violation.
+    nonzero.  The pairs of one epsilon are independent and run on a thread
+    pool, one epsilon after another.  A fitted slope below -0.2 flags a
+    boundedness violation.
     """
     eps_grid = tuple(sorted((float(e) for e in eps_list), reverse=True))
     if len(eps_grid) < 3:
@@ -492,17 +501,21 @@ def err_sweep(params: ProblemParams, eps_list, spec: QuadSpec | None = None) -> 
         (a, b) for ai, a in enumerate(active) for b in active[ai:]
     )
 
-    def task(pair_eps):
-        (a, b), e = pair_eps
-        par = replace(params, profile=replace(params.profile, eps=e))
-        return ell(a, b, par, spec)
+    def task(pair, par):
+        return ell(pair[0], pair[1], par, spec)
 
-    jobs = [(pair, e) for pair in pairs for e in eps_grid]
+    values = {pair: [] for pair in pairs}
     with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(task, jobs))
-    values = {}
-    for (pair, _e), val in zip(jobs, results):
-        values.setdefault(pair, []).append(val)
+        for e in eps_grid:
+            par = replace(params, profile=replace(params.profile, eps=e))
+            # lru_cache lets threads race on a missing table and build it
+            # twice, so the tables of this eps are built before its tasks
+            # start; one eps at a time keeps them all in the cache
+            for k in active:
+                if k in (3, 6):
+                    _q_tables(k, par)
+            for pair, val in zip(pairs, pool.map(task, pairs, [par] * len(pairs))):
+                values[pair].append(val)
     values = {pair: tuple(vals) for pair, vals in values.items()}
 
     slopes = {}

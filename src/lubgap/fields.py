@@ -12,9 +12,11 @@ are algebraic functions of the gap ``h`` and its planar derivatives:
   vertical squeeze (2), gap-scale shear correction (3), rotation (4).
 
 The squeeze and rotation sub-flows carry a pressure built from running
-integrals of ``1/h^3``-type kernels; these are tabulated once per profile
-(cubic-spline antiderivative caches in 1D, a bivariate table in the radial
-coordinate for the 3D rotation pressure) and reused across evaluations.
+integrals of ``t^j / h^3`` kernels.  The radial ones (3D squeeze, 2D
+squeeze and rotation) are differences of closed-form kernel tails,
+incomplete Beta functions; the 3D rotation pressure reads a bivariate
+table in the radial coordinate, built once per profile and reused across
+evaluations.
 Velocity gradients are fully analytic -- no finite differences and no
 spline derivatives enter the stress evaluation.
 
@@ -28,12 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from .geometry import GapProfile, SurfacePoint
-from .quadrature import CachedAntiderivative, QuadSpec, integrate_1d, kronrod_panels
+from .quadrature import QuadSpec, integrate_1d, kronrod_panels
+from .special import gap_tail
 
 __all__ = [
     "ProblemParams",
@@ -46,8 +50,6 @@ __all__ = [
     "divergence",
     "pressure_cache_error",
 ]
-
-_CACHE_TOL = 1e-9
 
 
 def subflow_indices(dimension: int) -> tuple[int, ...]:
@@ -135,35 +137,27 @@ class FieldEval:
 
 
 # ---------------------------------------------------------------------------
-# pressure caches (one per profile, reused across calls)
+# pressure integrals: closed-form kernel tails, and the 3D rotation table
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _squeeze_cache_3d(profile: GapProfile) -> CachedAntiderivative:
-    """Cumulative ``int_0^rho u / h(u)^3 du`` for the 3D squeeze pressure."""
-    kernel = lambda t: t / profile.h_radial(t) ** 3
-    return CachedAntiderivative(
-        kernel, 0.0, profile.r, 0.0, _CACHE_TOL, split_points=profile.radial_splits()
-    )
+def _kernel_tail(profile: GapProfile, j: int, rho):
+    """Tail ``int_rho^inf t^j / h(t)^3 dt`` of the pressure kernel, ``rho >= 0``.
 
-
-@lru_cache(maxsize=16)
-def _squeeze_cache_2d(profile: GapProfile) -> CachedAntiderivative:
-    """Cumulative ``int_0^x 2u / h(u)^3 du`` for the 2D squeeze pressure."""
-    kernel = lambda t: 2.0 * t / profile.h_radial(t) ** 3
-    return CachedAntiderivative(
-        kernel, 0.0, profile.r, 0.0, _CACHE_TOL, split_points=profile.radial_splits()
-    )
-
-
-@lru_cache(maxsize=16)
-def _rotation_cache_2d(profile: GapProfile) -> CachedAntiderivative:
-    """Cumulative ``int_0^x t^2 / h(t)^3 dt`` for the 2D rotation pressure."""
-    kernel = lambda t: t**2 / profile.h_radial(t) ** 3
-    return CachedAntiderivative(
-        kernel, 0.0, profile.r, 0.0, _CACHE_TOL, split_points=profile.radial_splits()
-    )
+    An incomplete Beta function (:func:`lubgap.special.gap_tail`) for
+    m-convex profiles.  Flat caps have ``h = eps + u^2`` at ``u = t - s``
+    beyond the rim; ``(u + s)^j`` expands into ``m = 2`` tails at
+    ``u = max(rho - s, 0)``, and inside the rim the flat part adds
+    ``int_rho^s t^j / eps^3 dt``.
+    """
+    eps = profile.eps
+    if profile.kind == "m-convex":
+        return gap_tail(3, j, profile.m, rho, eps)
+    s = profile.s
+    u = np.maximum(rho - s, 0.0)
+    tail = sum(comb(j, n) * s ** (j - n) * gap_tail(3, n, 2.0, u, eps) for n in range(j + 1))
+    disc = (s ** (j + 1) - np.minimum(rho, s) ** (j + 1)) / ((j + 1) * eps**3)
+    return tail + disc
 
 
 def _graded_nodes(lo: float, hi: float, centers, delta: float, n_side=56, n_uniform=33):
@@ -324,24 +318,17 @@ def _rotation_table_3d(profile: GapProfile) -> _RotationTable:
 
 
 def pressure_cache_error(k: int, profile: GapProfile) -> float:
-    """Measured absolute table error of sub-flow ``k``'s pressure cache.
+    """Measured absolute table error of sub-flow ``k``'s pressure.
 
-    Zero for the sub-flows whose pressure vanishes identically.  The
-    returned value is the raw error of the tabulated running integral
-    (``G``-type quantity); the pressure picks up a factor ``6 mu`` times
-    the motion amplitude, which callers apply when propagating it into
-    force error estimates.  Querying builds the cache if absent.
+    Only the 3D rotation pressure (``k = 6``) reads a table; every other
+    pressure is closed-form or vanishes, and reports zero.  The returned
+    value is the raw error of the tabulated running integrals (``G``-type
+    quantity); the pressure picks up a factor ``6 mu`` times the motion
+    amplitude, which callers apply when propagating it into force error
+    estimates.  Querying builds the table if absent.
     """
-    if profile.dimension == 3:
-        if k == 3:
-            return _squeeze_cache_3d(profile).interp_error
-        if k == 6:
-            return 2.0 * _rotation_table_3d(profile).abs_error
-        return 0.0
-    if k == 2:
-        return _squeeze_cache_2d(profile).interp_error
-    if k == 4:
-        return _rotation_cache_2d(profile).interp_error
+    if profile.dimension == 3 and k == 6:
+        return 2.0 * _rotation_table_3d(profile).abs_error
     return 0.0
 
 
@@ -433,8 +420,7 @@ def _eval3(k: int, params: ProblemParams, x1, x2, x3):
         grad[0, 2] = -6.0 * U3 * B1 * x3
         grad[1, 2] = -6.0 * U3 * B2 * x3
         grad[2, 2] = U3 * (A3 + 3.0 * B3 * x3sq)
-        cache = _squeeze_cache_3d(prof)
-        G = float(cache(prof.r)) - cache(np.hypot(x1, x2))
+        G = _kernel_tail(prof, 1, np.hypot(x1, x2)) - _kernel_tail(prof, 1, prof.r)
         p[:] = mu * U3 * (-A3 + 3.0 * B3 * x3sq - 6.0 * G)
         return u, p, grad
 
@@ -603,8 +589,7 @@ def _eval2(k: int, params: ProblemParams, x1, x2):
         grad[0, 1] = -6.0 * U2 * B1 * x2
         grad[1, 0] = U2 * (dA2 * x2 + dB2 * x2 * x2sq)
         grad[1, 1] = U2 * (A2 + 3.0 * B2 * x2sq)
-        cache = _squeeze_cache_2d(prof)
-        G = float(cache(prof.r)) - cache(np.abs(x1))
+        G = 2.0 * (_kernel_tail(prof, 1, np.abs(x1)) - _kernel_tail(prof, 1, prof.r))
         p[:] = mu * U2 * (-A2 + 3.0 * B2 * x2sq - 6.0 * G)
         return u, p, grad
 
@@ -643,8 +628,10 @@ def _eval2(k: int, params: ProblemParams, x1, x2):
         grad[0, 1] = -6.0 * w0 * B1 * x2
         grad[1, 0] = w0 * (dA2 * x2 + dB2 * x2 * x2sq)
         grad[1, 1] = w0 * (A2 + 3.0 * B2 * x2sq)
-        cache = _rotation_cache_2d(prof)
-        G = -(np.sign(x1) * cache(np.abs(x1)) + float(cache(prof.r)))
+        # int_0^x t^2 / h^3 dt = T(0) - T(x) for the kernel tail T
+        T0 = _kernel_tail(prof, 2, 0.0)
+        Tx, Tr = _kernel_tail(prof, 2, np.abs(x1)), _kernel_tail(prof, 2, prof.r)
+        G = -(np.sign(x1) * (T0 - Tx) + (T0 - Tr))
         p[:] = mu * w0 * (-A2 + 3.0 * B2 * x2sq - 6.0 * G)
         return u, p, grad
 

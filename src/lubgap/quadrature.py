@@ -8,15 +8,12 @@
   lower-order rule, held as data: the nodes of each panel, the
   half-widths, and the node weights on ``[-1, 1]``.  :func:`kronrod_panels`
   places the 15/7 pair on given panel edges; it serves the cumulative
-  tables (:class:`CachedAntiderivative`, the rotation-pressure and
-  dual-potential tables) and the graded angular ring of the rotation
+  tables (the rotation-pressure and dual-potential tables and the
+  dual-potential probe line) and the graded angular ring of the rotation
   sub-flow.  :func:`trapezoid_ring` is the 64-point periodic trapezoid
   rule on ``[0, 2pi]`` as a single panel whose embedded rule is the even
   nodes: the ring of the translation/spin sub-flows and of the dual
   check's volume integrals.
-* :class:`CachedAntiderivative` -- a cumulative antiderivative tabulated
-  once on a Chebyshev-spaced grid and interpolated by a cubic spline
-  with a measured interpolation error.
 
 All engines are stateless and re-entrant; caches are created per call.
 """
@@ -28,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "QuadSpec",
@@ -39,7 +35,6 @@ __all__ = [
     "PanelRule",
     "kronrod_panels",
     "trapezoid_ring",
-    "CachedAntiderivative",
 ]
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1]
@@ -323,79 +318,3 @@ def trapezoid_ring() -> PanelRule:
         np.arange(0, n, 2),
         np.full(n // 2, 4.0 / n),
     )
-
-
-class CachedAntiderivative:
-    """Cumulative antiderivative ``K(x) = int_{x0}^{x} kernel(t) dt``.
-
-    The kernel is integrated once, panel by panel, on a Chebyshev-spaced
-    node set (per segment between split points) and the cumulative values
-    are interpolated with a cubic spline.  The node count doubles until
-    the measured interpolation error is below ``tol``.
-
-    Attributes
-    ----------
-    interp_error : float
-        Measured maximum interpolation error (midpoint check at the final
-        resolution).
-    evaluations : int
-        Number of kernel evaluations spent building the table.
-    """
-
-    def __init__(
-        self,
-        kernel: Callable[[np.ndarray], np.ndarray],
-        lo: float,
-        hi: float,
-        x0: float,
-        tol: float,
-        split_points: Sequence[float] = (),
-        n_start: int = 16,
-        max_nodes: int = 1 << 14,
-    ):
-        if not (lo <= x0 <= hi):
-            raise ValueError("x0 must lie in [lo, hi]")
-        self.kernel = kernel
-        self.lo, self.hi, self.x0 = lo, hi, x0
-        self.evaluations = 0
-        splits = [lo] + [p for p in sorted(set(split_points)) if lo < p < hi] + [hi]
-
-        n = n_start
-        prev_spline = None
-        while True:
-            nodes = self._chebyshev_nodes(splits, n)
-            values = self._cumulative(nodes)
-            spline = CubicSpline(nodes, values)
-            if prev_spline is not None:
-                mids = 0.5 * (nodes[:-1] + nodes[1:])
-                err = float(np.max(np.abs(spline(mids) - prev_spline(mids))))
-                scale = float(np.max(np.abs(values))) or 1.0
-                if err <= tol * scale or len(nodes) >= max_nodes:
-                    self.interp_error = err
-                    break
-            prev_spline = spline
-            n *= 2
-        self._spline = spline
-
-    @staticmethod
-    def _chebyshev_nodes(splits: list[float], n: int) -> np.ndarray:
-        parts = []
-        for a, b in zip(splits[:-1], splits[1:]):
-            k = np.arange(n + 1)
-            cheb = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * k / n)
-            cheb[0], cheb[-1] = a, b  # pin endpoints exactly
-            parts.append(cheb if not parts else cheb[1:])
-        return np.concatenate(parts)
-
-    def _cumulative(self, nodes: np.ndarray) -> np.ndarray:
-        # Gauss-Kronrod value of the kernel on every inter-node panel,
-        # evaluated in one vectorized call.
-        rule = kronrod_panels(nodes)
-        fx = np.asarray(self.kernel(rule.x.ravel()), dtype=float).reshape(rule.x.shape)
-        self.evaluations += rule.x.size
-        cum = rule.sums(fx)[2]
-        # re-zero at x0
-        return cum - np.interp(self.x0, nodes, cum)
-
-    def __call__(self, x):
-        return self._spline(x)

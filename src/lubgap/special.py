@@ -13,6 +13,17 @@ hydrodynamic force as the gap width ``eps`` closes:
 
 together with the leading-order expansion :func:`phi_leading` in ``eps``.
 
+The tails of the ``phi`` kernel are incomplete Beta functions.  With
+``w = rho^m / eps``, ``a = (j+1)/m`` and ``b = i - a > 0``,
+
+    gap_tail(i, j, m, rho, eps) = int_rho^inf t^j / (eps + t^m)^i dt
+                                = eps^(a-i)/m * B(a, b) * I_{1/(1+w)}(b, a),
+
+by the substitution ``u = t^m / eps`` and then ``v = 1/(1+u)``
+(:func:`gap_tail`).  The regularized function is evaluated at
+``1/(1+w)`` rather than as ``1 - I_z(a, b)`` with ``z = w/(1+w)``: that
+complement loses the digits of ``1 - z`` once ``w`` is large.
+
 The leading coefficient of ``phi`` in the blow-up branch ``i > (j+1)/m`` is
 
     (1/m) * B((j+1)/m, i - (j+1)/m) = gamma_coeff(i, j+1, m) / Gamma(i),
@@ -33,6 +44,7 @@ from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
+from scipy import special as _sc
 
 from .quadrature import QuadSpec, QuadratureError, integrate_1d
 
@@ -42,6 +54,7 @@ __all__ = [
     "GammaCoeff",
     "phi",
     "phi_leading",
+    "gap_tail",
     "psi",
     "AsymptoticTerm",
     "IntervalResidual",
@@ -309,6 +322,26 @@ def phi_leading(i: float, j: float, m: float) -> AsymptoticExpansion:
         coeff = gamma_coeff(i, j + 1.0, m) / gamma(i)
         return AsymptoticExpansion((AsymptoticTerm(coeff, power=i - threshold),))
     return AsymptoticExpansion(())
+
+
+def gap_tail(i: float, j: float, m: float, rho, eps: float):
+    """Closed-form tail ``int_rho^inf t^j / (eps + t^m)^i dt``, vectorized in ``rho``.
+
+    Requires ``b = i - (j+1)/m > 0`` (the tail converges) and ``rho >= 0``.
+    At ``rho = 0`` this is the complete integral
+    ``eps^(a-i)/m * B(a, b)``, ``a = (j+1)/m``.
+    """
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    a = (j + 1.0) / m
+    b = i - a
+    if b <= 0.0:
+        raise ValueError(f"the tail diverges: i - (j+1)/m = {b} <= 0")
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho < 0.0):
+        raise ValueError("rho must be nonnegative")
+    w = rho**m / eps
+    return eps ** (a - i) / m * _sc.beta(a, b) * _sc.betainc(b, a, 1.0 / (1.0 + w))
 
 
 def psi(i: float, j: float, s: float, r: float, eps: float) -> float:

@@ -25,8 +25,8 @@ for the rotation sub-flow whose pressure varies over an angular width
 ``delta/t`` near the cardinal angles, Gauss-Kronrod panels graded toward
 those angles and mirrored from the first octant onto the other seven
 (:func:`_mirrored_ring`).  Sub-flows whose velocity scale is zero are
-skipped by :func:`total_numeric`.  Pressure-table errors are propagated
-into the reported error bounds.
+skipped by :func:`total_numeric`.  The error of the tabulated 3D rotation
+pressure is propagated into the reported error bounds.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class ForceResult:
 
     ``T``/``T_err`` are 3-vectors in 3D and scalars in 2D.  The error
     bounds combine the adaptive-quadrature estimate, the angular-resolution
-    check, and the propagated pressure-cache error.
+    check, and the propagated rotation-table error.
     """
 
     F: np.ndarray
@@ -84,15 +84,15 @@ class TotalResult:
 
 
 def _pressure_error_bound(k: int, params: ProblemParams) -> float:
-    """Upper bound for the pointwise pressure error from the cached tables."""
-    pce = pressure_cache_error(k, params.profile)
-    if pce == 0.0:
+    """Upper bound for the pointwise pressure error from the rotation table.
+
+    Only the 3D rotation pressure (``k = 6``) is tabulated; the others are
+    closed-form.
+    """
+    if params.profile.dimension != 3 or k != 6:
         return 0.0
-    if params.profile.dimension == 3:
-        amp = abs(params.U[2]) if k == 3 else abs(params.omega[0]) + abs(params.omega[1])
-    else:
-        amp = abs(params.U[1]) if k == 2 else abs(params.omega)
-    return 6.0 * params.mu * amp * pce
+    amp = abs(params.omega[0]) + abs(params.omega[1])
+    return 6.0 * params.mu * amp * pressure_cache_error(k, params.profile)
 
 
 def traction_moments(k: int, params: ProblemParams, xprime, h) -> np.ndarray:
@@ -190,8 +190,9 @@ def force_numeric(
     ``[-r, r]``, split there and at ``x1 = 0``.  A coarse probe pass sets
     the absolute tolerance, so tolerances are relative to the largest
     force/torque component of this sub-flow.  The bounds add the
-    quadrature estimate, the angular estimate (3D) and the pressure-table
-    error spread over the boundary's measure (``pi r^2`` or ``2 r``).
+    quadrature estimate, the angular estimate (3D) and, for the 3D
+    rotation, the pressure-table error spread over the boundary's measure
+    ``pi r^2``.
     """
     prof = params.profile
     d = prof.dimension

@@ -3,9 +3,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import lubgap.cli
+import lubgap.report
 from lubgap.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
+from lubgap.config import load_config
+from lubgap.quadrature import QuadratureError, QuadResult
+from lubgap.traction import total_numeric
 
 CFG = """
 [profile]
@@ -205,6 +211,57 @@ class TestVerify:
         assert payload["suite"]["passed"] is True
         names = {c["name"] for c in payload["suite"]["checks"]}
         assert "vertical-torque-nonspin" in names
+
+    @pytest.mark.parametrize("cfg", [CFG, CFG_2D], ids=["3d", "2d"])
+    def test_parity_suite_solves_once(self, cfg, tmp_path, monkeypatch):
+        # the checks read the report's rows: one solve, and the same numbers
+        # as checks formed from a separate total_numeric solve
+        p = tmp_path / "run.ini"
+        p.write_text(cfg, encoding="utf-8")
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return total_numeric(*args, **kwargs)
+
+        monkeypatch.setattr(lubgap.report, "total_numeric", counted)
+        monkeypatch.setattr(lubgap.cli, "total_numeric", counted)
+        json_path = tmp_path / "v.json"
+        assert main(["verify", "--suite", "parity", "--config", str(p),
+                     "--out-json", str(json_path)]) == EXIT_OK
+        assert len(solves) == 1
+        checks = {c["name"]: (c["value"], c["tolerance"])
+                  for c in json.loads(json_path.read_text())["suite"]["checks"]}
+
+        config = load_config(str(p))
+        params = config.problem
+        tot = total_numeric(
+            params,
+            rel_tol=max(config.quadrature.rel_tol, 1e-12),
+            max_subdivisions=max(config.quadrature.max_subdivisions, 200),
+        )
+        slack = 1e-13 * max(abs(v) for v in (*np.atleast_1d(params.U),
+                                             *np.atleast_1d(params.omega)))
+        per = tot.per_subflow
+        if params.profile.dimension == 2:
+            expected = {"squeeze-subflow-torque": (abs(per[2].T), 10.0 * per[2].T_err + slack)}
+        else:
+            expected = {
+                "vertical-torque-nonspin": (
+                    abs(tot.T[2] - per[4].T[2]), 10.0 * (tot.T_err[2] + per[4].T_err[2]) + slack
+                ),
+                "shear-subflow-F2": (abs(per[1].F[1]), 10.0 * per[1].F_err[1] + slack),
+                "shear-subflow-F3": (abs(per[1].F[2]), 10.0 * per[1].F_err[2] + slack),
+            }
+        assert checks == {k: (float(v), float(t)) for k, (v, t) in expected.items()}
+
+    def test_parity_suite_failed_solve(self, cfg_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise QuadratureError("subdivision budget exhausted", QuadResult(0.0, 1.0, 0))
+
+        monkeypatch.setattr(lubgap.report, "total_numeric", failing)
+        assert main(["verify", "--suite", "parity", "--config", cfg_path]) == EXIT_COMPUTE
+        assert "subdivision budget exhausted" in capsys.readouterr().err
 
     def test_exponents_requires_sweep(self, cfg_path):
         assert main(["verify", "--suite", "exponents", "--config", cfg_path]) == EXIT_CONFIG

@@ -1,5 +1,8 @@
 """Energy functional, dual test tensors, and the error bilinear form."""
 
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -179,42 +182,46 @@ class TestErrSweep:
         assert all(v >= 0.0 for v in rep.values[(3, 3)])
         assert (3, 3) in rep.slopes
 
-    def test_dual_tables_built_once(self, monkeypatch):
-        # a 3-eps sweep over the sub-flows 1, 3 and 6 (k = 2 has zero scale:
-        # U2 + w1 R = 0) needs 9 dual tables, one k = 3 and two k = 6 per
-        # eps; run serially, pair by pair, each must be built once.  Cheap
-        # stand-in tables keep the test fast: only the cache is under test.
-        class SerialPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return list(map(fn, jobs))
+    @staticmethod
+    def _count_table_builds(eps_grid, monkeypatch):
+        # a sweep over the sub-flows 1, 3 and 6 (k = 2 has zero scale:
+        # U2 + w1 R = 0) needs 3 dual tables per eps, one k = 3 and two
+        # k = 6.  Cheap stand-in tables keep the tests fast: only the cache
+        # is under test.  Their build sleeps, so threads that miss the same
+        # entry would overlap and build it twice.
+        builds = []
 
         class TableStub:
             def __init__(self, profile, k, w1, w2):
-                pass
+                time.sleep(0.05)
+                builds.append((profile.eps, k, w1, w2))
 
             def __call__(self, x1, x2):
                 return np.zeros_like(x1), np.zeros_like(x1)
 
-        monkeypatch.setattr(dualcheck, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(dualcheck, "_QPotential", TableStub)
         prof = GapProfile(kind="m-convex", m=2.0, s=0.0, eps=1e-1, r=0.5, R=2.0, dimension=3)
         params = ProblemParams(profile=prof, U=(0.3, -0.2, -0.5), omega=(0.1, 0.2, 0.1))
         dualcheck._q_table.cache_clear()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the worker threads finely
         try:
-            rep = err_sweep(params, (1e-1, 3e-2, 1e-2), QuadSpec(rel_tol=1e-2, abs_tol=1e-3))
+            rep = err_sweep(params, eps_grid, QuadSpec(rel_tol=1e-2, abs_tol=1e-3))
             assert rep.pairs == ((1, 1), (1, 3), (1, 6), (3, 3), (3, 6), (6, 6))
-            assert dualcheck._q_table.cache_info().misses == 9
+            assert len(set(builds)) == 3 * len(eps_grid)
+            return len(builds), dualcheck._q_table.cache_info().misses
         finally:
+            sys.setswitchinterval(switch)
             dualcheck._q_table.cache_clear()
+
+    def test_dual_tables_built_once(self, monkeypatch):
+        # under the 4-worker pool each of the 9 tables is built once
+        assert self._count_table_builds((1e-1, 3e-2, 1e-2), monkeypatch) == (9, 9)
+
+    def test_dual_tables_built_once_beyond_cache_size(self, monkeypatch):
+        # 18 tables outnumber the cache's 16 entries; each is still built once
+        grid = (1e-1, 6e-2, 3e-2, 2e-2, 1.5e-2, 1e-2)
+        assert self._count_table_builds(grid, monkeypatch) == (18, 18)
 
     def test_grid_validation(self, params3d):
         with pytest.raises(ValueError):

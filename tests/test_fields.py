@@ -1,11 +1,13 @@
 """Constructed gap velocity/pressure fields: boundary data, analytic
 gradients, incompressibility, and pressure-gradient consistency."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from lubgap.fields import (
     ProblemParams,
+    _kernel_tail,
     _rotation_table_3d,
     _RotationTable,
     boundary_target,
@@ -312,8 +314,44 @@ class TestPressure:
                 for x in interior_points(params.profile, 5, rng):
                     assert eval_field(k, params, x).p == 0.0
 
-    def test_pressure_cache_error_reported(self, prof3d):
-        assert pressure_cache_error(3, prof3d) >= 0.0
+    def test_pressure_cache_error_reported(self, prof3d, prof2d):
+        # only the 3D rotation pressure is tabulated; the squeeze and the 2D
+        # rotation pressures are closed-form
+        assert pressure_cache_error(3, prof3d) == 0.0
+        assert pressure_cache_error(2, prof2d) == 0.0
+        assert pressure_cache_error(4, prof2d) == 0.0
+        assert pressure_cache_error(6, prof3d) > 0.0
+
+
+class TestKernelTails:
+    # the running integrals of the squeeze and 2D rotation pressures,
+    # int_rho^r and int_0^rho of t^j / h^3, as differences of closed-form
+    # tails; flat caps checked against 30-digit quadrature split at the rim
+
+    @pytest.mark.parametrize("s", [0.05, 0.15])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-5, 1e-8])
+    def test_flat_cap_running_integrals(self, s, eps):
+        prof = GapProfile.flat_capped(3, 0.5, s, eps, 2.0)
+        r, delta = prof.r, prof.boundary_layer_scale()
+        with mpmath.workdps(30):
+            S, E = mpmath.mpf(s), mpmath.mpf(eps)
+
+            def exact(j, a, b):
+                flat = (min(b, S) ** (j + 1) - min(a, S) ** (j + 1)) / ((j + 1) * E**3)
+                lo = max(a, S)
+                if lo >= b:
+                    return float(flat)
+                pts = [lo] + [p for p in (s + delta, s + 10 * delta) if lo < p < b] + [b]
+                return float(flat + mpmath.quad(lambda t: t**j / (E + (t - S) ** 2) ** 3, pts))
+
+            for j in (1, 2):
+                full = exact(j, 0.0, r)
+                for rho in (0.0, 0.5 * s, s, s + delta, r):
+                    outer = _kernel_tail(prof, j, rho) - _kernel_tail(prof, j, r)
+                    inner = _kernel_tail(prof, j, 0.0) - _kernel_tail(prof, j, rho)
+                    tol = 1e-14 * full
+                    assert outer == pytest.approx(exact(j, rho, r), rel=1e-12, abs=tol)
+                    assert inner == pytest.approx(exact(j, 0.0, rho), rel=1e-12, abs=tol)
 
 
 class TestLinearity:

@@ -1,4 +1,4 @@
-"""Adaptive integration, panel rules, and cumulative tables."""
+"""Adaptive integration and panel rules."""
 
 import math
 
@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lubgap.quadrature import (
-    CachedAntiderivative,
     QuadratureError,
     QuadResult,
     QuadSpec,
@@ -116,25 +115,3 @@ class TestPanelRules:
         full, low, _ = ring.sums(np.cos(16.0 * ring.x) ** 2, embedded=True)
         assert full[0] == pytest.approx(np.pi, rel=1e-14)
         assert low[0] == pytest.approx(2.0 * np.pi, rel=1e-14)
-
-
-class TestNested:
-    def test_anchor_point_is_zero(self):
-        cache = CachedAntiderivative(
-            lambda t: t * t, lo=-0.5, hi=0.5, x0=-0.5, tol=1e-10
-        )
-        assert float(cache(-0.5)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_cache_matches_direct(self):
-        eps = 1e-2
-        kernel = lambda t: t * t / (eps + t * t) ** 3
-        cache = CachedAntiderivative(kernel, lo=0.0, hi=0.5, x0=0.0, tol=1e-10)
-        for x in (0.05, 0.2, 0.37, 0.5):
-            direct = integrate_1d(
-                kernel,
-                0.0,
-                x,
-                QuadSpec(rel_tol=1e-12, max_subdivisions=200),
-                vectorized=True,
-            )
-            assert float(cache(x)) == pytest.approx(direct.value, rel=1e-7)

@@ -8,6 +8,8 @@ under test.
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from lubgap.special import (
     ToleranceNotMet,
     gamma,
     gamma_coeff,
+    gap_tail,
     phi,
     phi_leading,
     psi,
@@ -177,6 +180,51 @@ class TestPhi:
     @settings(max_examples=25, deadline=None)
     def test_monotone_in_r(self, r1, factor, eps):
         assert phi(2, 1, 2, r1 * factor, eps) > phi(2, 1, 2, r1, eps)
+
+
+class TestGapTail:
+    @pytest.mark.parametrize("m", [1.2, 2.0, 2.5, 4.0, 8.0])
+    @pytest.mark.parametrize("i, j", [(3, 0), (3, 1), (3, 2)])
+    def test_matches_mpmath(self, i, j, m):
+        # the incomplete Beta form, evaluated live in 30-digit arithmetic
+        r = 0.5
+        with mpmath.workdps(30):
+            a = mpmath.mpf(j + 1) / m
+            b = i - a
+            for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+                delta = eps ** (1.0 / m)
+                rhos = [0.0, 0.3 * delta, delta, 7.0 * delta, 0.1, r]
+                got = gap_tail(i, j, m, np.array(rhos), eps)
+                for rho, g in zip(rhos, got):
+                    w = mpmath.mpf(rho) ** m / eps
+                    ref = mpmath.mpf(eps) ** (a - i) / m * mpmath.betainc(
+                        b, a, 0, 1 / (1 + w), regularized=False
+                    )
+                    assert g == pytest.approx(float(ref), rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "i, j, m, eps",
+        [(3, 1, 2.0, 1e-4), (3, 2, 2.5, 1e-6), (3, 0, 4.0, 1e-3), (2, 2, 2.0, 1e-5)],
+    )
+    def test_difference_of_tails_is_phi(self, i, j, m, eps):
+        r = 0.5
+        diff = float(gap_tail(i, j, m, 0.0, eps) - gap_tail(i, j, m, r, eps))
+        assert diff == pytest.approx(phi(i, j, m, r, eps), rel=1e-10)
+
+    def test_complete_integral(self):
+        # at rho = 0 the tail is the Beta integral behind phi_leading
+        i, j, m, eps = 3, 1, 2.5, 1e-6
+        a = (j + 1) / m
+        expected = eps ** (a - i) / m * gamma(a) * gamma(i - a) / gamma(i)
+        assert float(gap_tail(i, j, m, 0.0, eps)) == pytest.approx(expected, rel=1e-13)
+
+    def test_divergent_tail_rejected(self):
+        with pytest.raises(ValueError):
+            gap_tail(1, 1, 2.0, 0.1, 1e-3)  # b = 0
+        with pytest.raises(ValueError):
+            gap_tail(1, 2, 2.0, 0.1, 1e-3)  # b < 0
+        with pytest.raises(ValueError):
+            gap_tail(3, 1, 2.0, -0.1, 1e-3)
 
 
 class TestPhiLeading:
