@@ -22,7 +22,8 @@ Module map
     tables and the rotation ring are built on.
 :mod:`lubgap.fields`
     Closed-form velocity/pressure fields of the seven elementary
-    sub-flows and their boundary data; the 3D rotation pressure table.
+    sub-flows and their boundary data; the 3D rotation pressure (closed
+    form at ``m = 2``, a table for other ``m`` and flat caps).
 :mod:`lubgap.traction`
     Traction moments on the gap boundary and the numeric force/torque
     driver (2D and 3D).

@@ -35,7 +35,8 @@ import numpy as np
 from . import dualcheck
 from .asymptotics import fit_exponent, force_asymptotic
 from .config import MODES, ConfigError, RunConfig, load_config
-from .fields import boundary_target, divergence, eval_field, subflow_indices
+from .fields import boundary_target, eval_field_many, subflow_indices
+from .fields import eval_field  # noqa: F401 - a name perfbench wraps and calls
 from .geometry import FlatHypothesisError, surface_sample
 from .quadrature import QuadratureError, QuadResult
 from .report import Report, build_report, render_csv, render_json, serialize_ell_report
@@ -214,30 +215,31 @@ def _suite_bc(config: RunConfig, npoints: int = 200) -> list[dict]:
     """Boundary-condition residuals of every sub-flow on both surfaces."""
     params = config.problem
     prof = params.profile
+    d = prof.dimension
     rng = np.random.default_rng(20240811)
     scale = _motion_scale(params)
     checks = []
-    for k in subflow_indices(prof.dimension):
+    for k in subflow_indices(d):
         worst = 0.0
         for side in ("top", "bottom"):
-            for _ in range(npoints):
-                if prof.dimension == 3:
-                    t = prof.r * np.sqrt(rng.uniform(0.0, 0.9025))
-                    th = rng.uniform(0.0, 2.0 * np.pi)
-                    xp = (t * np.cos(th), t * np.sin(th))
-                else:
-                    xp = float(rng.uniform(-0.95, 0.95) * prof.r)
-                sp = surface_sample(prof, side, xp)
-                x = (*sp.xprime, sp.x3) if prof.dimension == 3 else (sp.xprime, sp.x3)
-                u = eval_field(k, params, x).u
-                target = boundary_target(k, params, sp)
-                worst = max(worst, float(np.max(np.abs(u - target))) / scale)
+            # one row of draws per point, in the order of one draw at a time
+            if d == 3:
+                t, th = rng.uniform([0.0, 0.0], [0.9025, 2.0 * np.pi], (npoints, 2)).T
+                t = prof.r * np.sqrt(t)
+                xps = list(zip(t * np.cos(th), t * np.sin(th)))
+            else:
+                xps = (rng.uniform(-0.95, 0.95, npoints) * prof.r).tolist()
+            sps = [surface_sample(prof, side, xp) for xp in xps]
+            coords = np.array([(*np.atleast_1d(sp.xprime), sp.x3) for sp in sps]).T
+            u = eval_field_many(k, params, *coords)[0]
+            target = np.array([boundary_target(k, params, sp) for sp in sps]).T
+            worst = max(worst, float(np.max(np.abs(u - target))) / scale)
         checks.append(_check(f"bc-residual-k{k}", worst, 1e-9))
     return checks
 
 
-def _rigid_mean_divergence(params, x) -> float:
-    """Exact divergence of the k=0 rigid-mean field.
+def _rigid_mean_divergence(params, x):
+    """Exact divergence of the k=0 rigid-mean field at points ``x``.
 
     That field carries the surface lever arm in place of the vertical
     coordinate, so its divergence is (omega x grad h)_3 / 4 rather than
@@ -246,8 +248,8 @@ def _rigid_mean_divergence(params, x) -> float:
     prof = params.profile
     if prof.dimension == 3:
         g1, g2 = prof.h_grad(x[0], x[1])
-        return 0.25 * (params.omega[1] * float(g1) - params.omega[0] * float(g2))
-    return -0.25 * params.omega * float(prof.dh(x[0]))
+        return 0.25 * (params.omega[1] * g1 - params.omega[0] * g2)
+    return -0.25 * params.omega * prof.dh(x[0])
 
 
 def _suite_div(config: RunConfig, npoints: int = 100) -> list[dict]:
@@ -256,46 +258,42 @@ def _suite_div(config: RunConfig, npoints: int = 100) -> list[dict]:
     prof = params.profile
     rng = np.random.default_rng(20240812)
     checks = []
+    # one row of draws per point, in the order of one draw at a time
     for k in subflow_indices(prof.dimension):
-        worst = 0.0
-        for _ in range(npoints):
-            if prof.dimension == 3:
-                t = 0.9 * prof.r * np.sqrt(rng.uniform())
-                th = rng.uniform(0.0, 2.0 * np.pi)
-                x1, x2 = t * np.cos(th), t * np.sin(th)
-                h = float(prof.h(x1, x2))
-                x = (x1, x2, rng.uniform(-0.45, 0.45) * h)
-            else:
-                x1 = float(rng.uniform(-0.9, 0.9) * prof.r)
-                h = float(prof.h(x1))
-                x = (x1, rng.uniform(-0.45, 0.45) * h)
-            if k == 0:
-                div = abs(divergence(k, params, x) - _rigid_mean_divergence(params, x))
-                gscale = _motion_scale(params)
-            else:
-                div = abs(divergence(k, params, x))
-                gscale = float(np.max(np.abs(eval_field(k, params, x).grad_u)))
-            worst = max(worst, div / max(gscale, 1e-30))
+        if prof.dimension == 3:
+            t, th, z = rng.uniform([0.0, 0.0, -0.45], [1.0, 2.0 * np.pi, 0.45], (npoints, 3)).T
+            t = 0.9 * prof.r * np.sqrt(t)
+            x1, x2 = t * np.cos(th), t * np.sin(th)
+            x = (x1, x2, z * prof.h(x1, x2))
+        else:
+            x1, z = rng.uniform([-0.9, -0.45], [0.9, 0.45], (npoints, 2)).T
+            x1 = x1 * prof.r
+            x = (x1, z * prof.h(x1))
+        grad = eval_field_many(k, params, *x)[2]
+        div = np.trace(grad)
+        if k == 0:
+            div = np.abs(div - _rigid_mean_divergence(params, x))
+            gscale = _motion_scale(params)
+        else:
+            div = np.abs(div)
+            gscale = np.max(np.abs(grad), axis=(0, 1))
+        worst = float(np.max(div / np.maximum(gscale, 1e-30)))
         checks.append(_check(f"divergence-k{k}", worst, 1e-11))
     if prof.dimension == 3 and abs(params.U[2]) > 0.0:
-        worst = 0.0
         step = 1e-6 * prof.r
-        for _ in range(20):
-            t = rng.uniform(0.3, 0.9) * 0.25 * prof.r
-            th = rng.uniform(0.0, 2.0 * np.pi)
-            x1, x2 = t * np.cos(th), t * np.sin(th)
-            h = float(prof.h(x1, x2))
-            x3 = rng.uniform(-0.4, 0.4) * h
-            rowdiv = np.zeros(3)
-            sscale = 0.0
-            for axis in range(3):
-                dx = np.zeros(3)
-                dx[axis] = step
-                Sp = dualcheck.dual_tensor(3, params, (x1 + dx[0], x2 + dx[1], x3 + dx[2]))
-                Sm = dualcheck.dual_tensor(3, params, (x1 - dx[0], x2 - dx[1], x3 - dx[2]))
-                rowdiv += (Sp[axis] - Sm[axis]) / (2.0 * step)
-                sscale = max(sscale, float(np.max(np.abs(Sp - Sm))) / (2.0 * step))
-            worst = max(worst, float(np.max(np.abs(rowdiv))) / max(sscale, 1e-30))
+        t, th, z = rng.uniform([0.3, 0.0, -0.4], [0.9, 2.0 * np.pi, 0.4], (20, 3)).T
+        t = t * 0.25 * prof.r
+        x1, x2 = t * np.cos(th), t * np.sin(th)
+        x = np.stack([x1, x2, z * prof.h(x1, x2)])
+        # the points moved by +step and -step along each axis: (2, axis, coord, point)
+        dx = step * np.eye(3)[:, :, None]
+        pts = np.stack([x + dx, x - dx])
+        S = dualcheck._dual_tensor_many(3, params, *pts.transpose(2, 0, 1, 3).reshape(3, -1))
+        S = S.reshape(3, 3, 2, 3, -1)
+        diff = S[:, :, 0] - S[:, :, 1]  # (row, col, axis, point)
+        rowdiv = sum(diff[axis, :, axis] / (2.0 * step) for axis in range(3))
+        sscale = np.max(np.abs(diff), axis=(0, 1, 2)) / (2.0 * step)
+        worst = float(np.max(np.max(np.abs(rowdiv), axis=0) / np.maximum(sscale, 1e-30)))
         checks.append(_check("dual-tensor-div-squeeze", worst, 1e-4))
     return checks
 

@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .fields import (
     ProblemParams,
@@ -178,7 +177,8 @@ class _QPotential:
         relative to the integrand scale.
     interp_error : float
         Measured relative spline error at offset probe points on one line,
-        against Gauss-Kronrod panels 32 times finer between the probes.
+        against Gauss-Kronrod panels 32 times finer between the probes, with
+        extra edges where the line crosses a flat rim.
     """
 
     def __init__(self, profile, k, w1=0.0, w2=0.0):
@@ -220,6 +220,7 @@ class _QPotential:
         # near-axis lines (the primitive is largest at the gap center), which
         # enters q_1 with an x3^2 profile, is *not* pure trace, and destroys
         # the boundedness of the error form the tensors exist to certify.
+        from scipy.interpolate import RectBivariateSpline
         self._splineA = RectBivariateSpline(axis, axis, cum[0].T)
         self._splineB = RectBivariateSpline(axis, axis, cum[1].T)
 
@@ -230,9 +231,15 @@ class _QPotential:
         knots = np.concatenate([[-bound], probe_x1])
         frac = np.arange(_PROBE_SPLIT) / _PROBE_SPLIT
         sub = knots[:-1, None] + np.diff(knots)[:, None] * frac
-        line = kronrod_panels(np.append(sub.ravel(), knots[-1]))
+        edges = np.append(sub.ravel(), knots[-1])
+        if len(centers) > 1 and abs(probe_x2) < profile.s:
+            # the kernel jumps within two FD steps of where the line crosses the rim
+            rim = np.sqrt(profile.s**2 - probe_x2**2) + np.array([-2.0, 0.0, 2.0]) * step
+            rim = np.concatenate([-rim, rim])
+            edges = np.union1d(edges, rim[(rim > edges[0]) & (rim < edges[-1])])
+        line = kronrod_panels(edges)
         fa = kernels(line.x.ravel(), probe_x2)[0].reshape(line.x.shape)
-        direct = line.sums(fa)[2][_PROBE_SPLIT::_PROBE_SPLIT]
+        direct = line.sums(fa)[2][np.searchsorted(edges, probe_x1)]
         approx = self._splineA.ev(probe_x1, np.full_like(probe_x1, probe_x2))
         scale = max(float(np.max(np.abs(direct))), 1e-300)
         self.interp_error = float(np.max(np.abs(approx - direct))) / scale

@@ -14,9 +14,10 @@ are algebraic functions of the gap ``h`` and its planar derivatives:
 The squeeze and rotation sub-flows carry a pressure built from running
 integrals of ``t^j / h^3`` kernels.  The radial ones (3D squeeze, 2D
 squeeze and rotation) are differences of closed-form kernel tails,
-incomplete Beta functions; the 3D rotation pressure reads a bivariate
-table in the radial coordinate, built once per profile and reused across
-evaluations.
+incomplete Beta functions.  The 3D rotation pressure is closed-form (an
+arctan form) on m-convex profiles with ``m = 2``; for other ``m`` and for
+flat caps it reads a bivariate table, built once per profile and reused
+across evaluations, whose measured error is the only pressure error term.
 Velocity gradients are fully analytic -- no finite differences and no
 spline derivatives enter the stress evaluation.
 
@@ -33,7 +34,6 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .geometry import GapProfile, SurfacePoint
 from .quadrature import QuadSpec, integrate_1d, kronrod_panels
@@ -198,9 +198,11 @@ class _RotationTable:
       moves the rim to the fixed grid coordinate ``P = s``, where the node
       set is graded.
 
-    The table error is measured against direct adaptive quadrature at
-    fixed sample points, including points next to the flat rim, and
-    surfaced via ``abs_error`` / ``rel_error``.
+    Used for m-convex ``m != 2`` and for flat caps; at ``m = 2``
+    :class:`_RotationClosedForm` replaces it.  The table error is measured
+    against direct adaptive quadrature at fixed sample points, including
+    the first ``c`` intervals, where the spline error peaks, and points
+    next to the flat rim, and surfaced via ``abs_error`` / ``rel_error``.
 
     The rotation pressure reads the table four times per point, at
     ``(x1, x2)``, ``(r, x2)``, ``(x2, x1)`` and ``(r, x1)``.  By the parity
@@ -240,8 +242,9 @@ class _RotationTable:
             t = rule.x
             c = c_nodes[:, None, None]
             table = rule.sums(t * t / profile.h_radial(np.hypot(t, c)) ** 3)[2].T
+        from scipy.interpolate import RectBivariateSpline
         self._spline = RectBivariateSpline(p_nodes, c_nodes, table, kx=3, ky=3, s=0)
-        self._measure_error()
+        self._measure_error(c_nodes)
 
     def q(self, a, c):
         """``Q(a, c)`` for array arguments (odd in a, even in c)."""
@@ -279,23 +282,26 @@ class _RotationTable:
         res = integrate_1d(kernel, 0.0, abs(a), spec, vectorized=True)
         return float(np.sign(a)) * res.value
 
-    def _measure_error(self) -> None:
+    def _measure_error(self, c_nodes) -> None:
         prof = self.profile
         rng = np.random.default_rng(20260823)
         a = prof.r * rng.uniform(0.05, 1.0, 24)
         c = prof.r * rng.uniform(0.0, 1.0, 24)
-        # stress the boundary layer, where the integrand peaks
+        # stress the boundary layer, where the integrand peaks, and the first
+        # c intervals: the spline does not know that Q is even in c, and its
+        # error peaks about a third into the first interval
         d0 = prof.boundary_layer_scale()
+        near0 = c_nodes[:3, None] + np.diff(c_nodes[:4])[:, None] * np.array([0.25, 0.35, 0.5])
         la, lc = np.meshgrid(
-            d0 * np.array([0.5, 1.0, 3.0, 10.0]), d0 * np.array([0.0, 0.4, 1.5, 5.0])
+            d0 * np.array([0.5, 1.0, 3.0, 10.0]),
+            np.concatenate([d0 * np.array([0.0, 0.4, 1.5, 5.0]), near0.ravel()]),
         )
         keep = (la.ravel() < prof.r) & (lc.ravel() < prof.r)
         a = np.concatenate([a, la.ravel()[keep]])
         c = np.concatenate([c, lc.ravel()[keep]])
         if prof.kind == "flat-capped":
             # stress the rim |x'| ~ s where the table is hardest to get right
-            d = prof.boundary_layer_scale()
-            extra_c = prof.s + d * np.array([-3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0])
+            extra_c = prof.s + d0 * np.array([-3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0])
             extra_c = extra_c[(extra_c >= 0.0) & (extra_c <= prof.r)]
             a = np.concatenate([a, np.full(extra_c.size, 0.9 * prof.r)])
             c = np.concatenate([c, extra_c])
@@ -312,20 +318,50 @@ class _RotationTable:
         self.rel_error = abs_err / scale if scale > 0.0 else 0.0
 
 
+class _RotationClosedForm:
+    """``Q(a, c)`` of :class:`_RotationTable` in closed form on m-convex
+    profiles with ``m = 2``, where ``h = A + t^2`` with ``A = eps + c^2``.
+
+    Same interface as the table, exact up to roundoff (zero error terms);
+    ``q_pairs`` evaluates the four ``Q`` on every point, which costs less
+    than sorting out the distinct pairs.
+    """
+
+    abs_error = rel_error = 0.0
+
+    def __init__(self, profile: GapProfile):
+        self.profile = profile
+
+    def q(self, a, c):
+        """``Q(a, c)`` for array arguments (odd in a, even in c)."""
+        A = self.profile.eps + np.square(c)
+        sA = np.sqrt(A)
+        return a * (a * a - A) / (8.0 * A * (A + a * a) ** 2) + np.arctan(a / sA) / (8.0 * A * sA)
+
+    def q_pairs(self, x1, x2):
+        """``Q(x1, x2), Q(r, x2), Q(x2, x1), Q(r, x1)`` for 1D point arrays."""
+        r = self.profile.r
+        return self.q(x1, x2), self.q(r, x2), self.q(x2, x1), self.q(r, x1)
+
+
 @lru_cache(maxsize=8)
-def _rotation_table_3d(profile: GapProfile) -> _RotationTable:
+def _rotation_table_3d(profile: GapProfile):
+    """The 3D rotation ``Q``: closed-form at m-convex ``m = 2``, else a table."""
+    if profile.kind == "m-convex" and profile.m == 2.0:
+        return _RotationClosedForm(profile)
     return _RotationTable(profile)
 
 
 def pressure_cache_error(k: int, profile: GapProfile) -> float:
     """Measured absolute table error of sub-flow ``k``'s pressure.
 
-    Only the 3D rotation pressure (``k = 6``) reads a table; every other
-    pressure is closed-form or vanishes, and reports zero.  The returned
-    value is the raw error of the tabulated running integrals (``G``-type
-    quantity); the pressure picks up a factor ``6 mu`` times the motion
-    amplitude, which callers apply when propagating it into force error
-    estimates.  Querying builds the table if absent.
+    Only the 3D rotation pressure (``k = 6``) at ``m != 2`` or on flat caps
+    reads a table; every other pressure is closed-form or vanishes, and
+    reports zero.  The returned value is the raw error of the tabulated
+    running integrals (``G``-type quantity); the pressure picks up a factor
+    ``6 mu`` times the motion amplitude, which callers apply when
+    propagating it into force error estimates.  Querying builds the table
+    if absent.
     """
     if profile.dimension == 3 and k == 6:
         return 2.0 * _rotation_table_3d(profile).abs_error

@@ -25,8 +25,9 @@ for the rotation sub-flow whose pressure varies over an angular width
 ``delta/t`` near the cardinal angles, Gauss-Kronrod panels graded toward
 those angles and mirrored from the first octant onto the other seven
 (:func:`_mirrored_ring`).  Sub-flows whose velocity scale is zero are
-skipped by :func:`total_numeric`.  The error of the tabulated 3D rotation
-pressure is propagated into the reported error bounds.
+skipped by :func:`total_numeric`.  The error of the 3D rotation pressure
+table (m-convex ``m != 2`` and flat caps; ``m = 2`` is closed-form) is
+propagated into the reported error bounds.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ class TotalResult:
 def _pressure_error_bound(k: int, params: ProblemParams) -> float:
     """Upper bound for the pointwise pressure error from the rotation table.
 
-    Only the 3D rotation pressure (``k = 6``) is tabulated; the others are
-    closed-form.
+    Only the 3D rotation pressure (``k = 6``) is tabulated, for m-convex
+    ``m != 2`` and flat caps; the others, and ``m = 2``, are closed-form.
     """
     if params.profile.dimension != 3 or k != 6:
         return 0.0
@@ -138,7 +139,7 @@ def _mirrored_ring(profile):
     ``(cos, sin)``.  The ring is therefore invariant, bit for bit, under
     the eight symmetries of the square: since ``t * (-c) == -(t * c)``
     exactly, a ring of radius ``t`` repeats each ``(|x1|, |x2|)`` pair four
-    times and the rotation table is read once per distinct pair (see
+    times and a rotation table is read once per distinct pair (see
     :class:`lubgap.fields._RotationTable`).
     """
     dth = profile.boundary_layer_scale() / profile.r
@@ -191,8 +192,8 @@ def force_numeric(
     the absolute tolerance, so tolerances are relative to the largest
     force/torque component of this sub-flow.  The bounds add the
     quadrature estimate, the angular estimate (3D) and, for the 3D
-    rotation, the pressure-table error spread over the boundary's measure
-    ``pi r^2``.
+    rotation read from a table, the pressure-table error spread over the
+    boundary's measure ``pi r^2``.
     """
     prof = params.profile
     d = prof.dimension

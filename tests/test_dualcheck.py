@@ -106,6 +106,16 @@ class TestDualTensor:
         with pytest.raises(ValueError):
             dual_tensor(1, params2d, (0.05, 0.0, 0.0))
 
+    def test_flat_cap_interp_error_resolved(self, prof3d_flat, monkeypatch):
+        # the spline probe must measure the spline, not its reference line:
+        # refining the line may not move it (without edges at the rim
+        # crossing it read 3.6e-3 with 32 sub-panels and 1.2e-3 with 64)
+        errs = []
+        for split in (32, 64):
+            monkeypatch.setattr(dualcheck, "_PROBE_SPLIT", split)
+            errs.append(dualcheck._QPotential(prof3d_flat, 6, 0.0, 1.0).interp_error)
+        assert errs[1] == pytest.approx(errs[0], rel=0.1)
+
     def test_unknown_subflow(self, params3d):
         with pytest.raises(ValueError):
             dual_tensor(9, params3d, (0.05, 0.0, 0.0))

@@ -8,6 +8,7 @@ import pytest
 from lubgap.fields import (
     ProblemParams,
     _kernel_tail,
+    _RotationClosedForm,
     _rotation_table_3d,
     _RotationTable,
     boundary_target,
@@ -314,13 +315,15 @@ class TestPressure:
                 for x in interior_points(params.profile, 5, rng):
                     assert eval_field(k, params, x).p == 0.0
 
-    def test_pressure_cache_error_reported(self, prof3d, prof2d):
-        # only the 3D rotation pressure is tabulated; the squeeze and the 2D
-        # rotation pressures are closed-form
+    def test_pressure_cache_error_reported(self, prof3d, prof2d, prof3d_m25, prof3d_flat):
+        # only the 3D rotation pressure is tabulated, and only for m != 2
+        # and flat caps; every other pressure is closed-form
         assert pressure_cache_error(3, prof3d) == 0.0
         assert pressure_cache_error(2, prof2d) == 0.0
         assert pressure_cache_error(4, prof2d) == 0.0
-        assert pressure_cache_error(6, prof3d) > 0.0
+        assert pressure_cache_error(6, prof3d) == 0.0
+        assert pressure_cache_error(6, prof3d_m25) > 0.0
+        assert pressure_cache_error(6, prof3d_flat) > 0.0
 
 
 class TestKernelTails:
@@ -371,6 +374,56 @@ class TestLinearity:
             )
 
 
+@pytest.fixture
+def prof3d_m25():
+    return GapProfile.m_convex(3, 2.5, 0.5, 1e-3, 2.0)
+
+
+@pytest.fixture
+def params3d_m25(prof3d_m25):
+    return ProblemParams(
+        profile=prof3d_m25, mu=1.0, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1)
+    )
+
+
+class TestRotationClosedForm:
+    # at m-convex m = 2 the running integral of the 3D rotation pressure,
+    # Q(a, c) = int_0^a t^2 / (eps + t^2 + c^2)^3 dt, is evaluated in closed form
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_matches_mpmath(self, eps):
+        prof = GapProfile.m_convex(3, 2.0, 0.5, eps, 2.0)
+        r, delta = prof.r, prof.boundary_layer_scale()
+        form = _rotation_table_3d(prof)
+        assert isinstance(form, _RotationClosedForm)
+        with mpmath.workdps(30):
+            E = mpmath.mpf(eps)
+            for c in (0.0, 0.1 * delta, delta, r):
+                A, C2 = eps + c * c, mpmath.mpf(c) ** 2
+                full = np.pi / (16.0 * A**1.5)  # the integral over [0, inf)
+                sA = np.sqrt(A)
+                for a in np.geomspace(1e-4 * sA, r, 13):
+                    pts = [0] + [p for p in (sA, 10 * sA) if p < a] + [a]
+                    exact = float(mpmath.quad(lambda t: t**2 / (E + t**2 + C2) ** 3, pts))
+                    for sgn in (1.0, -1.0):
+                        got = float(form.q(sgn * a, c))
+                        assert abs(got - sgn * exact) <= 1e-12 * full, (a, c)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_table_error_is_honest(self, eps):
+        # a table built on an m = 2 profile must report at least the error
+        # the closed form measures on a dense grid reaching into c < delta
+        prof = GapProfile.m_convex(3, 2.0, 0.5, eps, 2.0)
+        r, delta = prof.r, prof.boundary_layer_scale()
+        mult = np.array([0.0, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0])
+        g = np.append(mult[mult * delta < r] * delta, r)
+        g = np.unique(np.concatenate([g, 0.5 * (g[:-1] + g[1:]), np.sqrt(g[1:-1] * g[2:])]))
+        a, c = np.meshgrid(g, g, indexing="ij")
+        tab = _RotationTable(prof)
+        err = np.max(np.abs(tab.q(a, c) - _RotationClosedForm(prof).q(a, c)))
+        assert tab.abs_error >= err
+
+
 def _direct_lookups(tab, x1, x2):
     """The rotation pressure's four table reads, one :meth:`q` call each."""
     r = np.full_like(x1, tab.profile.r)
@@ -382,9 +435,10 @@ def _bits(a):
 
 
 class TestRotationLookups:
-    # The k = 6 pressure reads the rotation table once per distinct
-    # (|x1|, |x2|) pair; every value must stay bit-identical to four
-    # direct lookups per point.
+    # The k = 6 pressure reads the rotation table (m != 2, flat caps) once
+    # per distinct (|x1|, |x2|) pair, and evaluates the m = 2 closed form on
+    # every point; every value must stay bit-identical to four direct
+    # lookups per point.
 
     @staticmethod
     def _point_sets(prof):
@@ -400,10 +454,11 @@ class TestRotationLookups:
             "single": (np.array([0.13]), np.array([-0.07])),
         }
 
-    @pytest.mark.parametrize("which", ["prof3d", "prof3d_flat"])
+    @pytest.mark.parametrize("which", ["prof3d", "prof3d_m25", "prof3d_flat"])
     def test_pairs_match_direct_lookups(self, which, request):
         prof = request.getfixturevalue(which)
         tab = _rotation_table_3d(prof)
+        assert isinstance(tab, _RotationClosedForm if which == "prof3d" else _RotationTable)
         for name, (x1, x2) in self._point_sets(prof).items():
             got = tab.q_pairs(x1, x2)
             want = _direct_lookups(tab, x1, x2)
@@ -411,14 +466,14 @@ class TestRotationLookups:
                 assert g.shape == w.shape == x1.shape, name
                 assert np.array_equal(_bits(g), _bits(w)), name
 
-    @pytest.mark.parametrize("which", ["params3d", "params3d_flat"])
+    @pytest.mark.parametrize("which", ["params3d", "params3d_m25", "params3d_flat"])
     def test_pressure_matches_direct_lookups(self, which, request, monkeypatch):
         params = request.getfixturevalue(which)
         prof = params.profile
         results = []
         for lookups in (None, _direct_lookups):
             if lookups is not None:
-                monkeypatch.setattr(_RotationTable, "q_pairs", lookups)
+                monkeypatch.setattr(type(_rotation_table_3d(prof)), "q_pairs", lookups)
             for x1, x2 in self._point_sets(prof).values():
                 x3 = 0.3 * np.asarray(prof.h(x1, x2), float)
                 results.append(eval_field_many(6, params, x1, x2, x3)[1])

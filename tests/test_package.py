@@ -55,3 +55,28 @@ def test_perfbench_trace_install_smoke():
     names = json.loads(proc.stdout.splitlines()[-1])
     assert "traction.force_numeric" in names
     assert "quadrature.integrate_vector" in names
+
+
+_M2_NO_INTERPOLATE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import lubgap, lubgap.cli
+profile = lubgap.GapProfile.m_convex(dimension=3, m=2.0, r=0.5, eps=1e-3, R=2.0)
+params = lubgap.ProblemParams(profile=profile, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
+lubgap.total_numeric(params)
+print("scipy.interpolate" in sys.modules)
+"""
+
+
+def test_m2_solve_never_loads_interpolate():
+    # only the bivariate tables (m != 2, flat caps, the dual check) need
+    # scipy.interpolate; an m = 2 solve, rotation included, is closed-form
+    proc = subprocess.run(
+        [sys.executable, "-c", _M2_NO_INTERPOLATE, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

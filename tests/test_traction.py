@@ -208,8 +208,9 @@ class TestRotationRing:
 
     # force_numeric(6) on the general3d problem (m = 2, r = 0.5, R = 2,
     # U = (0.3, -0.2, -0.5), omega = (0.15, 0.2, 0.1)) from the full-circle
-    # ring that preceded the mirrored one: mirroring must not move them
-    _K6_REFERENCE = {
+    # ring that preceded the mirrored one, read off the rotation table:
+    # (F, T, F_err, T_err)
+    _K6_TABLE = {
         1e-2: (
             [11.659655576494542, -8.744741682388284, 75.37550453841286],
             [-10.112676536964438, -13.483568715935448, 1.7224249170743295e-17],
@@ -229,6 +230,28 @@ class TestRotationRing:
             [1.147317062844121, 1.1473635020533095, 1.1471530302926862],
         ),
     }
+    # the same with the closed-form m = 2 rotation pressure: the table's
+    # error term is gone from the bounds
+    _K6_REFERENCE = {
+        1e-2: (
+            [11.659655486262768, -8.744741614697075, 75.37550427032956],
+            [-10.112676471945782, -13.483568629261047, -4.628239682305254e-19],
+            [1.475017352865672e-09, 1.1062631796168056e-09, 1.664094232228955e-09],
+            [5.138906966172862e-09, 6.851875790567142e-09, 6.743788386022251e-17],
+        ),
+        1e-3: (
+            [117.75384838768385, -88.31538629076287, 815.4689949226839],
+            [-86.34396538978349, -115.12528718637802, 1.7511624379093655e-17],
+            [8.882146594124447e-10, 6.662095432522377e-10, 2.2460721146905288e-10],
+            [2.8466374217566207e-09, 3.7954531274022395e-09, 2.1582626251840923e-16],
+        ),
+        1e-4: (
+            [1178.05544938681, -883.5415870401075, 8235.558371000889],
+            [-833.5015874265707, -1111.3354499020943, -5.1523905230788675e-17],
+            [1.284614099787042e-07, 9.635112652083533e-08, 4.937055778651937e-05],
+            [3.179695854086973e-07, 4.239531946179525e-07, 6.280451659068127e-16],
+        ),
+    }
 
     @pytest.mark.parametrize("eps", sorted(_K6_REFERENCE))
     def test_rotation_force_unchanged(self, eps):
@@ -242,16 +265,22 @@ class TestRotationRing:
         assert np.max(np.abs(res.T - T)) <= 1e-9 * scale
         assert res.F_err == pytest.approx(F_err, rel=1e-2)
         assert res.T_err == pytest.approx(T_err, rel=1e-2)
+        # the closed form moved each value by less than the table's bound
+        F0, T0, F0_err, T0_err = (np.array(v) for v in self._K6_TABLE[eps])
+        assert np.all(np.abs(res.F - F0) <= F0_err)
+        assert np.all(np.abs(res.T - T0) <= T0_err)
 
 
 class TestReferenceValues:
     # force_numeric on the params3d / params2d fixtures (m = 2, eps = 1e-3)
     # before the traction integrands and drivers were folded into one:
     # (F, T, F_err, T_err, evaluations) per dimension and sub-flow.  The
-    # squeeze sub-flows (3D k = 3, 2D k = 2) and the 2D rotation (k = 4)
-    # were pinned again when their pressures became closed-form: each new
-    # value lies within the old bound of the old one, the bounds fell
-    # (3D k = 3 F3 from 1.4e-4 to 1.0e-5).
+    # squeeze sub-flows (3D k = 3, 2D k = 2), the 2D rotation (k = 4) and,
+    # with the m = 2 closed form of its running integral, the 3D rotation
+    # (k = 6) were pinned again when their pressures became closed-form:
+    # each new value lies within the old bound of the old one (for k = 6
+    # checked against _TABLE_K6), the bounds fell (3D k = 3 F3 from 1.4e-4
+    # to 1.0e-5, k = 6 F3 from 7.3e-3 to 2.2e-10).
     _REFERENCE = {
         3: {
             0: (
@@ -297,10 +326,10 @@ class TestReferenceValues:
                 7680,
             ),
             6: (
-                [117.75385061338856, -88.31538796004143, 815.46900319407],
-                [-86.34396700332246, -115.12528933776332, -2.267355569456631e-19],
-                [0.0036359411071687072, 0.0036344338457763954, 0.007303004049834825],
-                [0.023765332787220855, 0.023766739235749332, 0.023759169372325688],
+                [117.75384838768385, -88.31538629076287, 815.4689949226839],
+                [-86.34396538978349, -115.12528718637802, 1.7511624379093655e-17],
+                [8.882146594124447e-10, 6.662095432522377e-10, 2.2460721146905288e-10],
+                [2.8466374217566207e-09, 3.7954531274022395e-09, 2.1582626251840923e-16],
                 234000,
             ),
         },
@@ -343,6 +372,14 @@ class TestReferenceValues:
         },
     }
 
+    # 3D k = 6 as read off the rotation table: (F, T, F_err, T_err)
+    _TABLE_K6 = (
+        [117.75385061338856, -88.31538796004143, 815.46900319407],
+        [-86.34396700332246, -115.12528933776332, -2.267355569456631e-19],
+        [0.0036359411071687072, 0.0036344338457763954, 0.007303004049834825],
+        [0.023765332787220855, 0.023766739235749332, 0.023759169372325688],
+    )
+
     @pytest.mark.parametrize(
         "d, k", [(d, k) for d in (3, 2) for k in subflow_indices(d)]
     )
@@ -359,6 +396,9 @@ class TestReferenceValues:
         assert np.max(np.abs(got - ref)) <= 1e-12 * scale
         assert np.max(np.abs(got_err - np.array(F_err + T_err))) <= 1e-12 * scale
         assert res.evaluations == nev
+        if (d, k) == (3, 6):
+            F0, T0, F0_err, T0_err = self._TABLE_K6
+            assert np.all(np.abs(got - np.array(F0 + T0)) <= np.array(F0_err + T0_err))
 
 
 class TestTotalNumeric:
@@ -414,6 +454,9 @@ def _robustness_cases():
         for m in (1.2, 2.0):
             yield pytest.param(GapProfile.m_convex(2, m, 0.5, eps, 2.0), (0.4, -0.3), 0.25,
                                id=f"2d-m{m}-eps{eps:g}")
+        # general motion: the rotation sub-flow k = 6 at m = 2 is closed-form
+        yield pytest.param(GapProfile.m_convex(3, 2.0, 0.5, eps, 2.0), (0.3, -0.2, -0.5),
+                           (0.15, 0.2, 0.1), id=f"3d-m2.0-general-eps{eps:g}")
 
 
 class TestRobustnessGrid:
