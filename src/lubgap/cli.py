@@ -280,19 +280,21 @@ def _suite_div(config: RunConfig, npoints: int = 100) -> list[dict]:
         worst = float(np.max(div / np.maximum(gscale, 1e-30)))
         checks.append(_check(f"divergence-k{k}", worst, 1e-11))
     if prof.dimension == 3 and abs(params.U[2]) > 0.0:
-        step = 1e-6 * prof.r
         t, th, z = rng.uniform([0.3, 0.0, -0.4], [0.9, 2.0 * np.pi, 0.4], (20, 3)).T
         t = t * 0.25 * prof.r
         x1, x2 = t * np.cos(th), t * np.sin(th)
-        x = np.stack([x1, x2, z * prof.h(x1, x2)])
+        h = prof.h(x1, x2)
+        x = np.stack([x1, x2, z * h])
+        # planar steps scale with r, the x3 step with the local gap: (axis, point)
+        step = np.stack([np.full_like(h, 1e-6 * prof.r)] * 2 + [1e-6 * h])
         # the points moved by +step and -step along each axis: (2, axis, coord, point)
-        dx = step * np.eye(3)[:, :, None]
+        dx = np.eye(3)[:, :, None] * step[:, None, :]
         pts = np.stack([x + dx, x - dx])
-        S = dualcheck._dual_tensor_many(3, params, *pts.transpose(2, 0, 1, 3).reshape(3, -1))
-        S = S.reshape(3, 3, 2, 3, -1)
-        diff = S[:, :, 0] - S[:, :, 1]  # (row, col, axis, point)
-        rowdiv = sum(diff[axis, :, axis] / (2.0 * step) for axis in range(3))
-        sscale = np.max(np.abs(diff), axis=(0, 1, 2)) / (2.0 * step)
+        p1, p2, p3 = pts.transpose(2, 0, 1, 3).reshape(3, -1)
+        S = dualcheck._dual_tensor_many(3, params, p1, p2, p3[:, None])[0].reshape(3, 3, 2, 3, -1)
+        dS = (S[:, :, 0] - S[:, :, 1]) / (2.0 * step)  # (row, col, axis, point)
+        rowdiv = sum(dS[axis, :, axis] for axis in range(3))
+        sscale = np.max(np.abs(dS), axis=(0, 1, 2))
         worst = float(np.max(np.max(np.abs(rowdiv), axis=0) / np.maximum(sscale, 1e-30)))
         checks.append(_check("dual-tensor-div-squeeze", worst, 1e-4))
     return checks

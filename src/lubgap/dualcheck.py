@@ -24,17 +24,18 @@ For the exact solution the energy identity pins the energy to
 consistency test against the force asymptotics, not an equality test.
 
 Planar Laplacians of the construction coefficients are computed by central
-finite differences (step ``1e-5 * r``) with Richardson extrapolation; the
-extrapolation discrepancy is tracked as a verification of the step choice.
-The inner integrals defining ``q_1`` and ``q_2`` are cumulative
-Gauss-Kronrod sums along ``x1``, tabulated line by line and interpolated
-with a bivariate spline whose error, measured against a refined
-Gauss-Kronrod line, is recorded.
+finite differences (step ``1e-5 * r``, ``h`` evaluated once per stencil
+point) with Richardson extrapolation; the extrapolation discrepancy is
+tracked as a verification of the step choice.  The inner integrals defining
+``q_1`` and ``q_2`` are cumulative Gauss-Kronrod sums along ``x1``,
+tabulated line by line and interpolated with a bivariate spline whose error,
+measured against a refined Gauss-Kronrod line, is recorded.  Whatever
+depends on ``x'`` alone is computed once per planar point of the volume
+quadrature and shared by its vertical Gauss nodes; :func:`err_sweep` is serial.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -57,103 +58,88 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_NGAUSS)
 
 
 # ---------------------------------------------------------------------------
-# finite-difference planar derivatives (Richardson-extrapolated)
+# construction coefficients and their finite-difference planar derivatives
 # ---------------------------------------------------------------------------
 
 
-def _fd_lap(f, x1, x2, step):
-    """Planar Laplacian of ``f(x1, x2)`` by central differences.
-
-    Uses steps ``step`` and ``2*step`` with Richardson extrapolation; returns
-    ``(laplacian, discrepancy)`` where the discrepancy is the maximum
-    difference between the two raw estimates (the step-size verification).
-    """
-    f0 = f(x1, x2)
-
-    def raw(hh):
-        return (
-            f(x1 + hh, x2) + f(x1 - hh, x2) + f(x1, x2 + hh) + f(x1, x2 - hh) - 4.0 * f0
-        ) / hh**2
-
-    l1 = raw(step)
-    l2 = raw(2.0 * step)
-    disc = float(np.max(np.abs(l1 - l2))) if np.size(l1) else 0.0
-    return (4.0 * l1 - l2) / 3.0, disc
-
-
-def _fd_d1(f, x1, x2, step):
-    """d f / d x1 by Richardson-extrapolated central differences."""
-
-    def raw(hh):
-        return (f(x1 + hh, x2) - f(x1 - hh, x2)) / (2.0 * hh)
-
-    d1 = raw(step)
-    d2 = raw(2.0 * step)
-    disc = float(np.max(np.abs(d1 - d2))) if np.size(d1) else 0.0
-    return (4.0 * d1 - d2) / 3.0, disc
-
-
-# ---------------------------------------------------------------------------
-# construction coefficients A_j, B_j of the squeeze and rotation sub-flows
-# ---------------------------------------------------------------------------
-
-
-def _coeff_funcs(k, profile, w1=0.0, w2=0.0):
+def _coeff_funcs(k, w1=0.0, w2=0.0):
     """Scalar coefficient fields (A1, B1, A3, B3) of sub-flow ``k`` in {3, 6}.
 
+    Each takes a planar point with its gap geometry, ``(x1, x2, h, g1, g2)``.
     For ``k = 6`` the returned fields carry the angular-velocity factors, so
     the matching correction scale is plain ``mu``.
     """
-    h = profile.h
-    grad = profile.h_grad
-
     if k == 3:
 
-        def A1(x1, x2):
-            return 0.75 * x1 / h(x1, x2)
+        def A1(x1, x2, h, g1, g2):
+            return 0.75 * x1 / h
 
-        def B1(x1, x2):
-            return -x1 / h(x1, x2) ** 3
+        def B1(x1, x2, h, g1, g2):
+            return -x1 / h**3
 
-        def A3(x1, x2):
-            hh = h(x1, x2)
-            g1, g2 = grad(x1, x2)
+        def A3(x1, x2, h, g1, g2):
             q = x1 * g1 + x2 * g2
-            return 1.5 / hh - 0.75 * q / hh**2
+            return 1.5 / h - 0.75 * q / h**2
 
-        def B3(x1, x2):
-            hh = h(x1, x2)
-            g1, g2 = grad(x1, x2)
+        def B3(x1, x2, h, g1, g2):
             q = x1 * g1 + x2 * g2
-            return -2.0 / hh**3 + 3.0 * q / hh**4
+            return -2.0 / h**3 + 3.0 * q / h**4
 
         return A1, B1, A3, B3
 
     if k == 6:
 
-        def A1(x1, x2):
-            return -0.75 * w2 * x1 * x1 / h(x1, x2)
+        def A1(x1, x2, h, g1, g2):
+            return -0.75 * w2 * x1 * x1 / h
 
-        def B1(x1, x2):
-            return w2 * x1 * x1 / h(x1, x2) ** 3
+        def B1(x1, x2, h, g1, g2):
+            return w2 * x1 * x1 / h**3
 
-        def A3(x1, x2):
-            hh = h(x1, x2)
-            g1, g2 = grad(x1, x2)
+        def A3(x1, x2, h, g1, g2):
             L = w1 * x2 - w2 * x1
             M = w2 * x1 * x1 * g1 - w1 * x2 * x2 * g2
-            return 1.5 * L / hh + 0.75 * M / hh**2
+            return 1.5 * L / h + 0.75 * M / h**2
 
-        def B3(x1, x2):
-            hh = h(x1, x2)
-            g1, g2 = grad(x1, x2)
+        def B3(x1, x2, h, g1, g2):
             L = w1 * x2 - w2 * x1
             M = w2 * x1 * x1 * g1 - w1 * x2 * x2 * g2
-            return -2.0 * L / hh**3 - 3.0 * M / hh**4
+            return -2.0 * L / h**3 - 3.0 * M / h**4
 
         return A1, B1, A3, B3
 
     raise ValueError("correction coefficients exist only for sub-flows 3 and 6")
+
+
+def _fd_derivs(profile, x1, x2, step, lap_funcs, d1_funcs=()):
+    """Planar Laplacians of ``lap_funcs`` and ``d/dx1`` of ``d1_funcs``.
+
+    Central differences with steps ``step`` and ``2*step``, combined by
+    Richardson extrapolation.  The profile's ``h`` and ``h_grad`` are
+    evaluated once per stencil point and shared by every function.  Returns
+    ``(derivatives, discrepancies)`` in the order ``lap_funcs + d1_funcs``;
+    a discrepancy is the largest difference between the two raw estimates
+    (the step-size verification).
+    """
+
+    def at(a, b):
+        g1, g2 = profile.h_grad(a, b)
+        return a, b, profile.h(a, b), g1, g2
+
+    center = at(x1, x2)
+    f0 = [f(*center) for f in lap_funcs]
+    raws = []
+    for hh in (step, 2.0 * step):
+        plus, minus = at(x1 + hh, x2), at(x1 - hh, x2)
+        lap = [f(*plus) + f(*minus) for f in lap_funcs]
+        d1 = [(f(*plus) - f(*minus)) / (2.0 * hh) for f in d1_funcs]
+        plus, minus = at(x1, x2 + hh), at(x1, x2 - hh)
+        lap = [
+            (s + f(*plus) + f(*minus) - 4.0 * v0) / hh**2 for s, f, v0 in zip(lap, lap_funcs, f0)
+        ]
+        raws.append(lap + d1)
+    derivs = [(4.0 * r1 - r2) / 3.0 for r1, r2 in zip(*raws)]
+    discs = [float(np.max(np.abs(r1 - r2))) if np.size(r1) else 0.0 for r1, r2 in zip(*raws)]
+    return derivs, discs
 
 
 # sub-panels per probe interval of the reference line of _QPotential
@@ -182,7 +168,7 @@ class _QPotential:
     """
 
     def __init__(self, profile, k, w1=0.0, w2=0.0):
-        A1, B1, A3, B3 = _coeff_funcs(k, profile, w1, w2)
+        A1, B1, A3, B3 = _coeff_funcs(k, w1, w2)
         step = 1e-5 * profile.r
         bound = 0.25 * profile.r
         delta = profile.boundary_layer_scale()
@@ -191,27 +177,22 @@ class _QPotential:
             centers += [-profile.s, profile.s]
         axis = _graded_nodes(-bound, bound, centers, delta, n_side=48, n_uniform=25)
 
-        self.fd_error = 0.0
-
         def kernels(x1, x2):
-            lapA, dA = _fd_lap(A1, x1, x2, step)
-            d1A3, dB = _fd_d1(A3, x1, x2, step)
-            lapB, dC = _fd_lap(B1, x1, x2, step)
-            d1B3, dD = _fd_d1(B3, x1, x2, step)
-            fa = lapA - d1A3
-            fb = lapB + d1B3
-            scale = max(float(np.max(np.abs(fa))), float(np.max(np.abs(fb))), 1e-300)
-            self.fd_error = max(self.fd_error, max(dA, dB, dC, dD) / scale)
-            return fa, fb
+            # the integrands (lap A1 - d1 A3, lap B1 + d1 B3), stacked, their
+            # largest Richardson discrepancy and their scale
+            (lapA, lapB, d1A3, d1B3), discs = _fd_derivs(profile, x1, x2, step, (A1, B1), (A3, B3))
+            f = np.stack([lapA - d1A3, lapB + d1B3])
+            return f, max(discs), max(float(np.max(np.abs(f))), 1e-300)
 
-        # Cumulative Gauss-Kronrod along x1 on the graded panels, all x2
-        # lines evaluated in one vectorized kernel call.
+        # Cumulative Gauss-Kronrod along x1 on the graded panels.  The x2
+        # lines pass through the stencils in eight blocks, which bounds the
+        # stencils' working memory.  f is (integrand, x2 line, x1 panel, node).
         rule = kronrod_panels(axis)
-        shape = (axis.size, *rule.x.shape)  # (x2 line, x1 panel, node)
-        X1 = np.broadcast_to(rule.x, shape).reshape(-1)
-        X2 = np.broadcast_to(axis[:, None, None], shape).reshape(-1)
-        fa, fb = kernels(X1, X2)
-        cum = rule.sums(np.stack([fa.reshape(shape), fb.reshape(shape)]))[2]
+        blocks = (kernels(rule.x, x2[:, None, None]) for x2 in np.array_split(axis, 8))
+        fs, discs, scales = zip(*blocks)
+        f = np.concatenate(fs, axis=1)
+        self.fd_error = max(discs) / max(scales)
+        cum = rule.sums(f)[2]
         # Anchored at the core edge x1 = -r/4.  The divergence-free row
         # structure only pins d q_1 / d x1, so q_1 is gauge-free up to an
         # additive function of x2; anchoring each line at the core edge keeps
@@ -238,7 +219,9 @@ class _QPotential:
             rim = np.concatenate([-rim, rim])
             edges = np.union1d(edges, rim[(rim > edges[0]) & (rim < edges[-1])])
         line = kronrod_panels(edges)
-        fa = kernels(line.x.ravel(), probe_x2)[0].reshape(line.x.shape)
+        f, disc, fscale = kernels(line.x.ravel(), probe_x2)
+        self.fd_error = max(self.fd_error, disc / fscale)
+        fa = f[0].reshape(line.x.shape)
         direct = line.sums(fa)[2][np.searchsorted(edges, probe_x1)]
         approx = self._splineA.ev(probe_x1, np.full_like(probe_x1, probe_x2))
         scale = max(float(np.max(np.abs(direct))), 1e-300)
@@ -275,60 +258,65 @@ def _q_tables(k, params):
 # ---------------------------------------------------------------------------
 
 
-def _dual_tensor_many(k, params, x1, x2, x3):
-    """Dual tensor field ``S(k)`` at points; shape (3, 3, n).
+def _volume_points(x1, x2, x3):
+    """Planar points ``(n,)`` under heights ``x3`` ``(n, g)`` as ``n*g`` points, planar-major."""
+    g = x3.shape[1]
+    return np.repeat(x1, g), np.repeat(x2, g), x3.reshape(-1)
 
-    Zero outside the core region ``{|x'| < r/4, |x3| < h/2}`` and for the
-    sub-flows 0, 4, 5.
+
+def _dual_tensor_many(k, params, x1, x2, x3):
+    """Dual tensor ``S(k)`` and the field gradient of sub-flow ``k``; (3, 3, n*g) each.
+
+    The points are the planar points ``(x1, x2)``, shape (n,), each under
+    the heights ``x3``, shape (n, g), flattened as in :func:`_volume_points`.
+    Every quantity of ``x'`` alone is computed once per planar point and
+    broadcast over ``x3``.  The tensor is zero outside the core region
+    ``{|x'| < r/4, |x3| < h/2}`` and for the sub-flows 0, 4, 5.
     """
     prof = params.profile
     mu, R = params.mu, prof.R
-    n = x1.size
-    S = np.zeros((3, 3, n))
+    _u, p, grad = _eval3(k, params, *_volume_points(x1, x2, x3))
+    S = np.zeros_like(grad)
     if k in (0, 4, 5) or subflow_scale(k, params) == 0.0:
-        return S
+        return S, grad
 
-    h = np.broadcast_to(np.asarray(prof.h(x1, x2), float), (n,))
-    inside = (np.hypot(x1, x2) < 0.25 * prof.r) & (np.abs(x3) < 0.5 * h)
+    h = np.asarray(prof.h(x1, x2), float)[:, None]
+    inside = ((np.hypot(x1, x2) < 0.25 * prof.r)[:, None] & (np.abs(x3) < 0.5 * h)).reshape(-1)
 
     if k in (1, 2):
         g1, g2 = prof.h_grad(x1, x2)
         U1, U2, _U3 = params.U
         w1, w2, _w3 = params.omega
         if k == 1:
-            c, ga, row = U1 - w2 * R, np.broadcast_to(np.asarray(g1, float), (n,)), 0
+            c, ga, row = U1 - w2 * R, g1[:, None], 0
         else:
-            c, ga, row = U2 + w1 * R, np.broadcast_to(np.asarray(g2, float), (n,)), 1
+            c, ga, row = U2 + w1 * R, g2[:, None], 1
         H = 1.0 / h
         B = -ga / h**2
-        S[row, 2] = S[2, row] = mu * c * H
-        S[2, 2] = -mu * c * B * x3
-        return S * inside
+        S[row, 2] = S[2, row] = np.broadcast_to(mu * c * H, x3.shape).reshape(-1)
+        S[2, 2] = (-mu * c * B * x3).reshape(-1)
+        return S * inside, grad
 
     # k in (3, 6): correct the field's own stress on the diagonal
-    _u, p, grad = _eval3(k, params, x1, x2, x3)
     w1, w2, _w3 = params.omega
     alpha = mu * params.U[2] if k == 3 else mu
     table1, table2 = _q_tables(k, params)
     QA1, QB1 = table1(x1, x2)
     QA2, QB2 = table2(x2, x1)
-    A1, B1, A3, B3 = _coeff_funcs(k, prof, w1, w2)
-
-    step = 1e-5 * prof.r
-    lapA3, _ = _fd_lap(A3, x1, x2, step)
-    lapB3, _ = _fd_lap(B3, x1, x2, step)
+    _A1, _B1, A3, B3 = _coeff_funcs(k, w1, w2)
+    (lapA3, lapB3), _ = _fd_derivs(prof, x1, x2, 1e-5 * prof.r, (A3, B3))
     x3sq = x3 * x3
-    q1 = alpha * (QA1 + 3.0 * x3sq * QB1)
-    q2 = alpha * (QA2 + 3.0 * x3sq * QB2)
-    q3 = -alpha * (0.5 * lapA3 * x3sq + 0.25 * lapB3 * x3sq * x3sq)
+    q1 = alpha * (QA1[:, None] + 3.0 * x3sq * QB1[:, None])
+    q2 = alpha * (QA2[:, None] + 3.0 * x3sq * QB2[:, None])
+    q3 = -alpha * (0.5 * lapA3[:, None] * x3sq + 0.25 * lapB3[:, None] * x3sq * x3sq)
 
     for a in range(3):
         for b in range(a + 1, 3):
             S[a, b] = S[b, a] = mu * (grad[a, b] + grad[b, a])
-    S[0, 0] = 2.0 * mu * grad[0, 0] - p + q1
-    S[1, 1] = 2.0 * mu * grad[1, 1] - p + q2
-    S[2, 2] = 2.0 * mu * grad[2, 2] - p + q3
-    return S * inside
+    S[0, 0] = 2.0 * mu * grad[0, 0] - p + q1.reshape(-1)
+    S[1, 1] = 2.0 * mu * grad[1, 1] - p + q2.reshape(-1)
+    S[2, 2] = 2.0 * mu * grad[2, 2] - p + q3.reshape(-1)
+    return S * inside, grad
 
 
 def dual_tensor(k: int, params: ProblemParams, x) -> np.ndarray:
@@ -342,7 +330,7 @@ def dual_tensor(k: int, params: ProblemParams, x) -> np.ndarray:
     if k not in subflow_indices(3):
         raise ValueError(f"unknown sub-flow index {k}")
     x1, x2, x3 = (np.atleast_1d(np.asarray(v, float)) for v in x)
-    return _dual_tensor_many(k, params, x1, x2, x3)[:, :, 0]
+    return _dual_tensor_many(k, params, x1, x2, x3[:, None])[0][:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +344,9 @@ def _volume_integrate(pointfun, params, rmax, spec):
     Radial direction adaptive (Gauss-Kronrod, split at the boundary-layer
     scale and the flat radius), the shared 64-point trapezoid ring
     (:func:`lubgap.quadrature.trapezoid_ring`, full rule only), 5-point
-    Gauss rule vertically across the local gap.
+    Gauss rule vertically across the local gap.  ``pointfun`` receives the
+    planar points, shape (n,), and the Gauss heights over each, shape
+    (n, 5), and returns the ``n*5`` values in :func:`_volume_points` order.
     """
     prof = params.profile
     theta = _RING.x[0]
@@ -370,10 +360,7 @@ def _volume_integrate(pointfun, params, rmax, spec):
         x2 = (ts[:, None] * sin_t[None, :]).reshape(nt * ntheta)
         h = np.asarray(prof.h(x1, x2), float)
         half = 0.5 * h
-        x1f = np.repeat(x1, _NGAUSS)
-        x2f = np.repeat(x2, _NGAUSS)
-        x3f = (half[:, None] * _GAUSS_X[None, :]).reshape(-1)
-        vals = pointfun(x1f, x2f, x3f).reshape(nt * ntheta, _NGAUSS)
+        vals = pointfun(x1, x2, half[:, None] * _GAUSS_X[None, :]).reshape(nt * ntheta, _NGAUSS)
         vert = (vals * _GAUSS_W[None, :]).sum(axis=1) * half
         rings = vert.reshape(nt, ntheta).sum(axis=1) * dtheta
         return rings * ts
@@ -400,6 +387,7 @@ def energy(params: ProblemParams, spec: QuadSpec | None = None) -> float:
     ks = subflow_indices(3)
 
     def pointfun(x1, x2, x3):
+        x1, x2, x3 = _volume_points(x1, x2, x3)
         total = np.zeros((3, 3, x1.size))
         for k in ks:
             if subflow_scale(k, params) == 0.0:
@@ -418,11 +406,13 @@ def energy(params: ProblemParams, spec: QuadSpec | None = None) -> float:
 
 
 def _discrepancy_many(k, params, x1, x2, x3):
-    """``D(u(k)) - (S(k) - tr S(k)/3 E) / (2 mu)`` at points; (3, 3, n)."""
+    """``D(u(k)) - (S(k) - tr S(k)/3 E) / (2 mu)``; (3, 3, n*g).
+
+    The points are given as for :func:`_dual_tensor_many`.
+    """
     mu = params.mu
-    _u, _p, grad = _eval3(k, params, x1, x2, x3)
+    S, grad = _dual_tensor_many(k, params, x1, x2, x3)
     D = 0.5 * (grad + grad.transpose(1, 0, 2))
-    S = _dual_tensor_many(k, params, x1, x2, x3)
     tr = S[0, 0] + S[1, 1] + S[2, 2]
     for a in range(3):
         S[a, a] -= tr / 3.0
@@ -491,9 +481,9 @@ def err_sweep(params: ProblemParams, eps_list, spec: QuadSpec | None = None) -> 
 
     Covers the diagonal pairs ``(i, i)`` for the four sub-flows with nonzero
     dual tensors and every cross pair among them whose velocity scales are
-    nonzero.  The pairs of one epsilon are independent and run on a thread
-    pool, one epsilon after another.  A fitted slope below -0.2 flags a
-    boundedness violation.
+    nonzero.  The pairs run serially, one epsilon after another, so each
+    dual table is built once and stays cached while its epsilon is swept.
+    A fitted slope below -0.2 flags a boundedness violation.
     """
     eps_grid = tuple(sorted((float(e) for e in eps_list), reverse=True))
     if len(eps_grid) < 3:
@@ -508,21 +498,11 @@ def err_sweep(params: ProblemParams, eps_list, spec: QuadSpec | None = None) -> 
         (a, b) for ai, a in enumerate(active) for b in active[ai:]
     )
 
-    def task(pair, par):
-        return ell(pair[0], pair[1], par, spec)
-
     values = {pair: [] for pair in pairs}
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        for e in eps_grid:
-            par = replace(params, profile=replace(params.profile, eps=e))
-            # lru_cache lets threads race on a missing table and build it
-            # twice, so the tables of this eps are built before its tasks
-            # start; one eps at a time keeps them all in the cache
-            for k in active:
-                if k in (3, 6):
-                    _q_tables(k, par)
-            for pair, val in zip(pairs, pool.map(task, pairs, [par] * len(pairs))):
-                values[pair].append(val)
+    for e in eps_grid:
+        par = replace(params, profile=replace(params.profile, eps=e))
+        for a, b in pairs:
+            values[(a, b)].append(ell(a, b, par, spec))
     values = {pair: tuple(vals) for pair, vals in values.items()}
 
     slopes = {}

@@ -53,6 +53,20 @@ omega = 0.25
 rel_tol = 1e-7
 """
 
+CFG_SQUEEZE_M8 = """
+[profile]
+dimension = 3
+kind = m-convex
+m = 8.0
+eps = 1e-6
+r = 0.5
+R = 2.0
+
+[motion]
+U = 0.0, 0.0, -1.0
+omega = 0.0, 0.0, 0.0
+"""
+
 
 @pytest.fixture
 def cfg_path(tmp_path):
@@ -190,6 +204,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "dual-tensor-div-squeeze" in out
         assert "suite div: passed" in out
+
+    def test_div_suite_squeeze_small_gap(self, tmp_path, capsys):
+        # at m = 8, eps = 1e-6 the gap core is far thinner than r: an x3
+        # step scaled with r left it, and the row check read 1.0
+        p = tmp_path / "m8.ini"
+        p.write_text(CFG_SQUEEZE_M8, encoding="utf-8")
+        json_path = tmp_path / "v.json"
+        code = main(["verify", "--suite", "div", "--config", str(p), "--out-json", str(json_path)])
+        checks = {c["name"]: c for c in json.loads(json_path.read_text())["suite"]["checks"]}
+        assert checks["dual-tensor-div-squeeze"]["value"] < 1e-4
+        assert code == EXIT_OK
 
     def test_parity_suite_passes_2d(self, tmp_path, capsys):
         p = tmp_path / "run2d.ini"

@@ -1,8 +1,5 @@
 """Energy functional, dual test tensors, and the error bilinear form."""
 
-import sys
-import time
-
 import numpy as np
 import pytest
 
@@ -147,6 +144,29 @@ class TestEll:
         with pytest.raises(ValueError):
             ell(1, 1, params2d)
 
+    def test_tables_read_once_per_planar_point(self, params3d, monkeypatch):
+        # the squeeze reads its one table twice per batch, for q_1 and for
+        # q_2 at swapped coordinates; each read sees the planar points only,
+        # one fifth of the volume points the field is evaluated at
+        volume, table = [], []
+        eval3 = dualcheck._eval3
+        call = dualcheck._QPotential.__call__
+
+        def counted_eval3(k, params, x1, x2, x3):
+            volume.append(x1.size)
+            return eval3(k, params, x1, x2, x3)
+
+        def counted_call(self, x1, x2):
+            table.append(x1.size)
+            return call(self, x1, x2)
+
+        monkeypatch.setattr(dualcheck, "_eval3", counted_eval3)
+        monkeypatch.setattr(dualcheck._QPotential, "__call__", counted_call)
+        ell(3, 3, params3d, QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
+        assert volume and len(table) == 2 * len(volume)
+        assert table[::2] == table[1::2]
+        assert [5 * n for n in table[::2]] == volume
+
 
 class TestEnergy:
     def test_zero_motion(self, prof3d):
@@ -197,13 +217,11 @@ class TestErrSweep:
         # a sweep over the sub-flows 1, 3 and 6 (k = 2 has zero scale:
         # U2 + w1 R = 0) needs 3 dual tables per eps, one k = 3 and two
         # k = 6.  Cheap stand-in tables keep the tests fast: only the cache
-        # is under test.  Their build sleeps, so threads that miss the same
-        # entry would overlap and build it twice.
+        # is under test.
         builds = []
 
         class TableStub:
             def __init__(self, profile, k, w1, w2):
-                time.sleep(0.05)
                 builds.append((profile.eps, k, w1, w2))
 
             def __call__(self, x1, x2):
@@ -213,25 +231,39 @@ class TestErrSweep:
         prof = GapProfile(kind="m-convex", m=2.0, s=0.0, eps=1e-1, r=0.5, R=2.0, dimension=3)
         params = ProblemParams(profile=prof, U=(0.3, -0.2, -0.5), omega=(0.1, 0.2, 0.1))
         dualcheck._q_table.cache_clear()
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the worker threads finely
         try:
             rep = err_sweep(params, eps_grid, QuadSpec(rel_tol=1e-2, abs_tol=1e-3))
             assert rep.pairs == ((1, 1), (1, 3), (1, 6), (3, 3), (3, 6), (6, 6))
             assert len(set(builds)) == 3 * len(eps_grid)
             return len(builds), dualcheck._q_table.cache_info().misses
         finally:
-            sys.setswitchinterval(switch)
             dualcheck._q_table.cache_clear()
 
     def test_dual_tables_built_once(self, monkeypatch):
-        # under the 4-worker pool each of the 9 tables is built once
+        # eps-major, each of the 9 tables is built once
         assert self._count_table_builds((1e-1, 3e-2, 1e-2), monkeypatch) == (9, 9)
 
     def test_dual_tables_built_once_beyond_cache_size(self, monkeypatch):
         # 18 tables outnumber the cache's 16 entries; each is still built once
         grid = (1e-1, 6e-2, 3e-2, 2e-2, 1.5e-2, 1e-2)
         assert self._count_table_builds(grid, monkeypatch) == (18, 18)
+
+    def test_values_pinned(self, params3d):
+        # the sweep's values, bit for bit, as computed before the planar
+        # quantities were factored out of the vertical Gauss nodes
+        rep = err_sweep(params3d, (1e-1, 3e-2, 1e-2), QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
+        assert rep.values == {
+            (1, 1): (1.0622490324460758e-05, 2.701366556612739e-05, 5.454132400692836e-05),
+            (1, 2): (-1.6386532233023327e-23, -1.4057795909567846e-22, -1.374910786665229e-22),
+            (1, 3): (-4.0771532738424204e-24, -3.507383893144774e-23, -2.464617140396635e-22),
+            (1, 6): (-4.475559736222469e-24, 3.5939714559498503e-23, 6.074471455142853e-23),
+            (2, 2): (1.0622490324460746e-05, 2.7013665566127358e-05, 5.45413240069283e-05),
+            (2, 3): (-1.654326868943916e-22, -7.240032105657222e-23, -3.95700201793897e-22),
+            (2, 6): (3.680374067894857e-23, -4.571907984310278e-24, 6.904003445770363e-23),
+            (3, 3): (0.007806170898588752, 0.03444235220820986, 0.0444566276464315),
+            (3, 6): (3.910938820193535e-05, 8.30647527601062e-06, -5.7450380810784274e-05),
+            (6, 6): (5.609784986240865e-05, 2.5444675806111836e-05, 0.00018104376182496727),
+        }
 
     def test_grid_validation(self, params3d):
         with pytest.raises(ValueError):
