@@ -23,15 +23,17 @@ For the exact solution the energy identity pins the energy to
 ``-(U.F + omega.T)/2``, so the energy check here is a blow-up-slope
 consistency test against the force asymptotics, not an equality test.
 
-Planar Laplacians of the construction coefficients are computed by central
-finite differences (step ``1e-5 * r``, ``h`` evaluated once per stencil
-point) with Richardson extrapolation; the extrapolation discrepancy is
-tracked as a verification of the step choice.  The inner integrals defining
-``q_1`` and ``q_2`` are cumulative Gauss-Kronrod sums along ``x1``,
-tabulated line by line and interpolated with a bivariate spline whose error,
-measured against a refined Gauss-Kronrod line, is recorded.  Whatever
-depends on ``x'`` alone is computed once per planar point of the volume
-quadrature and shared by its vertical Gauss nodes; :func:`err_sweep` is serial.
+Every construction coefficient is ``c x1^p / h^n`` or its ``x2`` mirror,
+and its planar derivatives are exact: the radial jet of ``h`` carries
+through the chain rule to ``h^-n`` and through the Leibniz rule to the
+product, with their limits on the axis.  The squeeze's inner integrals
+defining ``q_1`` and ``q_2`` are closed-form (one vanishes identically, the
+other is a difference of ``B3`` values).  The rotation's are cumulative
+Gauss-Kronrod sums along ``x1``, tabulated line by line and interpolated
+with a bivariate spline whose error, measured against a refined
+Gauss-Kronrod line, is recorded.  Whatever depends on ``x'`` alone is
+computed once per planar point of the volume quadrature and shared by its
+vertical Gauss nodes; :func:`err_sweep` is serial.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .fields import (
     subflow_indices,
     subflow_scale,
 )
+from .geometry import _safe_pow
 from .quadrature import QuadSpec, integrate_1d, kronrod_panels, trapezoid_ring
 
 __all__ = ["EllReport", "energy", "dual_tensor", "ell", "err_sweep"]
@@ -58,88 +61,93 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_NGAUSS)
 
 
 # ---------------------------------------------------------------------------
-# construction coefficients and their finite-difference planar derivatives
+# construction coefficients and their exact planar derivatives
 # ---------------------------------------------------------------------------
 
 
-def _coeff_funcs(k, w1=0.0, w2=0.0):
-    """Scalar coefficient fields (A1, B1, A3, B3) of sub-flow ``k`` in {3, 6}.
+def _radial_jet(profile, rho):
+    """``(H1, H2, H3)`` of the gap: ``H1 = h'/rho`` and ``H(j+1) = H(j)'/rho``.
 
-    Each takes a planar point with its gap geometry, ``(x1, x2, h, g1, g2)``.
-    For ``k = 6`` the returned fields carry the angular-velocity factors, so
-    the matching correction scale is plain ``mu``.
+    A radial ``g`` with jet ``(a1, a2, a3)`` has ``d_i g = a1 x_i``,
+    ``d_ij g = a1 delta_ij + a2 x_i x_j`` and ``d_ijk g = a2 (delta_ij x_k +
+    delta_ik x_j + delta_jk x_i) + a3 x_i x_j x_k``.  On the axis each ``H``
+    takes the value that gives these products their limits; flat caps take
+    the flat side at ``rho = s``.
+    """
+    if profile.kind == "m-convex":
+        m = profile.m
+        coefs = (m, m * (m - 2.0), m * (m - 2.0) * (m - 4.0))
+        return tuple(c * _safe_pow(rho, m - 2.0 * j) for j, c in enumerate(coefs, 1))
+    s, outside = profile.s, rho > profile.s
+    rho = np.where(outside, rho, 1.0)
+    jet = (2.0 - 2.0 * s / rho, 2.0 * s / rho**3, -6.0 * s / rho**5)
+    return tuple(np.where(outside, H, 0.0) for H in jet)
+
+
+def _monomial_derivs(p, jet, x, y):
+    """``(f_11, f_12, f_22, d_1 (f_11 + f_22))`` of ``f = x^p u``, ``p`` in {1, 2}.
+
+    ``u`` is radial with the jet ``jet = (u, a1, a2, a3)`` (see :func:`_radial_jet`).
+    """
+    u, a1, a2, a3 = jet
+    P, P1, P11 = x**p, p * x ** (p - 1), p * (p - 1)
+    return (
+        P * (a1 + a2 * x * x) + 2.0 * P1 * a1 * x + P11 * u,
+        (P * a2 * x + P1 * a1) * y,
+        P * (a1 + a2 * y * y),
+        P * x * (4.0 * a2 + a3 * (x * x + y * y))
+        + P1 * (4.0 * a1 + a2 * (3.0 * x * x + y * y))
+        + 3.0 * P11 * a1 * x,
+    )
+
+
+def _coefficient_derivs(k, profile, x1, x2, w1, w2):
+    """Exact planar derivatives of the coefficients of sub-flow ``k`` in {3, 6}.
+
+    ``A1 = cA1 x1^p / h``, ``A2 = cA2 x2^p / h``, ``B1 = cB1 x1^p / h^3`` and
+    ``B2 = cB2 x2^p / h^3``, with ``p = 1`` for ``k = 3`` and ``p = 2`` for
+    ``k = 6``, whose coefficients carry the angular-velocity factors (its
+    correction scale is plain ``mu``).  The fields are divergence-free, so
+    ``A3 = d1 A1 + d2 A2`` and ``B3 = d1 B1 + d2 B2``.  Returns ``(A1, A2, B1,
+    B2)``, each ``(d_aa, d_12, d_bb, d_a lap)`` for its own axis ``a`` and the
+    other axis ``b``.  The chain rule carries the jet of ``h`` over to ``h^-n``
+    and the Leibniz rule to the product, without dividing by ``rho``.
     """
     if k == 3:
-
-        def A1(x1, x2, h, g1, g2):
-            return 0.75 * x1 / h
-
-        def B1(x1, x2, h, g1, g2):
-            return -x1 / h**3
-
-        def A3(x1, x2, h, g1, g2):
-            q = x1 * g1 + x2 * g2
-            return 1.5 / h - 0.75 * q / h**2
-
-        def B3(x1, x2, h, g1, g2):
-            q = x1 * g1 + x2 * g2
-            return -2.0 / h**3 + 3.0 * q / h**4
-
-        return A1, B1, A3, B3
-
-    if k == 6:
-
-        def A1(x1, x2, h, g1, g2):
-            return -0.75 * w2 * x1 * x1 / h
-
-        def B1(x1, x2, h, g1, g2):
-            return w2 * x1 * x1 / h**3
-
-        def A3(x1, x2, h, g1, g2):
-            L = w1 * x2 - w2 * x1
-            M = w2 * x1 * x1 * g1 - w1 * x2 * x2 * g2
-            return 1.5 * L / h + 0.75 * M / h**2
-
-        def B3(x1, x2, h, g1, g2):
-            L = w1 * x2 - w2 * x1
-            M = w2 * x1 * x1 * g1 - w1 * x2 * x2 * g2
-            return -2.0 * L / h**3 - 3.0 * M / h**4
-
-        return A1, B1, A3, B3
-
-    raise ValueError("correction coefficients exist only for sub-flows 3 and 6")
+        p, cA, cB = 1, (0.75, 0.75), (-1.0, -1.0)
+    else:
+        p, cA, cB = 2, (-0.75 * w2, 0.75 * w1), (w2, -w1)
+    rho = np.hypot(x1, x2)
+    h = profile.h_radial(rho)
+    e1, e2, e3 = (H / h for H in _radial_jet(profile, rho))
+    out = []
+    for c, n in ((cA, 1), (cB, 3)):
+        u = 1.0 / h**n
+        jet = (
+            u,
+            -n * u * e1,
+            n * u * ((n + 1) * e1 * e1 - e2),
+            -n * u * ((n + 1) * e1 * ((n + 2) * e1 * e1 - 3.0 * e2) + e3),
+        )
+        out += [[c[0] * d for d in _monomial_derivs(p, jet, x1, x2)],
+                [c[1] * d for d in _monomial_derivs(p, jet, x2, x1)]]
+    return out
 
 
-def _fd_derivs(profile, x1, x2, step, lap_funcs, d1_funcs=()):
-    """Planar Laplacians of ``lap_funcs`` and ``d/dx1`` of ``d1_funcs``.
+def _squeeze_qb(profile, x1, x2):
+    """``QB`` of the squeeze correction ``q_1`` (see :class:`_QPotential`), in closed form.
 
-    Central differences with steps ``step`` and ``2*step``, combined by
-    Richardson extrapolation.  The profile's ``h`` and ``h_grad`` are
-    evaluated once per stencil point and shared by every function.  Returns
-    ``(derivatives, discrepancies)`` in the order ``lap_funcs + d1_funcs``;
-    a discrepancy is the largest difference between the two raw estimates
-    (the step-size verification).
+    The squeeze coefficients have ``d2 A1 = d1 A2`` and ``d2 B1 = d1 B2``
+    because ``h`` is radial, so the integrand of ``QA`` vanishes and that of
+    ``QB`` is ``2 d1 B3``: ``QB = 2 (B3(x1, x2) - B3(-r/4, x2))``, with the
+    radial ``B3 = (3 rho h' / h - 2) / h^3``.
     """
 
-    def at(a, b):
-        g1, g2 = profile.h_grad(a, b)
-        return a, b, profile.h(a, b), g1, g2
+    def b3(rho):
+        h = profile.h_radial(rho)
+        return (3.0 * rho * profile.dh_radial(rho) / h - 2.0) / h**3
 
-    center = at(x1, x2)
-    f0 = [f(*center) for f in lap_funcs]
-    raws = []
-    for hh in (step, 2.0 * step):
-        plus, minus = at(x1 + hh, x2), at(x1 - hh, x2)
-        lap = [f(*plus) + f(*minus) for f in lap_funcs]
-        d1 = [(f(*plus) - f(*minus)) / (2.0 * hh) for f in d1_funcs]
-        plus, minus = at(x1, x2 + hh), at(x1, x2 - hh)
-        lap = [
-            (s + f(*plus) + f(*minus) - 4.0 * v0) / hh**2 for s, f, v0 in zip(lap, lap_funcs, f0)
-        ]
-        raws.append(lap + d1)
-    derivs = [(4.0 * r1 - r2) / 3.0 for r1, r2 in zip(*raws)]
-    discs = [float(np.max(np.abs(r1 - r2))) if np.size(r1) else 0.0 for r1, r2 in zip(*raws)]
-    return derivs, discs
+    return 2.0 * (b3(np.hypot(x1, x2)) - b3(np.hypot(0.25 * profile.r, x2)))
 
 
 # sub-panels per probe interval of the reference line of _QPotential
@@ -147,29 +155,26 @@ _PROBE_SPLIT = 32
 
 
 class _QPotential:
-    """Tabulated inner integrals of the diagonal correction ``q_1``.
+    """Tabulated inner integrals of the rotation correction ``q_1``.
 
-    ``q_1 = alpha * (QA(x') + 3 x3^2 QB(x'))`` with
+    ``q_1 = mu (QA(x') + 3 x3^2 QB(x'))`` with
     ``QA = int_{-r/4}^{x1} (lap A1 - d1 A3) dx1`` and
-    ``QB = int_{-r/4}^{x1} (lap B1 + d1 B3) dx1`` at fixed ``x2``.  Each ``x2``
-    line is integrated once by cumulative Gauss-Kronrod sums on a graded
-    axis and the lines are joined by a bivariate spline over the core
-    square.
+    ``QB = int_{-r/4}^{x1} (lap B1 + d1 B3) dx1`` at fixed ``x2``; the
+    integrands are ``d22 A1 - d12 A2`` and ``2 d11 B1 + d22 B1 + d12 B2``.
+    Each ``x2`` line is integrated once by cumulative Gauss-Kronrod sums on
+    a graded axis and the lines are joined by a bivariate spline over the
+    core square.  ``q_2`` reads the table of the swapped-axes orientation
+    ``(-w2, -w1)`` at swapped coordinates ``(x2, x1)``.
 
     Attributes
     ----------
-    fd_error : float
-        Largest Richardson discrepancy seen while forming the integrands,
-        relative to the integrand scale.
     interp_error : float
         Measured relative spline error at offset probe points on one line,
         against Gauss-Kronrod panels 32 times finer between the probes, with
         extra edges where the line crosses a flat rim.
     """
 
-    def __init__(self, profile, k, w1=0.0, w2=0.0):
-        A1, B1, A3, B3 = _coeff_funcs(k, w1, w2)
-        step = 1e-5 * profile.r
+    def __init__(self, profile, w1, w2):
         bound = 0.25 * profile.r
         delta = profile.boundary_layer_scale()
         centers = [0.0]
@@ -178,21 +183,16 @@ class _QPotential:
         axis = _graded_nodes(-bound, bound, centers, delta, n_side=48, n_uniform=25)
 
         def kernels(x1, x2):
-            # the integrands (lap A1 - d1 A3, lap B1 + d1 B3), stacked, their
-            # largest Richardson discrepancy and their scale
-            (lapA, lapB, d1A3, d1B3), discs = _fd_derivs(profile, x1, x2, step, (A1, B1), (A3, B3))
-            f = np.stack([lapA - d1A3, lapB + d1B3])
-            return f, max(discs), max(float(np.max(np.abs(f))), 1e-300)
+            # the two integrands, stacked
+            A1, A2, B1, B2 = _coefficient_derivs(6, profile, x1, x2, w1, w2)
+            return np.stack([A1[2] - A2[1], 2.0 * B1[0] + B1[2] + B2[1]])
 
         # Cumulative Gauss-Kronrod along x1 on the graded panels.  The x2
-        # lines pass through the stencils in eight blocks, which bounds the
-        # stencils' working memory.  f is (integrand, x2 line, x1 panel, node).
+        # lines pass through the kernels in eight blocks, which bounds their
+        # working memory.  f is (integrand, x2 line, x1 panel, node).
         rule = kronrod_panels(axis)
-        blocks = (kernels(rule.x, x2[:, None, None]) for x2 in np.array_split(axis, 8))
-        fs, discs, scales = zip(*blocks)
-        f = np.concatenate(fs, axis=1)
-        self.fd_error = max(discs) / max(scales)
-        cum = rule.sums(f)[2]
+        blocks = [kernels(rule.x, x2[:, None, None]) for x2 in np.array_split(axis, 8)]
+        cum = rule.sums(np.concatenate(blocks, axis=1))[2]
         # Anchored at the core edge x1 = -r/4.  The divergence-free row
         # structure only pins d q_1 / d x1, so q_1 is gauge-free up to an
         # additive function of x2; anchoring each line at the core edge keeps
@@ -214,14 +214,11 @@ class _QPotential:
         sub = knots[:-1, None] + np.diff(knots)[:, None] * frac
         edges = np.append(sub.ravel(), knots[-1])
         if len(centers) > 1 and abs(probe_x2) < profile.s:
-            # the kernel jumps within two FD steps of where the line crosses the rim
-            rim = np.sqrt(profile.s**2 - probe_x2**2) + np.array([-2.0, 0.0, 2.0]) * step
-            rim = np.concatenate([-rim, rim])
+            # the kernels jump where the line crosses the rim
+            rim = np.sqrt(profile.s**2 - probe_x2**2) * np.array([-1.0, 1.0])
             edges = np.union1d(edges, rim[(rim > edges[0]) & (rim < edges[-1])])
         line = kronrod_panels(edges)
-        f, disc, fscale = kernels(line.x.ravel(), probe_x2)
-        self.fd_error = max(self.fd_error, disc / fscale)
-        fa = f[0].reshape(line.x.shape)
+        fa = kernels(line.x.ravel(), probe_x2)[0].reshape(line.x.shape)
         direct = line.sums(fa)[2][np.searchsorted(edges, probe_x1)]
         approx = self._splineA.ev(probe_x1, np.full_like(probe_x1, probe_x2))
         scale = max(float(np.max(np.abs(direct))), 1e-300)
@@ -232,25 +229,10 @@ class _QPotential:
         return self._splineA.ev(x1, x2), self._splineB.ev(x1, x2)
 
 
-# a 3-eps dual sweep needs 9 tables: one k = 3 and two k = 6 per eps
+# a 3-eps dual sweep needs 6 tables, two per eps
 @lru_cache(maxsize=16)
-def _q_table(profile, k, w1, w2):
-    return _QPotential(profile, k, w1, w2)
-
-
-def _q_tables(k, params):
-    """The potential tables of sub-flow ``k`` in {3, 6}, for ``q_1`` and ``q_2``.
-
-    ``q_2`` reads its table at swapped coordinates ``(x2, x1)``: the squeeze
-    coefficients are symmetric under the swap, so one table serves both; the
-    rotation needs the swapped-axes orientation ``(-w2, -w1)``.
-    """
-    prof = params.profile
-    if k == 3:
-        table = _q_table(prof, 3, 0.0, 0.0)
-        return table, table
-    w1, w2, _w3 = params.omega
-    return _q_table(prof, 6, w1, w2), _q_table(prof, 6, -w2, -w1)
+def _q_table(profile, w1, w2):
+    return _QPotential(profile, w1, w2)
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +279,23 @@ def _dual_tensor_many(k, params, x1, x2, x3):
         S[2, 2] = (-mu * c * B * x3).reshape(-1)
         return S * inside, grad
 
-    # k in (3, 6): correct the field's own stress on the diagonal
+    # k in (3, 6): correct the field's own stress on the diagonal; q_2 reads
+    # the potentials of q_1 at swapped coordinates (x2, x1), which for the
+    # rotation needs the table of the swapped-axes orientation
     w1, w2, _w3 = params.omega
-    alpha = mu * params.U[2] if k == 3 else mu
-    table1, table2 = _q_tables(k, params)
-    QA1, QB1 = table1(x1, x2)
-    QA2, QB2 = table2(x2, x1)
-    _A1, _B1, A3, B3 = _coeff_funcs(k, w1, w2)
-    (lapA3, lapB3), _ = _fd_derivs(prof, x1, x2, 1e-5 * prof.r, (A3, B3))
+    if k == 3:
+        alpha, QA1, QA2 = mu * params.U[2], 0.0, 0.0
+        QB1, QB2 = _squeeze_qb(prof, x1, x2), _squeeze_qb(prof, x2, x1)
+    else:
+        alpha = mu
+        QA1, QB1 = _q_table(prof, w1, w2)(x1, x2)
+        QA2, QB2 = _q_table(prof, -w2, -w1)(x2, x1)
+        QA1, QA2 = QA1[:, None], QA2[:, None]
+    A1, A2, B1, B2 = _coefficient_derivs(k, prof, x1, x2, w1, w2)
+    lapA3, lapB3 = A1[3] + A2[3], B1[3] + B2[3]
     x3sq = x3 * x3
-    q1 = alpha * (QA1[:, None] + 3.0 * x3sq * QB1[:, None])
-    q2 = alpha * (QA2[:, None] + 3.0 * x3sq * QB2[:, None])
+    q1 = alpha * (QA1 + 3.0 * x3sq * QB1[:, None])
+    q2 = alpha * (QA2 + 3.0 * x3sq * QB2[:, None])
     q3 = -alpha * (0.5 * lapA3[:, None] * x3sq + 0.25 * lapB3[:, None] * x3sq * x3sq)
 
     for a in range(3):

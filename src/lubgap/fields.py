@@ -183,7 +183,9 @@ class _RotationTable:
     """Bivariate table of ``Q(a, c) = int_0^a t^2 / h(sqrt(t^2 + c^2))^3 dt``.
 
     ``Q`` is odd in ``a`` and even in ``c``; the table covers the first
-    quadrant.  Two tabulations are used:
+    quadrant, and its spline is fitted over the mirrored axes (``c`` in both
+    tabulations, ``a`` in the direct one), so the fit keeps that parity
+    instead of an end condition on the axes.  Two tabulations are used:
 
     * m-convex profiles: direct tabulation in ``(a, c)``.  The integrand
       is smooth there and peaks at the origin, so sinh-graded axes with
@@ -242,8 +244,13 @@ class _RotationTable:
             t = rule.x
             c = c_nodes[:, None, None]
             table = rule.sums(t * t / profile.h_radial(np.hypot(t, c)) ** 3)[2].T
+        c_all = np.concatenate([-c_nodes[:0:-1], c_nodes])
+        table = np.concatenate([table[:, :0:-1], table], axis=1)
+        if not self._radial:
+            p_nodes = np.concatenate([-p_nodes[:0:-1], p_nodes])
+            table = np.concatenate([-table[:0:-1], table])
         from scipy.interpolate import RectBivariateSpline
-        self._spline = RectBivariateSpline(p_nodes, c_nodes, table, kx=3, ky=3, s=0)
+        self._spline = RectBivariateSpline(p_nodes, c_all, table, kx=3, ky=3, s=0)
         self._measure_error(c_nodes)
 
     def q(self, a, c):
@@ -288,8 +295,7 @@ class _RotationTable:
         a = prof.r * rng.uniform(0.05, 1.0, 24)
         c = prof.r * rng.uniform(0.0, 1.0, 24)
         # stress the boundary layer, where the integrand peaks, and the first
-        # c intervals: the spline does not know that Q is even in c, and its
-        # error peaks about a third into the first interval
+        # c intervals, where the spline error peaks
         d0 = prof.boundary_layer_scale()
         near0 = c_nodes[:3, None] + np.diff(c_nodes[:4])[:, None] * np.array([0.25, 0.35, 0.5])
         la, lc = np.meshgrid(

@@ -216,6 +216,18 @@ class TestVerify:
         assert checks["dual-tensor-div-squeeze"]["value"] < 1e-4
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("m", ["2.0", "2.5"])
+    def test_div_suite_general_motion_small_eps(self, tmp_path, m):
+        # the dual tensor's row divergence at eps = 1e-8 read 2.0e-4 (m = 2)
+        # and 6.5e-5 (m = 2.5) with finite-difference Laplacians
+        p = tmp_path / "small.ini"
+        p.write_text(CFG.replace("m = 2.0", f"m = {m}").replace("eps = 1e-2", "eps = 1e-8"))
+        json_path = tmp_path / "v.json"
+        code = main(["verify", "--suite", "div", "--config", str(p), "--out-json", str(json_path)])
+        checks = {c["name"]: c for c in json.loads(json_path.read_text())["suite"]["checks"]}
+        assert checks["dual-tensor-div-squeeze"]["value"] < 1e-4
+        assert code == EXIT_OK
+
     def test_parity_suite_passes_2d(self, tmp_path, capsys):
         p = tmp_path / "run2d.ini"
         p.write_text(CFG_2D, encoding="utf-8")

@@ -1,5 +1,6 @@
 """Energy functional, dual test tensors, and the error bilinear form."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,7 +9,7 @@ from lubgap.asymptotics import fit_exponent
 from lubgap.dualcheck import EllReport, dual_tensor, ell, energy, err_sweep
 from lubgap.fields import ProblemParams
 from lubgap.geometry import GapProfile
-from lubgap.quadrature import QuadSpec
+from lubgap.quadrature import QuadSpec, kronrod_panels
 
 RNG_SEED = 90812
 
@@ -110,12 +111,92 @@ class TestDualTensor:
         errs = []
         for split in (32, 64):
             monkeypatch.setattr(dualcheck, "_PROBE_SPLIT", split)
-            errs.append(dualcheck._QPotential(prof3d_flat, 6, 0.0, 1.0).interp_error)
+            errs.append(dualcheck._QPotential(prof3d_flat, 0.0, 1.0).interp_error)
         assert errs[1] == pytest.approx(errs[0], rel=0.1)
 
     def test_unknown_subflow(self, params3d):
         with pytest.raises(ValueError):
             dual_tensor(9, params3d, (0.05, 0.0, 0.0))
+
+
+def _mp_coefficients(k, prof, w1, w2):
+    """``(A1, A2, B1, B2)`` of sub-flow ``k`` as mpmath functions of ``(x1, x2)``."""
+
+    def h(x1, x2):
+        rho = mpmath.sqrt(x1 * x1 + x2 * x2)
+        if prof.kind == "m-convex":
+            return prof.eps + rho**prof.m
+        return prof.eps + max(rho - prof.s, 0) ** 2
+
+    if k == 3:
+        return (lambda a, b: 0.75 * a / h(a, b), lambda a, b: 0.75 * b / h(a, b),
+                lambda a, b: -a / h(a, b) ** 3, lambda a, b: -b / h(a, b) ** 3)
+    return (lambda a, b: -0.75 * w2 * a * a / h(a, b), lambda a, b: 0.75 * w1 * b * b / h(a, b),
+            lambda a, b: w2 * a * a / h(a, b) ** 3, lambda a, b: -w1 * b * b / h(a, b) ** 3)
+
+
+def _exact_profiles():
+    return [GapProfile.m_convex(3, m, 0.5, 1e-3, 2.0) for m in (2.0, 2.5, 4.0, 8.0)] + [
+        GapProfile.flat_capped(3, 0.5, 0.05, 1e-3, 2.0)
+    ]
+
+
+class TestExactDerivatives:
+    # the planar derivatives of the construction coefficients c x1^p / h^n
+    # are exact; no finite difference enters the dual tensors
+
+    @pytest.mark.parametrize("k", [3, 6])
+    @pytest.mark.parametrize("prof", _exact_profiles(), ids=["m2", "m2.5", "m4", "m8", "flat"])
+    def test_kernels_match_mpmath(self, prof, k):
+        # off the rim of the flat cap (|x'| = 0.05), inside and outside it
+        w1, w2 = 0.15, 0.2
+        points = ((0.03, 0.07), (-0.09, 0.02), (0.011, -0.004), (0.1, -0.1), (-0.002, 0.0015))
+        with mpmath.workdps(30):
+            coefs = _mp_coefficients(k, prof, w1, w2)
+            for x1, x2 in points:
+                got = dualcheck._coefficient_derivs(k, prof, np.array(x1), np.array(x2), w1, w2)
+                for f, own, g in zip(coefs, (0, 1, 0, 1), got):
+                    d = lambda i, j: mpmath.diff(f, (x1, x2), (i, j) if own == 0 else (j, i))
+                    want = [d(2, 0), d(1, 1), d(0, 2), d(3, 0) + d(1, 2)]
+                    # the derivative scale; inside the cap some derivatives
+                    # vanish and mpmath returns roundoff for them
+                    scale = max(max(abs(w) for w in want), abs(f(x1, x2)) / prof.r**3)
+                    for gi, wi in zip(g, want):
+                        assert abs(float(gi) - float(wi)) <= 1e-9 * float(scale), (x1, x2)
+
+    def test_flat_squeeze_potential_matches_line(self):
+        # the squeeze's QA vanishes and its QB is closed-form; the cumulative
+        # Kronrod line of their integrands lap A1 - d1 A3 and lap B1 + d1 B3,
+        # with edges where the line crosses the rim, must agree
+        prof = GapProfile.flat_capped(3, 0.5, 0.05, 1e-4, 2.0)
+        bound = 0.25 * prof.r
+        for x2 in (0.0, 0.03, 0.07):
+            x1 = np.array([-0.1, -0.02, 0.0, 0.01, 0.045, 0.06, 0.12])
+            edges = np.linspace(-bound, bound, 65)
+            if x2 < prof.s:
+                edges = np.concatenate([edges, np.array([-1.0, 1.0]) * np.sqrt(prof.s**2 - x2**2)])
+            edges = np.union1d(edges, x1)
+            line = kronrod_panels(edges)
+            lx, ly = line.x, np.full_like(line.x, x2)
+            A1, A2, B1, B2 = dualcheck._coefficient_derivs(3, prof, lx, ly, 0.0, 0.0)
+            at = np.searchsorted(edges, x1)
+            lineA = line.sums(A1[0] + A1[2] - A1[0] - A2[1])[2][at]
+            lineB = line.sums(B1[0] + B1[2] + B1[0] + B2[1])[2][at]
+            QB = dualcheck._squeeze_qb(prof, x1, np.full_like(x1, x2))
+            scale = np.max(np.abs(lineB))
+            assert np.max(np.abs(lineA)) <= 1e-10 * scale
+            assert np.max(np.abs(QB - lineB)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("k", [3, 6])
+    @pytest.mark.parametrize("prof", _exact_profiles(), ids=["m2", "m2.5", "m4", "m8", "flat"])
+    def test_axis_limit(self, prof, k):
+        # the radial forms take their limits on the axis x' = 0
+        params = ProblemParams(profile=prof, mu=1.0, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
+        x3, d = 0.2 * prof.eps, 1e-7 * prof.r
+        on = dual_tensor(k, params, (0.0, 0.0, x3))
+        near = dual_tensor(k, params, (0.6 * d, 0.8 * d, x3))
+        assert np.all(np.isfinite(on))
+        assert np.max(np.abs(on - near)) <= 1e-6 * np.max(np.abs(on))
 
 
 class TestEll:
@@ -145,8 +226,8 @@ class TestEll:
             ell(1, 1, params2d)
 
     def test_tables_read_once_per_planar_point(self, params3d, monkeypatch):
-        # the squeeze reads its one table twice per batch, for q_1 and for
-        # q_2 at swapped coordinates; each read sees the planar points only,
+        # the rotation reads its two tables once per batch, q_1's and q_2's
+        # at swapped coordinates; each read sees the planar points only,
         # one fifth of the volume points the field is evaluated at
         volume, table = [], []
         eval3 = dualcheck._eval3
@@ -162,7 +243,7 @@ class TestEll:
 
         monkeypatch.setattr(dualcheck, "_eval3", counted_eval3)
         monkeypatch.setattr(dualcheck._QPotential, "__call__", counted_call)
-        ell(3, 3, params3d, QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
+        ell(6, 6, params3d, QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
         assert volume and len(table) == 2 * len(volume)
         assert table[::2] == table[1::2]
         assert [5 * n for n in table[::2]] == volume
@@ -215,14 +296,14 @@ class TestErrSweep:
     @staticmethod
     def _count_table_builds(eps_grid, monkeypatch):
         # a sweep over the sub-flows 1, 3 and 6 (k = 2 has zero scale:
-        # U2 + w1 R = 0) needs 3 dual tables per eps, one k = 3 and two
-        # k = 6.  Cheap stand-in tables keep the tests fast: only the cache
-        # is under test.
+        # U2 + w1 R = 0) needs 2 dual tables per eps, both k = 6; the
+        # squeeze's potentials are closed-form.  Cheap stand-in tables keep
+        # the tests fast: only the cache is under test.
         builds = []
 
         class TableStub:
-            def __init__(self, profile, k, w1, w2):
-                builds.append((profile.eps, k, w1, w2))
+            def __init__(self, profile, w1, w2):
+                builds.append((profile.eps, w1, w2))
 
             def __call__(self, x1, x2):
                 return np.zeros_like(x1), np.zeros_like(x1)
@@ -234,35 +315,35 @@ class TestErrSweep:
         try:
             rep = err_sweep(params, eps_grid, QuadSpec(rel_tol=1e-2, abs_tol=1e-3))
             assert rep.pairs == ((1, 1), (1, 3), (1, 6), (3, 3), (3, 6), (6, 6))
-            assert len(set(builds)) == 3 * len(eps_grid)
+            assert len(set(builds)) == 2 * len(eps_grid)
             return len(builds), dualcheck._q_table.cache_info().misses
         finally:
             dualcheck._q_table.cache_clear()
 
     def test_dual_tables_built_once(self, monkeypatch):
-        # eps-major, each of the 9 tables is built once
-        assert self._count_table_builds((1e-1, 3e-2, 1e-2), monkeypatch) == (9, 9)
+        # eps-major, each of the 6 tables is built once
+        assert self._count_table_builds((1e-1, 3e-2, 1e-2), monkeypatch) == (6, 6)
 
     def test_dual_tables_built_once_beyond_cache_size(self, monkeypatch):
         # 18 tables outnumber the cache's 16 entries; each is still built once
-        grid = (1e-1, 6e-2, 3e-2, 2e-2, 1.5e-2, 1e-2)
+        grid = (1e-1, 8e-2, 6e-2, 4e-2, 3e-2, 2e-2, 1.5e-2, 1.2e-2, 1e-2)
         assert self._count_table_builds(grid, monkeypatch) == (18, 18)
 
     def test_values_pinned(self, params3d):
-        # the sweep's values, bit for bit, as computed before the planar
-        # quantities were factored out of the vertical Gauss nodes
+        # the sweep's values, bit for bit, with exact planar derivatives;
+        # (1, 1), (1, 2) and (2, 2) do not read them and are unchanged
         rep = err_sweep(params3d, (1e-1, 3e-2, 1e-2), QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
         assert rep.values == {
             (1, 1): (1.0622490324460758e-05, 2.701366556612739e-05, 5.454132400692836e-05),
             (1, 2): (-1.6386532233023327e-23, -1.4057795909567846e-22, -1.374910786665229e-22),
-            (1, 3): (-4.0771532738424204e-24, -3.507383893144774e-23, -2.464617140396635e-22),
-            (1, 6): (-4.475559736222469e-24, 3.5939714559498503e-23, 6.074471455142853e-23),
+            (1, 3): (4.303836865245682e-23, 2.74010412902453e-22, 1.3725853859397382e-22),
+            (1, 6): (1.6551821880421883e-23, -1.1656199689085441e-23, 1.4613539540865078e-23),
             (2, 2): (1.0622490324460746e-05, 2.7013665566127358e-05, 5.45413240069283e-05),
-            (2, 3): (-1.654326868943916e-22, -7.240032105657222e-23, -3.95700201793897e-22),
-            (2, 6): (3.680374067894857e-23, -4.571907984310278e-24, 6.904003445770363e-23),
-            (3, 3): (0.007806170898588752, 0.03444235220820986, 0.0444566276464315),
-            (3, 6): (3.910938820193535e-05, 8.30647527601062e-06, -5.7450380810784274e-05),
-            (6, 6): (5.609784986240865e-05, 2.5444675806111836e-05, 0.00018104376182496727),
+            (2, 3): (-5.57497237078003e-23, 2.5041360539499143e-22, 3.451427071313043e-22),
+            (2, 6): (5.5567874575592185e-24, 1.1686415508703473e-23, -2.0771290682648623e-23),
+            (3, 3): (0.007806171439382998, 0.034442350046258896, 0.044456599749060764),
+            (3, 6): (3.910939041647502e-05, 8.306472378210119e-06, -5.745034630038415e-05),
+            (6, 6): (5.609785036715424e-05, 2.5444675732883127e-05, 0.00018104376349143623),
         }
 
     def test_grid_validation(self, params3d):

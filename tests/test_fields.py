@@ -423,6 +423,21 @@ class TestRotationClosedForm:
         err = np.max(np.abs(tab.q(a, c) - _RotationClosedForm(prof).q(a, c)))
         assert tab.abs_error >= err
 
+    @pytest.mark.parametrize("eps, unmirrored", [(1e-4, 1.4e-5), (1e-6, 6.5e-5), (1e-8, 1.8e-4)])
+    def test_table_fit_keeps_parity(self, eps, unmirrored):
+        # the table's spline is fitted over the mirrored axes, odd in a and
+        # even in c; with end conditions at a = 0 and c = 0 instead, its
+        # error on this grid, relative to the largest Q, read `unmirrored`
+        prof = GapProfile.m_convex(3, 2.0, 0.5, eps, 2.0)
+        delta = prof.boundary_layer_scale()
+        a = np.concatenate([delta * np.geomspace(0.05, 20.0, 40), np.linspace(0.01, 0.5, 30)])
+        c = delta * np.append(0.0, np.geomspace(1e-3, 20.0, 60))
+        c = np.concatenate([c, np.linspace(0.01, 0.5, 30)])
+        a, c = np.meshgrid(a, c)
+        exact = _RotationClosedForm(prof).q(a, c)
+        err = np.max(np.abs(_RotationTable(prof).q(a, c) - exact)) / np.max(np.abs(exact))
+        assert err <= 0.25 * unmirrored
+
 
 def _direct_lookups(tab, x1, x2):
     """The rotation pressure's four table reads, one :meth:`q` call each."""

@@ -80,3 +80,29 @@ def test_m2_solve_never_loads_interpolate():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+_SQUEEZE_SWEEP_NO_INTERPOLATE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import lubgap
+from lubgap.quadrature import QuadSpec
+profile = lubgap.GapProfile.m_convex(dimension=3, m=2.0, r=0.5, eps=1e-3, R=2.0)
+params = lubgap.ProblemParams(profile=profile, U=(0.0, 0.0, -1.0), omega=(0.0, 0.0, 0.0))
+rep = lubgap.err_sweep(params, (1e-2, 3e-3, 1e-3), QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
+print(rep.pairs == ((3, 3),), "scipy.interpolate" in sys.modules)
+"""
+
+
+def test_squeeze_dual_sweep_never_loads_interpolate():
+    # the squeeze's dual potentials are closed-form; only the rotation's
+    # dual tables need scipy.interpolate
+    proc = subprocess.run(
+        [sys.executable, "-c", _SQUEEZE_SWEEP_NO_INTERPOLATE, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
