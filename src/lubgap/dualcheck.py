@@ -24,9 +24,10 @@ For the exact solution the energy identity pins the energy to
 consistency test against the force asymptotics, not an equality test.
 
 Every construction coefficient is ``c x1^p / h^n`` or its ``x2`` mirror,
-and its planar derivatives are exact: the radial jet of ``h`` carries
-through the chain rule to ``h^-n`` and through the Leibniz rule to the
-product, with their limits on the axis.  The squeeze's inner integrals
+and its planar derivatives are exact; they come from the coefficient engine
+of the fields, :func:`lubgap.fields._coefficient_derivs`, which adds the
+third-order ``d_a lap`` terms the diagonal corrections need.  The shear
+tensors read the field's own gradient.  The squeeze's inner integrals
 defining ``q_1`` and ``q_2`` are closed-form (one vanishes identically, the
 other is a difference of ``B3`` values).  The rotation's are cumulative
 Gauss-Kronrod sums along ``x1``, tabulated line by line and interpolated
@@ -45,12 +46,13 @@ import numpy as np
 
 from .fields import (
     ProblemParams,
+    _coefficient_derivs,
     _eval3,
     _graded_nodes,
+    _squeeze_type,
     subflow_indices,
     subflow_scale,
 )
-from .geometry import _safe_pow
 from .quadrature import QuadSpec, integrate_1d, kronrod_panels, trapezoid_ring
 
 __all__ = ["EllReport", "energy", "dual_tensor", "ell", "err_sweep"]
@@ -61,91 +63,22 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_NGAUSS)
 
 
 # ---------------------------------------------------------------------------
-# construction coefficients and their exact planar derivatives
+# the inner integrals of the diagonal corrections
 # ---------------------------------------------------------------------------
 
 
-def _radial_jet(profile, rho):
-    """``(H1, H2, H3)`` of the gap: ``H1 = h'/rho`` and ``H(j+1) = H(j)'/rho``.
-
-    A radial ``g`` with jet ``(a1, a2, a3)`` has ``d_i g = a1 x_i``,
-    ``d_ij g = a1 delta_ij + a2 x_i x_j`` and ``d_ijk g = a2 (delta_ij x_k +
-    delta_ik x_j + delta_jk x_i) + a3 x_i x_j x_k``.  On the axis each ``H``
-    takes the value that gives these products their limits; flat caps take
-    the flat side at ``rho = s``.
-    """
-    if profile.kind == "m-convex":
-        m = profile.m
-        coefs = (m, m * (m - 2.0), m * (m - 2.0) * (m - 4.0))
-        return tuple(c * _safe_pow(rho, m - 2.0 * j) for j, c in enumerate(coefs, 1))
-    s, outside = profile.s, rho > profile.s
-    rho = np.where(outside, rho, 1.0)
-    jet = (2.0 - 2.0 * s / rho, 2.0 * s / rho**3, -6.0 * s / rho**5)
-    return tuple(np.where(outside, H, 0.0) for H in jet)
-
-
-def _monomial_derivs(p, jet, x, y):
-    """``(f_11, f_12, f_22, d_1 (f_11 + f_22))`` of ``f = x^p u``, ``p`` in {1, 2}.
-
-    ``u`` is radial with the jet ``jet = (u, a1, a2, a3)`` (see :func:`_radial_jet`).
-    """
-    u, a1, a2, a3 = jet
-    P, P1, P11 = x**p, p * x ** (p - 1), p * (p - 1)
-    return (
-        P * (a1 + a2 * x * x) + 2.0 * P1 * a1 * x + P11 * u,
-        (P * a2 * x + P1 * a1) * y,
-        P * (a1 + a2 * y * y),
-        P * x * (4.0 * a2 + a3 * (x * x + y * y))
-        + P1 * (4.0 * a1 + a2 * (3.0 * x * x + y * y))
-        + 3.0 * P11 * a1 * x,
-    )
-
-
-def _coefficient_derivs(k, profile, x1, x2, w1, w2):
-    """Exact planar derivatives of the coefficients of sub-flow ``k`` in {3, 6}.
-
-    ``A1 = cA1 x1^p / h``, ``A2 = cA2 x2^p / h``, ``B1 = cB1 x1^p / h^3`` and
-    ``B2 = cB2 x2^p / h^3``, with ``p = 1`` for ``k = 3`` and ``p = 2`` for
-    ``k = 6``, whose coefficients carry the angular-velocity factors (its
-    correction scale is plain ``mu``).  The fields are divergence-free, so
-    ``A3 = d1 A1 + d2 A2`` and ``B3 = d1 B1 + d2 B2``.  Returns ``(A1, A2, B1,
-    B2)``, each ``(d_aa, d_12, d_bb, d_a lap)`` for its own axis ``a`` and the
-    other axis ``b``.  The chain rule carries the jet of ``h`` over to ``h^-n``
-    and the Leibniz rule to the product, without dividing by ``rho``.
-    """
-    if k == 3:
-        p, cA, cB = 1, (0.75, 0.75), (-1.0, -1.0)
-    else:
-        p, cA, cB = 2, (-0.75 * w2, 0.75 * w1), (w2, -w1)
-    rho = np.hypot(x1, x2)
-    h = profile.h_radial(rho)
-    e1, e2, e3 = (H / h for H in _radial_jet(profile, rho))
-    out = []
-    for c, n in ((cA, 1), (cB, 3)):
-        u = 1.0 / h**n
-        jet = (
-            u,
-            -n * u * e1,
-            n * u * ((n + 1) * e1 * e1 - e2),
-            -n * u * ((n + 1) * e1 * ((n + 2) * e1 * e1 - 3.0 * e2) + e3),
-        )
-        out += [[c[0] * d for d in _monomial_derivs(p, jet, x1, x2)],
-                [c[1] * d for d in _monomial_derivs(p, jet, x2, x1)]]
-    return out
-
-
-def _squeeze_qb(profile, x1, x2):
+def _squeeze_qb(profile, c, x1, x2):
     """``QB`` of the squeeze correction ``q_1`` (see :class:`_QPotential`), in closed form.
 
-    The squeeze coefficients have ``d2 A1 = d1 A2`` and ``d2 B1 = d1 B2``
-    because ``h`` is radial, so the integrand of ``QA`` vanishes and that of
-    ``QB`` is ``2 d1 B3``: ``QB = 2 (B3(x1, x2) - B3(-r/4, x2))``, with the
-    radial ``B3 = (3 rho h' / h - 2) / h^3``.
+    The squeeze coefficients ``B_a = c x_a / h^3`` have ``d2 A1 = d1 A2`` and
+    ``d2 B1 = d1 B2`` because ``h`` is radial, so the integrand of ``QA``
+    vanishes and that of ``QB`` is ``2 d1 B3``: ``QB = 2 (B3(x1, x2) -
+    B3(-r/4, x2))``, with the radial ``B3 = c (2 - 3 rho h' / h) / h^3``.
     """
 
     def b3(rho):
         h = profile.h_radial(rho)
-        return (3.0 * rho * profile.dh_radial(rho) / h - 2.0) / h**3
+        return c * (2.0 - 3.0 * rho * profile.dh_radial(rho) / h) / h**3
 
     return 2.0 * (b3(np.hypot(x1, x2)) - b3(np.hypot(0.25 * profile.r, x2)))
 
@@ -163,8 +96,10 @@ class _QPotential:
     integrands are ``d22 A1 - d12 A2`` and ``2 d11 B1 + d22 B1 + d12 B2``.
     Each ``x2`` line is integrated once by cumulative Gauss-Kronrod sums on
     a graded axis and the lines are joined by a bivariate spline over the
-    core square.  ``q_2`` reads the table of the swapped-axes orientation
-    ``(-w2, -w1)`` at swapped coordinates ``(x2, x1)``.
+    core square.  The coefficients are the rotation's, ``p = 2`` with the
+    amplitudes ``(c1, c2)`` of :func:`lubgap.fields._coefficient_derivs`;
+    ``q_2`` reads the table of the swapped amplitudes ``(c2, c1)`` at swapped
+    coordinates ``(x2, x1)``.
 
     Attributes
     ----------
@@ -174,7 +109,7 @@ class _QPotential:
         extra edges where the line crosses a flat rim.
     """
 
-    def __init__(self, profile, w1, w2):
+    def __init__(self, profile, c1, c2):
         bound = 0.25 * profile.r
         delta = profile.boundary_layer_scale()
         centers = [0.0]
@@ -184,8 +119,8 @@ class _QPotential:
 
         def kernels(x1, x2):
             # the two integrands, stacked
-            A1, A2, B1, B2 = _coefficient_derivs(6, profile, x1, x2, w1, w2)
-            return np.stack([A1[2] - A2[1], 2.0 * B1[0] + B1[2] + B2[1]])
+            A1, A2, B1, B2 = _coefficient_derivs(profile, 2, (c1, c2), x1, x2)
+            return np.stack([A1[5] - A2[4], 2.0 * B1[3] + B1[5] + B2[4]])
 
         # Cumulative Gauss-Kronrod along x1 on the graded panels.  The x2
         # lines pass through the kernels in eight blocks, which bounds their
@@ -231,8 +166,8 @@ class _QPotential:
 
 # a 3-eps dual sweep needs 6 tables, two per eps
 @lru_cache(maxsize=16)
-def _q_table(profile, w1, w2):
-    return _QPotential(profile, w1, w2)
+def _q_table(profile, c1, c2):
+    return _QPotential(profile, c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +191,7 @@ def _dual_tensor_many(k, params, x1, x2, x3):
     ``{|x'| < r/4, |x3| < h/2}`` and for the sub-flows 0, 4, 5.
     """
     prof = params.profile
-    mu, R = params.mu, prof.R
+    mu = params.mu
     _u, p, grad = _eval3(k, params, *_volume_points(x1, x2, x3))
     S = np.zeros_like(grad)
     if k in (0, 4, 5) or subflow_scale(k, params) == 0.0:
@@ -266,37 +201,28 @@ def _dual_tensor_many(k, params, x1, x2, x3):
     inside = ((np.hypot(x1, x2) < 0.25 * prof.r)[:, None] & (np.abs(x3) < 0.5 * h)).reshape(-1)
 
     if k in (1, 2):
-        g1, g2 = prof.h_grad(x1, x2)
-        U1, U2, _U3 = params.U
-        w1, w2, _w3 = params.omega
-        if k == 1:
-            c, ga, row = U1 - w2 * R, g1[:, None], 0
-        else:
-            c, ga, row = U2 + w1 * R, g2[:, None], 1
-        H = 1.0 / h
-        B = -ga / h**2
-        S[row, 2] = S[2, row] = np.broadcast_to(mu * c * H, x3.shape).reshape(-1)
-        S[2, 2] = (-mu * c * B * x3).reshape(-1)
+        # the shear's own viscous stress in the (row, 3) plane
+        row = k - 1
+        S[row, 2] = S[2, row] = mu * grad[row, 2]
+        S[2, 2] = mu * grad[2, 2]
         return S * inside, grad
 
     # k in (3, 6): correct the field's own stress on the diagonal; q_2 reads
-    # the potentials of q_1 at swapped coordinates (x2, x1), which for the
-    # rotation needs the table of the swapped-axes orientation
-    w1, w2, _w3 = params.omega
+    # the potentials of q_1 at swapped coordinates (x2, x1) and amplitudes
+    power, c = _squeeze_type(k, params)
     if k == 3:
-        alpha, QA1, QA2 = mu * params.U[2], 0.0, 0.0
-        QB1, QB2 = _squeeze_qb(prof, x1, x2), _squeeze_qb(prof, x2, x1)
+        QA1 = QA2 = 0.0
+        QB1, QB2 = _squeeze_qb(prof, c[0], x1, x2), _squeeze_qb(prof, c[1], x2, x1)
     else:
-        alpha = mu
-        QA1, QB1 = _q_table(prof, w1, w2)(x1, x2)
-        QA2, QB2 = _q_table(prof, -w2, -w1)(x2, x1)
+        QA1, QB1 = _q_table(prof, *c)(x1, x2)
+        QA2, QB2 = _q_table(prof, *c[::-1])(x2, x1)
         QA1, QA2 = QA1[:, None], QA2[:, None]
-    A1, A2, B1, B2 = _coefficient_derivs(k, prof, x1, x2, w1, w2)
-    lapA3, lapB3 = A1[3] + A2[3], B1[3] + B2[3]
+    A1, A2, B1, B2 = _coefficient_derivs(prof, power, c, x1, x2, third=True)
+    lapA3, lapB3 = A1[6] + A2[6], B1[6] + B2[6]
     x3sq = x3 * x3
-    q1 = alpha * (QA1 + 3.0 * x3sq * QB1[:, None])
-    q2 = alpha * (QA2 + 3.0 * x3sq * QB2[:, None])
-    q3 = -alpha * (0.5 * lapA3[:, None] * x3sq + 0.25 * lapB3[:, None] * x3sq * x3sq)
+    q1 = mu * (QA1 + 3.0 * x3sq * QB1[:, None])
+    q2 = mu * (QA2 + 3.0 * x3sq * QB2[:, None])
+    q3 = -mu * (0.5 * lapA3[:, None] * x3sq + 0.25 * lapB3[:, None] * x3sq * x3sq)
 
     for a in range(3):
         for b in range(a + 1, 3):

@@ -11,10 +11,19 @@ are algebraic functions of the gap ``h`` and its planar derivatives:
 * 2D, sub-flows ``k = 0..4``: rigid mean (0), horizontal shear (1),
   vertical squeeze (2), gap-scale shear correction (3), rotation (4).
 
-The squeeze and rotation sub-flows carry a pressure built from running
-integrals of ``t^j / h^3`` kernels.  The radial ones (3D squeeze, 2D
-squeeze and rotation) are differences of closed-form kernel tails,
-incomplete Beta functions.  The 3D rotation pressure is closed-form (an
+The squeeze-type sub-flows -- the squeezes (3D ``k = 3``, 2D ``k = 2``) and
+the rotations (3D ``k = 6``, 2D ``k = 4``) -- share one ansatz: on each
+planar axis ``a``, ``B_a = c_a x_a^p / h^3`` and ``A_a = -3/4 h^2 B_a``, with
+``p = 1`` for a squeeze and ``p = 2`` for a rotation.  One coefficient
+engine, :func:`_coefficient_derivs`, gives the coefficients and their exact
+planar derivatives from the radial jet of ``h``; each sub-flow only names
+its ``(p, c)`` (:func:`_squeeze_type`) and its pressure integral.  The dual
+check (:mod:`lubgap.dualcheck`) reads the same engine.
+
+These sub-flows carry a pressure built from running integrals of
+``t^j / h^3`` kernels.  The radial ones (3D squeeze, 2D squeeze and
+rotation) are differences of closed-form kernel tails, incomplete Beta
+functions.  The 3D rotation pressure is closed-form (an
 arctan form) on m-convex profiles with ``m = 2``; for other ``m`` and for
 flat caps it reads a bivariate table, built once per profile and reused
 across evaluations, whose measured error is the only pressure error term.
@@ -35,7 +44,7 @@ from math import comb
 
 import numpy as np
 
-from .geometry import GapProfile, SurfacePoint
+from .geometry import GapProfile, SurfacePoint, _safe_pow
 from .quadrature import QuadSpec, integrate_1d, kronrod_panels
 from .special import gap_tail
 
@@ -375,13 +384,148 @@ def pressure_cache_error(k: int, profile: GapProfile) -> float:
 
 
 # ---------------------------------------------------------------------------
+# squeeze-type sub-flows: one ansatz, exact planar derivatives
+# ---------------------------------------------------------------------------
+
+
+def _squeeze_type(k: int, params: ProblemParams):
+    """``(p, c)`` of squeeze-type sub-flow ``k``: 3D ``k = 3, 6``, 2D ``k = 2, 4``.
+
+    Each planar axis ``a`` has ``B_a = c_a x_a^p / h^3`` and
+    ``A_a = -3/4 h^2 B_a``.
+    """
+    if params.profile.dimension == 3:
+        U3, (w1, w2, _w3) = params.U[2], params.omega
+        return {3: (1, (-U3, -U3)), 6: (2, (w2, -w1))}[k]
+    return {2: (1, (-2.0 * params.U[1],)), 4: (2, (-params.omega,))}[k]
+
+
+def _radial_jet(profile, rho, order):
+    """``(H1, .., H_order)`` of the gap: ``H1 = h'/rho`` and ``H(j+1) = H(j)'/rho``.
+
+    A radial ``g`` with jet ``(a1, a2, a3)`` has ``d_i g = a1 x_i``,
+    ``d_ij g = a1 delta_ij + a2 x_i x_j`` and ``d_ijk g = a2 (delta_ij x_k +
+    delta_ik x_j + delta_jk x_i) + a3 x_i x_j x_k``.  On the axis each ``H``
+    takes the value that gives these products their limits; flat caps take
+    the flat side at ``rho = s``.
+    """
+    if profile.kind == "m-convex":
+        m = profile.m
+        coefs = (m, m * (m - 2.0), m * (m - 2.0) * (m - 4.0))[:order]
+        return tuple(c * _safe_pow(rho, m - 2.0 * j) for j, c in enumerate(coefs, 1))
+    s, outside = profile.s, rho > profile.s
+    rho = np.where(outside, rho, 1.0)
+    jet = (2.0 - 2.0 * s / rho, 2.0 * s / rho**3, -6.0 * s / rho**5)[:order]
+    return tuple(np.where(outside, H, 0.0) for H in jet)
+
+
+def _monomial_derivs(p, jet, x, y):
+    """``[f, f_x, f_y, f_xx, f_xy, f_yy]`` of ``f = x^p u``, ``p`` in {1, 2}.
+
+    ``u`` is radial with the jet ``jet = (u, a1, a2)`` (see
+    :func:`_radial_jet`); a fourth entry ``a3`` appends ``d_x (f_xx + f_yy)``.
+    """
+    u, a1, a2 = jet[:3]
+    P, P1, P11 = (x, 1.0, 0.0) if p == 1 else (x * x, 2.0 * x, 2.0)
+    out = [
+        P * u,
+        P1 * u + P * a1 * x,
+        P * a1 * y,
+        P * (a1 + a2 * x * x) + 2.0 * P1 * a1 * x + P11 * u,
+        (P * a2 * x + P1 * a1) * y,
+        P * (a1 + a2 * y * y),
+    ]
+    if len(jet) == 4:
+        a3 = jet[3]
+        out.append(
+            P * x * (4.0 * a2 + a3 * (x * x + y * y))
+            + P1 * (4.0 * a1 + a2 * (3.0 * x * x + y * y))
+            + 3.0 * P11 * a1 * x
+        )
+    return out
+
+
+def _coefficient_derivs(profile, p, c, x1, x2, third=False):
+    """Squeeze-type coefficients and their exact planar derivatives.
+
+    ``A_a = -3/4 c_a x_a^p / h`` and ``B_a = c_a x_a^p / h^3`` for each
+    entry of ``c`` (axes ``x1``, ``x2``; a one-entry ``c`` is the 2D form on
+    ``x1``, with ``x2 = 0``).  Returns ``[A1, A2, B1, B2]`` (``[A1, B1]`` in
+    2D), each ``[f, d1 f, d2 f, d11 f, d12 f, d22 f]``; ``third`` appends
+    ``d_a lap f`` on the coefficient's own axis ``a``.  The chain rule
+    carries the jet of ``h`` over to ``h^-n`` and the Leibniz rule to the
+    product, without dividing by ``rho``.
+    """
+    rho = np.hypot(x1, x2)
+    h = profile.h_radial(rho)
+    e = [H / h for H in _radial_jet(profile, rho, 3 if third else 2)]
+    out = []
+    for scale, n in ((-0.75, 1), (1.0, 3)):
+        u = 1.0 / h**n
+        jet = [u, -n * u * e[0], n * u * ((n + 1) * e[0] * e[0] - e[1])]
+        if third:
+            jet.append(-n * u * ((n + 1) * e[0] * ((n + 2) * e[0] * e[0] - 3.0 * e[1]) + e[2]))
+        jets = [[scale * ca * a for a in jet] for ca in c]
+        out.append(_monomial_derivs(p, jets[0], x1, x2))
+        if len(c) == 2:
+            # differentiated along x2 first; reorder to x1, x2
+            f, f2, f1, f22, f12, f11, *lap = _monomial_derivs(p, jets[1], x2, x1)
+            out.append([f, f1, f2, f11, f12, f22, *lap])
+    return out
+
+
+def _eval_squeeze_type(k, params, x1, x2, z):
+    """``(u, pressure, grad)`` of a squeeze-type sub-flow at height ``z``.
+
+    ``u_a = -(A_a + 3 B_a z^2)`` on the planar axes and ``A3 z + B3 z^3``
+    vertically, with ``A3 = sum_a d_a A_a`` and ``B3 = sum_a d_a B_a``, so the
+    field is divergence-free.  The pressure is ``mu (3 B3 z^2 - A3 - 6 G)``,
+    where ``G`` integrates ``B_a`` along ``x_a``; ``G`` is all that differs
+    between the sub-flows.  In 2D ``x2`` is 0 and ``z`` is the second
+    coordinate.
+    """
+    prof = params.profile
+    p, c = _squeeze_type(k, params)
+    d = len(c)
+    coefs = _coefficient_derivs(prof, p, c, x1, x2)
+    A, B = coefs[:d], coefs[d:]
+    zsq = z * z
+    u = np.empty((d + 1, z.size))
+    grad = np.empty((d + 1, d + 1, z.size))
+    for a in range(d):
+        u[a] = -(A[a][0] + 3.0 * B[a][0] * zsq)
+        grad[a, d] = -6.0 * B[a][0] * z
+        for j in range(d):
+            grad[a, j] = -(A[a][1 + j] + 3.0 * B[a][1 + j] * zsq)
+    A3, B3 = (sum(C[a][1 + a] for a in range(d)) for C in (A, B))
+    u[d] = A3 * z + B3 * z * zsq
+    grad[d, d] = A3 + 3.0 * B3 * zsq
+    for j in range(d):
+        # d_j A3 = sum_a d_ja A_a
+        A3j, B3j = (sum(C[a][3 + a + j] for a in range(d)) for C in (A, B))
+        grad[d, j] = A3j * z + B3j * z * zsq
+    if p == 1:
+        # radial: c int_r^|x'| t / h^3 dt, a difference of kernel tails
+        G = -c[0] * (_kernel_tail(prof, 1, np.hypot(x1, x2)) - _kernel_tail(prof, 1, prof.r))
+    elif d == 2:
+        q12, qr2, q21, qr1 = _rotation_table_3d(prof).q_pairs(x1, x2)
+        G = c[0] * (q12 - qr2) + c[1] * (q21 + qr1)
+    else:
+        # int_0^x t^2 / h^3 dt = T(0) - T(x) for the kernel tail T
+        T0, Tx, Tr = (_kernel_tail(prof, 2, t) for t in (0.0, np.abs(x1), prof.r))
+        G = c[0] * (np.sign(x1) * (T0 - Tx) + (T0 - Tr))
+    return u, params.mu * (3.0 * B3 * zsq - A3 - 6.0 * G), grad
+
+
+# ---------------------------------------------------------------------------
 # 3D sub-flow evaluation (vectorized over points)
 # ---------------------------------------------------------------------------
 
 
 def _eval3(k: int, params: ProblemParams, x1, x2, x3):
+    if k in (3, 6):
+        return _eval_squeeze_type(k, params, x1, x2, x3)
     prof = params.profile
-    mu = params.mu
     U1, U2, U3 = params.U
     w1, w2, w3 = params.omega
     eps = prof.eps
@@ -436,36 +580,6 @@ def _eval3(k: int, params: ProblemParams, x1, x2, x3):
         grad[2, 2] = -c * B * x3
         return u, p, grad
 
-    if k == 3:
-        h2, h3, h4, h5 = h**2, h**3, h**4, h**5
-        A1 = 0.75 * x1 / h
-        A2 = 0.75 * x2 / h
-        B1 = -x1 / h3
-        B2 = -x2 / h3
-        dA1 = (0.75 * (1.0 / h - x1 * g1 / h2), -0.75 * x1 * g2 / h2)
-        dA2 = (-0.75 * x2 * g1 / h2, 0.75 * (1.0 / h - x2 * g2 / h2))
-        dB1 = (-1.0 / h3 + 3.0 * x1 * g1 / h4, 3.0 * x1 * g2 / h4)
-        dB2 = (3.0 * x2 * g1 / h4, -1.0 / h3 + 3.0 * x2 * g2 / h4)
-        q = x1 * g1 + x2 * g2
-        dq = (g1 + x1 * h11 + x2 * h12, g2 + x1 * h12 + x2 * h22)
-        A3 = 1.5 / h - 0.75 * q / h2
-        B3 = -2.0 / h3 + 3.0 * q / h4
-        u[0] = U3 * (-A1 - 3.0 * B1 * x3sq)
-        u[1] = U3 * (-A2 - 3.0 * B2 * x3sq)
-        u[2] = U3 * (A3 * x3 + B3 * x3 * x3sq)
-        for j, gj in enumerate((g1, g2)):
-            dA3 = -1.5 * gj / h2 - 0.75 * (dq[j] / h2 - 2.0 * q * gj / h3)
-            dB3 = 6.0 * gj / h4 + 3.0 * (dq[j] / h4 - 4.0 * q * gj / h5)
-            grad[0, j] = U3 * (-dA1[j] - 3.0 * dB1[j] * x3sq)
-            grad[1, j] = U3 * (-dA2[j] - 3.0 * dB2[j] * x3sq)
-            grad[2, j] = U3 * (dA3 * x3 + dB3 * x3 * x3sq)
-        grad[0, 2] = -6.0 * U3 * B1 * x3
-        grad[1, 2] = -6.0 * U3 * B2 * x3
-        grad[2, 2] = U3 * (A3 + 3.0 * B3 * x3sq)
-        G = _kernel_tail(prof, 1, np.hypot(x1, x2)) - _kernel_tail(prof, 1, prof.r)
-        p[:] = mu * U3 * (-A3 + 3.0 * B3 * x3sq - 6.0 * G)
-        return u, p, grad
-
     if k == 4:
         h2, h3 = h**2, h**3
         H1, H2 = -x2 / h, x1 / h
@@ -518,57 +632,6 @@ def _eval3(k: int, params: ProblemParams, x1, x2, x3):
         grad[2, 2] = -(w2 * B1 + w1 * B2) * x3
         return u, p, grad
 
-    if k == 6:
-        h2, h3, h4, h5 = h**2, h**3, h**4, h**5
-        A1 = -0.75 * w2 * x1 * x1 / h
-        A2 = 0.75 * w1 * x2 * x2 / h
-        B1 = w2 * x1 * x1 / h3
-        B2 = -w1 * x2 * x2 / h3
-        dA1 = (
-            -0.75 * w2 * (2.0 * x1 / h - x1 * x1 * g1 / h2),
-            0.75 * w2 * x1 * x1 * g2 / h2,
-        )
-        dA2 = (
-            -0.75 * w1 * x2 * x2 * g1 / h2,
-            0.75 * w1 * (2.0 * x2 / h - x2 * x2 * g2 / h2),
-        )
-        dB1 = (
-            w2 * (2.0 * x1 / h3 - 3.0 * x1 * x1 * g1 / h4),
-            -3.0 * w2 * x1 * x1 * g2 / h4,
-        )
-        dB2 = (
-            3.0 * w1 * x2 * x2 * g1 / h4,
-            -w1 * (2.0 * x2 / h3 - 3.0 * x2 * x2 * g2 / h4),
-        )
-        L = w1 * x2 - w2 * x1
-        dL = (-w2, w1)
-        M = w2 * x1 * x1 * g1 - w1 * x2 * x2 * g2
-        dM = (
-            w2 * (2.0 * x1 * g1 + x1 * x1 * h11) - w1 * x2 * x2 * h12,
-            w2 * x1 * x1 * h12 - w1 * (2.0 * x2 * g2 + x2 * x2 * h22),
-        )
-        A3 = 1.5 * L / h + 0.75 * M / h2
-        B3 = -2.0 * L / h3 - 3.0 * M / h4
-        u[0] = -A1 - 3.0 * B1 * x3sq
-        u[1] = -A2 - 3.0 * B2 * x3sq
-        u[2] = A3 * x3 + B3 * x3 * x3sq
-        for j, gj in enumerate((g1, g2)):
-            dA3 = 1.5 * (dL[j] / h - L * gj / h2) + 0.75 * (dM[j] / h2 - 2.0 * M * gj / h3)
-            dB3 = -2.0 * (dL[j] / h3 - 3.0 * L * gj / h4) - 3.0 * (
-                dM[j] / h4 - 4.0 * M * gj / h5
-            )
-            grad[0, j] = -dA1[j] - 3.0 * dB1[j] * x3sq
-            grad[1, j] = -dA2[j] - 3.0 * dB2[j] * x3sq
-            grad[2, j] = dA3 * x3 + dB3 * x3 * x3sq
-        grad[0, 2] = -6.0 * B1 * x3
-        grad[1, 2] = -6.0 * B2 * x3
-        grad[2, 2] = A3 + 3.0 * B3 * x3sq
-        q12, qr2, q21, qr1 = _rotation_table_3d(prof).q_pairs(x1, x2)
-        G1 = w2 * (q12 - qr2)
-        G2 = -w1 * (q21 + qr1)
-        p[:] = mu * (-A3 + 3.0 * B3 * x3sq - 6.0 * G1 - 6.0 * G2)
-        return u, p, grad
-
     raise ValueError(f"unknown 3D sub-flow index {k}")
 
 
@@ -578,8 +641,9 @@ def _eval3(k: int, params: ProblemParams, x1, x2, x3):
 
 
 def _eval2(k: int, params: ProblemParams, x1, x2):
+    if k in (2, 4):
+        return _eval_squeeze_type(k, params, x1, 0.0, x2)
     prof = params.profile
-    mu = params.mu
     U1, U2 = params.U
     w0 = params.omega
     eps = prof.eps
@@ -601,7 +665,7 @@ def _eval2(k: int, params: ProblemParams, x1, x2):
         grad[1, 0] = 0.5 * w0
         return u, p, grad
 
-    h2, h3, h4, h5 = h**2, h**3, h**4, h**5
+    h2, h3 = h**2, h**3
 
     if k == 1:
         c = U1 + w0 * prof.R
@@ -618,23 +682,6 @@ def _eval2(k: int, params: ProblemParams, x1, x2):
         grad[1, 1] = -c * B * x2
         return u, p, grad
 
-    if k == 2:
-        A1 = 1.5 * x1 / h
-        B1 = -2.0 * x1 / h3
-        A2 = 1.5 * (1.0 / h - x1 * g / h2)
-        B2 = -2.0 / h3 + 6.0 * x1 * g / h4
-        dA2 = 1.5 * (-2.0 * g / h2 - x1 * gp / h2 + 2.0 * x1 * g * g / h3)
-        dB2 = 12.0 * g / h4 + 6.0 * x1 * gp / h4 - 24.0 * x1 * g * g / h5
-        u[0] = U2 * (-A1 - 3.0 * B1 * x2sq)
-        u[1] = U2 * (A2 * x2 + B2 * x2 * x2sq)
-        grad[0, 0] = U2 * (-A2 - 3.0 * B2 * x2sq)
-        grad[0, 1] = -6.0 * U2 * B1 * x2
-        grad[1, 0] = U2 * (dA2 * x2 + dB2 * x2 * x2sq)
-        grad[1, 1] = U2 * (A2 + 3.0 * B2 * x2sq)
-        G = 2.0 * (_kernel_tail(prof, 1, np.abs(x1)) - _kernel_tail(prof, 1, prof.r))
-        p[:] = mu * U2 * (-A2 + 3.0 * B2 * x2sq - 6.0 * G)
-        return u, p, grad
-
     if k == 3:
         H = -0.5 + eps / (2.0 * h)
         A = eps * g / 16.0
@@ -648,33 +695,6 @@ def _eval2(k: int, params: ProblemParams, x1, x2):
         grad[0, 1] = w0 * H
         grad[1, 0] = w0 * (-dA - 0.5 * x2sq * dB)
         grad[1, 1] = -w0 * B * x2
-        return u, p, grad
-
-    if k == 4:
-        A1 = 0.75 * x1 * x1 / h
-        B1 = -x1 * x1 / h3
-        A2 = 0.75 * (2.0 * x1 / h - x1 * x1 * g / h2)
-        B2 = -(2.0 * x1 / h3 - 3.0 * x1 * x1 * g / h4)
-        dA2 = 0.75 * (
-            2.0 / h - 4.0 * x1 * g / h2 - x1 * x1 * gp / h2 + 2.0 * x1 * x1 * g * g / h3
-        )
-        dB2 = (
-            -2.0 / h3
-            + 12.0 * x1 * g / h4
-            + 3.0 * x1 * x1 * gp / h4
-            - 12.0 * x1 * x1 * g * g / h5
-        )
-        u[0] = w0 * (-A1 - 3.0 * B1 * x2sq)
-        u[1] = w0 * (A2 * x2 + B2 * x2 * x2sq)
-        grad[0, 0] = w0 * (-A2 - 3.0 * B2 * x2sq)
-        grad[0, 1] = -6.0 * w0 * B1 * x2
-        grad[1, 0] = w0 * (dA2 * x2 + dB2 * x2 * x2sq)
-        grad[1, 1] = w0 * (A2 + 3.0 * B2 * x2sq)
-        # int_0^x t^2 / h^3 dt = T(0) - T(x) for the kernel tail T
-        T0 = _kernel_tail(prof, 2, 0.0)
-        Tx, Tr = _kernel_tail(prof, 2, np.abs(x1)), _kernel_tail(prof, 2, prof.r)
-        G = -(np.sign(x1) * (T0 - Tx) + (T0 - Tr))
-        p[:] = mu * w0 * (-A2 + 3.0 * B2 * x2sq - 6.0 * G)
         return u, p, grad
 
     raise ValueError(f"unknown 2D sub-flow index {k}")

@@ -109,8 +109,9 @@ def gamma_coeff(i, j, m) -> float:
 
     The degenerate branch ``i = j/m`` is detected exactly on rational
     inputs (ints, Fractions, and the binary rationals that floats are),
-    with a relative tolerance of 1e-12 as a fallback so that roundoff in a
-    real ``m`` cannot push the evaluation onto the Gamma pole.
+    and within a relative tolerance of 1e-12 on either side, so that
+    roundoff in a real ``m`` cannot push the evaluation onto the Gamma
+    pole.
     """
     i_f, j_f, m_f = float(i), float(j), float(m)
     if i_f <= 0.0:
@@ -121,16 +122,11 @@ def gamma_coeff(i, j, m) -> float:
         raise ValueError(f"exponent m must exceed 1, got {m}")
 
     fi, fj, fm = _as_fraction(i), _as_fraction(j), _as_fraction(m)
-    if fi is not None and fj is not None and fm is not None:
-        degenerate = fi == fj / fm
-    else:
-        degenerate = abs(i_f - j_f / m_f) <= 1e-12 * max(1.0, abs(i_f))
-    if degenerate:
+    exact = fi is not None and fj is not None and fm is not None and fi == fj / fm
+    if exact or abs(i_f - j_f / m_f) <= 1e-12 * max(1.0, abs(i_f)):
         return 1.0 / m_f
     if i_f - j_f / m_f < 0.0:
         raise ValueError(f"Gamma pole: i - j/m = {i_f - j_f / m_f} < 0 for ({i}, {j}, {m})")
-    if abs(i_f - j_f / m_f) <= 1e-12 * max(1.0, abs(i_f)):
-        return 1.0 / m_f
     if j_f == 0.0:
         # Gamma(j/m) diverges at j=0; the family never uses j=0 with i>j/m
         raise ValueError("j must be positive unless i = j/m")

@@ -99,6 +99,11 @@ class TestConstants:
         assert "Gamma(1,3)" in out
         assert "alpha13_2d" in out
 
+    def test_m_within_roundoff_of_2(self):
+        # the degenerate Gamma branch is detected on both sides of m = 2
+        assert main(["constants", "--m", "1.9999999999999"]) == EXIT_OK
+        assert main(["constants", "--m", "2.0000000000001"]) == EXIT_OK
+
     def test_invalid_m(self, capsys):
         assert main(["constants", "--m", "0.5"]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from lubgap import dualcheck
+from lubgap import dualcheck, fields
 from lubgap.asymptotics import fit_exponent
 from lubgap.dualcheck import EllReport, dual_tensor, ell, energy, err_sweep
 from lubgap.fields import ProblemParams
@@ -148,21 +148,28 @@ class TestExactDerivatives:
     @pytest.mark.parametrize("k", [3, 6])
     @pytest.mark.parametrize("prof", _exact_profiles(), ids=["m2", "m2.5", "m4", "m8", "flat"])
     def test_kernels_match_mpmath(self, prof, k):
-        # off the rim of the flat cap (|x'| = 0.05), inside and outside it
+        # off the rim of the flat cap (|x'| = 0.05), inside and outside it;
+        # U3 = 1 makes the squeeze's amplitudes those of _mp_coefficients
         w1, w2 = 0.15, 0.2
+        params = ProblemParams(profile=prof, U=(0.0, 0.0, 1.0), omega=(w1, w2, 0.0))
+        p, c = fields._squeeze_type(k, params)
         points = ((0.03, 0.07), (-0.09, 0.02), (0.011, -0.004), (0.1, -0.1), (-0.002, 0.0015))
         with mpmath.workdps(30):
             coefs = _mp_coefficients(k, prof, w1, w2)
             for x1, x2 in points:
-                got = dualcheck._coefficient_derivs(k, prof, np.array(x1), np.array(x2), w1, w2)
+                got = fields._coefficient_derivs(prof, p, c, np.array(x1), np.array(x2), third=True)
                 for f, own, g in zip(coefs, (0, 1, 0, 1), got):
-                    d = lambda i, j: mpmath.diff(f, (x1, x2), (i, j) if own == 0 else (j, i))
-                    want = [d(2, 0), d(1, 1), d(0, 2), d(3, 0) + d(1, 2)]
-                    # the derivative scale; inside the cap some derivatives
+                    d = lambda i, j: mpmath.diff(f, (x1, x2), (i, j))
+                    lap = d(3, 0) + d(1, 2) if own == 0 else d(0, 3) + d(2, 1)
+                    want = [f(x1, x2), d(1, 0), d(0, 1), d(2, 0), d(1, 1), d(0, 2), lap]
+                    # the value, the first and the higher derivatives, each
+                    # against its own scale; inside the cap some derivatives
                     # vanish and mpmath returns roundoff for them
-                    scale = max(max(abs(w) for w in want), abs(f(x1, x2)) / prof.r**3)
-                    for gi, wi in zip(g, want):
-                        assert abs(float(gi) - float(wi)) <= 1e-9 * float(scale), (x1, x2)
+                    orders = ((slice(0, 1), 1.0), (slice(1, 3), prof.r), (slice(3, 7), prof.r**3))
+                    for part, length in orders:
+                        scale = max(max(abs(w) for w in want[part]), abs(want[0]) / length)
+                        for gi, wi in zip(g[part], want[part]):
+                            assert abs(float(gi) - float(wi)) <= 1e-9 * float(scale), (x1, x2)
 
     def test_flat_squeeze_potential_matches_line(self):
         # the squeeze's QA vanishes and its QB is closed-form; the cumulative
@@ -178,11 +185,11 @@ class TestExactDerivatives:
             edges = np.union1d(edges, x1)
             line = kronrod_panels(edges)
             lx, ly = line.x, np.full_like(line.x, x2)
-            A1, A2, B1, B2 = dualcheck._coefficient_derivs(3, prof, lx, ly, 0.0, 0.0)
+            A1, A2, B1, B2 = fields._coefficient_derivs(prof, 1, (-1.0, -1.0), lx, ly)
             at = np.searchsorted(edges, x1)
-            lineA = line.sums(A1[0] + A1[2] - A1[0] - A2[1])[2][at]
-            lineB = line.sums(B1[0] + B1[2] + B1[0] + B2[1])[2][at]
-            QB = dualcheck._squeeze_qb(prof, x1, np.full_like(x1, x2))
+            lineA = line.sums(A1[3] + A1[5] - A1[3] - A2[4])[2][at]
+            lineB = line.sums(B1[3] + B1[5] + B1[3] + B2[4])[2][at]
+            QB = dualcheck._squeeze_qb(prof, -1.0, x1, np.full_like(x1, x2))
             scale = np.max(np.abs(lineB))
             assert np.max(np.abs(lineA)) <= 1e-10 * scale
             assert np.max(np.abs(QB - lineB)) <= 1e-10 * scale
@@ -302,8 +309,8 @@ class TestErrSweep:
         builds = []
 
         class TableStub:
-            def __init__(self, profile, w1, w2):
-                builds.append((profile.eps, w1, w2))
+            def __init__(self, profile, c1, c2):
+                builds.append((profile.eps, c1, c2))
 
             def __call__(self, x1, x2):
                 return np.zeros_like(x1), np.zeros_like(x1)
@@ -331,19 +338,20 @@ class TestErrSweep:
 
     def test_values_pinned(self, params3d):
         # the sweep's values, bit for bit, with exact planar derivatives;
-        # (1, 1), (1, 2) and (2, 2) do not read them and are unchanged
+        # (1, 1), (1, 2) and (2, 2) do not read them and are unchanged, and
+        # the parity-zero cross pairs are roundoff noise
         rep = err_sweep(params3d, (1e-1, 3e-2, 1e-2), QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
         assert rep.values == {
             (1, 1): (1.0622490324460758e-05, 2.701366556612739e-05, 5.454132400692836e-05),
             (1, 2): (-1.6386532233023327e-23, -1.4057795909567846e-22, -1.374910786665229e-22),
-            (1, 3): (4.303836865245682e-23, 2.74010412902453e-22, 1.3725853859397382e-22),
-            (1, 6): (1.6551821880421883e-23, -1.1656199689085441e-23, 1.4613539540865078e-23),
+            (1, 3): (1.0765052483668268e-22, -3.799971137574541e-22, -2.0876897342627542e-22),
+            (1, 6): (-4.3265289505041906e-23, -9.828180259448976e-24, -2.4666229575207965e-23),
             (2, 2): (1.0622490324460746e-05, 2.7013665566127358e-05, 5.45413240069283e-05),
-            (2, 3): (-5.57497237078003e-23, 2.5041360539499143e-22, 3.451427071313043e-22),
-            (2, 6): (5.5567874575592185e-24, 1.1686415508703473e-23, -2.0771290682648623e-23),
-            (3, 3): (0.007806171439382998, 0.034442350046258896, 0.044456599749060764),
-            (3, 6): (3.910939041647502e-05, 8.306472378210119e-06, -5.745034630038415e-05),
-            (6, 6): (5.609785036715424e-05, 2.5444675732883127e-05, 0.00018104376349143623),
+            (2, 3): (-1.4520976313285545e-22, -5.215901036259119e-22, 3.523945884857971e-23),
+            (2, 6): (-1.6142441844974642e-23, -2.0662235683340166e-23, 2.2291600156466195e-23),
+            (3, 3): (0.007806171439382995, 0.03444235004625888, 0.04445659974906074),
+            (3, 6): (3.910939041647502e-05, 8.30647237821004e-06, -5.745034630038426e-05),
+            (6, 6): (5.609785036715424e-05, 2.544467573288312e-05, 0.0001810437634914363),
         }
 
     def test_grid_validation(self, params3d):

@@ -219,6 +219,95 @@ class TestGradients:
 NONCONSTANT_PRESSURE = {3: (3, 6), 2: (2, 4)}
 
 
+def _mp_planar_coefficients(k, params):
+    """``[(A_a, B_a)]`` of squeeze-type sub-flow ``k`` as mpmath functions of ``x'``."""
+    prof = params.profile
+
+    def h(*x):
+        rho = mpmath.sqrt(sum(t * t for t in x))
+        if prof.kind == "m-convex":
+            return prof.eps + rho**prof.m
+        return prof.eps + max(rho - prof.s, 0) ** 2
+
+    if prof.dimension == 2:
+        U2, w0 = params.U[1], params.omega
+        if k == 2:
+            return [(lambda a: 1.5 * U2 * a / h(a), lambda a: -2.0 * U2 * a / h(a) ** 3)]
+        return [(lambda a: 0.75 * w0 * a * a / h(a), lambda a: -w0 * a * a / h(a) ** 3)]
+    U3, (w1, w2, _w3) = params.U[2], params.omega
+    if k == 3:
+        return [(lambda a, b: 0.75 * U3 * a / h(a, b), lambda a, b: -U3 * a / h(a, b) ** 3),
+                (lambda a, b: 0.75 * U3 * b / h(a, b), lambda a, b: -U3 * b / h(a, b) ** 3)]
+    return [(lambda a, b: -0.75 * w2 * a * a / h(a, b), lambda a, b: w2 * a * a / h(a, b) ** 3),
+            (lambda a, b: 0.75 * w1 * b * b / h(a, b), lambda a, b: -w1 * b * b / h(a, b) ** 3)]
+
+
+def _mp_ansatz(coefs, xp, z):
+    """``u`` and ``grad u`` of ``u_a = -(A_a + 3 B_a z^2)``, ``u_z = A z + B z^3``.
+
+    ``A = sum_a d_a A_a`` and ``B = sum_a d_a B_a`` make the field
+    divergence-free; every planar derivative is ``mpmath.diff``.
+    """
+    d = len(xp)
+
+    def D(f, *axes):
+        return mpmath.diff(f, xp, tuple(axes.count(i) for i in range(d)))
+
+    u, grad = [], []
+    for A, B in coefs:
+        u.append(-(A(*xp) + 3 * B(*xp) * z * z))
+        grad.append([-(D(A, j) + 3 * D(B, j) * z * z) for j in range(d)] + [-6 * B(*xp) * z])
+    Av = sum(D(A, a) for a, (A, _B) in enumerate(coefs))
+    Bv = sum(D(B, a) for a, (_A, B) in enumerate(coefs))
+    u.append(Av * z + Bv * z**3)
+    row = []
+    for j in range(d):
+        dA = sum(D(A, a, j) for a, (A, _B) in enumerate(coefs))
+        dB = sum(D(B, a, j) for a, (_A, B) in enumerate(coefs))
+        row.append(dA * z + dB * z**3)
+    grad.append(row + [Av + 3 * Bv * z * z])
+    return np.array(u, dtype=float), np.array(grad, dtype=float)
+
+
+_SQUEEZE_TYPE_PROFILES = [
+    GapProfile.m_convex(3, m, 0.5, 1e-3, 2.0) for m in (2.0, 2.5, 4.0, 8.0)
+] + [GapProfile.flat_capped(3, 0.5, 0.05, 1e-3, 2.0)] + [
+    GapProfile.m_convex(2, m, 0.5, 1e-3, 2.0) for m in (1.2, 2.0, 4.0)
+]
+
+
+class TestSqueezeTypeExact:
+    # the squeeze and rotation sub-flows against their ansatz, differentiated
+    # by mpmath from its definition: other m than the central-difference
+    # test, flat caps, and the limits on the axis
+
+    @pytest.mark.parametrize(
+        "prof", _SQUEEZE_TYPE_PROFILES,
+        ids=["m2", "m2.5", "m4", "m8", "flat", "2d-m1.2", "2d-m2", "2d-m4"],
+    )
+    def test_matches_mpmath(self, prof):
+        if prof.dimension == 3:
+            params = ProblemParams(profile=prof, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
+            # the axis, generic points, and both sides of the flat rim |x'| = 0.05
+            c, s = np.cos(0.7), np.sin(0.7)
+            planar = [(0.0, 0.0), (0.03, 0.07), (-0.09, 0.02), (0.011, -0.004), (0.2, -0.25),
+                      (0.049 * c, 0.049 * s), (0.051 * c, -0.051 * s)]
+        else:
+            params = ProblemParams(profile=prof, U=(0.4, -0.3), omega=0.25)
+            planar = [(0.0,), (0.03,), (-0.09,), (0.011,), (0.3,), (-0.049,), (0.051,)]
+        points = [(*xp, f * float(prof.h(*xp))) for xp in planar for f in (0.3, -0.41)]
+        coords = np.array(points).T
+        for k in NONCONSTANT_PRESSURE[prof.dimension]:
+            u, _p, grad = eval_field_many(k, params, *coords)
+            coefs = _mp_planar_coefficients(k, params)
+            with mpmath.workdps(30):
+                for n, x in enumerate(points):
+                    want_u, want_grad = _mp_ansatz(coefs, tuple(map(mpmath.mpf, x[:-1])), x[-1])
+                    for got, want in ((u[:, n], want_u), (grad[:, :, n], want_grad)):
+                        scale = np.max(np.abs(want))
+                        assert np.max(np.abs(got - want)) <= 1e-12 * scale, (k, x)
+
+
 def _stokes_residual(k, params, x, step):
     """grad p - mu*laplace(u) by central differences, and the field scale."""
     dim = params.profile.dimension

@@ -55,6 +55,7 @@ def test_perfbench_trace_install_smoke():
     names = json.loads(proc.stdout.splitlines()[-1])
     assert "traction.force_numeric" in names
     assert "quadrature.integrate_vector" in names
+    assert "fields.eval_field_many" in names
 
 
 _M2_NO_INTERPOLATE = """

@@ -129,6 +129,8 @@ class TestGammaCoeff:
         val = gamma_coeff(1.0 + delta, 2.0, m)
         assert val == pytest.approx(gamma(1.0) / (m * delta), rel=1e-6)
         assert gamma_coeff(1.0 + 1e-13, 2.0, m) == 1.0 / m
+        # and just on the pole side of it
+        assert gamma_coeff(1.0 - 1e-13, 2.0, m) == 1.0 / m
 
     @given(
         i=st.floats(0.5, 4.0),
