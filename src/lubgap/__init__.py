@@ -18,12 +18,13 @@ Module map
     Gap profiles, surface sampling, and the flat-cap validity check.
 :mod:`lubgap.quadrature`
     The one quadrature layer: adaptive Gauss-Kronrod integration, and
-    the Gauss-Kronrod panel and trapezoid ring rules that the cumulative
-    tables and the rotation ring are built on.
+    the Gauss-Kronrod panel and trapezoid ring rules that the rings are
+    built on.
 :mod:`lubgap.fields`
     Closed-form velocity/pressure fields of the seven elementary
-    sub-flows and their boundary data; the 3D rotation pressure (closed
-    form at ``m = 2``, a table for other ``m`` and flat caps).
+    sub-flows and their boundary data; the running integrals of the 3D
+    rotation pressure and dual potentials (closed form at ``m = 2``, a
+    fixed Gauss rule for other ``m`` and flat caps).
 :mod:`lubgap.traction`
     Traction moments on the gap boundary and the numeric force/torque
     driver (2D and 3D).

@@ -13,7 +13,12 @@ artifact.  Sections:
     ``mu``, ``U`` (comma-separated, dimension components), ``omega``
     (three comma-separated values in 3D, a scalar in 2D).
 ``[quadrature]`` (optional)
-    ``rel_tol``, ``abs_tol``, ``max_subdivisions``.
+    ``rel_tol``, ``abs_tol``, ``max_subdivisions`` of the numeric force
+    route.  ``rel_tol`` defaults to
+    :data:`lubgap.quadrature.DEFAULT_REL_TOL` (1e-8), the library's own
+    default; values below 1e-12 (the roundoff floor of the force
+    integrals) and ``max_subdivisions`` below 200 are rejected, not
+    raised silently.
 ``[sweep]`` (optional)
     ``eps_from``, ``eps_to``, ``points`` -- a log-spaced epsilon grid.
 ``[output]`` (optional)
@@ -36,7 +41,7 @@ import numpy as np
 
 from .fields import ProblemParams
 from .geometry import GapProfile
-from .quadrature import QuadSpec
+from .quadrature import DEFAULT_REL_TOL, QuadSpec
 
 __all__ = [
     "ConfigError",
@@ -49,6 +54,23 @@ __all__ = [
 ]
 
 MODES = ("numeric", "asymptotic", "both")
+
+# the smallest force-route tolerance and subdivision budget a config may ask for
+MIN_REL_TOL = 1e-12
+MIN_SUBDIVISIONS = 200
+
+
+def _default_quadrature() -> QuadSpec:
+    return QuadSpec(rel_tol=DEFAULT_REL_TOL)
+
+
+def _check_quadrature(spec: QuadSpec) -> None:
+    if spec.rel_tol < MIN_REL_TOL:
+        raise ValueError(f"rel_tol must be >= {MIN_REL_TOL:g}, got {spec.rel_tol:g}")
+    if spec.max_subdivisions < MIN_SUBDIVISIONS:
+        raise ValueError(
+            f"max_subdivisions must be >= {MIN_SUBDIVISIONS}, got {spec.max_subdivisions}"
+        )
 
 
 class ConfigError(ValueError):
@@ -90,7 +112,7 @@ class RunConfig:
     """Everything needed to reproduce one computation."""
 
     problem: ProblemParams
-    quadrature: QuadSpec = field(default_factory=QuadSpec)
+    quadrature: QuadSpec = field(default_factory=_default_quadrature)
     sweep: SweepSpec | None = None
     csv_path: str | None = None
     json_path: str | None = None
@@ -100,6 +122,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _check_quadrature(self.quadrature)
 
     def eps_grid(self) -> tuple[float, ...]:
         """The sweep grid, or the single configured epsilon."""
@@ -197,16 +220,17 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
 
     quad_sec = _section(cp, "quadrature", source)
     if quad_sec is None:
-        quadrature = QuadSpec()
+        quadrature = _default_quadrature()
     else:
         try:
             quadrature = QuadSpec(
                 abs_tol=_get_float(quad_sec, "abs_tol", source, "quadrature", 0.0),
-                rel_tol=_get_float(quad_sec, "rel_tol", source, "quadrature", 1e-10),
+                rel_tol=_get_float(quad_sec, "rel_tol", source, "quadrature", DEFAULT_REL_TOL),
                 max_subdivisions=int(
                     _get_float(quad_sec, "max_subdivisions", source, "quadrature", 400.0)
                 ),
             )
+            _check_quadrature(quadrature)
         except ValueError as exc:
             raise ConfigError(str(exc), source=source, where="quadrature") from exc
 

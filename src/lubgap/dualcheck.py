@@ -27,20 +27,20 @@ Every construction coefficient is ``c x1^p / h^n`` or its ``x2`` mirror,
 and its planar derivatives are exact; they come from the coefficient engine
 of the fields, :func:`lubgap.fields._coefficient_derivs`, which adds the
 third-order ``d_a lap`` terms the diagonal corrections need.  The shear
-tensors read the field's own gradient.  The squeeze's inner integrals
-defining ``q_1`` and ``q_2`` are closed-form (one vanishes identically, the
-other is a difference of ``B3`` values).  The rotation's are cumulative
-Gauss-Kronrod sums along ``x1``, tabulated line by line and interpolated
-with a bivariate spline whose error, measured against a refined
-Gauss-Kronrod line, is recorded.  Whatever depends on ``x'`` alone is
-computed once per planar point of the volume quadrature and shared by its
-vertical Gauss nodes; :func:`err_sweep` is serial.
+tensors read the field's own gradient; the squeeze and rotation tensors
+assemble it from the same engine call that gives their corrections.  The
+inner integrals defining ``q_1`` and ``q_2`` are exact: the squeeze's are
+closed-form (one vanishes identically, the other is a difference of ``B3``
+values), the rotation's are differences of coefficient derivatives plus
+``d22`` of the running integrals ``Q_1`` and ``Q_3``
+(:func:`lubgap.fields._running_integral`).  Whatever depends on ``x'``
+alone is computed once per planar point of the volume quadrature and shared
+by its vertical Gauss nodes; :func:`err_sweep` is serial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,12 +48,13 @@ from .fields import (
     ProblemParams,
     _coefficient_derivs,
     _eval3,
-    _graded_nodes,
+    _running_integral,
     _squeeze_type,
+    _squeeze_type_grad,
     subflow_indices,
     subflow_scale,
 )
-from .quadrature import QuadSpec, integrate_1d, kronrod_panels, trapezoid_ring
+from .quadrature import QuadSpec, integrate_1d, trapezoid_ring
 
 __all__ = ["EllReport", "energy", "dual_tensor", "ell", "err_sweep"]
 
@@ -68,7 +69,7 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_NGAUSS)
 
 
 def _squeeze_qb(profile, c, x1, x2):
-    """``QB`` of the squeeze correction ``q_1`` (see :class:`_QPotential`), in closed form.
+    """``QB`` of the squeeze correction ``q_1`` (see :func:`_rotation_potentials`), in closed form.
 
     The squeeze coefficients ``B_a = c x_a / h^3`` have ``d2 A1 = d1 A2`` and
     ``d2 B1 = d1 B2`` because ``h`` is radial, so the integrand of ``QA``
@@ -83,91 +84,45 @@ def _squeeze_qb(profile, c, x1, x2):
     return 2.0 * (b3(np.hypot(x1, x2)) - b3(np.hypot(0.25 * profile.r, x2)))
 
 
-# sub-panels per probe interval of the reference line of _QPotential
-_PROBE_SPLIT = 32
-
-
-class _QPotential:
-    """Tabulated inner integrals of the rotation correction ``q_1``.
+def _rotation_potentials(profile, c, x1, x2):
+    """``(QA, QB)`` of the rotation correction ``q_1`` at planar points, exact.
 
     ``q_1 = mu (QA(x') + 3 x3^2 QB(x'))`` with
-    ``QA = int_{-r/4}^{x1} (lap A1 - d1 A3) dx1`` and
-    ``QB = int_{-r/4}^{x1} (lap B1 + d1 B3) dx1`` at fixed ``x2``; the
-    integrands are ``d22 A1 - d12 A2`` and ``2 d11 B1 + d22 B1 + d12 B2``.
-    Each ``x2`` line is integrated once by cumulative Gauss-Kronrod sums on
-    a graded axis and the lines are joined by a bivariate spline over the
-    core square.  The coefficients are the rotation's, ``p = 2`` with the
-    amplitudes ``(c1, c2)`` of :func:`lubgap.fields._coefficient_derivs`;
-    ``q_2`` reads the table of the swapped amplitudes ``(c2, c1)`` at swapped
-    coordinates ``(x2, x1)``.
+    ``QA = int_{-b}^{x1} (lap A1 - d1 A3) dx1`` and
+    ``QB = int_{-b}^{x1} (lap B1 + d1 B3) dx1`` at fixed ``x2``, ``b = r/4``;
+    the integrands are ``d22 A1 - d12 A2`` and ``2 d11 B1 + d22 B1 + d12 B2``.
+    With ``[f] = f(x1, x2) - f(-b, x2)`` and ``Q_n`` odd in its first
+    argument (:func:`lubgap.fields._running_integral`),
 
-    Attributes
-    ----------
-    interp_error : float
-        Measured relative spline error at offset probe points on one line,
-        against Gauss-Kronrod panels 32 times finer between the probes, with
-        extra edges where the line crosses a flat rim.
+        QA = -[d2 A2] - 3/4 c1 d22 (Q_1(x1, x2) + Q_1(b, x2)),
+        QB = 2 [d1 B1] + [d2 B2] + c1 d22 (Q_3(x1, x2) + Q_3(b, x2)),
+
+    where ``d22`` acts on ``x2``.  The coefficients are the rotation's,
+    ``p = 2`` with the amplitudes ``c = (c1, c2)``; ``q_2`` reads the
+    potentials of the swapped amplitudes at swapped coordinates ``(x2, x1)``.
+    Anchoring each line at the core edge ``x1 = -b`` keeps the potentials at
+    the local antiderivative scale: ``q_1`` is gauge-free up to an additive
+    function of ``x2``, and an anchor at ``x1 = 0`` would inject an
+    O(eps^-3) offset on the near-axis lines, which enters ``q_1`` with an
+    ``x3^2`` profile, is not pure trace, and destroys the boundedness of
+    the error form.
     """
+    b = 0.25 * profile.r
+    n = x1.size
+    lines = np.concatenate([x2, x2])
+    A1, A2, B1, B2 = _coefficient_derivs(profile, 2, c, np.concatenate([x1, np.full(n, -b)]), lines)
+    ends = np.concatenate([x1, np.full(n, b)])
 
-    def __init__(self, profile, c1, c2):
-        bound = 0.25 * profile.r
-        delta = profile.boundary_layer_scale()
-        centers = [0.0]
-        if profile.kind == "flat-capped" and profile.s < bound:
-            centers += [-profile.s, profile.s]
-        axis = _graded_nodes(-bound, bound, centers, delta, n_side=48, n_uniform=25)
+    def jump(f):
+        return f[:n] - f[n:]
 
-        def kernels(x1, x2):
-            # the two integrands, stacked
-            A1, A2, B1, B2 = _coefficient_derivs(profile, 2, (c1, c2), x1, x2)
-            return np.stack([A1[5] - A2[4], 2.0 * B1[3] + B1[5] + B2[4]])
+    def d22(j):
+        f = _running_integral(profile, j, ends, lines, second=True)
+        return f[:n] + f[n:]
 
-        # Cumulative Gauss-Kronrod along x1 on the graded panels.  The x2
-        # lines pass through the kernels in eight blocks, which bounds their
-        # working memory.  f is (integrand, x2 line, x1 panel, node).
-        rule = kronrod_panels(axis)
-        blocks = [kernels(rule.x, x2[:, None, None]) for x2 in np.array_split(axis, 8)]
-        cum = rule.sums(np.concatenate(blocks, axis=1))[2]
-        # Anchored at the core edge x1 = -r/4.  The divergence-free row
-        # structure only pins d q_1 / d x1, so q_1 is gauge-free up to an
-        # additive function of x2; anchoring each line at the core edge keeps
-        # the potentials at the local antiderivative scale.  Anchoring at
-        # x1 = 0 instead would inject an O(eps^-3) x2-dependent offset on the
-        # near-axis lines (the primitive is largest at the gap center), which
-        # enters q_1 with an x3^2 profile, is *not* pure trace, and destroys
-        # the boundedness of the error form the tensors exist to certify.
-        from scipy.interpolate import RectBivariateSpline
-        self._splineA = RectBivariateSpline(axis, axis, cum[0].T)
-        self._splineB = RectBivariateSpline(axis, axis, cum[1].T)
-
-        # probe the spline between nodes against a direct line integral
-        mids = 0.5 * (axis[:-1] + axis[1:])
-        probe_x1 = mids[:: max(1, mids.size // 8)]
-        probe_x2 = float(mids[mids.size // 3])
-        knots = np.concatenate([[-bound], probe_x1])
-        frac = np.arange(_PROBE_SPLIT) / _PROBE_SPLIT
-        sub = knots[:-1, None] + np.diff(knots)[:, None] * frac
-        edges = np.append(sub.ravel(), knots[-1])
-        if len(centers) > 1 and abs(probe_x2) < profile.s:
-            # the kernels jump where the line crosses the rim
-            rim = np.sqrt(profile.s**2 - probe_x2**2) * np.array([-1.0, 1.0])
-            edges = np.union1d(edges, rim[(rim > edges[0]) & (rim < edges[-1])])
-        line = kronrod_panels(edges)
-        fa = kernels(line.x.ravel(), probe_x2)[0].reshape(line.x.shape)
-        direct = line.sums(fa)[2][np.searchsorted(edges, probe_x1)]
-        approx = self._splineA.ev(probe_x1, np.full_like(probe_x1, probe_x2))
-        scale = max(float(np.max(np.abs(direct))), 1e-300)
-        self.interp_error = float(np.max(np.abs(approx - direct))) / scale
-
-    def __call__(self, x1, x2):
-        """Return ``(QA, QB)`` at planar points."""
-        return self._splineA.ev(x1, x2), self._splineB.ev(x1, x2)
-
-
-# a 3-eps dual sweep needs 6 tables, two per eps
-@lru_cache(maxsize=16)
-def _q_table(profile, c1, c2):
-    return _QPotential(profile, c1, c2)
+    QA = -jump(A2[2]) - 0.75 * c[0] * d22(1)
+    QB = 2.0 * jump(B1[1]) + jump(B2[2]) + c[0] * d22(3)
+    return QA, QB
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +136,27 @@ def _volume_points(x1, x2, x3):
     return np.repeat(x1, g), np.repeat(x2, g), x3.reshape(-1)
 
 
-def _dual_tensor_many(k, params, x1, x2, x3):
+def _dual_tensor_many(k, params, x1, x2, x3, pressure=True):
     """Dual tensor ``S(k)`` and the field gradient of sub-flow ``k``; (3, 3, n*g) each.
 
     The points are the planar points ``(x1, x2)``, shape (n,), each under
     the heights ``x3``, shape (n, g), flattened as in :func:`_volume_points`.
     Every quantity of ``x'`` alone is computed once per planar point and
-    broadcast over ``x3``.  The tensor is zero outside the core region
-    ``{|x'| < r/4, |x3| < h/2}`` and for the sub-flows 0, 4, 5.
+    broadcast over ``x3``; for k = 3, 6 that includes the coefficient
+    derivatives the gradient is assembled from.  The tensor is zero outside
+    the core region ``{|x'| < r/4, |x3| < h/2}`` and for the sub-flows 0,
+    4, 5.  ``pressure=False`` leaves out the pressure, an isotropic part
+    that the dual discrepancy removes with the trace.
     """
     prof = params.profile
     mu = params.mu
-    _u, p, grad = _eval3(k, params, *_volume_points(x1, x2, x3))
+    if k in (3, 6):
+        power, c = _squeeze_type(k, params)
+        coefs = _coefficient_derivs(prof, power, c, x1, x2, third=True)
+        planar = [[f[:, None] for f in C] for C in coefs]
+        grad = _squeeze_type_grad(planar[:2], planar[2:], x3)[0].reshape(3, 3, -1)
+    else:
+        grad = _eval3(k, params, *_volume_points(x1, x2, x3))[2]
     S = np.zeros_like(grad)
     if k in (0, 4, 5) or subflow_scale(k, params) == 0.0:
         return S, grad
@@ -209,20 +173,20 @@ def _dual_tensor_many(k, params, x1, x2, x3):
 
     # k in (3, 6): correct the field's own stress on the diagonal; q_2 reads
     # the potentials of q_1 at swapped coordinates (x2, x1) and amplitudes
-    power, c = _squeeze_type(k, params)
     if k == 3:
         QA1 = QA2 = 0.0
         QB1, QB2 = _squeeze_qb(prof, c[0], x1, x2), _squeeze_qb(prof, c[1], x2, x1)
     else:
-        QA1, QB1 = _q_table(prof, *c)(x1, x2)
-        QA2, QB2 = _q_table(prof, *c[::-1])(x2, x1)
+        QA1, QB1 = _rotation_potentials(prof, c, x1, x2)
+        QA2, QB2 = _rotation_potentials(prof, c[::-1], x2, x1)
         QA1, QA2 = QA1[:, None], QA2[:, None]
-    A1, A2, B1, B2 = _coefficient_derivs(prof, power, c, x1, x2, third=True)
+    A1, A2, B1, B2 = coefs
     lapA3, lapB3 = A1[6] + A2[6], B1[6] + B2[6]
     x3sq = x3 * x3
     q1 = mu * (QA1 + 3.0 * x3sq * QB1[:, None])
     q2 = mu * (QA2 + 3.0 * x3sq * QB2[:, None])
     q3 = -mu * (0.5 * lapA3[:, None] * x3sq + 0.25 * lapB3[:, None] * x3sq * x3sq)
+    p = _eval3(k, params, *_volume_points(x1, x2, x3))[1] if pressure else 0.0
 
     for a in range(3):
         for b in range(a + 1, 3):
@@ -325,7 +289,7 @@ def _discrepancy_many(k, params, x1, x2, x3):
     The points are given as for :func:`_dual_tensor_many`.
     """
     mu = params.mu
-    S, grad = _dual_tensor_many(k, params, x1, x2, x3)
+    S, grad = _dual_tensor_many(k, params, x1, x2, x3, pressure=False)
     D = 0.5 * (grad + grad.transpose(1, 0, 2))
     tr = S[0, 0] + S[1, 1] + S[2, 2]
     for a in range(3):
@@ -395,8 +359,7 @@ def err_sweep(params: ProblemParams, eps_list, spec: QuadSpec | None = None) -> 
 
     Covers the diagonal pairs ``(i, i)`` for the four sub-flows with nonzero
     dual tensors and every cross pair among them whose velocity scales are
-    nonzero.  The pairs run serially, one epsilon after another, so each
-    dual table is built once and stays cached while its epsilon is swept.
+    nonzero.  The pairs run serially, one epsilon after another.
     A fitted slope below -0.2 flags a boundedness violation.
     """
     eps_grid = tuple(sorted((float(e) for e in eps_list), reverse=True))

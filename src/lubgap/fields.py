@@ -23,12 +23,13 @@ check (:mod:`lubgap.dualcheck`) reads the same engine.
 These sub-flows carry a pressure built from running integrals of
 ``t^j / h^3`` kernels.  The radial ones (3D squeeze, 2D squeeze and
 rotation) are differences of closed-form kernel tails, incomplete Beta
-functions.  The 3D rotation pressure is closed-form (an
-arctan form) on m-convex profiles with ``m = 2``; for other ``m`` and for
-flat caps it reads a bivariate table, built once per profile and reused
-across evaluations, whose measured error is the only pressure error term.
-Velocity gradients are fully analytic -- no finite differences and no
-spline derivatives enter the stress evaluation.
+functions.  The 3D rotation pressure reads ``Q_3(a, c) = int_0^a t^2 /
+h(sqrt(t^2 + c^2))^3 dt`` from :func:`_running_integral`: an arctan form
+on m-convex profiles with ``m = 2``, a fixed Gauss-Legendre rule exact to
+roundoff otherwise.  The same function gives the dual check its rotation
+potentials.  No pressure is tabulated, so none adds an error term.
+Velocity gradients are fully analytic -- no finite differences enter the
+stress evaluation.
 
 Sign conventions: the top particle translates with ``U`` and rotates with
 ``omega`` about its centroid ``(0', eps/2 + R)``; the bottom particle is
@@ -45,7 +46,8 @@ from math import comb
 import numpy as np
 
 from .geometry import GapProfile, SurfacePoint, _safe_pow
-from .quadrature import QuadSpec, integrate_1d, kronrod_panels
+# lubgap.fields.integrate_1d stays importable: the perfbench tracer wraps it by name
+from .quadrature import integrate_1d  # noqa: F401
 from .special import gap_tail
 
 __all__ = [
@@ -146,7 +148,7 @@ class FieldEval:
 
 
 # ---------------------------------------------------------------------------
-# pressure integrals: closed-form kernel tails, and the 3D rotation table
+# pressure integrals: closed-form kernel tails and the running integral Q_n
 # ---------------------------------------------------------------------------
 
 
@@ -188,198 +190,158 @@ def _graded_nodes(lo: float, hi: float, centers, delta: float, n_side=56, n_unif
     return nodes[keep]
 
 
-class _RotationTable:
-    """Bivariate table of ``Q(a, c) = int_0^a t^2 / h(sqrt(t^2 + c^2))^3 dt``.
+# Gauss-Legendre nodes per panel of the running-integral rule
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# pairs (a, c) per block of the running-integral rule
+_PAIR_BLOCK = 128
 
-    ``Q`` is odd in ``a`` and even in ``c``; the table covers the first
-    quadrant, and its spline is fitted over the mirrored axes (``c`` in both
-    tabulations, ``a`` in the direct one), so the fit keeps that parity
-    instead of an end condition on the axes.  Two tabulations are used:
 
-    * m-convex profiles: direct tabulation in ``(a, c)``.  The integrand
-      is smooth there and peaks at the origin, so sinh-graded axes with
-      inner spacing at the boundary-layer scale resolve it.
-    * flat-capped profiles: the curvature of ``h`` jumps on the rim circle
-      ``t^2 + c^2 = s^2``, which no axis-aligned ``(a, c)`` grid can track.
-      Rewriting the integral in the radius variable ``rho``,
+@lru_cache(maxsize=2)
+def _sinh_rule(graded: bool):
+    """Nodes and weights on ``[0, 1]`` of the running-integral rule.
 
-          Q(a, c) = int_c^P  rho sqrt(rho^2 - c^2) / h(rho)^3 drho,
-          P = sqrt(a^2 + c^2),
-
-      moves the rim to the fixed grid coordinate ``P = s``, where the node
-      set is graded.
-
-    Used for m-convex ``m != 2`` and for flat caps; at ``m = 2``
-    :class:`_RotationClosedForm` replaces it.  The table error is measured
-    against direct adaptive quadrature at fixed sample points, including
-    the first ``c`` intervals, where the spline error peaks, and points
-    next to the flat rim, and surfaced via ``abs_error`` / ``rel_error``.
-
-    The rotation pressure reads the table four times per point, at
-    ``(x1, x2)``, ``(r, x2)``, ``(x2, x1)`` and ``(r, x1)``.  By the parity
-    of ``Q`` all four depend on ``(|x1|, |x2|)`` alone, up to the sign of
-    the first argument, so :meth:`q_pairs` reads the spline once per
-    distinct pair and scatters the values back.  The ring points of the
-    numeric route repeat each pair four times (see
-    :func:`lubgap.traction._mirrored_ring`) and the vertical Gauss rule
-    of the dual check repeats each planar point, so most lookups are
-    shared.
+    Eight equal panels of 16 Gauss-Legendre nodes; ``graded`` splits the
+    first panel geometrically toward 0 (ratio 0.15, four levels), where
+    ``h`` is not analytic in ``t`` for m-convex profiles with ``m/2`` not
+    an integer.
     """
-
-    def __init__(self, profile: GapProfile):
-        self.profile = profile
-        r = profile.r
-        delta = profile.boundary_layer_scale()
-        self._radial = profile.kind == "flat-capped"
-        if self._radial:
-            centers = [0.0, profile.s]
-            p_nodes = _graded_nodes(0.0, np.sqrt(2.0) * r, centers, delta, n_side=72)
-            c_nodes = _graded_nodes(0.0, r, centers, delta, n_side=56)
-            h3 = lambda rho: profile.h_radial(rho) ** 3
-            table = np.empty((p_nodes.size, c_nodes.size))
-            for jc, c in enumerate(c_nodes):
-                edges = p_nodes
-                if 0.0 < c < edges[-1] and c not in edges:
-                    edges = np.sort(np.append(edges, c))
-                rule = kronrod_panels(edges)
-                x = rule.x
-                f = x * np.sqrt(np.maximum(x * x - c * c, 0.0)) / h3(x)
-                f[x < c] = 0.0
-                table[:, jc] = rule.sums(f)[2][np.searchsorted(edges, p_nodes)]
-        else:
-            p_nodes = _graded_nodes(0.0, r, [0.0], delta, n_side=96)
-            c_nodes = _graded_nodes(0.0, r, [0.0], delta, n_side=80)
-            rule = kronrod_panels(p_nodes)
-            t = rule.x
-            c = c_nodes[:, None, None]
-            table = rule.sums(t * t / profile.h_radial(np.hypot(t, c)) ** 3)[2].T
-        c_all = np.concatenate([-c_nodes[:0:-1], c_nodes])
-        table = np.concatenate([table[:, :0:-1], table], axis=1)
-        if not self._radial:
-            p_nodes = np.concatenate([-p_nodes[:0:-1], p_nodes])
-            table = np.concatenate([-table[:0:-1], table])
-        from scipy.interpolate import RectBivariateSpline
-        self._spline = RectBivariateSpline(p_nodes, c_all, table, kx=3, ky=3, s=0)
-        self._measure_error(c_nodes)
-
-    def q(self, a, c):
-        """``Q(a, c)`` for array arguments (odd in a, even in c)."""
-        a = np.asarray(a, dtype=float)
-        c = np.asarray(c, dtype=float)
-        a, c = np.broadcast_arrays(a, c)
-        first = np.hypot(a, c) if self._radial else np.abs(a)
-        return np.sign(a) * self._spline.ev(first.ravel(), np.abs(c).ravel()).reshape(a.shape)
-
-    def q_pairs(self, x1, x2):
-        """``Q(x1, x2), Q(r, x2), Q(x2, x1), Q(r, x1)`` for 1D point arrays.
-
-        Bit-identical to four :meth:`q` calls, with one lookup per distinct
-        ``(|x1|, |x2|)`` pair.
-        """
-        pairs, inv = np.unique(np.abs(x1) + 1j * np.abs(x2), return_inverse=True)
-        a, c = pairs.real, pairs.imag
-        r = np.full_like(a, self.profile.r)
-        return (
-            np.sign(x1) * self.q(a, c)[inv],
-            self.q(r, c)[inv],
-            np.sign(x2) * self.q(c, a)[inv],
-            self.q(r, a)[inv],
-        )
-
-    def _direct(self, a: float, c: float) -> float:
-        prof = self.profile
-        kernel = lambda t: t**2 / prof.h_radial(np.hypot(t, c)) ** 3
-        splits = [prof.boundary_layer_scale()]
-        if prof.kind == "flat-capped" and abs(c) < prof.s:
-            splits.append(np.sqrt(prof.s**2 - c * c))
-        spec = QuadSpec(rel_tol=1e-11, max_subdivisions=800).with_splits(
-            [p for p in splits if 0.0 < p < abs(a)]
-        )
-        res = integrate_1d(kernel, 0.0, abs(a), spec, vectorized=True)
-        return float(np.sign(a)) * res.value
-
-    def _measure_error(self, c_nodes) -> None:
-        prof = self.profile
-        rng = np.random.default_rng(20260823)
-        a = prof.r * rng.uniform(0.05, 1.0, 24)
-        c = prof.r * rng.uniform(0.0, 1.0, 24)
-        # stress the boundary layer, where the integrand peaks, and the first
-        # c intervals, where the spline error peaks
-        d0 = prof.boundary_layer_scale()
-        near0 = c_nodes[:3, None] + np.diff(c_nodes[:4])[:, None] * np.array([0.25, 0.35, 0.5])
-        la, lc = np.meshgrid(
-            d0 * np.array([0.5, 1.0, 3.0, 10.0]),
-            np.concatenate([d0 * np.array([0.0, 0.4, 1.5, 5.0]), near0.ravel()]),
-        )
-        keep = (la.ravel() < prof.r) & (lc.ravel() < prof.r)
-        a = np.concatenate([a, la.ravel()[keep]])
-        c = np.concatenate([c, lc.ravel()[keep]])
-        if prof.kind == "flat-capped":
-            # stress the rim |x'| ~ s where the table is hardest to get right
-            extra_c = prof.s + d0 * np.array([-3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0])
-            extra_c = extra_c[(extra_c >= 0.0) & (extra_c <= prof.r)]
-            a = np.concatenate([a, np.full(extra_c.size, 0.9 * prof.r)])
-            c = np.concatenate([c, extra_c])
-        abs_err = scale = 0.0
-        for ai, ci in zip(a, c):
-            exact = self._direct(ai, ci)
-            got = float(self.q(ai, ci))
-            abs_err = max(abs_err, abs(got - exact))
-            scale = max(scale, abs(exact))
-        self.abs_error = abs_err
-        # relative to the table's dynamic scale, the honest figure for
-        # propagating into force error estimates (pointwise ratios blow up
-        # where Q itself is negligibly small)
-        self.rel_error = abs_err / scale if scale > 0.0 else 0.0
+    edges = np.linspace(0.0, 1.0, 9)
+    if graded:
+        edges = np.concatenate([[0.0], edges[1] * 0.15 ** np.arange(4.0, 0.0, -1.0), edges[1:]])
+    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    return (lo + half * (_GL_X + 1.0)).ravel(), (half * _GL_W).ravel()
 
 
-class _RotationClosedForm:
-    """``Q(a, c)`` of :class:`_RotationTable` in closed form on m-convex
-    profiles with ``m = 2``, where ``h = A + t^2`` with ``A = eps + c^2``.
+def _running_integral(profile: GapProfile, n: int, a, c, second: bool = False):
+    """``Q_n(a, c) = int_0^a t^2 / h(sqrt(t^2 + c^2))^n dt``, or ``d^2 Q_n / dc^2``.
 
-    Same interface as the table, exact up to roundoff (zero error terms);
-    ``q_pairs`` evaluates the four ``Q`` on every point, which costs less
-    than sorting out the distinct pairs.
+    ``n`` is 1 or 3 and the arguments broadcast; ``Q_n`` is odd in ``a``
+    and even in ``c``.  The 3D rotation pressure reads ``Q_3``
+    (:func:`_rotation_q`), the rotation's dual potentials read ``d22 Q_1``
+    and ``d22 Q_3`` (:mod:`lubgap.dualcheck`).
+
+    * m-convex ``m = 2``: ``h = A + t^2`` with ``A = eps + c^2``, so
+      ``Q_3`` is an arctan form and ``Q_1 = a - sqrt(A) arctan(a/sqrt(A))``.
+      ``d/dc = 2c d/dA`` gives ``d22 Q_n = -2n J_(n+1) + 4n(n+1) c^2
+      J_(n+2)``, with ``J_k = I_(k-1) - A I_k`` and ``I_k = int_0^a
+      (A + t^2)^-k dt`` by the reduction formula.
+    * otherwise a fixed Gauss-Legendre rule (:func:`_sinh_rule`) in
+      ``t = t0 + scale sinh(tau)``, ``tau`` in ``[0, asinh((a - t0) /
+      scale)]``.  m-convex: ``t0 = 0`` and ``scale = max(delta, c)``.  Flat
+      caps of radius ``s``: ``h`` is ``eps`` inside the rim ``t = sqrt(s^2
+      - c^2)``, where the integral is ``t^3 / (3 eps^n)`` and its ``c``
+      derivatives vanish; the rule starts at the rim (at ``t = 0`` for
+      ``c >= s``), with ``scale`` the width over which ``h`` grows beyond
+      it, and takes ``rho - s`` from the rim offset, free of cancellation.
+      ``d22`` goes under the integral as the radial jet of ``h^-n``.
+
+    Both are exact to roundoff; ``tests/test_fields.py`` holds them to
+    high-precision quadrature.
     """
-
-    abs_error = rel_error = 0.0
-
-    def __init__(self, profile: GapProfile):
-        self.profile = profile
-
-    def q(self, a, c):
-        """``Q(a, c)`` for array arguments (odd in a, even in c)."""
-        A = self.profile.eps + np.square(c)
-        sA = np.sqrt(A)
-        return a * (a * a - A) / (8.0 * A * (A + a * a) ** 2) + np.arctan(a / sA) / (8.0 * A * sA)
-
-    def q_pairs(self, x1, x2):
-        """``Q(x1, x2), Q(r, x2), Q(x2, x1), Q(r, x1)`` for 1D point arrays."""
-        r = self.profile.r
-        return self.q(x1, x2), self.q(r, x2), self.q(x2, x1), self.q(r, x1)
-
-
-@lru_cache(maxsize=8)
-def _rotation_table_3d(profile: GapProfile):
-    """The 3D rotation ``Q``: closed-form at m-convex ``m = 2``, else a table."""
+    a, c = np.broadcast_arrays(np.asarray(a, float), np.asarray(c, float))
+    eps = profile.eps
     if profile.kind == "m-convex" and profile.m == 2.0:
-        return _RotationClosedForm(profile)
-    return _RotationTable(profile)
+        A = eps + np.square(c)
+        sA = np.sqrt(A)
+        at = np.arctan(a / sA)
+        if not second:
+            if n == 3:
+                return a * (a * a - A) / (8.0 * A * (A + a * a) ** 2) + at / (8.0 * A * sA)
+            return a - sA * at
+        I = [a, at / sA]
+        for k in range(1, n + 2):
+            I.append(a / (2.0 * k * A * (A + a * a) ** k) + (2.0 * k - 1.0) / (2.0 * k * A) * I[k])
+        J1, J2 = (I[k - 1] - A * I[k] for k in (n + 1, n + 2))
+        return -2.0 * n * J1 + 4.0 * n * (n + 1) * np.square(c) * J2
+
+    shape = a.shape
+    sgn, a, c = np.sign(a).ravel(), np.abs(a).ravel(), np.abs(c).ravel()
+    flat = profile.kind == "flat-capped"
+    if flat:
+        s, d = profile.s, np.sqrt(eps)
+        rim = np.sqrt(np.maximum((s - c) * (s + c), 0.0))
+        t0, u0 = np.minimum(a, rim), np.maximum(c - s, 0.0)
+        with np.errstate(divide="ignore"):
+            scale = np.where(
+                c < s,
+                np.minimum(d * s / rim, np.sqrt(2.0 * s * d)),
+                np.sqrt(2.0 * c) * (eps + u0 * u0) ** 0.25,
+            )
+    else:
+        t0 = np.zeros_like(a)
+        scale = np.maximum(profile.boundary_layer_scale(), c)
+    span = np.arcsinh((a - t0) / scale)
+    X, W = _sinh_rule(not flat and profile.m % 2.0 != 0.0)
+    out = np.empty_like(a)
+    # blocks of pairs keep the node arrays in cache
+    for lo in range(0, a.size, _PAIR_BLOCK):
+        b = slice(lo, lo + _PAIR_BLOCK)
+        sh = np.sinh(span[b, None] * X)
+        x = scale[b, None] * sh
+        t = t0[b, None] + x
+        tt, cc = t * t, (c[b] * c[b])[:, None]
+        rho2 = tt + cc
+        if flat:
+            # rho - s_cap = (rho^2 - s_cap^2) / (rho + s_cap), with rho^2 - s_cap^2
+            # = x (x + 2 rim) inside the rim and u0 + t^2 / (rho + c) outside
+            rho = np.sqrt(rho2)
+            u = u0[b, None] + x * (x + 2.0 * t0[b, None]) / (rho + np.maximum(c[b], s)[:, None])
+            h = eps + u * u
+        else:
+            # rho^(m - 2), from which h and its radial jet follow
+            P = rho2 ** (0.5 * profile.m - 1.0)
+            h = eps + rho2 * P
+        g = 1.0 / h if n == 1 else 1.0 / (h * h * h)
+        if second:
+            # d22 of h(rho)^-n is a1 + a2 c^2 with the jet a1 = -n g e1 and
+            # a2 = n g ((n + 1) e1^2 - e2), e_j = H_j / h (see _radial_jet);
+            # rho = 0 only at t = 0, where the node weight vanishes
+            rho2 = np.where(rho2 > 0.0, rho2, 1.0)
+            if flat:
+                rho = np.sqrt(rho2)
+                e1, e2 = 2.0 * u / (rho * h), 2.0 * s / (rho * rho2 * h)
+            else:
+                e1 = profile.m * P / h
+                e2 = (profile.m - 2.0) * e1 / rho2
+            g = n * g * (((n + 1) * e1 * e1 - e2) * cc - e1)
+        out[b] = (tt * g * np.sqrt(1.0 + sh * sh) * W).sum(axis=1)
+    out *= span * scale
+    if flat and not second:
+        out += t0**3 / (3.0 * eps**n)
+    return (sgn * out).reshape(shape)
+
+
+def _rotation_q(profile: GapProfile, x1, x2):
+    """``Q_3(x1, x2), Q_3(r, x2), Q_3(x2, x1), Q_3(r, x1)`` for 1D point arrays.
+
+    These are the 3D rotation pressure's four reads of
+    :func:`_running_integral`.  The m = 2 closed form runs on every point.
+    The Gauss rule runs once per distinct ``(|a|, |c|)`` among all four
+    reads, bit-identical to four direct calls: ``Q_3`` is odd in ``a`` and
+    even in ``c``, and a ring of the mirrored angular rule
+    (:func:`lubgap.traction._mirrored_ring`) repeats each ``(|x1|, |x2|)``
+    pair four times and holds its swap ``(|x2|, |x1|)`` as well.
+    """
+    r = profile.r
+    if profile.kind == "m-convex" and profile.m == 2.0:
+        q = lambda a, c: _running_integral(profile, 3, a, c)
+        return q(x1, x2), q(r, x2), q(x2, x1), q(r, x1)
+    a1, a2 = np.abs(x1), np.abs(x2)
+    rr = np.full_like(a1, r)
+    keys = np.concatenate([a1 + 1j * a2, rr + 1j * a2, a2 + 1j * a1, rr + 1j * a1])
+    pairs, inv = np.unique(keys, return_inverse=True)
+    q = _running_integral(profile, 3, pairs.real, pairs.imag)[inv].reshape(4, -1)
+    return np.sign(x1) * q[0], q[1], np.sign(x2) * q[2], q[3]
 
 
 def pressure_cache_error(k: int, profile: GapProfile) -> float:
-    """Measured absolute table error of sub-flow ``k``'s pressure.
+    """Table error of sub-flow ``k``'s pressure: zero, no pressure is tabulated.
 
-    Only the 3D rotation pressure (``k = 6``) at ``m != 2`` or on flat caps
-    reads a table; every other pressure is closed-form or vanishes, and
-    reports zero.  The returned value is the raw error of the tabulated
-    running integrals (``G``-type quantity); the pressure picks up a factor
-    ``6 mu`` times the motion amplitude, which callers apply when
-    propagating it into force error estimates.  Querying builds the table
-    if absent.
+    Every pressure is closed-form, or (3D rotation off m-convex ``m = 2``)
+    a fixed Gauss rule exact to roundoff, so no table error term enters
+    the force bounds.  Kept so that callers that propagate a table error
+    keep working.
     """
-    if profile.dimension == 3 and k == 6:
-        return 2.0 * _rotation_table_3d(profile).abs_error
     return 0.0
 
 
@@ -474,6 +436,31 @@ def _coefficient_derivs(profile, p, c, x1, x2, third=False):
     return out
 
 
+def _squeeze_type_grad(A, B, z):
+    """Velocity gradient of a squeeze-type sub-flow, with ``A3`` and ``B3``.
+
+    ``A`` and ``B`` hold the coefficient derivatives of
+    :func:`_coefficient_derivs` per planar axis, ``z`` the heights; they
+    broadcast against each other, so planar quantities of shape ``(n, 1)``
+    serve heights of shape ``(n, g)``.  Returns ``grad`` of shape ``(d + 1,
+    d + 1) + shape``, ``A3 = sum_a d_a A_a`` and ``B3 = sum_a d_a B_a``.
+    """
+    d = len(A)
+    zsq = z * z
+    grad = np.empty((d + 1, d + 1) + np.broadcast(A[0][0], z).shape)
+    for a in range(d):
+        grad[a, d] = -6.0 * B[a][0] * z
+        for j in range(d):
+            grad[a, j] = -(A[a][1 + j] + 3.0 * B[a][1 + j] * zsq)
+    A3, B3 = (sum(C[a][1 + a] for a in range(d)) for C in (A, B))
+    grad[d, d] = A3 + 3.0 * B3 * zsq
+    for j in range(d):
+        # d_j A3 = sum_a d_ja A_a
+        A3j, B3j = (sum(C[a][3 + a + j] for a in range(d)) for C in (A, B))
+        grad[d, j] = A3j * z + B3j * z * zsq
+    return grad, A3, B3
+
+
 def _eval_squeeze_type(k, params, x1, x2, z):
     """``(u, pressure, grad)`` of a squeeze-type sub-flow at height ``z``.
 
@@ -489,26 +476,17 @@ def _eval_squeeze_type(k, params, x1, x2, z):
     d = len(c)
     coefs = _coefficient_derivs(prof, p, c, x1, x2)
     A, B = coefs[:d], coefs[d:]
+    grad, A3, B3 = _squeeze_type_grad(A, B, z)
     zsq = z * z
     u = np.empty((d + 1, z.size))
-    grad = np.empty((d + 1, d + 1, z.size))
     for a in range(d):
         u[a] = -(A[a][0] + 3.0 * B[a][0] * zsq)
-        grad[a, d] = -6.0 * B[a][0] * z
-        for j in range(d):
-            grad[a, j] = -(A[a][1 + j] + 3.0 * B[a][1 + j] * zsq)
-    A3, B3 = (sum(C[a][1 + a] for a in range(d)) for C in (A, B))
     u[d] = A3 * z + B3 * z * zsq
-    grad[d, d] = A3 + 3.0 * B3 * zsq
-    for j in range(d):
-        # d_j A3 = sum_a d_ja A_a
-        A3j, B3j = (sum(C[a][3 + a + j] for a in range(d)) for C in (A, B))
-        grad[d, j] = A3j * z + B3j * z * zsq
     if p == 1:
         # radial: c int_r^|x'| t / h^3 dt, a difference of kernel tails
         G = -c[0] * (_kernel_tail(prof, 1, np.hypot(x1, x2)) - _kernel_tail(prof, 1, prof.r))
     elif d == 2:
-        q12, qr2, q21, qr1 = _rotation_table_3d(prof).q_pairs(x1, x2)
+        q12, qr2, q21, qr1 = _rotation_q(prof, x1, x2)
         G = c[0] * (q12 - qr2) + c[1] * (q21 + qr1)
     else:
         # int_0^x t^2 / h^3 dt = T(0) - T(x) for the kernel tail T

@@ -7,10 +7,8 @@
 * :class:`PanelRule` -- a fixed composite rule with an embedded
   lower-order rule, held as data: the nodes of each panel, the
   half-widths, and the node weights on ``[-1, 1]``.  :func:`kronrod_panels`
-  places the 15/7 pair on given panel edges; it serves the cumulative
-  tables (the rotation-pressure and dual-potential tables and the
-  dual-potential probe line) and the graded angular ring of the rotation
-  sub-flow.  :func:`trapezoid_ring` is the 64-point periodic trapezoid
+  places the 15/7 pair on given panel edges; it serves the graded
+  angular ring of the rotation sub-flow.  :func:`trapezoid_ring` is the 64-point periodic trapezoid
   rule on ``[0, 2pi]`` as a single panel whose embedded rule is the even
   nodes: the ring of the translation/spin sub-flows and of the dual
   check's volume integrals.
@@ -27,6 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
+    "DEFAULT_REL_TOL",
     "QuadSpec",
     "QuadResult",
     "QuadratureError",
@@ -74,6 +73,10 @@ _GAUSS_IDX = np.arange(1, 15, 2)  # positions of the embedded 7-point rule
 _WEIGHTS_G = np.concatenate([_WG[:-1], [_WG[-1]], _WG[:-1][::-1]])
 
 _EPS = np.finfo(float).eps
+
+# Relative tolerance of the numeric force route, shared by
+# force_numeric/total_numeric and the [quadrature] rel_tol of a run config.
+DEFAULT_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -295,11 +298,11 @@ class PanelRule(NamedTuple):
 
 def kronrod_panels(edges: np.ndarray) -> PanelRule:
     """The 15-point Kronrod rule, with its embedded 7-point Gauss rule, on
-    the panels between consecutive ``edges``."""
-    a, b = edges[:-1], edges[1:]
+    the panels between consecutive ``edges`` (along the last axis)."""
+    a, b = edges[..., :-1], edges[..., 1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
+    x = mid[..., None] + half[..., None] * _NODES
     return PanelRule(x, half, _WEIGHTS_K, _GAUSS_IDX, _WEIGHTS_G)
 
 

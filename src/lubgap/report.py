@@ -151,8 +151,8 @@ def build_report(config: RunConfig) -> Report:
         try:
             numeric_results[eps] = total_numeric(
                 par,
-                rel_tol=max(config.quadrature.rel_tol, 1e-12),
-                max_subdivisions=max(config.quadrature.max_subdivisions, 200),
+                rel_tol=config.quadrature.rel_tol,
+                max_subdivisions=config.quadrature.max_subdivisions,
             )
         except Exception as exc:  # noqa: BLE001 - embedded per row by contract
             errors.append({"eps": eps, "error": f"{type(exc).__name__}: {exc}"})

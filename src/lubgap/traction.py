@@ -25,9 +25,9 @@ for the rotation sub-flow whose pressure varies over an angular width
 ``delta/t`` near the cardinal angles, Gauss-Kronrod panels graded toward
 those angles and mirrored from the first octant onto the other seven
 (:func:`_mirrored_ring`).  Sub-flows whose velocity scale is zero are
-skipped by :func:`total_numeric`.  The error of the 3D rotation pressure
-table (m-convex ``m != 2`` and flat caps; ``m = 2`` is closed-form) is
-propagated into the reported error bounds.
+skipped by :func:`total_numeric`.  Every pressure is closed-form or exact
+to roundoff (:func:`lubgap.fields._running_integral`), so the error bounds
+are the quadrature and angular estimates alone.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
+# pressure_cache_error stays importable here: the perfbench tracer wraps it by name
+from .fields import (  # noqa: F401
     ProblemParams,
     _graded_nodes,
     eval_field_many,
@@ -44,7 +45,13 @@ from .fields import (
     subflow_indices,
     subflow_scale,
 )
-from .quadrature import QuadSpec, integrate_vector, kronrod_panels, trapezoid_ring
+from .quadrature import (
+    DEFAULT_REL_TOL,
+    QuadSpec,
+    integrate_vector,
+    kronrod_panels,
+    trapezoid_ring,
+)
 
 __all__ = [
     "traction_moments",
@@ -61,8 +68,8 @@ class ForceResult:
     """Numeric force/torque of one sub-flow with certified error bounds.
 
     ``T``/``T_err`` are 3-vectors in 3D and scalars in 2D.  The error
-    bounds combine the adaptive-quadrature estimate, the angular-resolution
-    check, and the propagated rotation-table error.
+    bounds combine the adaptive-quadrature estimate and the
+    angular-resolution check.
     """
 
     F: np.ndarray
@@ -82,18 +89,6 @@ class TotalResult:
     T_err: np.ndarray | float
     evaluations: int
     per_subflow: dict
-
-
-def _pressure_error_bound(k: int, params: ProblemParams) -> float:
-    """Upper bound for the pointwise pressure error from the rotation table.
-
-    Only the 3D rotation pressure (``k = 6``) is tabulated, for m-convex
-    ``m != 2`` and flat caps; the others, and ``m = 2``, are closed-form.
-    """
-    if params.profile.dimension != 3 or k != 6:
-        return 0.0
-    amp = abs(params.omega[0]) + abs(params.omega[1])
-    return 6.0 * params.mu * amp * pressure_cache_error(k, params.profile)
 
 
 def traction_moments(k: int, params: ProblemParams, xprime, h) -> np.ndarray:
@@ -127,8 +122,12 @@ _TRAPEZOID = trapezoid_ring()
 _TRAPEZOID_RING = (np.cos(_TRAPEZOID.x[0]), np.sin(_TRAPEZOID.x[0]), _TRAPEZOID)
 
 
-def _mirrored_ring(profile):
-    """The graded angular ring of the rotation sub-flow.
+# sinh-graded edges on each side of a flat cap's feature angle
+_FEATURE_EDGES = 3
+
+
+def _mirrored_ring(profile, ts):
+    """The graded angular ring of the rotation sub-flow at the radii ``ts``.
 
     Returns ``(cos, sin, rule)``: ``rule`` holds 15-point Gauss-Kronrod
     panels graded toward the cardinal angles, where the rotation pressure
@@ -139,21 +138,47 @@ def _mirrored_ring(profile):
     ``(cos, sin)``.  The ring is therefore invariant, bit for bit, under
     the eight symmetries of the square: since ``t * (-c) == -(t * c)``
     exactly, a ring of radius ``t`` repeats each ``(|x1|, |x2|)`` pair four
-    times and a rotation table is read once per distinct pair (see
-    :class:`lubgap.fields._RotationTable`).
+    times and the rotation pressure's running integral runs once per
+    distinct pair (see :func:`lubgap.fields._rotation_q`).
+
+    On m-convex profiles one ring serves every radius.  On flat caps the
+    pressure also switches on, over a width ``delta`` in ``x2``, across the
+    lines ``|x2| = s`` (and ``|x1| = s``), where the flat part of ``Q_3``
+    ends; a ring of radius ``t > s`` crosses them at ``asin(s/t)`` (or
+    ``acos(s/t)`` in the first octant).  Each ring then gets its own
+    panels, with edges sinh-graded toward that angle, and ``cos``, ``sin``,
+    ``rule.x`` and ``rule.half`` gain a leading radius axis.  Every ring has
+    the same panel count: the graded edges on each side of the angle end
+    short of the octant's ends.  Rings inside the cap get the same edges
+    around ``pi/8``.
     """
     dth = profile.boundary_layer_scale() / profile.r
     centers = [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2.0 * np.pi]
     edges = _graded_nodes(0.0, 2.0 * np.pi, centers, dth, n_side=14, n_uniform=17)
-    rule = kronrod_panels(np.append(edges[edges < 0.25 * np.pi], 0.25 * np.pi))
+    edges = np.append(edges[edges < 0.25 * np.pi], 0.25 * np.pi)
+    if profile.kind == "flat-capped":
+        ts = np.maximum(ts, 1e-300)
+        ratio = np.minimum(profile.s / ts, 1.0)[:, None]
+        angle = np.where(ratio * ratio <= 0.5, np.arcsin(ratio), np.arccos(ratio))
+        # rings inside the cap cross no feature line; refine them mid-octant
+        angle = np.where(ratio < 1.0, angle, 0.125 * np.pi)
+        width = profile.boundary_layer_scale() / ts[:, None]
+        v = np.linspace(0.0, 1.0, _FEATURE_EDGES + 1)[:-1]
+        grade = lambda span: width * np.sinh(v * np.arcsinh(span / width))
+        feature = [angle - grade(angle)[:, :0:-1], angle + grade(0.25 * np.pi - angle)]
+        grid = np.broadcast_to(edges, (ts.size, edges.size))
+        edges = np.sort(np.concatenate([grid, *feature], axis=1))
+    rule = kronrod_panels(edges)
     th = rule.x
     c, s = np.cos(th), np.sin(th)
     q = 0.5 * np.pi
+    lead = th.shape[:-2]
     # octants counter-clockwise: theta, pi/2 - theta, pi/2 + theta, pi - theta, ...
-    cos = np.concatenate([c, s, -s, -c, -c, -s, s, c]).ravel()
-    sin = np.concatenate([s, c, c, s, -s, -c, -c, -s]).ravel()
+    cos = np.concatenate([c, s, -s, -c, -c, -s, s, c], axis=-2).reshape(*lead, -1)
+    sin = np.concatenate([s, c, c, s, -s, -c, -c, -s], axis=-2).reshape(*lead, -1)
     theta = np.concatenate(
-        [th, q - th, q + th, 2 * q - th, 2 * q + th, 3 * q - th, 3 * q + th, 4 * q - th]
+        [th, q - th, q + th, 2 * q - th, 2 * q + th, 3 * q - th, 3 * q + th, 4 * q - th],
+        axis=-2,
     )
     return cos, sin, rule._replace(x=theta, half=np.tile(rule.half, 8))
 
@@ -167,11 +192,11 @@ def _ring_moments(k, params, ring, ts):
     differences from the embedded rule, which bound the angular error.
     """
     cos, sin, rule = ring
-    nt = ts.size
-    t = np.repeat(ts, cos.size)
-    xprime = (t * np.tile(cos, nt), t * np.tile(sin, nt))
+    nt, nring = ts.size, cos.shape[-1]
+    t = np.repeat(ts, nring)
+    xprime = (t * np.broadcast_to(cos, (nt, nring)).ravel(), t * np.broadcast_to(sin, (nt, nring)).ravel())
     h = np.broadcast_to(np.asarray(params.profile.h_radial(t), float), t.shape)
-    pan = traction_moments(k, params, xprime, h).reshape(6, nt, *rule.x.shape)
+    pan = traction_moments(k, params, xprime, h).reshape(6, nt, *rule.x.shape[-2:])
     full, low, _ = rule.sums(pan, embedded=True)
     return np.concatenate([full.sum(axis=2), np.abs(full - low).sum(axis=2)]) * ts[None, :]
 
@@ -179,7 +204,7 @@ def _ring_moments(k, params, ring, ts):
 def force_numeric(
     k: int,
     params: ProblemParams,
-    rel_tol: float = 1e-8,
+    rel_tol: float = DEFAULT_REL_TOL,
     max_subdivisions: int = 2000,
 ) -> ForceResult:
     """Force and torque of sub-flow ``k`` on the top particle.
@@ -191,19 +216,18 @@ def force_numeric(
     ``[-r, r]``, split there and at ``x1 = 0``.  A coarse probe pass sets
     the absolute tolerance, so tolerances are relative to the largest
     force/torque component of this sub-flow.  The bounds add the
-    quadrature estimate, the angular estimate (3D) and, for the 3D
-    rotation read from a table, the pressure-table error spread over the
-    boundary's measure ``pi r^2``.
+    quadrature estimate and the angular estimate (3D); no pressure adds
+    an error term.
     """
     prof = params.profile
     d = prof.dimension
     if k not in subflow_indices(d):
         raise ValueError(f"sub-flow index {k} invalid for dimension {d}")
     if d == 3:
-        ring = _mirrored_ring(prof) if k == 6 else _TRAPEZOID_RING
-        fvec = lambda ts: _ring_moments(k, params, ring, ts)
-        lo, splits, nring = 0.0, prof.radial_splits(), ring[0].size
-        ncomp, nmom, measure = 12, 6, np.pi * prof.r**2
+        ring = (lambda ts: _mirrored_ring(prof, ts)) if k == 6 else (lambda ts: _TRAPEZOID_RING)
+        fvec = lambda ts: _ring_moments(k, params, ring(ts), ts)
+        lo, splits, nring = 0.0, prof.radial_splits(), ring(np.array([prof.r]))[0].shape[-1]
+        ncomp, nmom = 12, 6
     else:
 
         def fvec(xs):
@@ -215,7 +239,7 @@ def force_numeric(
             {p for base in (delta, prof.s) for p in (base, -base) if 0.0 < abs(p) < prof.r}
             | {0.0}
         )
-        lo, nring, ncomp, nmom, measure = -prof.r, 1, 3, 3, 2.0 * prof.r
+        lo, nring, ncomp, nmom = -prof.r, 1, 3, 3
 
     probe = QuadSpec(abs_tol=1e300, rel_tol=1.0, split_points=splits)
     vals0, _, n0 = integrate_vector(fvec, lo, prof.r, probe, ncomp=ncomp, ncheck=nmom)
@@ -229,18 +253,13 @@ def force_numeric(
     vals, errs, nev = integrate_vector(fvec, lo, prof.r, spec, ncomp=ncomp, ncheck=nmom)
 
     err = errs[:nmom] + np.maximum(vals[nmom:], 0.0) if d == 3 else errs
-    perr = _pressure_error_bound(k, params)
-    gmax = float(prof.dh_radial(prof.r))
-    lever = float(np.hypot(prof.r, prof.R + 0.5 * (prof.h_radial(prof.r) - prof.eps)))
-    p_F = perr * measure * np.array([0.5 * gmax] * (d - 1) + [1.0])
-    p_T = perr * measure * lever * (1.0 + 0.5 * gmax)
-    T, T_err = vals[d:nmom].copy(), err[d:nmom] + p_T
+    T, T_err = vals[d:nmom].copy(), err[d:nmom].copy()
     if d == 2:
         T, T_err = float(T[0]), float(T_err[0])
     return ForceResult(
         F=vals[:d].copy(),
         T=T,
-        F_err=err[:d] + p_F,
+        F_err=err[:d].copy(),
         T_err=T_err,
         evaluations=(n0 + nev) * nring,
     )
@@ -248,13 +267,13 @@ def force_numeric(
 
 def total_numeric(
     params: ProblemParams,
-    rel_tol: float = 1e-8,
+    rel_tol: float = DEFAULT_REL_TOL,
     max_subdivisions: int = 2000,
 ) -> TotalResult:
     """Total force/torque: sum of :func:`force_numeric` over all sub-flows.
 
     A sub-flow whose velocity scale is zero vanishes identically; it is
-    not integrated (and builds no pressure table) and contributes an
+    not integrated and contributes an
     all-zero :class:`ForceResult` with ``evaluations = 0``.
     """
     d = params.profile.dimension

@@ -167,6 +167,12 @@ class TestForce:
     def test_negative_eps_rejected(self, cfg_path, capsys):
         assert main(["force", "--config", cfg_path, "--eps", "-1"]) == EXIT_CONFIG
 
+    def test_quadrature_below_floor_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "tight.ini"
+        p.write_text(CFG.replace("rel_tol = 1e-7", "rel_tol = 1e-14"), encoding="utf-8")
+        assert main(["force", "--config", str(p)]) == EXIT_CONFIG
+        assert "rel_tol" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["force", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 
@@ -279,8 +285,8 @@ class TestVerify:
         params = config.problem
         tot = total_numeric(
             params,
-            rel_tol=max(config.quadrature.rel_tol, 1e-12),
-            max_subdivisions=max(config.quadrature.max_subdivisions, 200),
+            rel_tol=config.quadrature.rel_tol,
+            max_subdivisions=config.quadrature.max_subdivisions,
         )
         slack = 1e-13 * max(abs(v) for v in (*np.atleast_1d(params.U),
                                              *np.atleast_1d(params.omega)))

@@ -14,6 +14,7 @@ from lubgap.config import (
     load_config,
     parse_config,
 )
+from lubgap.quadrature import DEFAULT_REL_TOL
 
 BASE_3D = """
 [profile]
@@ -38,6 +39,8 @@ def with_sections(extra: str) -> str:
 class TestParse:
     def test_minimal_3d(self):
         cfg = parse_config(BASE_3D)
+        # the library's default force tolerance
+        assert cfg.quadrature.rel_tol == DEFAULT_REL_TOL == 1e-8
         prof = cfg.problem.profile
         assert prof.dimension == 3
         assert prof.eps == 1e-3
@@ -131,6 +134,19 @@ class TestErrors:
     def test_bad_bool(self):
         with pytest.raises(ConfigError, match="override_flat_hypothesis"):
             parse_config(with_sections("[run]\noverride_flat_hypothesis = maybe\n"))
+
+    @pytest.mark.parametrize(
+        "section", ["rel_tol = 1e-13", "rel_tol = 0", "max_subdivisions = 199"]
+    )
+    def test_quadrature_below_floor_rejected(self, section):
+        # no silent cap: a tolerance below 1e-12 or a budget below 200 is an
+        # error, not quietly raised to the floor
+        with pytest.raises(ConfigError, match="quadrature"):
+            parse_config(with_sections(f"[quadrature]\n{section}\n"))
+
+    def test_quadrature_floor_accepted(self):
+        cfg = parse_config(with_sections("[quadrature]\nrel_tol = 1e-12\nmax_subdivisions = 200\n"))
+        assert (cfg.quadrature.rel_tol, cfg.quadrature.max_subdivisions) == (1e-12, 200)
 
     def test_bad_sweep_order(self):
         with pytest.raises(ConfigError, match="sweep"):

@@ -104,19 +104,29 @@ class TestDualTensor:
         with pytest.raises(ValueError):
             dual_tensor(1, params2d, (0.05, 0.0, 0.0))
 
-    def test_flat_cap_interp_error_resolved(self, prof3d_flat, monkeypatch):
-        # the spline probe must measure the spline, not its reference line:
-        # refining the line may not move it (without edges at the rim
-        # crossing it read 3.6e-3 with 32 sub-panels and 1.2e-3 with 64)
-        errs = []
-        for split in (32, 64):
-            monkeypatch.setattr(dualcheck, "_PROBE_SPLIT", split)
-            errs.append(dualcheck._QPotential(prof3d_flat, 0.0, 1.0).interp_error)
-        assert errs[1] == pytest.approx(errs[0], rel=0.1)
-
     def test_unknown_subflow(self, params3d):
         with pytest.raises(ValueError):
             dual_tensor(9, params3d, (0.05, 0.0, 0.0))
+
+    @pytest.mark.parametrize("kind, m, s", [("m-convex", 2.0, 0.0), ("m-convex", 2.5, 0.0),
+                                            ("flat-capped", 2.0, 0.1)])
+    def test_squeeze_type_gradient_matches_field(self, kind, m, s):
+        # k = 3, 6 assemble the gradient from one engine call per planar
+        # point; it must match the field's own gradient at every height, and
+        # leaving out the pressure may change only the diagonal, by -p
+        prof = GapProfile(kind=kind, m=m, s=s, eps=1e-4, r=0.5, R=2.0, dimension=3)
+        params = ProblemParams(profile=prof, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
+        rng = np.random.default_rng(RNG_SEED + 5)
+        x1, x2, _ = np.array(core_points(prof, 40, rng)).T
+        x3 = np.asarray(prof.h(x1, x2))[:, None] * np.linspace(-0.45, 0.45, 5)
+        pts = dualcheck._volume_points(x1, x2, x3)
+        for k in (3, 6):
+            S, grad = dualcheck._dual_tensor_many(k, params, x1, x2, x3)
+            _u, p, want = fields._eval3(k, params, *pts)
+            assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
+            S0, _ = dualcheck._dual_tensor_many(k, params, x1, x2, x3, pressure=False)
+            assert np.allclose(S - S0, -p * np.eye(3)[:, :, None], rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(S)))
 
 
 def _mp_coefficients(k, prof, w1, w2):
@@ -194,6 +204,31 @@ class TestExactDerivatives:
             assert np.max(np.abs(lineA)) <= 1e-10 * scale
             assert np.max(np.abs(QB - lineB)) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("prof", _exact_profiles(), ids=["m2", "m2.5", "m4", "m8", "flat"])
+    def test_rotation_potentials_match_line(self, prof):
+        # QA and QB of the rotation are exact (differences of coefficient
+        # derivatives plus d22 of Q_1 and Q_3); the cumulative Kronrod line
+        # of their integrands d22 A1 - d12 A2 and 2 d11 B1 + d22 B1 + d12 B2
+        # from x1 = -r/4, graded toward the axis and the rim, must agree
+        c = (0.2, -0.15)
+        bound, delta = 0.25 * prof.r, prof.boundary_layer_scale()
+        # points at the boundary-layer scale, or at 0.01 where it exceeds the core
+        d = min(delta, 0.01)
+        x1 = np.array([-0.1, -0.02, -0.3 * d, 0.0, 2.0 * d, 0.01, 0.045, 0.06, 0.12])
+        for x2 in (0.0, 0.5 * d, 0.03, 0.07):
+            centers = [0.0]
+            if prof.kind == "flat-capped" and x2 < prof.s:
+                centers += list(np.array([-1.0, 1.0]) * np.sqrt(prof.s**2 - x2**2))
+            edges = np.union1d(fields._graded_nodes(-bound, bound, centers, delta, n_side=48), x1)
+            line = kronrod_panels(edges)
+            A1, A2, B1, B2 = fields._coefficient_derivs(prof, 2, c, line.x, np.full_like(line.x, x2))
+            at = np.searchsorted(edges, x1)
+            lineA = line.sums(A1[5] - A2[4])[2][at]
+            lineB = line.sums(2.0 * B1[3] + B1[5] + B2[4])[2][at]
+            QA, QB = dualcheck._rotation_potentials(prof, c, x1, np.full_like(x1, x2))
+            assert np.max(np.abs(QA - lineA)) <= 1e-10 * np.max(np.abs(lineA)), x2
+            assert np.max(np.abs(QB - lineB)) <= 1e-10 * np.max(np.abs(lineB)), x2
+
     @pytest.mark.parametrize("k", [3, 6])
     @pytest.mark.parametrize("prof", _exact_profiles(), ids=["m2", "m2.5", "m4", "m8", "flat"])
     def test_axis_limit(self, prof, k):
@@ -232,28 +267,29 @@ class TestEll:
         with pytest.raises(ValueError):
             ell(1, 1, params2d)
 
-    def test_tables_read_once_per_planar_point(self, params3d, monkeypatch):
-        # the rotation reads its two tables once per batch, q_1's and q_2's
-        # at swapped coordinates; each read sees the planar points only,
-        # one fifth of the volume points the field is evaluated at
-        volume, table = [], []
-        eval3 = dualcheck._eval3
-        call = dualcheck._QPotential.__call__
+    def test_potentials_read_once_per_planar_point(self, params3d, monkeypatch):
+        # ell(6, 6) evaluates no field at the volume points: the gradient
+        # comes from the coefficient engine, once per planar point, and the
+        # running integrals see only the planar points and their line ends,
+        # for q_1 and q_2 and for n = 1, 3
+        volume, planar, reads = [], [], []
+        engine, integral = dualcheck._coefficient_derivs, dualcheck._running_integral
 
-        def counted_eval3(k, params, x1, x2, x3):
-            volume.append(x1.size)
-            return eval3(k, params, x1, x2, x3)
+        def counted_engine(prof, p, c, x1, x2, third=False):
+            if third:
+                planar.append(x1.size)
+            return engine(prof, p, c, x1, x2, third)
 
-        def counted_call(self, x1, x2):
-            table.append(x1.size)
-            return call(self, x1, x2)
+        def counted_integral(prof, n, a, c, second=False):
+            reads.append(a.size)
+            return integral(prof, n, a, c, second)
 
-        monkeypatch.setattr(dualcheck, "_eval3", counted_eval3)
-        monkeypatch.setattr(dualcheck._QPotential, "__call__", counted_call)
+        monkeypatch.setattr(dualcheck, "_eval3", lambda *args: volume.append(args))
+        monkeypatch.setattr(dualcheck, "_coefficient_derivs", counted_engine)
+        monkeypatch.setattr(dualcheck, "_running_integral", counted_integral)
         ell(6, 6, params3d, QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
-        assert volume and len(table) == 2 * len(volume)
-        assert table[::2] == table[1::2]
-        assert [5 * n for n in table[::2]] == volume
+        assert volume == [] and planar
+        assert reads == [2 * n for n in planar for _ in range(4)]
 
 
 class TestEnergy:
@@ -300,58 +336,23 @@ class TestErrSweep:
         assert all(v >= 0.0 for v in rep.values[(3, 3)])
         assert (3, 3) in rep.slopes
 
-    @staticmethod
-    def _count_table_builds(eps_grid, monkeypatch):
-        # a sweep over the sub-flows 1, 3 and 6 (k = 2 has zero scale:
-        # U2 + w1 R = 0) needs 2 dual tables per eps, both k = 6; the
-        # squeeze's potentials are closed-form.  Cheap stand-in tables keep
-        # the tests fast: only the cache is under test.
-        builds = []
-
-        class TableStub:
-            def __init__(self, profile, c1, c2):
-                builds.append((profile.eps, c1, c2))
-
-            def __call__(self, x1, x2):
-                return np.zeros_like(x1), np.zeros_like(x1)
-
-        monkeypatch.setattr(dualcheck, "_QPotential", TableStub)
-        prof = GapProfile(kind="m-convex", m=2.0, s=0.0, eps=1e-1, r=0.5, R=2.0, dimension=3)
-        params = ProblemParams(profile=prof, U=(0.3, -0.2, -0.5), omega=(0.1, 0.2, 0.1))
-        dualcheck._q_table.cache_clear()
-        try:
-            rep = err_sweep(params, eps_grid, QuadSpec(rel_tol=1e-2, abs_tol=1e-3))
-            assert rep.pairs == ((1, 1), (1, 3), (1, 6), (3, 3), (3, 6), (6, 6))
-            assert len(set(builds)) == 2 * len(eps_grid)
-            return len(builds), dualcheck._q_table.cache_info().misses
-        finally:
-            dualcheck._q_table.cache_clear()
-
-    def test_dual_tables_built_once(self, monkeypatch):
-        # eps-major, each of the 6 tables is built once
-        assert self._count_table_builds((1e-1, 3e-2, 1e-2), monkeypatch) == (6, 6)
-
-    def test_dual_tables_built_once_beyond_cache_size(self, monkeypatch):
-        # 18 tables outnumber the cache's 16 entries; each is still built once
-        grid = (1e-1, 8e-2, 6e-2, 4e-2, 3e-2, 2e-2, 1.5e-2, 1.2e-2, 1e-2)
-        assert self._count_table_builds(grid, monkeypatch) == (18, 18)
-
     def test_values_pinned(self, params3d):
-        # the sweep's values, bit for bit, with exact planar derivatives;
-        # (1, 1), (1, 2) and (2, 2) do not read them and are unchanged, and
-        # the parity-zero cross pairs are roundoff noise
+        # the sweep's values, bit for bit, with exact planar derivatives and
+        # exact rotation potentials; (1, 1), (1, 2) and (2, 2) do not read
+        # them and are unchanged, and the parity-zero cross pairs are
+        # roundoff noise
         rep = err_sweep(params3d, (1e-1, 3e-2, 1e-2), QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
         assert rep.values == {
             (1, 1): (1.0622490324460758e-05, 2.701366556612739e-05, 5.454132400692836e-05),
             (1, 2): (-1.6386532233023327e-23, -1.4057795909567846e-22, -1.374910786665229e-22),
-            (1, 3): (1.0765052483668268e-22, -3.799971137574541e-22, -2.0876897342627542e-22),
-            (1, 6): (-4.3265289505041906e-23, -9.828180259448976e-24, -2.4666229575207965e-23),
+            (1, 3): (1.1195848887915275e-22, -2.110243138377419e-22, -1.6648866644425095e-22),
+            (1, 6): (-2.3839896244640988e-24, -8.258204757914442e-24, -2.516240292967304e-23),
             (2, 2): (1.0622490324460746e-05, 2.7013665566127358e-05, 5.45413240069283e-05),
-            (2, 3): (-1.4520976313285545e-22, -5.215901036259119e-22, 3.523945884857971e-23),
-            (2, 6): (-1.6142441844974642e-23, -2.0662235683340166e-23, 2.2291600156466195e-23),
-            (3, 3): (0.007806171439382995, 0.03444235004625888, 0.04445659974906074),
-            (3, 6): (3.910939041647502e-05, 8.30647237821004e-06, -5.745034630038426e-05),
-            (6, 6): (5.609785036715424e-05, 2.544467573288312e-05, 0.0001810437634914363),
+            (2, 3): (-1.23845345256243e-22, 1.00989081730284e-21, -2.6190911015156575e-22),
+            (2, 6): (-1.796510429722801e-23, 5.4714742369398865e-24, -2.5159044149144386e-24),
+            (3, 3): (0.007806171439382997, 0.03444235004625884, 0.044456599749060716),
+            (3, 6): (3.9109390507511284e-05, 8.306475608960255e-06, -5.745031919101951e-05),
+            (6, 6): (5.60978536880518e-05, 2.5444685611451593e-05, 0.00018104386342161853),
         }
 
     def test_grid_validation(self, params3d):

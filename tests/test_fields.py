@@ -5,12 +5,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from lubgap import fields
 from lubgap.fields import (
     ProblemParams,
     _kernel_tail,
-    _RotationClosedForm,
-    _rotation_table_3d,
-    _RotationTable,
+    _rotation_q,
+    _running_integral,
     boundary_target,
     divergence,
     eval_field,
@@ -405,14 +405,14 @@ class TestPressure:
                     assert eval_field(k, params, x).p == 0.0
 
     def test_pressure_cache_error_reported(self, prof3d, prof2d, prof3d_m25, prof3d_flat):
-        # only the 3D rotation pressure is tabulated, and only for m != 2
-        # and flat caps; every other pressure is closed-form
+        # no pressure is tabulated: every one is closed-form or, for the 3D
+        # rotation off m = 2, a Gauss rule exact to roundoff
         assert pressure_cache_error(3, prof3d) == 0.0
         assert pressure_cache_error(2, prof2d) == 0.0
         assert pressure_cache_error(4, prof2d) == 0.0
         assert pressure_cache_error(6, prof3d) == 0.0
-        assert pressure_cache_error(6, prof3d_m25) > 0.0
-        assert pressure_cache_error(6, prof3d_flat) > 0.0
+        assert pressure_cache_error(6, prof3d_m25) == 0.0
+        assert pressure_cache_error(6, prof3d_flat) == 0.0
 
 
 class TestKernelTails:
@@ -483,8 +483,6 @@ class TestRotationClosedForm:
     def test_matches_mpmath(self, eps):
         prof = GapProfile.m_convex(3, 2.0, 0.5, eps, 2.0)
         r, delta = prof.r, prof.boundary_layer_scale()
-        form = _rotation_table_3d(prof)
-        assert isinstance(form, _RotationClosedForm)
         with mpmath.workdps(30):
             E = mpmath.mpf(eps)
             for c in (0.0, 0.1 * delta, delta, r):
@@ -495,43 +493,111 @@ class TestRotationClosedForm:
                     pts = [0] + [p for p in (sA, 10 * sA) if p < a] + [a]
                     exact = float(mpmath.quad(lambda t: t**2 / (E + t**2 + C2) ** 3, pts))
                     for sgn in (1.0, -1.0):
-                        got = float(form.q(sgn * a, c))
+                        got = float(_running_integral(prof, 3, sgn * a, c))
                         assert abs(got - sgn * exact) <= 1e-12 * full, (a, c)
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
     def test_table_error_is_honest(self, eps):
-        # a table built on an m = 2 profile must report at least the error
-        # the closed form measures on a dense grid reaching into c < delta
+        # off m = 2 the rotation pressure reports a zero table error too: the
+        # Gauss rule that serves it, run on a profile within roundoff of
+        # m = 2, must match the closed form to roundoff on a dense grid
+        # reaching into c < delta, for Q_1, Q_3 and their d22, each against
+        # its largest value
         prof = GapProfile.m_convex(3, 2.0, 0.5, eps, 2.0)
+        near = GapProfile.m_convex(3, np.nextafter(2.0, 3.0), 0.5, eps, 2.0)
+        assert pressure_cache_error(6, near) == 0.0
         r, delta = prof.r, prof.boundary_layer_scale()
         mult = np.array([0.0, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0])
         g = np.append(mult[mult * delta < r] * delta, r)
         g = np.unique(np.concatenate([g, 0.5 * (g[:-1] + g[1:]), np.sqrt(g[1:-1] * g[2:])]))
         a, c = np.meshgrid(g, g, indexing="ij")
-        tab = _RotationTable(prof)
-        err = np.max(np.abs(tab.q(a, c) - _RotationClosedForm(prof).q(a, c)))
-        assert tab.abs_error >= err
-
-    @pytest.mark.parametrize("eps, unmirrored", [(1e-4, 1.4e-5), (1e-6, 6.5e-5), (1e-8, 1.8e-4)])
-    def test_table_fit_keeps_parity(self, eps, unmirrored):
-        # the table's spline is fitted over the mirrored axes, odd in a and
-        # even in c; with end conditions at a = 0 and c = 0 instead, its
-        # error on this grid, relative to the largest Q, read `unmirrored`
-        prof = GapProfile.m_convex(3, 2.0, 0.5, eps, 2.0)
-        delta = prof.boundary_layer_scale()
-        a = np.concatenate([delta * np.geomspace(0.05, 20.0, 40), np.linspace(0.01, 0.5, 30)])
-        c = delta * np.append(0.0, np.geomspace(1e-3, 20.0, 60))
-        c = np.concatenate([c, np.linspace(0.01, 0.5, 30)])
-        a, c = np.meshgrid(a, c)
-        exact = _RotationClosedForm(prof).q(a, c)
-        err = np.max(np.abs(_RotationTable(prof).q(a, c) - exact)) / np.max(np.abs(exact))
-        assert err <= 0.25 * unmirrored
+        for n in (1, 3):
+            for second in (False, True):
+                exact = _running_integral(prof, n, a, c, second)
+                got = _running_integral(near, n, a, c, second)
+                assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
-def _direct_lookups(tab, x1, x2):
-    """The rotation pressure's four table reads, one :meth:`q` call each."""
-    r = np.full_like(x1, tab.profile.r)
-    return tab.q(x1, x2), tab.q(r, x2), tab.q(x2, x1), tab.q(r, x1)
+def _mp_running_integral(prof, n, a, c, second):
+    """``Q_n(a, c)`` or ``d22 Q_n(a, c)`` by 20-digit tanh-sinh quadrature.
+
+    ``d22`` is taken under the integral from the chain rule on ``h(rho)``,
+    ``rho = sqrt(t^2 + c^2)``, written out independently of the jet code.
+    """
+    E, C = mpmath.mpf(prof.eps), mpmath.mpf(c)
+    if prof.kind == "m-convex":
+        m = mpmath.mpf(prof.m)
+        H = lambda rho: (E + rho**m, m * rho ** (m - 1), m * (m - 1) * rho ** (m - 2))
+    else:
+        S = mpmath.mpf(prof.s)
+        H = lambda rho: (E + (rho - S) ** 2, 2 * (rho - S), 2) if rho > S else (E, 0, 0)
+
+    def f(t):
+        rho = mpmath.sqrt(t * t + C * C)
+        h, h1, h2 = H(rho)
+        if not second:
+            return t * t / h**n
+        g1 = -n * h1 / h ** (n + 1)
+        g2 = n * (n + 1) * h1**2 / h ** (n + 2) - n * h2 / h ** (n + 1)
+        return t * t * (g1 / rho + C * C * (g2 / rho**2 - g1 / rho**3))
+
+    delta = prof.boundary_layer_scale()
+    pts = [delta * k for k in (1.0, 10.0, 100.0)]
+    if prof.kind == "flat-capped":
+        if c < prof.s:  # the rim, where h leaves eps
+            rim = np.sqrt(prof.s**2 - c * c)
+            pts += [rim, rim + delta, rim + 10.0 * delta]
+        pts += [np.sqrt(2.0 * prof.s * delta)]
+    pts = [0.0] + sorted(p for p in set(pts) if 0.0 < p < a) + [a]
+    return float(mpmath.quad(f, pts))
+
+
+def _running_integral_profiles():
+    for eps in (1e-2, 1e-5, 1e-8):
+        for m in (2.0, 2.5, 4.0, 8.0):
+            yield pytest.param(GapProfile.m_convex(3, m, 0.5, eps, 2.0), id=f"m{m}-eps{eps:g}")
+        for s in (0.05, 0.15):
+            yield pytest.param(GapProfile.flat_capped(3, 0.5, s, eps, 2.0), id=f"flat{s}-eps{eps:g}")
+
+
+class TestRunningIntegral:
+    # Q_n(a, c) = int_0^a t^2 / h(sqrt(t^2 + c^2))^n dt and its d22, the
+    # 3D rotation pressure and dual potentials, against 20-digit quadrature
+
+    @pytest.mark.parametrize("prof", _running_integral_profiles())
+    def test_matches_mpmath(self, prof):
+        r, delta = prof.r, prof.boundary_layer_scale()
+        # on the axis c = 0, at the boundary-layer scale, and for flat caps
+        # on the rim circle rho = s, inside it across the rim, and ending
+        # just past the rim
+        points = [(r, 0.0), (2.0 * delta, 0.5 * delta)]
+        if prof.kind == "flat-capped":
+            points += [(r, prof.s), (r, prof.s - delta), (np.sqrt(0.75) * prof.s + delta, 0.5 * prof.s)]
+        with mpmath.workdps(20):
+            for a, c in points:
+                for n in (1, 3):
+                    for second in (False, True):
+                        if n == 3 and c == 0.0 and not second:
+                            # Q_3 on the axis is a difference of kernel tails
+                            want = _kernel_tail(prof, 2, 0.0) - _kernel_tail(prof, 2, a)
+                        else:
+                            want = _mp_running_integral(prof, n, a, c, second)
+                        got = float(_running_integral(prof, n, a, c, second))
+                        assert abs(got - want) <= 1e-12 * abs(want), (a, c, n, second)
+                        assert float(_running_integral(prof, n, -a, -c, second)) == -got
+
+    def test_zero_at_zero(self, prof3d_flat):
+        # a = 0 is the empty integral, also on the axis
+        for n in (1, 3):
+            for second in (False, True):
+                assert _running_integral(prof3d_flat, n, 0.0, 0.0, second) == 0.0
+
+
+def _direct_lookups(prof, x1, x2):
+    """The rotation pressure's four reads, one running-integral call each."""
+    r = np.full_like(x1, prof.r)
+    q = lambda a, c: _running_integral(prof, 3, a, c)
+    return q(x1, x2), q(r, x2), q(x2, x1), q(r, x1)
 
 
 def _bits(a):
@@ -539,21 +605,21 @@ def _bits(a):
 
 
 class TestRotationLookups:
-    # The k = 6 pressure reads the rotation table (m != 2, flat caps) once
-    # per distinct (|x1|, |x2|) pair, and evaluates the m = 2 closed form on
-    # every point; every value must stay bit-identical to four direct
-    # lookups per point.
+    # The k = 6 pressure runs the Gauss rule (m != 2, flat caps) once per
+    # distinct (|a|, |c|) among its four reads, and evaluates the m = 2
+    # closed form on every point; every value must stay bit-identical to
+    # four direct calls per point.
 
     @staticmethod
     def _point_sets(prof):
-        cos, sin, _half = _mirrored_ring(prof)
         ts = np.array([0.0, 0.3 * prof.boundary_layer_scale(), 0.07, 0.5 * prof.r, prof.r])
+        cos, sin, _half = _mirrored_ring(prof, ts)
         rng = np.random.default_rng(RNG_SEED + 7)
         x1, x2 = rng.uniform(-prof.r, prof.r, (2, 400))
         x1[:4] = (0.0, -0.0, 0.2, -0.2)
         x2[:4] = (0.3, 0.3, 0.0, -0.0)
         return {
-            "ring": (np.outer(ts, cos).ravel(), np.outer(ts, sin).ravel()),
+            "ring": ((ts[:, None] * cos).ravel(), (ts[:, None] * sin).ravel()),
             "random": (x1, x2),
             "single": (np.array([0.13]), np.array([-0.07])),
         }
@@ -561,11 +627,9 @@ class TestRotationLookups:
     @pytest.mark.parametrize("which", ["prof3d", "prof3d_m25", "prof3d_flat"])
     def test_pairs_match_direct_lookups(self, which, request):
         prof = request.getfixturevalue(which)
-        tab = _rotation_table_3d(prof)
-        assert isinstance(tab, _RotationClosedForm if which == "prof3d" else _RotationTable)
         for name, (x1, x2) in self._point_sets(prof).items():
-            got = tab.q_pairs(x1, x2)
-            want = _direct_lookups(tab, x1, x2)
+            got = _rotation_q(prof, x1, x2)
+            want = _direct_lookups(prof, x1, x2)
             for g, w in zip(got, want):
                 assert g.shape == w.shape == x1.shape, name
                 assert np.array_equal(_bits(g), _bits(w)), name
@@ -577,7 +641,7 @@ class TestRotationLookups:
         results = []
         for lookups in (None, _direct_lookups):
             if lookups is not None:
-                monkeypatch.setattr(type(_rotation_table_3d(prof)), "q_pairs", lookups)
+                monkeypatch.setattr(fields, "_rotation_q", lookups)
             for x1, x2 in self._point_sets(prof).values():
                 x3 = 0.3 * np.asarray(prof.h(x1, x2), float)
                 results.append(eval_field_many(6, params, x1, x2, x3)[1])

@@ -70,8 +70,8 @@ print("scipy.interpolate" in sys.modules)
 
 
 def test_m2_solve_never_loads_interpolate():
-    # only the bivariate tables (m != 2, flat caps, the dual check) need
-    # scipy.interpolate; an m = 2 solve, rotation included, is closed-form
+    # no code path needs scipy.interpolate; an m = 2 solve, rotation
+    # included, is closed-form
     proc = subprocess.run(
         [sys.executable, "-c", _M2_NO_INTERPOLATE, str(ROOT / "src")],
         capture_output=True,
@@ -96,13 +96,44 @@ print(rep.pairs == ((3, 3),), "scipy.interpolate" in sys.modules)
 
 
 def test_squeeze_dual_sweep_never_loads_interpolate():
-    # the squeeze's dual potentials are closed-form; only the rotation's
-    # dual tables need scipy.interpolate
+    # the squeeze's dual potentials are closed-form (see also
+    # test_rotation_never_loads_interpolate for the rotation's)
     proc = subprocess.run(
         [sys.executable, "-c", _SQUEEZE_SWEEP_NO_INTERPOLATE, str(ROOT / "src")],
         capture_output=True,
         text=True,
         timeout=120,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
+
+
+_ROTATION_NO_INTERPOLATE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import lubgap
+from lubgap.quadrature import QuadSpec
+motion = dict(U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
+for profile in (lubgap.GapProfile.m_convex(3, 2.5, 0.5, 1e-3, 2.0),
+                lubgap.GapProfile.flat_capped(3, 0.5, 0.05, 1e-3, 2.0)):
+    lubgap.total_numeric(lubgap.ProblemParams(profile=profile, **motion))
+profile = lubgap.GapProfile.m_convex(3, 2.5, 0.5, 1e-2, 2.0)
+params = lubgap.ProblemParams(profile=profile, U=(0.0, 0.0, 0.0), omega=(0.15, 0.2, 0.0))
+rep = lubgap.err_sweep(params, (1e-1, 3e-2, 1e-2), QuadSpec(rel_tol=1e-3, abs_tol=1e-8))
+print((6, 6) in rep.pairs, "scipy.interpolate" in sys.modules)
+"""
+
+
+def test_rotation_never_loads_interpolate():
+    # the rotation's running integrals are a closed form or a fixed Gauss
+    # rule: a general solve at m = 2.5 and on a flat cap, and a rotation
+    # dual sweep, build no table and load no scipy.interpolate
+    proc = subprocess.run(
+        [sys.executable, "-c", _ROTATION_NO_INTERPOLATE, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=300,
         check=False,
     )
     assert proc.returncode == 0, proc.stderr

@@ -5,11 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from lubgap.fields import (
-    ProblemParams,
-    _rotation_table_3d,
-    subflow_indices,
-)
+from lubgap import fields
+from lubgap.fields import ProblemParams, subflow_indices
 from lubgap.geometry import GapProfile
 from lubgap.traction import (
     _mirrored_ring,
@@ -189,7 +186,12 @@ class TestRotationRing:
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
     def test_ring_invariant_under_octant_maps(self, kind, m, s, eps):
         prof = GapProfile(kind=kind, m=m, s=s, eps=eps, r=0.5, R=2.0, dimension=3)
-        cos, sin, rule = _mirrored_ring(prof)
+        t = 0.3 * prof.r
+        cos, sin, rule = _mirrored_ring(prof, np.array([t]))
+        if kind == "flat-capped":
+            # one ring per radius, graded toward the angle where it crosses
+            # |x2| = s (or |x1| = s)
+            cos, sin, rule = cos[0], sin[0], rule._replace(x=rule.x[0], half=rule.half[0])
         w = (rule.half[:, None] * rule.weights[None, :]).ravel()
         assert cos.shape == sin.shape == w.shape == (rule.x.size,)
         assert np.sum(w) == pytest.approx(2.0 * np.pi, rel=1e-14)
@@ -202,7 +204,6 @@ class TestRotationRing:
         for octant_map in _OCTANT_MAPS:
             assert np.array_equal(canonical(*octant_map(cos, sin)), ref)
         # so a ring of radius t repeats each (|x1|, |x2|) pair four times
-        t = 0.3 * prof.r
         pairs = np.unique(np.abs(t * cos) + 1j * np.abs(t * sin))
         assert pairs.size == cos.size // 4
 
@@ -402,14 +403,15 @@ class TestReferenceValues:
 
 
 class TestTotalNumeric:
-    def test_zero_scale_subflows_skipped(self):
+    def test_zero_scale_subflows_skipped(self, monkeypatch):
         # a pure squeeze never integrates the rotation sub-flow, in 3D
-        # (k = 6, nor tabulates its pressure) and in 2D (k = 4)
+        # (k = 6, nor evaluates its pressure's running integral) and in 2D (k = 4)
         squeeze3 = ProblemParams(profile=mconvex(eps=2e-3), U=(0.0, 0.0, -1.0))
         squeeze2 = ProblemParams(
             profile=mconvex(eps=2e-3, dimension=2), U=(0.0, -1.0), omega=0.0
         )
-        _rotation_table_3d.cache_clear()
+        reads = []
+        monkeypatch.setattr(fields, "_rotation_q", lambda *args: reads.append(args))
         for params, k, k_squeeze in ((squeeze3, 6, 3), (squeeze2, 4, 2)):
             res = total_numeric(params)
             zero = res.per_subflow[k]
@@ -418,7 +420,7 @@ class TestTotalNumeric:
                 assert np.all(v == 0.0) and not np.any(np.signbit(v))
             assert zero.evaluations == 0
             assert res.per_subflow[k_squeeze].evaluations > 0
-        assert _rotation_table_3d.cache_info().currsize == 0
+        assert reads == []
 
     def test_superposition(self, prof3d):
         U = (0.3, -0.2, -0.5)
@@ -454,14 +456,20 @@ def _robustness_cases():
         for m in (1.2, 2.0):
             yield pytest.param(GapProfile.m_convex(2, m, 0.5, eps, 2.0), (0.4, -0.3), 0.25,
                                id=f"2d-m{m}-eps{eps:g}")
-        # general motion: the rotation sub-flow k = 6 at m = 2 is closed-form
-        yield pytest.param(GapProfile.m_convex(3, 2.0, 0.5, eps, 2.0), (0.3, -0.2, -0.5),
-                           (0.15, 0.2, 0.1), id=f"3d-m2.0-general-eps{eps:g}")
+        # general motion: the rotation sub-flow k = 6, closed-form at m = 2,
+        # a Gauss rule otherwise
+        for m in (2.0, 2.5, 4.0, 8.0):
+            yield pytest.param(GapProfile.m_convex(3, m, 0.5, eps, 2.0), (0.3, -0.2, -0.5),
+                               (0.15, 0.2, 0.1), id=f"3d-m{m}-general-eps{eps:g}")
+        for s in (0.05, 0.15):
+            yield pytest.param(GapProfile.flat_capped(3, 0.5, s, eps, 2.0), (0.3, -0.2, -0.5),
+                               (0.15, 0.2, 0.1), id=f"3d-flat{s}-general-eps{eps:g}")
 
 
 class TestRobustnessGrid:
     # down to eps = 1e-8 the certified bounds stay at the quadrature
-    # tolerance: no pressure error term swamps them
+    # tolerance: no pressure error term swamps them, and the rotation's
+    # angular rings resolve its pressure on m != 2 and flat caps
     @pytest.mark.parametrize("profile, U, omega", _robustness_cases())
     def test_bounds_small(self, profile, U, omega):
         res = total_numeric(ProblemParams(profile=profile, U=U, omega=omega))
