@@ -3,24 +3,28 @@
 The velocity field between the particles is built as a sum of sub-flows,
 each matching one piece of the rigid-body boundary data and each given in
 closed form as a polynomial in the vertical coordinate whose coefficients
-are algebraic functions of the gap ``h`` and its planar derivatives:
+are algebraic functions of the gap ``h`` and its planar derivatives.  There
+are seven in 3D (``k = 0..6``) and five in 2D (``k = 0..4``), in three
+families:
 
-* 3D, sub-flows ``k = 0..6``: rigid mean (0), horizontal shears (1, 2),
-  vertical squeeze (3), vertical spin (4), gap-scale shear correction (5),
-  and horizontal-axis rotation (6).
-* 2D, sub-flows ``k = 0..4``: rigid mean (0), horizontal shear (1),
-  vertical squeeze (2), gap-scale shear correction (3), rotation (4).
+* the rigid mean (``k = 0``), the only field written out by hand;
+* the shear type: the horizontal shears (3D ``k = 1, 2``, 2D ``k = 1``), the
+  vertical spin (3D ``k = 4``) and the gap-scale shear corrections (3D
+  ``k = 5``, 2D ``k = 3``).  They have ``u' = x3 V(x')``, ``u3 = (h^2/4 -
+  x3^2) div V / 2`` and no pressure, with ``V = (a + b/h) e + g J x'/h``
+  and ``J x' = (-x2, x1)``; each names its ``(a, b, e, g)`` once
+  (:func:`_shear_type`), and one engine, :func:`_eval_shear_type`, builds
+  the field from the radial jet of ``h``;
+* the squeeze type: the vertical squeezes (3D ``k = 3``, 2D ``k = 2``) and
+  the rotations (3D ``k = 6``, 2D ``k = 4``).  On each planar axis ``a``,
+  ``B_a = c_a x_a^p / h^3`` and ``A_a = -3/4 h^2 B_a``, with ``p = 1`` for a
+  squeeze and ``p = 2`` for a rotation.  One coefficient engine,
+  :func:`_coefficient_derivs`, gives the coefficients and their exact
+  planar derivatives from the radial jet of ``h``; each sub-flow only
+  names its ``(p, c)`` (:func:`_squeeze_type`) and its pressure integral.
+  The dual check (:mod:`lubgap.dualcheck`) reads the same engine.
 
-The squeeze-type sub-flows -- the squeezes (3D ``k = 3``, 2D ``k = 2``) and
-the rotations (3D ``k = 6``, 2D ``k = 4``) -- share one ansatz: on each
-planar axis ``a``, ``B_a = c_a x_a^p / h^3`` and ``A_a = -3/4 h^2 B_a``, with
-``p = 1`` for a squeeze and ``p = 2`` for a rotation.  One coefficient
-engine, :func:`_coefficient_derivs`, gives the coefficients and their exact
-planar derivatives from the radial jet of ``h``; each sub-flow only names
-its ``(p, c)`` (:func:`_squeeze_type`) and its pressure integral.  The dual
-check (:mod:`lubgap.dualcheck`) reads the same engine.
-
-These sub-flows carry a pressure built from running integrals of
+The squeeze-type sub-flows carry a pressure built from running integrals of
 ``t^j / h^3`` kernels.  The radial ones (3D squeeze, 2D squeeze and
 rotation) are differences of closed-form kernel tails, incomplete Beta
 functions.  The 3D rotation pressure reads ``Q_3(a, c) = int_0^a t^2 /
@@ -496,186 +500,117 @@ def _eval_squeeze_type(k, params, x1, x2, z):
 
 
 # ---------------------------------------------------------------------------
-# 3D sub-flow evaluation (vectorized over points)
+# shear-type sub-flows: one ansatz, zero pressure
+# ---------------------------------------------------------------------------
+
+
+def _shear_type(k: int, params: ProblemParams):
+    """``(a, b, e, g)`` of shear-type sub-flow ``k``: ``V = (a + b/h) e + g (-x2, x1)/h``."""
+    prof = params.profile
+    if prof.dimension == 2:
+        w0 = params.omega
+        return {
+            1: (0.0, params.U[0] + w0 * prof.R, (1.0,), 0.0),
+            3: (-0.5, 0.5 * prof.eps, (w0,), 0.0),
+        }[k]
+    U1, U2, _U3 = params.U
+    w1, w2, w3 = params.omega
+    return {
+        1: (0.0, U1 - w2 * prof.R, (1.0, 0.0), 0.0),
+        2: (0.0, U2 + w1 * prof.R, (0.0, 1.0), 0.0),
+        4: (0.0, 0.0, (0.0, 0.0), w3),
+        5: (0.5, -0.5 * prof.eps, (w2, -w1), 0.0),
+    }[k]
+
+
+def _eval_shear_type(k, params, xp, z):
+    """``(u, pressure, grad)`` of a shear-type sub-flow at planar points ``xp``, heights ``z``.
+
+    ``xp`` is ``(x1,)`` in 2D.  The n = 1 chain rule of :func:`_coefficient_derivs`
+    gives ``d_i (1/h) = f1 x_i`` and ``d_ij (1/h) = f1 delta_ij + f2 x_i x_j``.
+    The ``J`` part of ``V`` is divergence-free for radial ``h``, so ``div V =
+    b f1 (e . x')`` and the vertical spin (3D ``k = 4``) has ``u_z = 0`` exactly.
+    """
+    a, b, e, g = _shear_type(k, params)
+    d = len(xp)
+    rho = np.hypot(*xp) if d == 2 else np.abs(xp[0])
+    h = params.profile.h_radial(rho)
+    H1, H2 = _radial_jet(params.profile, rho, 2)
+    inv = 1.0 / h
+    f1 = -H1 * inv * inv
+    f2 = inv * inv * (2.0 * H1 * H1 * inv - H2)
+    # d_j V_i = f1 c_i x_j + g J_ij / h, with c = b e + g J x'
+    V = [(a + b / h) * ei for ei in e]
+    c = [b * ei for ei in e]
+    if g:
+        V = [V[0] - g * inv * xp[1], V[1] + g * inv * xp[0]]
+        c = [c[0] - g * xp[1], c[1] + g * xp[0]]
+    u = np.empty((d + 1, z.size))
+    grad = np.empty((d + 1, d + 1, z.size))
+    zf1 = z * f1
+    for i in range(d):
+        u[i] = z * V[i]
+        grad[i, d] = V[i]
+        for j in range(d):
+            grad[i, j] = zf1 * c[i] * xp[j]
+    if g:
+        grad[0, 1] -= z * g * inv
+        grad[1, 0] += z * g * inv
+    # h^2 f1 = -H1: u_z = -b (e . x') Q, radial Q = H1/8 + z^2 f1/2, d_j Q = P x_j
+    ex = sum(ei * x for ei, x in zip(e, xp))
+    Q = 0.125 * H1 + 0.5 * z * z * f1
+    P = 0.125 * H2 + 0.5 * z * z * f2
+    u[d] = -b * ex * Q
+    grad[d, d] = -b * ex * zf1
+    for j in range(d):
+        grad[d, j] = -b * (e[j] * Q + ex * P * xp[j])
+    return u, np.zeros(z.size), grad
+
+
+# ---------------------------------------------------------------------------
+# sub-flow dispatch: the rigid mean k = 0 is the only hand-written field
 # ---------------------------------------------------------------------------
 
 
 def _eval3(k: int, params: ProblemParams, x1, x2, x3):
     if k in (3, 6):
         return _eval_squeeze_type(k, params, x1, x2, x3)
+    if k:
+        return _eval_shear_type(k, params, (x1, x2), x3)
     prof = params.profile
     U1, U2, U3 = params.U
     w1, w2, w3 = params.omega
-    eps = prof.eps
-
-    n = x1.size
-    h = np.asarray(prof.h(x1, x2), dtype=float)
     g1, g2 = prof.h_grad(x1, x2)
-    h11, h12, h22 = prof.h_hess(x1, x2)
-    g1 = np.broadcast_to(np.asarray(g1, float), (n,))
-    g2 = np.broadcast_to(np.asarray(g2, float), (n,))
-    h11 = np.broadcast_to(np.asarray(h11, float), (n,))
-    h12 = np.broadcast_to(np.asarray(h12, float), (n,))
-    h22 = np.broadcast_to(np.asarray(h22, float), (n,))
-
-    u = np.zeros((3, n))
-    p = np.zeros(n)
-    grad = np.zeros((3, 3, n))
-    x3sq = x3 * x3
-
-    if k == 0:
-        w = 0.5 * (h - eps) - prof.R
-        u[0] = 0.5 * (U1 + w2 * w - w3 * x2)
-        u[1] = 0.5 * (U2 + w3 * x1 - w1 * w)
-        u[2] = 0.5 * (U3 + w1 * x2 - w2 * x1)
-        grad[0, 0] = 0.25 * w2 * g1
-        grad[0, 1] = 0.25 * w2 * g2 - 0.5 * w3
-        grad[1, 0] = 0.5 * w3 - 0.25 * w1 * g1
-        grad[1, 1] = -0.25 * w1 * g2
-        grad[2, 0] = -0.5 * w2
-        grad[2, 1] = 0.5 * w1
-        return u, p, grad
-
-    if k in (1, 2):
-        if k == 1:
-            c, row, ga = U1 - w2 * prof.R, 0, g1
-            ga1, ga2 = h11, h12
-        else:
-            c, row, ga = U2 + w1 * prof.R, 1, g2
-            ga1, ga2 = h12, h22
-        H = 1.0 / h
-        A = ga / 8.0
-        B = -ga / h**2
-        u[row] = c * H * x3
-        u[2] = c * (-A - 0.5 * B * x3sq)
-        grad[row, 0] = -c * x3 * g1 / h**2
-        grad[row, 1] = -c * x3 * g2 / h**2
-        grad[row, 2] = c * H
-        for j, (gaj, gj) in enumerate(((ga1, g1), (ga2, g2))):
-            dA = gaj / 8.0
-            dB = -gaj / h**2 + 2.0 * ga * gj / h**3
-            grad[2, j] = c * (-dA - 0.5 * x3sq * dB)
-        grad[2, 2] = -c * B * x3
-        return u, p, grad
-
-    if k == 4:
-        h2, h3 = h**2, h**3
-        H1, H2 = -x2 / h, x1 / h
-        dH1 = (x2 * g1 / h2, -1.0 / h + x2 * g2 / h2)
-        dH2 = (1.0 / h - x1 * g1 / h2, -x1 * g2 / h2)
-        A1, A2 = -x2 * g1 / 8.0, x1 * g2 / 8.0
-        dA1 = (-x2 * h11 / 8.0, -(g1 + x2 * h12) / 8.0)
-        dA2 = ((g2 + x1 * h12) / 8.0, x1 * h22 / 8.0)
-        B1, B2 = x2 * g1 / h2, -x1 * g2 / h2
-        dB1 = (
-            x2 * h11 / h2 - 2.0 * x2 * g1 * g1 / h3,
-            (g1 + x2 * h12) / h2 - 2.0 * x2 * g1 * g2 / h3,
-        )
-        dB2 = (
-            -(g2 + x1 * h12) / h2 + 2.0 * x1 * g2 * g1 / h3,
-            -x1 * h22 / h2 + 2.0 * x1 * g2 * g2 / h3,
-        )
-        u[0] = w3 * H1 * x3
-        u[1] = w3 * H2 * x3
-        u[2] = w3 * (-A1 - A2 - 0.5 * (B1 + B2) * x3sq)
-        for j in range(2):
-            grad[0, j] = w3 * dH1[j] * x3
-            grad[1, j] = w3 * dH2[j] * x3
-            grad[2, j] = w3 * (-dA1[j] - dA2[j] - 0.5 * (dB1[j] + dB2[j]) * x3sq)
-        grad[0, 2] = w3 * H1
-        grad[1, 2] = w3 * H2
-        grad[2, 2] = -w3 * (B1 + B2) * x3
-        return u, p, grad
-
-    if k == 5:
-        h2, h3 = h**2, h**3
-        H1 = 0.5 - eps / (2.0 * h)
-        H2 = -0.5 + eps / (2.0 * h)
-        A1, A2 = -eps * g1 / 16.0, eps * g2 / 16.0
-        B1, B2 = eps * g1 / (2.0 * h2), -eps * g2 / (2.0 * h2)
-        u[0] = w2 * H1 * x3
-        u[1] = w1 * H2 * x3
-        u[2] = w2 * (-A1 - 0.5 * B1 * x3sq) + w1 * (-A2 - 0.5 * B2 * x3sq)
-        for j, (gj, g1j, g2j) in enumerate(((g1, h11, h12), (g2, h12, h22))):
-            dH1 = eps * gj / (2.0 * h2)
-            dA1 = -eps * g1j / 16.0
-            dB1 = 0.5 * eps * (g1j / h2 - 2.0 * g1 * gj / h3)
-            dA2 = eps * g2j / 16.0
-            dB2 = -0.5 * eps * (g2j / h2 - 2.0 * g2 * gj / h3)
-            grad[0, j] = w2 * dH1 * x3
-            grad[1, j] = -w1 * dH1 * x3
-            grad[2, j] = w2 * (-dA1 - 0.5 * dB1 * x3sq) + w1 * (-dA2 - 0.5 * dB2 * x3sq)
-        grad[0, 2] = w2 * H1
-        grad[1, 2] = w1 * H2
-        grad[2, 2] = -(w2 * B1 + w1 * B2) * x3
-        return u, p, grad
-
-    raise ValueError(f"unknown 3D sub-flow index {k}")
-
-
-# ---------------------------------------------------------------------------
-# 2D sub-flow evaluation (vectorized over points)
-# ---------------------------------------------------------------------------
+    w = 0.5 * (prof.h(x1, x2) - prof.eps) - prof.R
+    u = np.empty((3, x1.size))
+    u[0] = 0.5 * (U1 + w2 * w - w3 * x2)
+    u[1] = 0.5 * (U2 + w3 * x1 - w1 * w)
+    u[2] = 0.5 * (U3 + w1 * x2 - w2 * x1)
+    grad = np.zeros((3, 3, x1.size))
+    grad[0, 0] = 0.25 * w2 * g1
+    grad[0, 1] = 0.25 * w2 * g2 - 0.5 * w3
+    grad[1, 0] = 0.5 * w3 - 0.25 * w1 * g1
+    grad[1, 1] = -0.25 * w1 * g2
+    grad[2, 0] = -0.5 * w2
+    grad[2, 1] = 0.5 * w1
+    return u, np.zeros(x1.size), grad
 
 
 def _eval2(k: int, params: ProblemParams, x1, x2):
     if k in (2, 4):
         return _eval_squeeze_type(k, params, x1, 0.0, x2)
+    if k:
+        return _eval_shear_type(k, params, (x1,), x2)
     prof = params.profile
     U1, U2 = params.U
     w0 = params.omega
-    eps = prof.eps
-
-    n = x1.size
-    h = np.asarray(prof.h(x1), dtype=float)
-    g = np.broadcast_to(np.asarray(prof.dh(x1), float), (n,))
-    gp = np.broadcast_to(np.asarray(prof.d2h(x1), float), (n,))
-
-    u = np.zeros((2, n))
-    p = np.zeros(n)
-    grad = np.zeros((2, 2, n))
-    x2sq = x2 * x2
-
-    if k == 0:
-        u[0] = 0.5 * (U1 + w0 * (prof.R - 0.5 * (h - eps)))
-        u[1] = 0.5 * (U2 + w0 * x1)
-        grad[0, 0] = -0.25 * w0 * g
-        grad[1, 0] = 0.5 * w0
-        return u, p, grad
-
-    h2, h3 = h**2, h**3
-
-    if k == 1:
-        c = U1 + w0 * prof.R
-        H = 1.0 / h
-        A = g / 8.0
-        B = -g / h2
-        u[0] = c * H * x2
-        u[1] = c * (-A - 0.5 * B * x2sq)
-        grad[0, 0] = -c * x2 * g / h2
-        grad[0, 1] = c * H
-        dA = gp / 8.0
-        dB = -gp / h2 + 2.0 * g * g / h3
-        grad[1, 0] = c * (-dA - 0.5 * x2sq * dB)
-        grad[1, 1] = -c * B * x2
-        return u, p, grad
-
-    if k == 3:
-        H = -0.5 + eps / (2.0 * h)
-        A = eps * g / 16.0
-        B = -eps * g / (2.0 * h2)
-        dH = -eps * g / (2.0 * h2)
-        dA = eps * gp / 16.0
-        dB = -0.5 * eps * (gp / h2 - 2.0 * g * g / h3)
-        u[0] = w0 * H * x2
-        u[1] = w0 * (-A - 0.5 * B * x2sq)
-        grad[0, 0] = w0 * dH * x2
-        grad[0, 1] = w0 * H
-        grad[1, 0] = w0 * (-dA - 0.5 * x2sq * dB)
-        grad[1, 1] = -w0 * B * x2
-        return u, p, grad
-
-    raise ValueError(f"unknown 2D sub-flow index {k}")
+    u = np.empty((2, x1.size))
+    u[0] = 0.5 * (U1 + w0 * (prof.R - 0.5 * (prof.h_radial(x1) - prof.eps)))
+    u[1] = 0.5 * (U2 + w0 * x1)
+    grad = np.zeros((2, 2, x1.size))
+    grad[0, 0] = -0.25 * w0 * prof.dh(x1)
+    grad[1, 0] = 0.5 * w0
+    return u, np.zeros(x1.size), grad
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +626,8 @@ def eval_field_many(k: int, params: ProblemParams, *coords):
     with shapes ``(d, n)``, ``(n,)``, ``(d, d, n)``.
     """
     d = params.profile.dimension
+    if k not in subflow_indices(d):
+        raise ValueError(f"sub-flow index {k} invalid for dimension {d}")
     if len(coords) != d:
         raise ValueError(f"expected {d} coordinate arrays")
     arrs = [np.asarray(c, dtype=float).ravel() for c in coords]
@@ -705,10 +642,6 @@ def eval_field(k: int, params: ProblemParams, x) -> FieldEval:
     ``x`` is ``(x1, x2, x3)`` in 3D or ``(x1, x2)`` in 2D.  Sub-flows
     whose pressure vanishes identically return ``p = 0.0`` exactly.
     """
-    if k not in subflow_indices(params.profile.dimension):
-        raise ValueError(
-            f"sub-flow index {k} invalid for dimension {params.profile.dimension}"
-        )
     coords = [np.array([float(v)]) for v in x]
     u, p, grad = eval_field_many(k, params, *coords)
     return FieldEval(u=u[:, 0].copy(), p=float(p[0]), grad_u=grad[:, :, 0].copy())
@@ -719,7 +652,8 @@ def boundary_target(k: int, params: ProblemParams, sp: SurfacePoint) -> np.ndarr
 
     The targets are the even/odd split of the rigid-body data: the sum over
     all sub-flows equals ``U + omega x nu`` on the top boundary and ``0`` on
-    the bottom one.
+    the bottom one.  They are written out independently of the field
+    engines, so that the boundary checks compare two derivations.
     """
     prof = params.profile
     d = prof.dimension

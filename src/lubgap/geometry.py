@@ -127,7 +127,7 @@ class GapProfile:
         pts = [p for p in (self.boundary_layer_scale(), self.s) if 0.0 < p < self.r]
         return tuple(sorted(set(pts)))
 
-    # -- planar partial derivatives of h (3D) ------------------------------
+    # -- h and its first planar derivatives ---------------------------------
 
     def h(self, x1, x2=None):
         if self.dimension == 2:
@@ -144,36 +144,11 @@ class GapProfile:
                 fac = np.where(rho > self.s, 2.0 * (rho - self.s) / np.where(rho > 0, rho, 1.0), 0.0)
         return fac * x1, fac * x2
 
-    def h_hess(self, x1, x2):
-        """(d11 h, d12 h, d22 h) for a 3D profile."""
-        rho = np.hypot(x1, x2)
-        if self.kind == "m-convex":
-            a = self.m * _safe_pow(rho, self.m - 2.0)
-            b = self.m * (self.m - 2.0) * _safe_pow(rho, self.m - 4.0)
-            return a + b * x1 * x1, b * x1 * x2, a + b * x2 * x2
-        inside = rho <= self.s
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho_safe = np.where(rho > 0, rho, 1.0)
-            a = 2.0 * (1.0 - self.s / rho_safe)
-            b = 2.0 * self.s / rho_safe**3
-        h11 = np.where(inside, 0.0, a + b * x1 * x1)
-        h12 = np.where(inside, 0.0, b * x1 * x2)
-        h22 = np.where(inside, 0.0, a + b * x2 * x2)
-        return h11, h12, h22
-
-    # -- 2D derivatives -----------------------------------------------------
-
     def dh(self, x1):
         """d h / d x1 for a 2D profile (odd; 0 at the origin)."""
         if self.kind == "m-convex":
             return self.m * _safe_pow(np.abs(x1), self.m - 1.0) * np.sign(x1)
         return 2.0 * np.maximum(np.abs(x1) - self.s, 0.0) * np.sign(x1)
-
-    def d2h(self, x1):
-        """d2 h / d x1^2 for a 2D profile (even; flat-side limit at |x1|=s)."""
-        if self.kind == "m-convex":
-            return self.m * (self.m - 1.0) * _safe_pow(np.abs(x1), self.m - 2.0)
-        return np.where(np.abs(x1) > self.s, 2.0, 0.0)
 
 
 def _safe_pow(rho, p):

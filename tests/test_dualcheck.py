@@ -242,6 +242,26 @@ class TestExactDerivatives:
 
 
 class TestEll:
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6])
+    @pytest.mark.parametrize("kind, m, s", [("m-convex", 2.0, 0.0), ("m-convex", 2.5, 0.0),
+                                            ("m-convex", 4.0, 0.0), ("flat-capped", 2.0, 0.05)])
+    def test_discrepancy_diagonal_trace_free(self, kind, m, s, eps):
+        # the squeeze-type dual tensors correct the field's stress on the
+        # diagonal only, so the discrepancy D(u) - S'/(2 mu) that ell
+        # integrates is diagonal and, both parts being trace-free, trace-free
+        prof = GapProfile(kind=kind, m=m, s=s, eps=eps, r=0.5, R=2.0, dimension=3)
+        params = ProblemParams(profile=prof, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
+        rng = np.random.default_rng(RNG_SEED + 6)
+        x1, x2, _ = np.array(core_points(prof, 200, rng)).T
+        x3 = np.asarray(prof.h(x1, x2))[:, None] * np.linspace(-0.45, 0.45, 5)
+        for k in (3, 6):
+            E = dualcheck._discrepancy_many(k, params, x1, x2, x3)
+            diag = np.einsum("aan->an", E)
+            scale = np.max(np.abs(diag), axis=0)
+            off = np.max(np.abs(E - diag[:, None, :] * np.eye(3)[:, :, None]), axis=(0, 1))
+            assert np.all(off <= 1e-9 * scale)
+            assert np.all(np.abs(diag.sum(axis=0)) <= 1e-9 * scale)
+
     def test_symmetry(self, params3d):
         assert ell(1, 2, params3d) == pytest.approx(ell(2, 1, params3d), rel=1e-12)
 
@@ -338,18 +358,18 @@ class TestErrSweep:
 
     def test_values_pinned(self, params3d):
         # the sweep's values, bit for bit, with exact planar derivatives and
-        # exact rotation potentials; (1, 1), (1, 2) and (2, 2) do not read
-        # them and are unchanged, and the parity-zero cross pairs are
+        # exact rotation potentials; sub-flows 1 and 2 read the gradients
+        # of the shear-type engine, and the parity-zero cross pairs are
         # roundoff noise
         rep = err_sweep(params3d, (1e-1, 3e-2, 1e-2), QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
         assert rep.values == {
             (1, 1): (1.0622490324460758e-05, 2.701366556612739e-05, 5.454132400692836e-05),
-            (1, 2): (-1.6386532233023327e-23, -1.4057795909567846e-22, -1.374910786665229e-22),
-            (1, 3): (1.1195848887915275e-22, -2.110243138377419e-22, -1.6648866644425095e-22),
-            (1, 6): (-2.3839896244640988e-24, -8.258204757914442e-24, -2.516240292967304e-23),
-            (2, 2): (1.0622490324460746e-05, 2.7013665566127358e-05, 5.45413240069283e-05),
-            (2, 3): (-1.23845345256243e-22, 1.00989081730284e-21, -2.6190911015156575e-22),
-            (2, 6): (-1.796510429722801e-23, 5.4714742369398865e-24, -2.5159044149144386e-24),
+            (1, 2): (-4.1063840240854785e-23, -1.3597993278447176e-22, -1.6359868451240852e-22),
+            (1, 3): (3.2767028524839024e-22, -2.4649259877906117e-22, -2.0761512642415753e-22),
+            (1, 6): (-3.763039263628029e-24, -1.427254154050215e-23, -2.197489957209005e-23),
+            (2, 2): (1.0622490324460747e-05, 2.7013665566127358e-05, 5.454132400692831e-05),
+            (2, 3): (1.0955821699628874e-22, 1.9139592683480409e-22, 1.735994519106507e-22),
+            (2, 6): (-9.82917772645797e-24, 4.6003581248779154e-24, -2.4814179300821347e-23),
             (3, 3): (0.007806171439382997, 0.03444235004625884, 0.044456599749060716),
             (3, 6): (3.9109390507511284e-05, 8.306475608960255e-06, -5.745031919101951e-05),
             (6, 6): (5.60978536880518e-05, 2.5444685611451593e-05, 0.00018104386342161853),

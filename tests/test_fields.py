@@ -69,6 +69,15 @@ class TestSubflowIndices:
         assert subflow_indices(3) == (0, 1, 2, 3, 4, 5, 6)
         assert subflow_indices(2) == (0, 1, 2, 3, 4)
 
+    @pytest.mark.parametrize("dim, k", [(3, 7), (3, -1), (2, 5)])
+    def test_eval_rejects_unknown_index(self, dim, k, params3d, params2d):
+        params = params3d if dim == 3 else params2d
+        coords = [np.array([0.01])] * dim
+        with pytest.raises(ValueError):
+            eval_field_many(k, params, *coords)
+        with pytest.raises(ValueError):
+            eval_field(k, params, [0.01] * dim)
+
 
 class TestBoundaryConditions:
     @pytest.mark.parametrize("dim", [2, 3])
@@ -217,11 +226,11 @@ class TestGradients:
 
 
 NONCONSTANT_PRESSURE = {3: (3, 6), 2: (2, 4)}
+SHEAR_TYPE = {3: (1, 2, 4, 5), 2: (1, 3)}
 
 
-def _mp_planar_coefficients(k, params):
-    """``[(A_a, B_a)]`` of squeeze-type sub-flow ``k`` as mpmath functions of ``x'``."""
-    prof = params.profile
+def _mp_gap(prof):
+    """The gap ``h`` as an mpmath function of the planar coordinates."""
 
     def h(*x):
         rho = mpmath.sqrt(sum(t * t for t in x))
@@ -229,7 +238,13 @@ def _mp_planar_coefficients(k, params):
             return prof.eps + rho**prof.m
         return prof.eps + max(rho - prof.s, 0) ** 2
 
-    if prof.dimension == 2:
+    return h
+
+
+def _mp_planar_coefficients(k, params):
+    """``[(A_a, B_a)]`` of squeeze-type sub-flow ``k`` as mpmath functions of ``x'``."""
+    h = _mp_gap(params.profile)
+    if params.profile.dimension == 2:
         U2, w0 = params.U[1], params.omega
         if k == 2:
             return [(lambda a: 1.5 * U2 * a / h(a), lambda a: -2.0 * U2 * a / h(a) ** 3)]
@@ -242,6 +257,11 @@ def _mp_planar_coefficients(k, params):
             (lambda a, b: 0.75 * w1 * b * b / h(a, b), lambda a, b: -w1 * b * b / h(a, b) ** 3)]
 
 
+def _mp_derivative(xp):
+    """``D(f, *axes)``: the planar partial derivative of ``f`` at ``xp``."""
+    return lambda f, *axes: mpmath.diff(f, xp, tuple(axes.count(i) for i in range(len(xp))))
+
+
 def _mp_ansatz(coefs, xp, z):
     """``u`` and ``grad u`` of ``u_a = -(A_a + 3 B_a z^2)``, ``u_z = A z + B z^3``.
 
@@ -249,10 +269,7 @@ def _mp_ansatz(coefs, xp, z):
     divergence-free; every planar derivative is ``mpmath.diff``.
     """
     d = len(xp)
-
-    def D(f, *axes):
-        return mpmath.diff(f, xp, tuple(axes.count(i) for i in range(d)))
-
+    D = _mp_derivative(xp)
     u, grad = [], []
     for A, B in coefs:
         u.append(-(A(*xp) + 3 * B(*xp) * z * z))
@@ -269,43 +286,122 @@ def _mp_ansatz(coefs, xp, z):
     return np.array(u, dtype=float), np.array(grad, dtype=float)
 
 
+def _mp_shear_profile(k, params):
+    """``[V_a]`` of shear-type sub-flow ``k`` as mpmath functions of ``x'``.
+
+    Each ``V`` is read off the sub-flow's boundary data: ``z V`` takes the
+    tangential target at ``z = +-h/2``.
+    """
+    prof = params.profile
+    h, eps, R = _mp_gap(prof), prof.eps, prof.R
+    if prof.dimension == 2:
+        (U1, _U2), w0 = params.U, params.omega
+        if k == 1:
+            return [lambda a: (U1 + w0 * R) / h(a)]
+        return [lambda a: w0 * (eps / h(a) - 1) / 2]
+    (U1, U2, _U3), (w1, w2, w3) = params.U, params.omega
+    return {
+        1: [lambda a, b: (U1 - w2 * R) / h(a, b), lambda a, b: 0],
+        2: [lambda a, b: 0, lambda a, b: (U2 + w1 * R) / h(a, b)],
+        4: [lambda a, b: -w3 * b / h(a, b), lambda a, b: w3 * a / h(a, b)],
+        5: [lambda a, b: w2 * (1 - eps / h(a, b)) / 2, lambda a, b: -w1 * (1 - eps / h(a, b)) / 2],
+    }[k]
+
+
+def _mp_shear_ansatz(V, h, xp, z):
+    """``u`` and ``grad u`` of ``u' = z V``, ``u_z = (h^2/4 - z^2) div V / 2``.
+
+    The vertical velocity makes the field divergence-free and vanishes on
+    both boundaries; every planar derivative is ``mpmath.diff``.
+    """
+    d = len(xp)
+    D = _mp_derivative(xp)
+    divV = sum(D(Va, a) for a, Va in enumerate(V))
+    hv = h(*xp)
+    u = [z * Va(*xp) for Va in V] + [(hv * hv / 4 - z * z) * divV / 2]
+    grad = [[z * D(Va, j) for j in range(d)] + [Va(*xp)] for Va in V]
+    row = []
+    for j in range(d):
+        ddivV = sum(D(Va, a, j) for a, Va in enumerate(V))
+        row.append(hv * D(h, j) * divV / 4 + (hv * hv / 4 - z * z) * ddivV / 2)
+    grad.append(row + [-z * divV])
+    return np.array(u, dtype=float), np.array(grad, dtype=float)
+
+
+def _mp_reference(family, k, params):
+    """``(xp, z) -> (u, grad)`` of sub-flow ``k``'s ansatz in mpmath."""
+    if family == "squeeze":
+        coefs = _mp_planar_coefficients(k, params)
+        return lambda xp, z: _mp_ansatz(coefs, xp, z)
+    V, h = _mp_shear_profile(k, params), _mp_gap(params.profile)
+    return lambda xp, z: _mp_shear_ansatz(V, h, xp, z)
+
+
 _SQUEEZE_TYPE_PROFILES = [
     GapProfile.m_convex(3, m, 0.5, 1e-3, 2.0) for m in (2.0, 2.5, 4.0, 8.0)
 ] + [GapProfile.flat_capped(3, 0.5, 0.05, 1e-3, 2.0)] + [
     GapProfile.m_convex(2, m, 0.5, 1e-3, 2.0) for m in (1.2, 2.0, 4.0)
 ]
+_EXACT_IDS = ["m2", "m2.5", "m4", "m8", "flat", "2d-m1.2", "2d-m2", "2d-m4"]
+
+
+def _exact_case(prof):
+    """Motion and points of the exact tests: the axis, generic points, both
+    sides of the flat rim ``|x'| = 0.05``, each at two heights."""
+    if prof.dimension == 3:
+        params = ProblemParams(profile=prof, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
+        c, s = np.cos(0.7), np.sin(0.7)
+        planar = [(0.0, 0.0), (0.03, 0.07), (-0.09, 0.02), (0.011, -0.004), (0.2, -0.25),
+                  (0.049 * c, 0.049 * s), (0.051 * c, -0.051 * s)]
+    else:
+        params = ProblemParams(profile=prof, U=(0.4, -0.3), omega=0.25)
+        planar = [(0.0,), (0.03,), (-0.09,), (0.011,), (0.3,), (-0.049,), (0.051,)]
+    return params, [(*xp, f * float(prof.h(*xp))) for xp in planar for f in (0.3, -0.41)]
 
 
 class TestSqueezeTypeExact:
-    # the squeeze and rotation sub-flows against their ansatz, differentiated
-    # by mpmath from its definition: other m than the central-difference
-    # test, flat caps, and the limits on the axis
+    # the squeeze- and shear-type sub-flows against their ansatz,
+    # differentiated by mpmath from its definition: other m than the
+    # central-difference test, flat caps, and the limits on the axis
 
     @pytest.mark.parametrize(
-        "prof", _SQUEEZE_TYPE_PROFILES,
-        ids=["m2", "m2.5", "m4", "m8", "flat", "2d-m1.2", "2d-m2", "2d-m4"],
+        "prof, family",
+        [pytest.param(p, "squeeze", id=i) for p, i in zip(_SQUEEZE_TYPE_PROFILES, _EXACT_IDS)]
+        + [pytest.param(p, "shear", id="shear-" + i)
+           for p, i in zip(_SQUEEZE_TYPE_PROFILES, _EXACT_IDS)],
     )
-    def test_matches_mpmath(self, prof):
-        if prof.dimension == 3:
-            params = ProblemParams(profile=prof, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
-            # the axis, generic points, and both sides of the flat rim |x'| = 0.05
-            c, s = np.cos(0.7), np.sin(0.7)
-            planar = [(0.0, 0.0), (0.03, 0.07), (-0.09, 0.02), (0.011, -0.004), (0.2, -0.25),
-                      (0.049 * c, 0.049 * s), (0.051 * c, -0.051 * s)]
-        else:
-            params = ProblemParams(profile=prof, U=(0.4, -0.3), omega=0.25)
-            planar = [(0.0,), (0.03,), (-0.09,), (0.011,), (0.3,), (-0.049,), (0.051,)]
-        points = [(*xp, f * float(prof.h(*xp))) for xp in planar for f in (0.3, -0.41)]
+    def test_matches_mpmath(self, prof, family):
+        params, points = _exact_case(prof)
+        if family == "shear":
+            # a squeeze type is held at each point.  A shear type's V = (a +
+            # b/h) e cancels near the axis (k = 5: (1 - eps/h)/2), so it is
+            # held to its largest value over the points; and for m < 2 its
+            # d1 u2 ~ h'' is unbounded on the axis, which is left out
+            points = [x for x in points if prof.m >= 2.0 or x[0] != 0.0]
         coords = np.array(points).T
-        for k in NONCONSTANT_PRESSURE[prof.dimension]:
+        ks = (NONCONSTANT_PRESSURE if family == "squeeze" else SHEAR_TYPE)[prof.dimension]
+        for k in ks:
             u, _p, grad = eval_field_many(k, params, *coords)
-            coefs = _mp_planar_coefficients(k, params)
+            reference = _mp_reference(family, k, params)
             with mpmath.workdps(30):
-                for n, x in enumerate(points):
-                    want_u, want_grad = _mp_ansatz(coefs, tuple(map(mpmath.mpf, x[:-1])), x[-1])
-                    for got, want in ((u[:, n], want_u), (grad[:, :, n], want_grad)):
-                        scale = np.max(np.abs(want))
-                        assert np.max(np.abs(got - want)) <= 1e-12 * scale, (k, x)
+                want = [reference(tuple(map(mpmath.mpf, x[:-1])), x[-1]) for x in points]
+            for got, ref in ((u, [w[0] for w in want]), (grad, [w[1] for w in want])):
+                ref = np.moveaxis(np.array(ref), 0, -1)
+                scale = np.abs(ref).reshape(-1, len(points)).max(axis=0)
+                if family == "shear":
+                    scale = scale.max()
+                err = np.abs(got - ref).reshape(-1, len(points)).max(axis=0)
+                assert np.all(err <= 1e-12 * scale), (k, points[int(np.argmax(err / scale))])
+
+    @pytest.mark.parametrize("prof", [_SQUEEZE_TYPE_PROFILES[1], _SQUEEZE_TYPE_PROFILES[4]],
+                             ids=["m2.5", "flat"])
+    def test_spin_vertical_row_exactly_zero(self, prof):
+        # V = omega3 J x' / h is divergence-free for radial h, so the
+        # vertical spin has no vertical velocity, bit for bit
+        params, points = _exact_case(prof)
+        u, _p, grad = eval_field_many(4, params, *np.array(points).T)
+        assert np.all(u[2] == 0.0)
+        assert np.all(grad[2] == 0.0)
 
 
 def _stokes_residual(k, params, x, step):
