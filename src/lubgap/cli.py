@@ -33,13 +33,14 @@ from dataclasses import replace
 import numpy as np
 
 from . import dualcheck
-from .asymptotics import fit_exponent, force_asymptotic
+from .asymptotics import force_asymptotic
 from .config import MODES, ConfigError, RunConfig, load_config
 from .fields import boundary_target, eval_field_many, subflow_indices
 from .fields import eval_field  # noqa: F401 - a name perfbench wraps and calls
 from .geometry import FlatHypothesisError, surface_sample
 from .quadrature import QuadratureError, QuadResult
-from .report import Report, build_report, render_csv, render_json, serialize_ell_report
+from .report import Report, build_report, component_names, render_csv, render_json
+from .report import serialize_ell_report
 from .special import TABULATED_PAIRS, ToleranceNotMet, gamma_coeff, phi, psi
 from .traction import total_numeric  # noqa: F401 - a name perfbench.tracing wraps
 
@@ -346,8 +347,6 @@ def _suite_dual(config: RunConfig) -> tuple[list[dict], dict]:
     if params.profile.dimension != 3:
         raise ConfigError("the dual suite requires a 3D profile", source="<cli>")
     grid = config.sweep.grid() if config.sweep is not None else _DUAL_EPS_GRID
-    if len(grid) < 3:
-        grid = _DUAL_EPS_GRID
     rep = dualcheck.err_sweep(params, grid)
     checks = []
     for pair in rep.pairs:
@@ -379,8 +378,6 @@ def _suite_exponents(config: RunConfig) -> tuple[list[dict], Report]:
     report = build_report(replace(config, mode="numeric"))
     theorem = force_asymptotic(config.problem, config.override_flat_hypothesis)
     dim = config.problem.profile.dimension
-    from .report import component_names
-
     names = component_names(dim)
     exps = (*theorem.F, *theorem.T) if dim == 3 else (*theorem.F, theorem.T)
     checks = []

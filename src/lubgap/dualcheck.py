@@ -19,6 +19,16 @@ This module evaluates that machinery numerically at desk scale:
   product of the dual discrepancies of two sub-flows,
 * :func:`err_sweep` -- boundedness sweep of ``ell`` over an epsilon grid.
 
+The check computes only the numbers it reports.  For the squeeze and
+rotation sub-flows ``S`` is ``2 mu D(u)`` off the diagonal and
+``2 mu D(u) - p + q_a`` on it, and ``div u = 0``, so their discrepancy is
+the diagonal ``-(q_a - qbar) / (2 mu)``: their ``ell`` reads the
+corrections alone and evaluates no field at the volume points.  The cross pairs of a translation
+shear with a squeeze or rotation vanish because their integrand is odd
+under ``x3 -> -x3``, and the pair of the two shears because its integrand
+is odd under ``x1 -> -x1``; :func:`err_sweep` records these five as exact
+zeros without integrating them (:func:`ell` still integrates any pair).
+
 For the exact solution the energy identity pins the energy to
 ``-(U.F + omega.T)/2``, so the energy check here is a blow-up-slope
 consistency test against the force asymptotics, not an equality test.
@@ -26,10 +36,9 @@ consistency test against the force asymptotics, not an equality test.
 Every construction coefficient is ``c x1^p / h^n`` or its ``x2`` mirror,
 and its planar derivatives are exact; they come from the coefficient engine
 of the fields, :func:`lubgap.fields._coefficient_derivs`, which adds the
-third-order ``d_a lap`` terms the diagonal corrections need.  The shear
-tensors read the field's own gradient; the squeeze and rotation tensors
-assemble it from the same engine call that gives their corrections.  The
-inner integrals defining ``q_1`` and ``q_2`` are exact: the squeeze's are
+third-order ``d_a lap`` terms the diagonal corrections need.  A dual
+tensor reads the field's own gradient and pressure from one field call.
+The inner integrals defining ``q_1`` and ``q_2`` are exact: the squeeze's are
 closed-form (one vanishes identically, the other is a difference of ``B3``
 values), the rotation's are differences of coefficient derivatives plus
 ``d22`` of the running integrals ``Q_1`` and ``Q_3``
@@ -50,7 +59,6 @@ from .fields import (
     _eval3,
     _running_integral,
     _squeeze_type,
-    _squeeze_type_grad,
     subflow_indices,
     subflow_scale,
 )
@@ -136,27 +144,44 @@ def _volume_points(x1, x2, x3):
     return np.repeat(x1, g), np.repeat(x2, g), x3.reshape(-1)
 
 
-def _dual_tensor_many(k, params, x1, x2, x3, pressure=True):
+def _corrections(k, params, x1, x2, x3):
+    """Diagonal corrections ``(q1, q2, q3)`` of squeeze-type sub-flow ``k``; (n, g) each.
+
+    The points are given as for :func:`_dual_tensor_many`.  One engine call
+    per planar point gives the third-order ``d_a lap`` terms of ``q3``;
+    ``q_2`` reads the potentials of ``q_1`` at swapped coordinates
+    ``(x2, x1)`` and amplitudes.
+    """
+    prof = params.profile
+    mu = params.mu
+    power, c = _squeeze_type(k, params)
+    A1, A2, B1, B2 = _coefficient_derivs(prof, power, c, x1, x2, third=True)
+    if k == 3:
+        QA1 = QA2 = 0.0
+        QB1, QB2 = _squeeze_qb(prof, c[0], x1, x2), _squeeze_qb(prof, c[1], x2, x1)
+    else:
+        QA1, QB1 = _rotation_potentials(prof, c, x1, x2)
+        QA2, QB2 = _rotation_potentials(prof, c[::-1], x2, x1)
+        QA1, QA2 = QA1[:, None], QA2[:, None]
+    lapA3, lapB3 = A1[6] + A2[6], B1[6] + B2[6]
+    x3sq = x3 * x3
+    q1 = mu * (QA1 + 3.0 * x3sq * QB1[:, None])
+    q2 = mu * (QA2 + 3.0 * x3sq * QB2[:, None])
+    q3 = -mu * (0.5 * lapA3[:, None] * x3sq + 0.25 * lapB3[:, None] * x3sq * x3sq)
+    return q1, q2, q3
+
+
+def _dual_tensor_many(k, params, x1, x2, x3):
     """Dual tensor ``S(k)`` and the field gradient of sub-flow ``k``; (3, 3, n*g) each.
 
     The points are the planar points ``(x1, x2)``, shape (n,), each under
     the heights ``x3``, shape (n, g), flattened as in :func:`_volume_points`.
-    Every quantity of ``x'`` alone is computed once per planar point and
-    broadcast over ``x3``; for k = 3, 6 that includes the coefficient
-    derivatives the gradient is assembled from.  The tensor is zero outside
-    the core region ``{|x'| < r/4, |x3| < h/2}`` and for the sub-flows 0,
-    4, 5.  ``pressure=False`` leaves out the pressure, an isotropic part
-    that the dual discrepancy removes with the trace.
+    The tensor is zero outside the core region ``{|x'| < r/4, |x3| < h/2}``
+    and for the sub-flows 0, 4, 5.
     """
     prof = params.profile
     mu = params.mu
-    if k in (3, 6):
-        power, c = _squeeze_type(k, params)
-        coefs = _coefficient_derivs(prof, power, c, x1, x2, third=True)
-        planar = [[f[:, None] for f in C] for C in coefs]
-        grad = _squeeze_type_grad(planar[:2], planar[2:], x3)[0].reshape(3, 3, -1)
-    else:
-        grad = _eval3(k, params, *_volume_points(x1, x2, x3))[2]
+    _u, p, grad = _eval3(k, params, *_volume_points(x1, x2, x3))
     S = np.zeros_like(grad)
     if k in (0, 4, 5) or subflow_scale(k, params) == 0.0:
         return S, grad
@@ -171,29 +196,12 @@ def _dual_tensor_many(k, params, x1, x2, x3, pressure=True):
         S[2, 2] = mu * grad[2, 2]
         return S * inside, grad
 
-    # k in (3, 6): correct the field's own stress on the diagonal; q_2 reads
-    # the potentials of q_1 at swapped coordinates (x2, x1) and amplitudes
-    if k == 3:
-        QA1 = QA2 = 0.0
-        QB1, QB2 = _squeeze_qb(prof, c[0], x1, x2), _squeeze_qb(prof, c[1], x2, x1)
-    else:
-        QA1, QB1 = _rotation_potentials(prof, c, x1, x2)
-        QA2, QB2 = _rotation_potentials(prof, c[::-1], x2, x1)
-        QA1, QA2 = QA1[:, None], QA2[:, None]
-    A1, A2, B1, B2 = coefs
-    lapA3, lapB3 = A1[6] + A2[6], B1[6] + B2[6]
-    x3sq = x3 * x3
-    q1 = mu * (QA1 + 3.0 * x3sq * QB1[:, None])
-    q2 = mu * (QA2 + 3.0 * x3sq * QB2[:, None])
-    q3 = -mu * (0.5 * lapA3[:, None] * x3sq + 0.25 * lapB3[:, None] * x3sq * x3sq)
-    p = _eval3(k, params, *_volume_points(x1, x2, x3))[1] if pressure else 0.0
-
+    # k in (3, 6): correct the field's own stress on the diagonal
     for a in range(3):
         for b in range(a + 1, 3):
             S[a, b] = S[b, a] = mu * (grad[a, b] + grad[b, a])
-    S[0, 0] = 2.0 * mu * grad[0, 0] - p + q1.reshape(-1)
-    S[1, 1] = 2.0 * mu * grad[1, 1] - p + q2.reshape(-1)
-    S[2, 2] = 2.0 * mu * grad[2, 2] - p + q3.reshape(-1)
+    for a, q in enumerate(_corrections(k, params, x1, x2, x3)):
+        S[a, a] = 2.0 * mu * grad[a, a] - p + q.reshape(-1)
     return S * inside, grad
 
 
@@ -286,10 +294,15 @@ def energy(params: ProblemParams, spec: QuadSpec | None = None) -> float:
 def _discrepancy_many(k, params, x1, x2, x3):
     """``D(u(k)) - (S(k) - tr S(k)/3 E) / (2 mu)``; (3, 3, n*g).
 
-    The points are given as for :func:`_dual_tensor_many`.
+    The points are given as for :func:`_dual_tensor_many`.  For k = 3, 6 it
+    is the diagonal ``-(q_a - qbar) / (2 mu)`` of the corrections alone,
+    ``qbar`` their mean (see the module docstring).
     """
     mu = params.mu
-    S, grad = _dual_tensor_many(k, params, x1, x2, x3, pressure=False)
+    if k in (3, 6):
+        q = np.stack(_corrections(k, params, x1, x2, x3)).reshape(3, -1)
+        return np.eye(3)[:, :, None] * ((q.mean(axis=0) - q) / (2.0 * mu))
+    S, grad = _dual_tensor_many(k, params, x1, x2, x3)
     D = 0.5 * (grad + grad.transpose(1, 0, 2))
     tr = S[0, 0] + S[1, 1] + S[2, 2]
     for a in range(3):
@@ -336,8 +349,8 @@ class EllReport:
 
     ``eps_grid`` is strictly decreasing; ``values[p]`` aligns with it for
     every pair ``p``; ``slopes[p]`` is the fitted slope of ``log |ell|``
-    against ``log eps`` (negative means growth as the gap closes);
-    ``violations`` lists the pairs whose slope falls below -0.2.
+    against ``log eps`` (negative means growth as the gap closes), or
+    ``None`` when a value is zero; ``violations`` lists the pairs whose slope falls below -0.2.
     """
 
     pairs: tuple
@@ -352,6 +365,9 @@ class EllReport:
 
 
 _SWEEP_SUBFLOWS = (1, 2, 3, 6)
+# cross pairs whose integrand is odd under x3 -> -x3 (a shear with a squeeze
+# type) or x1 -> -x1 (the two shears); see the module docstring
+_PARITY_ZERO = ((1, 2), (1, 3), (1, 6), (2, 3), (2, 6))
 
 
 def err_sweep(params: ProblemParams, eps_list, spec: QuadSpec | None = None) -> EllReport:
@@ -359,8 +375,10 @@ def err_sweep(params: ProblemParams, eps_list, spec: QuadSpec | None = None) -> 
 
     Covers the diagonal pairs ``(i, i)`` for the four sub-flows with nonzero
     dual tensors and every cross pair among them whose velocity scales are
-    nonzero.  The pairs run serially, one epsilon after another.
-    A fitted slope below -0.2 flags a boundedness violation.
+    nonzero.  Only the diagonal pairs and (3, 6) are integrated, serially,
+    one epsilon after another; the parity-zero pairs read exactly 0.0.
+    A pair with a zero value gets no slope; a fitted slope below -0.2
+    flags a boundedness violation.
     """
     eps_grid = tuple(sorted((float(e) for e in eps_list), reverse=True))
     if len(eps_grid) < 3:
@@ -379,23 +397,15 @@ def err_sweep(params: ProblemParams, eps_list, spec: QuadSpec | None = None) -> 
     for e in eps_grid:
         par = replace(params, profile=replace(params.profile, eps=e))
         for a, b in pairs:
-            values[(a, b)].append(ell(a, b, par, spec))
+            values[(a, b)].append(0.0 if (a, b) in _PARITY_ZERO else ell(a, b, par, spec))
     values = {pair: tuple(vals) for pair, vals in values.items()}
 
     slopes = {}
     violations = []
     log_eps = np.log(eps_grid)
     for pair, vals in values.items():
-        a, b = pair
         arr = np.abs(np.asarray(vals))
-        # Cross pairs that vanish identically (e.g. by parity) come back as
-        # quadrature noise; judge that against the Cauchy-Schwarz scale of
-        # the two diagonals instead of fitting a slope to roundoff.
-        floor = 1e-9 * np.sqrt(
-            max(max(np.abs(values[(a, a)])), 1e-300)
-            * max(max(np.abs(values[(b, b)])), 1e-300)
-        )
-        if np.any(arr == 0.0) or (a != b and np.max(arr) < floor):
+        if np.any(arr == 0.0):
             slopes[pair] = None
             continue
         slope = float(np.polyfit(log_eps, np.log(arr), 1)[0])

@@ -440,31 +440,6 @@ def _coefficient_derivs(profile, p, c, x1, x2, third=False):
     return out
 
 
-def _squeeze_type_grad(A, B, z):
-    """Velocity gradient of a squeeze-type sub-flow, with ``A3`` and ``B3``.
-
-    ``A`` and ``B`` hold the coefficient derivatives of
-    :func:`_coefficient_derivs` per planar axis, ``z`` the heights; they
-    broadcast against each other, so planar quantities of shape ``(n, 1)``
-    serve heights of shape ``(n, g)``.  Returns ``grad`` of shape ``(d + 1,
-    d + 1) + shape``, ``A3 = sum_a d_a A_a`` and ``B3 = sum_a d_a B_a``.
-    """
-    d = len(A)
-    zsq = z * z
-    grad = np.empty((d + 1, d + 1) + np.broadcast(A[0][0], z).shape)
-    for a in range(d):
-        grad[a, d] = -6.0 * B[a][0] * z
-        for j in range(d):
-            grad[a, j] = -(A[a][1 + j] + 3.0 * B[a][1 + j] * zsq)
-    A3, B3 = (sum(C[a][1 + a] for a in range(d)) for C in (A, B))
-    grad[d, d] = A3 + 3.0 * B3 * zsq
-    for j in range(d):
-        # d_j A3 = sum_a d_ja A_a
-        A3j, B3j = (sum(C[a][3 + a + j] for a in range(d)) for C in (A, B))
-        grad[d, j] = A3j * z + B3j * z * zsq
-    return grad, A3, B3
-
-
 def _eval_squeeze_type(k, params, x1, x2, z):
     """``(u, pressure, grad)`` of a squeeze-type sub-flow at height ``z``.
 
@@ -480,12 +455,21 @@ def _eval_squeeze_type(k, params, x1, x2, z):
     d = len(c)
     coefs = _coefficient_derivs(prof, p, c, x1, x2)
     A, B = coefs[:d], coefs[d:]
-    grad, A3, B3 = _squeeze_type_grad(A, B, z)
     zsq = z * z
     u = np.empty((d + 1, z.size))
+    grad = np.empty((d + 1, d + 1, z.size))
     for a in range(d):
         u[a] = -(A[a][0] + 3.0 * B[a][0] * zsq)
+        grad[a, d] = -6.0 * B[a][0] * z
+        for j in range(d):
+            grad[a, j] = -(A[a][1 + j] + 3.0 * B[a][1 + j] * zsq)
+    A3, B3 = (sum(C[a][1 + a] for a in range(d)) for C in (A, B))
     u[d] = A3 * z + B3 * z * zsq
+    grad[d, d] = A3 + 3.0 * B3 * zsq
+    for j in range(d):
+        # d_j A3 = sum_a d_ja A_a
+        A3j, B3j = (sum(C[a][3 + a + j] for a in range(d)) for C in (A, B))
+        grad[d, j] = A3j * z + B3j * z * zsq
     if p == 1:
         # radial: c int_r^|x'| t / h^3 dt, a difference of kernel tails
         G = -c[0] * (_kernel_tail(prof, 1, np.hypot(x1, x2)) - _kernel_tail(prof, 1, prof.r))

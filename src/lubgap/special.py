@@ -227,18 +227,6 @@ class AsymptoticExpansion:
             base + _evaluate_terms(self.residual.upper, eps),
         )
 
-    def scaled(self, factor: float) -> "AsymptoticExpansion":
-        scale = lambda ts: tuple(
-            AsymptoticTerm(factor * t.coeff, t.power, t.is_log) for t in ts
-        )
-        residual = self.residual
-        if residual is not None:
-            lo, up = scale(residual.lower), scale(residual.upper)
-            if factor < 0:
-                lo, up = up, lo
-            residual = IntervalResidual(lo, up)
-        return AsymptoticExpansion(scale(self.terms), residual)
-
 
 # ---------------------------------------------------------------------------
 # integral families

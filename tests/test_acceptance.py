@@ -527,10 +527,11 @@ class TestDualBoundedness:
     # genuinely grow as the gap closes (like |ln eps| and a high inverse
     # power of eps respectively), so the boundedness assertion fails for
     # those two indices; the failures are real properties of the
-    # construction, not integration artifacts.  Exact planar derivatives
-    # and closed-form squeeze potentials left the slopes at -0.3176 and
-    # -4.9003 (-0.3175 and -4.9003 with finite differences and a squeeze
-    # table), which rules the numerics out.
+    # construction, not integration artifacts.  Exact planar derivatives,
+    # closed-form squeeze potentials and the discrepancy from the diagonal
+    # corrections alone left the slopes at -0.3176 and -4.9003 (-0.3175
+    # and -4.9003 with finite differences and a squeeze table), which
+    # rules the numerics out.
     @pytest.mark.parametrize("i", [1, 2, 3, 6])
     def test_diagonal_bounded(self, dual_report, i):
         slope = dual_report.slopes[(i, i)]
