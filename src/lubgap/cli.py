@@ -27,10 +27,12 @@ Exit codes: 0 success, 1 configuration error, 2 computation failure,
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401 - argparse's gettext imports it lazily on the first parse
 import sys
 from dataclasses import replace
 
 import numpy as np
+import numpy.random  # noqa: F401 - numpy loads it lazily; the bc/div suites need it
 
 from . import dualcheck
 from .asymptotics import force_asymptotic

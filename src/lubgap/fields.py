@@ -175,6 +175,12 @@ def _kernel_tail(profile: GapProfile, j: int, rho):
     return tail + disc
 
 
+@lru_cache(maxsize=64)
+def _kernel_tail_at(profile: GapProfile, j: int, rho: float) -> float:
+    """:func:`_kernel_tail` at one ``rho``, kept per profile: the constants ``T(0)``, ``T(r)``."""
+    return float(_kernel_tail(profile, j, rho))
+
+
 def _graded_nodes(lo: float, hi: float, centers, delta: float, n_side=56, n_uniform=33):
     """Node set on [lo, hi]: coarse uniform background plus sinh-graded
     clusters (inner spacing ~delta) around each center."""
@@ -472,13 +478,14 @@ def _eval_squeeze_type(k, params, x1, x2, z):
         grad[d, j] = A3j * z + B3j * z * zsq
     if p == 1:
         # radial: c int_r^|x'| t / h^3 dt, a difference of kernel tails
-        G = -c[0] * (_kernel_tail(prof, 1, np.hypot(x1, x2)) - _kernel_tail(prof, 1, prof.r))
+        G = -c[0] * (_kernel_tail(prof, 1, np.hypot(x1, x2)) - _kernel_tail_at(prof, 1, prof.r))
     elif d == 2:
         q12, qr2, q21, qr1 = _rotation_q(prof, x1, x2)
         G = c[0] * (q12 - qr2) + c[1] * (q21 + qr1)
     else:
         # int_0^x t^2 / h^3 dt = T(0) - T(x) for the kernel tail T
-        T0, Tx, Tr = (_kernel_tail(prof, 2, t) for t in (0.0, np.abs(x1), prof.r))
+        T0, Tr = (_kernel_tail_at(prof, 2, t) for t in (0.0, prof.r))
+        Tx = _kernel_tail(prof, 2, np.abs(x1))
         G = c[0] * (np.sign(x1) * (T0 - Tx) + (T0 - Tr))
     return u, params.mu * (3.0 * B3 * zsq - A3 - 6.0 * G), grad
 

@@ -199,45 +199,40 @@ def integrate_vector(
     panels = []
     nevals = 0
     counter = 0  # tie-breaker keeps the heap order deterministic
-    for (lo, hi) in _initial_panels(a, b, spec):
+    running = 0.0  # (values, errors, resabs) summed over the heap, for the stop test
+
+    def push(lo, hi):
+        nonlocal nevals, counter, running
         resk, err, resabs, n = _panel(fvec, lo, hi)
+        parts = np.array((resk, err, resabs))
         nevals += n
         counter += 1
-        heapq.heappush(
-            panels, (-float(err[:ncheck].sum()), counter, lo, hi, resk, err, resabs)
-        )
+        running = running + parts
+        heapq.heappush(panels, (-float(err[:ncheck].sum()), counter, lo, hi, parts))
 
-    def totals():
-        vs = sum(p[4] for p in panels)
-        es = sum(p[5] for p in panels)
-        rs = sum(p[6] for p in panels)
-        return vs, es, rs
+    for (lo, hi) in _initial_panels(a, b, spec):
+        push(lo, hi)
 
     while True:
-        values, errors, resabs = totals()
+        values, errors, resabs = running
         target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))
-        floor = sum(50.0 * _EPS * p[6] for p in panels)
-        done = (errors <= target) | (errors <= floor)
-        if np.all(done[:ncheck]):
+        done = (errors <= target) | (errors <= 50.0 * _EPS * resabs)
+        if np.all(done[:ncheck]) or len(panels) >= spec.max_subdivisions:
             break
-        if len(panels) >= spec.max_subdivisions:
-            errors = errors + 1e-15 * resabs
-            raise QuadratureError(
-                "subdivision budget exhausted",
-                QuadResult(float(values[0]), float(errors[0]), nevals),
-            )
-        _, _, lo, hi, _, _, _ = heapq.heappop(panels)
+        _, _, lo, hi, parts = heapq.heappop(panels)
+        running = running - parts
         mid = 0.5 * (lo + hi)
-        for (p, q) in ((lo, mid), (mid, hi)):
-            resk, err, rab, n = _panel(fvec, p, q)
-            nevals += n
-            counter += 1
-            heapq.heappush(
-                panels, (-float(err[:ncheck].sum()), counter, p, q, resk, err, rab)
-            )
+        push(lo, mid)
+        push(mid, hi)
 
-    values, errors, resabs = totals()
+    # the reported totals are summed afresh from the heap
+    values, errors, resabs = sum(p[4] for p in panels)
     errors = errors + 1e-15 * resabs
+    if not np.all(done[:ncheck]):
+        raise QuadratureError(
+            "subdivision budget exhausted",
+            QuadResult(float(values[0]), float(errors[0]), nevals),
+        )
     return values, errors, nevals
 
 

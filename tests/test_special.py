@@ -188,21 +188,51 @@ class TestGapTail:
     @pytest.mark.parametrize("m", [1.2, 2.0, 2.5, 4.0, 8.0])
     @pytest.mark.parametrize("i, j", [(3, 0), (3, 1), (3, 2)])
     def test_matches_mpmath(self, i, j, m):
-        # the incomplete Beta form, evaluated live in 30-digit arithmetic
+        # the incomplete Beta form, evaluated live in 50-digit arithmetic:
+        # 1/(1+w) must keep the digits of w down to w = 1e-24
         r = 0.5
-        with mpmath.workdps(30):
+        with mpmath.workdps(50):
             a = mpmath.mpf(j + 1) / m
             b = i - a
             for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
                 delta = eps ** (1.0 / m)
-                rhos = [0.0, 0.3 * delta, delta, 7.0 * delta, 0.1, r]
+                rhos = [0.0, 1e-3 * delta, 1e-2 * delta, 0.3 * delta, delta, 7.0 * delta, 0.1, r]
                 got = gap_tail(i, j, m, np.array(rhos), eps)
                 for rho, g in zip(rhos, got):
                     w = mpmath.mpf(rho) ** m / eps
                     ref = mpmath.mpf(eps) ** (a - i) / m * mpmath.betainc(
                         b, a, 0, 1 / (1 + w), regularized=False
                     )
-                    assert g == pytest.approx(float(ref), rel=1e-11)
+                    assert g == pytest.approx(float(ref), rel=1e-13)
+
+    @pytest.mark.parametrize("m", [1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0])
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_incomplete_beta_matches_mpmath(self, j, m):
+        # at eps = 1 the tail is B_{1/(1+w)}(b, a)/m with w = rho^m: the
+        # numpy incomplete Beta over w from 1e-20 to 1e12, through the
+        # branch switch at w = 1
+        ws = np.concatenate([np.logspace(-20, 12, 33), np.linspace(0.25, 4.0, 16), [1.0]])
+        rhos = ws ** (1.0 / m)
+        got = gap_tail(3, j, m, rhos, 1.0)
+        with mpmath.workdps(50):
+            a = mpmath.mpf(j + 1) / m
+            for rho, g in zip(rhos, got):
+                x = 1 / (1 + mpmath.mpf(rho) ** m)
+                ref = mpmath.betainc(3 - a, a, 0, x, regularized=False) / m
+                assert g == pytest.approx(float(ref), rel=1e-13)
+
+    def test_elementary_tail_is_the_beta_form(self):
+        # m = 2, j = 1 takes the closed form 1/(2(i-1)(eps + rho^2)^(i-1))
+        rhos = np.array([0.0, 1e-6, 1e-3, 0.03, 0.1, 0.5, 3.0])
+        for i, eps in ((3, 1e-3), (3, 1e-8), (2, 1e-5)):
+            got = gap_tail(i, 1, 2.0, rhos, eps)
+            with mpmath.workdps(30):
+                for rho, g in zip(rhos, got):
+                    w = mpmath.mpf(rho) ** 2 / eps
+                    ref = mpmath.mpf(eps) ** (1 - i) / 2 * mpmath.betainc(
+                        i - 1, 1, 0, 1 / (1 + w), regularized=False
+                    )
+                    assert g == pytest.approx(float(ref), rel=1e-13)
 
     @pytest.mark.parametrize(
         "i, j, m, eps",
