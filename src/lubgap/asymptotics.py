@@ -159,25 +159,20 @@ def force_asymptotic_3d(params: ProblemParams) -> TheoremResult:
     p3 = 3.0 - 4.0 / m
     if m == 2.0:
         shear_pow = "log"
-        p1_coeff = 1.0
         lo1, up1 = 0.25 * r**2, 2.0 * r**2
     else:
         shear_pow = 1.0 - 2.0 / m
-        p1_coeff = 1.0
         lo1, up1 = 2.0 ** (-m) * r**m, 2.0 ** (m / 2.0) * r**m
-
-    def shear_terms(coeff):
-        return ((coeff * p1_coeff, shear_pow),)
 
     extra_F1 = () if m == 2.0 else ((w2 * a34, 2.0 - 4.0 / m),)
     extra_F2 = () if m == 2.0 else ((-w1 * a34, 2.0 - 4.0 / m),)
 
     F1 = AsymptoticExpansion(
-        _terms(*shear_terms(-cu1 * a12), *extra_F1),
+        _terms((-cu1 * a12, shear_pow), *extra_F1),
         _interval([(w2 * lo1 * a34, p3)], [(w2 * up1 * a34, p3)], keep),
     )
     F2 = AsymptoticExpansion(
-        _terms(*shear_terms(-cu2 * a12), *extra_F2),
+        _terms((-cu2 * a12, shear_pow), *extra_F2),
         _interval([(-w1 * up1 * a34, p3)], [(-w1 * lo1 * a34, p3)], keep),
     )
     F3 = AsymptoticExpansion(
@@ -187,11 +182,11 @@ def force_asymptotic_3d(params: ProblemParams) -> TheoremResult:
         ),
     )
     T1 = AsymptoticExpansion(
-        _terms(*shear_terms(-R * cu2 * a12)),
+        _terms((-R * cu2 * a12, shear_pow)),
         _interval([(w1 * r**2 * b1, p3)], [(w1 * r**2 * b2, p3)], keep),
     )
     T2 = AsymptoticExpansion(
-        _terms(*shear_terms(R * cu1 * a12)),
+        _terms((R * cu1 * a12, shear_pow)),
         _interval([(w2 * r**2 * b1, p3)], [(w2 * r**2 * b2, p3)], keep),
     )
     T3 = AsymptoticExpansion(())
@@ -349,9 +344,7 @@ def force_asymptotic_2d(params: ProblemParams) -> TheoremResult:
         entries.append(("alpha13", a13))
 
     T_pairs = [(-R * cu * a11, pshear), (w0 * r**2 * beta, psq)]
-    if m <= 1.5 + tol:
-        pass
-    elif abs(m - 5.0 / 3.0) <= tol:
+    if abs(m - 5.0 / 3.0) <= tol:
         T_pairs = [
             (-(18.0 / 5.0) * mu * w0, "log"),
             (-R * w0 * a33, 0.2),
@@ -366,7 +359,7 @@ def force_asymptotic_2d(params: ProblemParams) -> TheoremResult:
             (-w0 * a35, 4.0 / 3.0),
             (w0 * r**2 * beta, 2.0),
         ]
-    else:
+    elif m > 1.5 + tol:
         T_pairs.append((-R * w0 * a33, pmid))
         if m > 5.0 / 3.0:
             T_pairs.append((-w0 * a35, 3.0 - 5.0 / m))

@@ -250,9 +250,9 @@ def _rigid_mean_divergence(params, x):
     """
     prof = params.profile
     if prof.dimension == 3:
-        g1, g2 = prof.h_grad(x[0], x[1])
-        return 0.25 * (params.omega[1] * g1 - params.omega[0] * g2)
-    return -0.25 * params.omega * prof.dh(x[0])
+        H1 = prof.radial_jet(np.hypot(x[0], x[1]), 1)[0]
+        return 0.25 * (params.omega[1] * H1 * x[0] - params.omega[0] * H1 * x[1])
+    return -0.25 * params.omega * prof.radial_jet(np.abs(x[0]), 1)[0] * x[0]
 
 
 def _suite_div(config: RunConfig, npoints: int = 100) -> list[dict]:
@@ -293,8 +293,8 @@ def _suite_div(config: RunConfig, npoints: int = 100) -> list[dict]:
         # the points moved by +step and -step along each axis: (2, axis, coord, point)
         dx = np.eye(3)[:, :, None] * step[:, None, :]
         pts = np.stack([x + dx, x - dx])
-        p1, p2, p3 = pts.transpose(2, 0, 1, 3).reshape(3, -1)
-        S = dualcheck._dual_tensor_many(3, params, p1, p2, p3[:, None])[0].reshape(3, 3, 2, 3, -1)
+        p1, p2, p3 = pts.transpose(2, 0, 1, 3).reshape(3, -1, 1)
+        S = dualcheck._dual_tensor_many(3, params, p1, p2, p3)[0].reshape(3, 3, 2, 3, -1)
         dS = (S[:, :, 0] - S[:, :, 1]) / (2.0 * step)  # (row, col, axis, point)
         rowdiv = sum(dS[axis, :, axis] for axis in range(3))
         sscale = np.max(np.abs(dS), axis=(0, 1, 2))

@@ -13,8 +13,9 @@ artifact.  Sections:
     ``mu``, ``U`` (comma-separated, dimension components), ``omega``
     (three comma-separated values in 3D, a scalar in 2D).
 ``[quadrature]`` (optional)
-    ``rel_tol``, ``abs_tol``, ``max_subdivisions`` of the numeric force
-    route.  ``rel_tol`` defaults to
+    ``rel_tol``, ``max_subdivisions`` of the numeric force route; the
+    absolute tolerance is set from a probe of each integral, not
+    configured.  ``rel_tol`` defaults to
     :data:`lubgap.quadrature.DEFAULT_REL_TOL` (1e-8), the library's own
     default; values below 1e-12 (the roundoff floor of the force
     integrals) and ``max_subdivisions`` below 200 are rejected, not
@@ -26,6 +27,9 @@ artifact.  Sections:
 ``[run]`` (optional)
     ``mode`` (``numeric`` | ``asymptotic`` | ``both``),
     ``override_flat_hypothesis`` (bool).
+
+Any other section or key is rejected with :class:`ConfigError`, so a typo
+cannot pass for a default.
 
 :func:`dump_config` renders a config back to text such that re-parsing
 yields an equal :class:`RunConfig` (floats are written in shortest
@@ -54,6 +58,16 @@ __all__ = [
 ]
 
 MODES = ("numeric", "asymptotic", "both")
+
+# the sections a config may hold and the keys of each
+_KEYS = {
+    "profile": ("dimension", "kind", "m", "s", "eps", "r", "R"),
+    "motion": ("mu", "U", "omega"),
+    "quadrature": ("rel_tol", "max_subdivisions"),
+    "sweep": ("eps_from", "eps_to", "points"),
+    "output": ("csv", "json"),
+    "run": ("mode", "override_flat_hypothesis"),
+}
 
 # the smallest force-route tolerance and subdivision budget a config may ask for
 MIN_REL_TOL = 1e-12
@@ -184,6 +198,14 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
         cp.read_string(text, source=source)
     except configparser.Error as exc:
         raise ConfigError(f"not valid INI syntax: {exc}", source=source) from exc
+    if cp.defaults():
+        raise ConfigError("unknown section [DEFAULT]", source=source)
+    for name in cp.sections():
+        if name not in _KEYS:
+            raise ConfigError(f"unknown section [{name}]", source=source)
+        for key in cp[name]:
+            if key not in _KEYS[name]:
+                raise ConfigError(f"unknown key {key!r}", source=source, where=name)
 
     prof_sec = _section(cp, "profile", source, required=True)
     dimension = int(_get_float(prof_sec, "dimension", source, "profile", 3.0))
@@ -224,7 +246,6 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
     else:
         try:
             quadrature = QuadSpec(
-                abs_tol=_get_float(quad_sec, "abs_tol", source, "quadrature", 0.0),
                 rel_tol=_get_float(quad_sec, "rel_tol", source, "quadrature", DEFAULT_REL_TOL),
                 max_subdivisions=int(
                     _get_float(quad_sec, "max_subdivisions", source, "quadrature", 400.0)
@@ -310,7 +331,6 @@ def dump_config(config: RunConfig) -> str:
     lines += [
         "",
         "[quadrature]",
-        f"abs_tol = {_fmt(config.quadrature.abs_tol)}",
         f"rel_tol = {_fmt(config.quadrature.rel_tol)}",
         f"max_subdivisions = {config.quadrature.max_subdivisions}",
     ]

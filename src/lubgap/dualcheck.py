@@ -82,12 +82,13 @@ def _squeeze_qb(profile, c, x1, x2):
     The squeeze coefficients ``B_a = c x_a / h^3`` have ``d2 A1 = d1 A2`` and
     ``d2 B1 = d1 B2`` because ``h`` is radial, so the integrand of ``QA``
     vanishes and that of ``QB`` is ``2 d1 B3``: ``QB = 2 (B3(x1, x2) -
-    B3(-r/4, x2))``, with the radial ``B3 = c (2 - 3 rho h' / h) / h^3``.
+    B3(-r/4, x2))``, with the radial ``B3 = c (2 - 3 rho^2 H1 / h) / h^3``
+    and ``H1 = h'/rho``.
     """
 
     def b3(rho):
         h = profile.h_radial(rho)
-        return c * (2.0 - 3.0 * rho * profile.dh_radial(rho) / h) / h**3
+        return c * (2.0 - 3.0 * rho * rho * profile.radial_jet(rho, 1)[0] / h) / h**3
 
     return 2.0 * (b3(np.hypot(x1, x2)) - b3(np.hypot(0.25 * profile.r, x2)))
 
@@ -116,10 +117,12 @@ def _rotation_potentials(profile, c, x1, x2):
     the error form.
     """
     b = 0.25 * profile.r
-    n = x1.size
+    n = len(x1)
     lines = np.concatenate([x2, x2])
-    A1, A2, B1, B2 = _coefficient_derivs(profile, 2, c, np.concatenate([x1, np.full(n, -b)]), lines)
-    ends = np.concatenate([x1, np.full(n, b)])
+    A1, A2, B1, B2 = _coefficient_derivs(
+        profile, 2, c, np.concatenate([x1, np.full_like(x1, -b)]), lines
+    )
+    ends = np.concatenate([x1, np.full_like(x1, b)])
 
     def jump(f):
         return f[:n] - f[n:]
@@ -136,12 +139,6 @@ def _rotation_potentials(profile, c, x1, x2):
 # ---------------------------------------------------------------------------
 # dual tensors
 # ---------------------------------------------------------------------------
-
-
-def _volume_points(x1, x2, x3):
-    """Planar points ``(n,)`` under heights ``x3`` ``(n, g)`` as ``n*g`` points, planar-major."""
-    g = x3.shape[1]
-    return np.repeat(x1, g), np.repeat(x2, g), x3.reshape(-1)
 
 
 def _corrections(k, params, x1, x2, x3):
@@ -162,32 +159,30 @@ def _corrections(k, params, x1, x2, x3):
     else:
         QA1, QB1 = _rotation_potentials(prof, c, x1, x2)
         QA2, QB2 = _rotation_potentials(prof, c[::-1], x2, x1)
-        QA1, QA2 = QA1[:, None], QA2[:, None]
     lapA3, lapB3 = A1[6] + A2[6], B1[6] + B2[6]
     x3sq = x3 * x3
-    q1 = mu * (QA1 + 3.0 * x3sq * QB1[:, None])
-    q2 = mu * (QA2 + 3.0 * x3sq * QB2[:, None])
-    q3 = -mu * (0.5 * lapA3[:, None] * x3sq + 0.25 * lapB3[:, None] * x3sq * x3sq)
+    q1 = mu * (QA1 + 3.0 * x3sq * QB1)
+    q2 = mu * (QA2 + 3.0 * x3sq * QB2)
+    q3 = -mu * (0.5 * lapA3 * x3sq + 0.25 * lapB3 * x3sq * x3sq)
     return q1, q2, q3
 
 
 def _dual_tensor_many(k, params, x1, x2, x3):
-    """Dual tensor ``S(k)`` and the field gradient of sub-flow ``k``; (3, 3, n*g) each.
+    """Dual tensor ``S(k)`` and the field gradient of sub-flow ``k``; (3, 3, n, g) each.
 
-    The points are the planar points ``(x1, x2)``, shape (n,), each under
-    the heights ``x3``, shape (n, g), flattened as in :func:`_volume_points`.
-    The tensor is zero outside the core region ``{|x'| < r/4, |x3| < h/2}``
-    and for the sub-flows 0, 4, 5.
+    The points are the planar points ``(x1, x2)``, shape (n, 1), each under
+    the heights ``x3``, shape (n, g); whatever depends on ``x'`` alone is
+    evaluated once per planar point.  The tensor is zero outside the core
+    region ``{|x'| < r/4, |x3| < h/2}`` and for the sub-flows 0, 4, 5.
     """
     prof = params.profile
     mu = params.mu
-    _u, p, grad = _eval3(k, params, *_volume_points(x1, x2, x3))
+    _u, p, grad = _eval3(k, params, x1, x2, x3)
     S = np.zeros_like(grad)
     if k in (0, 4, 5) or subflow_scale(k, params) == 0.0:
         return S, grad
 
-    h = np.asarray(prof.h(x1, x2), float)[:, None]
-    inside = ((np.hypot(x1, x2) < 0.25 * prof.r)[:, None] & (np.abs(x3) < 0.5 * h)).reshape(-1)
+    inside = (np.hypot(x1, x2) < 0.25 * prof.r) & (np.abs(x3) < 0.5 * prof.h(x1, x2))
 
     if k in (1, 2):
         # the shear's own viscous stress in the (row, 3) plane
@@ -201,7 +196,7 @@ def _dual_tensor_many(k, params, x1, x2, x3):
         for b in range(a + 1, 3):
             S[a, b] = S[b, a] = mu * (grad[a, b] + grad[b, a])
     for a, q in enumerate(_corrections(k, params, x1, x2, x3)):
-        S[a, a] = 2.0 * mu * grad[a, a] - p + q.reshape(-1)
+        S[a, a] = 2.0 * mu * grad[a, a] - p + q
     return S * inside, grad
 
 
@@ -215,8 +210,7 @@ def dual_tensor(k: int, params: ProblemParams, x) -> np.ndarray:
         raise ValueError("dual tensors are defined for 3D problems")
     if k not in subflow_indices(3):
         raise ValueError(f"unknown sub-flow index {k}")
-    x1, x2, x3 = (np.atleast_1d(np.asarray(v, float)) for v in x)
-    return _dual_tensor_many(k, params, x1, x2, x3[:, None])[0][:, :, 0]
+    return _dual_tensor_many(k, params, *(np.full((1, 1), float(v)) for v in x))[0][:, :, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +225,8 @@ def _volume_integrate(pointfun, params, rmax, spec):
     scale and the flat radius), the shared 64-point trapezoid ring
     (:func:`lubgap.quadrature.trapezoid_ring`, full rule only), 5-point
     Gauss rule vertically across the local gap.  ``pointfun`` receives the
-    planar points, shape (n,), and the Gauss heights over each, shape
-    (n, 5), and returns the ``n*5`` values in :func:`_volume_points` order.
+    planar points, shape (n, 1), and the Gauss heights over each, shape
+    (n, 5), and returns the values there, shape (n, 5).
     """
     prof = params.profile
     theta = _RING.x[0]
@@ -242,17 +236,16 @@ def _volume_integrate(pointfun, params, rmax, spec):
 
     def radial(ts: np.ndarray) -> np.ndarray:
         nt = ts.size
-        x1 = (ts[:, None] * cos_t[None, :]).reshape(nt * ntheta)
-        x2 = (ts[:, None] * sin_t[None, :]).reshape(nt * ntheta)
-        h = np.asarray(prof.h(x1, x2), float)
-        half = 0.5 * h
-        vals = pointfun(x1, x2, half[:, None] * _GAUSS_X[None, :]).reshape(nt * ntheta, _NGAUSS)
-        vert = (vals * _GAUSS_W[None, :]).sum(axis=1) * half
+        x1 = (ts[:, None] * cos_t[None, :]).reshape(nt * ntheta, 1)
+        x2 = (ts[:, None] * sin_t[None, :]).reshape(nt * ntheta, 1)
+        half = 0.5 * prof.h(x1, x2)
+        vals = pointfun(x1, x2, half * _GAUSS_X)
+        vert = (vals * _GAUSS_W).sum(axis=1) * half[:, 0]
         rings = vert.reshape(nt, ntheta).sum(axis=1) * dtheta
         return rings * ts
 
     spec = spec.with_splits([p for p in prof.radial_splits() if p < rmax])
-    return integrate_1d(radial, 0.0, rmax, spec, vectorized=True)
+    return integrate_1d(radial, 0.0, rmax, spec)
 
 
 def energy(params: ProblemParams, spec: QuadSpec | None = None) -> float:
@@ -273,15 +266,14 @@ def energy(params: ProblemParams, spec: QuadSpec | None = None) -> float:
     ks = subflow_indices(3)
 
     def pointfun(x1, x2, x3):
-        x1, x2, x3 = _volume_points(x1, x2, x3)
-        total = np.zeros((3, 3, x1.size))
+        total = np.zeros((3, 3) + x3.shape)
         for k in ks:
             if subflow_scale(k, params) == 0.0:
                 continue
             _u, _p, grad = _eval3(k, params, x1, x2, x3)
             total += grad
-        D = 0.5 * (total + total.transpose(1, 0, 2))
-        return mu * np.einsum("abn,abn->n", D, D)
+        D = 0.5 * (total + total.swapaxes(0, 1))
+        return mu * np.einsum("ab...,ab...->...", D, D)
 
     return float(_volume_integrate(pointfun, params, prof.r, spec).value)
 
@@ -292,7 +284,7 @@ def energy(params: ProblemParams, spec: QuadSpec | None = None) -> float:
 
 
 def _discrepancy_many(k, params, x1, x2, x3):
-    """``D(u(k)) - (S(k) - tr S(k)/3 E) / (2 mu)``; (3, 3, n*g).
+    """``D(u(k)) - (S(k) - tr S(k)/3 E) / (2 mu)``; (3, 3, n, g).
 
     The points are given as for :func:`_dual_tensor_many`.  For k = 3, 6 it
     is the diagonal ``-(q_a - qbar) / (2 mu)`` of the corrections alone,
@@ -300,10 +292,10 @@ def _discrepancy_many(k, params, x1, x2, x3):
     """
     mu = params.mu
     if k in (3, 6):
-        q = np.stack(_corrections(k, params, x1, x2, x3)).reshape(3, -1)
-        return np.eye(3)[:, :, None] * ((q.mean(axis=0) - q) / (2.0 * mu))
+        q = np.stack(_corrections(k, params, x1, x2, x3))
+        return np.eye(3)[:, :, None, None] * ((q.mean(axis=0) - q) / (2.0 * mu))
     S, grad = _dual_tensor_many(k, params, x1, x2, x3)
-    D = 0.5 * (grad + grad.transpose(1, 0, 2))
+    D = 0.5 * (grad + grad.swapaxes(0, 1))
     tr = S[0, 0] + S[1, 1] + S[2, 2]
     for a in range(3):
         S[a, a] -= tr / 3.0
@@ -333,7 +325,7 @@ def ell(i: int, j: int, params: ProblemParams, spec: QuadSpec | None = None) -> 
     def pointfun(x1, x2, x3):
         Ei = _discrepancy_many(i, params, x1, x2, x3)
         Ej = Ei if j == i else _discrepancy_many(j, params, x1, x2, x3)
-        return mu * np.einsum("abn,abn->n", Ei, Ej)
+        return mu * np.einsum("ab...,ab...->...", Ei, Ej)
 
     return float(_volume_integrate(pointfun, params, 0.25 * prof.r, spec).value)
 

@@ -49,7 +49,7 @@ from math import comb
 
 import numpy as np
 
-from .geometry import GapProfile, SurfacePoint, _safe_pow
+from .geometry import GapProfile, SurfacePoint
 # lubgap.fields.integrate_1d stays importable: the perfbench tracer wraps it by name
 from .quadrature import integrate_1d  # noqa: F401
 from .special import gap_tail
@@ -304,7 +304,7 @@ def _running_integral(profile: GapProfile, n: int, a, c, second: bool = False):
         g = 1.0 / h if n == 1 else 1.0 / (h * h * h)
         if second:
             # d22 of h(rho)^-n is a1 + a2 c^2 with the jet a1 = -n g e1 and
-            # a2 = n g ((n + 1) e1^2 - e2), e_j = H_j / h (see _radial_jet);
+            # a2 = n g ((n + 1) e1^2 - e2), e_j = H_j / h (see GapProfile.radial_jet);
             # rho = 0 only at t = 0, where the node weight vanishes
             rho2 = np.where(rho2 > 0.0, rho2, 1.0)
             if flat:
@@ -322,7 +322,7 @@ def _running_integral(profile: GapProfile, n: int, a, c, second: bool = False):
 
 
 def _rotation_q(profile: GapProfile, x1, x2):
-    """``Q_3(x1, x2), Q_3(r, x2), Q_3(x2, x1), Q_3(r, x1)`` for 1D point arrays.
+    """``Q_3(x1, x2), Q_3(r, x2), Q_3(x2, x1), Q_3(r, x1)`` for point arrays of one shape.
 
     These are the 3D rotation pressure's four reads of
     :func:`_running_integral`.  The m = 2 closed form runs on every point.
@@ -340,7 +340,7 @@ def _rotation_q(profile: GapProfile, x1, x2):
     rr = np.full_like(a1, r)
     keys = np.concatenate([a1 + 1j * a2, rr + 1j * a2, a2 + 1j * a1, rr + 1j * a1])
     pairs, inv = np.unique(keys, return_inverse=True)
-    q = _running_integral(profile, 3, pairs.real, pairs.imag)[inv].reshape(4, -1)
+    q = _running_integral(profile, 3, pairs.real, pairs.imag)[inv].reshape(4, *a1.shape)
     return np.sign(x1) * q[0], q[1], np.sign(x2) * q[2], q[3]
 
 
@@ -372,30 +372,11 @@ def _squeeze_type(k: int, params: ProblemParams):
     return {2: (1, (-2.0 * params.U[1],)), 4: (2, (-params.omega,))}[k]
 
 
-def _radial_jet(profile, rho, order):
-    """``(H1, .., H_order)`` of the gap: ``H1 = h'/rho`` and ``H(j+1) = H(j)'/rho``.
-
-    A radial ``g`` with jet ``(a1, a2, a3)`` has ``d_i g = a1 x_i``,
-    ``d_ij g = a1 delta_ij + a2 x_i x_j`` and ``d_ijk g = a2 (delta_ij x_k +
-    delta_ik x_j + delta_jk x_i) + a3 x_i x_j x_k``.  On the axis each ``H``
-    takes the value that gives these products their limits; flat caps take
-    the flat side at ``rho = s``.
-    """
-    if profile.kind == "m-convex":
-        m = profile.m
-        coefs = (m, m * (m - 2.0), m * (m - 2.0) * (m - 4.0))[:order]
-        return tuple(c * _safe_pow(rho, m - 2.0 * j) for j, c in enumerate(coefs, 1))
-    s, outside = profile.s, rho > profile.s
-    rho = np.where(outside, rho, 1.0)
-    jet = (2.0 - 2.0 * s / rho, 2.0 * s / rho**3, -6.0 * s / rho**5)[:order]
-    return tuple(np.where(outside, H, 0.0) for H in jet)
-
-
 def _monomial_derivs(p, jet, x, y):
     """``[f, f_x, f_y, f_xx, f_xy, f_yy]`` of ``f = x^p u``, ``p`` in {1, 2}.
 
     ``u`` is radial with the jet ``jet = (u, a1, a2)`` (see
-    :func:`_radial_jet`); a fourth entry ``a3`` appends ``d_x (f_xx + f_yy)``.
+    :meth:`GapProfile.radial_jet`); a fourth entry ``a3`` appends ``d_x (f_xx + f_yy)``.
     """
     u, a1, a2 = jet[:3]
     P, P1, P11 = (x, 1.0, 0.0) if p == 1 else (x * x, 2.0 * x, 2.0)
@@ -430,7 +411,7 @@ def _coefficient_derivs(profile, p, c, x1, x2, third=False):
     """
     rho = np.hypot(x1, x2)
     h = profile.h_radial(rho)
-    e = [H / h for H in _radial_jet(profile, rho, 3 if third else 2)]
+    e = [H / h for H in profile.radial_jet(rho, 3 if third else 2)]
     out = []
     for scale, n in ((-0.75, 1), (1.0, 3)):
         u = 1.0 / h**n
@@ -447,14 +428,14 @@ def _coefficient_derivs(profile, p, c, x1, x2, third=False):
 
 
 def _eval_squeeze_type(k, params, x1, x2, z):
-    """``(u, pressure, grad)`` of a squeeze-type sub-flow at height ``z``.
+    """``(u, pressure, grad)`` of a squeeze-type sub-flow at heights ``z``.
 
     ``u_a = -(A_a + 3 B_a z^2)`` on the planar axes and ``A3 z + B3 z^3``
     vertically, with ``A3 = sum_a d_a A_a`` and ``B3 = sum_a d_a B_a``, so the
     field is divergence-free.  The pressure is ``mu (3 B3 z^2 - A3 - 6 G)``,
     where ``G`` integrates ``B_a`` along ``x_a``; ``G`` is all that differs
     between the sub-flows.  In 2D ``x2`` is 0 and ``z`` is the second
-    coordinate.
+    coordinate; the planar coordinates broadcast against ``z``.
     """
     prof = params.profile
     p, c = _squeeze_type(k, params)
@@ -462,8 +443,8 @@ def _eval_squeeze_type(k, params, x1, x2, z):
     coefs = _coefficient_derivs(prof, p, c, x1, x2)
     A, B = coefs[:d], coefs[d:]
     zsq = z * z
-    u = np.empty((d + 1, z.size))
-    grad = np.empty((d + 1, d + 1, z.size))
+    u = np.empty((d + 1,) + z.shape)
+    grad = np.empty((d + 1, d + 1) + z.shape)
     for a in range(d):
         u[a] = -(A[a][0] + 3.0 * B[a][0] * zsq)
         grad[a, d] = -6.0 * B[a][0] * z
@@ -517,8 +498,9 @@ def _shear_type(k: int, params: ProblemParams):
 def _eval_shear_type(k, params, xp, z):
     """``(u, pressure, grad)`` of a shear-type sub-flow at planar points ``xp``, heights ``z``.
 
-    ``xp`` is ``(x1,)`` in 2D.  The n = 1 chain rule of :func:`_coefficient_derivs`
-    gives ``d_i (1/h) = f1 x_i`` and ``d_ij (1/h) = f1 delta_ij + f2 x_i x_j``.
+    ``xp`` is ``(x1,)`` in 2D; its arrays broadcast against ``z``.  The n = 1
+    chain rule of :func:`_coefficient_derivs` gives ``d_i (1/h) = f1 x_i``
+    and ``d_ij (1/h) = f1 delta_ij + f2 x_i x_j``.
     The ``J`` part of ``V`` is divergence-free for radial ``h``, so ``div V =
     b f1 (e . x')`` and the vertical spin (3D ``k = 4``) has ``u_z = 0`` exactly.
     """
@@ -526,7 +508,7 @@ def _eval_shear_type(k, params, xp, z):
     d = len(xp)
     rho = np.hypot(*xp) if d == 2 else np.abs(xp[0])
     h = params.profile.h_radial(rho)
-    H1, H2 = _radial_jet(params.profile, rho, 2)
+    H1, H2 = params.profile.radial_jet(rho, 2)
     inv = 1.0 / h
     f1 = -H1 * inv * inv
     f2 = inv * inv * (2.0 * H1 * H1 * inv - H2)
@@ -536,8 +518,8 @@ def _eval_shear_type(k, params, xp, z):
     if g:
         V = [V[0] - g * inv * xp[1], V[1] + g * inv * xp[0]]
         c = [c[0] - g * xp[1], c[1] + g * xp[0]]
-    u = np.empty((d + 1, z.size))
-    grad = np.empty((d + 1, d + 1, z.size))
+    u = np.empty((d + 1,) + z.shape)
+    grad = np.empty((d + 1, d + 1) + z.shape)
     zf1 = z * f1
     for i in range(d):
         u[i] = z * V[i]
@@ -555,7 +537,7 @@ def _eval_shear_type(k, params, xp, z):
     grad[d, d] = -b * ex * zf1
     for j in range(d):
         grad[d, j] = -b * (e[j] * Q + ex * P * xp[j])
-    return u, np.zeros(z.size), grad
+    return u, np.zeros(z.shape), grad
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +546,11 @@ def _eval_shear_type(k, params, xp, z):
 
 
 def _eval3(k: int, params: ProblemParams, x1, x2, x3):
+    """Sub-flow ``k`` at the points ``(x1, x2, x3)``; the arrays broadcast.
+
+    Planar arrays of shape ``(n, 1)`` under heights of shape ``(n, g)``
+    evaluate whatever depends on ``x'`` alone once per planar point.
+    """
     if k in (3, 6):
         return _eval_squeeze_type(k, params, x1, x2, x3)
     if k:
@@ -571,20 +558,23 @@ def _eval3(k: int, params: ProblemParams, x1, x2, x3):
     prof = params.profile
     U1, U2, U3 = params.U
     w1, w2, w3 = params.omega
-    g1, g2 = prof.h_grad(x1, x2)
-    w = 0.5 * (prof.h(x1, x2) - prof.eps) - prof.R
-    u = np.empty((3, x1.size))
+    rho = np.hypot(x1, x2)
+    H1 = prof.radial_jet(rho, 1)[0]
+    g1, g2 = H1 * x1, H1 * x2
+    w = 0.5 * (prof.h_radial(rho) - prof.eps) - prof.R
+    shape = np.broadcast_shapes(x1.shape, x2.shape, x3.shape)
+    u = np.empty((3,) + shape)
     u[0] = 0.5 * (U1 + w2 * w - w3 * x2)
     u[1] = 0.5 * (U2 + w3 * x1 - w1 * w)
     u[2] = 0.5 * (U3 + w1 * x2 - w2 * x1)
-    grad = np.zeros((3, 3, x1.size))
+    grad = np.zeros((3, 3) + shape)
     grad[0, 0] = 0.25 * w2 * g1
     grad[0, 1] = 0.25 * w2 * g2 - 0.5 * w3
     grad[1, 0] = 0.5 * w3 - 0.25 * w1 * g1
     grad[1, 1] = -0.25 * w1 * g2
     grad[2, 0] = -0.5 * w2
     grad[2, 1] = 0.5 * w1
-    return u, np.zeros(x1.size), grad
+    return u, np.zeros(shape), grad
 
 
 def _eval2(k: int, params: ProblemParams, x1, x2):
@@ -595,13 +585,15 @@ def _eval2(k: int, params: ProblemParams, x1, x2):
     prof = params.profile
     U1, U2 = params.U
     w0 = params.omega
-    u = np.empty((2, x1.size))
-    u[0] = 0.5 * (U1 + w0 * (prof.R - 0.5 * (prof.h_radial(x1) - prof.eps)))
+    rho = np.abs(x1)
+    shape = np.broadcast_shapes(x1.shape, x2.shape)
+    u = np.empty((2,) + shape)
+    u[0] = 0.5 * (U1 + w0 * (prof.R - 0.5 * (prof.h_radial(rho) - prof.eps)))
     u[1] = 0.5 * (U2 + w0 * x1)
-    grad = np.zeros((2, 2, x1.size))
-    grad[0, 0] = -0.25 * w0 * prof.dh(x1)
+    grad = np.zeros((2, 2) + shape)
+    grad[0, 0] = -0.25 * w0 * prof.radial_jet(rho, 1)[0] * x1
     grad[1, 0] = 0.5 * w0
-    return u, np.zeros(x1.size), grad
+    return u, np.zeros(shape), grad
 
 
 # ---------------------------------------------------------------------------

@@ -111,13 +111,6 @@ class GapProfile:
             return self.eps + rho**self.m
         return self.eps + np.square(np.maximum(rho - self.s, 0.0))
 
-    def dh_radial(self, rho):
-        """d h / d rho (one-sided limit from the flat side at rho = s)."""
-        rho = np.abs(rho)
-        if self.kind == "m-convex":
-            return self.m * rho ** (self.m - 1.0)
-        return 2.0 * np.maximum(rho - self.s, 0.0)
-
     def boundary_layer_scale(self) -> float:
         """Radial scale ``eps^(1/m)`` over which the gap doubles."""
         return self.eps ** (1.0 / self.m)
@@ -127,41 +120,41 @@ class GapProfile:
         pts = [p for p in (self.boundary_layer_scale(), self.s) if 0.0 < p < self.r]
         return tuple(sorted(set(pts)))
 
-    # -- h and its first planar derivatives ---------------------------------
+    # -- h and the radial jet of its planar derivatives --------------------
 
     def h(self, x1, x2=None):
         if self.dimension == 2:
             return self.h_radial(x1)
         return self.h_radial(np.hypot(x1, x2))
 
-    def h_grad(self, x1, x2):
-        """(d1 h, d2 h) for a 3D profile; smooth limits at the origin."""
-        rho = np.hypot(x1, x2)
+    def radial_jet(self, rho, order):
+        """``(H1, .., H_order)`` of the gap: ``H1 = h'/rho`` and ``H(j+1) = H(j)'/rho``.
+
+        A radial ``g`` with jet ``(a1, a2, a3)`` has ``d_i g = a1 x_i``,
+        ``d_ij g = a1 delta_ij + a2 x_i x_j`` and ``d_ijk g = a2 (delta_ij x_k +
+        delta_ik x_j + delta_jk x_i) + a3 x_i x_j x_k``; in particular
+        ``grad h = H1 x'``.  m-convex: ``H1 = m rho^(m - 2)`` and ``H(j+1) =
+        (m - 2j) H(j) / rho^2``, with ``H_j`` the constant ``m (m - 2) ..
+        (m - 2j + 2)`` when ``m = 2j``.  On the axis each ``H`` takes the
+        value that gives these products their limits; flat caps take the
+        flat side at ``rho = s``.
+        """
         if self.kind == "m-convex":
-            fac = self.m * _safe_pow(rho, self.m - 2.0)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                fac = np.where(rho > self.s, 2.0 * (rho - self.s) / np.where(rho > 0, rho, 1.0), 0.0)
-        return fac * x1, fac * x2
-
-    def dh(self, x1):
-        """d h / d x1 for a 2D profile (odd; 0 at the origin)."""
-        if self.kind == "m-convex":
-            return self.m * _safe_pow(np.abs(x1), self.m - 1.0) * np.sign(x1)
-        return 2.0 * np.maximum(np.abs(x1) - self.s, 0.0) * np.sign(x1)
-
-
-def _safe_pow(rho, p):
-    """``rho**p`` with the symmetric limit 0^p -> 0 for p>0 and 0 for p<0 at rho=0.
-
-    Negative powers only ever occur multiplied by matching powers of the
-    coordinates; the correct symmetric limit of those products is 0, which
-    this choice reproduces.
-    """
-    rho = np.asarray(rho, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(rho > 0.0, rho, 1.0) ** p
-    return np.where(rho > 0.0, out, 0.0 if p != 0.0 else 1.0)
+            # the axis, and radii whose square underflows, take the axis values
+            m, rho2 = self.m, np.square(rho)
+            on_axis = rho2 == 0.0
+            safe = np.where(on_axis, 1.0, rho)
+            H = np.where(on_axis, m if m == 2.0 else 0.0, m * safe ** (m - 2.0))
+            jet, coef = [H], m
+            for j in range(2, order + 1):
+                coef *= m - 2.0 * j + 2.0
+                H = (m - 2.0 * j + 2.0) * H / np.where(on_axis, 1.0, rho2)
+                jet.append(np.full_like(H, coef) if m == 2.0 * j else H)
+            return tuple(jet)
+        s, outside = self.s, rho > self.s
+        rho = np.where(outside, rho, 1.0)
+        jet = (2.0 - 2.0 * s / rho, 2.0 * s / rho**3, -6.0 * s / rho**5)[:order]
+        return tuple(np.where(outside, H, 0.0) for H in jet)
 
 
 @dataclass(frozen=True)
@@ -218,12 +211,9 @@ def surface_sample(profile: GapProfile, side: str, xprime) -> SurfacePoint:
         if rho > profile.r:
             raise ValueError(f"|x'| = {rho} outside the gap region r = {profile.r}")
         h = float(profile.h_radial(rho))
-        dh = float(profile.dh_radial(rho))
-        # grad of the surface height h/2; radial direction (x1, x2)/rho
-        if rho > 0.0 and not (profile.kind == "flat-capped" and rho <= profile.s):
-            g1, g2 = 0.5 * dh * x1 / rho, 0.5 * dh * x2 / rho
-        else:
-            g1 = g2 = 0.0
+        # grad of the surface height h/2
+        half_H1 = 0.5 * float(profile.radial_jet(rho, 1)[0])
+        g1, g2 = half_H1 * x1, half_H1 * x2
         jac = float(np.sqrt(1.0 + g1 * g1 + g2 * g2))
         n = (sign * g1 / jac, sign * g2 / jac, -sign / jac)
         nu3 = 0.5 * (h - profile.eps) - profile.R if side == "top" else None
@@ -237,7 +227,7 @@ def surface_sample(profile: GapProfile, side: str, xprime) -> SurfacePoint:
     if abs(x1) > profile.r:
         raise ValueError(f"|x1| = {abs(x1)} outside the gap region r = {profile.r}")
     h = float(profile.h_radial(abs(x1)))
-    g1 = 0.5 * float(profile.dh(x1))
+    g1 = 0.5 * float(profile.radial_jet(abs(x1), 1)[0]) * x1
     jac = float(np.sqrt(1.0 + g1 * g1))
     n = (sign * g1 / jac, -sign / jac)
     nu2 = 0.5 * (h - profile.eps) - profile.R

@@ -237,25 +237,20 @@ def integrate_vector(
 
 
 def integrate_1d(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     spec: QuadSpec | None = None,
-    *,
-    vectorized: bool = False,
 ) -> QuadResult:
     """Integrate ``f`` over ``[a, b]`` by adaptive Gauss-Kronrod bisection.
 
+    ``f`` maps an array of nodes to the array of its values there.
     ``spec.split_points`` inside the interval become hard panel boundaries.
     Raises :class:`QuadratureError` (carrying the best estimate) if the
-    subdivision budget is exhausted.  Set ``vectorized=True`` if ``f``
-    accepts and returns numpy arrays.
+    subdivision budget is exhausted.
     """
     spec = spec or QuadSpec()
-    if vectorized:
-        fvec = lambda x: np.asarray(f(x), dtype=float)[np.newaxis, :]
-    else:
-        fvec = lambda x: np.array([[float(f(t)) for t in x]])
+    fvec = lambda x: np.asarray(f(x), dtype=float)[np.newaxis, :]
     values, errors, nevals = integrate_vector(fvec, a, b, spec, ncomp=1)
     return QuadResult(float(values[0]), float(errors[0]), nevals)
 

@@ -50,9 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational
 
 import numpy as np
 
@@ -101,27 +99,13 @@ def gamma(s: float) -> float:
     return math.gamma(s)
 
 
-def _as_fraction(x) -> Fraction | None:
-    """Exact rational value of ``x`` if representable, else ``None``."""
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # floats are binary rationals; this is exact
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    if isinstance(x, np.floating):
-        return Fraction(float(x))
-    return None
-
-
 def gamma_coeff(i, j, m) -> float:
     """Two-branch coefficient ``(1/m)Gamma(i - j/m)Gamma(j/m)`` or ``1/m``.
 
-    The degenerate branch ``i = j/m`` is detected exactly on rational
-    inputs (ints, Fractions, and the binary rationals that floats are),
-    and within a relative tolerance of 1e-12 on either side, so that
-    roundoff in a real ``m`` cannot push the evaluation onto the Gamma
-    pole.
+    The degenerate branch ``i = j/m`` is detected within a relative
+    tolerance of 1e-12 on either side, so that roundoff in a real ``m``
+    cannot push the evaluation onto the Gamma pole; an exact ``i = j/m``
+    rounds to within an ulp of it.
     """
     i_f, j_f, m_f = float(i), float(j), float(m)
     if i_f <= 0.0:
@@ -131,9 +115,7 @@ def gamma_coeff(i, j, m) -> float:
     if m_f <= 1.0:
         raise ValueError(f"exponent m must exceed 1, got {m}")
 
-    fi, fj, fm = _as_fraction(i), _as_fraction(j), _as_fraction(m)
-    exact = fi is not None and fj is not None and fm is not None and fi == fj / fm
-    if exact or abs(i_f - j_f / m_f) <= 1e-12 * max(1.0, abs(i_f)):
+    if abs(i_f - j_f / m_f) <= 1e-12 * max(1.0, abs(i_f)):
         return 1.0 / m_f
     if i_f - j_f / m_f < 0.0:
         raise ValueError(f"Gamma pole: i - j/m = {i_f - j_f / m_f} < 0 for ({i}, {j}, {m})")
@@ -268,9 +250,7 @@ def phi(i: float, j: float, m: float, r: float, eps: float) -> float:
     # inner part: t = eps^(1/m) u, dt = eps^(1/m) du
     ustar = tstar * eps ** (-1.0 / m)
     prefactor = eps ** ((j + 1.0) / m - i)
-    inner = integrate_1d(
-        lambda u: u**j / (1.0 + u**m) ** i, 0.0, ustar, spec, vectorized=True
-    )
+    inner = integrate_1d(lambda u: u**j / (1.0 + u**m) ** i, 0.0, ustar, spec)
     total += prefactor * inner.value
     err += prefactor * inner.error_estimate
 
@@ -286,7 +266,6 @@ def phi(i: float, j: float, m: float, r: float, eps: float) -> float:
             tstar,
             r,
             spec.with_splits(splits),
-            vectorized=True,
         )
         total += outer.value
         err += outer.error_estimate
@@ -370,9 +349,14 @@ def _gauss_jacobi(p: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _incomplete_beta(p: float, q: float, x: np.ndarray) -> np.ndarray:
-    """``B_x(p, q) = int_0^x v^(p-1) (1 - v)^(q-1) dv`` for ``0 <= x <= 1/2``."""
+    """``B_x(p, q) = int_0^x v^(p-1) (1 - v)^(q-1) dv`` for ``0 <= x <= 1/2``.
+
+    The rule is summed point by point (``einsum``, not a BLAS product, whose
+    rounding depends on where a point sits in ``x``), so each value is
+    independent of the other entries of ``x``.
+    """
     s, weights = _gauss_jacobi(p)
-    return x**p * ((1.0 - np.multiply.outer(x, s)) ** (q - 1.0) @ weights)
+    return x**p * np.einsum("...j,j->...", (1.0 - np.multiply.outer(x, s)) ** (q - 1.0), weights)
 
 
 def psi(i: float, j: float, s: float, r: float, eps: float) -> float:
@@ -401,7 +385,6 @@ def psi(i: float, j: float, s: float, r: float, eps: float) -> float:
             0.0,
             r,
             spec.with_splits(splits),
-            vectorized=True,
         )
     except QuadratureError as exc:
         raise ToleranceNotMet("psi quadrature budget exhausted", exc.result.error_estimate)

@@ -104,12 +104,9 @@ def traction_moments(k: int, params: ProblemParams, xprime, h) -> np.ndarray:
     """
     prof = params.profile
     mu, eps, R = params.mu, prof.eps, prof.R
-    grad_h = prof.h_grad(*xprime) if prof.dimension == 3 else (prof.dh(*xprime),)
+    H1 = prof.radial_jet(np.hypot(*xprime) if prof.dimension == 3 else np.abs(xprime[0]), 1)[0]
     _u, p, grad = eval_field_many(k, params, *xprime, 0.5 * h)
-    njac = np.stack(
-        [0.5 * np.broadcast_to(np.asarray(g, float), h.shape) for g in grad_h]
-        + [-np.ones_like(h)]
-    )
+    njac = np.stack([0.5 * H1 * x for x in xprime] + [-np.ones_like(h)])
     two_d = grad + grad.transpose(1, 0, 2)
     w = mu * np.einsum("ijn,jn->in", two_d, njac) - p[None, :] * njac
     nu = np.stack([*xprime, 0.5 * (h - eps) - R])

@@ -173,6 +173,12 @@ class TestForce:
         assert main(["force", "--config", str(p)]) == EXIT_CONFIG
         assert "rel_tol" in capsys.readouterr().err
 
+    def test_unknown_config_key_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "typo.ini"
+        p.write_text(CFG.replace("rel_tol = 1e-7", "rel_tl = 1e-7"), encoding="utf-8")
+        assert main(["force", "--config", str(p)]) == EXIT_CONFIG
+        assert "rel_tl" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["force", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 

@@ -160,6 +160,22 @@ class TestErrors:
                 with_sections("[sweep]\neps_from = 1e-2\neps_to = 1e-4\npoints = 2\n")
             )
 
+    @pytest.mark.parametrize(
+        "extra, where",
+        [
+            ("[quadrature]\nrel_tl = 1e-3\n", "quadrature"),
+            # the absolute tolerance comes from a probe of each integral
+            ("[quadrature]\nabs_tol = 1e-12\n", "quadrature"),
+            ("[sweeep]\neps_from = 1e-2\neps_to = 1e-4\npoints = 5\n", "sweeep"),
+            ("[DEFAULT]\neps = 1e-3\n", "DEFAULT"),
+        ],
+        ids=["key-typo", "abs_tol", "section-typo", "DEFAULT"],
+    )
+    def test_unknown_section_or_key_rejected(self, extra, where):
+        # a typo must not pass for a default
+        with pytest.raises(ConfigError, match=where):
+            parse_config(with_sections(extra))
+
     def test_invalid_ini(self):
         with pytest.raises(ConfigError, match="INI"):
             parse_config("profile]\nbroken\n")

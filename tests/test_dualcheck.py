@@ -238,17 +238,56 @@ class TestEll:
         mu = 0.7
         params = ProblemParams(profile=prof, mu=mu, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
         rng = np.random.default_rng(RNG_SEED + 6)
-        x1, x2, _ = np.array(core_points(prof, 200, rng)).T
-        x3 = np.asarray(prof.h(x1, x2))[:, None] * np.linspace(-0.45, 0.45, 5)
-        eye = np.eye(3)[:, :, None]
+        pts = np.array(core_points(prof, 200, rng))
+        x1, x2 = pts[:, :1], pts[:, 1:2]
+        x3 = prof.h(x1, x2) * np.linspace(-0.45, 0.45, 5)
+        eye = np.eye(3)[:, :, None, None]
         for k in (3, 6):
-            grad = fields._eval3(k, params, *dualcheck._volume_points(x1, x2, x3))[2]
+            grad = fields._eval3(k, params, x1, x2, x3)[2]
             S = dualcheck._dual_tensor_many(k, params, x1, x2, x3)[0]
             dev = S - np.trace(S) / 3.0 * eye
-            want = 0.5 * (grad + grad.transpose(1, 0, 2)) - dev / (2.0 * mu)
+            want = 0.5 * (grad + grad.swapaxes(0, 1)) - dev / (2.0 * mu)
             got = dualcheck._discrepancy_many(k, params, x1, x2, x3)
-            scale = np.max(np.abs(np.einsum("aan->an", S)), axis=0) / (2.0 * mu)
+            scale = np.max(np.abs(np.einsum("aa...->a...", S)), axis=0) / (2.0 * mu)
             assert np.all(np.max(np.abs(want - got), axis=(0, 1)) <= 1e-9 * scale)
+
+    def test_planar_quantities_once_per_planar_point(self, params3d, monkeypatch):
+        # the discrepancy and the energy take the radial jet of h once per
+        # planar point, on the rows of the heights, not once per Gauss height
+        calls = []
+        jet, eval3 = GapProfile.radial_jet, dualcheck._eval3
+
+        def spy_jet(self, rho, order):
+            calls.append(("jet", np.size(rho)))
+            return jet(self, rho, order)
+
+        def spy_eval3(k, params, x1, x2, x3):
+            calls.append(("heights", x3.shape))
+            return eval3(k, params, x1, x2, x3)
+
+        monkeypatch.setattr(GapProfile, "radial_jet", spy_jet)
+        monkeypatch.setattr(dualcheck, "_eval3", spy_eval3)
+
+        def assert_planar_rows():
+            jets = 0
+            for kind, value in calls:
+                if kind == "heights":
+                    rows, gauss = value
+                    assert gauss == 5
+                else:
+                    assert value == rows
+                    jets += 1
+            assert jets > 0
+            calls.clear()
+
+        prof = params3d.profile
+        pts = np.array(core_points(prof, 30, np.random.default_rng(RNG_SEED + 7)))
+        x1, x2 = pts[:, :1], pts[:, 1:2]
+        x3 = prof.h(x1, x2) * np.linspace(-0.45, 0.45, 5)
+        dualcheck._discrepancy_many(1, params3d, x1, x2, x3)
+        assert_planar_rows()
+        energy(params3d, QuadSpec(rel_tol=1e-3))
+        assert_planar_rows()
 
     def test_symmetry(self, params3d):
         assert ell(1, 2, params3d) == pytest.approx(ell(2, 1, params3d), rel=1e-12)

@@ -55,6 +55,16 @@ def surface_points(prof, n, rng):
     return pts
 
 
+def closed_form_grad_h(prof, xp):
+    """``grad h`` written out: ``m |x'|^(m-2) x'``, or ``2 (rho - s)/rho x'`` beyond a flat rim."""
+    rho = float(np.hypot(*xp)) if len(xp) == 2 else abs(xp[0])
+    if prof.kind == "m-convex":
+        fac = prof.m * rho ** (prof.m - 2.0)
+    else:
+        fac = 2.0 * (rho - prof.s) / rho if rho > prof.s else 0.0
+    return [fac * x for x in xp]
+
+
 def motion_scale(params):
     vals = np.atleast_1d(params.U).tolist() + np.atleast_1d(params.omega).tolist()
     return max(max(abs(float(v)) for v in vals), 1e-30)
@@ -178,21 +188,24 @@ class TestDivergence:
                 gscale = float(np.max(np.abs(eval_field(k, params, x).grad_u)))
                 assert abs(div) <= 1e-12 * max(gscale, 1e-30)
 
-    def test_rigid_mean_divergence_identity(self, params3d, params2d):
+    def test_rigid_mean_divergence_identity(self, params3d, params2d, params3d_flat):
         # the k=0 rigid-mean interpolant carries the surface lever arm, so
         # div u = (omega2 d1h - omega1 d2h)/4 (2D: -omega0 h'/4), not zero
         rng = np.random.default_rng(RNG_SEED + 3)
-        prof3 = params3d.profile
-        for x in interior_points(prof3, 20, rng):
-            g1, g2 = prof3.h_grad(x[0], x[1])
-            expected = 0.25 * (
-                params3d.omega[1] * float(g1) - params3d.omega[0] * float(g2)
-            )
-            assert divergence(0, params3d, x) == pytest.approx(expected, abs=1e-14)
-        prof2 = params2d.profile
-        for x in interior_points(prof2, 20, rng):
-            expected = -0.25 * params2d.omega * float(prof2.dh(x[0]))
-            assert divergence(0, params2d, x) == pytest.approx(expected, abs=1e-14)
+        params2d_m12 = ProblemParams(profile=GapProfile.m_convex(2, 1.2, 0.5, 1e-3, 2.0),
+                                     U=params2d.U, omega=params2d.omega)
+        params2d_flat = ProblemParams(profile=GapProfile.flat_capped(2, 0.5, 0.1, 1e-3, 2.0),
+                                      U=params2d.U, omega=params2d.omega)
+        for params in (params3d, params3d_flat):
+            for x in interior_points(params.profile, 20, rng):
+                g1, g2 = closed_form_grad_h(params.profile, x[:2])
+                expected = 0.25 * (params.omega[1] * g1 - params.omega[0] * g2)
+                assert divergence(0, params, x) == pytest.approx(expected, abs=1e-14)
+        for params in (params2d, params2d_m12, params2d_flat):
+            for x in interior_points(params.profile, 20, rng):
+                (g1,) = closed_form_grad_h(params.profile, x[:1])
+                expected = -0.25 * params.omega * g1
+                assert divergence(0, params, x) == pytest.approx(expected, abs=1e-14)
 
     def test_rotation_divergence_cancellation_3d(self, params3d):
         # k=6 divergence cancels through A3 = d1A1 + d2A2, B3 = d1B1 + d2B2
@@ -392,6 +405,34 @@ class TestSqueezeTypeExact:
                     scale = scale.max()
                 err = np.abs(got - ref).reshape(-1, len(points)).max(axis=0)
                 assert np.all(err <= 1e-12 * scale), (k, points[int(np.argmax(err / scale))])
+
+    @pytest.mark.parametrize("k", SHEAR_TYPE[2])
+    @pytest.mark.parametrize("x1", [-1.5e-3, 2e-3])
+    def test_near_axis_second_derivative_2d(self, k, x1):
+        # d1 u2 sums H1 + H2 x1^2 = h'', which cancels by a factor of about
+        # 5 at m = 1.2 near the axis; H2 taken from H1 keeps it to roundoff
+        prof = _SQUEEZE_TYPE_PROFILES[5]
+        params = ProblemParams(profile=prof, U=(0.4, -0.3), omega=0.25)
+        z = 0.3 * float(prof.h(x1))
+        got = eval_field_many(k, params, np.array([x1]), np.array([z]))[2][1, 0, 0]
+        with mpmath.workdps(40):
+            want = _mp_reference("shear", k, params)((mpmath.mpf(x1),), z)[1][1, 0]
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("prof", _SQUEEZE_TYPE_PROFILES, ids=_EXACT_IDS)
+    def test_planar_rows_match_flat_points(self, prof):
+        # planar arrays (n, 1) under heights (n, 5) give, bit for bit, what
+        # the flat public entry point gives at the repeated points
+        params, points = _exact_case(prof)
+        xp = np.array(points)[:, :-1]
+        z = np.array(points)[:, -1:] * np.linspace(-1.0, 1.0, 5)
+        evaluate = fields._eval3 if prof.dimension == 3 else fields._eval2
+        for k in subflow_indices(prof.dimension):
+            rows = evaluate(k, params, *xp.T[:, :, None], z)
+            flat = eval_field_many(k, params, *np.repeat(xp, 5, axis=0).T, z.ravel())
+            for got, want in zip(rows, flat):
+                assert got.shape == want.shape[:-1] + z.shape
+                assert np.array_equal(got.reshape(want.shape), want)
 
     @pytest.mark.parametrize("prof", [_SQUEEZE_TYPE_PROFILES[1], _SQUEEZE_TYPE_PROFILES[4]],
                              ids=["m2.5", "flat"])

@@ -34,12 +34,12 @@ class TestQuadSpec:
 
 class TestIntegrate1d:
     def test_constant(self):
-        res = integrate_1d(lambda t: np.ones_like(t), 0.0, 1.0, vectorized=True)
+        res = integrate_1d(lambda t: np.ones_like(t), 0.0, 1.0)
         assert res.value == pytest.approx(1.0, abs=1e-14)
         assert res.error_estimate <= 1e-10
 
     def test_sin(self):
-        res = integrate_1d(np.sin, 0.0, math.pi, vectorized=True)
+        res = integrate_1d(np.sin, 0.0, math.pi)
         assert res.value == pytest.approx(2.0, rel=1e-12)
 
     def test_boundary_layer_kernel(self):
@@ -49,7 +49,6 @@ class TestIntegrate1d:
             0.0,
             1.0,
             QuadSpec(rel_tol=1e-12, max_subdivisions=400),
-            vectorized=True,
         )
         assert res.value == pytest.approx(0.5 * math.log(1.0 + 1.0 / eps), rel=1e-10)
 
@@ -61,17 +60,14 @@ class TestIntegrate1d:
                 0.0,
                 1.0,
                 QuadSpec(rel_tol=1e-14, max_subdivisions=2),
-                vectorized=True,
             )
         # best-effort result travels with the error
         assert isinstance(exc.value.result, QuadResult)
 
     def test_split_invariance(self):
         spec = QuadSpec(rel_tol=1e-12, max_subdivisions=200)
-        base = integrate_1d(np.exp, 0.0, 1.0, spec, vectorized=True)
-        split = integrate_1d(
-            np.exp, 0.0, 1.0, spec.with_splits([0.3, 0.7]), vectorized=True
-        )
+        base = integrate_1d(np.exp, 0.0, 1.0, spec)
+        split = integrate_1d(np.exp, 0.0, 1.0, spec.with_splits([0.3, 0.7]))
         assert abs(base.value - split.value) <= base.error_estimate + split.error_estimate + 1e-14
 
     @given(
@@ -86,9 +82,9 @@ class TestIntegrate1d:
     def test_linearity_on_polynomials(self, a, width, c0, c1):
         b = a + width
         spec = QuadSpec(rel_tol=1e-12, max_subdivisions=100)
-        combo = integrate_1d(lambda t: c0 + c1 * t * t, a, b, spec, vectorized=True)
-        part0 = integrate_1d(lambda t: np.ones_like(t), a, b, spec, vectorized=True)
-        part1 = integrate_1d(lambda t: t * t, a, b, spec, vectorized=True)
+        combo = integrate_1d(lambda t: c0 + c1 * t * t, a, b, spec)
+        part0 = integrate_1d(lambda t: np.ones_like(t), a, b, spec)
+        part1 = integrate_1d(lambda t: t * t, a, b, spec)
         assert combo.value == pytest.approx(
             c0 * part0.value + c1 * part1.value, abs=1e-10, rel=1e-10
         )
