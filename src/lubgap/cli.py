@@ -75,7 +75,8 @@ def cmd_constants(m: float) -> list[tuple[str, float]]:
 
     The derived theorem coefficients are reported per unit viscosity
     (``mu = 1``); entries that only exist for part of the ``m`` range (the
-    2D torque ladder extras) appear only when defined.
+    3D alphas, whose profiles need ``m >= 2``, and the 2D torque ladder
+    extras) appear only when defined.
     """
     rows = []
     for i, j in TABULATED_PAIRS:
@@ -84,8 +85,9 @@ def cmd_constants(m: float) -> list[tuple[str, float]]:
         except ValueError:
             pass  # pairs below their convergence threshold for this m
 
-    rows.append(("alpha12_3d", 2.0 * np.pi * gamma_coeff(1, 2, m)))
-    rows.append(("alpha34_3d", 1.5 * np.pi * gamma_coeff(3, 4, m)))
+    if m >= 2.0:
+        rows.append(("alpha12_3d", 2.0 * np.pi * gamma_coeff(1, 2, m)))
+        rows.append(("alpha34_3d", 1.5 * np.pi * gamma_coeff(3, 4, m)))
     rows.append(("alpha11_2d", 2.0 * gamma_coeff(1, 1, m)))
     rows.append(("alpha33_2d", 3.0 * gamma_coeff(3, 3, m)))
     if m > 5.0 / 3.0:
@@ -229,13 +231,12 @@ def _suite_bc(config: RunConfig, npoints: int = 200) -> list[dict]:
             if d == 3:
                 t, th = rng.uniform([0.0, 0.0], [0.9025, 2.0 * np.pi], (npoints, 2)).T
                 t = prof.r * np.sqrt(t)
-                xps = list(zip(t * np.cos(th), t * np.sin(th)))
+                xps = (t * np.cos(th), t * np.sin(th))
             else:
-                xps = (rng.uniform(-0.95, 0.95, npoints) * prof.r).tolist()
-            sps = [surface_sample(prof, side, xp) for xp in xps]
-            coords = np.array([(*np.atleast_1d(sp.xprime), sp.x3) for sp in sps]).T
-            u = eval_field_many(k, params, *coords)[0]
-            target = np.array([boundary_target(k, params, sp) for sp in sps]).T
+                xps = rng.uniform(-0.95, 0.95, npoints) * prof.r
+            sp = surface_sample(prof, side, xps)
+            u = eval_field_many(k, params, *np.atleast_2d(sp.xprime), sp.x3)[0]
+            target = boundary_target(k, params, sp)
             worst = max(worst, float(np.max(np.abs(u - target))) / scale)
         checks.append(_check(f"bc-residual-k{k}", worst, 1e-9))
     return checks

@@ -15,11 +15,10 @@ artifact.  Sections:
 ``[quadrature]`` (optional)
     ``rel_tol``, ``max_subdivisions`` of the numeric force route; the
     absolute tolerance is set from a probe of each integral, not
-    configured.  ``rel_tol`` defaults to
-    :data:`lubgap.quadrature.DEFAULT_REL_TOL` (1e-8), the library's own
-    default; values below 1e-12 (the roundoff floor of the force
-    integrals) and ``max_subdivisions`` below 200 are rejected, not
-    raised silently.
+    configured.  The library's own defaults apply, 1e-8 and 2000
+    (:mod:`lubgap.quadrature`); ``rel_tol`` below 1e-12 (the roundoff floor
+    of the force integrals) and ``max_subdivisions`` below 200 are
+    rejected, not raised silently.
 ``[sweep]`` (optional)
     ``eps_from``, ``eps_to``, ``points`` -- a log-spaced epsilon grid.
 ``[output]`` (optional)
@@ -45,7 +44,7 @@ import numpy as np
 
 from .fields import ProblemParams
 from .geometry import GapProfile
-from .quadrature import DEFAULT_REL_TOL, QuadSpec
+from .quadrature import DEFAULT_MAX_SUBDIVISIONS, DEFAULT_REL_TOL, QuadSpec
 
 __all__ = [
     "ConfigError",
@@ -245,11 +244,10 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
         quadrature = _default_quadrature()
     else:
         try:
+            get = lambda key, default: _get_float(quad_sec, key, source, "quadrature", default)
             quadrature = QuadSpec(
-                rel_tol=_get_float(quad_sec, "rel_tol", source, "quadrature", DEFAULT_REL_TOL),
-                max_subdivisions=int(
-                    _get_float(quad_sec, "max_subdivisions", source, "quadrature", 400.0)
-                ),
+                rel_tol=get("rel_tol", DEFAULT_REL_TOL),
+                max_subdivisions=int(get("max_subdivisions", DEFAULT_MAX_SUBDIVISIONS)),
             )
             _check_quadrature(quadrature)
         except ValueError as exc:

@@ -44,7 +44,8 @@ values), the rotation's are differences of coefficient derivatives plus
 ``d22`` of the running integrals ``Q_1`` and ``Q_3``
 (:func:`lubgap.fields._running_integral`).  Whatever depends on ``x'``
 alone is computed once per planar point of the volume quadrature and shared
-by its vertical Gauss nodes; :func:`err_sweep` is serial.
+by its vertical Gauss nodes; the rings of planar points are reduced by the
+shared :func:`lubgap.quadrature.ring_integrals`.  :func:`err_sweep` is serial.
 """
 
 from __future__ import annotations
@@ -62,11 +63,10 @@ from .fields import (
     subflow_indices,
     subflow_scale,
 )
-from .quadrature import QuadSpec, integrate_1d, trapezoid_ring
+from .quadrature import TRAPEZOID_RING, QuadSpec, integrate_1d, ring_integrals
 
 __all__ = ["EllReport", "energy", "dual_tensor", "ell", "err_sweep"]
 
-_RING = trapezoid_ring()
 _NGAUSS = 5
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_NGAUSS)
 
@@ -222,30 +222,21 @@ def _volume_integrate(pointfun, params, rmax, spec):
     """Integrate ``pointfun(x1, x2, x3)`` over ``{|x'| < rmax, |x3| < h/2}``.
 
     Radial direction adaptive (Gauss-Kronrod, split at the boundary-layer
-    scale and the flat radius), the shared 64-point trapezoid ring
-    (:func:`lubgap.quadrature.trapezoid_ring`, full rule only), 5-point
+    scale and the flat radius), the 64-point trapezoid ring reduced by
+    :func:`lubgap.quadrature.ring_integrals` (full rule only), 5-point
     Gauss rule vertically across the local gap.  ``pointfun`` receives the
     planar points, shape (n, 1), and the Gauss heights over each, shape
     (n, 5), and returns the values there, shape (n, 5).
     """
     prof = params.profile
-    theta = _RING.x[0]
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    ntheta = theta.size
-    dtheta = _RING.weights[0] * _RING.half[0]
 
-    def radial(ts: np.ndarray) -> np.ndarray:
-        nt = ts.size
-        x1 = (ts[:, None] * cos_t[None, :]).reshape(nt * ntheta, 1)
-        x2 = (ts[:, None] * sin_t[None, :]).reshape(nt * ntheta, 1)
+    def column(_t, xprime):
+        x1, x2 = (x[:, None] for x in xprime)
         half = 0.5 * prof.h(x1, x2)
-        vals = pointfun(x1, x2, half * _GAUSS_X)
-        vert = (vals * _GAUSS_W).sum(axis=1) * half[:, 0]
-        rings = vert.reshape(nt, ntheta).sum(axis=1) * dtheta
-        return rings * ts
+        return (pointfun(x1, x2, half * _GAUSS_X) * _GAUSS_W).sum(axis=1) * half[:, 0]
 
     spec = spec.with_splits([p for p in prof.radial_splits() if p < rmax])
-    return integrate_1d(radial, 0.0, rmax, spec)
+    return integrate_1d(lambda ts: ring_integrals(column, TRAPEZOID_RING, ts)[0], 0.0, rmax, spec)
 
 
 def energy(params: ProblemParams, spec: QuadSpec | None = None) -> float:

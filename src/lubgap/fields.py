@@ -181,25 +181,6 @@ def _kernel_tail_at(profile: GapProfile, j: int, rho: float) -> float:
     return float(_kernel_tail(profile, j, rho))
 
 
-def _graded_nodes(lo: float, hi: float, centers, delta: float, n_side=56, n_uniform=33):
-    """Node set on [lo, hi]: coarse uniform background plus sinh-graded
-    clusters (inner spacing ~delta) around each center."""
-    pts = set(np.linspace(lo, hi, n_uniform).tolist())
-    span = hi - lo
-    vmax = float(np.arcsinh(span / delta))
-    offs = delta * np.sinh(np.linspace(0.0, vmax, n_side))
-    for c0 in centers:
-        for sgn in (1.0, -1.0):
-            vals = c0 + sgn * offs
-            pts.update(vals[(vals > lo) & (vals < hi)].tolist())
-        if lo <= c0 <= hi:
-            pts.add(float(c0))
-    pts.update((lo, hi))
-    nodes = np.array(sorted(pts))
-    keep = np.concatenate([[True], np.diff(nodes) > 1e-13 * max(span, 1.0)])
-    return nodes[keep]
-
-
 # Gauss-Legendre nodes per panel of the running-integral rule
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 # pairs (a, c) per block of the running-integral rule
@@ -636,14 +617,16 @@ def boundary_target(k: int, params: ProblemParams, sp: SurfacePoint) -> np.ndarr
     The targets are the even/odd split of the rigid-body data: the sum over
     all sub-flows equals ``U + omega x nu`` on the top boundary and ``0`` on
     the bottom one.  They are written out independently of the field
-    engines, so that the boundary checks compare two derivations.
+    engines, so that the boundary checks compare two derivations.  Shape
+    ``(d,)``, or ``(d, n)`` for a ``sp`` sampled at ``n`` points.
     """
     prof = params.profile
     d = prof.dimension
     if k not in subflow_indices(d):
         raise ValueError(f"sub-flow index {k} invalid for dimension {d}")
-    sgn = 1.0 if sp.x3 > 0.0 else -1.0
-    h = prof.h_radial(np.hypot(*sp.xprime) if d == 3 else abs(sp.xprime))
+    sgn = np.sign(sp.x3)
+    h = prof.h_radial(np.hypot(*sp.xprime) if d == 3 else np.abs(sp.xprime))
+    rows = lambda *vals: np.stack(np.broadcast_arrays(*vals))
 
     if d == 3:
         x1, x2 = sp.xprime
@@ -651,42 +634,38 @@ def boundary_target(k: int, params: ProblemParams, sp: SurfacePoint) -> np.ndarr
         w1, w2, w3 = params.omega
         if k == 0:
             w = 0.5 * (h - prof.eps) - prof.R
-            return np.array(
-                [
-                    0.5 * (U1 + w2 * w - w3 * x2),
-                    0.5 * (U2 + w3 * x1 - w1 * w),
-                    0.5 * (U3 + w1 * x2 - w2 * x1),
-                ]
+            return rows(
+                0.5 * (U1 + w2 * w - w3 * x2),
+                0.5 * (U2 + w3 * x1 - w1 * w),
+                0.5 * (U3 + w1 * x2 - w2 * x1),
             )
         if k == 1:
-            return np.array([sgn * 0.5 * (U1 - w2 * prof.R), 0.0, 0.0])
+            return rows(sgn * 0.5 * (U1 - w2 * prof.R), 0.0, 0.0)
         if k == 2:
-            return np.array([0.0, sgn * 0.5 * (U2 + w1 * prof.R), 0.0])
+            return rows(0.0, sgn * 0.5 * (U2 + w1 * prof.R), 0.0)
         if k == 3:
-            return np.array([0.0, 0.0, sgn * 0.5 * U3])
+            return rows(0.0, 0.0, sgn * 0.5 * U3)
         if k == 4:
-            return np.array([-sgn * 0.5 * w3 * x2, sgn * 0.5 * w3 * x1, 0.0])
+            return rows(-sgn * 0.5 * w3 * x2, sgn * 0.5 * w3 * x1, 0.0)
         if k == 5:
             gap4 = 0.25 * (h - prof.eps)
-            return np.array([sgn * gap4 * w2, -sgn * gap4 * w1, 0.0])
+            return rows(sgn * gap4 * w2, -sgn * gap4 * w1, 0.0)
         # k == 6
-        return np.array([0.0, 0.0, sgn * 0.5 * (w1 * x2 - w2 * x1)])
+        return rows(0.0, 0.0, sgn * 0.5 * (w1 * x2 - w2 * x1))
 
     x1 = sp.xprime
     U1, U2 = params.U
     w0 = params.omega
     if k == 0:
-        return np.array(
-            [0.5 * (U1 + w0 * (prof.R - 0.5 * (h - prof.eps))), 0.5 * (U2 + w0 * x1)]
-        )
+        return rows(0.5 * (U1 + w0 * (prof.R - 0.5 * (h - prof.eps))), 0.5 * (U2 + w0 * x1))
     if k == 1:
-        return np.array([sgn * 0.5 * (U1 + w0 * prof.R), 0.0])
+        return rows(sgn * 0.5 * (U1 + w0 * prof.R), 0.0)
     if k == 2:
-        return np.array([0.0, sgn * 0.5 * U2])
+        return rows(0.0, sgn * 0.5 * U2)
     if k == 3:
-        return np.array([-sgn * 0.25 * w0 * (h - prof.eps), 0.0])
+        return rows(-sgn * 0.25 * w0 * (h - prof.eps), 0.0)
     # k == 4
-    return np.array([0.0, sgn * 0.5 * w0 * x1])
+    return rows(0.0, sgn * 0.5 * w0 * x1)
 
 
 def divergence(k: int, params: ProblemParams, x) -> float:

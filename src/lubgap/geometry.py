@@ -116,9 +116,12 @@ class GapProfile:
         return self.eps ** (1.0 / self.m)
 
     def radial_splits(self) -> tuple[float, ...]:
-        """Quadrature breakpoints: the boundary-layer scale, and ``s``."""
-        pts = [p for p in (self.boundary_layer_scale(), self.s) if 0.0 < p < self.r]
-        return tuple(sorted(set(pts)))
+        """Quadrature breakpoints: the boundary-layer scale, and ``s``; in 2D,
+        whose radial coordinate is the signed ``x1``, also ``0`` and mirrors."""
+        pts = sorted({p for p in (self.boundary_layer_scale(), self.s) if 0.0 < p < self.r})
+        if self.dimension == 2:
+            pts = [-p for p in reversed(pts)] + [0.0] + pts
+        return tuple(pts)
 
     # -- h and the radial jet of its planar derivatives --------------------
 
@@ -159,11 +162,12 @@ class GapProfile:
 
 @dataclass(frozen=True)
 class SurfacePoint:
-    """A point of the top (or bottom) gap boundary.
+    """A point of the top (or bottom) gap boundary, or an array of them.
 
     Attributes
     ----------
-    xprime : planar coordinates (x1, x2), or scalar x1 in 2D.
+    xprime : planar coordinates (x1, x2), or x1 in 2D.  Every attribute
+        holds floats, or arrays for points sampled as arrays.
     x3 : height of the boundary point (``+h/2`` on top).
     n : unit outward normal of the top particle (points down into the gap,
         vertical component negative).
@@ -194,7 +198,10 @@ def gap(profile: GapProfile, xprime) -> float:
 def surface_sample(profile: GapProfile, side: str, xprime) -> SurfacePoint:
     """Sample the gap boundary at planar position ``xprime``.
 
-    ``side`` is ``"top"`` or ``"bottom"``; the returned normal is always the
+    ``xprime`` is ``(x1, x2)`` in 3D and ``x1`` in 2D, with scalar or array
+    coordinates; the fields of the result are floats for scalars and arrays
+    of the coordinates' shape otherwise.  ``side`` is ``"top"`` or
+    ``"bottom"``; the returned normal is always the
     outward normal of the particle the sampled boundary belongs to (downward
     ``n3 < 0`` on top, upward on bottom), and ``nu`` is the lever arm with
     respect to the top particle's centroid as used by the torque integrals.
@@ -204,34 +211,24 @@ def surface_sample(profile: GapProfile, side: str, xprime) -> SurfacePoint:
     if side not in ("top", "bottom"):
         raise ValueError("side must be 'top' or 'bottom'")
     sign = 1.0 if side == "top" else -1.0
-
-    if profile.dimension == 3:
-        x1, x2 = (float(v) for v in xprime)
-        rho = float(np.hypot(x1, x2))
-        if rho > profile.r:
-            raise ValueError(f"|x'| = {rho} outside the gap region r = {profile.r}")
-        h = float(profile.h_radial(rho))
-        # grad of the surface height h/2
-        half_H1 = 0.5 * float(profile.radial_jet(rho, 1)[0])
-        g1, g2 = half_H1 * x1, half_H1 * x2
-        jac = float(np.sqrt(1.0 + g1 * g1 + g2 * g2))
-        n = (sign * g1 / jac, sign * g2 / jac, -sign / jac)
-        nu3 = 0.5 * (h - profile.eps) - profile.R if side == "top" else None
-        if side == "bottom":
-            # lever arm is always taken about the top centroid (torque on D1)
-            nu3 = -0.5 * (h - profile.eps) - profile.eps - profile.R
-        x3 = sign * 0.5 * h
-        return SurfacePoint((x1, x2), x3, n, (x1, x2, nu3), jac)
-
-    x1 = float(xprime)
-    if abs(x1) > profile.r:
-        raise ValueError(f"|x1| = {abs(x1)} outside the gap region r = {profile.r}")
-    h = float(profile.h_radial(abs(x1)))
-    g1 = 0.5 * float(profile.radial_jet(abs(x1), 1)[0]) * x1
-    jac = float(np.sqrt(1.0 + g1 * g1))
-    n = (sign * g1 / jac, -sign / jac)
-    nu2 = 0.5 * (h - profile.eps) - profile.R
+    d = profile.dimension
+    planar = tuple(np.asarray(v, dtype=float) for v in (xprime if d == 3 else (xprime,)))
+    rho = np.hypot(*planar) if d == 3 else np.abs(planar[0])
+    if np.any(rho > profile.r):
+        name = "|x'|" if d == 3 else "|x1|"
+        raise ValueError(f"{name} = {np.max(rho)} outside the gap region r = {profile.r}")
+    h = profile.h_radial(rho)
+    # grad of the surface height h/2
+    half_H1 = 0.5 * profile.radial_jet(rho, 1)[0]
+    g = [half_H1 * x for x in planar]
+    jac = np.sqrt(sum((gi * gi for gi in g), 1.0))
+    # the lever arm is always taken about the top centroid (torque on D1)
+    lever = 0.5 * (h - profile.eps) - profile.R
     if side == "bottom":
-        nu2 = -0.5 * (h - profile.eps) - profile.eps - profile.R
-    x2 = sign * 0.5 * h
-    return SurfacePoint(x1, x2, n, (x1, nu2), jac)
+        lever = -0.5 * (h - profile.eps) - profile.eps - profile.R
+    keep = float if rho.ndim == 0 else np.asarray
+    planar = tuple(keep(x) for x in planar)
+    n = tuple(keep(v) for v in (*(sign * gi / jac for gi in g), -sign / jac))
+    return SurfacePoint(
+        planar if d == 3 else planar[0], keep(sign * 0.5 * h), n, (*planar, keep(lever)), keep(jac)
+    )

@@ -10,8 +10,11 @@
   places the 15/7 pair on given panel edges; it serves the graded
   angular ring of the rotation sub-flow.  :func:`trapezoid_ring` is the 64-point periodic trapezoid
   rule on ``[0, 2pi]`` as a single panel whose embedded rule is the even
-  nodes: the ring of the translation/spin sub-flows and of the dual
-  check's volume integrals.
+  nodes.
+* :func:`ring_integrals` -- the one ring reduction of every gap-plane
+  integral, by a ring's full and embedded rule: :data:`TRAPEZOID_RING`
+  (the trapezoid rule with its directions) in 3D, :data:`LINE_RING`, the
+  one-node ring ``x1 = t``, in 2D.
 
 All engines are stateless and re-entrant; caches are created per call.
 """
@@ -26,6 +29,7 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_REL_TOL",
+    "DEFAULT_MAX_SUBDIVISIONS",
     "QuadSpec",
     "QuadResult",
     "QuadratureError",
@@ -34,6 +38,9 @@ __all__ = [
     "PanelRule",
     "kronrod_panels",
     "trapezoid_ring",
+    "TRAPEZOID_RING",
+    "LINE_RING",
+    "ring_integrals",
 ]
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1]
@@ -74,9 +81,11 @@ _WEIGHTS_G = np.concatenate([_WG[:-1], [_WG[-1]], _WG[:-1][::-1]])
 
 _EPS = np.finfo(float).eps
 
-# Relative tolerance of the numeric force route, shared by
-# force_numeric/total_numeric and the [quadrature] rel_tol of a run config.
+# Relative tolerance and subdivision budget of the numeric force route, shared
+# by force_numeric/total_numeric and the [quadrature] section of a run config;
+# the budget is also QuadSpec's default.
 DEFAULT_REL_TOL = 1e-8
+DEFAULT_MAX_SUBDIVISIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -90,7 +99,7 @@ class QuadSpec:
 
     abs_tol: float = 0.0
     rel_tol: float = 1e-10
-    max_subdivisions: int = 400
+    max_subdivisions: int = DEFAULT_MAX_SUBDIVISIONS
     split_points: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -250,8 +259,7 @@ def integrate_1d(
     subdivision budget is exhausted.
     """
     spec = spec or QuadSpec()
-    fvec = lambda x: np.asarray(f(x), dtype=float)[np.newaxis, :]
-    values, errors, nevals = integrate_vector(fvec, a, b, spec, ncomp=1)
+    values, errors, nevals = integrate_vector(f, a, b, spec, ncomp=1)
     return QuadResult(float(values[0]), float(errors[0]), nevals)
 
 
@@ -270,6 +278,12 @@ class PanelRule(NamedTuple):
     embedded: np.ndarray
     embedded_weights: np.ndarray
 
+    def panel_sums(self, fx: np.ndarray):
+        """Per-panel sums ``(full, low)`` of values ``fx`` of shape
+        ``(..., npan, nodes)``: by the full and by the embedded rule."""
+        full = (fx @ self.weights) * self.half
+        return full, (fx[..., self.embedded] @ self.embedded_weights) * self.half
+
     def sums(self, fx: np.ndarray, embedded: bool = False):
         """Per-panel sums of values ``fx`` of shape ``(..., npan, nodes)``.
 
@@ -278,12 +292,9 @@ class PanelRule(NamedTuple):
         ``embedded``), and the cumulative full sums at the panel edges,
         starting from 0.
         """
-        full = (fx @ self.weights) * self.half
-        low = None
-        if embedded:
-            low = (fx[..., self.embedded] @ self.embedded_weights) * self.half
-        cum = np.cumsum(full, axis=-1)
-        return full, low, np.concatenate([np.zeros_like(cum[..., :1]), cum], axis=-1)
+        full, low = self.panel_sums(fx)
+        cum = np.cumsum(np.concatenate([np.zeros_like(full[..., :1]), full], axis=-1), axis=-1)
+        return full, low if embedded else None, cum
 
 
 def kronrod_panels(edges: np.ndarray) -> PanelRule:
@@ -311,3 +322,33 @@ def trapezoid_ring() -> PanelRule:
         np.arange(0, n, 2),
         np.full(n // 2, 4.0 / n),
     )
+
+
+# the rings of ring_integrals: the trapezoid with its directions, ring of the
+# 3D force moments (k != 6) and of the dual check's volume integrals; and the
+# 2D line as the one-node ring x1 = t, its own embedded rule (angular term 0)
+_TRAPEZOID = trapezoid_ring()
+TRAPEZOID_RING = (np.cos(_TRAPEZOID.x[0]), np.sin(_TRAPEZOID.x[0]), _TRAPEZOID)
+_ONE = np.ones(1)
+LINE_RING = (_ONE, PanelRule(np.zeros((1, 1)), _ONE, _ONE, np.zeros(1, int), _ONE))
+
+
+def ring_integrals(f, ring, ts: np.ndarray) -> np.ndarray:
+    """Integrals of ``f`` over the rings of radii ``ts``: shape ``(2 nrow, nt)``.
+
+    A ring is ``(*directions, rule)``: per planar coordinate the unit
+    direction at each node, panel by panel, and the :class:`PanelRule`;
+    with a leading radius axis on both, each radius has its own nodes.
+    ``f(t, xprime)`` maps the radius and the coordinates ``t * direction``
+    of the ring points to their values, shape ``(nrow, n)``.  The first
+    ``nrow`` rows are the integrals by the full rule, the rest the summed
+    per-panel differences from the embedded rule, which bound the angular
+    error; all carry the polar Jacobian ``t^(d - 2)``.
+    """
+    *dirs, rule = ring
+    xprime = tuple((ts[:, None] * c).ravel() for c in dirs)
+    pan = f(np.repeat(ts, dirs[0].shape[-1]), xprime).reshape(-1, ts.size, *rule.x.shape[-2:])
+    full, low = rule.panel_sums(pan)
+    # the polar Jacobian t^(d - 2): t on the rings of the plane, 1 on the line
+    jacobian = ts if len(dirs) == 2 else 1.0
+    return np.concatenate([full, np.abs(full - low)]).sum(axis=2) * jacobian

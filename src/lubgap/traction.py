@@ -16,18 +16,19 @@ area-weighted normal ``N = (grad h / 2, -1)`` (the identity
 ``n dS = N dx'`` removes the normalization roundoff).  One driver,
 :func:`force_numeric`, integrates all force and torque components of a
 sub-flow in a single adaptive pass (:func:`lubgap.quadrature.integrate_vector`)
-after a coarse probe that fixes the absolute tolerance: over ``[-r, r]``
-in 2D, radially over ring integrals in 3D.  A ring is its directions plus
-an angular rule held as data (:class:`lubgap.quadrature.PanelRule`), and
-its embedded rule bounds the angular error: the 64-point trapezoid for the
-translation/spin sub-flows, whose ring data are smooth and periodic, and,
-for the rotation sub-flow whose pressure varies over an angular width
-``delta/t`` near the cardinal angles, Gauss-Kronrod panels graded toward
-those angles and mirrored from the first octant onto the other seven
-(:func:`_mirrored_ring`).  Sub-flows whose velocity scale is zero are
-skipped by :func:`total_numeric`.  Every pressure is closed-form or exact
-to roundoff (:func:`lubgap.fields._running_integral`), so the error bounds
-are the quadrature and angular estimates alone.
+after a coarse probe that fixes the absolute tolerance, radially over ring
+integrals (:func:`lubgap.quadrature.ring_integrals`).  A ring is its
+directions plus an angular rule whose embedded rule bounds the angular
+error: in 2D the one node ``x1 = t`` over ``[-r, r]``, with no angular
+error; in 3D the 64-point trapezoid for the translation/spin sub-flows,
+whose ring data are smooth and periodic, and, for the rotation sub-flow
+whose pressure varies over an angular width ``delta/t`` near the cardinal
+angles, Gauss-Kronrod panels graded toward those angles and mirrored from
+the first octant onto the other seven (:func:`_mirrored_ring`).  Sub-flows
+whose velocity scale is zero are skipped by :func:`total_numeric`.  Every
+pressure is closed-form or exact to roundoff
+(:func:`lubgap.fields._running_integral`), so the error bounds are the
+quadrature and angular estimates alone.
 """
 
 from __future__ import annotations
@@ -39,18 +40,20 @@ import numpy as np
 # pressure_cache_error stays importable here: the perfbench tracer wraps it by name
 from .fields import (  # noqa: F401
     ProblemParams,
-    _graded_nodes,
     eval_field_many,
     pressure_cache_error,
     subflow_indices,
     subflow_scale,
 )
 from .quadrature import (
+    DEFAULT_MAX_SUBDIVISIONS,
     DEFAULT_REL_TOL,
+    LINE_RING,
+    TRAPEZOID_RING,
     QuadSpec,
     integrate_vector,
     kronrod_panels,
-    trapezoid_ring,
+    ring_integrals,
 )
 
 __all__ = [
@@ -59,7 +62,6 @@ __all__ = [
     "TotalResult",
     "force_numeric",
     "total_numeric",
-    "leading_coefficient",
 ]
 
 
@@ -115,8 +117,23 @@ def traction_moments(k: int, params: ProblemParams, xprime, h) -> np.ndarray:
     return np.concatenate([w, np.cross(nu, w, axis=0)])
 
 
-_TRAPEZOID = trapezoid_ring()
-_TRAPEZOID_RING = (np.cos(_TRAPEZOID.x[0]), np.sin(_TRAPEZOID.x[0]), _TRAPEZOID)
+def _graded_nodes(lo: float, hi: float, centers, delta: float, n_side=56, n_uniform=33):
+    """Node set on [lo, hi]: coarse uniform background plus sinh-graded
+    clusters (inner spacing ~delta) around each center."""
+    pts = set(np.linspace(lo, hi, n_uniform).tolist())
+    span = hi - lo
+    vmax = float(np.arcsinh(span / delta))
+    offs = delta * np.sinh(np.linspace(0.0, vmax, n_side))
+    for c0 in centers:
+        for sgn in (1.0, -1.0):
+            vals = c0 + sgn * offs
+            pts.update(vals[(vals > lo) & (vals < hi)].tolist())
+        if lo <= c0 <= hi:
+            pts.add(float(c0))
+    pts.update((lo, hi))
+    nodes = np.array(sorted(pts))
+    keep = np.concatenate([[True], np.diff(nodes) > 1e-13 * max(span, 1.0)])
+    return nodes[keep]
 
 
 # sinh-graded edges on each side of a flat cap's feature angle
@@ -126,7 +143,7 @@ _FEATURE_EDGES = 3
 def _mirrored_ring(profile, ts):
     """The graded angular ring of the rotation sub-flow at the radii ``ts``.
 
-    Returns ``(cos, sin, rule)``: ``rule`` holds 15-point Gauss-Kronrod
+    Returns the ring ``(cos, sin, rule)``: ``rule`` holds 15-point Gauss-Kronrod
     panels graded toward the cardinal angles, where the rotation pressure
     switches on over a width ``delta / t`` that a uniform rule cannot
     resolve; ``cos``/``sin`` are the ring directions at its nodes, panel
@@ -180,66 +197,37 @@ def _mirrored_ring(profile, ts):
     return cos, sin, rule._replace(x=theta, half=np.tile(rule.half, 8))
 
 
-def _ring_moments(k, params, ring, ts):
-    """Traction moments integrated over the rings of radii ``ts``: (12, nt).
-
-    ``ring`` is ``(cos, sin, rule)``: the ring directions and the angular
-    rule as data.  Rows 0..5 are ``t`` times the ring integrals of the
-    moments by the full rule; rows 6..11 ``t`` times the summed per-panel
-    differences from the embedded rule, which bound the angular error.
-    """
-    cos, sin, rule = ring
-    nt, nring = ts.size, cos.shape[-1]
-    t = np.repeat(ts, nring)
-    xprime = (t * np.broadcast_to(cos, (nt, nring)).ravel(), t * np.broadcast_to(sin, (nt, nring)).ravel())
-    h = np.broadcast_to(np.asarray(params.profile.h_radial(t), float), t.shape)
-    pan = traction_moments(k, params, xprime, h).reshape(6, nt, *rule.x.shape[-2:])
-    full, low, _ = rule.sums(pan, embedded=True)
-    return np.concatenate([full.sum(axis=2), np.abs(full - low).sum(axis=2)]) * ts[None, :]
-
-
 def force_numeric(
     k: int,
     params: ProblemParams,
     rel_tol: float = DEFAULT_REL_TOL,
-    max_subdivisions: int = 2000,
+    max_subdivisions: int = DEFAULT_MAX_SUBDIVISIONS,
 ) -> ForceResult:
     """Force and torque of sub-flow ``k`` on the top particle.
 
-    Integrates the traction moments over the top gap boundary: in 3D
-    radially over ring integrals (the graded ring for the rotation
-    sub-flow ``k = 6``, the trapezoid ring otherwise), split at the
-    ``eps^(1/m)`` layer scale and the flat radius; in 2D over
-    ``[-r, r]``, split there and at ``x1 = 0``.  A coarse probe pass sets
-    the absolute tolerance, so tolerances are relative to the largest
-    force/torque component of this sub-flow.  The bounds add the
-    quadrature estimate and the angular estimate (3D); no pressure adds
-    an error term.
+    Integrates the traction moments over the top gap boundary radially,
+    split at :meth:`GapProfile.radial_splits`, over ring integrals: in 3D
+    the graded ring for the rotation sub-flow ``k = 6`` and the trapezoid
+    ring otherwise, in 2D the one-node ring ``x1 = t`` over ``[-r, r]``.
+    A coarse probe pass sets the absolute tolerance, so tolerances are
+    relative to the largest force/torque component of this sub-flow.  The
+    bounds add the quadrature estimate and the angular estimate, exactly 0
+    in 2D; no pressure adds an error term.
     """
     prof = params.profile
     d = prof.dimension
     if k not in subflow_indices(d):
         raise ValueError(f"sub-flow index {k} invalid for dimension {d}")
-    if d == 3:
-        ring = (lambda ts: _mirrored_ring(prof, ts)) if k == 6 else (lambda ts: _TRAPEZOID_RING)
-        fvec = lambda ts: _ring_moments(k, params, ring(ts), ts)
-        lo, splits, nring = 0.0, prof.radial_splits(), ring(np.array([prof.r]))[0].shape[-1]
-        ncomp, nmom = 12, 6
-    else:
-
-        def fvec(xs):
-            h = np.broadcast_to(np.asarray(prof.h(xs), float), xs.shape)
-            return traction_moments(k, params, (xs,), h)
-
-        delta = prof.boundary_layer_scale()
-        splits = sorted(
-            {p for base in (delta, prof.s) for p in (base, -base) if 0.0 < abs(p) < prof.r}
-            | {0.0}
-        )
-        lo, nring, ncomp, nmom = -prof.r, 1, 3, 3
+    fixed, lo = (TRAPEZOID_RING, 0.0) if d == 3 else (LINE_RING, -prof.r)
+    ring = (lambda ts: _mirrored_ring(prof, ts)) if k == 6 else (lambda ts: fixed)
+    moments = lambda t, xprime: traction_moments(k, params, xprime, prof.h_radial(t))
+    fvec = lambda ts: ring_integrals(moments, ring(ts), ts)
+    splits, nring = prof.radial_splits(), ring(np.array([prof.r]))[0].shape[-1]
+    # the d force components and the torque: 3 moments in 2D, 6 in 3D
+    nmom = 3 * (d - 1)
 
     probe = QuadSpec(abs_tol=1e300, rel_tol=1.0, split_points=splits)
-    vals0, _, n0 = integrate_vector(fvec, lo, prof.r, probe, ncomp=ncomp, ncheck=nmom)
+    vals0, _, n0 = integrate_vector(fvec, lo, prof.r, probe, ncomp=2 * nmom, ncheck=nmom)
     scale = max(float(np.max(np.abs(vals0[:nmom]))), 1e-300)
     spec = QuadSpec(
         abs_tol=rel_tol * scale,
@@ -247,9 +235,9 @@ def force_numeric(
         max_subdivisions=max_subdivisions,
         split_points=splits,
     )
-    vals, errs, nev = integrate_vector(fvec, lo, prof.r, spec, ncomp=ncomp, ncheck=nmom)
+    vals, errs, nev = integrate_vector(fvec, lo, prof.r, spec, ncomp=2 * nmom, ncheck=nmom)
 
-    err = errs[:nmom] + np.maximum(vals[nmom:], 0.0) if d == 3 else errs
+    err = errs[:nmom] + np.maximum(vals[nmom:], 0.0)
     T, T_err = vals[d:nmom].copy(), err[d:nmom].copy()
     if d == 2:
         T, T_err = float(T[0]), float(T_err[0])
@@ -265,7 +253,7 @@ def force_numeric(
 def total_numeric(
     params: ProblemParams,
     rel_tol: float = DEFAULT_REL_TOL,
-    max_subdivisions: int = 2000,
+    max_subdivisions: int = DEFAULT_MAX_SUBDIVISIONS,
 ) -> TotalResult:
     """Total force/torque: sum of :func:`force_numeric` over all sub-flows.
 
@@ -296,28 +284,3 @@ def total_numeric(
         T_err = float(sum(res.T_err for res in per.values()))
     nev = sum(res.evaluations for res in per.values())
     return TotalResult(F=F, T=T, F_err=F_err, T_err=T_err, evaluations=nev, per_subflow=per)
-
-
-def leading_coefficient(
-    v1: float,
-    v2: float,
-    eps1: float,
-    eps2: float,
-    power: float = 0.0,
-    is_log: bool = False,
-) -> float:
-    """Leading coefficient from values at two gap widths.
-
-    Assuming ``v(eps) = c * t(eps) + const`` with ``t = eps^-power`` (or
-    ``|ln eps|`` when ``is_log``), differencing the two samples eliminates
-    the unknown constant:
-
-        c = (v1 - v2) / (t(eps1) - t(eps2)).
-    """
-    if eps1 == eps2:
-        raise ValueError("need two distinct gap widths")
-    if is_log:
-        t1, t2 = abs(np.log(eps1)), abs(np.log(eps2))
-    else:
-        t1, t2 = eps1 ** (-power), eps2 ** (-power)
-    return (v1 - v2) / (t1 - t2)

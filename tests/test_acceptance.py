@@ -27,7 +27,9 @@ from lubgap.fields import (
 from lubgap.geometry import GapProfile, surface_sample
 from lubgap.quadrature import QuadSpec
 from lubgap.special import gamma_coeff, phi
-from lubgap.traction import force_numeric, leading_coefficient, total_numeric
+from lubgap.traction import force_numeric, total_numeric
+
+from helpers import leading_coefficient
 
 RNG_SEED = 20260823
 

@@ -104,6 +104,15 @@ class TestConstants:
         assert main(["constants", "--m", "1.9999999999999"]) == EXIT_OK
         assert main(["constants", "--m", "2.0000000000001"]) == EXIT_OK
 
+    @pytest.mark.parametrize("m", ["1.5", "1.6666666666666667"])
+    def test_2d_only_exponent(self, m, capsys):
+        # 1 < m < 2 admits 2D profiles only: the 2D alphas print, and the 3D
+        # ones, whose Gamma pairs have a pole there, are left out
+        assert main(["constants", "--m", m]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "alpha11_2d" in out and "alpha33_2d" in out
+        assert "_3d" not in out
+
     def test_invalid_m(self, capsys):
         assert main(["constants", "--m", "0.5"]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Config parsing, validation errors, and round-trip rendering."""
 
+import inspect
 import math
 
 import pytest
@@ -14,7 +15,8 @@ from lubgap.config import (
     load_config,
     parse_config,
 )
-from lubgap.quadrature import DEFAULT_REL_TOL
+from lubgap.quadrature import DEFAULT_MAX_SUBDIVISIONS, DEFAULT_REL_TOL, QuadSpec
+from lubgap.traction import force_numeric, total_numeric
 
 BASE_3D = """
 [profile]
@@ -103,6 +105,17 @@ override_flat_hypothesis = false
         assert cfg.csv_path == "out.csv"
         assert cfg.json_path == "out.json"
         assert cfg.mode == "numeric"
+
+    @pytest.mark.parametrize(
+        "section", ["", "[quadrature]\nrel_tol = 1e-9\n"], ids=["no-section", "no-key"]
+    )
+    def test_default_subdivisions_match_library(self, section):
+        # an omitted max_subdivisions gives the budget the library uses
+        cfg = parse_config(with_sections(section))
+        assert cfg.quadrature.max_subdivisions == DEFAULT_MAX_SUBDIVISIONS == 2000
+        for fn in (force_numeric, total_numeric):
+            assert inspect.signature(fn).parameters["max_subdivisions"].default == 2000
+        assert QuadSpec().max_subdivisions == 2000
 
     def test_inline_comments(self):
         cfg = parse_config(BASE_3D.replace("eps = 1e-3", "eps = 1e-3  # gap width"))

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from lubgap import dualcheck, fields
+from lubgap import dualcheck, fields, traction
 from lubgap.asymptotics import fit_exponent
 from lubgap.dualcheck import EllReport, dual_tensor, ell, energy, err_sweep
 from lubgap.fields import ProblemParams
@@ -201,7 +201,7 @@ class TestExactDerivatives:
             centers = [0.0]
             if prof.kind == "flat-capped" and x2 < prof.s:
                 centers += list(np.array([-1.0, 1.0]) * np.sqrt(prof.s**2 - x2**2))
-            edges = np.union1d(fields._graded_nodes(-bound, bound, centers, delta, n_side=48), x1)
+            edges = np.union1d(traction._graded_nodes(-bound, bound, centers, delta, n_side=48), x1)
             line = kronrod_panels(edges)
             A1, A2, B1, B2 = fields._coefficient_derivs(prof, 2, c, line.x, np.full_like(line.x, x2))
             at = np.searchsorted(edges, x1)

@@ -103,6 +103,29 @@ class TestBoundaryConditions:
                 target = boundary_target(k, params, sp)
                 assert np.max(np.abs(u - target)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_array_sample_matches_points(self, dim, params3d, params2d):
+        # surface_sample and boundary_target take point arrays: each column
+        # holds the point-by-point value, and scalar input still gives floats
+        params = params3d if dim == 3 else params2d
+        prof = params.profile
+        xs = np.random.default_rng(RNG_SEED + 1).uniform(-0.6, 0.6, (dim - 1, 40)) * prof.r
+        pick = (lambda a: tuple(a)) if dim == 3 else (lambda a: a[0])
+        for side in ("top", "bottom"):
+            sp = surface_sample(prof, side, pick(xs))
+            targets = [boundary_target(k, params, sp) for k in subflow_indices(dim)]
+            for i in range(xs.shape[1]):
+                one = surface_sample(prof, side, pick(xs[:, i]))
+                assert isinstance(one.x3, float) and isinstance(one.jac, float)
+                got = [sp.x3[i], sp.jac[i], *(v[i] for v in sp.n), *(v[i] for v in sp.nu)]
+                assert got == pytest.approx([one.x3, one.jac, *one.n, *one.nu], rel=1e-15, abs=1e-300)
+                for k, target in zip(subflow_indices(dim), targets):
+                    want = boundary_target(k, params, one)
+                    assert target[:, i] == pytest.approx(want, rel=1e-15, abs=1e-300)
+        outside = np.array([[0.0, 1.1 * prof.r], [0.0, 0.0]])[: dim - 1]
+        with pytest.raises(ValueError):
+            surface_sample(prof, "top", pick(outside))
+
     def test_squeeze_target_3d(self, params3d):
         sp = surface_sample(params3d.profile, "top", (0.1, 0.2))
         target = boundary_target(3, params3d, sp)

@@ -37,6 +37,10 @@ install(tracer, lubgap)
 from lubgap.traction import total_numeric
 profile = lubgap.GapProfile.m_convex(dimension=2, m=2.0, r=0.5, eps=1e-3, R=2.0)
 total_numeric(lubgap.ProblemParams(profile=profile, U=(0.4, -0.3), omega=0.25))
+from lubgap import dualcheck
+profile = lubgap.GapProfile.m_convex(dimension=3, m=2.0, r=0.5, eps=1e-2, R=2.0)
+params = lubgap.ProblemParams(profile=profile, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
+dualcheck.ell(1, 1, params, lubgap.QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
 print(json.dumps(sorted({span[0] for span in tracer.spans})))
 """
 
@@ -56,6 +60,8 @@ def test_perfbench_trace_install_smoke():
     assert "traction.force_numeric" in names
     assert "quadrature.integrate_vector" in names
     assert "fields.eval_field_many" in names
+    assert "dualcheck.ell" in names
+    assert "quadrature.integrate_1d" in names
 
 
 _M2_NO_INTERPOLATE = """

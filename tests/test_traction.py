@@ -11,10 +11,11 @@ from lubgap.geometry import GapProfile
 from lubgap.traction import (
     _mirrored_ring,
     force_numeric,
-    leading_coefficient,
     total_numeric,
     traction_moments,
 )
+
+from helpers import leading_coefficient
 
 
 def mconvex(m=2.0, eps=1e-3, dimension=3, r=0.5, R=2.0):
