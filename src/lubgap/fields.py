@@ -353,22 +353,20 @@ def _squeeze_type(k: int, params: ProblemParams):
     return {2: (1, (-2.0 * params.U[1],)), 4: (2, (-params.omega,))}[k]
 
 
-def _monomial_derivs(p, jet, x, y):
+def _monomial_derivs(p, jet, x, y=None):
     """``[f, f_x, f_y, f_xx, f_xy, f_yy]`` of ``f = x^p u``, ``p`` in {1, 2}.
 
     ``u`` is radial with the jet ``jet = (u, a1, a2)`` (see
     :meth:`GapProfile.radial_jet`); a fourth entry ``a3`` appends ``d_x (f_xx + f_yy)``.
+    Without ``y`` (the line ``y = 0`` of 2D) the ``y`` derivatives are ``None``.
     """
     u, a1, a2 = jet[:3]
     P, P1, P11 = (x, 1.0, 0.0) if p == 1 else (x * x, 2.0 * x, 2.0)
-    out = [
-        P * u,
-        P1 * u + P * a1 * x,
-        P * a1 * y,
-        P * (a1 + a2 * x * x) + 2.0 * P1 * a1 * x + P11 * u,
-        (P * a2 * x + P1 * a1) * y,
-        P * (a1 + a2 * y * y),
-    ]
+    f, f_x = P * u, P1 * u + P * a1 * x
+    f_xx = P * (a1 + a2 * x * x) + 2.0 * P1 * a1 * x + P11 * u
+    if y is None:
+        return [f, f_x, None, f_xx, None, None]
+    out = [f, f_x, P * a1 * y, f_xx, (P * a2 * x + P1 * a1) * y, P * (a1 + a2 * y * y)]
     if len(jet) == 4:
         a3 = jet[3]
         out.append(
@@ -385,7 +383,8 @@ def _coefficient_derivs(profile, p, c, x1, x2, third=False):
     ``A_a = -3/4 c_a x_a^p / h`` and ``B_a = c_a x_a^p / h^3`` for each
     entry of ``c`` (axes ``x1``, ``x2``; a one-entry ``c`` is the 2D form on
     ``x1``, with ``x2 = 0``).  Returns ``[A1, A2, B1, B2]`` (``[A1, B1]`` in
-    2D), each ``[f, d1 f, d2 f, d11 f, d12 f, d22 f]``; ``third`` appends
+    2D, without the ``x2`` derivatives, which are ``None``), each
+    ``[f, d1 f, d2 f, d11 f, d12 f, d22 f]``; ``third`` (3D only) appends
     ``d_a lap f`` on the coefficient's own axis ``a``.  The chain rule
     carries the jet of ``h`` over to ``h^-n`` and the Leibniz rule to the
     product, without dividing by ``rho``.
@@ -400,7 +399,7 @@ def _coefficient_derivs(profile, p, c, x1, x2, third=False):
         if third:
             jet.append(-n * u * ((n + 1) * e[0] * ((n + 2) * e[0] * e[0] - 3.0 * e[1]) + e[2]))
         jets = [[scale * ca * a for a in jet] for ca in c]
-        out.append(_monomial_derivs(p, jets[0], x1, x2))
+        out.append(_monomial_derivs(p, jets[0], x1, x2 if len(c) == 2 else None))
         if len(c) == 2:
             # differentiated along x2 first; reorder to x1, x2
             f, f2, f1, f22, f12, f11, *lap = _monomial_derivs(p, jets[1], x2, x1)

@@ -8,13 +8,13 @@
   lower-order rule, held as data: the nodes of each panel, the
   half-widths, and the node weights on ``[-1, 1]``.  :func:`kronrod_panels`
   places the 15/7 pair on given panel edges; it serves the graded
-  angular ring of the rotation sub-flow.  :func:`trapezoid_ring` is the 64-point periodic trapezoid
-  rule on ``[0, 2pi]`` as a single panel whose embedded rule is the even
-  nodes.
+  angular ring of the rotation sub-flow.  :func:`trapezoid_ring` is the
+  ``n``-point periodic trapezoid ring, one panel whose embedded rule is the
+  even nodes.
 * :func:`ring_integrals` -- the one ring reduction of every gap-plane
-  integral, by a ring's full and embedded rule: :data:`TRAPEZOID_RING`
-  (the trapezoid rule with its directions) in 3D, :data:`LINE_RING`, the
-  one-node ring ``x1 = t``, in 2D.
+  integral, by a ring's full and embedded rule: the trapezoid rings
+  :data:`TRAPEZOID_RING` (64 points) and :data:`SHORT_RING` (8 points) in
+  3D, :data:`LINE_RING`, the one-node ring ``x1 = t``, in 2D.
 
 All engines are stateless and re-entrant; caches are created per call.
 """
@@ -39,6 +39,7 @@ __all__ = [
     "kronrod_panels",
     "trapezoid_ring",
     "TRAPEZOID_RING",
+    "SHORT_RING",
     "LINE_RING",
     "ring_integrals",
 ]
@@ -165,11 +166,6 @@ def _panel(fvec: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     return resk, err, resabs, x.size
 
 
-def _initial_panels(a: float, b: float, spec: QuadSpec) -> list[tuple[float, float]]:
-    cuts = [a] + [p for p in sorted(spec.split_points) if a < p < b] + [b]
-    return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
-
-
 def integrate_vector(
     fvec: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -219,7 +215,9 @@ def integrate_vector(
         running = running + parts
         heapq.heappush(panels, (-float(err[:ncheck].sum()), counter, lo, hi, parts))
 
-    for (lo, hi) in _initial_panels(a, b, spec):
+    # the initial panels, cut at the split points
+    cuts = [a] + [p for p in sorted(spec.split_points) if a < p < b] + [b]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
         push(lo, hi)
 
     while True:
@@ -284,18 +282,6 @@ class PanelRule(NamedTuple):
         full = (fx @ self.weights) * self.half
         return full, (fx[..., self.embedded] @ self.embedded_weights) * self.half
 
-    def sums(self, fx: np.ndarray, embedded: bool = False):
-        """Per-panel sums of values ``fx`` of shape ``(..., npan, nodes)``.
-
-        Returns ``(full, low, cum)`` over the last axis: the sums of the
-        full rule, those of the embedded rule (``None`` unless
-        ``embedded``), and the cumulative full sums at the panel edges,
-        starting from 0.
-        """
-        full, low = self.panel_sums(fx)
-        cum = np.cumsum(np.concatenate([np.zeros_like(full[..., :1]), full], axis=-1), axis=-1)
-        return full, low if embedded else None, cum
-
 
 def kronrod_panels(edges: np.ndarray) -> PanelRule:
     """The 15-point Kronrod rule, with its embedded 7-point Gauss rule, on
@@ -307,28 +293,30 @@ def kronrod_panels(edges: np.ndarray) -> PanelRule:
     return PanelRule(x, half, _WEIGHTS_K, _GAUSS_IDX, _WEIGHTS_G)
 
 
-def trapezoid_ring() -> PanelRule:
-    """The 64-point periodic trapezoid rule on ``[0, 2pi]`` as one panel.
+def trapezoid_ring(n: int):
+    """The ``n``-point periodic trapezoid ring on ``[0, 2pi]``: ``(cos, sin, rule)``.
 
-    Its embedded rule is the 32-point rule on the even nodes.  Spectrally
-    accurate for smooth periodic data.
+    ``rule`` is one panel whose embedded rule is the ``n/2``-point rule on
+    the even nodes.  Both are exact for trigonometric polynomials below
+    degree ``n/2``, and spectrally accurate for smooth periodic data.
     """
-    n = 64
     x = 2.0 * np.pi * np.arange(n) / n
-    return PanelRule(
+    rule = PanelRule(
         x[None, :],
         np.array([np.pi]),
         np.full(n, 2.0 / n),
         np.arange(0, n, 2),
         np.full(n // 2, 4.0 / n),
     )
+    return np.cos(x), np.sin(x), rule
 
 
-# the rings of ring_integrals: the trapezoid with its directions, ring of the
-# 3D force moments (k != 6) and of the dual check's volume integrals; and the
-# 2D line as the one-node ring x1 = t, its own embedded rule (angular term 0)
-_TRAPEZOID = trapezoid_ring()
-TRAPEZOID_RING = (np.cos(_TRAPEZOID.x[0]), np.sin(_TRAPEZOID.x[0]), _TRAPEZOID)
+# the rings of ring_integrals: the 64-point trapezoid, ring of the dual
+# check's volume integrals; the 8-point one, exact for the 3D force moments
+# of k != 6 (trigonometric polynomials of degree <= 2); and the 2D line as
+# the one-node ring x1 = t, its own embedded rule (angular term 0)
+TRAPEZOID_RING = trapezoid_ring(64)
+SHORT_RING = trapezoid_ring(8)
 _ONE = np.ones(1)
 LINE_RING = (_ONE, PanelRule(np.zeros((1, 1)), _ONE, _ONE, np.zeros(1, int), _ONE))
 

@@ -16,12 +16,14 @@ area-weighted normal ``N = (grad h / 2, -1)`` (the identity
 ``n dS = N dx'`` removes the normalization roundoff).  One driver,
 :func:`force_numeric`, integrates all force and torque components of a
 sub-flow in a single adaptive pass (:func:`lubgap.quadrature.integrate_vector`)
-after a coarse probe that fixes the absolute tolerance, radially over ring
-integrals (:func:`lubgap.quadrature.ring_integrals`).  A ring is its
-directions plus an angular rule whose embedded rule bounds the angular
-error: in 2D the one node ``x1 = t`` over ``[-r, r]``, with no angular
-error; in 3D the 64-point trapezoid for the translation/spin sub-flows,
-whose ring data are smooth and periodic, and, for the rotation sub-flow
+radially over ring integrals (:func:`lubgap.quadrature.ring_integrals`),
+from the panels of a coarse probe that fixes the absolute tolerance.  A
+ring is its directions plus an angular rule whose embedded rule bounds the
+angular error: in 2D the one node ``x1 = t`` over ``[-r, r]``; in 3D the
+8-point trapezoid, exact with its embedded rule for the translation/spin
+moments, which are trigonometric polynomials of degree at most 2 in the
+angle (``x'``, ``J x'`` and radial functions build the fields; the normal
+and the lever arm add one degree each), and, for the rotation sub-flow
 whose pressure varies over an angular width ``delta/t`` near the cardinal
 angles, Gauss-Kronrod panels graded toward those angles and mirrored from
 the first octant onto the other seven (:func:`_mirrored_ring`).  Sub-flows
@@ -49,7 +51,7 @@ from .quadrature import (
     DEFAULT_MAX_SUBDIVISIONS,
     DEFAULT_REL_TOL,
     LINE_RING,
-    TRAPEZOID_RING,
+    SHORT_RING,
     QuadSpec,
     integrate_vector,
     kronrod_panels,
@@ -207,27 +209,35 @@ def force_numeric(
 
     Integrates the traction moments over the top gap boundary radially,
     split at :meth:`GapProfile.radial_splits`, over ring integrals: in 3D
-    the graded ring for the rotation sub-flow ``k = 6`` and the trapezoid
-    ring otherwise, in 2D the one-node ring ``x1 = t`` over ``[-r, r]``.
-    A coarse probe pass sets the absolute tolerance, so tolerances are
-    relative to the largest force/torque component of this sub-flow.  The
-    bounds add the quadrature estimate and the angular estimate, exactly 0
-    in 2D; no pressure adds an error term.
+    the graded ring for the rotation sub-flow ``k = 6`` and the exact
+    8-point trapezoid ring otherwise, in 2D the one-node ring ``x1 = t``
+    over ``[-r, r]``.  A coarse probe, whose panels are not evaluated again,
+    sets the absolute tolerance relative to the largest force/torque
+    component of this sub-flow.  The bounds add the quadrature and angular
+    estimates (0 in 2D, roundoff in 3D for ``k != 6``); ``evaluations``
+    counts distinct points.
     """
     prof = params.profile
     d = prof.dimension
     if k not in subflow_indices(d):
         raise ValueError(f"sub-flow index {k} invalid for dimension {d}")
-    fixed, lo = (TRAPEZOID_RING, 0.0) if d == 3 else (LINE_RING, -prof.r)
+    fixed, lo = (SHORT_RING, 0.0) if d == 3 else (LINE_RING, -prof.r)
     ring = (lambda ts: _mirrored_ring(prof, ts)) if k == 6 else (lambda ts: fixed)
     moments = lambda t, xprime: traction_moments(k, params, xprime, prof.h_radial(t))
-    fvec = lambda ts: ring_integrals(moments, ring(ts), ts)
     splits, nring = prof.radial_splits(), ring(np.array([prof.r]))[0].shape[-1]
     # the d force components and the torque: 3 moments in 2D, 6 in 3D
     nmom = 3 * (d - 1)
+    # ring integrals per radial panel: the adaptive pass reads the probe's here
+    panels = {}
+
+    def fvec(ts):
+        key = ts.tobytes()
+        if key not in panels:
+            panels[key] = ring_integrals(moments, ring(ts), ts)
+        return panels[key]
 
     probe = QuadSpec(abs_tol=1e300, rel_tol=1.0, split_points=splits)
-    vals0, _, n0 = integrate_vector(fvec, lo, prof.r, probe, ncomp=2 * nmom, ncheck=nmom)
+    vals0 = integrate_vector(fvec, lo, prof.r, probe, ncomp=2 * nmom, ncheck=nmom)[0]
     scale = max(float(np.max(np.abs(vals0[:nmom]))), 1e-300)
     spec = QuadSpec(
         abs_tol=rel_tol * scale,
@@ -235,7 +245,7 @@ def force_numeric(
         max_subdivisions=max_subdivisions,
         split_points=splits,
     )
-    vals, errs, nev = integrate_vector(fvec, lo, prof.r, spec, ncomp=2 * nmom, ncheck=nmom)
+    vals, errs, _ = integrate_vector(fvec, lo, prof.r, spec, ncomp=2 * nmom, ncheck=nmom)
 
     err = errs[:nmom] + np.maximum(vals[nmom:], 0.0)
     T, T_err = vals[d:nmom].copy(), err[d:nmom].copy()
@@ -246,7 +256,7 @@ def force_numeric(
         T=T,
         F_err=err[:d].copy(),
         T_err=T_err,
-        evaluations=(n0 + nev) * nring,
+        evaluations=sum(v.shape[-1] for v in panels.values()) * nring,
     )
 
 

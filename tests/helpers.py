@@ -26,3 +26,16 @@ def leading_coefficient(
     else:
         t1, t2 = eps1 ** (-power), eps2 ** (-power)
     return (v1 - v2) / (t1 - t2)
+
+
+def cumulative_sums(rule, fx: np.ndarray):
+    """Per-panel sums of values ``fx`` of shape ``(..., npan, nodes)`` by a
+    :class:`lubgap.quadrature.PanelRule`.
+
+    Returns ``(full, low, cum)`` over the last axis: the sums of the full
+    rule, those of the embedded rule, and the cumulative full sums at the
+    panel edges, starting from 0.
+    """
+    full, low = rule.panel_sums(fx)
+    cum = np.cumsum(np.concatenate([np.zeros_like(full[..., :1]), full], axis=-1), axis=-1)
+    return full, low, cum

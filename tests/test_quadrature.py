@@ -16,6 +16,8 @@ from lubgap.quadrature import (
     trapezoid_ring,
 )
 
+from helpers import cumulative_sums
+
 
 class TestQuadSpec:
     def test_defaults(self):
@@ -95,19 +97,31 @@ class TestPanelRules:
         # degree 6 is below the 7-point Gauss degree, so both rules are exact
         edges = np.array([-1.0, -0.2, 0.5, 1.5])
         rule = kronrod_panels(edges)
-        full, low, cum = rule.sums(rule.x**6, embedded=True)
+        full, low, cum = cumulative_sums(rule, rule.x**6)
         assert full.shape == low.shape == (3,)
         assert np.max(np.abs(full - low)) <= 1e-14
         assert cum == pytest.approx((edges**7 - edges[0] ** 7) / 7.0, rel=1e-13)
-        assert rule.sums(np.stack([rule.x, -rule.x]))[2].shape == (2, 4)
+        assert cumulative_sums(rule, np.stack([rule.x, -rule.x]))[2].shape == (2, 4)
 
     def test_trapezoid_ring(self):
         # the ring is one panel of [0, 2pi]; its embedded rule the even nodes
-        ring = trapezoid_ring()
+        ring = trapezoid_ring(64)[2]
         assert ring.x.shape == (1, 64)
-        full, low, _ = ring.sums(np.cos(3.0 * ring.x) ** 2, embedded=True)
+        full, low, _ = cumulative_sums(ring, np.cos(3.0 * ring.x) ** 2)
         assert full[0] == pytest.approx(np.pi, rel=1e-14)
         assert low[0] == pytest.approx(np.pi, rel=1e-14)
-        full, low, _ = ring.sums(np.cos(16.0 * ring.x) ** 2, embedded=True)
+        full, low, _ = cumulative_sums(ring, np.cos(16.0 * ring.x) ** 2)
+        assert full[0] == pytest.approx(np.pi, rel=1e-14)
+        assert low[0] == pytest.approx(2.0 * np.pi, rel=1e-14)
+
+    def test_short_ring(self):
+        # both rules of the 8-point ring are exact below degree 4; the
+        # embedded 4-point rule aliases degree 4 onto the constant
+        ring = trapezoid_ring(8)[2]
+        assert ring.x.shape == (1, 8)
+        full, low, _ = cumulative_sums(ring, np.cos(ring.x + 0.3) ** 2 + np.sin(3.0 * ring.x))
+        assert full[0] == pytest.approx(np.pi, rel=1e-14)
+        assert low[0] == pytest.approx(np.pi, rel=1e-14)
+        full, low, _ = cumulative_sums(ring, np.cos(2.0 * ring.x) ** 2)
         assert full[0] == pytest.approx(np.pi, rel=1e-14)
         assert low[0] == pytest.approx(2.0 * np.pi, rel=1e-14)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from lubgap import fields
+from lubgap import fields, traction
 from lubgap.fields import ProblemParams, subflow_indices
 from lubgap.geometry import GapProfile
+from lubgap.quadrature import SHORT_RING, TRAPEZOID_RING, ring_integrals
 from lubgap.traction import (
     _mirrored_ring,
     force_numeric,
@@ -159,6 +160,78 @@ class TestForceNumeric:
         assert np.isscalar(res.T) or np.ndim(res.T) == 0
         assert res.F.shape == (2,)
 
+    @pytest.mark.parametrize("d, k", [(d, k) for d in (3, 2) for k in subflow_indices(d)])
+    def test_each_panel_evaluated_once(self, d, k, params3d, params2d, monkeypatch):
+        # the adaptive pass reads the probe's panels instead of evaluating
+        # them again, and evaluations counts each distinct point once
+        calls = []
+
+        def spy(f, ring, ts):
+            calls.append((ts.tobytes(), ring[0].shape[-1]))
+            return ring_integrals(f, ring, ts)
+
+        monkeypatch.setattr(traction, "ring_integrals", spy)
+        res = force_numeric(k, params3d if d == 3 else params2d)
+        panels = {key for key, _ in calls}
+        nring = {size for _, size in calls}
+        assert len(panels) == len(calls)
+        assert len(nring) == 1
+        if k != 6:
+            assert nring == {8 if d == 3 else 1}
+        # 15 Kronrod nodes per radial panel
+        assert res.evaluations == len(panels) * 15 * nring.pop()
+
+
+# m-convex profiles, and the flat cap s = 0.05 with radii on both sides of its rim
+_SHORT_RING_PROFILES = pytest.mark.parametrize(
+    "kind, m, s", [("m-convex", m, 0.0) for m in (2.0, 2.5, 4.0, 8.0)] + [("flat-capped", 2.0, 0.05)]
+)
+_SHORT_RING_RADII = np.array([1e-4, 0.01, 0.049, 0.051, 0.2, 0.5])
+
+
+def _general_moments(kind, m, s):
+    """Ring integrands of the 3D sub-flows k = 0..5 under a general motion, eps 1e-2..1e-8."""
+    for eps in 10.0 ** -np.arange(2, 9):
+        prof = GapProfile(kind=kind, m=m, s=s, eps=eps, r=0.5, R=2.0, dimension=3)
+        params = ProblemParams(profile=prof, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
+        for k in range(6):
+            yield (eps, k), lambda t, xp, k=k, params=params: traction_moments(
+                k, params, xp, params.profile.h_radial(t)
+            )
+
+
+class TestShortRing:
+    # every 3D translation and spin moment (k = 0..5) is a trigonometric
+    # polynomial of degree <= 2 in the ring angle: each field is built from
+    # x', J x' and radial functions, and the normal and the lever arm add one
+    # degree each; the 8-point trapezoid and its embedded 4-point rule are
+    # exact below degree 4
+
+    @_SHORT_RING_PROFILES
+    def test_moments_degree_two(self, kind, m, s):
+        n, ts = 256, _SHORT_RING_RADII
+        theta = 2.0 * np.pi * np.arange(n) / n
+        xprime = tuple((ts[:, None] * f(theta)).ravel() for f in (np.cos, np.sin))
+        for case, moments in _general_moments(kind, m, s):
+            ring = moments(np.repeat(ts, n), xprime).reshape(6, ts.size, n)
+            modes = np.abs(np.fft.rfft(ring, axis=-1))
+            assert np.max(modes[..., 3:]) <= 1e-13 * np.max(modes), case
+
+    @_SHORT_RING_PROFILES
+    def test_matches_trapezoid(self, kind, m, s):
+        ts = _SHORT_RING_RADII
+        theta = TRAPEZOID_RING[2].x[0]
+        xprime = tuple((ts[:, None] * f(theta)).ravel() for f in (np.cos, np.sin))
+        for case, moments in _general_moments(kind, m, s):
+            # per radius, the largest moment on the ring times the ring length
+            ring = moments(np.repeat(ts, theta.size), xprime).reshape(6, ts.size, -1)
+            scale = 2.0 * np.pi * ts * np.max(np.abs(ring), axis=(0, 2))
+            short = ring_integrals(moments, SHORT_RING, ts)
+            fine = ring_integrals(moments, TRAPEZOID_RING, ts)
+            assert np.all(np.abs(short[:6] - fine[:6]) <= 1e-14 * scale), case
+            # the embedded estimate is roundoff
+            assert np.all(short[6:] <= 1e-14 * scale), case
+
 
 # the eight symmetries of the square acting on (cos, sin)
 _OCTANT_MAPS = [
@@ -282,7 +355,9 @@ class TestReferenceValues:
     # (k = 6) were pinned again when their pressures became closed-form:
     # each new value lies within the old bound of the old one (for k = 6
     # checked against _TABLE_K6), the bounds fell (3D k = 3 F3 from 1.4e-4
-    # to 1.0e-5, k = 6 F3 from 7.3e-3 to 2.2e-10).
+    # to 1.0e-5, k = 6 F3 from 7.3e-3 to 2.2e-10).  The evaluations count
+    # distinct points: each radial panel once, on the 8-point ring in 3D
+    # for k != 6.
     _REFERENCE = {
         3: {
             0: (
@@ -290,49 +365,49 @@ class TestReferenceValues:
                 [-0.131615551600588, -0.17548740213411737, 7.583796165255376e-19],
                 [1.1304206222865345e-15, 8.487828482778594e-16, 1.4859434404476333e-18],
                 [1.5971323999818942e-15, 2.124088530710167e-15, 1.0516731498717769e-18],
-                3840,
+                240,
             ),
             1: (
                 [1.8126761802368663, -2.3529151158617323e-20, -6.6994189225477334e-18],
                 [-6.052761906758886e-22, -3.6253523604737325, -1.4721725569037065e-18],
                 [6.022133043453079e-12, 6.690415674080469e-19, 1.501737128949818e-17],
                 [1.5973950027410276e-18, 1.2044063352589815e-11, 7.042488039616886e-18],
-                9600,
+                960,
             ),
             2: (
                 [-1.8563563631730738e-19, -1.8126761802368656, 1.6191822042255479e-18],
                 [-3.625352360473731, 2.664335989030229e-19, 1.1675282252088996e-17],
                 [6.45885305936273e-19, 6.022056072401149e-12, 1.2547621407248727e-17],
                 [1.204403193919922e-11, 1.9910127336145986e-18, 5.377745188281749e-18],
-                9600,
+                960,
             ),
             3: (
                 [-2.019479371598354e-15, -3.110413101825977e-17, 2343.2817606368953],
                 [3.358126216422507e-16, 7.233398548964677e-15, -6.423259620215046e-17],
                 [6.603686561250973e-15, 6.61444999014554e-15, 1.0133618928673129e-05],
                 [1.655273885478653e-14, 1.6978766008861138e-14, 2.445014300989176e-16],
-                9600,
+                960,
             ),
             4: (
                 [1.4062111452233391e-18, 1.1386689053912158e-17, -8.01679015881442e-20],
                 [2.3730750352286693e-17, -1.4180967937294306e-18, -0.08654461720197612],
                 [6.0208299559557574e-18, 6.444457177814176e-18, 7.731001449090473e-19],
                 [1.3527532569600562e-17, 1.5977298232913604e-17, 1.962965699089395e-10],
-                7680,
+                720,
             ),
             5: (
                 [-0.07672714015950802, 0.05754535511963102, -1.3984112771255002e-18],
                 [0.10772760245741098, 0.14363680327654796, -5.8527798284865e-19],
                 [1.9854131167778516e-10, 1.4890598330678663e-10, 8.156054484111181e-19],
                 [2.9953942735823067e-10, 3.993859060796894e-10, 7.56331735219886e-19],
-                7680,
+                720,
             ),
             6: (
                 [117.75384838768385, -88.31538629076287, 815.4689949226839],
                 [-86.34396538978349, -115.12528718637802, 1.7511624379093655e-17],
                 [8.882146594124447e-10, 6.662095432522377e-10, 2.2460721146905288e-10],
                 [2.8466374217566207e-09, 3.7954531274022395e-09, 2.1582626251840923e-16],
-                234000,
+                187200,
             ),
         },
         2: {
@@ -341,35 +416,35 @@ class TestReferenceValues:
                 [-0.2744791666666666],
                 [1.7649085775783536e-15, 3.7819469519536143e-16],
                 [3.3218100727992574e-15],
-                120,
+                60,
             ),
             1: (
                 [-86.63026682207216, 2.220446049250313e-16],
                 [-173.70471851073324],
                 [1.546796689542603e-08, 1.725172568709189e-11],
                 [3.0928304177600245e-08],
-                300,
+                240,
             ),
             2: (
                 [3.907985046680551e-14, 44691.71644499474],
                 [-2.4868995751603507e-14],
                 [3.827940784228635e-06, 0.00012390309738916647],
                 [1.1532107536029312e-05],
-                300,
+                240,
             ),
             3: (
                 [0.11296801849693615, -8.673617379884035e-19],
                 [0.2102493446512905],
                 [3.31294687741846e-10, 8.599985851344004e-11],
                 [6.745672575252983e-10],
-                240,
+                180,
             ),
             4: (
                 [-2338.115174164096, 9309.70513546158],
                 [-2228.144559457929],
                 [5.3104234688130326e-08, 1.2649616745978355e-06],
                 [1.4136674655812997e-07],
-                300,
+                240,
             ),
         },
     }
