@@ -31,7 +31,8 @@ functions.  The 3D rotation pressure reads ``Q_3(a, c) = int_0^a t^2 /
 h(sqrt(t^2 + c^2))^3 dt`` from :func:`_running_integral`: an arctan form
 on m-convex profiles with ``m = 2``, a fixed Gauss-Legendre rule exact to
 roundoff otherwise.  The same function gives the dual check its rotation
-potentials.  No pressure is tabulated, so none adds an error term.
+potentials and the force route the rotation pressure's ring integrals
+(:mod:`lubgap.traction`).  No pressure is tabulated, so none adds an error term.
 Velocity gradients are fully analytic -- no finite differences enter the
 stress evaluation.
 
@@ -207,8 +208,8 @@ def _running_integral(profile: GapProfile, n: int, a, c, second: bool = False):
     """``Q_n(a, c) = int_0^a t^2 / h(sqrt(t^2 + c^2))^n dt``, or ``d^2 Q_n / dc^2``.
 
     ``n`` is 1 or 3 and the arguments broadcast; ``Q_n`` is odd in ``a``
-    and even in ``c``.  The 3D rotation pressure reads ``Q_3``
-    (:func:`_rotation_q`), the rotation's dual potentials read ``d22 Q_1``
+    and even in ``c``.  The 3D rotation pressure reads ``Q_3`` (:func:`_rotation_q`,
+    :mod:`lubgap.traction`), the rotation's dual potentials read ``d22 Q_1``
     and ``d22 Q_3`` (:mod:`lubgap.dualcheck`).
 
     * m-convex ``m = 2``: ``h = A + t^2`` with ``A = eps + c^2``, so
@@ -303,26 +304,10 @@ def _running_integral(profile: GapProfile, n: int, a, c, second: bool = False):
 
 
 def _rotation_q(profile: GapProfile, x1, x2):
-    """``Q_3(x1, x2), Q_3(r, x2), Q_3(x2, x1), Q_3(r, x1)`` for point arrays of one shape.
-
-    These are the 3D rotation pressure's four reads of
-    :func:`_running_integral`.  The m = 2 closed form runs on every point.
-    The Gauss rule runs once per distinct ``(|a|, |c|)`` among all four
-    reads, bit-identical to four direct calls: ``Q_3`` is odd in ``a`` and
-    even in ``c``, and a ring of the mirrored angular rule
-    (:func:`lubgap.traction._mirrored_ring`) repeats each ``(|x1|, |x2|)``
-    pair four times and holds its swap ``(|x2|, |x1|)`` as well.
-    """
-    r = profile.r
-    if profile.kind == "m-convex" and profile.m == 2.0:
-        q = lambda a, c: _running_integral(profile, 3, a, c)
-        return q(x1, x2), q(r, x2), q(x2, x1), q(r, x1)
-    a1, a2 = np.abs(x1), np.abs(x2)
-    rr = np.full_like(a1, r)
-    keys = np.concatenate([a1 + 1j * a2, rr + 1j * a2, a2 + 1j * a1, rr + 1j * a1])
-    pairs, inv = np.unique(keys, return_inverse=True)
-    q = _running_integral(profile, 3, pairs.real, pairs.imag)[inv].reshape(4, *a1.shape)
-    return np.sign(x1) * q[0], q[1], np.sign(x2) * q[2], q[3]
+    """``Q_3(x1, x2), Q_3(r, x2), Q_3(x2, x1), Q_3(r, x1)``: the 3D rotation
+    pressure's four reads of :func:`_running_integral`."""
+    q = lambda a, c: _running_integral(profile, 3, a, c)
+    return q(x1, x2), q(profile.r, x2), q(x2, x1), q(profile.r, x1)
 
 
 def pressure_cache_error(k: int, profile: GapProfile) -> float:
@@ -407,15 +392,16 @@ def _coefficient_derivs(profile, p, c, x1, x2, third=False):
     return out
 
 
-def _eval_squeeze_type(k, params, x1, x2, z):
+def _eval_squeeze_type(k, params, x1, x2, z, running=True):
     """``(u, pressure, grad)`` of a squeeze-type sub-flow at heights ``z``.
 
     ``u_a = -(A_a + 3 B_a z^2)`` on the planar axes and ``A3 z + B3 z^3``
     vertically, with ``A3 = sum_a d_a A_a`` and ``B3 = sum_a d_a B_a``, so the
     field is divergence-free.  The pressure is ``mu (3 B3 z^2 - A3 - 6 G)``,
     where ``G`` integrates ``B_a`` along ``x_a``; ``G`` is all that differs
-    between the sub-flows.  In 2D ``x2`` is 0 and ``z`` is the second
-    coordinate; the planar coordinates broadcast against ``z``.
+    between the sub-flows (``running=False`` leaves it out).  In 2D ``x2``
+    is 0 and ``z`` is the second coordinate; the planar coordinates
+    broadcast against ``z``.
     """
     prof = params.profile
     p, c = _squeeze_type(k, params)
@@ -437,7 +423,9 @@ def _eval_squeeze_type(k, params, x1, x2, z):
         # d_j A3 = sum_a d_ja A_a
         A3j, B3j = (sum(C[a][3 + a + j] for a in range(d)) for C in (A, B))
         grad[d, j] = A3j * z + B3j * z * zsq
-    if p == 1:
+    if not running:
+        G = 0.0
+    elif p == 1:
         # radial: c int_r^|x'| t / h^3 dt, a difference of kernel tails
         G = -c[0] * (_kernel_tail(prof, 1, np.hypot(x1, x2)) - _kernel_tail_at(prof, 1, prof.r))
     elif d == 2:

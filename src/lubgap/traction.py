@@ -23,11 +23,13 @@ angular error: in 2D the one node ``x1 = t`` over ``[-r, r]``; in 3D the
 8-point trapezoid, exact with its embedded rule for the translation/spin
 moments, which are trigonometric polynomials of degree at most 2 in the
 angle (``x'``, ``J x'`` and radial functions build the fields; the normal
-and the lever arm add one degree each), and, for the rotation sub-flow
-whose pressure varies over an angular width ``delta/t`` near the cardinal
-angles, Gauss-Kronrod panels graded toward those angles and mirrored from
-the first octant onto the other seven (:func:`_mirrored_ring`).  Sub-flows
-whose velocity scale is zero are skipped by :func:`total_numeric`.  Every
+and the lever arm add one degree each).  The rotation sub-flow splits its
+pressure: the running-integral term ``G``, which varies over an angular
+width ``delta/t`` near the cardinal angles, reduces by parity to two
+quarter-ring integrals on graded Gauss-Kronrod panels of the first octant
+(:func:`_rotation_pressure`); the rest, of degree at most 4, runs on the
+exact 10-point trapezoid.  Sub-flows whose velocity scale is zero are
+skipped by :func:`total_numeric`.  Every
 pressure is closed-form or exact to roundoff
 (:func:`lubgap.fields._running_integral`), so the error bounds are the
 quadrature and angular estimates alone.
@@ -42,6 +44,9 @@ import numpy as np
 # pressure_cache_error stays importable here: the perfbench tracer wraps it by name
 from .fields import (  # noqa: F401
     ProblemParams,
+    _eval_squeeze_type,
+    _running_integral,
+    _squeeze_type,
     eval_field_many,
     pressure_cache_error,
     subflow_indices,
@@ -56,6 +61,7 @@ from .quadrature import (
     integrate_vector,
     kronrod_panels,
     ring_integrals,
+    trapezoid_ring,
 )
 
 __all__ = [
@@ -106,10 +112,15 @@ def traction_moments(k: int, params: ProblemParams, xprime, h) -> np.ndarray:
     centroid, ``nu = (x', (h - eps)/2 - R)``: shape ``(6, n)`` in 3D and
     ``(3, n)`` in 2D, where the moment is the scalar ``nu1 w2 - nu2 w1``.
     """
+    return _stress_moments(params, xprime, h, eval_field_many(k, params, *xprime, 0.5 * h))
+
+
+def _stress_moments(params, xprime, h, field):
+    """:func:`traction_moments` of the field ``(u, p, grad)`` taken at ``x3 = h/2``."""
     prof = params.profile
     mu, eps, R = params.mu, prof.eps, prof.R
     H1 = prof.radial_jet(np.hypot(*xprime) if prof.dimension == 3 else np.abs(xprime[0]), 1)[0]
-    _u, p, grad = eval_field_many(k, params, *xprime, 0.5 * h)
+    _u, p, grad = field
     njac = np.stack([0.5 * H1 * x for x in xprime] + [-np.ones_like(h)])
     two_d = grad + grad.transpose(1, 0, 2)
     w = mu * np.einsum("ijn,jn->in", two_d, njac) - p[None, :] * njac
@@ -142,31 +153,26 @@ def _graded_nodes(lo: float, hi: float, centers, delta: float, n_side=56, n_unif
 _FEATURE_EDGES = 3
 
 
-def _mirrored_ring(profile, ts):
-    """The graded angular ring of the rotation sub-flow at the radii ``ts``.
+def _octant_rule(profile, ts):
+    """The graded angular rule of the rotation pressure at the radii ``ts``.
 
-    Returns the ring ``(cos, sin, rule)``: ``rule`` holds 15-point Gauss-Kronrod
-    panels graded toward the cardinal angles, where the rotation pressure
-    switches on over a width ``delta / t`` that a uniform rule cannot
-    resolve; ``cos``/``sin`` are the ring directions at its nodes, panel
-    by panel.  The panels are built on the first octant ``[0, pi/4]`` and
-    mirrored onto the other seven by sign flips and by swapping
-    ``(cos, sin)``.  The ring is therefore invariant, bit for bit, under
-    the eight symmetries of the square: since ``t * (-c) == -(t * c)``
-    exactly, a ring of radius ``t`` repeats each ``(|x1|, |x2|)`` pair four
-    times and the rotation pressure's running integral runs once per
-    distinct pair (see :func:`lubgap.fields._rotation_q`).
+    15-point Gauss-Kronrod panels on the first octant ``[0, pi/4]``, graded
+    toward the cardinal angle 0, where the rotation pressure switches on
+    over a width ``delta / t`` that a uniform rule cannot resolve; read at
+    ``theta`` and at its mirror ``pi/2 - theta``, the rule covers the first
+    quadrant, and the pressure's parity the rest of the ring
+    (:func:`_rotation_pressure`).
 
-    On m-convex profiles one ring serves every radius.  On flat caps the
+    On m-convex profiles one rule serves every radius.  On flat caps the
     pressure also switches on, over a width ``delta`` in ``x2``, across the
     lines ``|x2| = s`` (and ``|x1| = s``), where the flat part of ``Q_3``
     ends; a ring of radius ``t > s`` crosses them at ``asin(s/t)`` (or
-    ``acos(s/t)`` in the first octant).  Each ring then gets its own
-    panels, with edges sinh-graded toward that angle, and ``cos``, ``sin``,
-    ``rule.x`` and ``rule.half`` gain a leading radius axis.  Every ring has
-    the same panel count: the graded edges on each side of the angle end
-    short of the octant's ends.  Rings inside the cap get the same edges
-    around ``pi/8``.
+    ``acos(s/t)`` in the first octant).  Each radius then gets its own
+    panels, with edges sinh-graded toward that angle, and ``rule.x`` and
+    ``rule.half`` gain a leading radius axis.  Every radius has the same
+    panel count: the graded edges on each side of the angle end short of
+    the octant's ends.  Rings inside the cap get the same edges around
+    ``pi/8``.
     """
     dth = profile.boundary_layer_scale() / profile.r
     centers = [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2.0 * np.pi]
@@ -184,19 +190,58 @@ def _mirrored_ring(profile, ts):
         feature = [angle - grade(angle)[:, :0:-1], angle + grade(0.25 * np.pi - angle)]
         grid = np.broadcast_to(edges, (ts.size, edges.size))
         edges = np.sort(np.concatenate([grid, *feature], axis=1))
-    rule = kronrod_panels(edges)
-    th = rule.x
-    c, s = np.cos(th), np.sin(th)
-    q = 0.5 * np.pi
-    lead = th.shape[:-2]
-    # octants counter-clockwise: theta, pi/2 - theta, pi/2 + theta, pi - theta, ...
-    cos = np.concatenate([c, s, -s, -c, -c, -s, s, c], axis=-2).reshape(*lead, -1)
-    sin = np.concatenate([s, c, c, s, -s, -c, -c, -s], axis=-2).reshape(*lead, -1)
-    theta = np.concatenate(
-        [th, q - th, q + th, 2 * q - th, 2 * q + th, 3 * q - th, 3 * q + th, 4 * q - th],
-        axis=-2,
-    )
-    return cos, sin, rule._replace(x=theta, half=np.tile(rule.half, 8))
+    return kronrod_panels(edges)
+
+
+# the rotation's moments without G, of degree <= 4 in the ring angle, are
+# integrated exactly by the 10-point trapezoid and its embedded 5-point rule
+_ROTATION_RING = trapezoid_ring(10)
+
+
+def _rotation_field_moments(params, t, xprime):
+    """Traction moments of the 3D rotation, less the running-integral term ``G``
+    of its pressure, at ring points of radius ``t``."""
+    h = params.profile.h_radial(t)
+    field = _eval_squeeze_type(6, params, *xprime, 0.5 * h, running=False)
+    return _stress_moments(params, xprime, h, field)
+
+
+def _rotation_pressure(params, ts):
+    """Ring integrals of the 3D rotation's moments ``6 mu G (N, nu x N)``, laid out
+    as by :func:`lubgap.quadrature.ring_integrals`.
+
+    ``-6 mu G`` is the running-integral term of the pressure, ``G = c1 (Q(x1, x2)
+    - Q(r, x2)) + c2 (Q(x2, x1) + Q(r, x1))`` with ``Q = Q_3``, and ``nu x N =
+    a (-x2, x1, 0)`` with ``a = 1 + w H1/2``, ``w = (h - eps)/2 - R``.  ``Q`` is
+    odd in its first argument and even in its second, so a ring of radius ``t``
+    leaves ``J0 = t int Q(r, x2)`` and ``J1 = t int Q(x1, x2) x1``: ``F = 6 mu
+    (H1 c1 J1/2, H1 c2 J1/2, (c1 - c2) J0)`` and ``T = 6 mu a (-c2 J1, c1 J1,
+    0)``.  ``J0``, ``J1`` and their angular estimates (from the per-panel
+    Kronrod-Gauss differences) are four times their first-quadrant values, read
+    on :func:`_octant_rule` at ``theta`` and at ``pi/2 - theta``.
+    """
+    prof = params.profile
+    rule = _octant_rule(prof, ts)
+    lead = rule.x.shape[:-2]
+    octant = (np.cos(rule.x).reshape(*lead, -1), np.sin(rule.x).reshape(*lead, -1), rule)
+
+    def halves(_t, xprime):
+        # the integrands of J0 at theta and at pi/2 - theta, then those of J1
+        x1, x2 = xprime
+        r = np.full_like(x1, prof.r)
+        q = _running_integral(prof, 3, np.stack([r, r, x1, x2]), np.stack([x2, x1, x2, x1]))
+        q[2:] *= np.stack(xprime)
+        return q
+
+    J0, J1, E0, E1 = 4.0 * ring_integrals(halves, octant, ts).reshape(4, 2, -1).sum(axis=1)
+    c1, c2 = _squeeze_type(6, params)[1]
+    mu6, H1 = 6.0 * params.mu, prof.radial_jet(ts, 1)[0]
+    a = 1.0 + 0.5 * (0.5 * (prof.h_radial(ts) - prof.eps) - prof.R) * H1
+    zero = np.zeros_like(ts)
+    on_j1 = mu6 * np.stack([0.5 * H1 * c1, 0.5 * H1 * c2, zero, -a * c2, a * c1, zero])
+    vals, errs = on_j1 * J1, np.abs(on_j1) * E1
+    vals[2], errs[2] = mu6 * (c1 - c2) * J0, mu6 * abs(c1 - c2) * E0
+    return np.concatenate([vals, errs])
 
 
 def force_numeric(
@@ -209,22 +254,27 @@ def force_numeric(
 
     Integrates the traction moments over the top gap boundary radially,
     split at :meth:`GapProfile.radial_splits`, over ring integrals: in 3D
-    the graded ring for the rotation sub-flow ``k = 6`` and the exact
-    8-point trapezoid ring otherwise, in 2D the one-node ring ``x1 = t``
-    over ``[-r, r]``.  A coarse probe, whose panels are not evaluated again,
-    sets the absolute tolerance relative to the largest force/torque
-    component of this sub-flow.  The bounds add the quadrature and angular
-    estimates (0 in 2D, roundoff in 3D for ``k != 6``); ``evaluations``
-    counts distinct points.
+    the exact 8-point trapezoid ring, or for the rotation ``k = 6`` the exact
+    10-point one plus :func:`_rotation_pressure`; in 2D the one-node ring
+    ``x1 = t`` over ``[-r, r]``.  A coarse probe, whose panels are not
+    evaluated again, sets the absolute tolerance relative to the largest
+    force/torque component of this sub-flow.  The bounds add the quadrature
+    and angular estimates (0 in 2D, roundoff in 3D but for the rotation
+    pressure); ``evaluations`` counts distinct points and running-integral reads.
     """
     prof = params.profile
     d = prof.dimension
     if k not in subflow_indices(d):
         raise ValueError(f"sub-flow index {k} invalid for dimension {d}")
-    fixed, lo = (SHORT_RING, 0.0) if d == 3 else (LINE_RING, -prof.r)
-    ring = (lambda ts: _mirrored_ring(prof, ts)) if k == 6 else (lambda ts: fixed)
+    ring, lo = (SHORT_RING, 0.0) if d == 3 else (LINE_RING, -prof.r)
     moments = lambda t, xprime: traction_moments(k, params, xprime, prof.h_radial(t))
-    splits, nring = prof.radial_splits(), ring(np.array([prof.r]))[0].shape[-1]
+    rings, nring = (lambda ts: ring_integrals(moments, ring, ts)), ring[0].shape[-1]
+    if k == 6:
+        field = lambda t, xprime: _rotation_field_moments(params, t, xprime)
+        rings = lambda ts: ring_integrals(field, _ROTATION_RING, ts) + _rotation_pressure(params, ts)
+        # the field points, and four running-integral reads per octant node
+        nring = _ROTATION_RING[0].size + 4 * _octant_rule(prof, np.array([prof.r])).x.size
+    splits = prof.radial_splits()
     # the d force components and the torque: 3 moments in 2D, 6 in 3D
     nmom = 3 * (d - 1)
     # ring integrals per radial panel: the adaptive pass reads the probe's here
@@ -233,7 +283,7 @@ def force_numeric(
     def fvec(ts):
         key = ts.tobytes()
         if key not in panels:
-            panels[key] = ring_integrals(moments, ring(ts), ts)
+            panels[key] = rings(ts)
         return panels[key]
 
     probe = QuadSpec(abs_tol=1e300, rel_tol=1.0, split_points=splits)

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from lubgap.traction import _octant_rule
+
 
 def leading_coefficient(
     v1: float,
@@ -39,3 +41,29 @@ def cumulative_sums(rule, fx: np.ndarray):
     full, low = rule.panel_sums(fx)
     cum = np.cumsum(np.concatenate([np.zeros_like(full[..., :1]), full], axis=-1), axis=-1)
     return full, low, cum
+
+
+def mirrored_ring(profile, ts):
+    """The rotation's graded octant rule mirrored onto the whole circle.
+
+    Returns the ring ``(cos, sin, rule)`` of
+    :func:`lubgap.quadrature.ring_integrals`: the panels of
+    :func:`lubgap.traction._octant_rule` on ``[0, pi/4]``, mapped onto the
+    other seven octants by sign flips and by swapping ``(cos, sin)``.  The
+    ring is invariant, bit for bit, under the eight symmetries of the
+    square; on flat caps ``cos``, ``sin``, ``rule.x`` and ``rule.half``
+    keep the octant rule's leading radius axis.
+    """
+    rule = _octant_rule(profile, ts)
+    th = rule.x
+    c, s = np.cos(th), np.sin(th)
+    q = 0.5 * np.pi
+    lead = th.shape[:-2]
+    # octants counter-clockwise: theta, pi/2 - theta, pi/2 + theta, pi - theta, ...
+    cos = np.concatenate([c, s, -s, -c, -c, -s, s, c], axis=-2).reshape(*lead, -1)
+    sin = np.concatenate([s, c, c, s, -s, -c, -c, -s], axis=-2).reshape(*lead, -1)
+    theta = np.concatenate(
+        [th, q - th, q + th, 2 * q - th, 2 * q + th, 3 * q - th, 3 * q + th, 4 * q - th],
+        axis=-2,
+    )
+    return cos, sin, rule._replace(x=theta, half=np.tile(rule.half, 8))

@@ -20,7 +20,8 @@ from lubgap.fields import (
     subflow_scale,
 )
 from lubgap.geometry import GapProfile, surface_sample
-from lubgap.traction import _mirrored_ring
+
+from helpers import mirrored_ring
 
 RNG_SEED = 74250
 
@@ -765,15 +766,15 @@ def _bits(a):
 
 
 class TestRotationLookups:
-    # The k = 6 pressure runs the Gauss rule (m != 2, flat caps) once per
-    # distinct (|a|, |c|) among its four reads, and evaluates the m = 2
-    # closed form on every point; every value must stay bit-identical to
-    # four direct calls per point.
+    # The k = 6 pressure's four reads of the running integral, on the
+    # points of the mirrored rotation ring, on random points and on one
+    # point, stay bit-identical to four direct calls per point that pass the
+    # cutoff radius as an array.
 
     @staticmethod
     def _point_sets(prof):
         ts = np.array([0.0, 0.3 * prof.boundary_layer_scale(), 0.07, 0.5 * prof.r, prof.r])
-        cos, sin, _half = _mirrored_ring(prof, ts)
+        cos, sin, _half = mirrored_ring(prof, ts)
         rng = np.random.default_rng(RNG_SEED + 7)
         x1, x2 = rng.uniform(-prof.r, prof.r, (2, 400))
         x1[:4] = (0.0, -0.0, 0.2, -0.2)

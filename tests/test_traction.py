@@ -8,15 +8,17 @@ import pytest
 from lubgap import fields, traction
 from lubgap.fields import ProblemParams, subflow_indices
 from lubgap.geometry import GapProfile
-from lubgap.quadrature import SHORT_RING, TRAPEZOID_RING, ring_integrals
+from lubgap.quadrature import SHORT_RING, TRAPEZOID_RING, kronrod_panels, ring_integrals
 from lubgap.traction import (
-    _mirrored_ring,
+    _ROTATION_RING,
+    _rotation_field_moments,
+    _rotation_pressure,
     force_numeric,
     total_numeric,
     traction_moments,
 )
 
-from helpers import leading_coefficient
+from helpers import leading_coefficient, mirrored_ring
 
 
 def mconvex(m=2.0, eps=1e-3, dimension=3, r=0.5, R=2.0):
@@ -174,12 +176,19 @@ class TestForceNumeric:
         res = force_numeric(k, params3d if d == 3 else params2d)
         panels = {key for key, _ in calls}
         nring = {size for _, size in calls}
-        assert len(panels) == len(calls)
-        assert len(nring) == 1
+        assert len(set(calls)) == len(calls) == len(panels) * len(nring)
         if k != 6:
             assert nring == {8 if d == 3 else 1}
+            per_node = nring.pop()
+        else:
+            # the rotation reduces each panel twice: its field on the 10-point
+            # ring, its pressure's four running-integral reads per node on the
+            # graded octant
+            octant = (nring - {10}).pop()
+            assert nring == {10, octant}
+            per_node = 10 + 4 * octant
         # 15 Kronrod nodes per radial panel
-        assert res.evaluations == len(panels) * 15 * nring.pop()
+        assert res.evaluations == len(panels) * 15 * per_node
 
 
 # m-convex profiles, and the flat cap s = 0.05 with radii on both sides of its rim
@@ -189,15 +198,45 @@ _SHORT_RING_PROFILES = pytest.mark.parametrize(
 _SHORT_RING_RADII = np.array([1e-4, 0.01, 0.049, 0.051, 0.2, 0.5])
 
 
-def _general_moments(kind, m, s):
-    """Ring integrands of the 3D sub-flows k = 0..5 under a general motion, eps 1e-2..1e-8."""
+def _general_moments(kind, m, s, ks=range(6)):
+    """Ring integrands of 3D sub-flows ``ks`` under a general motion, eps 1e-2..1e-8.
+
+    ``k = 6`` stands for the rotation's moments without its running-integral
+    pressure, the part the force route integrates on the 10-point ring.
+    """
     for eps in 10.0 ** -np.arange(2, 9):
         prof = GapProfile(kind=kind, m=m, s=s, eps=eps, r=0.5, R=2.0, dimension=3)
         params = ProblemParams(profile=prof, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
-        for k in range(6):
-            yield (eps, k), lambda t, xp, k=k, params=params: traction_moments(
-                k, params, xp, params.profile.h_radial(t)
-            )
+        for k in ks:
+            if k == 6:
+                yield (eps, k), lambda t, xp, params=params: _rotation_field_moments(
+                    params, t, xp
+                )
+            else:
+                yield (eps, k), lambda t, xp, k=k, params=params: traction_moments(
+                    k, params, xp, params.profile.h_radial(t)
+                )
+
+
+def _ring_modes(moments, ts, n=256):
+    """Magnitudes of the angular Fourier modes of ``moments`` on ``n``-point rings."""
+    theta = 2.0 * np.pi * np.arange(n) / n
+    xprime = tuple((ts[:, None] * f(theta)).ravel() for f in (np.cos, np.sin))
+    return np.abs(np.fft.rfft(moments(np.repeat(ts, n), xprime).reshape(6, ts.size, n), axis=-1))
+
+
+def _assert_ring_exact(moments, ring, ts, case):
+    """``ring`` integrates ``moments`` as the 64-point trapezoid does, with a
+    roundoff angular estimate."""
+    theta = TRAPEZOID_RING[2].x[0]
+    xprime = tuple((ts[:, None] * f(theta)).ravel() for f in (np.cos, np.sin))
+    # per radius, the largest moment on the ring times the ring length
+    fine_ring = moments(np.repeat(ts, theta.size), xprime).reshape(6, ts.size, -1)
+    scale = 2.0 * np.pi * ts * np.max(np.abs(fine_ring), axis=(0, 2))
+    short = ring_integrals(moments, ring, ts)
+    fine = ring_integrals(moments, TRAPEZOID_RING, ts)
+    assert np.all(np.abs(short[:6] - fine[:6]) <= 1e-14 * scale), case
+    assert np.all(short[6:] <= 1e-14 * scale), case
 
 
 class TestShortRing:
@@ -209,28 +248,89 @@ class TestShortRing:
 
     @_SHORT_RING_PROFILES
     def test_moments_degree_two(self, kind, m, s):
-        n, ts = 256, _SHORT_RING_RADII
-        theta = 2.0 * np.pi * np.arange(n) / n
-        xprime = tuple((ts[:, None] * f(theta)).ravel() for f in (np.cos, np.sin))
         for case, moments in _general_moments(kind, m, s):
-            ring = moments(np.repeat(ts, n), xprime).reshape(6, ts.size, n)
-            modes = np.abs(np.fft.rfft(ring, axis=-1))
+            modes = _ring_modes(moments, _SHORT_RING_RADII)
             assert np.max(modes[..., 3:]) <= 1e-13 * np.max(modes), case
 
     @_SHORT_RING_PROFILES
     def test_matches_trapezoid(self, kind, m, s):
-        ts = _SHORT_RING_RADII
-        theta = TRAPEZOID_RING[2].x[0]
-        xprime = tuple((ts[:, None] * f(theta)).ravel() for f in (np.cos, np.sin))
         for case, moments in _general_moments(kind, m, s):
-            # per radius, the largest moment on the ring times the ring length
-            ring = moments(np.repeat(ts, theta.size), xprime).reshape(6, ts.size, -1)
-            scale = 2.0 * np.pi * ts * np.max(np.abs(ring), axis=(0, 2))
-            short = ring_integrals(moments, SHORT_RING, ts)
-            fine = ring_integrals(moments, TRAPEZOID_RING, ts)
-            assert np.all(np.abs(short[:6] - fine[:6]) <= 1e-14 * scale), case
-            # the embedded estimate is roundoff
-            assert np.all(short[6:] <= 1e-14 * scale), case
+            _assert_ring_exact(moments, SHORT_RING, _SHORT_RING_RADII, case)
+
+
+def _pressure_moments(params):
+    """The moments ``6 mu G (N, nu x N)`` of the rotation's running-integral
+    pressure term, point by point on the rings."""
+    prof = params.profile
+    c1, c2 = fields._squeeze_type(6, params)[1]
+
+    def moments(t, xprime):
+        x1, x2 = xprime
+        q12, qr2, q21, qr1 = fields._rotation_q(prof, x1, x2)
+        G = c1 * (q12 - qr2) + c2 * (q21 + qr1)
+        H1 = prof.radial_jet(t, 1)[0]
+        N = np.stack([0.5 * H1 * x1, 0.5 * H1 * x2, -np.ones_like(x1)])
+        nu = np.stack([x1, x2, 0.5 * (prof.h_radial(t) - prof.eps) - prof.R])
+        return 6.0 * params.mu * G * np.concatenate([N, np.cross(nu, N, axis=0)])
+
+    return moments
+
+
+def _rotation_params(kind, m, s, eps):
+    prof = GapProfile(kind=kind, m=m, s=s, eps=eps, r=0.5, R=2.0, dimension=3)
+    return ProblemParams(profile=prof, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
+
+
+class TestRotationSplit:
+    # the rotation k = 6 is integrated in two parts: its moments without the
+    # running-integral pressure G (x_a^2 times radial functions, so
+    # trigonometric polynomials of degree <= 4) on the 10-point ring, and
+    # the moments of G, which need the graded rule, as two quarter-ring
+    # integrals of Q_3
+
+    @_SHORT_RING_PROFILES
+    def test_field_moments_degree_four(self, kind, m, s):
+        for case, moments in _general_moments(kind, m, s, ks=(6,)):
+            modes = _ring_modes(moments, _SHORT_RING_RADII)
+            assert np.max(modes[..., 5:]) <= 1e-13 * np.max(modes), case
+
+    @_SHORT_RING_PROFILES
+    def test_field_ring_exact(self, kind, m, s):
+        for case, moments in _general_moments(kind, m, s, ks=(6,)):
+            _assert_ring_exact(moments, _ROTATION_RING, _SHORT_RING_RADII, case)
+
+    @_SHORT_RING_PROFILES
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_pressure_matches_mirrored_ring(self, kind, m, s, eps):
+        # the parity of Q_3 reduces the graded ring to its first quadrant
+        params = _rotation_params(kind, m, s, eps)
+        ts = _SHORT_RING_RADII
+        got = _rotation_pressure(params, ts)
+        want = ring_integrals(_pressure_moments(params), mirrored_ring(params.profile, ts), ts)
+        scale = np.max(np.abs(want[:6]), axis=0)
+        assert np.all(np.abs(got[:6] - want[:6]) <= 1e-13 * scale)
+        assert np.all(got[5] == 0.0)
+
+    @_SHORT_RING_PROFILES
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_angular_estimate_bounds_error(self, kind, m, s, eps, monkeypatch):
+        # against the same rule with every panel split into eight
+        params = _rotation_params(kind, m, s, eps)
+        ts = _SHORT_RING_RADII
+        got = _rotation_pressure(params, ts)
+        octant_rule = traction._octant_rule
+
+        def refined(profile, ts):
+            rule = octant_rule(profile, ts)
+            lo, hi = rule.x[..., 7] - rule.half, rule.x[..., 7] + rule.half
+            edges = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, 9)[:-1]
+            edges = np.concatenate([edges.reshape(*lo.shape[:-1], -1), hi[..., -1:]], axis=-1)
+            return kronrod_panels(edges)
+
+        monkeypatch.setattr(traction, "_octant_rule", refined)
+        want = _rotation_pressure(params, ts)
+        scale = np.max(np.abs(want[:6]), axis=0)
+        assert np.all(np.abs(got[:6] - want[:6]) <= got[6:] + 1e-15 * scale)
 
 
 # the eight symmetries of the square acting on (cos, sin)
@@ -261,7 +361,7 @@ class TestRotationRing:
     def test_ring_invariant_under_octant_maps(self, kind, m, s, eps):
         prof = GapProfile(kind=kind, m=m, s=s, eps=eps, r=0.5, R=2.0, dimension=3)
         t = 0.3 * prof.r
-        cos, sin, rule = _mirrored_ring(prof, np.array([t]))
+        cos, sin, rule = mirrored_ring(prof, np.array([t]))
         if kind == "flat-capped":
             # one ring per radius, graded toward the angle where it crosses
             # |x2| = s (or |x1| = s)
@@ -357,7 +457,8 @@ class TestReferenceValues:
     # checked against _TABLE_K6), the bounds fell (3D k = 3 F3 from 1.4e-4
     # to 1.0e-5, k = 6 F3 from 7.3e-3 to 2.2e-10).  The evaluations count
     # distinct points: each radial panel once, on the 8-point ring in 3D
-    # for k != 6.
+    # for k != 6; for k = 6 the 10 field points of its ring plus the four
+    # running-integral reads per node of its graded octant.
     _REFERENCE = {
         3: {
             0: (
@@ -407,7 +508,7 @@ class TestReferenceValues:
                 [-86.34396538978349, -115.12528718637802, 1.7511624379093655e-17],
                 [8.882146594124447e-10, 6.662095432522377e-10, 2.2460721146905288e-10],
                 [2.8466374217566207e-09, 3.7954531274022395e-09, 2.1582626251840923e-16],
-                187200,
+                94800,
             ),
         },
         2: {
@@ -481,13 +582,18 @@ class TestReferenceValues:
 class TestTotalNumeric:
     def test_zero_scale_subflows_skipped(self, monkeypatch):
         # a pure squeeze never integrates the rotation sub-flow, in 3D
-        # (k = 6, nor evaluates its pressure's running integral) and in 2D (k = 4)
+        # (k = 6, nor reads its pressure's running integral) and in 2D (k = 4)
         squeeze3 = ProblemParams(profile=mconvex(eps=2e-3), U=(0.0, 0.0, -1.0))
         squeeze2 = ProblemParams(
             profile=mconvex(eps=2e-3, dimension=2), U=(0.0, -1.0), omega=0.0
         )
         reads = []
-        monkeypatch.setattr(fields, "_rotation_q", lambda *args: reads.append(args))
+
+        def spy(*args, **kwargs):
+            reads.append(args)
+            return fields._running_integral(*args, **kwargs)
+
+        monkeypatch.setattr(traction, "_running_integral", spy)
         for params, k, k_squeeze in ((squeeze3, 6, 3), (squeeze2, 4, 2)):
             res = total_numeric(params)
             zero = res.per_subflow[k]
@@ -497,6 +603,9 @@ class TestTotalNumeric:
             assert zero.evaluations == 0
             assert res.per_subflow[k_squeeze].evaluations > 0
         assert reads == []
+        # the spy sits where the rotation's force route reads the running integral
+        force_numeric(6, ProblemParams(profile=mconvex(eps=2e-3), omega=(0.1, 0.0, 0.0)))
+        assert reads
 
     def test_superposition(self, prof3d):
         U = (0.3, -0.2, -0.5)
