@@ -208,9 +208,9 @@ def _running_integral(profile: GapProfile, n: int, a, c, second: bool = False):
     """``Q_n(a, c) = int_0^a t^2 / h(sqrt(t^2 + c^2))^n dt``, or ``d^2 Q_n / dc^2``.
 
     ``n`` is 1 or 3 and the arguments broadcast; ``Q_n`` is odd in ``a``
-    and even in ``c``.  The 3D rotation pressure reads ``Q_3`` (:func:`_rotation_q`,
-    :mod:`lubgap.traction`), the rotation's dual potentials read ``d22 Q_1``
-    and ``d22 Q_3`` (:mod:`lubgap.dualcheck`).
+    and even in ``c``.  The 3D rotation pressure reads ``Q_3``
+    (:func:`_eval_squeeze_type`, :mod:`lubgap.traction`), the rotation's dual
+    potentials read ``d22 Q_1`` and ``d22 Q_3`` (:mod:`lubgap.dualcheck`).
 
     * m-convex ``m = 2``: ``h = A + t^2`` with ``A = eps + c^2``, so
       ``Q_3`` is an arctan form and ``Q_1 = a - sqrt(A) arctan(a/sqrt(A))``.
@@ -301,13 +301,6 @@ def _running_integral(profile: GapProfile, n: int, a, c, second: bool = False):
     if flat and not second:
         out += t0**3 / (3.0 * eps**n)
     return (sgn * out).reshape(shape)
-
-
-def _rotation_q(profile: GapProfile, x1, x2):
-    """``Q_3(x1, x2), Q_3(r, x2), Q_3(x2, x1), Q_3(r, x1)``: the 3D rotation
-    pressure's four reads of :func:`_running_integral`."""
-    q = lambda a, c: _running_integral(profile, 3, a, c)
-    return q(x1, x2), q(profile.r, x2), q(x2, x1), q(profile.r, x1)
 
 
 def pressure_cache_error(k: int, profile: GapProfile) -> float:
@@ -429,8 +422,8 @@ def _eval_squeeze_type(k, params, x1, x2, z, running=True):
         # radial: c int_r^|x'| t / h^3 dt, a difference of kernel tails
         G = -c[0] * (_kernel_tail(prof, 1, np.hypot(x1, x2)) - _kernel_tail_at(prof, 1, prof.r))
     elif d == 2:
-        q12, qr2, q21, qr1 = _rotation_q(prof, x1, x2)
-        G = c[0] * (q12 - qr2) + c[1] * (q21 + qr1)
+        q = lambda a, b: _running_integral(prof, 3, a, b)
+        G = c[0] * (q(x1, x2) - q(prof.r, x2)) + c[1] * (q(x2, x1) + q(prof.r, x1))
     else:
         # int_0^x t^2 / h^3 dt = T(0) - T(x) for the kernel tail T
         T0, Tr = (_kernel_tail_at(prof, 2, t) for t in (0.0, prof.r))

@@ -26,9 +26,10 @@ angle (``x'``, ``J x'`` and radial functions build the fields; the normal
 and the lever arm add one degree each).  The rotation sub-flow splits its
 pressure: the running-integral term ``G``, which varies over an angular
 width ``delta/t`` near the cardinal angles, reduces by parity to two
-quarter-ring integrals on graded Gauss-Kronrod panels of the first octant
-(:func:`_rotation_pressure`); the rest, of degree at most 4, runs on the
-exact 10-point trapezoid.  Sub-flows whose velocity scale is zero are
+quarter-ring integrals (:func:`_rotation_pressure`) on Gauss-Kronrod panels
+of the first octant, sinh-graded toward the cardinal angle, with a fixed
+panel count (:func:`_octant_edges`); the rest, of degree at most 4, runs on
+the exact 10-point trapezoid.  Sub-flows whose velocity scale is zero are
 skipped by :func:`total_numeric`.  Every
 pressure is closed-form or exact to roundoff
 (:func:`lubgap.fields._running_integral`), so the error bounds are the
@@ -130,67 +131,69 @@ def _stress_moments(params, xprime, h, field):
     return np.concatenate([w, np.cross(nu, w, axis=0)])
 
 
-def _graded_nodes(lo: float, hi: float, centers, delta: float, n_side=56, n_uniform=33):
-    """Node set on [lo, hi]: coarse uniform background plus sinh-graded
-    clusters (inner spacing ~delta) around each center."""
-    pts = set(np.linspace(lo, hi, n_uniform).tolist())
-    span = hi - lo
-    vmax = float(np.arcsinh(span / delta))
-    offs = delta * np.sinh(np.linspace(0.0, vmax, n_side))
-    for c0 in centers:
-        for sgn in (1.0, -1.0):
-            vals = c0 + sgn * offs
-            pts.update(vals[(vals > lo) & (vals < hi)].tolist())
-        if lo <= c0 <= hi:
-            pts.add(float(c0))
-    pts.update((lo, hi))
-    nodes = np.array(sorted(pts))
-    keep = np.concatenate([[True], np.diff(nodes) > 1e-13 * max(span, 1.0)])
-    return nodes[keep]
+# panels of the rotation's octant rule, sinh-graded toward the cardinal angle 0
+_OCTANT_PANELS = 12
+# on flat caps, the panels on each side of the feature angle; the panels
+# graded toward 0 give up as many
+_FEATURE_PANELS = 4
 
 
-# sinh-graded edges on each side of a flat cap's feature angle
-_FEATURE_EDGES = 3
+def _sinh_edges(at, end, width, n):
+    """``n + 1`` edges from ``at`` to ``end``, sinh-graded toward ``at`` at the
+    width ``width``; the last is ``end`` exactly.  The arguments broadcast."""
+    v = np.linspace(0.0, 1.0, n + 1)
+    span = end - at
+    edges = at + np.sign(span) * width * np.sinh(v * np.arcsinh(np.abs(span) / width))
+    edges[..., -1:] = end
+    return edges
+
+
+def _octant_panels(profile) -> int:
+    """The panel count of :func:`_octant_edges`, the same at every radius."""
+    return _OCTANT_PANELS + (_FEATURE_PANELS if profile.kind == "flat-capped" else 0)
+
+
+def _octant_edges(profile, ts):
+    """Panel edges of the rotation pressure's angular rule at the radii ``ts``.
+
+    The first octant ``[0, pi/4]``, which :func:`_rotation_pressure` reads at
+    ``theta`` and ``pi/2 - theta``, sinh-graded (:func:`_sinh_edges`) toward
+    the cardinal angle 0 at the width ``delta / r`` over which the rotation
+    pressure switches on, too narrow for a uniform rule.
+
+    On m-convex profiles one set of :data:`_OCTANT_PANELS` panels serves
+    every radius.  On flat caps the pressure also switches on, over a width
+    ``delta`` in ``x2``, across the lines ``|x2| = s`` (and ``|x1| = s``),
+    where the flat part of ``Q_3`` ends; a ring of radius ``t > s`` crosses
+    them at the angle ``a = asin(s/t)`` (or ``acos(s/t)`` in the first
+    octant).  Each radius then gets its own row of edges: ``[0, a/2]`` graded
+    toward 0 as above, with :data:`_FEATURE_PANELS` fewer panels, and
+    ``[a/2, a]`` and ``[a, pi/4]`` graded toward ``a`` at the width
+    ``delta / t``, with :data:`_FEATURE_PANELS` each.  Rings inside the cap
+    take ``a = pi/8``; at ``t = s sqrt(2)``, where ``a = pi/4``, the last
+    panels have zero width.  Every radius has :func:`_octant_panels` panels.
+    """
+    delta, quarter = profile.boundary_layer_scale(), 0.25 * np.pi
+    if profile.kind != "flat-capped":
+        return _sinh_edges(0.0, quarter, delta / profile.r, _OCTANT_PANELS)
+    ts = np.maximum(ts, 1e-300)[:, None]
+    ratio = np.minimum(profile.s / ts, 1.0)
+    angle = np.where(ratio * ratio <= 0.5, np.arcsin(ratio), np.arccos(ratio))
+    # rings inside the cap cross no feature line; refine them mid-octant
+    angle = np.where(ratio < 1.0, angle, 0.5 * quarter)
+    n, width = _FEATURE_PANELS, delta / ts
+    edges = [
+        _sinh_edges(0.0, 0.5 * angle, delta / profile.r, _OCTANT_PANELS - n),
+        _sinh_edges(angle, 0.5 * angle, width, n)[:, -2::-1],
+        _sinh_edges(angle, quarter, width, n)[:, 1:],
+    ]
+    return np.concatenate(edges, axis=1)
 
 
 def _octant_rule(profile, ts):
-    """The graded angular rule of the rotation pressure at the radii ``ts``.
-
-    15-point Gauss-Kronrod panels on the first octant ``[0, pi/4]``, graded
-    toward the cardinal angle 0, where the rotation pressure switches on
-    over a width ``delta / t`` that a uniform rule cannot resolve; read at
-    ``theta`` and at its mirror ``pi/2 - theta``, the rule covers the first
-    quadrant, and the pressure's parity the rest of the ring
-    (:func:`_rotation_pressure`).
-
-    On m-convex profiles one rule serves every radius.  On flat caps the
-    pressure also switches on, over a width ``delta`` in ``x2``, across the
-    lines ``|x2| = s`` (and ``|x1| = s``), where the flat part of ``Q_3``
-    ends; a ring of radius ``t > s`` crosses them at ``asin(s/t)`` (or
-    ``acos(s/t)`` in the first octant).  Each radius then gets its own
-    panels, with edges sinh-graded toward that angle, and ``rule.x`` and
-    ``rule.half`` gain a leading radius axis.  Every radius has the same
-    panel count: the graded edges on each side of the angle end short of
-    the octant's ends.  Rings inside the cap get the same edges around
-    ``pi/8``.
-    """
-    dth = profile.boundary_layer_scale() / profile.r
-    centers = [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2.0 * np.pi]
-    edges = _graded_nodes(0.0, 2.0 * np.pi, centers, dth, n_side=14, n_uniform=17)
-    edges = np.append(edges[edges < 0.25 * np.pi], 0.25 * np.pi)
-    if profile.kind == "flat-capped":
-        ts = np.maximum(ts, 1e-300)
-        ratio = np.minimum(profile.s / ts, 1.0)[:, None]
-        angle = np.where(ratio * ratio <= 0.5, np.arcsin(ratio), np.arccos(ratio))
-        # rings inside the cap cross no feature line; refine them mid-octant
-        angle = np.where(ratio < 1.0, angle, 0.125 * np.pi)
-        width = profile.boundary_layer_scale() / ts[:, None]
-        v = np.linspace(0.0, 1.0, _FEATURE_EDGES + 1)[:-1]
-        grade = lambda span: width * np.sinh(v * np.arcsinh(span / width))
-        feature = [angle - grade(angle)[:, :0:-1], angle + grade(0.25 * np.pi - angle)]
-        grid = np.broadcast_to(edges, (ts.size, edges.size))
-        edges = np.sort(np.concatenate([grid, *feature], axis=1))
-    return kronrod_panels(edges)
+    """15-point Gauss-Kronrod panels on :func:`_octant_edges`; on flat caps
+    ``rule.x`` and ``rule.half`` have a leading radius axis."""
+    return kronrod_panels(_octant_edges(profile, ts))
 
 
 # the rotation's moments without G, of degree <= 4 in the ring angle, are
@@ -273,7 +276,8 @@ def force_numeric(
         field = lambda t, xprime: _rotation_field_moments(params, t, xprime)
         rings = lambda ts: ring_integrals(field, _ROTATION_RING, ts) + _rotation_pressure(params, ts)
         # the field points, and four running-integral reads per octant node
-        nring = _ROTATION_RING[0].size + 4 * _octant_rule(prof, np.array([prof.r])).x.size
+        # (15 Kronrod nodes per panel)
+        nring = _ROTATION_RING[0].size + 4 * 15 * _octant_panels(prof)
     splits = prof.radial_splits()
     # the d force components and the torque: 3 moments in 2D, 6 in 3D
     nmom = 3 * (d - 1)

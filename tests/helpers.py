@@ -67,3 +67,22 @@ def mirrored_ring(profile, ts):
         axis=-2,
     )
     return cos, sin, rule._replace(x=theta, half=np.tile(rule.half, 8))
+
+
+def graded_line(lo: float, hi: float, centers, delta: float):
+    """Edges on ``[lo, hi]`` for a reference line integral: a uniform
+    background of 33 points plus 48 sinh-graded points on each side of
+    every center, spaced ``delta`` at the center, without near-duplicates."""
+    pts = set(np.linspace(lo, hi, 33).tolist())
+    span = hi - lo
+    offs = delta * np.sinh(np.linspace(0.0, np.arcsinh(span / delta), 48))
+    for c0 in centers:
+        for sgn in (1.0, -1.0):
+            vals = c0 + sgn * offs
+            pts.update(vals[(vals > lo) & (vals < hi)].tolist())
+        if lo <= c0 <= hi:
+            pts.add(float(c0))
+    pts.update((lo, hi))
+    nodes = np.array(sorted(pts))
+    keep = np.concatenate([[True], np.diff(nodes) > 1e-13 * max(span, 1.0)])
+    return nodes[keep]

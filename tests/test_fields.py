@@ -9,7 +9,6 @@ from lubgap import fields
 from lubgap.fields import (
     ProblemParams,
     _kernel_tail,
-    _rotation_q,
     _running_integral,
     boundary_target,
     divergence,
@@ -21,7 +20,6 @@ from lubgap.fields import (
 )
 from lubgap.geometry import GapProfile, surface_sample
 
-from helpers import mirrored_ring
 
 RNG_SEED = 74250
 
@@ -752,63 +750,6 @@ class TestRunningIntegral:
         for n in (1, 3):
             for second in (False, True):
                 assert _running_integral(prof3d_flat, n, 0.0, 0.0, second) == 0.0
-
-
-def _direct_lookups(prof, x1, x2):
-    """The rotation pressure's four reads, one running-integral call each."""
-    r = np.full_like(x1, prof.r)
-    q = lambda a, c: _running_integral(prof, 3, a, c)
-    return q(x1, x2), q(r, x2), q(x2, x1), q(r, x1)
-
-
-def _bits(a):
-    return np.asarray(a, dtype=float).view(np.uint64)
-
-
-class TestRotationLookups:
-    # The k = 6 pressure's four reads of the running integral, on the
-    # points of the mirrored rotation ring, on random points and on one
-    # point, stay bit-identical to four direct calls per point that pass the
-    # cutoff radius as an array.
-
-    @staticmethod
-    def _point_sets(prof):
-        ts = np.array([0.0, 0.3 * prof.boundary_layer_scale(), 0.07, 0.5 * prof.r, prof.r])
-        cos, sin, _half = mirrored_ring(prof, ts)
-        rng = np.random.default_rng(RNG_SEED + 7)
-        x1, x2 = rng.uniform(-prof.r, prof.r, (2, 400))
-        x1[:4] = (0.0, -0.0, 0.2, -0.2)
-        x2[:4] = (0.3, 0.3, 0.0, -0.0)
-        return {
-            "ring": ((ts[:, None] * cos).ravel(), (ts[:, None] * sin).ravel()),
-            "random": (x1, x2),
-            "single": (np.array([0.13]), np.array([-0.07])),
-        }
-
-    @pytest.mark.parametrize("which", ["prof3d", "prof3d_m25", "prof3d_flat"])
-    def test_pairs_match_direct_lookups(self, which, request):
-        prof = request.getfixturevalue(which)
-        for name, (x1, x2) in self._point_sets(prof).items():
-            got = _rotation_q(prof, x1, x2)
-            want = _direct_lookups(prof, x1, x2)
-            for g, w in zip(got, want):
-                assert g.shape == w.shape == x1.shape, name
-                assert np.array_equal(_bits(g), _bits(w)), name
-
-    @pytest.mark.parametrize("which", ["params3d", "params3d_m25", "params3d_flat"])
-    def test_pressure_matches_direct_lookups(self, which, request, monkeypatch):
-        params = request.getfixturevalue(which)
-        prof = params.profile
-        results = []
-        for lookups in (None, _direct_lookups):
-            if lookups is not None:
-                monkeypatch.setattr(fields, "_rotation_q", lookups)
-            for x1, x2 in self._point_sets(prof).values():
-                x3 = 0.3 * np.asarray(prof.h(x1, x2), float)
-                results.append(eval_field_many(6, params, x1, x2, x3)[1])
-        half = len(results) // 2
-        for got, want in zip(results[:half], results[half:]):
-            assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestSubflowScale:
