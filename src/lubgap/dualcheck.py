@@ -63,12 +63,11 @@ from .fields import (
     subflow_indices,
     subflow_scale,
 )
-from .quadrature import TRAPEZOID_RING, QuadSpec, integrate_1d, ring_integrals
+from .quadrature import TRAPEZOID_RING, QuadSpec, _gauss_legendre, integrate_1d, ring_integrals
 
 __all__ = ["EllReport", "energy", "dual_tensor", "ell", "err_sweep"]
 
 _NGAUSS = 5
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_NGAUSS)
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +228,12 @@ def _volume_integrate(pointfun, params, rmax, spec):
     (n, 5), and returns the values there, shape (n, 5).
     """
     prof = params.profile
+    gx, gw = _gauss_legendre(_NGAUSS)
 
     def column(_t, xprime):
         x1, x2 = (x[:, None] for x in xprime)
         half = 0.5 * prof.h(x1, x2)
-        return (pointfun(x1, x2, half * _GAUSS_X) * _GAUSS_W).sum(axis=1) * half[:, 0]
+        return (pointfun(x1, x2, half * gx) * gw).sum(axis=1) * half[:, 0]
 
     spec = spec.with_splits([p for p in prof.radial_splits() if p < rmax])
     return integrate_1d(lambda ts: ring_integrals(column, TRAPEZOID_RING, ts)[0], 0.0, rmax, spec)

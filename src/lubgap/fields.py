@@ -31,8 +31,8 @@ functions.  The 3D rotation pressure reads ``Q_3(a, c) = int_0^a t^2 /
 h(sqrt(t^2 + c^2))^3 dt`` from :func:`_running_integral`: an arctan form
 on m-convex profiles with ``m = 2``, a fixed Gauss-Legendre rule exact to
 roundoff otherwise.  The same function gives the dual check its rotation
-potentials and the force route the rotation pressure's ring integrals
-(:mod:`lubgap.traction`).  No pressure is tabulated, so none adds an error term.
+potentials and the force route the F3 line integral of the rotation
+pressure (:mod:`lubgap.traction`).  No pressure is tabulated, so none adds an error term.
 Velocity gradients are fully analytic -- no finite differences enter the
 stress evaluation.
 
@@ -52,7 +52,7 @@ import numpy as np
 
 from .geometry import GapProfile, SurfacePoint
 # lubgap.fields.integrate_1d stays importable: the perfbench tracer wraps it by name
-from .quadrature import integrate_1d  # noqa: F401
+from .quadrature import _gauss_legendre, integrate_1d  # noqa: F401
 from .special import gap_tail
 
 __all__ = [
@@ -183,7 +183,7 @@ def _kernel_tail_at(profile: GapProfile, j: int, rho: float) -> float:
 
 
 # Gauss-Legendre nodes per panel of the running-integral rule
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_GL_NODES = 16
 # pairs (a, c) per block of the running-integral rule
 _PAIR_BLOCK = 128
 
@@ -201,7 +201,8 @@ def _sinh_rule(graded: bool):
     if graded:
         edges = np.concatenate([[0.0], edges[1] * 0.15 ** np.arange(4.0, 0.0, -1.0), edges[1:]])
     lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
-    return (lo + half * (_GL_X + 1.0)).ravel(), (half * _GL_W).ravel()
+    x, w = _gauss_legendre(_GL_NODES)
+    return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
 def _running_integral(profile: GapProfile, n: int, a, c, second: bool = False):

@@ -7,10 +7,9 @@
 * :class:`PanelRule` -- a fixed composite rule with an embedded
   lower-order rule, held as data: the nodes of each panel, the
   half-widths, and the node weights on ``[-1, 1]``.  :func:`kronrod_panels`
-  places the 15/7 pair on given panel edges; it serves the graded
-  angular ring of the rotation sub-flow.  :func:`trapezoid_ring` is the
-  ``n``-point periodic trapezoid ring, one panel whose embedded rule is the
-  even nodes.
+  places the 15/7 pair on given panel edges, for graded reference rules.
+  :func:`trapezoid_ring` is the ``n``-point periodic trapezoid ring, one
+  panel whose embedded rule is the even nodes.
 * :func:`ring_integrals` -- the one ring reduction of every gap-plane
   integral, by a ring's full and embedded rule: the trapezoid rings
   :data:`TRAPEZOID_RING` (64 points) and :data:`SHORT_RING` (8 points) in
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -259,6 +259,13 @@ def integrate_1d(
     spec = spec or QuadSpec()
     values, errors, nevals = integrate_vector(f, a, b, spec, ncomp=1)
     return QuadResult(float(values[0]), float(errors[0]), nevals)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """The ``n``-point Gauss-Legendre nodes and weights on ``[-1, 1]``, built on
+    first use so that importing lubgap does not load ``numpy.polynomial``."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 class PanelRule(NamedTuple):

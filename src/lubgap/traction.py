@@ -24,16 +24,16 @@ angular error: in 2D the one node ``x1 = t`` over ``[-r, r]``; in 3D the
 moments, which are trigonometric polynomials of degree at most 2 in the
 angle (``x'``, ``J x'`` and radial functions build the fields; the normal
 and the lever arm add one degree each).  The rotation sub-flow splits its
-pressure: the running-integral term ``G``, which varies over an angular
-width ``delta/t`` near the cardinal angles, reduces by parity to two
-quarter-ring integrals (:func:`_rotation_pressure`) on Gauss-Kronrod panels
-of the first octant, sinh-graded toward the cardinal angle, with a fixed
-panel count (:func:`_octant_edges`); the rest, of degree at most 4, runs on
-the exact 10-point trapezoid.  Sub-flows whose velocity scale is zero are
-skipped by :func:`total_numeric`.  Every
-pressure is closed-form or exact to roundoff
-(:func:`lubgap.fields._running_integral`), so the error bounds are the
-quadrature and angular estimates alone.
+pressure: its moments without the running-integral term ``G``, of degree
+at most 4, run on the exact 10-point trapezoid.  ``G`` varies over an
+angular width ``delta/t`` near the cardinal angles, but its moments need no
+angular rule: integrated by parts along each line ``x2 = const``, its F1,
+F2, T1 and T2 become radial rows of the same pass
+(:func:`_rotation_pressure_rows`) and its F3 one line integral of ``Q_3``
+(:func:`_rotation_pressure_f3`).  Sub-flows whose velocity scale is zero
+are skipped by :func:`total_numeric`.  Every pressure is closed-form or
+exact to roundoff (:func:`lubgap.fields._running_integral`), so the error
+bounds are the quadrature and angular estimates alone.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .quadrature import (
     SHORT_RING,
     QuadSpec,
     integrate_vector,
-    kronrod_panels,
     ring_integrals,
     trapezoid_ring,
 )
@@ -80,7 +79,9 @@ class ForceResult:
 
     ``T``/``T_err`` are 3-vectors in 3D and scalars in 2D.  The error
     bounds combine the adaptive-quadrature estimate and the
-    angular-resolution check.
+    angular-resolution check.  ``evaluations`` counts the distinct gap
+    points at which the traction was evaluated, plus, for the 3D rotation,
+    the ``Q_3`` reads of its pressure's F3 line integral.
     """
 
     F: np.ndarray
@@ -131,71 +132,6 @@ def _stress_moments(params, xprime, h, field):
     return np.concatenate([w, np.cross(nu, w, axis=0)])
 
 
-# panels of the rotation's octant rule, sinh-graded toward the cardinal angle 0
-_OCTANT_PANELS = 12
-# on flat caps, the panels on each side of the feature angle; the panels
-# graded toward 0 give up as many
-_FEATURE_PANELS = 4
-
-
-def _sinh_edges(at, end, width, n):
-    """``n + 1`` edges from ``at`` to ``end``, sinh-graded toward ``at`` at the
-    width ``width``; the last is ``end`` exactly.  The arguments broadcast."""
-    v = np.linspace(0.0, 1.0, n + 1)
-    span = end - at
-    edges = at + np.sign(span) * width * np.sinh(v * np.arcsinh(np.abs(span) / width))
-    edges[..., -1:] = end
-    return edges
-
-
-def _octant_panels(profile) -> int:
-    """The panel count of :func:`_octant_edges`, the same at every radius."""
-    return _OCTANT_PANELS + (_FEATURE_PANELS if profile.kind == "flat-capped" else 0)
-
-
-def _octant_edges(profile, ts):
-    """Panel edges of the rotation pressure's angular rule at the radii ``ts``.
-
-    The first octant ``[0, pi/4]``, which :func:`_rotation_pressure` reads at
-    ``theta`` and ``pi/2 - theta``, sinh-graded (:func:`_sinh_edges`) toward
-    the cardinal angle 0 at the width ``delta / r`` over which the rotation
-    pressure switches on, too narrow for a uniform rule.
-
-    On m-convex profiles one set of :data:`_OCTANT_PANELS` panels serves
-    every radius.  On flat caps the pressure also switches on, over a width
-    ``delta`` in ``x2``, across the lines ``|x2| = s`` (and ``|x1| = s``),
-    where the flat part of ``Q_3`` ends; a ring of radius ``t > s`` crosses
-    them at the angle ``a = asin(s/t)`` (or ``acos(s/t)`` in the first
-    octant).  Each radius then gets its own row of edges: ``[0, a/2]`` graded
-    toward 0 as above, with :data:`_FEATURE_PANELS` fewer panels, and
-    ``[a/2, a]`` and ``[a, pi/4]`` graded toward ``a`` at the width
-    ``delta / t``, with :data:`_FEATURE_PANELS` each.  Rings inside the cap
-    take ``a = pi/8``; at ``t = s sqrt(2)``, where ``a = pi/4``, the last
-    panels have zero width.  Every radius has :func:`_octant_panels` panels.
-    """
-    delta, quarter = profile.boundary_layer_scale(), 0.25 * np.pi
-    if profile.kind != "flat-capped":
-        return _sinh_edges(0.0, quarter, delta / profile.r, _OCTANT_PANELS)
-    ts = np.maximum(ts, 1e-300)[:, None]
-    ratio = np.minimum(profile.s / ts, 1.0)
-    angle = np.where(ratio * ratio <= 0.5, np.arcsin(ratio), np.arccos(ratio))
-    # rings inside the cap cross no feature line; refine them mid-octant
-    angle = np.where(ratio < 1.0, angle, 0.5 * quarter)
-    n, width = _FEATURE_PANELS, delta / ts
-    edges = [
-        _sinh_edges(0.0, 0.5 * angle, delta / profile.r, _OCTANT_PANELS - n),
-        _sinh_edges(angle, 0.5 * angle, width, n)[:, -2::-1],
-        _sinh_edges(angle, quarter, width, n)[:, 1:],
-    ]
-    return np.concatenate(edges, axis=1)
-
-
-def _octant_rule(profile, ts):
-    """15-point Gauss-Kronrod panels on :func:`_octant_edges`; on flat caps
-    ``rule.x`` and ``rule.half`` have a leading radius axis."""
-    return kronrod_panels(_octant_edges(profile, ts))
-
-
 # the rotation's moments without G, of degree <= 4 in the ring angle, are
 # integrated exactly by the 10-point trapezoid and its embedded 5-point rule
 _ROTATION_RING = trapezoid_ring(10)
@@ -209,42 +145,54 @@ def _rotation_field_moments(params, t, xprime):
     return _stress_moments(params, xprime, h, field)
 
 
-def _rotation_pressure(params, ts):
-    """Ring integrals of the 3D rotation's moments ``6 mu G (N, nu x N)``, laid out
-    as by :func:`lubgap.quadrature.ring_integrals`.
+def _rotation_pressure_rows(params, ts):
+    """Radial integrands of the F1, F2, T1 and T2 moments of ``6 mu G (N, nu x N)``.
 
-    ``-6 mu G`` is the running-integral term of the pressure, ``G = c1 (Q(x1, x2)
-    - Q(r, x2)) + c2 (Q(x2, x1) + Q(r, x1))`` with ``Q = Q_3``, and ``nu x N =
-    a (-x2, x1, 0)`` with ``a = 1 + w H1/2``, ``w = (h - eps)/2 - R``.  ``Q`` is
-    odd in its first argument and even in its second, so a ring of radius ``t``
-    leaves ``J0 = t int Q(r, x2)`` and ``J1 = t int Q(x1, x2) x1``: ``F = 6 mu
-    (H1 c1 J1/2, H1 c2 J1/2, (c1 - c2) J0)`` and ``T = 6 mu a (-c2 J1, c1 J1,
-    0)``.  ``J0``, ``J1`` and their angular estimates (from the per-panel
-    Kronrod-Gauss differences) are four times their first-quadrant values, read
-    on :func:`_octant_rule` at ``theta`` and at ``pi/2 - theta``.
+    ``-6 mu G`` is the running-integral term of the 3D rotation's pressure,
+    ``G = c1 (Q(x1, x2) - Q(r, x2)) + c2 (Q(x2, x1) + Q(r, x1))`` with ``Q =
+    Q_3``, and ``nu x N = a (-x2, x1, 0)`` with ``a = 1 + w H1/2``, ``w = (h -
+    eps)/2 - R``.  The weights are derivatives along the line: ``H1 x1 = d1 h``
+    and ``a x1 = d1 Phi``, ``Phi = x1^2/2 + (h - eps)^2/8 - R h/2``.  On the
+    circle ``|x'| = r`` both take their rim values, so one integration by
+    parts along each line ``x2 = const``, with ``d1 Q(x1, x2) = x1^2/h^3``,
+    leaves radial integrands: with ``k3 = pi mu t^3 / h^3``, ``F1 = 3 c1 k3
+    (h(r) - h)``, ``T2 = 6 c1 k3 Psi``, ``Psi = (r^2 - t^2)/2 + ((h(r) -
+    eps)^2 - (h - eps)^2)/8 - R (h(r) - h)/2``, and by the symmetry ``x1 <->
+    x2``, ``F2`` and ``-T1`` the same with ``c2``.  Their angular estimate is 0.
     """
     prof = params.profile
-    rule = _octant_rule(prof, ts)
-    lead = rule.x.shape[:-2]
-    octant = (np.cos(rule.x).reshape(*lead, -1), np.sin(rule.x).reshape(*lead, -1), rule)
-
-    def halves(_t, xprime):
-        # the integrands of J0 at theta and at pi/2 - theta, then those of J1
-        x1, x2 = xprime
-        r = np.full_like(x1, prof.r)
-        q = _running_integral(prof, 3, np.stack([r, r, x1, x2]), np.stack([x2, x1, x2, x1]))
-        q[2:] *= np.stack(xprime)
-        return q
-
-    J0, J1, E0, E1 = 4.0 * ring_integrals(halves, octant, ts).reshape(4, 2, -1).sum(axis=1)
     c1, c2 = _squeeze_type(6, params)[1]
-    mu6, H1 = 6.0 * params.mu, prof.radial_jet(ts, 1)[0]
-    a = 1.0 + 0.5 * (0.5 * (prof.h_radial(ts) - prof.eps) - prof.R) * H1
+    h, hr, eps = prof.h_radial(ts), prof.h_radial(prof.r), prof.eps
+    k3 = np.pi * params.mu * ts**3 / h**3
+    psi = 0.5 * (prof.r**2 - ts**2) - 0.5 * prof.R * (hr - h)
+    psi += 0.125 * ((hr - eps) ** 2 - (h - eps) ** 2)
+    f, t = 3.0 * k3 * (hr - h), 6.0 * k3 * psi
     zero = np.zeros_like(ts)
-    on_j1 = mu6 * np.stack([0.5 * H1 * c1, 0.5 * H1 * c2, zero, -a * c2, a * c1, zero])
-    vals, errs = on_j1 * J1, np.abs(on_j1) * E1
-    vals[2], errs[2] = mu6 * (c1 - c2) * J0, mu6 * abs(c1 - c2) * E0
-    return np.concatenate([vals, errs])
+    return np.stack([c1 * f, c2 * f, zero, -c2 * t, c1 * t, zero])
+
+
+def _rotation_pressure_f3(params, splits, rel_tol, max_subdivisions):
+    """The F3 moment of ``6 mu G``: ``(value, error, Q_3 reads)``.
+
+    ``Q`` is odd in its first argument, so over the disc only the anchor
+    terms of ``G`` remain: ``F3 = 12 mu (c1 - c2) int_{-r}^{r} sqrt(r^2 - y^2)
+    Q(r, y) dy``, integrated in ``y = r sin phi`` over ``[0, pi/2]``, split
+    where the radial ``splits`` cross the line.
+    """
+    prof = params.profile
+    c1, c2 = _squeeze_type(6, params)[1]
+    r, coef = prof.r, 24.0 * params.mu * (c1 - c2) * prof.r**2
+
+    def line(phi):
+        return coef * np.cos(phi) ** 2 * _running_integral(prof, 3, r, r * np.sin(phi))
+
+    spec = QuadSpec(
+        rel_tol=rel_tol,
+        max_subdivisions=max_subdivisions,
+        split_points=tuple(np.arcsin(np.asarray(splits) / r)),
+    )
+    vals, errs, nevals = integrate_vector(line, 0.0, 0.5 * np.pi, spec, ncomp=1)
+    return float(vals[0]), float(errs[0]), nevals
 
 
 def force_numeric(
@@ -257,13 +205,15 @@ def force_numeric(
 
     Integrates the traction moments over the top gap boundary radially,
     split at :meth:`GapProfile.radial_splits`, over ring integrals: in 3D
-    the exact 8-point trapezoid ring, or for the rotation ``k = 6`` the exact
-    10-point one plus :func:`_rotation_pressure`; in 2D the one-node ring
-    ``x1 = t`` over ``[-r, r]``.  A coarse probe, whose panels are not
+    the exact 8-point trapezoid ring; in 2D the one-node ring ``x1 = t``
+    over ``[-r, r]``.  The rotation ``k = 6`` takes the exact 10-point ring
+    plus the radial rows of :func:`_rotation_pressure_rows`, on flat caps
+    split also at ``s + delta 4^j``, and adds :func:`_rotation_pressure_f3`,
+    at ``rel_tol / 100``, to F3.  A coarse probe, whose panels are not
     evaluated again, sets the absolute tolerance relative to the largest
-    force/torque component of this sub-flow.  The bounds add the quadrature
-    and angular estimates (0 in 2D, roundoff in 3D but for the rotation
-    pressure); ``evaluations`` counts distinct points and running-integral reads.
+    force/torque component of the radial pass.  The bounds add the
+    quadrature and angular estimates (0 in 2D, roundoff in 3D); see
+    :class:`ForceResult` for ``evaluations``.
     """
     prof = params.profile
     d = prof.dimension
@@ -272,13 +222,22 @@ def force_numeric(
     ring, lo = (SHORT_RING, 0.0) if d == 3 else (LINE_RING, -prof.r)
     moments = lambda t, xprime: traction_moments(k, params, xprime, prof.h_radial(t))
     rings, nring = (lambda ts: ring_integrals(moments, ring, ts)), ring[0].shape[-1]
+    splits = prof.radial_splits()
     if k == 6:
         field = lambda t, xprime: _rotation_field_moments(params, t, xprime)
-        rings = lambda ts: ring_integrals(field, _ROTATION_RING, ts) + _rotation_pressure(params, ts)
-        # the field points, and four running-integral reads per octant node
-        # (15 Kronrod nodes per panel)
-        nring = _ROTATION_RING[0].size + 4 * 15 * _octant_panels(prof)
-    splits = prof.radial_splits()
+
+        def rings(ts):
+            out = ring_integrals(field, _ROTATION_RING, ts)
+            out[:6] += _rotation_pressure_rows(params, ts)
+            return out
+
+        nring = _ROTATION_RING[0].size
+        if prof.kind == "flat-capped":
+            # the pressure rows fall from 1/eps^3 over the width delta beyond the rim
+            delta, outer = prof.boundary_layer_scale(), []
+            while prof.s + delta * 4.0 ** len(outer) < prof.r:
+                outer.append(prof.s + delta * 4.0 ** len(outer))
+            splits = tuple(sorted({*splits, *outer}))
     # the d force components and the torque: 3 moments in 2D, 6 in 3D
     nmom = 3 * (d - 1)
     # ring integrals per radial panel: the adaptive pass reads the probe's here
@@ -302,6 +261,13 @@ def force_numeric(
     vals, errs, _ = integrate_vector(fvec, lo, prof.r, spec, ncomp=2 * nmom, ncheck=nmom)
 
     err = errs[:nmom] + np.maximum(vals[nmom:], 0.0)
+    nev = sum(v.shape[-1] for v in panels.values()) * nring
+    if k == 6:
+        # below the ring pass's tolerance, so as not to widen the F3 bound
+        f3, f3_err, nline = _rotation_pressure_f3(params, splits, rel_tol / 100.0, max_subdivisions)
+        vals[2] += f3
+        err[2] += f3_err
+        nev += nline
     T, T_err = vals[d:nmom].copy(), err[d:nmom].copy()
     if d == 2:
         T, T_err = float(T[0]), float(T_err[0])
@@ -310,7 +276,7 @@ def force_numeric(
         T=T,
         F_err=err[:d].copy(),
         T_err=T_err,
-        evaluations=sum(v.shape[-1] for v in panels.values()) * nring,
+        evaluations=nev,
     )
 
 

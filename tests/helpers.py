@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from lubgap.traction import _octant_rule
+from lubgap.fields import _running_integral, _squeeze_type
+from lubgap.quadrature import kronrod_panels, ring_integrals
 
 
 def leading_coefficient(
@@ -48,13 +49,13 @@ def mirrored_ring(profile, ts):
 
     Returns the ring ``(cos, sin, rule)`` of
     :func:`lubgap.quadrature.ring_integrals`: the panels of
-    :func:`lubgap.traction._octant_rule` on ``[0, pi/4]``, mapped onto the
+    :func:`octant_rule` on ``[0, pi/4]``, mapped onto the
     other seven octants by sign flips and by swapping ``(cos, sin)``.  The
     ring is invariant, bit for bit, under the eight symmetries of the
     square; on flat caps ``cos``, ``sin``, ``rule.x`` and ``rule.half``
     keep the octant rule's leading radius axis.
     """
-    rule = _octant_rule(profile, ts)
+    rule = octant_rule(profile, ts)
     th = rule.x
     c, s = np.cos(th), np.sin(th)
     q = 0.5 * np.pi
@@ -86,3 +87,112 @@ def graded_line(lo: float, hi: float, centers, delta: float):
     nodes = np.array(sorted(pts))
     keep = np.concatenate([[True], np.diff(nodes) > 1e-13 * max(span, 1.0)])
     return nodes[keep]
+
+
+# The rotation pressure's graded octant rule: the reference for the force
+# route's closed-form moments of G (lubgap.traction._rotation_pressure_rows,
+# _rotation_pressure_f3).  It integrates the moments of G point by point on
+# the rings, so it shares none of that code's identities.
+
+# panels of the octant rule, sinh-graded toward the cardinal angle 0
+OCTANT_PANELS = 12
+# on flat caps, the panels on each side of the feature angle; the panels
+# graded toward 0 give up as many
+FEATURE_PANELS = 4
+
+
+def sinh_edges(at, end, width, n):
+    """``n + 1`` edges from ``at`` to ``end``, sinh-graded toward ``at`` at the
+    width ``width``; the last is ``end`` exactly.  The arguments broadcast."""
+    v = np.linspace(0.0, 1.0, n + 1)
+    span = end - at
+    edges = at + np.sign(span) * width * np.sinh(v * np.arcsinh(np.abs(span) / width))
+    edges[..., -1:] = end
+    return edges
+
+
+def octant_panels(profile) -> int:
+    """The panel count of :func:`octant_edges`, the same at every radius."""
+    return OCTANT_PANELS + (FEATURE_PANELS if profile.kind == "flat-capped" else 0)
+
+
+def octant_edges(profile, ts):
+    """Panel edges of the rotation pressure's angular rule at the radii ``ts``.
+
+    The first octant ``[0, pi/4]``, which :func:`rotation_pressure` reads at
+    ``theta`` and ``pi/2 - theta``, sinh-graded (:func:`sinh_edges`) toward
+    the cardinal angle 0 at the width ``delta / r`` over which the rotation
+    pressure switches on, too narrow for a uniform rule.
+
+    On m-convex profiles one set of :data:`OCTANT_PANELS` panels serves
+    every radius.  On flat caps the pressure also switches on, over a width
+    ``delta`` in ``x2``, across the lines ``|x2| = s`` (and ``|x1| = s``),
+    where the flat part of ``Q_3`` ends; a ring of radius ``t > s`` crosses
+    them at the angle ``a = asin(s/t)`` (or ``acos(s/t)`` in the first
+    octant).  Each radius then gets its own row of edges: ``[0, a/2]`` graded
+    toward 0 as above, with :data:`FEATURE_PANELS` fewer panels, and
+    ``[a/2, a]`` and ``[a, pi/4]`` graded toward ``a`` at the width
+    ``delta / t``, with :data:`FEATURE_PANELS` each.  Rings inside the cap
+    take ``a = pi/8``; at ``t = s sqrt(2)``, where ``a = pi/4``, the last
+    panels have zero width.  Every radius has :func:`octant_panels` panels.
+    """
+    delta, quarter = profile.boundary_layer_scale(), 0.25 * np.pi
+    if profile.kind != "flat-capped":
+        return sinh_edges(0.0, quarter, delta / profile.r, OCTANT_PANELS)
+    ts = np.maximum(ts, 1e-300)[:, None]
+    ratio = np.minimum(profile.s / ts, 1.0)
+    angle = np.where(ratio * ratio <= 0.5, np.arcsin(ratio), np.arccos(ratio))
+    # rings inside the cap cross no feature line; refine them mid-octant
+    angle = np.where(ratio < 1.0, angle, 0.5 * quarter)
+    n, width = FEATURE_PANELS, delta / ts
+    edges = [
+        sinh_edges(0.0, 0.5 * angle, delta / profile.r, OCTANT_PANELS - n),
+        sinh_edges(angle, 0.5 * angle, width, n)[:, -2::-1],
+        sinh_edges(angle, quarter, width, n)[:, 1:],
+    ]
+    return np.concatenate(edges, axis=1)
+
+
+def octant_rule(profile, ts):
+    """15-point Gauss-Kronrod panels on :func:`octant_edges`; on flat caps
+    ``rule.x`` and ``rule.half`` have a leading radius axis."""
+    return kronrod_panels(octant_edges(profile, ts))
+
+
+def rotation_pressure(params, ts, rule=None):
+    """Ring integrals of the 3D rotation's moments ``6 mu G (N, nu x N)``, laid out
+    as by :func:`lubgap.quadrature.ring_integrals`, on ``rule`` (by default
+    :func:`octant_rule` at ``ts``).
+
+    ``-6 mu G`` is the running-integral term of the pressure, ``G = c1 (Q(x1, x2)
+    - Q(r, x2)) + c2 (Q(x2, x1) + Q(r, x1))`` with ``Q = Q_3``, and ``nu x N =
+    a (-x2, x1, 0)`` with ``a = 1 + w H1/2``, ``w = (h - eps)/2 - R``.  ``Q`` is
+    odd in its first argument and even in its second, so a ring of radius ``t``
+    leaves ``J0 = t int Q(r, x2)`` and ``J1 = t int Q(x1, x2) x1``: ``F = 6 mu
+    (H1 c1 J1/2, H1 c2 J1/2, (c1 - c2) J0)`` and ``T = 6 mu a (-c2 J1, c1 J1,
+    0)``.  ``J0``, ``J1`` and their angular estimates (from the per-panel
+    Kronrod-Gauss differences) are four times their first-quadrant values, read
+    on the octant rule at ``theta`` and at ``pi/2 - theta``.
+    """
+    prof = params.profile
+    rule = octant_rule(prof, ts) if rule is None else rule
+    lead = rule.x.shape[:-2]
+    octant = (np.cos(rule.x).reshape(*lead, -1), np.sin(rule.x).reshape(*lead, -1), rule)
+
+    def halves(_t, xprime):
+        # the integrands of J0 at theta and at pi/2 - theta, then those of J1
+        x1, x2 = xprime
+        r = np.full_like(x1, prof.r)
+        q = _running_integral(prof, 3, np.stack([r, r, x1, x2]), np.stack([x2, x1, x2, x1]))
+        q[2:] *= np.stack(xprime)
+        return q
+
+    J0, J1, E0, E1 = 4.0 * ring_integrals(halves, octant, ts).reshape(4, 2, -1).sum(axis=1)
+    c1, c2 = _squeeze_type(6, params)[1]
+    mu6, H1 = 6.0 * params.mu, prof.radial_jet(ts, 1)[0]
+    a = 1.0 + 0.5 * (0.5 * (prof.h_radial(ts) - prof.eps) - prof.R) * H1
+    zero = np.zeros_like(ts)
+    on_j1 = mu6 * np.stack([0.5 * H1 * c1, 0.5 * H1 * c2, zero, -a * c2, a * c1, zero])
+    vals, errs = on_j1 * J1, np.abs(on_j1) * E1
+    vals[2], errs[2] = mu6 * (c1 - c2) * J0, mu6 * abs(c1 - c2) * E0
+    return np.concatenate([vals, errs])

@@ -190,3 +190,25 @@ def test_runtime_never_loads_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "[]"]
+
+
+_NO_POLYNOMIAL = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import lubgap, lubgap.cli
+print(sorted(name for name in sys.modules if name.startswith("numpy.polynomial")))
+"""
+
+
+def test_import_never_loads_numpy_polynomial():
+    # the Gauss-Legendre rules are built on first use: importing the package
+    # and the CLI does not pay for numpy.polynomial
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_POLYNOMIAL, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]

@@ -8,17 +8,30 @@ import pytest
 from lubgap import fields, traction
 from lubgap.fields import ProblemParams, subflow_indices
 from lubgap.geometry import GapProfile
-from lubgap.quadrature import SHORT_RING, TRAPEZOID_RING, kronrod_panels, ring_integrals
+from lubgap.quadrature import (
+    SHORT_RING,
+    TRAPEZOID_RING,
+    QuadSpec,
+    integrate_vector,
+    kronrod_panels,
+    ring_integrals,
+)
 from lubgap.traction import (
     _ROTATION_RING,
     _rotation_field_moments,
-    _rotation_pressure,
     force_numeric,
     total_numeric,
     traction_moments,
 )
 
-from helpers import leading_coefficient, mirrored_ring
+from helpers import (
+    leading_coefficient,
+    mirrored_ring,
+    octant_edges,
+    octant_panels,
+    octant_rule,
+    rotation_pressure,
+)
 
 
 def mconvex(m=2.0, eps=1e-3, dimension=3, r=0.5, R=2.0):
@@ -166,29 +179,28 @@ class TestForceNumeric:
     def test_each_panel_evaluated_once(self, d, k, params3d, params2d, monkeypatch):
         # the adaptive pass reads the probe's panels instead of evaluating
         # them again, and evaluations counts each distinct point once
-        calls = []
+        calls, reads = [], []
 
         def spy(f, ring, ts):
             calls.append((ts.tobytes(), ring[0].shape[-1]))
             return ring_integrals(f, ring, ts)
 
+        def spy_q(profile, n, a, c, second=False):
+            reads.append(np.broadcast(a, c).size)
+            return fields._running_integral(profile, n, a, c, second)
+
         monkeypatch.setattr(traction, "ring_integrals", spy)
+        monkeypatch.setattr(traction, "_running_integral", spy_q)
         res = force_numeric(k, params3d if d == 3 else params2d)
         panels = {key for key, _ in calls}
         nring = {size for _, size in calls}
-        assert len(set(calls)) == len(calls) == len(panels) * len(nring)
-        if k != 6:
-            assert nring == {8 if d == 3 else 1}
-            per_node = nring.pop()
-        else:
-            # the rotation reduces each panel twice: its field on the 10-point
-            # ring, its pressure's four running-integral reads per node on the
-            # graded octant
-            octant = (nring - {10}).pop()
-            assert nring == {10, octant}
-            per_node = 10 + 4 * octant
+        assert len(set(calls)) == len(calls) == len(panels)
+        # the rotation's field on the 10-point ring, plus one Q_3 read per
+        # node of its pressure's F3 line integral (15 Kronrod nodes per panel)
+        assert nring == {10 if k == 6 else 8 if d == 3 else 1}
+        assert (k == 6) == bool(reads) and all(n == 15 for n in reads)
         # 15 Kronrod nodes per radial panel
-        assert res.evaluations == len(panels) * 15 * per_node
+        assert res.evaluations == len(panels) * 15 * nring.pop() + sum(reads)
 
 
 # m-convex profiles, and the flat cap s = 0.05 with radii on both sides of its rim
@@ -285,8 +297,10 @@ class TestRotationSplit:
     # the rotation k = 6 is integrated in two parts: its moments without the
     # running-integral pressure G (x_a^2 times radial functions, so
     # trigonometric polynomials of degree <= 4) on the 10-point ring, and
-    # the moments of G, which need the graded rule, as two quarter-ring
-    # integrals of Q_3
+    # the moments of G by integration by parts along x1: F1, F2, T1 and T2
+    # as radial rows, F3 as one line integral of Q_3.  The graded octant
+    # rule (tests/helpers.py), which integrates the moments of G ring by
+    # ring, is their reference
 
     @_SHORT_RING_PROFILES
     def test_field_moments_degree_four(self, kind, m, s):
@@ -305,7 +319,7 @@ class TestRotationSplit:
         # the parity of Q_3 reduces the graded ring to its first quadrant
         params = _rotation_params(kind, m, s, eps)
         ts = _SHORT_RING_RADII
-        got = _rotation_pressure(params, ts)
+        got = rotation_pressure(params, ts)
         want = ring_integrals(_pressure_moments(params), mirrored_ring(params.profile, ts), ts)
         scale = np.max(np.abs(want[:6]), axis=0)
         assert np.all(np.abs(got[:6] - want[:6]) <= 1e-13 * scale)
@@ -313,24 +327,47 @@ class TestRotationSplit:
 
     @_SHORT_RING_PROFILES
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
-    def test_angular_estimate_bounds_error(self, kind, m, s, eps, monkeypatch):
+    def test_angular_estimate_bounds_error(self, kind, m, s, eps):
         # against the same rule with every panel split into eight
         params = _rotation_params(kind, m, s, eps)
         ts = _SHORT_RING_RADII
-        got = _rotation_pressure(params, ts)
-        octant_rule = traction._octant_rule
-
-        def refined(profile, ts):
-            rule = octant_rule(profile, ts)
-            lo, hi = rule.x[..., 7] - rule.half, rule.x[..., 7] + rule.half
-            edges = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, 9)[:-1]
-            edges = np.concatenate([edges.reshape(*lo.shape[:-1], -1), hi[..., -1:]], axis=-1)
-            return kronrod_panels(edges)
-
-        monkeypatch.setattr(traction, "_octant_rule", refined)
-        want = _rotation_pressure(params, ts)
+        got = rotation_pressure(params, ts)
+        rule = octant_rule(params.profile, ts)
+        lo, hi = rule.x[..., 7] - rule.half, rule.x[..., 7] + rule.half
+        edges = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, 9)[:-1]
+        edges = np.concatenate([edges.reshape(*lo.shape[:-1], -1), hi[..., -1:]], axis=-1)
+        want = rotation_pressure(params, ts, kronrod_panels(edges))
         scale = np.max(np.abs(want[:6]), axis=0)
         assert np.all(np.abs(got[:6] - want[:6]) <= got[6:] + 1e-15 * scale)
+
+
+    @pytest.mark.parametrize(
+        "kind, m, s, eps",
+        [("m-convex", m, 0.0, eps) for m in (2.0, 2.5, 4.0, 8.0) for eps in (1e-4, 1e-8)]
+        + [("flat-capped", 2.0, 0.05, eps) for eps in (1e-4, 1e-8, 1e-9)],
+    )
+    def test_pressure_moments_match_octant_rule(self, kind, m, s, eps, monkeypatch):
+        # without the field moments, force_numeric(6) returns the moments of G.
+        # On the flat cap the radial rows fall from 1/eps^3 over the width
+        # delta beyond the rim; without the force route's splits there, F3
+        # misses at eps = 1e-8 and the radial rows at eps = 1e-9
+        params = _rotation_params(kind, m, s, eps)
+        prof = params.profile
+        monkeypatch.setattr(
+            traction, "_rotation_field_moments", lambda _p, t, _xp: np.zeros((6, t.size))
+        )
+        res = force_numeric(6, params)
+        got, got_err = np.r_[res.F, res.T], np.r_[res.F_err, res.T_err]
+        # the reference: the octant rule's ring integrals, radially at 1e-9
+        delta = prof.boundary_layer_scale()
+        outer = [s + delta * 4.0**j for j in range(20)] if kind == "flat-capped" else []
+        splits = sorted(p for p in {*prof.radial_splits(), *outer} if p < prof.r)
+        spec = QuadSpec(rel_tol=1e-9, split_points=splits)
+        fvec = lambda ts: rotation_pressure(params, ts)
+        vals, errs, _ = integrate_vector(fvec, 0.0, prof.r, spec, ncomp=12, ncheck=6)
+        want, want_err = vals[:6], errs[:6] + vals[6:]
+        assert np.all(np.abs(got - want)[:5] <= (got_err + want_err)[:5])
+        assert got[5] == 0.0
 
 
 class TestOctantRule:
@@ -351,7 +388,7 @@ class TestOctantRule:
 
     def test_edges_span_octant(self):
         for prof in self._cases():
-            edges = traction._octant_edges(prof, _SHORT_RING_RADII)
+            edges = octant_edges(prof, _SHORT_RING_RADII)
             assert np.all(edges[..., 0] == 0.0), prof
             assert np.all(edges[..., -1] == 0.25 * np.pi), prof
             assert np.all(np.diff(edges, axis=-1) > 0.0), prof
@@ -359,9 +396,9 @@ class TestOctantRule:
     def test_fixed_panel_count(self):
         counts = {"m-convex": set(), "flat-capped": set()}
         for prof in self._cases():
-            edges = np.atleast_2d(traction._octant_edges(prof, _SHORT_RING_RADII))
+            edges = np.atleast_2d(octant_edges(prof, _SHORT_RING_RADII))
             assert edges.shape[0] in (1, _SHORT_RING_RADII.size), prof
-            assert edges.shape[-1] - 1 == traction._octant_panels(prof), prof
+            assert edges.shape[-1] - 1 == octant_panels(prof), prof
             counts[prof.kind].add(edges.shape[-1] - 1)
         assert counts == {"m-convex": {12}, "flat-capped": {16}}
 
@@ -373,12 +410,12 @@ class TestOctantRule:
             width = delta / prof.r
             if prof.kind == "flat-capped":
                 width = np.minimum(width, delta / _SHORT_RING_RADII)[:, None]
-            panels = np.diff(traction._octant_edges(prof, _SHORT_RING_RADII), axis=-1)
+            panels = np.diff(octant_edges(prof, _SHORT_RING_RADII), axis=-1)
             assert np.all(panels >= width / 40.0), prof
 
     def test_rule_on_edges(self):
         prof = GapProfile(kind="flat-capped", m=2.0, s=0.05, eps=1e-6, r=0.5, R=2.0, dimension=3)
-        rule = traction._octant_rule(prof, _SHORT_RING_RADII)
+        rule = octant_rule(prof, _SHORT_RING_RADII)
         weights = (rule.half[..., None] * rule.weights).sum(axis=(-2, -1))
         assert rule.x.shape == (_SHORT_RING_RADII.size, 16, 15)
         assert weights == pytest.approx(np.full(_SHORT_RING_RADII.size, 0.25 * np.pi), rel=1e-15)
@@ -433,35 +470,10 @@ class TestRotationRing:
         assert pairs.size == cos.size // 4
 
     # force_numeric(6) on the general3d problem (m = 2, r = 0.5, R = 2,
-    # U = (0.3, -0.2, -0.5), omega = (0.15, 0.2, 0.1)) from the full-circle
-    # ring that preceded the mirrored one, read off the rotation table:
-    # (F, T, F_err, T_err)
-    _K6_TABLE = {
-        1e-2: (
-            [11.659655576494542, -8.744741682388284, 75.37550453841286],
-            [-10.112676536964438, -13.483568715935448, 1.7224249170743295e-17],
-            [6.244612544156109e-05, 6.241882753493534e-05, 0.00012523846233375454],
-            [0.0004080570555805045, 0.00040808347815658106, 0.0004079330152229288],
-        ),
-        1e-3: (
-            [117.75385062661043, -88.31538796879512, 815.4690032393337],
-            [-86.34396701128347, -115.12528934987787, -1.3639023940193437e-17],
-            [0.0036347331072840126, 0.0036334019275405484, 0.007296075433900593],
-            [0.023764362746144203, 0.02376560248763093, 0.02375916937232568],
-        ),
-        1e-4: (
-            [1178.0555311668911, -883.5416483772359, 8235.558907418148],
-            [-833.5016454579754, -1111.335527274612, 6.321560793244731e-17],
-            [0.17538686893957411, 0.17533719090303165, 0.35172468989664196],
-            [1.147317062844121, 1.1473635020533095, 1.1471530302926862],
-        ),
-    }
-    # the same with the closed-form m = 2 rotation pressure: the table's
-    # error term is gone from the bounds.  The octant rule built directly from
-    # one sinh grading moved F_err[2] at eps = 1e-3 from 2.246e-10 to
-    # 2.161e-10 (each value stayed within the old bound); the other bounds
-    # moved by less than their pin
-    _K6_REFERENCE = {
+    # U = (0.3, -0.2, -0.5), omega = (0.15, 0.2, 0.1)) with the moments of its
+    # running-integral pressure G on the graded octant rule (each value within
+    # the bound of the rotation table that preceded it): (F, T, F_err, T_err)
+    _K6_OCTANT = {
         1e-2: (
             [11.659655486262768, -8.744741614697075, 75.37550427032956],
             [-10.112676471945782, -13.483568629261047, -4.628239682305254e-19],
@@ -481,6 +493,29 @@ class TestRotationRing:
             [3.179695854086973e-07, 4.239531946179525e-07, 6.280451659068127e-16],
         ),
     }
+    # the same with the moments of G by integration by parts: F1, F2, T1 and
+    # T2 as radial rows, F3 as a line integral.  Each value moved by less
+    # than its octant bound
+    _K6_REFERENCE = {
+        1e-2: (
+            [11.659655486262764, -8.744741614697073, 75.37550427032951],
+            [-10.112676471945782, -13.483568629261043, -2.5342994410586304e-17],
+            [1.9250048355296966e-11, 1.44374982894253e-11, 6.392329626943477e-12],
+            [1.377913788628316e-11, 1.837213972393291e-11, 5.919755298117104e-17],
+        ),
+        1e-3: (
+            [117.75384838768385, -88.31538629076286, 815.4689949226837],
+            [-86.3439653897835, -115.125287186378, -2.6874278787236835e-17],
+            [9.010302343862502e-07, 6.75772668457822e-07, 1.8387565109660488e-08],
+            [6.371033215989894e-07, 8.494710886981824e-07, 8.872731094210244e-17],
+        ),
+        1e-4: (
+            [1178.05544938681, -883.5415870401074, 8235.558371000885],
+            [-833.5015874265703, -1111.3354499020938, -5.5284012421171373e-17],
+            [1.1624027554987633e-06, 8.718021315555506e-07, 1.4974258701791363e-08],
+            [8.175424204935295e-07, 1.090056647304067e-06, 1.0268949214574242e-16],
+        ),
+    }
 
     @pytest.mark.parametrize("eps", sorted(_K6_REFERENCE))
     def test_rotation_force_unchanged(self, eps):
@@ -494,8 +529,8 @@ class TestRotationRing:
         assert np.max(np.abs(res.T - T)) <= 1e-9 * scale
         assert res.F_err == pytest.approx(F_err, rel=1e-2)
         assert res.T_err == pytest.approx(T_err, rel=1e-2)
-        # the closed form moved each value by less than the table's bound
-        F0, T0, F0_err, T0_err = (np.array(v) for v in self._K6_TABLE[eps])
+        # integration by parts moved each value by less than the octant bound
+        F0, T0, F0_err, T0_err = (np.array(v) for v in self._K6_OCTANT[eps])
         assert np.all(np.abs(res.F - F0) <= F0_err)
         assert np.all(np.abs(res.T - T0) <= T0_err)
 
@@ -507,13 +542,15 @@ class TestReferenceValues:
     # squeeze sub-flows (3D k = 3, 2D k = 2), the 2D rotation (k = 4) and,
     # with the m = 2 closed form of its running integral, the 3D rotation
     # (k = 6) were pinned again when their pressures became closed-form:
-    # each new value lies within the old bound of the old one (for k = 6
-    # checked against _TABLE_K6), the bounds fell (3D k = 3 F3 from 1.4e-4
-    # to 1.0e-5, k = 6 F3 from 7.3e-3 to 2.2e-10).  The evaluations count
-    # distinct points: each radial panel once, on the 8-point ring in 3D
-    # for k != 6; for k = 6 the 10 field points of its ring plus the four
-    # running-integral reads per node of its graded octant (94800 -> 87600
-    # when that octant became 12 panels at every (m, eps)).
+    # each new value lies within the old bound of the old one, the bounds
+    # fell (3D k = 3 F3 from 1.4e-4 to 1.0e-5, k = 6 F3 from 7.3e-3 to
+    # 2.2e-10).  k = 6 was pinned again when the moments of its
+    # running-integral pressure left the graded octant rule for integration
+    # by parts: each value lies within its octant bound (_OCTANT_K6).  The
+    # evaluations count distinct points: each radial panel once, on the
+    # 8-point ring in 3D for k != 6; for k = 6 the 10 field points of its
+    # ring plus one Q_3 read per node of its F3 line integral (87600 on the
+    # octant rule, four running-integral reads per octant node).
     _REFERENCE = {
         3: {
             0: (
@@ -559,11 +596,11 @@ class TestReferenceValues:
                 720,
             ),
             6: (
-                [117.75384838768385, -88.31538629076287, 815.4689949226839],
-                [-86.34396538978349, -115.12528718637802, 1.7511624379093655e-17],
-                [8.882146594124447e-10, 6.662095432522377e-10, 2.2460721146905288e-10],
-                [2.8466374217566207e-09, 3.7954531274022395e-09, 2.1582626251840923e-16],
-                87600,
+                [117.75384838768385, -88.31538629076286, 815.4689949226837],
+                [-86.3439653897835, -115.125287186378, -2.6874278787236835e-17],
+                [9.010302343862502e-07, 6.75772668457822e-07, 1.8387565109660488e-08],
+                [6.371033215989894e-07, 8.494710886981824e-07, 8.872731094210244e-17],
+                1680,
             ),
         },
         2: {
@@ -605,12 +642,13 @@ class TestReferenceValues:
         },
     }
 
-    # 3D k = 6 as read off the rotation table: (F, T, F_err, T_err)
-    _TABLE_K6 = (
-        [117.75385061338856, -88.31538796004143, 815.46900319407],
-        [-86.34396700332246, -115.12528933776332, -2.267355569456631e-19],
-        [0.0036359411071687072, 0.0036344338457763954, 0.007303004049834825],
-        [0.023765332787220855, 0.023766739235749332, 0.023759169372325688],
+    # 3D k = 6 with the moments of G on the graded octant rule, 87600
+    # evaluations: (F, T, F_err, T_err)
+    _OCTANT_K6 = (
+        [117.75384838768385, -88.31538629076287, 815.4689949226839],
+        [-86.34396538978349, -115.12528718637802, 1.7511624379093655e-17],
+        [8.882146594124447e-10, 6.662095432522377e-10, 2.2460721146905288e-10],
+        [2.8466374217566207e-09, 3.7954531274022395e-09, 2.1582626251840923e-16],
     )
 
     @pytest.mark.parametrize(
@@ -630,7 +668,7 @@ class TestReferenceValues:
         assert np.max(np.abs(got_err - np.array(F_err + T_err))) <= 1e-12 * scale
         assert res.evaluations == nev
         if (d, k) == (3, 6):
-            F0, T0, F0_err, T0_err = self._TABLE_K6
+            F0, T0, F0_err, T0_err = self._OCTANT_K6
             assert np.all(np.abs(got - np.array(F0 + T0)) <= np.array(F0_err + T0_err))
 
 
