@@ -61,7 +61,6 @@ from .report import Report, build_report, render_csv, render_json
 from .special import (
     AsymptoticExpansion,
     AsymptoticTerm,
-    GammaCoeff,
     IntervalResidual,
     ToleranceNotMet,
     gamma_coeff,
@@ -80,7 +79,6 @@ __all__ = [
     "FieldEval",
     "FlatHypothesisError",
     "ForceResult",
-    "GammaCoeff",
     "GapProfile",
     "IntervalResidual",
     "ProblemParams",

@@ -220,10 +220,10 @@ def dual_tensor(k: int, params: ProblemParams, x) -> np.ndarray:
 def _volume_integrate(pointfun, params, rmax, spec):
     """Integrate ``pointfun(x1, x2, x3)`` over ``{|x'| < rmax, |x3| < h/2}``.
 
-    Radial direction adaptive (Gauss-Kronrod, split at the boundary-layer
-    scale and the flat radius), the 64-point trapezoid ring reduced by
-    :func:`lubgap.quadrature.ring_integrals` (full rule only), 5-point
-    Gauss rule vertically across the local gap.  ``pointfun`` receives the
+    Radial direction adaptive (Gauss-Kronrod, split at
+    :meth:`GapProfile.radial_splits` inside ``rmax``), the 64-point
+    trapezoid ring reduced by :func:`lubgap.quadrature.ring_integrals`
+    (full rule only), 5-point Gauss rule vertically across the local gap.  ``pointfun`` receives the
     planar points, shape (n, 1), and the Gauss heights over each, shape
     (n, 5), and returns the values there, shape (n, 5).
     """

@@ -24,6 +24,8 @@ from typing import Literal
 
 import numpy as np
 
+from .quadrature import halving_splits
+
 __all__ = ["GapProfile", "SurfacePoint", "gap", "surface_sample", "FlatHypothesisError"]
 
 _SQRT2M1 = np.sqrt(2.0) - 1.0
@@ -116,9 +118,21 @@ class GapProfile:
         return self.eps ** (1.0 / self.m)
 
     def radial_splits(self) -> tuple[float, ...]:
-        """Quadrature breakpoints: the boundary-layer scale, and ``s``; in 2D,
-        whose radial coordinate is the signed ``x1``, also ``0`` and mirrors."""
-        pts = sorted({p for p in (self.boundary_layer_scale(), self.s) if 0.0 < p < self.r})
+        """The radial split points of every gap integral, increasing.
+
+        m-convex: the boundary-layer scale ``delta``.  Flat caps: the rim
+        ``s``, then :func:`~lubgap.quadrature.halving_splits` from the rim,
+        ``s + delta 2^j < r``: the gap doubles over the width ``delta``
+        beyond the rim, and the integrands fall from their plateau there;
+        on the cap ``h = eps``, so no split at ``delta`` is needed.  In 2D,
+        whose radial coordinate is the signed ``x1``, also ``0`` and the
+        mirrors.
+        """
+        delta = self.boundary_layer_scale()
+        if self.kind == "m-convex":
+            pts = [delta] if delta < self.r else []
+        else:
+            pts = [self.s, *halving_splits(self.s, delta, self.r)]
         if self.dimension == 2:
             pts = [-p for p in reversed(pts)] + [0.0] + pts
         return tuple(pts)

@@ -3,7 +3,8 @@
 * :func:`integrate_vector` / :func:`integrate_1d` -- adaptive
   Gauss-Kronrod (15/7 embedded pair) bisection on an interval, honoring
   split points; every component of a vector integrand shares one panel
-  schedule.
+  schedule.  :func:`halving_splits` places split points that halve toward
+  the edge of a layer.
 * :class:`PanelRule` -- a fixed composite rule with an embedded
   lower-order rule, held as data: the nodes of each panel, the
   half-widths, and the node weights on ``[-1, 1]``.  :func:`kronrod_panels`
@@ -35,6 +36,7 @@ __all__ = [
     "QuadratureError",
     "integrate_1d",
     "integrate_vector",
+    "halving_splits",
     "PanelRule",
     "kronrod_panels",
     "trapezoid_ring",
@@ -259,6 +261,17 @@ def integrate_1d(
     spec = spec or QuadSpec()
     values, errors, nevals = integrate_vector(f, a, b, spec, ncomp=1)
     return QuadResult(float(values[0]), float(errors[0]), nevals)
+
+
+def halving_splits(start: float, width: float, stop: float) -> tuple[float, ...]:
+    """Split points ``start + width 2^j < stop``, ``j = 0, 1, ..``: panels that
+    halve toward ``start``, so that an integrand decaying from a layer of
+    width ``width`` at ``start`` starts on panels of its own scale."""
+    pts, step = [], width
+    while start + step < stop:
+        pts.append(start + step)
+        step *= 2.0
+    return tuple(pts)
 
 
 @lru_cache(maxsize=None)

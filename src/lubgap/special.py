@@ -12,6 +12,10 @@ hydrodynamic force as the gap width ``eps`` closes:
     psi(i, j, s, r, eps) = int_0^r (t + s)^j / (eps + t^2)^i dt
 
 together with the leading-order expansion :func:`phi_leading` in ``eps``.
+Both families are one layer integral: adaptive Gauss-Kronrod over
+``[0, r]``, split where panels double in width from the layer scale
+(``eps^(1/m)``, ``sqrt(eps)`` for ``psi``) outward
+(:func:`lubgap.quadrature.halving_splits`).
 
 The tails of the ``phi`` kernel are incomplete Beta functions.  With
 ``w = rho^m / eps``, ``a = (j+1)/m`` and ``b = i - a > 0``,
@@ -49,17 +53,16 @@ there).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import QuadSpec, QuadratureError, integrate_1d
+from .quadrature import QuadSpec, QuadratureError, halving_splits, integrate_1d
 
 __all__ = [
     "gamma",
     "gamma_coeff",
-    "GammaCoeff",
     "phi",
     "phi_leading",
     "gap_tail",
@@ -123,19 +126,6 @@ def gamma_coeff(i, j, m) -> float:
         # Gamma(j/m) diverges at j=0; the family never uses j=0 with i>j/m
         raise ValueError("j must be positive unless i = j/m")
     return gamma(i_f - j_f / m_f) * gamma(j_f / m_f) / m_f
-
-
-@dataclass(frozen=True)
-class GammaCoeff:
-    """A tabulated coefficient value with its indices."""
-
-    i: float
-    j: float
-    m: float
-    value: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", gamma_coeff(self.i, self.j, self.m))
 
 
 # ---------------------------------------------------------------------------
@@ -227,54 +217,38 @@ class AsymptoticExpansion:
 _PHI_TOL = 1e-10
 
 
-def phi(i: float, j: float, m: float, r: float, eps: float) -> float:
-    """Blow-up integral ``int_0^r t^j / (eps + t^m)^i dt``.
-
-    The integrand varies on the boundary-layer scale ``eps^(1/m)``; the
-    interval is split there, the inner part is computed under the
-    substitution ``t = eps^(1/m) u`` (which makes it O(1)-smooth), and the
-    outer part uses graded adaptive subdivision.  Relative error 1e-10.
-    """
+def _layer_integral(f, m: float, r: float, eps: float, label: str) -> float:
+    """``int_0^r f(t) dt`` for an integrand that varies on the layer scale
+    ``delta = eps^(1/m)``: one adaptive pass split at ``halving_splits(0,
+    delta, r)``, so each panel beyond the layer is as wide as its distance
+    from the axis.  Relative error 1e-10, else :class:`ToleranceNotMet`."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if r < 0.0:
         raise ValueError("r must be nonnegative")
     if r == 0.0:
         return 0.0
-    tstar = min(eps ** (1.0 / m), r)
-
-    total = 0.0
-    err = 0.0
-    spec = QuadSpec(rel_tol=1e-13, max_subdivisions=400)
-
-    # inner part: t = eps^(1/m) u, dt = eps^(1/m) du
-    ustar = tstar * eps ** (-1.0 / m)
-    prefactor = eps ** ((j + 1.0) / m - i)
-    inner = integrate_1d(lambda u: u**j / (1.0 + u**m) ** i, 0.0, ustar, spec)
-    total += prefactor * inner.value
-    err += prefactor * inner.error_estimate
-
-    if tstar < r:
-        # geometric split points resolve the decay away from the layer
-        splits = []
-        p = 2.0 * tstar
-        while p < r:
-            splits.append(p)
-            p *= 4.0
-        outer = integrate_1d(
-            lambda t: t**j / (eps + t**m) ** i,
-            tstar,
-            r,
-            spec.with_splits(splits),
-        )
-        total += outer.value
-        err += outer.error_estimate
-
-    if err > _PHI_TOL * abs(total):
+    splits = halving_splits(0.0, eps ** (1.0 / m), r)
+    try:
+        res = integrate_1d(f, 0.0, r, QuadSpec(rel_tol=1e-13, max_subdivisions=400, split_points=splits))
+    except QuadratureError as exc:
+        raise ToleranceNotMet(f"{label} quadrature budget exhausted", exc.result.error_estimate)
+    if res.error_estimate > _PHI_TOL * abs(res.value):
         raise ToleranceNotMet(
-            f"phi({i},{j},{m},{r},{eps}) achieved {err:.3e} > {_PHI_TOL:.0e} rel", err
+            f"{label} achieved {res.error_estimate:.3e} > {_PHI_TOL:.0e} rel", res.error_estimate
         )
-    return total
+    return res.value
+
+
+def phi(i: float, j: float, m: float, r: float, eps: float) -> float:
+    """Blow-up integral ``int_0^r t^j / (eps + t^m)^i dt``.
+
+    The integrand varies on the boundary-layer scale ``delta = eps^(1/m)``;
+    one adaptive pass splits at ``delta, 2 delta, 4 delta, .. < r``.
+    Relative error 1e-10.
+    """
+    f = lambda t: t**j / (eps + t**m) ** i
+    return _layer_integral(f, m, r, eps, f"phi({i},{j},{m},{r},{eps})")
 
 
 def phi_leading(i: float, j: float, m: float) -> AsymptoticExpansion:
@@ -362,35 +336,10 @@ def _incomplete_beta(p: float, q: float, x: np.ndarray) -> np.ndarray:
 def psi(i: float, j: float, s: float, r: float, eps: float) -> float:
     """Shifted family ``int_0^r (t + s)^j / (eps + t^2)^i dt``.
 
-    Reduces to ``phi`` with ``m = 2`` when ``s = 0``.  Relative error 1e-10.
+    Reduces to ``phi`` with ``m = 2`` when ``s = 0``, and splits as it does,
+    from the layer scale ``sqrt(eps)``.  Relative error 1e-10.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     if s < 0.0:
         raise ValueError("s must be nonnegative")
-    if r < 0.0:
-        raise ValueError("r must be nonnegative")
-    if r == 0.0:
-        return 0.0
-    tstar = min(math.sqrt(eps), r)
-    spec = QuadSpec(rel_tol=1e-13, max_subdivisions=400)
-    splits = [tstar]
-    p = 2.0 * tstar
-    while p < r:
-        splits.append(p)
-        p *= 4.0
-    try:
-        res = integrate_1d(
-            lambda t: (t + s) ** j / (eps + t**2) ** i,
-            0.0,
-            r,
-            spec.with_splits(splits),
-        )
-    except QuadratureError as exc:
-        raise ToleranceNotMet("psi quadrature budget exhausted", exc.result.error_estimate)
-    if res.error_estimate > _PHI_TOL * abs(res.value):
-        raise ToleranceNotMet(
-            f"psi({i},{j},{s},{r},{eps}) achieved {res.error_estimate:.3e}",
-            res.error_estimate,
-        )
-    return res.value
+    f = lambda t: (t + s) ** j / (eps + t**2) ** i
+    return _layer_integral(f, 2.0, r, eps, f"psi({i},{j},{s},{r},{eps})")

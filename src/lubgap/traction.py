@@ -171,13 +171,13 @@ def _rotation_pressure_rows(params, ts):
     return np.stack([c1 * f, c2 * f, zero, -c2 * t, c1 * t, zero])
 
 
-def _rotation_pressure_f3(params, splits, rel_tol, max_subdivisions):
+def _rotation_pressure_f3(params, rel_tol, max_subdivisions):
     """The F3 moment of ``6 mu G``: ``(value, error, Q_3 reads)``.
 
     ``Q`` is odd in its first argument, so over the disc only the anchor
     terms of ``G`` remain: ``F3 = 12 mu (c1 - c2) int_{-r}^{r} sqrt(r^2 - y^2)
     Q(r, y) dy``, integrated in ``y = r sin phi`` over ``[0, pi/2]``, split
-    where the radial ``splits`` cross the line.
+    where :meth:`GapProfile.radial_splits` cross the line.
     """
     prof = params.profile
     c1, c2 = _squeeze_type(6, params)[1]
@@ -189,7 +189,7 @@ def _rotation_pressure_f3(params, splits, rel_tol, max_subdivisions):
     spec = QuadSpec(
         rel_tol=rel_tol,
         max_subdivisions=max_subdivisions,
-        split_points=tuple(np.arcsin(np.asarray(splits) / r)),
+        split_points=tuple(np.arcsin(np.asarray(prof.radial_splits()) / r)),
     )
     vals, errs, nevals = integrate_vector(line, 0.0, 0.5 * np.pi, spec, ncomp=1)
     return float(vals[0]), float(errs[0]), nevals
@@ -204,16 +204,16 @@ def force_numeric(
     """Force and torque of sub-flow ``k`` on the top particle.
 
     Integrates the traction moments over the top gap boundary radially,
-    split at :meth:`GapProfile.radial_splits`, over ring integrals: in 3D
-    the exact 8-point trapezoid ring; in 2D the one-node ring ``x1 = t``
-    over ``[-r, r]``.  The rotation ``k = 6`` takes the exact 10-point ring
-    plus the radial rows of :func:`_rotation_pressure_rows`, on flat caps
-    split also at ``s + delta 4^j``, and adds :func:`_rotation_pressure_f3`,
-    at ``rel_tol / 100``, to F3.  A coarse probe, whose panels are not
-    evaluated again, sets the absolute tolerance relative to the largest
-    force/torque component of the radial pass.  The bounds add the
-    quadrature and angular estimates (0 in 2D, roundoff in 3D); see
-    :class:`ForceResult` for ``evaluations``.
+    split at :meth:`GapProfile.radial_splits` for every sub-flow, over ring
+    integrals: in 3D the exact 8-point trapezoid ring; in 2D the one-node
+    ring ``x1 = t`` over ``[-r, r]``.  The rotation ``k = 6`` takes the
+    exact 10-point ring plus the radial rows of
+    :func:`_rotation_pressure_rows`, and adds :func:`_rotation_pressure_f3`,
+    at ``rel_tol / 100`` but no finer than 1e-13, to F3.  A coarse probe,
+    whose panels are not evaluated again, sets the absolute tolerance
+    relative to the largest force/torque component of the radial pass.  The
+    bounds add the quadrature and angular estimates (0 in 2D, roundoff in
+    3D); see :class:`ForceResult` for ``evaluations``.
     """
     prof = params.profile
     d = prof.dimension
@@ -222,7 +222,6 @@ def force_numeric(
     ring, lo = (SHORT_RING, 0.0) if d == 3 else (LINE_RING, -prof.r)
     moments = lambda t, xprime: traction_moments(k, params, xprime, prof.h_radial(t))
     rings, nring = (lambda ts: ring_integrals(moments, ring, ts)), ring[0].shape[-1]
-    splits = prof.radial_splits()
     if k == 6:
         field = lambda t, xprime: _rotation_field_moments(params, t, xprime)
 
@@ -232,12 +231,6 @@ def force_numeric(
             return out
 
         nring = _ROTATION_RING[0].size
-        if prof.kind == "flat-capped":
-            # the pressure rows fall from 1/eps^3 over the width delta beyond the rim
-            delta, outer = prof.boundary_layer_scale(), []
-            while prof.s + delta * 4.0 ** len(outer) < prof.r:
-                outer.append(prof.s + delta * 4.0 ** len(outer))
-            splits = tuple(sorted({*splits, *outer}))
     # the d force components and the torque: 3 moments in 2D, 6 in 3D
     nmom = 3 * (d - 1)
     # ring integrals per radial panel: the adaptive pass reads the probe's here
@@ -249,6 +242,7 @@ def force_numeric(
             panels[key] = rings(ts)
         return panels[key]
 
+    splits = prof.radial_splits()
     probe = QuadSpec(abs_tol=1e300, rel_tol=1.0, split_points=splits)
     vals0 = integrate_vector(fvec, lo, prof.r, probe, ncomp=2 * nmom, ncheck=nmom)[0]
     scale = max(float(np.max(np.abs(vals0[:nmom]))), 1e-300)
@@ -263,8 +257,10 @@ def force_numeric(
     err = errs[:nmom] + np.maximum(vals[nmom:], 0.0)
     nev = sum(v.shape[-1] for v in panels.values()) * nring
     if k == 6:
-        # below the ring pass's tolerance, so as not to widen the F3 bound
-        f3, f3_err, nline = _rotation_pressure_f3(params, splits, rel_tol / 100.0, max_subdivisions)
+        # below the ring pass's tolerance, so as not to widen the F3 bound, but
+        # no finer than 1e-13, which the line reaches at every eps
+        line_tol = max(rel_tol / 100.0, 1e-13)
+        f3, f3_err, nline = _rotation_pressure_f3(params, line_tol, max_subdivisions)
         vals[2] += f3
         err[2] += f3_err
         nev += nline

@@ -182,6 +182,15 @@ class TestForce:
         assert main(["force", "--config", str(p)]) == EXIT_CONFIG
         assert "rel_tol" in capsys.readouterr().err
 
+    def test_quadrature_at_floor_solves(self, tmp_path, capsys):
+        # the documented minimum rel_tol = 1e-12 must solve, rotation included
+        p = tmp_path / "floor.ini"
+        p.write_text(CFG.replace("rel_tol = 1e-7", "rel_tol = 1e-12"), encoding="utf-8")
+        json_path = tmp_path / "floor.json"
+        argv = ["force", "--config", str(p), "--eps", "1e-6", "--out-json", str(json_path)]
+        assert main(argv) == EXIT_OK
+        assert json.loads(json_path.read_text())["errors"] == []
+
     def test_unknown_config_key_exit_code(self, tmp_path, capsys):
         p = tmp_path / "typo.ini"
         p.write_text(CFG.replace("rel_tol = 1e-7", "rel_tl = 1e-7"), encoding="utf-8")

@@ -49,6 +49,43 @@ class TestGapProfile:
             bad.check_flat_hypothesis(override=True)
 
 
+class TestRadialSplits:
+    # the one owner of where gap integrals split: the layer scale on
+    # m-convex profiles; the rim, then halving steps from it, on flat caps
+
+    def test_mconvex_layer_scale(self):
+        for m, eps in ((2.0, 1e-4), (2.5, 1e-6), (8.0, 1e-8)):
+            assert mconvex(m=m, eps=eps).radial_splits() == (eps ** (1.0 / m),)
+        # a layer as wide as the gap region leaves no split
+        assert mconvex(eps=0.5).radial_splits() == ()
+
+    def test_flat_cap_halves_from_rim(self):
+        for s, eps in ((0.05, 1e-4), (0.15, 1e-8), (0.1, 1e-9)):
+            prof = flat(s=s, eps=eps)
+            delta = math.sqrt(eps)
+            want = [s] + [s + delta * 2.0**j for j in range(60) if s + delta * 2.0**j < prof.r]
+            assert prof.radial_splits() == tuple(want)
+            # no axis split: the cap has h = eps throughout
+            assert min(prof.radial_splits()) == s
+
+    def test_2d_mirrored_with_zero(self):
+        delta = 1e-6 ** (1.0 / 1.2)
+        assert mconvex(m=1.2, eps=1e-6, dimension=2).radial_splits() == (-delta, 0.0, delta)
+        half = flat(s=0.05, eps=1e-8).radial_splits()
+        want = tuple(-p for p in reversed(half)) + (0.0,) + half
+        assert flat(s=0.05, eps=1e-8, dimension=2).radial_splits() == want
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_strictly_increasing_inside(self, dimension):
+        for prof in (
+            *(mconvex(m=m, eps=eps, dimension=dimension) for m in (2.0, 4.0) for eps in (1e-2, 1e-8)),
+            *(flat(s=s, eps=eps, dimension=dimension) for s in (0.05, 0.15) for eps in (1e-2, 1e-9)),
+        ):
+            pts = np.array(prof.radial_splits())
+            assert np.all(np.diff(pts) > 0.0), prof
+            assert np.all(np.abs(pts) < prof.r), prof
+
+
 class TestGap:
     def test_mconvex_values(self):
         assert gap(mconvex(eps=1e-3), (0.1, 0.0)) == pytest.approx(0.011, rel=1e-14)

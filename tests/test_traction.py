@@ -202,6 +202,37 @@ class TestForceNumeric:
         # 15 Kronrod nodes per radial panel
         assert res.evaluations == len(panels) * 15 * nring.pop() + sum(reads)
 
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            GapProfile.m_convex(3, 2.5, 0.5, 1e-6, 2.0),
+            GapProfile.flat_capped(3, 0.5, 0.05, 1e-8, 2.0),
+            GapProfile.m_convex(2, 1.2, 0.5, 1e-6, 2.0),
+            GapProfile.flat_capped(2, 0.5, 0.05, 1e-8, 2.0),
+        ],
+        ids=lambda prof: f"{prof.dimension}d-{prof.kind}",
+    )
+    def test_every_pass_splits_at_radial_splits(self, profile, monkeypatch):
+        # one owner of the split points: each sub-flow's probe and adaptive
+        # radial pass reads radial_splits, and the rotation's F3 line the
+        # same radii on y = r sin phi; no sub-flow adds splits of its own
+        d, splits = profile.dimension, profile.radial_splits()
+        U, omega = ((0.3, -0.2, -0.5), (0.15, 0.2, 0.1)) if d == 3 else ((0.4, -0.3), 0.25)
+        params = ProblemParams(profile=profile, U=U, omega=omega)
+        passes = []
+
+        def spy(f, a, b, spec, *args, **kwargs):
+            passes.append((b, spec.split_points))
+            return integrate_vector(f, a, b, spec, *args, **kwargs)
+
+        monkeypatch.setattr(traction, "integrate_vector", spy)
+        for k in subflow_indices(d):
+            passes.clear()
+            force_numeric(k, params)
+            assert [p for b, p in passes if b == profile.r] == [splits, splits], k
+            line = [tuple(np.arcsin(np.array(splits) / profile.r))] if k == 6 else []
+            assert [p for b, p in passes if b != profile.r] == line, k
+
 
 # m-convex profiles, and the flat cap s = 0.05 with radii on both sides of its rim
 _SHORT_RING_PROFILES = pytest.mark.parametrize(
@@ -349,8 +380,9 @@ class TestRotationSplit:
     def test_pressure_moments_match_octant_rule(self, kind, m, s, eps, monkeypatch):
         # without the field moments, force_numeric(6) returns the moments of G.
         # On the flat cap the radial rows fall from 1/eps^3 over the width
-        # delta beyond the rim; without the force route's splits there, F3
-        # misses at eps = 1e-8 and the radial rows at eps = 1e-9
+        # delta beyond the rim; the reference splits where the force route
+        # does, at radial_splits (s + delta 2^j there), since without splits
+        # beyond the rim F3 misses at eps = 1e-8 and the radial rows at 1e-9
         params = _rotation_params(kind, m, s, eps)
         prof = params.profile
         monkeypatch.setattr(
@@ -359,15 +391,26 @@ class TestRotationSplit:
         res = force_numeric(6, params)
         got, got_err = np.r_[res.F, res.T], np.r_[res.F_err, res.T_err]
         # the reference: the octant rule's ring integrals, radially at 1e-9
-        delta = prof.boundary_layer_scale()
-        outer = [s + delta * 4.0**j for j in range(20)] if kind == "flat-capped" else []
-        splits = sorted(p for p in {*prof.radial_splits(), *outer} if p < prof.r)
-        spec = QuadSpec(rel_tol=1e-9, split_points=splits)
+        spec = QuadSpec(rel_tol=1e-9, split_points=prof.radial_splits())
         fvec = lambda ts: rotation_pressure(params, ts)
         vals, errs, _ = integrate_vector(fvec, 0.0, prof.r, spec, ncomp=12, ncheck=6)
         want, want_err = vals[:6], errs[:6] + vals[6:]
         assert np.all(np.abs(got - want)[:5] <= (got_err + want_err)[:5])
         assert got[5] == 0.0
+
+    @pytest.mark.parametrize(
+        "kind, m, s",
+        [("m-convex", m, 0.0) for m in (2.0, 2.5, 4.0)] + [("flat-capped", 2.0, 0.05)],
+    )
+    def test_solves_at_config_floor(self, kind, m, s):
+        # rel_tol = 1e-12 is the config minimum: the F3 line, run finer than
+        # the radial pass, must still converge within the subdivision budget
+        for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+            params = _rotation_params(kind, m, s, eps)
+            tight, default = force_numeric(6, params, rel_tol=1e-12), force_numeric(6, params)
+            diff = np.abs(np.r_[tight.F, tight.T] - np.r_[default.F, default.T])
+            bound = np.r_[tight.F_err, tight.T_err] + np.r_[default.F_err, default.T_err]
+            assert np.all(diff <= bound), eps
 
 
 class TestOctantRule:
@@ -754,6 +797,22 @@ class TestRobustnessGrid:
         vals = np.concatenate([res.F, np.atleast_1d(res.T)])
         errs = np.concatenate([res.F_err, np.atleast_1d(res.T_err)])
         assert np.max(errs) <= 1e-6 * np.max(np.abs(vals))
+
+
+class TestFlatCapBounds:
+    # on flat caps the integrands fall from their plateau over the width
+    # delta beyond the rim; with panels halving from the rim for every
+    # sub-flow, each default bound holds against a rel_tol = 1e-13 solve
+    @pytest.mark.parametrize("d", [3, 2])
+    @pytest.mark.parametrize("s", [0.05, 0.15])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9])
+    def test_default_within_bound(self, d, s, eps):
+        prof = GapProfile.flat_capped(d, 0.5, s, eps, 2.0)
+        U, omega = ((0.3, -0.2, -0.5), (0.15, 0.2, 0.1)) if d == 3 else ((0.4, -0.3), 0.25)
+        params = ProblemParams(profile=prof, U=U, omega=omega)
+        got, ref = total_numeric(params), total_numeric(params, rel_tol=1e-13)
+        diff = np.abs(np.r_[got.F, got.T] - np.r_[ref.F, ref.T])
+        assert np.all(diff <= np.r_[got.F_err, got.T_err])
 
 
 class TestLeadingCoefficient:
