@@ -188,7 +188,7 @@ def _dual_tensor_many(k, params, x1, x2, x3):
         row = k - 1
         S[row, 2] = S[2, row] = mu * grad[row, 2]
         S[2, 2] = mu * grad[2, 2]
-        return S * inside, grad
+        return np.multiply(S, inside, out=S), grad
 
     # k in (3, 6): correct the field's own stress on the diagonal
     for a in range(3):
@@ -196,7 +196,7 @@ def _dual_tensor_many(k, params, x1, x2, x3):
             S[a, b] = S[b, a] = mu * (grad[a, b] + grad[b, a])
     for a, q in enumerate(_corrections(k, params, x1, x2, x3)):
         S[a, a] = 2.0 * mu * grad[a, a] - p + q
-    return S * inside, grad
+    return np.multiply(S, inside, out=S), grad
 
 
 def dual_tensor(k: int, params: ProblemParams, x) -> np.ndarray:
@@ -286,11 +286,13 @@ def _discrepancy_many(k, params, x1, x2, x3):
         q = np.stack(_corrections(k, params, x1, x2, x3))
         return np.eye(3)[:, :, None, None] * ((q.mean(axis=0) - q) / (2.0 * mu))
     S, grad = _dual_tensor_many(k, params, x1, x2, x3)
-    D = 0.5 * (grad + grad.swapaxes(0, 1))
+    # in place: the (3, 3, n, g) arrays are the largest of the dual check
+    D = grad + grad.swapaxes(0, 1)
+    D *= 0.5
     tr = S[0, 0] + S[1, 1] + S[2, 2]
     for a in range(3):
         S[a, a] -= tr / 3.0
-    return D - S / (2.0 * mu)
+    return np.subtract(D, np.divide(S, 2.0 * mu, out=S), out=D)
 
 
 def ell(i: int, j: int, params: ProblemParams, spec: QuadSpec | None = None) -> float:

@@ -3,8 +3,9 @@
 * :func:`integrate_vector` / :func:`integrate_1d` -- adaptive
   Gauss-Kronrod (15/7 embedded pair) bisection on an interval, honoring
   split points; every component of a vector integrand shares one panel
-  schedule.  :func:`halving_splits` places split points that halve toward
-  the edge of a layer.
+  schedule, and the integrand is called once per refinement step, on the
+  nodes of every panel the step creates.  :func:`halving_splits` places
+  split points that halve toward the edge of a layer.
 * :class:`PanelRule` -- a fixed composite rule with an embedded
   lower-order rule, held as data: the nodes of each panel, the
   half-widths, and the node weights on ``[-1, 1]``.  :func:`kronrod_panels`
@@ -96,8 +97,8 @@ class QuadSpec:
     """Tolerance and subdivision budget for the adaptive engines.
 
     At least one of ``abs_tol``, ``rel_tol`` must be positive.
-    ``split_points`` are breakpoints that must lie strictly inside the
-    integration interval; panels never straddle them.
+    ``split_points`` are breakpoints, held sorted and without repeats;
+    panels never straddle those strictly inside the integration interval.
     """
 
     abs_tol: float = 0.0
@@ -112,12 +113,12 @@ class QuadSpec:
             raise ValueError("abs_tol must be >= 0")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        object.__setattr__(self, "split_points", tuple(self.split_points))
+        object.__setattr__(self, "split_points", tuple(sorted(set(self.split_points))))
 
     def with_splits(self, points: Sequence[float]) -> "QuadSpec":
         """Return a copy with ``points`` merged into ``split_points``."""
-        merged = tuple(sorted(set(self.split_points) | set(points)))
-        return QuadSpec(self.abs_tol, self.rel_tol, self.max_subdivisions, merged)
+        splits = (*self.split_points, *points)
+        return QuadSpec(self.abs_tol, self.rel_tol, self.max_subdivisions, splits)
 
 
 @dataclass(frozen=True)
@@ -140,17 +141,10 @@ class QuadratureError(RuntimeError):
         self.result = result
 
 
-def _panel(fvec: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """Evaluate the 15/7 pair on one panel for a vector-valued integrand.
-
-    Returns (kronrod, err, resabs, nevals); all component-wise arrays.
-    """
+def _panel(fx: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The 15/7 pair on the panel ``[a, b]`` from the values ``fx``, shape
+    ``(ncomp, 15)``, at its nodes: the rows (kronrod, err, resabs)."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _NODES
-    fx = np.asarray(fvec(x), dtype=float)
-    if fx.ndim == 1:
-        fx = fx[np.newaxis, :]
     resk = half * fx @ _WEIGHTS_K
     resg = half * fx[:, _GAUSS_IDX] @ _WEIGHTS_G
     resabs = half * np.abs(fx) @ _WEIGHTS_K
@@ -158,6 +152,7 @@ def _panel(fvec: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     mean = resk / (b - a)
     resasc = half * np.abs(fx - mean[:, None]) @ _WEIGHTS_K
     diff = np.abs(resk - resg)
+    # a scalar loop: numpy's vectorised ** rounds differently from Python's
     err = np.empty_like(diff)
     for c in range(diff.size):
         if resasc[c] > 0.0 and diff[c] > 0.0:
@@ -165,7 +160,7 @@ def _panel(fvec: Callable[[np.ndarray], np.ndarray], a: float, b: float):
         else:
             err[c] = diff[c]
         err[c] = max(err[c], 50.0 * _EPS * resabs[c])
-    return resk, err, resabs, x.size
+    return np.array((resk, err, resabs))
 
 
 def integrate_vector(
@@ -179,13 +174,16 @@ def integrate_vector(
     """Adaptively integrate a vector-valued integrand component-wise.
 
     ``fvec`` maps an abscissa array of shape ``(n,)`` to values of shape
-    ``(ncomp, n)`` (or ``(n,)`` for a single component).  All components
-    share the panel schedule; panels are bisected (worst first by summed
-    error) until every component meets
-    ``max(abs_tol, rel_tol * |value_c|)`` or sits at its roundoff floor,
-    the sum of the per-panel floors ``50 * eps * int |f_c|``.  Bisection
-    cannot reduce that floor, so, as in QUADPACK, a value that cancels
-    below it stops refinement instead of exhausting the budget.
+    ``(ncomp, n)`` (or ``(n,)`` for a single component), point by point: a
+    node's value may not depend on which nodes share the call.  It is
+    called once per refinement step, on the 15 Kronrod nodes of each panel
+    the step creates: the initial panels, cut at the split points, then the
+    two halves of a bisected panel.  All components share the panel
+    schedule; panels are bisected (worst first by summed error) until every
+    component meets ``max(abs_tol, rel_tol * |value_c|)`` or sits at its
+    roundoff floor, the sum of the per-panel floors ``50 * eps * int |f_c|``.
+    Bisection cannot reduce that floor, so, as in QUADPACK, a value that
+    cancels below it stops refinement instead of exhausting the budget.
 
     When ``ncheck`` is given, only the first ``ncheck`` components drive
     refinement and the convergence test; the rest are carried along (used
@@ -203,24 +201,27 @@ def integrate_vector(
         v, e, n = integrate_vector(fvec, b, a, spec, ncomp, ncheck)
         return -v, e, n
 
-    panels = []
-    nevals = 0
+    panels, nevals = [], 0
     counter = 0  # tie-breaker keeps the heap order deterministic
     running = 0.0  # (values, errors, resabs) summed over the heap, for the stop test
 
-    def push(lo, hi):
+    def push(edges):
+        """Evaluate the panels between consecutive ``edges`` in one call; push each."""
         nonlocal nevals, counter, running
-        resk, err, resabs, n = _panel(fvec, lo, hi)
-        parts = np.array((resk, err, resabs))
-        nevals += n
-        counter += 1
-        running = running + parts
-        heapq.heappush(panels, (-float(err[:ncheck].sum()), counter, lo, hi, parts))
+        e = np.array(edges)
+        half, mid = 0.5 * (e[1:] - e[:-1]), 0.5 * (e[:-1] + e[1:])
+        x = (mid[:, None] + half[:, None] * _NODES).ravel()
+        fx = np.asarray(fvec(x), dtype=float).reshape(-1, half.size, _NODES.size)
+        nevals += x.size
+        # each panel summed alone, on a contiguous (ncomp, 15) block
+        for lo, hi, block in zip(edges[:-1], edges[1:], np.ascontiguousarray(fx.swapaxes(0, 1))):
+            parts = _panel(block, lo, hi)
+            counter += 1
+            running = running + parts
+            heapq.heappush(panels, (-float(parts[1][:ncheck].sum()), counter, lo, hi, parts))
 
     # the initial panels, cut at the split points
-    cuts = [a] + [p for p in sorted(spec.split_points) if a < p < b] + [b]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        push(lo, hi)
+    push([a] + [p for p in spec.split_points if a < p < b] + [b])
 
     while True:
         values, errors, resabs = running
@@ -230,18 +231,14 @@ def integrate_vector(
             break
         _, _, lo, hi, parts = heapq.heappop(panels)
         running = running - parts
-        mid = 0.5 * (lo + hi)
-        push(lo, mid)
-        push(mid, hi)
+        push([lo, 0.5 * (lo + hi), hi])
 
     # the reported totals are summed afresh from the heap
     values, errors, resabs = sum(p[4] for p in panels)
     errors = errors + 1e-15 * resabs
     if not np.all(done[:ncheck]):
-        raise QuadratureError(
-            "subdivision budget exhausted",
-            QuadResult(float(values[0]), float(errors[0]), nevals),
-        )
+        result = QuadResult(float(values[0]), float(errors[0]), nevals)
+        raise QuadratureError("subdivision budget exhausted", result)
     return values, errors, nevals
 
 

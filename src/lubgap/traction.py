@@ -17,7 +17,8 @@ area-weighted normal ``N = (grad h / 2, -1)`` (the identity
 :func:`force_numeric`, integrates all force and torque components of a
 sub-flow in a single adaptive pass (:func:`lubgap.quadrature.integrate_vector`)
 radially over ring integrals (:func:`lubgap.quadrature.ring_integrals`),
-from the panels of a coarse probe that fixes the absolute tolerance.  A
+from the panels of a coarse probe that fixes the absolute tolerance; each
+refinement step reduces the rings of all its radial nodes in one call.  A
 ring is its directions plus an angular rule whose embedded rule bounds the
 angular error: in 2D the one node ``x1 = t`` over ``[-r, r]``; in 3D the
 8-point trapezoid, exact with its embedded rule for the translation/spin
@@ -233,7 +234,7 @@ def force_numeric(
         nring = _ROTATION_RING[0].size
     # the d force components and the torque: 3 moments in 2D, 6 in 3D
     nmom = 3 * (d - 1)
-    # ring integrals per radial panel: the adaptive pass reads the probe's here
+    # ring integrals per refinement step: the adaptive pass's first reads the probe's
     panels = {}
 
     def fvec(ts):

@@ -1,9 +1,11 @@
 """Helpers shared by the test modules."""
 
+import heapq
+
 import numpy as np
 
 from lubgap.fields import _running_integral, _squeeze_type
-from lubgap.quadrature import kronrod_panels, ring_integrals
+from lubgap.quadrature import QuadratureError, QuadResult, _panel, kronrod_panels, ring_integrals
 
 
 def leading_coefficient(
@@ -29,6 +31,46 @@ def leading_coefficient(
     else:
         t1, t2 = eps1 ** (-power), eps2 ** (-power)
     return (v1 - v2) / (t1 - t2)
+
+
+def serial_integrate_vector(fvec, a, b, spec, ncomp=None, ncheck=None):
+    """The reference of :func:`lubgap.quadrature.integrate_vector`: the same
+    bisection, heap order and stop test, for ``a < b``, but one ``fvec``
+    call per 15-node panel, each panel summed by
+    :func:`lubgap.quadrature._panel` as soon as it is evaluated."""
+    nodes = kronrod_panels(np.array([-1.0, 1.0])).x[0]  # the 15 nodes on [-1, 1]
+    panels, nevals, counter, running = [], 0, 0, 0.0
+
+    def push(lo, hi):
+        nonlocal nevals, counter, running
+        fx = np.asarray(fvec(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes), dtype=float)
+        parts = _panel(fx[np.newaxis, :] if fx.ndim == 1 else fx, lo, hi)
+        nevals += nodes.size
+        counter += 1
+        running = running + parts
+        heapq.heappush(panels, (-float(parts[1][:ncheck].sum()), counter, lo, hi, parts))
+
+    cuts = [a] + [p for p in spec.split_points if a < p < b] + [b]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        push(lo, hi)
+    while True:
+        values, errors, resabs = running
+        target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))
+        done = (errors <= target) | (errors <= 50.0 * np.finfo(float).eps * resabs)
+        if np.all(done[:ncheck]) or len(panels) >= spec.max_subdivisions:
+            break
+        _, _, lo, hi, parts = heapq.heappop(panels)
+        running = running - parts
+        mid = 0.5 * (lo + hi)
+        push(lo, mid)
+        push(mid, hi)
+    values, errors, resabs = sum(p[4] for p in panels)
+    errors = errors + 1e-15 * resabs
+    if not np.all(done[:ncheck]):
+        raise QuadratureError(
+            "subdivision budget exhausted", QuadResult(float(values[0]), float(errors[0]), nevals)
+        )
+    return values, errors, nevals
 
 
 def cumulative_sums(rule, fx: np.ndarray):

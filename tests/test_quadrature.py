@@ -1,6 +1,7 @@
 """Adaptive integration and panel rules."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from lubgap.quadrature import (
     QuadratureError,
     QuadResult,
     QuadSpec,
+    halving_splits,
     integrate_1d,
+    integrate_vector,
     kronrod_panels,
     trapezoid_ring,
 )
 
-from helpers import cumulative_sums
+from helpers import cumulative_sums, serial_integrate_vector
 
 
 class TestQuadSpec:
@@ -32,6 +35,18 @@ class TestQuadSpec:
     def test_with_splits(self):
         spec = QuadSpec().with_splits([0.25, 0.5])
         assert spec.split_points == (0.25, 0.5)
+        # split points are held sorted, without repeats
+        assert QuadSpec(split_points=(0.5, 0.25, 0.5)).split_points == (0.25, 0.5)
+        assert spec.with_splits([0.5, 0.1]).split_points == (0.1, 0.25, 0.5)
+
+    def test_duplicate_split_makes_no_empty_panel(self):
+        # a repeated split point is one cut: two panels of 15 nodes, and no
+        # zero-width panel dividing by its width
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = integrate_1d(np.exp, 0.0, 1.0, QuadSpec(rel_tol=1e-6, split_points=(0.5, 0.5)))
+        assert res.evaluations == 30
+        assert res.value == pytest.approx(math.e - 1.0, rel=1e-12)
 
 
 class TestIntegrate1d:
@@ -90,6 +105,82 @@ class TestIntegrate1d:
         assert combo.value == pytest.approx(
             c0 * part0.value + c1 * part1.value, abs=1e-10, rel=1e-10
         )
+
+
+_EPS_LAYER = 1e-6
+_DRIVER_CASES = {
+    "polynomial": (lambda t: 1.0 + 3.0 * t - 2.0 * t**5 + t**29, -1.0, 2.0, QuadSpec(rel_tol=1e-12), {}),
+    "layer": (
+        lambda t: 1.0 / (_EPS_LAYER + t * t) ** 1.5,
+        0.0,
+        1.0,
+        QuadSpec(rel_tol=1e-10, split_points=halving_splits(0.0, math.sqrt(_EPS_LAYER), 1.0)),
+        {},
+    ),
+    # 12 components, the first 6 driving refinement
+    "vector-ncheck": (
+        lambda t: np.stack(
+            [t**k / (1e-4 + t * t) for k in range(6)] + [np.cos(k * t) for k in range(6)]
+        ),
+        0.0,
+        1.0,
+        QuadSpec(abs_tol=1e-12, rel_tol=1e-9, split_points=(0.01, 0.1)),
+        {"ncomp": 12, "ncheck": 6},
+    ),
+    # the roundoff-floor example of test_linearity_on_polynomials
+    "roundoff-floor": (
+        lambda t: 1.0 - t * t, 0.0, 1.734375, QuadSpec(rel_tol=1e-12, max_subdivisions=100), {}
+    ),
+    "budget-exhausted": (
+        lambda t: t / (1e-12 + t * t), 0.0, 1.0, QuadSpec(rel_tol=1e-14, max_subdivisions=7), {}
+    ),
+}
+
+
+class TestIntegrateVector:
+    @pytest.mark.parametrize("case", _DRIVER_CASES)
+    def test_matches_serial_panels(self, case):
+        # one call per refinement step gives, bit for bit, the values,
+        # bounds and evaluations of one call per panel
+        f, a, b, spec, kwargs = _DRIVER_CASES[case]
+
+        def run(driver):
+            sizes = []
+
+            def spy(x):
+                sizes.append(x.size)
+                return f(x)
+
+            try:
+                out = driver(spy, a, b, spec, **kwargs)
+            except QuadratureError as exc:
+                out = exc.result
+            return out, sizes
+
+        (got, sizes), (ref, _) = run(integrate_vector), run(serial_integrate_vector)
+        assert (case == "budget-exhausted") == isinstance(got, QuadResult)
+        if isinstance(got, QuadResult):
+            assert got == ref
+            evaluations = got.evaluations
+        else:
+            assert [v.tobytes() for v in got[:2]] == [v.tobytes() for v in ref[:2]]
+            assert got[2] == ref[2]
+            evaluations = got[2]
+        # the initial panels in one call, then both halves of each bisection
+        # in one call, 15 nodes per panel
+        ninitial = 1 + sum(a < p < b for p in spec.split_points)
+        assert sizes[0] == 15 * ninitial
+        assert all(n == 30 for n in sizes[1:])
+        assert sum(sizes) == evaluations
+
+    def test_batch_is_one_array(self):
+        # the nodes of a call are the panels' 15 Kronrod nodes, panel after panel
+        calls = []
+        integrate_vector(lambda x: calls.append(x.copy()) or np.ones_like(x), 0.0, 1.0,
+                         QuadSpec(split_points=(0.25, 0.5)))
+        (x,) = calls
+        edges = np.array([0.0, 0.25, 0.5, 1.0])
+        assert x.tobytes() == kronrod_panels(edges).x.ravel().tobytes()
 
 
 class TestPanelRules:
