@@ -120,17 +120,17 @@ class GapProfile:
     def radial_splits(self) -> tuple[float, ...]:
         """The radial split points of every gap integral, increasing.
 
-        m-convex: the boundary-layer scale ``delta``.  Flat caps: the rim
-        ``s``, then :func:`~lubgap.quadrature.halving_splits` from the rim,
-        ``s + delta 2^j < r``: the gap doubles over the width ``delta``
-        beyond the rim, and the integrands fall from their plateau there;
-        on the cap ``h = eps``, so no split at ``delta`` is needed.  In 2D,
+        Panels that halve toward the layer the integrands fall from
+        (:func:`~lubgap.quadrature.halving_splits`).  m-convex: ``delta 2^j
+        < r``, from the layer of width ``delta`` at the axis.  Flat caps:
+        the rim ``s``, then ``s + delta 2^j < r``: the gap doubles over the
+        width ``delta`` beyond the rim (``h = eps`` on the cap).  In 2D,
         whose radial coordinate is the signed ``x1``, also ``0`` and the
-        mirrors.
+        mirrors.  The dual check reads only ``delta`` of the m-convex points.
         """
         delta = self.boundary_layer_scale()
         if self.kind == "m-convex":
-            pts = [delta] if delta < self.r else []
+            pts = list(halving_splits(0.0, delta, self.r))
         else:
             pts = [self.s, *halving_splits(self.s, delta, self.r)]
         if self.dimension == 2:

@@ -8,8 +8,7 @@
   split points that halve toward the edge of a layer.
 * :class:`PanelRule` -- a fixed composite rule with an embedded
   lower-order rule, held as data: the nodes of each panel, the
-  half-widths, and the node weights on ``[-1, 1]``.  :func:`kronrod_panels`
-  places the 15/7 pair on given panel edges, for graded reference rules.
+  half-widths, and the node weights on ``[-1, 1]``.
   :func:`trapezoid_ring` is the ``n``-point periodic trapezoid ring, one
   panel whose embedded rule is the even nodes.
 * :func:`ring_integrals` -- the one ring reduction of every gap-plane
@@ -39,7 +38,6 @@ __all__ = [
     "integrate_vector",
     "halving_splits",
     "PanelRule",
-    "kronrod_panels",
     "trapezoid_ring",
     "TRAPEZOID_RING",
     "SHORT_RING",
@@ -84,6 +82,7 @@ _GAUSS_IDX = np.arange(1, 15, 2)  # positions of the embedded 7-point rule
 _WEIGHTS_G = np.concatenate([_WG[:-1], [_WG[-1]], _WG[:-1][::-1]])
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny  # floor of the roundoff floor, which underflows on subnormal f
 
 # Relative tolerance and subdivision budget of the numeric force route, shared
 # by force_numeric/total_numeric and the [quadrature] section of a run config;
@@ -181,7 +180,8 @@ def integrate_vector(
     two halves of a bisected panel.  All components share the panel
     schedule; panels are bisected (worst first by summed error) until every
     component meets ``max(abs_tol, rel_tol * |value_c|)`` or sits at its
-    roundoff floor, the sum of the per-panel floors ``50 * eps * int |f_c|``.
+    roundoff floor, the sum of the per-panel floors ``50 * eps * int |f_c|``
+    but at least the smallest normal float.
     Bisection cannot reduce that floor, so, as in QUADPACK, a value that
     cancels below it stops refinement instead of exhausting the budget.
 
@@ -226,7 +226,7 @@ def integrate_vector(
     while True:
         values, errors, resabs = running
         target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))
-        done = (errors <= target) | (errors <= 50.0 * _EPS * resabs)
+        done = (errors <= target) | (errors <= np.maximum(50.0 * _EPS * resabs, _TINY))
         if np.all(done[:ncheck]) or len(panels) >= spec.max_subdivisions:
             break
         _, _, lo, hi, parts = heapq.heappop(panels)
@@ -298,16 +298,6 @@ class PanelRule(NamedTuple):
         ``(..., npan, nodes)``: by the full and by the embedded rule."""
         full = (fx @ self.weights) * self.half
         return full, (fx[..., self.embedded] @ self.embedded_weights) * self.half
-
-
-def kronrod_panels(edges: np.ndarray) -> PanelRule:
-    """The 15-point Kronrod rule, with its embedded 7-point Gauss rule, on
-    the panels between consecutive ``edges`` (along the last axis)."""
-    a, b = edges[..., :-1], edges[..., 1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid[..., None] + half[..., None] * _NODES
-    return PanelRule(x, half, _WEIGHTS_K, _GAUSS_IDX, _WEIGHTS_G)
 
 
 def trapezoid_ring(n: int):

@@ -17,8 +17,10 @@ area-weighted normal ``N = (grad h / 2, -1)`` (the identity
 :func:`force_numeric`, integrates all force and torque components of a
 sub-flow in a single adaptive pass (:func:`lubgap.quadrature.integrate_vector`)
 radially over ring integrals (:func:`lubgap.quadrature.ring_integrals`),
-from the panels of a coarse probe that fixes the absolute tolerance; each
-refinement step reduces the rings of all its radial nodes in one call.  A
+from the panels of a coarse probe that fixes the absolute tolerance: the
+panels between :meth:`~lubgap.geometry.GapProfile.radial_splits`, which
+halve toward the boundary layer.  Each refinement step reduces the rings of
+all its radial nodes in one call, the first those of every initial panel.  A
 ring is its directions plus an angular rule whose embedded rule bounds the
 angular error: in 2D the one node ``x1 = t`` over ``[-r, r]``; in 3D the
 8-point trapezoid, exact with its embedded rule for the translation/spin
@@ -205,7 +207,8 @@ def force_numeric(
     """Force and torque of sub-flow ``k`` on the top particle.
 
     Integrates the traction moments over the top gap boundary radially,
-    split at :meth:`GapProfile.radial_splits` for every sub-flow, over ring
+    from panels that halve toward the boundary layer, split at
+    :meth:`GapProfile.radial_splits` for every sub-flow, over ring
     integrals: in 3D the exact 8-point trapezoid ring; in 2D the one-node
     ring ``x1 = t`` over ``[-r, r]``.  The rotation ``k = 6`` takes the
     exact 10-point ring plus the radial rows of

@@ -5,7 +5,17 @@ import heapq
 import numpy as np
 
 from lubgap.fields import _running_integral, _squeeze_type
-from lubgap.quadrature import QuadratureError, QuadResult, _panel, kronrod_panels, ring_integrals
+from lubgap.quadrature import (
+    _GAUSS_IDX,
+    _NODES,
+    _WEIGHTS_G,
+    _WEIGHTS_K,
+    PanelRule,
+    QuadratureError,
+    QuadResult,
+    _panel,
+    ring_integrals,
+)
 
 
 def leading_coefficient(
@@ -33,19 +43,30 @@ def leading_coefficient(
     return (v1 - v2) / (t1 - t2)
 
 
+def kronrod_panels(edges: np.ndarray) -> PanelRule:
+    """The 15-point Kronrod rule, with its embedded 7-point Gauss rule, on
+    the panels between consecutive ``edges`` (along the last axis): the
+    nodes of :func:`lubgap.quadrature.integrate_vector`, for graded
+    reference rules."""
+    a, b = edges[..., :-1], edges[..., 1:]
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    x = mid[..., None] + half[..., None] * _NODES
+    return PanelRule(x, half, _WEIGHTS_K, _GAUSS_IDX, _WEIGHTS_G)
+
+
 def serial_integrate_vector(fvec, a, b, spec, ncomp=None, ncheck=None):
     """The reference of :func:`lubgap.quadrature.integrate_vector`: the same
     bisection, heap order and stop test, for ``a < b``, but one ``fvec``
     call per 15-node panel, each panel summed by
     :func:`lubgap.quadrature._panel` as soon as it is evaluated."""
-    nodes = kronrod_panels(np.array([-1.0, 1.0])).x[0]  # the 15 nodes on [-1, 1]
     panels, nevals, counter, running = [], 0, 0, 0.0
 
     def push(lo, hi):
         nonlocal nevals, counter, running
-        fx = np.asarray(fvec(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes), dtype=float)
+        fx = np.asarray(fvec(0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES), dtype=float)
         parts = _panel(fx[np.newaxis, :] if fx.ndim == 1 else fx, lo, hi)
-        nevals += nodes.size
+        nevals += _NODES.size
         counter += 1
         running = running + parts
         heapq.heappush(panels, (-float(parts[1][:ncheck].sum()), counter, lo, hi, parts))
@@ -56,7 +77,8 @@ def serial_integrate_vector(fvec, a, b, spec, ncomp=None, ncheck=None):
     while True:
         values, errors, resabs = running
         target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))
-        done = (errors <= target) | (errors <= 50.0 * np.finfo(float).eps * resabs)
+        floor = np.maximum(50.0 * np.finfo(float).eps * resabs, np.finfo(float).tiny)
+        done = (errors <= target) | (errors <= floor)
         if np.all(done[:ncheck]) or len(panels) >= spec.max_subdivisions:
             break
         _, _, lo, hi, parts = heapq.heappop(panels)

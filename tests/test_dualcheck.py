@@ -9,9 +9,9 @@ from lubgap.asymptotics import fit_exponent
 from lubgap.dualcheck import EllReport, dual_tensor, ell, energy, err_sweep
 from lubgap.fields import ProblemParams
 from lubgap.geometry import GapProfile
-from lubgap.quadrature import QuadSpec, kronrod_panels
+from lubgap.quadrature import QuadSpec
 
-from helpers import cumulative_sums, graded_line
+from helpers import cumulative_sums, graded_line, kronrod_panels
 
 RNG_SEED = 90812
 # the cross pairs of ell that vanish by parity

@@ -50,14 +50,18 @@ class TestGapProfile:
 
 
 class TestRadialSplits:
-    # the one owner of where gap integrals split: the layer scale on
-    # m-convex profiles; the rim, then halving steps from it, on flat caps
+    # the one owner of where gap integrals split: halving steps from the
+    # layer, the axis on m-convex profiles and the rim on flat caps
 
     def test_mconvex_layer_scale(self):
         for m, eps in ((2.0, 1e-4), (2.5, 1e-6), (8.0, 1e-8)):
-            assert mconvex(m=m, eps=eps).radial_splits() == (eps ** (1.0 / m),)
-        # a layer as wide as the gap region leaves no split
+            prof = mconvex(m=m, eps=eps)
+            delta = eps ** (1.0 / m)
+            want = [delta * 2.0**j for j in range(60) if delta * 2.0**j < prof.r]
+            assert prof.radial_splits() == tuple(want)
+        # a layer as wide as the gap region (delta >= r) leaves no split
         assert mconvex(eps=0.5).radial_splits() == ()
+        assert mconvex(eps=0.25).radial_splits() == ()
 
     def test_flat_cap_halves_from_rim(self):
         for s, eps in ((0.05, 1e-4), (0.15, 1e-8), (0.1, 1e-9)):
@@ -70,7 +74,10 @@ class TestRadialSplits:
 
     def test_2d_mirrored_with_zero(self):
         delta = 1e-6 ** (1.0 / 1.2)
-        assert mconvex(m=1.2, eps=1e-6, dimension=2).radial_splits() == (-delta, 0.0, delta)
+        half = tuple(delta * 2.0**j for j in range(60) if delta * 2.0**j < 0.5)
+        want = tuple(-p for p in reversed(half)) + (0.0,) + half
+        assert mconvex(m=1.2, eps=1e-6, dimension=2).radial_splits() == want
+        assert mconvex(eps=0.5, dimension=2).radial_splits() == (0.0,)
         half = flat(s=0.05, eps=1e-8).radial_splits()
         want = tuple(-p for p in reversed(half)) + (0.0,) + half
         assert flat(s=0.05, eps=1e-8, dimension=2).radial_splits() == want

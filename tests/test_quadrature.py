@@ -15,11 +15,10 @@ from lubgap.quadrature import (
     halving_splits,
     integrate_1d,
     integrate_vector,
-    kronrod_panels,
     trapezoid_ring,
 )
 
-from helpers import cumulative_sums, serial_integrate_vector
+from helpers import cumulative_sums, kronrod_panels, serial_integrate_vector
 
 
 class TestQuadSpec:
@@ -96,6 +95,9 @@ class TestIntegrate1d:
     @settings(max_examples=30, deadline=None)
     # 1 - t^2 cancels on [0, 1.734375] below the roundoff floor of rel_tol
     @example(a=0.0, width=1.734375, c0=1.0, c1=-1.0)
+    # a subnormal integrand, whose roundoff floor 50 eps int |f| underflows:
+    # the stop test's floor is at least the smallest normal float
+    @example(a=0.125, width=0.1, c0=0.0, c1=2.2250738585e-313)
     def test_linearity_on_polynomials(self, a, width, c0, c1):
         b = a + width
         spec = QuadSpec(rel_tol=1e-12, max_subdivisions=100)

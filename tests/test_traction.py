@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lubgap import fields, traction
+from lubgap.dualcheck import ell
 from lubgap.fields import ProblemParams, subflow_indices
 from lubgap.geometry import GapProfile
 from lubgap.quadrature import (
@@ -13,7 +14,6 @@ from lubgap.quadrature import (
     TRAPEZOID_RING,
     QuadSpec,
     integrate_vector,
-    kronrod_panels,
     ring_integrals,
 )
 from lubgap.traction import (
@@ -25,6 +25,7 @@ from lubgap.traction import (
 )
 
 from helpers import (
+    kronrod_panels,
     leading_coefficient,
     mirrored_ring,
     octant_edges,
@@ -539,25 +540,27 @@ class TestRotationRing:
     }
     # the same with the moments of G by integration by parts: F1, F2, T1 and
     # T2 as radial rows, F3 as a line integral.  Each value moved by less
-    # than its octant bound
+    # than its octant bound.  Pinned again when the radial splits began
+    # halving from delta: each new value lies within the sum of its old and
+    # new bounds
     _K6_REFERENCE = {
-        1e-2: (
-            [11.659655486262764, -8.744741614697073, 75.37550427032951],
-            [-10.112676471945782, -13.483568629261043, -2.5342994410586304e-17],
-            [1.9250048355296966e-11, 1.44374982894253e-11, 6.392329626943477e-12],
-            [1.377913788628316e-11, 1.837213972393291e-11, 5.919755298117104e-17],
+        0.01: (
+            [11.659655486262764, -8.744741614697073, 75.37550427032953],
+            [-10.112676471945782, -13.483568629261043, -2.4573544597409192e-17],
+            [5.395864059408499e-11, 4.046871616176416e-11, 1.905140239559187e-09],
+            [3.988011307659693e-11, 5.317347411975797e-11, 6.067046426308472e-17],
         ),
-        1e-3: (
-            [117.75384838768385, -88.31538629076286, 815.4689949226837],
-            [-86.3439653897835, -115.125287186378, -2.6874278787236835e-17],
-            [9.010302343862502e-07, 6.75772668457822e-07, 1.8387565109660488e-08],
-            [6.371033215989894e-07, 8.494710886981824e-07, 8.872731094210244e-17],
+        0.001: (
+            [117.75384838768386, -88.31538629076286, 815.4689949226838],
+            [-86.3439653897835, -115.125287186378, -2.6099636049952774e-17],
+            [1.39123752527803e-09, 1.0434296124027666e-09, 8.427069255896661e-09],
+            [9.557492333519437e-10, 1.2743314438129702e-09, 8.245545026116196e-17],
         ),
-        1e-4: (
-            [1178.05544938681, -883.5415870401074, 8235.558371000885],
-            [-833.5015874265703, -1111.3354499020938, -5.5284012421171373e-17],
-            [1.1624027554987633e-06, 8.718021315555506e-07, 1.4974258701791363e-08],
-            [8.175424204935295e-07, 1.090056647304067e-06, 1.0268949214574242e-16],
+        0.0001: (
+            [1178.05544938681, -883.5415870401074, 8235.558371000883],
+            [-833.5015874265703, -1111.3354499020938, -2.7466771801706654e-17],
+            [1.994691888170831e-08, 1.4960189717319662e-08, 1.697113753486689e-07],
+            [1.3906871166417829e-08, 1.8542500797674288e-08, 7.983121214882248e-17],
         ),
     }
 
@@ -590,98 +593,101 @@ class TestReferenceValues:
     # fell (3D k = 3 F3 from 1.4e-4 to 1.0e-5, k = 6 F3 from 7.3e-3 to
     # 2.2e-10).  k = 6 was pinned again when the moments of its
     # running-integral pressure left the graded octant rule for integration
-    # by parts: each value lies within its octant bound (_OCTANT_K6).  The
-    # evaluations count distinct points: each radial panel once, on the
-    # 8-point ring in 3D for k != 6; for k = 6 the 10 field points of its
-    # ring plus one Q_3 read per node of its F3 line integral (87600 on the
-    # octant rule, four running-integral reads per octant node).
+    # by parts: each value lies within its octant bound (_OCTANT_K6).  All
+    # were pinned again when the radial splits began halving from delta
+    # (delta 2^j < r): each new value lies within the sum of its old and new
+    # bounds.  The evaluations count distinct points: each radial panel
+    # once, on the 8-point ring in 3D for k != 6; for k = 6 the 10 field
+    # points of its ring plus one Q_3 read per node of its F3 line integral
+    # (87600 on the octant rule, four running-integral reads per octant
+    # node).
     _REFERENCE = {
         3: {
             0: (
-                [0.09326603190344701, -0.06994952392758524, 1.4444151605454298e-18],
-                [-0.131615551600588, -0.17548740213411737, 7.583796165255376e-19],
-                [1.1304206222865345e-15, 8.487828482778594e-16, 1.4859434404476333e-18],
-                [1.5971323999818942e-15, 2.124088530710167e-15, 1.0516731498717769e-18],
-                240,
+                [0.09326603190344698, -0.06994952392758524, 1.193647045474458e-18],
+                [-0.13161555160058797, -0.17548740213411734, 1.0270064352601553e-18],
+                [1.134069583382034e-15, 8.495722317931075e-16, 1.5784906541834083e-18],
+                [1.60542120955466e-15, 2.1424424123697923e-15, 2.208553658200288e-18],
+                600,
             ),
             1: (
-                [1.8126761802368663, -2.3529151158617323e-20, -6.6994189225477334e-18],
-                [-6.052761906758886e-22, -3.6253523604737325, -1.4721725569037065e-18],
-                [6.022133043453079e-12, 6.690415674080469e-19, 1.501737128949818e-17],
-                [1.5973950027410276e-18, 1.2044063352589815e-11, 7.042488039616886e-18],
-                960,
+                [1.8126761802368663, 6.499081609730511e-19, -6.536196112870825e-18],
+                [9.923139309101443e-19, -3.625352360473733, -7.845643837378164e-19],
+                [4.153309620493415e-12, 1.9893869338724764e-18, 2.2961873737633203e-17],
+                [5.321602765235871e-18, 8.306682776576734e-12, 1.789444158447331e-17],
+                600,
             ),
             2: (
-                [-1.8563563631730738e-19, -1.8126761802368656, 1.6191822042255479e-18],
-                [-3.625352360473731, 2.664335989030229e-19, 1.1675282252088996e-17],
-                [6.45885305936273e-19, 6.022056072401149e-12, 1.2547621407248727e-17],
-                [1.204403193919922e-11, 1.9910127336145986e-18, 5.377745188281749e-18],
-                960,
+                [-3.151647193270011e-19, -1.8126761802368652, -9.991041496670302e-18],
+                [-3.6253523604737308, 2.7552467124098094e-19, 1.339706976580181e-17],
+                [2.278738362119087e-18, 4.153332234524805e-12, 3.2778274508344095e-17],
+                [8.306590268438783e-12, 5.532638751529254e-18, 9.563776724754684e-18],
+                600,
             ),
             3: (
-                [-2.019479371598354e-15, -3.110413101825977e-17, 2343.2817606368953],
-                [3.358126216422507e-16, 7.233398548964677e-15, -6.423259620215046e-17],
-                [6.603686561250973e-15, 6.61444999014554e-15, 1.0133618928673129e-05],
-                [1.655273885478653e-14, 1.6978766008861138e-14, 2.445014300989176e-16],
-                960,
+                [-2.7592751947941773e-15, 1.161121100713327e-15, 2343.281760636895],
+                [3.99999995890534e-15, 9.551410588159003e-15, -3.118351393551635e-17],
+                [1.0169517094779291e-14, 1.1580810922852471e-14, 4.983554035343745e-06],
+                [2.8799470356489634e-14, 2.597696829101341e-14, 9.158368010984558e-16],
+                600,
             ),
             4: (
-                [1.4062111452233391e-18, 1.1386689053912158e-17, -8.01679015881442e-20],
-                [2.3730750352286693e-17, -1.4180967937294306e-18, -0.08654461720197612],
-                [6.0208299559557574e-18, 6.444457177814176e-18, 7.731001449090473e-19],
-                [1.3527532569600562e-17, 1.5977298232913604e-17, 1.962965699089395e-10],
-                720,
+                [1.5191234677708897e-18, 1.1836373376420883e-17, -2.9844836602659484e-19],
+                [2.2271024634735057e-17, -3.932958048777389e-18, -0.08654461720197608],
+                [1.7647197767776298e-17, 9.102571466751701e-18, 2.076527290795386e-18],
+                [1.7788201894302316e-17, 3.279793931746981e-17, 4.817864146168868e-15],
+                600,
             ),
             5: (
-                [-0.07672714015950802, 0.05754535511963102, -1.3984112771255002e-18],
-                [0.10772760245741098, 0.14363680327654796, -5.8527798284865e-19],
-                [1.9854131167778516e-10, 1.4890598330678663e-10, 8.156054484111181e-19],
-                [2.9953942735823067e-10, 3.993859060796894e-10, 7.56331735219886e-19],
-                720,
+                [-0.07672714015950796, 0.05754535511963097, -1.5941367354560666e-18],
+                [0.10772760245741088, 0.14363680327654782, -1.037297794598395e-18],
+                [4.695948193351456e-15, 3.5210164271484217e-15, 1.282596454152447e-18],
+                [6.954192456160888e-15, 9.272385217313783e-15, 1.3729887109770667e-18],
+                600,
             ),
             6: (
-                [117.75384838768385, -88.31538629076286, 815.4689949226837],
-                [-86.3439653897835, -115.125287186378, -2.6874278787236835e-17],
-                [9.010302343862502e-07, 6.75772668457822e-07, 1.8387565109660488e-08],
-                [6.371033215989894e-07, 8.494710886981824e-07, 8.872731094210244e-17],
-                1680,
+                [117.75384838768386, -88.31538629076286, 815.4689949226838],
+                [-86.3439653897835, -115.125287186378, -2.6099636049952774e-17],
+                [1.39123752527803e-09, 1.0434296124027666e-09, 8.427069255896661e-09],
+                [9.557492333519437e-10, 1.2743314438129702e-09, 8.245545026116196e-17],
+                1185,
             ),
         },
         2: {
             0: (
-                [-0.14583333333333337, 0.0],
+                [-0.14583333333333337, 1.7618285302889447e-19],
                 [-0.2744791666666666],
-                [1.7649085775783536e-15, 3.7819469519536143e-16],
-                [3.3218100727992574e-15],
-                60,
+                [1.7649085775783534e-15, 3.7819469519536143e-16],
+                [3.321810072799258e-15],
+                150,
             ),
             1: (
-                [-86.63026682207216, 2.220446049250313e-16],
+                [-86.63026682207214, -1.1102230246251565e-16],
                 [-173.70471851073324],
-                [1.546796689542603e-08, 1.725172568709189e-11],
-                [3.0928304177600245e-08],
-                240,
+                [7.4192050579701815e-09, 1.1898025459146724e-11],
+                [1.4834970082752196e-08],
+                150,
             ),
             2: (
-                [3.907985046680551e-14, 44691.71644499474],
-                [-2.4868995751603507e-14],
-                [3.827940784228635e-06, 0.00012390309738916647],
-                [1.1532107536029312e-05],
-                240,
+                [7.105427357601002e-15, 44691.71644499476],
+                [2.842170943040401e-14],
+                [1.880766884590725e-06, 8.80773864407613e-05],
+                [5.668294276988547e-06],
+                150,
             ),
             3: (
-                [0.11296801849693615, -8.673617379884035e-19],
-                [0.2102493446512905],
-                [3.31294687741846e-10, 8.599985851344004e-11],
-                [6.745672575252983e-10],
-                180,
+                [0.11296801849693441, -2.168404344971009e-18],
+                [0.21024934465128703],
+                [1.0305773892924442e-12, 1.268182480228364e-15],
+                [2.053918060698654e-12],
+                150,
             ),
             4: (
-                [-2338.115174164096, 9309.70513546158],
-                [-2228.144559457929],
-                [5.3104234688130326e-08, 1.2649616745978355e-06],
-                [1.4136674655812997e-07],
-                240,
+                [-2338.115174164097, 9309.705135461581],
+                [-2228.14455945793],
+                [4.2555078244445196e-08, 5.965561330323054e-07],
+                [1.221165763366501e-07],
+                150,
             ),
         },
     }
@@ -764,6 +770,33 @@ class TestTotalNumeric:
         assert set(res.per_subflow) == set(subflow_indices(2))
         F = np.sum([r.F for r in res.per_subflow.values()], axis=0)
         assert np.max(np.abs(F - res.F)) <= 1e-12 * max(float(np.max(np.abs(F))), 1e-30)
+
+
+class TestRefinementSteps:
+    def test_squeeze_grid_2d_calls(self, monkeypatch):
+        # m-convex radial passes start on panels halving from delta, so the
+        # 2D m = 1.2, eps = 1e-8 solve no longer bisects out of the layer one
+        # step at a time: 66 integrand calls (249 with delta the only split)
+        calls = []
+
+        def counted(fvec, *args, **kwargs):
+            return integrate_vector(lambda x: calls.append(x.size) or fvec(x), *args, **kwargs)
+
+        monkeypatch.setattr(traction, "integrate_vector", counted)
+        prof = GapProfile.m_convex(2, 1.2, 0.5, 1e-8, 2.0)
+        total_numeric(ProblemParams(profile=prof, U=(0.4, -0.3), omega=0.25), rel_tol=1e-8)
+        assert 0 < len(calls) <= 100
+
+    def test_dual_check_splits_unchanged(self):
+        # the dual check's volume integrals split m-convex profiles at delta
+        # alone: these values are bit-identical to those before the force
+        # route's radial splits began halving from delta
+        params = ProblemParams(
+            profile=mconvex(eps=1e-4), mu=1.0, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1)
+        )
+        assert ell(1, 1, params) == 0.00013225807500226482
+        assert ell(3, 3, params) == 2.787815956672284
+        assert ell(3, 6, params) == -0.08793403108999885
 
 
 def _robustness_cases():
