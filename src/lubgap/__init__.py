@@ -51,7 +51,6 @@ from .fields import (
     FieldEval,
     ProblemParams,
     boundary_target,
-    divergence,
     eval_field,
     subflow_indices,
 )
@@ -65,7 +64,6 @@ from .special import (
     ToleranceNotMet,
     gamma_coeff,
     phi,
-    phi_leading,
     psi,
 )
 from .traction import ForceResult, TotalResult, force_numeric, total_numeric
@@ -93,7 +91,6 @@ __all__ = [
     "TotalResult",
     "boundary_target",
     "build_report",
-    "divergence",
     "dual_tensor",
     "dump_config",
     "ell",
@@ -108,7 +105,6 @@ __all__ = [
     "load_config",
     "parse_config",
     "phi",
-    "phi_leading",
     "psi",
     "render_csv",
     "render_json",

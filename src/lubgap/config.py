@@ -14,8 +14,8 @@ artifact.  Sections:
     (three comma-separated values in 3D, a scalar in 2D).
 ``[quadrature]`` (optional)
     ``rel_tol``, ``max_subdivisions`` of the numeric force route; the
-    absolute tolerance is set from a probe of each integral, not
-    configured.  The library's own defaults apply, 1e-8 and 2000
+    absolute tolerance is set from the initial panels of each integral,
+    not configured.  The library's own defaults apply, 1e-8 and 2000
     (:mod:`lubgap.quadrature`); ``rel_tol`` below 1e-12 (the roundoff floor
     of the force integrals) and ``max_subdivisions`` below 200 are
     rejected, not raised silently.

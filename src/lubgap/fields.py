@@ -63,7 +63,6 @@ __all__ = [
     "eval_field",
     "eval_field_many",
     "boundary_target",
-    "divergence",
     "pressure_cache_error",
 ]
 
@@ -648,14 +647,3 @@ def boundary_target(k: int, params: ProblemParams, sp: SurfacePoint) -> np.ndarr
     # k == 4
     return rows(0.0, sgn * 0.5 * w0 * x1)
 
-
-def divergence(k: int, params: ProblemParams, x) -> float:
-    """Analytic divergence of sub-flow ``k`` at point ``x``.
-
-    Identically zero for every sub-flow except the rigid mean ``k = 0``,
-    whose divergence is ``(omega2 d1 h - omega1 d2 h)/4`` in 3D and
-    ``-omega0 h'/4`` in 2D (the mean flow follows the gap shape and is
-    solenoidal only for vertical-axis rotations).
-    """
-    ev = eval_field(k, params, x)
-    return float(np.trace(ev.grad_u))

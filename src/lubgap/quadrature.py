@@ -169,6 +169,7 @@ def integrate_vector(
     spec: QuadSpec,
     ncomp: int | None = None,
     ncheck: int | None = None,
+    initial_scale: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Adaptively integrate a vector-valued integrand component-wise.
 
@@ -190,6 +191,13 @@ def integrate_vector(
     for cheap side quantities such as resolution diagnostics that need
     not be integrated to tolerance).
 
+    With ``initial_scale``, the absolute tolerance is at least ``rel_tol``
+    times the largest checked total of the initial panels (floored at
+    1e-300), so that every component is resolved relative to the largest
+    one.  Those totals are summed in heap order, as the reported totals
+    are, so the tolerance is bit for bit that of a pass stopped on the
+    initial panels.
+
     Returns ``(values, errors, evaluations)``.  The per-component error
     includes a roundoff floor of ``1e-15 * int |f_c|`` so that estimates
     for components that vanish only after cancellation remain honest.
@@ -198,7 +206,7 @@ def integrate_vector(
         z = np.zeros(ncomp or 1)
         return z, z.copy(), 0
     if a > b:
-        v, e, n = integrate_vector(fvec, b, a, spec, ncomp, ncheck)
+        v, e, n = integrate_vector(fvec, b, a, spec, ncomp, ncheck, initial_scale)
         return -v, e, n
 
     panels, nevals = [], 0
@@ -222,10 +230,14 @@ def integrate_vector(
 
     # the initial panels, cut at the split points
     push([a] + [p for p in spec.split_points if a < p < b] + [b])
+    abs_tol = spec.abs_tol
+    if initial_scale:
+        totals = sum(p[4] for p in panels)[0]
+        abs_tol = max(abs_tol, spec.rel_tol * max(float(np.max(np.abs(totals[:ncheck]))), 1e-300))
 
     while True:
         values, errors, resabs = running
-        target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))
+        target = np.maximum(abs_tol, spec.rel_tol * np.abs(values))
         done = (errors <= target) | (errors <= np.maximum(50.0 * _EPS * resabs, _TINY))
         if np.all(done[:ncheck]) or len(panels) >= spec.max_subdivisions:
             break

@@ -11,7 +11,6 @@ hydrodynamic force as the gap width ``eps`` closes:
     phi(i, j, m, r, eps) = int_0^r t^j / (eps + t^m)^i dt
     psi(i, j, s, r, eps) = int_0^r (t + s)^j / (eps + t^2)^i dt
 
-together with the leading-order expansion :func:`phi_leading` in ``eps``.
 Both families are one layer integral: adaptive Gauss-Kronrod over
 ``[0, r]``, split where panels double in width from the layer scale
 (``eps^(1/m)``, ``sqrt(eps)`` for ``psi``) outward
@@ -64,7 +63,6 @@ __all__ = [
     "gamma",
     "gamma_coeff",
     "phi",
-    "phi_leading",
     "gap_tail",
     "psi",
     "AsymptoticTerm",
@@ -249,26 +247,6 @@ def phi(i: float, j: float, m: float, r: float, eps: float) -> float:
     """
     f = lambda t: t**j / (eps + t**m) ** i
     return _layer_integral(f, m, r, eps, f"phi({i},{j},{m},{r},{eps})")
-
-
-def phi_leading(i: float, j: float, m: float) -> AsymptoticExpansion:
-    """Leading behaviour of ``phi(i, j, m, r, eps)`` as ``eps -> 0``.
-
-    * ``i > (j+1)/m``: single term
-      ``gamma_coeff(i, j+1, m)/Gamma(i) * eps^-(i-(j+1)/m)``, O(1) residual.
-    * ``i = (j+1)/m``: ``(1/m)|ln eps|``, O(1) residual (coefficient 1/m
-      exactly; the Gamma route hits a pole here).
-    * ``i < (j+1)/m``: the integral converges at eps=0; empty term list.
-    """
-    if i <= 0.0 or j < 0.0 or m <= 1.0:
-        raise ValueError("require i > 0, j >= 0, m > 1")
-    threshold = (j + 1.0) / m
-    if abs(i - threshold) <= 1e-12 * max(1.0, abs(i)):
-        return AsymptoticExpansion((AsymptoticTerm(1.0 / m, is_log=True),))
-    if i > threshold:
-        coeff = gamma_coeff(i, j + 1.0, m) / gamma(i)
-        return AsymptoticExpansion((AsymptoticTerm(coeff, power=i - threshold),))
-    return AsymptoticExpansion(())
 
 
 def gap_tail(i: float, j: float, m: float, rho, eps: float):

@@ -17,9 +17,9 @@ area-weighted normal ``N = (grad h / 2, -1)`` (the identity
 :func:`force_numeric`, integrates all force and torque components of a
 sub-flow in a single adaptive pass (:func:`lubgap.quadrature.integrate_vector`)
 radially over ring integrals (:func:`lubgap.quadrature.ring_integrals`),
-from the panels of a coarse probe that fixes the absolute tolerance: the
-panels between :meth:`~lubgap.geometry.GapProfile.radial_splits`, which
-halve toward the boundary layer.  Each refinement step reduces the rings of
+from the panels between :meth:`~lubgap.geometry.GapProfile.radial_splits`,
+which halve toward the boundary layer and whose totals fix the absolute
+tolerance.  Each refinement step reduces the rings of
 all its radial nodes in one call, the first those of every initial panel.  A
 ring is its directions plus an angular rule whose embedded rule bounds the
 angular error: in 2D the one node ``x1 = t`` over ``[-r, r]``; in 3D the
@@ -213,11 +213,12 @@ def force_numeric(
     ring ``x1 = t`` over ``[-r, r]``.  The rotation ``k = 6`` takes the
     exact 10-point ring plus the radial rows of
     :func:`_rotation_pressure_rows`, and adds :func:`_rotation_pressure_f3`,
-    at ``rel_tol / 100`` but no finer than 1e-13, to F3.  A coarse probe,
-    whose panels are not evaluated again, sets the absolute tolerance
-    relative to the largest force/torque component of the radial pass.  The
-    bounds add the quadrature and angular estimates (0 in 2D, roundoff in
-    3D); see :class:`ForceResult` for ``evaluations``.
+    at ``rel_tol / 100`` but no finer than 1e-13, to F3.  The absolute
+    tolerance is ``rel_tol`` times the largest force/torque component of the
+    initial panels (``initial_scale`` of
+    :func:`~lubgap.quadrature.integrate_vector`).  The bounds add the
+    quadrature and angular estimates (0 in 2D, roundoff in 3D); see
+    :class:`ForceResult` for ``evaluations``.
     """
     prof = params.profile
     d = prof.dimension
@@ -237,29 +238,13 @@ def force_numeric(
         nring = _ROTATION_RING[0].size
     # the d force components and the torque: 3 moments in 2D, 6 in 3D
     nmom = 3 * (d - 1)
-    # ring integrals per refinement step: the adaptive pass's first reads the probe's
-    panels = {}
-
-    def fvec(ts):
-        key = ts.tobytes()
-        if key not in panels:
-            panels[key] = rings(ts)
-        return panels[key]
-
-    splits = prof.radial_splits()
-    probe = QuadSpec(abs_tol=1e300, rel_tol=1.0, split_points=splits)
-    vals0 = integrate_vector(fvec, lo, prof.r, probe, ncomp=2 * nmom, ncheck=nmom)[0]
-    scale = max(float(np.max(np.abs(vals0[:nmom]))), 1e-300)
-    spec = QuadSpec(
-        abs_tol=rel_tol * scale,
-        rel_tol=rel_tol,
-        max_subdivisions=max_subdivisions,
-        split_points=splits,
-    )
-    vals, errs, _ = integrate_vector(fvec, lo, prof.r, spec, ncomp=2 * nmom, ncheck=nmom)
+    spec = QuadSpec(rel_tol=rel_tol, max_subdivisions=max_subdivisions,
+                    split_points=prof.radial_splits())
+    vals, errs, nevals = integrate_vector(rings, lo, prof.r, spec, ncomp=2 * nmom, ncheck=nmom,
+                                          initial_scale=True)
 
     err = errs[:nmom] + np.maximum(vals[nmom:], 0.0)
-    nev = sum(v.shape[-1] for v in panels.values()) * nring
+    nev = nevals * nring
     if k == 6:
         # below the ring pass's tolerance, so as not to widen the F3 bound, but
         # no finer than 1e-13, which the line reaches at every eps

@@ -4,7 +4,7 @@ import heapq
 
 import numpy as np
 
-from lubgap.fields import _running_integral, _squeeze_type
+from lubgap.fields import _running_integral, _squeeze_type, eval_field
 from lubgap.quadrature import (
     _GAUSS_IDX,
     _NODES,
@@ -13,9 +13,11 @@ from lubgap.quadrature import (
     PanelRule,
     QuadratureError,
     QuadResult,
+    QuadSpec,
     _panel,
     ring_integrals,
 )
+from lubgap.special import AsymptoticExpansion, AsymptoticTerm, gamma, gamma_coeff
 
 
 def leading_coefficient(
@@ -43,6 +45,38 @@ def leading_coefficient(
     return (v1 - v2) / (t1 - t2)
 
 
+def divergence(k, params, x) -> float:
+    """Analytic divergence of sub-flow ``k`` at point ``x``: the trace of the
+    exact gradient of :func:`lubgap.fields.eval_field`.
+
+    Identically zero for every sub-flow except the rigid mean ``k = 0``,
+    whose divergence is ``(omega2 d1 h - omega1 d2 h)/4`` in 3D and
+    ``-omega0 h'/4`` in 2D (the mean flow follows the gap shape and is
+    solenoidal only for vertical-axis rotations).
+    """
+    return float(np.trace(eval_field(k, params, x).grad_u))
+
+
+def phi_leading(i: float, j: float, m: float) -> AsymptoticExpansion:
+    """Leading behaviour of ``lubgap.special.phi(i, j, m, r, eps)`` as ``eps -> 0``.
+
+    * ``i > (j+1)/m``: single term
+      ``gamma_coeff(i, j+1, m)/Gamma(i) * eps^-(i-(j+1)/m)``, O(1) residual.
+    * ``i = (j+1)/m``: ``(1/m)|ln eps|``, O(1) residual (coefficient 1/m
+      exactly; the Gamma route hits a pole here).
+    * ``i < (j+1)/m``: the integral converges at eps=0; empty term list.
+    """
+    if i <= 0.0 or j < 0.0 or m <= 1.0:
+        raise ValueError("require i > 0, j >= 0, m > 1")
+    threshold = (j + 1.0) / m
+    if abs(i - threshold) <= 1e-12 * max(1.0, abs(i)):
+        return AsymptoticExpansion((AsymptoticTerm(1.0 / m, is_log=True),))
+    if i > threshold:
+        coeff = gamma_coeff(i, j + 1.0, m) / gamma(i)
+        return AsymptoticExpansion((AsymptoticTerm(coeff, power=i - threshold),))
+    return AsymptoticExpansion(())
+
+
 def kronrod_panels(edges: np.ndarray) -> PanelRule:
     """The 15-point Kronrod rule, with its embedded 7-point Gauss rule, on
     the panels between consecutive ``edges`` (along the last axis): the
@@ -55,11 +89,22 @@ def kronrod_panels(edges: np.ndarray) -> PanelRule:
     return PanelRule(x, half, _WEIGHTS_K, _GAUSS_IDX, _WEIGHTS_G)
 
 
-def serial_integrate_vector(fvec, a, b, spec, ncomp=None, ncheck=None):
+def serial_integrate_vector(fvec, a, b, spec, ncomp=None, ncheck=None, initial_scale=False):
     """The reference of :func:`lubgap.quadrature.integrate_vector`: the same
-    bisection, heap order and stop test, for ``a < b``, but one ``fvec``
-    call per 15-node panel, each panel summed by
-    :func:`lubgap.quadrature._panel` as soon as it is evaluated."""
+    bisection, heap order and stop test, but one ``fvec`` call per 15-node
+    panel, each panel summed by :func:`lubgap.quadrature._panel` as soon as
+    it is evaluated.  ``initial_scale`` takes two passes: a probe that stops
+    on the initial panels, whose checked totals set the absolute tolerance
+    ``rel_tol * max(|totals|)`` of the second."""
+    if a > b:
+        v, e, n = serial_integrate_vector(fvec, b, a, spec, ncomp, ncheck, initial_scale)
+        return -v, e, n
+    if initial_scale:
+        probe = QuadSpec(abs_tol=1e300, rel_tol=1.0, split_points=spec.split_points)
+        totals = serial_integrate_vector(fvec, a, b, probe, ncomp, ncheck)[0]
+        scale = max(float(np.max(np.abs(totals[:ncheck]))), 1e-300)
+        abs_tol = max(spec.abs_tol, spec.rel_tol * scale)
+        spec = QuadSpec(abs_tol, spec.rel_tol, spec.max_subdivisions, spec.split_points)
     panels, nevals, counter, running = [], 0, 0, 0.0
 
     def push(lo, hi):

@@ -20,7 +20,6 @@ from lubgap.dualcheck import err_sweep
 from lubgap.fields import (
     ProblemParams,
     boundary_target,
-    divergence,
     eval_field,
     subflow_indices,
 )
@@ -29,7 +28,7 @@ from lubgap.quadrature import QuadSpec
 from lubgap.special import gamma_coeff, phi
 from lubgap.traction import force_numeric, total_numeric
 
-from helpers import leading_coefficient
+from helpers import divergence, leading_coefficient
 
 RNG_SEED = 20260823
 

@@ -177,7 +177,7 @@ class TestErrors:
         "extra, where",
         [
             ("[quadrature]\nrel_tl = 1e-3\n", "quadrature"),
-            # the absolute tolerance comes from a probe of each integral
+            # the absolute tolerance comes from each integral's initial panels
             ("[quadrature]\nabs_tol = 1e-12\n", "quadrature"),
             ("[sweeep]\neps_from = 1e-2\neps_to = 1e-4\npoints = 5\n", "sweeep"),
             ("[DEFAULT]\neps = 1e-3\n", "DEFAULT"),

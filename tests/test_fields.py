@@ -11,7 +11,6 @@ from lubgap.fields import (
     _kernel_tail,
     _running_integral,
     boundary_target,
-    divergence,
     eval_field,
     eval_field_many,
     pressure_cache_error,
@@ -19,6 +18,8 @@ from lubgap.fields import (
     subflow_scale,
 )
 from lubgap.geometry import GapProfile, surface_sample
+
+from helpers import divergence
 
 
 RNG_SEED = 74250

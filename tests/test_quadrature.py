@@ -110,6 +110,18 @@ class TestIntegrate1d:
 
 
 _EPS_LAYER = 1e-6
+
+
+def _scaled_layers(t):
+    """Three layers of width 1e-2, three about 1e-8 as large of width 1e-5,
+    and six carried components."""
+    return np.stack(
+        [t**k / (1e-4 + t * t) for k in range(3)]
+        + [1e-9 * t**k / (1e-10 + t * t) for k in range(1, 4)]
+        + [np.cos(k * t) for k in range(6)]
+    )
+
+
 _DRIVER_CASES = {
     "polynomial": (lambda t: 1.0 + 3.0 * t - 2.0 * t**5 + t**29, -1.0, 2.0, QuadSpec(rel_tol=1e-12), {}),
     "layer": (
@@ -128,6 +140,24 @@ _DRIVER_CASES = {
         1.0,
         QuadSpec(abs_tol=1e-12, rel_tol=1e-9, split_points=(0.01, 0.1)),
         {"ncomp": 12, "ncheck": 6},
+    ),
+    # 12 components, the first 6 checked, three of them ~1e-8 of the largest:
+    # the floor rel_tol * max |initial totals| stops their refinement (225
+    # evaluations here, 25725 without initial_scale)
+    "vector-initial-scale": (
+        _scaled_layers,
+        0.0,
+        1.0,
+        QuadSpec(rel_tol=1e-9, split_points=(0.01, 0.1)),
+        {"ncomp": 12, "ncheck": 6, "initial_scale": True},
+    ),
+    # the same reversed: the a > b recursion passes initial_scale on
+    "reversed-initial-scale": (
+        _scaled_layers,
+        1.0,
+        0.0,
+        QuadSpec(rel_tol=1e-9, split_points=(0.01, 0.1)),
+        {"ncomp": 12, "ncheck": 6, "initial_scale": True},
     ),
     # the roundoff-floor example of test_linearity_on_polynomials
     "roundoff-floor": (
@@ -170,7 +200,7 @@ class TestIntegrateVector:
             evaluations = got[2]
         # the initial panels in one call, then both halves of each bisection
         # in one call, 15 nodes per panel
-        ninitial = 1 + sum(a < p < b for p in spec.split_points)
+        ninitial = 1 + sum(min(a, b) < p < max(a, b) for p in spec.split_points)
         assert sizes[0] == 15 * ninitial
         assert all(n == 30 for n in sizes[1:])
         assert sum(sizes) == evaluations

@@ -23,9 +23,10 @@ from lubgap.special import (
     gamma_coeff,
     gap_tail,
     phi,
-    phi_leading,
     psi,
 )
+
+from helpers import phi_leading
 
 # (s, Gamma(s)) from mpmath.gamma, 50 digits
 GAMMA_ORACLE = (

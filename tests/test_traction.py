@@ -178,8 +178,8 @@ class TestForceNumeric:
 
     @pytest.mark.parametrize("d, k", [(d, k) for d in (3, 2) for k in subflow_indices(d)])
     def test_each_panel_evaluated_once(self, d, k, params3d, params2d, monkeypatch):
-        # the adaptive pass reads the probe's panels instead of evaluating
-        # them again, and evaluations counts each distinct point once
+        # one adaptive pass per sub-flow, its absolute tolerance from its own
+        # initial panels, and evaluations counts each distinct point once
         calls, reads = [], []
 
         def spy(f, ring, ts):
@@ -215,9 +215,9 @@ class TestForceNumeric:
         ids=lambda prof: f"{prof.dimension}d-{prof.kind}",
     )
     def test_every_pass_splits_at_radial_splits(self, profile, monkeypatch):
-        # one owner of the split points: each sub-flow's probe and adaptive
-        # radial pass reads radial_splits, and the rotation's F3 line the
-        # same radii on y = r sin phi; no sub-flow adds splits of its own
+        # one owner of the split points: each sub-flow's one radial pass
+        # reads radial_splits, and the rotation's F3 line the same radii on
+        # y = r sin phi; no sub-flow adds splits of its own
         d, splits = profile.dimension, profile.radial_splits()
         U, omega = ((0.3, -0.2, -0.5), (0.15, 0.2, 0.1)) if d == 3 else ((0.4, -0.3), 0.25)
         params = ProblemParams(profile=profile, U=U, omega=omega)
@@ -231,7 +231,7 @@ class TestForceNumeric:
         for k in subflow_indices(d):
             passes.clear()
             force_numeric(k, params)
-            assert [p for b, p in passes if b == profile.r] == [splits, splits], k
+            assert [p for b, p in passes if b == profile.r] == [splits], k
             line = [tuple(np.arcsin(np.array(splits) / profile.r))] if k == 6 else []
             assert [p for b, p in passes if b != profile.r] == line, k
 
