@@ -239,7 +239,11 @@ def _volume_integrate(pointfun, params, rmax, spec):
     # m-convex: delta alone; on the r/4 core at 1e-7 a graded start costs more than it saves
     splits = prof.radial_splits()[: 1 if prof.kind == "m-convex" else None]
     spec = spec.with_splits([p for p in splits if p < rmax])
-    return integrate_1d(lambda ts: ring_integrals(column, TRAPEZOID_RING, ts)[0], 0.0, rmax, spec)
+    # two panels' radii at a time, as one bisection takes them: a round's rings
+    # would otherwise hold (3, 3, n, 5) arrays for all its panels at once
+    ring = lambda ts: ring_integrals(column, TRAPEZOID_RING, ts)[0]
+    radial = lambda ts: np.concatenate([ring(ts[i:i + 30]) for i in range(0, ts.size, 30)])
+    return integrate_1d(radial, 0.0, rmax, spec)
 
 
 def energy(params: ProblemParams, spec: QuadSpec | None = None) -> float:

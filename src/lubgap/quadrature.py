@@ -3,9 +3,9 @@
 * :func:`integrate_vector` / :func:`integrate_1d` -- adaptive
   Gauss-Kronrod (15/7 embedded pair) bisection on an interval, honoring
   split points; every component of a vector integrand shares one panel
-  schedule, and the integrand is called once per refinement step, on the
-  nodes of every panel the step creates.  :func:`halving_splits` places
-  split points that halve toward the edge of a layer.
+  schedule.  A refinement round bisects, worst first, every panel the
+  tolerance still needs, and evaluates and sums the panels it creates at
+  once.  :func:`halving_splits` places split points halving toward a layer.
 * :class:`PanelRule` -- a fixed composite rule with an embedded
   lower-order rule, held as data: the nodes of each panel, the
   half-widths, and the node weights on ``[-1, 1]``.
@@ -140,26 +140,22 @@ class QuadratureError(RuntimeError):
         self.result = result
 
 
-def _panel(fx: np.ndarray, a: float, b: float) -> np.ndarray:
-    """The 15/7 pair on the panel ``[a, b]`` from the values ``fx``, shape
-    ``(ncomp, 15)``, at its nodes: the rows (kronrod, err, resabs)."""
-    half = 0.5 * (b - a)
-    resk = half * fx @ _WEIGHTS_K
-    resg = half * fx[:, _GAUSS_IDX] @ _WEIGHTS_G
-    resabs = half * np.abs(fx) @ _WEIGHTS_K
+def _panel_sums(fx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 15/7 pair on the panels ``[lo, hi]`` from the values ``fx``, shape
+    ``(ncomp, npan, 15)``, at their nodes: per panel, the rows (kronrod, err,
+    resabs), shape ``(npan, 3, ncomp)``.  Every sum is ``(fx * w).sum(-1)``
+    over a contiguous row, so a panel's sums do not depend on how many
+    panels are stacked with it (``fx @ w`` would)."""
+    fx = np.ascontiguousarray(fx)
+    half = 0.5 * (hi - lo)
+    resk = (fx * _WEIGHTS_K).sum(-1) * half
+    resabs = (np.abs(fx) * _WEIGHTS_K).sum(-1) * half
     # QUADPACK-style scaled error estimate from the embedded difference
-    mean = resk / (b - a)
-    resasc = half * np.abs(fx - mean[:, None]) @ _WEIGHTS_K
-    diff = np.abs(resk - resg)
-    # a scalar loop: numpy's vectorised ** rounds differently from Python's
-    err = np.empty_like(diff)
-    for c in range(diff.size):
-        if resasc[c] > 0.0 and diff[c] > 0.0:
-            err[c] = resasc[c] * min(1.0, (200.0 * diff[c] / resasc[c]) ** 1.5)
-        else:
-            err[c] = diff[c]
-        err[c] = max(err[c], 50.0 * _EPS * resabs[c])
-    return np.array((resk, err, resabs))
+    resasc = (np.abs(fx - (resk / (hi - lo))[..., None]) * _WEIGHTS_K).sum(-1) * half
+    diff = np.abs(resk - (fx[..., _GAUSS_IDX] * _WEIGHTS_G).sum(-1) * half)
+    scale = np.minimum(1.0, np.divide(200.0 * diff, resasc, out=np.ones_like(diff), where=resasc > 0.0))
+    err = np.maximum(np.where(resasc > 0.0, resasc * scale * np.sqrt(scale), diff), 50.0 * _EPS * resabs)
+    return np.stack([resk.T, err.T, resabs.T], axis=1)
 
 
 def integrate_vector(
@@ -175,16 +171,19 @@ def integrate_vector(
 
     ``fvec`` maps an abscissa array of shape ``(n,)`` to values of shape
     ``(ncomp, n)`` (or ``(n,)`` for a single component), point by point: a
-    node's value may not depend on which nodes share the call.  It is
-    called once per refinement step, on the 15 Kronrod nodes of each panel
-    the step creates: the initial panels, cut at the split points, then the
-    two halves of a bisected panel.  All components share the panel
-    schedule; panels are bisected (worst first by summed error) until every
+    node's value may not depend on which nodes share the call.  All
+    components share the panel schedule, refined in rounds until every
     component meets ``max(abs_tol, rel_tol * |value_c|)`` or sits at its
     roundoff floor, the sum of the per-panel floors ``50 * eps * int |f_c|``
     but at least the smallest normal float.
     Bisection cannot reduce that floor, so, as in QUADPACK, a value that
     cancels below it stops refinement instead of exhausting the budget.
+    A round bisects the worst panels (by summed error) until the rest would
+    meet that test without them, a single one when it holds the excess
+    error, and never takes the heap beyond ``max_subdivisions`` panels.
+    ``fvec`` is called once per round, on the 15 Kronrod nodes of each
+    panel the round creates (first the initial panels, cut at the split
+    points), and they are summed in one numpy pass.
 
     When ``ncheck`` is given, only the first ``ncheck`` components drive
     refinement and the convergence test; the rest are carried along (used
@@ -213,23 +212,22 @@ def integrate_vector(
     counter = 0  # tie-breaker keeps the heap order deterministic
     running = 0.0  # (values, errors, resabs) summed over the heap, for the stop test
 
-    def push(edges):
-        """Evaluate the panels between consecutive ``edges`` in one call; push each."""
+    def push(lo, hi):
+        """Evaluate the panels ``[lo, hi]`` in one call, sum them in one pass; push each."""
         nonlocal nevals, counter, running
-        e = np.array(edges)
-        half, mid = 0.5 * (e[1:] - e[:-1]), 0.5 * (e[:-1] + e[1:])
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
         x = (mid[:, None] + half[:, None] * _NODES).ravel()
-        fx = np.asarray(fvec(x), dtype=float).reshape(-1, half.size, _NODES.size)
+        fx = np.asarray(fvec(x), dtype=float).reshape(-1, lo.size, _NODES.size)
         nevals += x.size
-        # each panel summed alone, on a contiguous (ncomp, 15) block
-        for lo, hi, block in zip(edges[:-1], edges[1:], np.ascontiguousarray(fx.swapaxes(0, 1))):
-            parts = _panel(block, lo, hi)
+        sums = _panel_sums(fx, lo, hi)
+        for parts, key, l, h in zip(sums, sums[:, 1, :ncheck].sum(-1).tolist(), lo.tolist(), hi.tolist()):
             counter += 1
             running = running + parts
-            heapq.heappush(panels, (-float(parts[1][:ncheck].sum()), counter, lo, hi, parts))
+            heapq.heappush(panels, (-key, counter, l, h, parts))
 
     # the initial panels, cut at the split points
-    push([a] + [p for p in spec.split_points if a < p < b] + [b])
+    cuts = np.array([a] + [p for p in spec.split_points if a < p < b] + [b])
+    push(cuts[:-1], cuts[1:])
     abs_tol = spec.abs_tol
     if initial_scale:
         totals = sum(p[4] for p in panels)[0]
@@ -238,17 +236,24 @@ def integrate_vector(
     while True:
         values, errors, resabs = running
         target = np.maximum(abs_tol, spec.rel_tol * np.abs(values))
-        done = (errors <= target) | (errors <= np.maximum(50.0 * _EPS * resabs, _TINY))
-        if np.all(done[:ncheck]) or len(panels) >= spec.max_subdivisions:
+        floor = np.maximum(50.0 * _EPS * resabs, _TINY)
+        met = lambda err: ((err <= target) | (err <= floor))[:ncheck].all()
+        done, room = met(errors), spec.max_subdivisions - len(panels)
+        if done or room <= 0:
             break
-        _, _, lo, hi, parts = heapq.heappop(panels)
-        running = running - parts
-        push([lo, 0.5 * (lo + hi), hi])
+        # a round: bisect, worst first, until the panels left would meet the stop test
+        edges = []
+        while panels and len(edges) < room and not met(running[1]):
+            _, _, lo, hi, parts = heapq.heappop(panels)
+            running = running - parts
+            edges.append((lo, 0.5 * (lo + hi), hi))
+        edges = np.array(edges)
+        push(edges[:, :2].ravel(), edges[:, 1:].ravel())
 
     # the reported totals are summed afresh from the heap
     values, errors, resabs = sum(p[4] for p in panels)
     errors = errors + 1e-15 * resabs
-    if not np.all(done[:ncheck]):
+    if not done:
         result = QuadResult(float(values[0]), float(errors[0]), nevals)
         raise QuadratureError("subdivision budget exhausted", result)
     return values, errors, nevals
@@ -285,9 +290,13 @@ def halving_splits(start: float, width: float, stop: float) -> tuple[float, ...]
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
-    """The ``n``-point Gauss-Legendre nodes and weights on ``[-1, 1]``, built on
-    first use so that importing lubgap does not load ``numpy.polynomial``."""
-    return np.polynomial.legendre.leggauss(n)
+    """The ``n``-point Gauss-Legendre rule on ``[-1, 1]`` by Golub-Welsch, from the
+    Jacobi matrix's eigenvalues and first eigenvector components, symmetrised;
+    ``numpy.linalg`` comes with numpy, ``numpy.polynomial`` is not loaded."""
+    k = np.arange(1.0, n)
+    x, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+    w = 2.0 * vecs[0] ** 2
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 
 class PanelRule(NamedTuple):

@@ -19,8 +19,9 @@ sub-flow in a single adaptive pass (:func:`lubgap.quadrature.integrate_vector`)
 radially over ring integrals (:func:`lubgap.quadrature.ring_integrals`),
 from the panels between :meth:`~lubgap.geometry.GapProfile.radial_splits`,
 which halve toward the boundary layer and whose totals fix the absolute
-tolerance.  Each refinement step reduces the rings of
-all its radial nodes in one call, the first those of every initial panel.  A
+tolerance.  Each refinement round reduces the rings of all its radial
+nodes in one call: those of every initial panel, then of the halves of
+every panel the round bisects.  A
 ring is its directions plus an angular rule whose embedded rule bounds the
 angular error: in 2D the one node ``x1 = t`` over ``[-r, r]``; in 3D the
 8-point trapezoid, exact with its embedded rule for the translation/spin

@@ -14,7 +14,7 @@ from lubgap.quadrature import (
     QuadratureError,
     QuadResult,
     QuadSpec,
-    _panel,
+    _panel_sums,
     ring_integrals,
 )
 from lubgap.special import AsymptoticExpansion, AsymptoticTerm, gamma, gamma_coeff
@@ -89,15 +89,18 @@ def kronrod_panels(edges: np.ndarray) -> PanelRule:
     return PanelRule(x, half, _WEIGHTS_K, _GAUSS_IDX, _WEIGHTS_G)
 
 
-def serial_integrate_vector(fvec, a, b, spec, ncomp=None, ncheck=None, initial_scale=False):
+def serial_integrate_vector(fvec, a, b, spec, ncomp=None, ncheck=None, initial_scale=False, rounds=True):
     """The reference of :func:`lubgap.quadrature.integrate_vector`: the same
-    bisection, heap order and stop test, but one ``fvec`` call per 15-node
-    panel, each panel summed by :func:`lubgap.quadrature._panel` as soon as
-    it is evaluated.  ``initial_scale`` takes two passes: a probe that stops
-    on the initial panels, whose checked totals set the absolute tolerance
-    ``rel_tol * max(|totals|)`` of the second."""
+    rounds, heap order and stop test, but one ``fvec`` call per 15-node
+    panel, each panel summed by :func:`lubgap.quadrature._panel_sums` on its
+    own as soon as it is evaluated.  A round bisects panels, worst first,
+    until the panels left would meet the stop test; with ``rounds=False``
+    it bisects the worst panel alone, one panel per step.  ``initial_scale``
+    takes two passes: a probe that stops on the initial panels, whose
+    checked totals set the absolute tolerance ``rel_tol * max(|totals|)``
+    of the second."""
     if a > b:
-        v, e, n = serial_integrate_vector(fvec, b, a, spec, ncomp, ncheck, initial_scale)
+        v, e, n = serial_integrate_vector(fvec, b, a, spec, ncomp, ncheck, initial_scale, rounds)
         return -v, e, n
     if initial_scale:
         probe = QuadSpec(abs_tol=1e300, rel_tol=1.0, split_points=spec.split_points)
@@ -110,7 +113,7 @@ def serial_integrate_vector(fvec, a, b, spec, ncomp=None, ncheck=None, initial_s
     def push(lo, hi):
         nonlocal nevals, counter, running
         fx = np.asarray(fvec(0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES), dtype=float)
-        parts = _panel(fx[np.newaxis, :] if fx.ndim == 1 else fx, lo, hi)
+        (parts,) = _panel_sums(fx.reshape(-1, 1, _NODES.size), np.array([lo]), np.array([hi]))
         nevals += _NODES.size
         counter += 1
         running = running + parts
@@ -123,17 +126,27 @@ def serial_integrate_vector(fvec, a, b, spec, ncomp=None, ncheck=None, initial_s
         values, errors, resabs = running
         target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))
         floor = np.maximum(50.0 * np.finfo(float).eps * resabs, np.finfo(float).tiny)
-        done = (errors <= target) | (errors <= floor)
-        if np.all(done[:ncheck]) or len(panels) >= spec.max_subdivisions:
+
+        def met(err):
+            return np.all(((err <= target) | (err <= floor))[:ncheck])
+
+        done = met(errors)
+        if done or len(panels) >= spec.max_subdivisions:
             break
-        _, _, lo, hi, parts = heapq.heappop(panels)
-        running = running - parts
-        mid = 0.5 * (lo + hi)
-        push(lo, mid)
-        push(mid, hi)
+        popped = []
+        while panels and len(panels) + 2 * len(popped) < spec.max_subdivisions and not met(running[1]):
+            _, _, lo, hi, parts = heapq.heappop(panels)
+            running = running - parts
+            popped.append((lo, hi))
+            if not rounds:
+                break
+        for lo, hi in popped:
+            mid = 0.5 * (lo + hi)
+            push(lo, mid)
+            push(mid, hi)
     values, errors, resabs = sum(p[4] for p in panels)
     errors = errors + 1e-15 * resabs
-    if not np.all(done[:ncheck]):
+    if not done:
         raise QuadratureError(
             "subdivision budget exhausted", QuadResult(float(values[0]), float(errors[0]), nevals)
         )

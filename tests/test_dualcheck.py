@@ -253,6 +253,26 @@ class TestEll:
             scale = np.max(np.abs(np.einsum("aa...->a...", S)), axis=0) / (2.0 * mu)
             assert np.all(np.max(np.abs(want - got), axis=(0, 1)) <= 1e-9 * scale)
 
+    @pytest.mark.parametrize("i, eps", [(6, 1e-4), (3, 1e-3)])
+    def test_rings_two_panels_at_a_time(self, i, eps, monkeypatch):
+        # a refinement round may bisect several panels in one integrand call;
+        # the volume integrals still take the 64-point rings of at most two
+        # panels' radii at a time, so the (3, 3, n, 5) discrepancy arrays do
+        # not grow with the round (ell(3, 3) at eps = 1e-3 has a round of 60)
+        outer, rings = [], []
+        integrate, ring_integrals = dualcheck.integrate_1d, dualcheck.ring_integrals
+        monkeypatch.setattr(dualcheck, "integrate_1d",
+                            lambda f, *args: integrate(lambda ts: outer.append(ts.size) or f(ts), *args))
+        monkeypatch.setattr(dualcheck, "ring_integrals",
+                            lambda f, ring, ts: rings.append(ts.size) or ring_integrals(f, ring, ts))
+        prof = GapProfile(kind="m-convex", m=2.0, s=0.0, eps=eps, r=0.5, R=2.0, dimension=3)
+        params = ProblemParams(profile=prof, mu=1.0, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
+        assert ell(i, i, params) > 0.0
+        assert max(rings) <= 30
+        assert sum(rings) == sum(outer)
+        if i == 3:
+            assert max(outer) > 30
+
     def test_planar_quantities_once_per_planar_point(self, params3d, monkeypatch):
         # the discrepancy and the energy take the radial jet of h once per
         # planar point, on the rows of the heights, not once per Gauss height
@@ -415,16 +435,16 @@ class TestErrSweep:
         assert len(calls) == 5 * 3
         zero = (0.0, 0.0, 0.0)
         assert rep.values == {
-            (1, 1): (1.0622490324460758e-05, 2.701366556612739e-05, 5.454132400692836e-05),
+            (1, 1): (1.0622490324460752e-05, 2.7013665566127372e-05, 5.4541324006928335e-05),
             (1, 2): zero,
             (1, 3): zero,
             (1, 6): zero,
-            (2, 2): (1.0622490324460747e-05, 2.7013665566127358e-05, 5.454132400692831e-05),
+            (2, 2): (1.062249032446074e-05, 2.7013665566127345e-05, 5.4541324006928274e-05),
             (2, 3): zero,
             (2, 6): zero,
-            (3, 3): (0.007806171439382997, 0.03444235004625885, 0.04445659974906071),
-            (3, 6): (3.910939050751128e-05, 8.306475608960254e-06, -5.7450319191019495e-05),
-            (6, 6): (5.60978536880518e-05, 2.5444685611451593e-05, 0.00018104386342161853),
+            (3, 3): (0.007806171439382986, 0.034442350046258806, 0.04445659974906065),
+            (3, 6): (3.910939050751123e-05, 8.306475608960254e-06, -5.745031919101939e-05),
+            (6, 6): (5.609785368805172e-05, 2.5444685611451563e-05, 0.00018104386342161825),
         }
         assert all(rep.slopes[pair] is None for pair in PARITY_ZERO)
 

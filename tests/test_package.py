@@ -193,22 +193,35 @@ def test_runtime_never_loads_scipy(tmp_path):
 
 
 _NO_POLYNOMIAL = """
-import sys
+import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
+import numpy as np
 import lubgap, lubgap.cli
-print(sorted(name for name in sys.modules if name.startswith("numpy.polynomial")))
+from lubgap.fields import _running_integral
+loaded = lambda: sorted(name for name in sys.modules if name.startswith("numpy.polynomial"))
+print(loaded())
+profile = lubgap.GapProfile.m_convex(dimension=3, m=2.5, r=0.5, eps=1e-3, R=2.0)
+_running_integral(profile, 3, np.array([0.1]), np.array([0.05]))
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = lubgap.cli.main(["verify", "--suite", "dual", "--config", sys.argv[2]])
+print(code in (0, 3), loaded())
 """
 
 
-def test_import_never_loads_numpy_polynomial():
-    # the Gauss-Legendre rules are built on first use: importing the package
-    # and the CLI does not pay for numpy.polynomial
+def test_import_never_loads_numpy_polynomial(tmp_path):
+    # the Gauss-Legendre rules come from numpy.linalg: importing the package
+    # and the CLI, the running integral off m = 2 and the dual suite do not
+    # pay for numpy.polynomial
+    cfg = tmp_path / "dual.ini"
+    cfg.write_text(_BC_CONFIG, encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_POLYNOMIAL, str(ROOT / "src")],
+        [sys.executable, "-c", _NO_POLYNOMIAL, str(ROOT / "src"), str(cfg)],
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=300,
         check=False,
+        cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]"]
+    assert proc.stdout.split() == ["[]", "[]", "True", "[]"]

@@ -12,6 +12,7 @@ from lubgap.quadrature import (
     QuadratureError,
     QuadResult,
     QuadSpec,
+    _gauss_legendre,
     halving_splits,
     integrate_1d,
     integrate_vector,
@@ -172,24 +173,24 @@ _DRIVER_CASES = {
 class TestIntegrateVector:
     @pytest.mark.parametrize("case", _DRIVER_CASES)
     def test_matches_serial_panels(self, case):
-        # one call per refinement step gives, bit for bit, the values,
-        # bounds and evaluations of one call per panel
+        # one call per refinement round gives, bit for bit, the values,
+        # bounds, evaluations and nodes of one call per panel
         f, a, b, spec, kwargs = _DRIVER_CASES[case]
 
         def run(driver):
-            sizes = []
+            calls = []
 
             def spy(x):
-                sizes.append(x.size)
+                calls.append(x.copy())
                 return f(x)
 
             try:
                 out = driver(spy, a, b, spec, **kwargs)
             except QuadratureError as exc:
                 out = exc.result
-            return out, sizes
+            return out, calls
 
-        (got, sizes), (ref, _) = run(integrate_vector), run(serial_integrate_vector)
+        (got, calls), (ref, ref_calls) = run(integrate_vector), run(serial_integrate_vector)
         assert (case == "budget-exhausted") == isinstance(got, QuadResult)
         if isinstance(got, QuadResult):
             assert got == ref
@@ -198,12 +199,32 @@ class TestIntegrateVector:
             assert [v.tobytes() for v in got[:2]] == [v.tobytes() for v in ref[:2]]
             assert got[2] == ref[2]
             evaluations = got[2]
-        # the initial panels in one call, then both halves of each bisection
-        # in one call, 15 nodes per panel
+        # the reference's probe pass evaluates the initial panels once more
         ninitial = 1 + sum(min(a, b) < p < max(a, b) for p in spec.split_points)
+        ref_calls = ref_calls[ninitial:] if kwargs.get("initial_scale") else ref_calls
+        assert np.concatenate(calls).tobytes() == np.concatenate(ref_calls).tobytes()
+        # the initial panels in one call, then both halves of every panel a
+        # round bisects in one call, 15 nodes per panel
+        sizes = [x.size for x in calls]
         assert sizes[0] == 15 * ninitial
-        assert all(n == 30 for n in sizes[1:])
+        assert all(n > 0 and n % 30 == 0 for n in sizes[1:])
         assert sum(sizes) == evaluations
+
+    def test_round_bisects_every_peak(self):
+        # two equal peaks: the round after the first bisects both halves in
+        # one call, and the rounds take no more evaluations than bisecting
+        # one panel per step
+        f = lambda t: 1.0 / (1e-4 + (t - 0.25) ** 2) + 1.0 / (1e-4 + (t - 0.75) ** 2)
+        spec = QuadSpec(rel_tol=1e-10)
+        sizes = []
+        values, _, nevals = integrate_vector(lambda x: sizes.append(x.size) or f(x), 0.0, 1.0, spec)
+        assert sizes[:3] == [15, 30, 60]
+        exact = 2.0 * 100.0 * (math.atan(75.0) + math.atan(25.0))
+        assert values[0] == pytest.approx(exact, rel=1e-10)
+        serial = serial_integrate_vector(f, 0.0, 1.0, spec, rounds=False)[2]
+        assert nevals <= serial
+        # one panel per step makes one call for the initial panel, then one per bisection
+        assert len(sizes) < 1 + (serial - 15) // 30
 
     def test_batch_is_one_array(self):
         # the nodes of a call are the panels' 15 Kronrod nodes, panel after panel
@@ -225,6 +246,15 @@ class TestPanelRules:
         assert np.max(np.abs(full - low)) <= 1e-14
         assert cum == pytest.approx((edges**7 - edges[0] ** 7) / 7.0, rel=1e-13)
         assert cumulative_sums(rule, np.stack([rule.x, -rule.x]))[2].shape == (2, 4)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 16, 32])
+    def test_gauss_legendre(self, n):
+        # Golub-Welsch against numpy.polynomial's rule, symmetric bit for bit
+        x, w = _gauss_legendre(n)
+        want_x, want_w = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - want_x)) <= 1e-14
+        assert np.max(np.abs(w - want_w)) <= 1e-14
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
 
     def test_trapezoid_ring(self):
         # the ring is one panel of [0, 2pi]; its embedded rule the even nodes
