@@ -32,8 +32,8 @@ Module map
     Blow-up expansions with explicit coefficients and interval
     residuals; exponent fitting.
 :mod:`lubgap.dualcheck`
-    Dual-form energy functionals used as an independent consistency
-    check on the field construction.
+    Dual stress tensors and the error bilinear form ``ell``, used as an
+    independent consistency check on the field construction.
 :mod:`lubgap.config`, :mod:`lubgap.report`, :mod:`lubgap.cli`
     Config files, deterministic CSV/JSON artifacts, and the command
     line front end.
@@ -46,7 +46,7 @@ from .asymptotics import (
     force_asymptotic,
 )
 from .config import ConfigError, RunConfig, SweepSpec, dump_config, load_config, parse_config
-from .dualcheck import EllReport, dual_tensor, ell, energy, err_sweep
+from .dualcheck import EllReport, dual_tensor, ell, err_sweep
 from .fields import (
     FieldEval,
     ProblemParams,
@@ -54,7 +54,7 @@ from .fields import (
     eval_field,
     subflow_indices,
 )
-from .geometry import FlatHypothesisError, GapProfile, SurfacePoint, gap, surface_sample
+from .geometry import FlatHypothesisError, GapProfile, SurfacePoint, surface_sample
 from .quadrature import QuadratureError, QuadSpec
 from .report import Report, build_report, render_csv, render_json
 from .special import (
@@ -94,14 +94,12 @@ __all__ = [
     "dual_tensor",
     "dump_config",
     "ell",
-    "energy",
     "err_sweep",
     "eval_field",
     "fit_exponent",
     "force_asymptotic",
     "force_numeric",
     "gamma_coeff",
-    "gap",
     "load_config",
     "parse_config",
     "phi",

@@ -12,8 +12,6 @@ terms ``q_k`` that restore an exactly divergence-free row structure.
 
 This module evaluates that machinery numerically at desk scale:
 
-* :func:`energy` -- viscous energy of the total constructed field over the
-  gap region (half the stress-strain product integrated in volume),
 * :func:`dual_tensor` -- the dual tensor ``S(k)`` at a point,
 * :func:`ell` -- the error bilinear form ``ell[i, j]``, the volume inner
   product of the dual discrepancies of two sub-flows,
@@ -28,10 +26,6 @@ shear with a squeeze or rotation vanish because their integrand is odd
 under ``x3 -> -x3``, and the pair of the two shears because its integrand
 is odd under ``x1 -> -x1``; :func:`err_sweep` records these five as exact
 zeros without integrating them (:func:`ell` still integrates any pair).
-
-For the exact solution the energy identity pins the energy to
-``-(U.F + omega.T)/2``, so the energy check here is a blow-up-slope
-consistency test against the force asymptotics, not an equality test.
 
 Every construction coefficient is ``c x1^p / h^n`` or its ``x2`` mirror,
 and its planar derivatives are exact; they come from the coefficient engine
@@ -65,7 +59,7 @@ from .fields import (
 )
 from .quadrature import TRAPEZOID_RING, QuadSpec, _gauss_legendre, integrate_1d, ring_integrals
 
-__all__ = ["EllReport", "energy", "dual_tensor", "ell", "err_sweep"]
+__all__ = ["EllReport", "dual_tensor", "ell", "err_sweep"]
 
 _NGAUSS = 5
 
@@ -244,36 +238,6 @@ def _volume_integrate(pointfun, params, rmax, spec):
     ring = lambda ts: ring_integrals(column, TRAPEZOID_RING, ts)[0]
     radial = lambda ts: np.concatenate([ring(ts[i:i + 30]) for i in range(0, ts.size, 30)])
     return integrate_1d(radial, 0.0, rmax, spec)
-
-
-def energy(params: ProblemParams, spec: QuadSpec | None = None) -> float:
-    """Viscous energy of the total constructed field over the gap region.
-
-    ``I[v] = (1/2) int sigma(v) : D(v) dx`` over ``{|x'| < r, |x3| < h/2}``;
-    since the constructed field is divergence-free this equals
-    ``mu int |D(v)|^2``.  For the exact solution this quantity satisfies
-    ``I = -(U.F + omega.T)/2``, so its blow-up slope must track the force
-    asymptotics; that slope consistency, not equality, is what the value is
-    for.
-    """
-    prof = params.profile
-    if prof.dimension != 3:
-        raise ValueError("energy is implemented for 3D problems")
-    spec = spec or QuadSpec(rel_tol=1e-8)
-    mu = params.mu
-    ks = subflow_indices(3)
-
-    def pointfun(x1, x2, x3):
-        total = np.zeros((3, 3) + x3.shape)
-        for k in ks:
-            if subflow_scale(k, params) == 0.0:
-                continue
-            _u, _p, grad = _eval3(k, params, x1, x2, x3)
-            total += grad
-        D = 0.5 * (total + total.swapaxes(0, 1))
-        return mu * np.einsum("ab...,ab...->...", D, D)
-
-    return float(_volume_integrate(pointfun, params, prof.r, spec).value)
 
 
 # ---------------------------------------------------------------------------

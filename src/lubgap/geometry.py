@@ -1,4 +1,4 @@
-"""Gap geometry: profiles, gap function, and surface parametrization.
+"""Gap geometry: profiles and surface parametrization.
 
 Two nearly touching rigid particles are placed symmetrically about the
 midplane ``x3 = 0``; through the gap region the top particle's boundary is
@@ -26,7 +26,7 @@ import numpy as np
 
 from .quadrature import halving_splits
 
-__all__ = ["GapProfile", "SurfacePoint", "gap", "surface_sample", "FlatHypothesisError"]
+__all__ = ["GapProfile", "SurfacePoint", "surface_sample", "FlatHypothesisError"]
 
 _SQRT2M1 = np.sqrt(2.0) - 1.0
 
@@ -77,14 +77,6 @@ class GapProfile:
             object.__setattr__(self, "m", 2.0)
             if not 0.0 < self.s < self.r:
                 raise ValueError("flat-capped profiles require 0 < s < r")
-
-    @classmethod
-    def m_convex(cls, dimension: int, m: float, r: float, eps: float, R: float) -> "GapProfile":
-        return cls(dimension, "m-convex", m, r, 0.0, eps, R)
-
-    @classmethod
-    def flat_capped(cls, dimension: int, r: float, s: float, eps: float, R: float) -> "GapProfile":
-        return cls(dimension, "flat-capped", 2.0, r, s, eps, R)
 
     # -- scalar/array evaluators of the radial profile ---------------------
 
@@ -194,19 +186,6 @@ class SurfacePoint:
     n: tuple
     nu: tuple
     jac: float
-
-
-def gap(profile: GapProfile, xprime) -> float:
-    """Vertical distance between the particle boundaries above ``xprime``."""
-    if profile.dimension == 3:
-        x1, x2 = xprime
-        rho = np.hypot(x1, x2)
-    else:
-        rho = abs(float(xprime))
-        x1 = xprime
-    if np.any(rho > profile.r):
-        raise ValueError(f"|x'| = {rho} outside the gap region r = {profile.r}")
-    return float(profile.h_radial(rho))
 
 
 def surface_sample(profile: GapProfile, side: str, xprime) -> SurfacePoint:

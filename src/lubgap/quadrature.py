@@ -3,9 +3,10 @@
 * :func:`integrate_vector` / :func:`integrate_1d` -- adaptive
   Gauss-Kronrod (15/7 embedded pair) bisection on an interval, honoring
   split points; every component of a vector integrand shares one panel
-  schedule.  A refinement round bisects, worst first, every panel the
-  tolerance still needs, and evaluates and sums the panels it creates at
-  once.  :func:`halving_splits` places split points halving toward a layer.
+  schedule, its panels held as arrays in creation order.  A refinement
+  round bisects, worst first, every panel the tolerance still needs, and
+  evaluates and sums the panels it creates at once.
+  :func:`halving_splits` places split points halving toward a layer.
 * :class:`PanelRule` -- a fixed composite rule with an embedded
   lower-order rule, held as data: the nodes of each panel, the
   half-widths, and the node weights on ``[-1, 1]``.
@@ -21,7 +22,6 @@ All engines are stateless and re-entrant; caches are created per call.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -178,12 +178,14 @@ def integrate_vector(
     but at least the smallest normal float.
     Bisection cannot reduce that floor, so, as in QUADPACK, a value that
     cancels below it stops refinement instead of exhausting the budget.
-    A round bisects the worst panels (by summed error) until the rest would
-    meet that test without them, a single one when it holds the excess
-    error, and never takes the heap beyond ``max_subdivisions`` panels.
-    ``fvec`` is called once per round, on the 15 Kronrod nodes of each
-    panel the round creates (first the initial panels, cut at the split
-    points), and they are summed in one numpy pass.
+    The panels are held as arrays in creation order.  A round orders them
+    by summed checked error, worst first (ties in creation order), and
+    bisects the shortest run of the worst whose removal lets the rest meet
+    that test, a single one when it holds the excess error, but never more
+    than ``max_subdivisions`` panels allow.  ``fvec`` is called once per
+    round, on the 15 Kronrod nodes of each panel the round creates (first
+    the initial panels, cut at the split points; then each parent's left
+    half and right half), and they are summed in one numpy pass.
 
     When ``ncheck`` is given, only the first ``ncheck`` components drive
     refinement and the convergence test; the rest are carried along (used
@@ -193,7 +195,7 @@ def integrate_vector(
     With ``initial_scale``, the absolute tolerance is at least ``rel_tol``
     times the largest checked total of the initial panels (floored at
     1e-300), so that every component is resolved relative to the largest
-    one.  Those totals are summed in heap order, as the reported totals
+    one.  Those totals are summed in creation order, as the reported totals
     are, so the tolerance is bit for bit that of a pass stopped on the
     initial panels.
 
@@ -208,50 +210,44 @@ def integrate_vector(
         v, e, n = integrate_vector(fvec, b, a, spec, ncomp, ncheck, initial_scale)
         return -v, e, n
 
-    panels, nevals = [], 0
-    counter = 0  # tie-breaker keeps the heap order deterministic
-    running = 0.0  # (values, errors, resabs) summed over the heap, for the stop test
-
-    def push(lo, hi):
-        """Evaluate the panels ``[lo, hi]`` in one call, sum them in one pass; push each."""
-        nonlocal nevals, counter, running
+    def evaluate(lo, hi):
+        """The sums of the panels ``[lo, hi]``: one ``fvec`` call, one numpy pass."""
         half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
         x = (mid[:, None] + half[:, None] * _NODES).ravel()
-        fx = np.asarray(fvec(x), dtype=float).reshape(-1, lo.size, _NODES.size)
-        nevals += x.size
-        sums = _panel_sums(fx, lo, hi)
-        for parts, key, l, h in zip(sums, sums[:, 1, :ncheck].sum(-1).tolist(), lo.tolist(), hi.tolist()):
-            counter += 1
-            running = running + parts
-            heapq.heappush(panels, (-key, counter, l, h, parts))
+        return _panel_sums(np.asarray(fvec(x), dtype=float).reshape(-1, lo.size, _NODES.size), lo, hi)
 
-    # the initial panels, cut at the split points
+    # the panels in creation order, first the initial ones, cut at the split points
     cuts = np.array([a] + [p for p in spec.split_points if a < p < b] + [b])
-    push(cuts[:-1], cuts[1:])
+    lo, hi = cuts[:-1], cuts[1:]
+    parts, nevals = evaluate(lo, hi), _NODES.size * lo.size
     abs_tol = spec.abs_tol
     if initial_scale:
-        totals = sum(p[4] for p in panels)[0]
-        abs_tol = max(abs_tol, spec.rel_tol * max(float(np.max(np.abs(totals[:ncheck]))), 1e-300))
+        scale = float(np.max(np.abs(parts.sum(axis=0)[0, :ncheck])))
+        abs_tol = max(abs_tol, spec.rel_tol * max(scale, 1e-300))
 
     while True:
-        values, errors, resabs = running
+        values, errors, resabs = parts.sum(axis=0)
         target = np.maximum(abs_tol, spec.rel_tol * np.abs(values))
         floor = np.maximum(50.0 * _EPS * resabs, _TINY)
-        met = lambda err: ((err <= target) | (err <= floor))[:ncheck].all()
-        done, room = met(errors), spec.max_subdivisions - len(panels)
+        met = lambda err: ((err <= target) | (err <= floor))[..., :ncheck].all(-1)
+        done, room = met(errors), spec.max_subdivisions - lo.size
         if done or room <= 0:
             break
-        # a round: bisect, worst first, until the panels left would meet the stop test
-        edges = []
-        while panels and len(edges) < room and not met(running[1]):
-            _, _, lo, hi, parts = heapq.heappop(panels)
-            running = running - parts
-            edges.append((lo, 0.5 * (lo + hi), hi))
-        edges = np.array(edges)
-        push(edges[:, :2].ravel(), edges[:, 1:].ravel())
+        # a round: bisect, worst first, the fewest panels (at most room) whose
+        # errors keep the rest from the stop test
+        worst = np.argsort(-parts[:, 1, :ncheck].sum(-1), kind="stable")[:room]
+        enough = met(errors - np.cumsum(parts[worst, 1], axis=0))
+        enough[-1] = True
+        worst = worst[: 1 + np.argmax(enough)]
+        keep = np.ones(lo.size, bool)
+        keep[worst] = False
+        # each parent's left half, then its right half, after the panels kept
+        new_lo, new_hi = lo[worst].repeat(2), hi[worst].repeat(2)
+        new_lo[1::2] = new_hi[::2] = 0.5 * (lo[worst] + hi[worst])
+        parts = np.concatenate([parts[keep], evaluate(new_lo, new_hi)])
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        nevals += _NODES.size * new_lo.size
 
-    # the reported totals are summed afresh from the heap
-    values, errors, resabs = sum(p[4] for p in panels)
     errors = errors + 1e-15 * resabs
     if not done:
         result = QuadResult(float(values[0]), float(errors[0]), nevals)

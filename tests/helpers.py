@@ -4,7 +4,16 @@ import heapq
 
 import numpy as np
 
-from lubgap.fields import _running_integral, _squeeze_type, eval_field
+from lubgap.dualcheck import _volume_integrate
+from lubgap.fields import (
+    _eval3,
+    _running_integral,
+    _squeeze_type,
+    eval_field,
+    subflow_indices,
+    subflow_scale,
+)
+from lubgap.geometry import GapProfile
 from lubgap.quadrature import (
     _GAUSS_IDX,
     _NODES,
@@ -18,6 +27,16 @@ from lubgap.quadrature import (
     ring_integrals,
 )
 from lubgap.special import AsymptoticExpansion, AsymptoticTerm, gamma, gamma_coeff
+
+
+def mconvex(m=2.0, eps=1e-3, r=0.5, R=2.0, dimension=3) -> GapProfile:
+    """The m-convex profile ``h = eps + |x'|^m``."""
+    return GapProfile(kind="m-convex", m=m, s=0.0, eps=eps, r=r, R=R, dimension=dimension)
+
+
+def flat(s=0.1, eps=1e-3, r=0.5, R=2.0, dimension=3) -> GapProfile:
+    """The flat-capped profile of flat radius ``s``."""
+    return GapProfile(kind="flat-capped", m=2.0, s=s, eps=eps, r=r, R=R, dimension=dimension)
 
 
 def leading_coefficient(
@@ -77,6 +96,32 @@ def phi_leading(i: float, j: float, m: float) -> AsymptoticExpansion:
     return AsymptoticExpansion(())
 
 
+def energy(params, spec=None) -> float:
+    """Viscous energy of the total constructed 3D field over the gap region.
+
+    ``I[v] = (1/2) int sigma(v) : D(v) dx`` over ``{|x'| < r, |x3| < h/2}``,
+    by the dual check's volume quadrature; since the constructed field is
+    divergence-free this equals ``mu int |D(v)|^2``.  For the exact
+    solution ``I = -(U.F + omega.T)/2``, so its blow-up slope must track
+    the force asymptotics; that slope consistency, not equality, is what
+    the value is for.
+    """
+    prof = params.profile
+    if prof.dimension != 3:
+        raise ValueError("energy is implemented for 3D problems")
+    spec = spec or QuadSpec(rel_tol=1e-8)
+
+    def pointfun(x1, x2, x3):
+        total = np.zeros((3, 3) + x3.shape)
+        for k in subflow_indices(3):
+            if subflow_scale(k, params) != 0.0:
+                total += _eval3(k, params, x1, x2, x3)[2]
+        D = 0.5 * (total + total.swapaxes(0, 1))
+        return params.mu * np.einsum("ab...,ab...->...", D, D)
+
+    return float(_volume_integrate(pointfun, params, prof.r, spec).value)
+
+
 def kronrod_panels(edges: np.ndarray) -> PanelRule:
     """The 15-point Kronrod rule, with its embedded 7-point Gauss rule, on
     the panels between consecutive ``edges`` (along the last axis): the
@@ -91,14 +136,15 @@ def kronrod_panels(edges: np.ndarray) -> PanelRule:
 
 def serial_integrate_vector(fvec, a, b, spec, ncomp=None, ncheck=None, initial_scale=False, rounds=True):
     """The reference of :func:`lubgap.quadrature.integrate_vector`: the same
-    rounds, heap order and stop test, but one ``fvec`` call per 15-node
-    panel, each panel summed by :func:`lubgap.quadrature._panel_sums` on its
-    own as soon as it is evaluated.  A round bisects panels, worst first,
-    until the panels left would meet the stop test; with ``rounds=False``
-    it bisects the worst panel alone, one panel per step.  ``initial_scale``
-    takes two passes: a probe that stops on the initial panels, whose
-    checked totals set the absolute tolerance ``rel_tol * max(|totals|)``
-    of the second."""
+    rounds, order and stop test, but the worst panels taken off a heap and
+    one ``fvec`` call per 15-node panel, each panel summed by
+    :func:`lubgap.quadrature._panel_sums` on its own as soon as it is
+    evaluated.  The totals are summed over the panels in creation order, as
+    the driver sums them.  A round bisects panels, worst first, until the
+    panels left would meet the stop test; with ``rounds=False`` it bisects
+    the worst panel alone, one panel per step.  ``initial_scale`` takes two
+    passes: a probe that stops on the initial panels, whose checked totals
+    set the absolute tolerance ``rel_tol * max(|totals|)`` of the second."""
     if a > b:
         v, e, n = serial_integrate_vector(fvec, b, a, spec, ncomp, ncheck, initial_scale, rounds)
         return -v, e, n
@@ -108,22 +154,23 @@ def serial_integrate_vector(fvec, a, b, spec, ncomp=None, ncheck=None, initial_s
         scale = max(float(np.max(np.abs(totals[:ncheck]))), 1e-300)
         abs_tol = max(spec.abs_tol, spec.rel_tol * scale)
         spec = QuadSpec(abs_tol, spec.rel_tol, spec.max_subdivisions, spec.split_points)
-    panels, nevals, counter, running = [], 0, 0, 0.0
+    # alive: the live panels' sums, keyed by the evaluation count at their
+    # creation, so in creation order; heap: (-summed checked error, key, lo, hi)
+    heap, alive, nevals = [], {}, 0
 
     def push(lo, hi):
-        nonlocal nevals, counter, running
+        nonlocal nevals
         fx = np.asarray(fvec(0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES), dtype=float)
         (parts,) = _panel_sums(fx.reshape(-1, 1, _NODES.size), np.array([lo]), np.array([hi]))
         nevals += _NODES.size
-        counter += 1
-        running = running + parts
-        heapq.heappush(panels, (-float(parts[1][:ncheck].sum()), counter, lo, hi, parts))
+        alive[nevals] = parts
+        heapq.heappush(heap, (-float(parts[1][:ncheck].sum()), nevals, lo, hi))
 
     cuts = [a] + [p for p in spec.split_points if a < p < b] + [b]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         push(lo, hi)
     while True:
-        values, errors, resabs = running
+        values, errors, resabs = np.sum(list(alive.values()), axis=0)
         target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))
         floor = np.maximum(50.0 * np.finfo(float).eps * resabs, np.finfo(float).tiny)
 
@@ -131,12 +178,12 @@ def serial_integrate_vector(fvec, a, b, spec, ncomp=None, ncheck=None, initial_s
             return np.all(((err <= target) | (err <= floor))[:ncheck])
 
         done = met(errors)
-        if done or len(panels) >= spec.max_subdivisions:
+        if done or len(heap) >= spec.max_subdivisions:
             break
-        popped = []
-        while panels and len(panels) + 2 * len(popped) < spec.max_subdivisions and not met(running[1]):
-            _, _, lo, hi, parts = heapq.heappop(panels)
-            running = running - parts
+        popped, removed = [], 0.0
+        while heap and len(heap) + 2 * len(popped) < spec.max_subdivisions and not met(errors - removed):
+            _, key, lo, hi = heapq.heappop(heap)
+            removed = removed + alive.pop(key)[1]
             popped.append((lo, hi))
             if not rounds:
                 break
@@ -144,7 +191,6 @@ def serial_integrate_vector(fvec, a, b, spec, ncomp=None, ncheck=None, initial_s
             mid = 0.5 * (lo + hi)
             push(lo, mid)
             push(mid, hi)
-    values, errors, resabs = sum(p[4] for p in panels)
     errors = errors + 1e-15 * resabs
     if not done:
         raise QuadratureError(

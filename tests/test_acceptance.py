@@ -28,15 +28,9 @@ from lubgap.quadrature import QuadSpec
 from lubgap.special import gamma_coeff, phi
 from lubgap.traction import force_numeric, total_numeric
 
-from helpers import divergence, leading_coefficient
+from helpers import divergence, leading_coefficient, mconvex
 
 RNG_SEED = 20260823
-
-
-def mconvex(m, eps, r=0.5, R=2.0, dimension=3):
-    return GapProfile(
-        kind="m-convex", m=m, s=0.0, eps=eps, r=r, R=R, dimension=dimension
-    )
 
 
 # ---------------------------------------------------------------------------

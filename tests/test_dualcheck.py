@@ -6,12 +6,13 @@ import pytest
 
 from lubgap import dualcheck, fields
 from lubgap.asymptotics import fit_exponent
-from lubgap.dualcheck import EllReport, dual_tensor, ell, energy, err_sweep
+from lubgap.dualcheck import EllReport, dual_tensor, ell, err_sweep
 from lubgap.fields import ProblemParams
 from lubgap.geometry import GapProfile
 from lubgap.quadrature import QuadSpec
 
-from helpers import cumulative_sums, graded_line, kronrod_panels
+import helpers
+from helpers import cumulative_sums, energy, flat, graded_line, kronrod_panels, mconvex
 
 RNG_SEED = 90812
 # the cross pairs of ell that vanish by parity
@@ -130,8 +131,8 @@ def _mp_coefficients(k, prof, w1, w2):
 
 
 def _exact_profiles():
-    return [GapProfile.m_convex(3, m, 0.5, 1e-3, 2.0) for m in (2.0, 2.5, 4.0, 8.0)] + [
-        GapProfile.flat_capped(3, 0.5, 0.05, 1e-3, 2.0)
+    return [mconvex(m, 1e-3) for m in (2.0, 2.5, 4.0, 8.0)] + [
+        flat(0.05, 1e-3)
     ]
 
 
@@ -169,7 +170,7 @@ class TestExactDerivatives:
         # the squeeze's QA vanishes and its QB is closed-form; the cumulative
         # Kronrod line of their integrands lap A1 - d1 A3 and lap B1 + d1 B3,
         # with edges where the line crosses the rim, must agree
-        prof = GapProfile.flat_capped(3, 0.5, 0.05, 1e-4, 2.0)
+        prof = flat(0.05, 1e-4)
         bound = 0.25 * prof.r
         for x2 in (0.0, 0.03, 0.07):
             x1 = np.array([-0.1, -0.02, 0.0, 0.01, 0.045, 0.06, 0.12])
@@ -289,6 +290,7 @@ class TestEll:
 
         monkeypatch.setattr(GapProfile, "radial_jet", spy_jet)
         monkeypatch.setattr(dualcheck, "_eval3", spy_eval3)
+        monkeypatch.setattr(helpers, "_eval3", spy_eval3)
 
         def assert_planar_rows():
             jets = 0

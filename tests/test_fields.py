@@ -17,9 +17,9 @@ from lubgap.fields import (
     subflow_indices,
     subflow_scale,
 )
-from lubgap.geometry import GapProfile, surface_sample
+from lubgap.geometry import surface_sample
 
-from helpers import divergence
+from helpers import divergence, flat, mconvex
 
 
 RNG_SEED = 74250
@@ -215,9 +215,9 @@ class TestDivergence:
         # the k=0 rigid-mean interpolant carries the surface lever arm, so
         # div u = (omega2 d1h - omega1 d2h)/4 (2D: -omega0 h'/4), not zero
         rng = np.random.default_rng(RNG_SEED + 3)
-        params2d_m12 = ProblemParams(profile=GapProfile.m_convex(2, 1.2, 0.5, 1e-3, 2.0),
+        params2d_m12 = ProblemParams(profile=mconvex(1.2, 1e-3, dimension=2),
                                      U=params2d.U, omega=params2d.omega)
-        params2d_flat = ProblemParams(profile=GapProfile.flat_capped(2, 0.5, 0.1, 1e-3, 2.0),
+        params2d_flat = ProblemParams(profile=flat(0.1, 1e-3, dimension=2),
                                       U=params2d.U, omega=params2d.omega)
         for params in (params3d, params3d_flat):
             for x in interior_points(params.profile, 20, rng):
@@ -374,9 +374,9 @@ def _mp_reference(family, k, params):
 
 
 _SQUEEZE_TYPE_PROFILES = [
-    GapProfile.m_convex(3, m, 0.5, 1e-3, 2.0) for m in (2.0, 2.5, 4.0, 8.0)
-] + [GapProfile.flat_capped(3, 0.5, 0.05, 1e-3, 2.0)] + [
-    GapProfile.m_convex(2, m, 0.5, 1e-3, 2.0) for m in (1.2, 2.0, 4.0)
+    mconvex(m, 1e-3) for m in (2.0, 2.5, 4.0, 8.0)
+] + [flat(0.05, 1e-3)] + [
+    mconvex(m, 1e-3, dimension=2) for m in (1.2, 2.0, 4.0)
 ]
 _EXACT_IDS = ["m2", "m2.5", "m4", "m8", "flat", "2d-m1.2", "2d-m2", "2d-m4"]
 
@@ -583,7 +583,7 @@ class TestKernelTails:
     @pytest.mark.parametrize("s", [0.05, 0.15])
     @pytest.mark.parametrize("eps", [1e-2, 1e-5, 1e-8])
     def test_flat_cap_running_integrals(self, s, eps):
-        prof = GapProfile.flat_capped(3, 0.5, s, eps, 2.0)
+        prof = flat(s, eps)
         r, delta = prof.r, prof.boundary_layer_scale()
         with mpmath.workdps(30):
             S, E = mpmath.mpf(s), mpmath.mpf(eps)
@@ -625,7 +625,7 @@ class TestLinearity:
 
 @pytest.fixture
 def prof3d_m25():
-    return GapProfile.m_convex(3, 2.5, 0.5, 1e-3, 2.0)
+    return mconvex(2.5, 1e-3)
 
 
 @pytest.fixture
@@ -641,7 +641,7 @@ class TestRotationClosedForm:
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
     def test_matches_mpmath(self, eps):
-        prof = GapProfile.m_convex(3, 2.0, 0.5, eps, 2.0)
+        prof = mconvex(2.0, eps)
         r, delta = prof.r, prof.boundary_layer_scale()
         with mpmath.workdps(30):
             E = mpmath.mpf(eps)
@@ -663,8 +663,8 @@ class TestRotationClosedForm:
         # m = 2, must match the closed form to roundoff on a dense grid
         # reaching into c < delta, for Q_1, Q_3 and their d22, each against
         # its largest value
-        prof = GapProfile.m_convex(3, 2.0, 0.5, eps, 2.0)
-        near = GapProfile.m_convex(3, np.nextafter(2.0, 3.0), 0.5, eps, 2.0)
+        prof = mconvex(2.0, eps)
+        near = mconvex(np.nextafter(2.0, 3.0), eps)
         assert pressure_cache_error(6, near) == 0.0
         r, delta = prof.r, prof.boundary_layer_scale()
         mult = np.array([0.0, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0])
@@ -715,9 +715,9 @@ def _mp_running_integral(prof, n, a, c, second):
 def _running_integral_profiles():
     for eps in (1e-2, 1e-5, 1e-8):
         for m in (2.0, 2.5, 4.0, 8.0):
-            yield pytest.param(GapProfile.m_convex(3, m, 0.5, eps, 2.0), id=f"m{m}-eps{eps:g}")
+            yield pytest.param(mconvex(m, eps), id=f"m{m}-eps{eps:g}")
         for s in (0.05, 0.15):
-            yield pytest.param(GapProfile.flat_capped(3, 0.5, s, eps, 2.0), id=f"flat{s}-eps{eps:g}")
+            yield pytest.param(flat(s, eps), id=f"flat{s}-eps{eps:g}")
 
 
 class TestRunningIntegral:

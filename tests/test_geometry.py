@@ -10,21 +10,10 @@ from hypothesis import strategies as st
 from lubgap.geometry import (
     FlatHypothesisError,
     GapProfile,
-    gap,
     surface_sample,
 )
 
-
-def mconvex(m=2.0, eps=1e-3, r=0.5, R=2.0, dimension=3):
-    return GapProfile(
-        kind="m-convex", m=m, s=0.0, eps=eps, r=r, R=R, dimension=dimension
-    )
-
-
-def flat(s=0.1, eps=1e-3, r=0.5, R=2.0, dimension=3):
-    return GapProfile(
-        kind="flat-capped", m=2.0, s=s, eps=eps, r=r, R=R, dimension=dimension
-    )
+from helpers import flat, mconvex
 
 
 class TestGapProfile:
@@ -95,24 +84,23 @@ class TestRadialSplits:
 
 class TestGap:
     def test_mconvex_values(self):
-        assert gap(mconvex(eps=1e-3), (0.1, 0.0)) == pytest.approx(0.011, rel=1e-14)
-        assert gap(mconvex(eps=1e-3, m=3.0), (0.0, 0.1)) == pytest.approx(
-            1e-3 + 1e-3, rel=1e-14
-        )
+        assert mconvex(eps=1e-3).h(0.1, 0.0) == pytest.approx(0.011, rel=1e-14)
+        assert mconvex(eps=1e-3, m=3.0).h(0.0, 0.1) == pytest.approx(1e-3 + 1e-3, rel=1e-14)
 
     def test_flat_values(self):
         prof = flat(s=0.1, eps=1e-3)
-        assert gap(prof, (0.05, 0.0)) == pytest.approx(1e-3, rel=1e-14)
-        assert gap(prof, (0.3, 0.0)) == pytest.approx(1e-3 + 0.04, rel=1e-12)
+        assert prof.h(0.05, 0.0) == pytest.approx(1e-3, rel=1e-14)
+        assert prof.h(0.3, 0.0) == pytest.approx(1e-3 + 0.04, rel=1e-12)
 
     def test_2d(self):
         prof = mconvex(dimension=2)
-        assert gap(prof, 0.1) == pytest.approx(0.011, rel=1e-14)
-        assert gap(prof, -0.1) == pytest.approx(0.011, rel=1e-14)
+        assert prof.h(0.1) == pytest.approx(0.011, rel=1e-14)
+        assert prof.h(-0.1) == pytest.approx(0.011, rel=1e-14)
 
     def test_out_of_region(self):
+        # the signed 2D coordinate, below the midplane
         with pytest.raises(ValueError):
-            gap(mconvex(), (0.6, 0.0))
+            surface_sample(mconvex(dimension=2), "bottom", -0.6)
 
     @given(x=st.floats(-0.5, 0.5), y=st.floats(-0.3, 0.3))
     @settings(max_examples=50, deadline=None)
@@ -120,16 +108,16 @@ class TestGap:
         prof = mconvex()
         if math.hypot(x, y) > prof.r:
             return
-        h = gap(prof, (x, y))
+        h = prof.h(x, y)
         assert h >= prof.eps
-        assert gap(prof, (-x, -y)) == pytest.approx(h, rel=1e-14)
+        assert prof.h(-x, -y) == pytest.approx(h, rel=1e-14)
 
     def test_flat_gap_is_c1_at_kink(self):
         # slope is continuous across |x'| = s (the kink is in curvature)
         prof = flat(s=0.1, eps=1e-3)
         d = 1e-7
-        left = (gap(prof, (0.1 - d, 0.0)) - gap(prof, (0.1 - 3 * d, 0.0))) / (2 * d)
-        right = (gap(prof, (0.1 + 3 * d, 0.0)) - gap(prof, (0.1 + d, 0.0))) / (2 * d)
+        left = (prof.h(0.1 - d, 0.0) - prof.h(0.1 - 3 * d, 0.0)) / (2 * d)
+        right = (prof.h(0.1 + 3 * d, 0.0) - prof.h(0.1 + d, 0.0)) / (2 * d)
         assert abs(left - right) < 1e-5
 
 

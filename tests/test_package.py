@@ -35,10 +35,10 @@ from perfbench.tracing import Tracer, install
 tracer = Tracer()
 install(tracer, lubgap)
 from lubgap.traction import total_numeric
-profile = lubgap.GapProfile.m_convex(dimension=2, m=2.0, r=0.5, eps=1e-3, R=2.0)
+profile = lubgap.GapProfile(dimension=2, kind="m-convex", m=2.0, r=0.5, s=0.0, eps=1e-3, R=2.0)
 total_numeric(lubgap.ProblemParams(profile=profile, U=(0.4, -0.3), omega=0.25))
 from lubgap import dualcheck
-profile = lubgap.GapProfile.m_convex(dimension=3, m=2.0, r=0.5, eps=1e-2, R=2.0)
+profile = lubgap.GapProfile(dimension=3, kind="m-convex", m=2.0, r=0.5, s=0.0, eps=1e-2, R=2.0)
 params = lubgap.ProblemParams(profile=profile, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
 dualcheck.ell(1, 1, params, lubgap.QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
 print(json.dumps(sorted({span[0] for span in tracer.spans})))
@@ -68,7 +68,7 @@ _M2_NO_INTERPOLATE = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import lubgap, lubgap.cli
-profile = lubgap.GapProfile.m_convex(dimension=3, m=2.0, r=0.5, eps=1e-3, R=2.0)
+profile = lubgap.GapProfile(dimension=3, kind="m-convex", m=2.0, r=0.5, s=0.0, eps=1e-3, R=2.0)
 params = lubgap.ProblemParams(profile=profile, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
 lubgap.total_numeric(params)
 print(any(name.split(".")[0] == "scipy" for name in sys.modules))
@@ -94,7 +94,7 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import lubgap
 from lubgap.quadrature import QuadSpec
-profile = lubgap.GapProfile.m_convex(dimension=3, m=2.0, r=0.5, eps=1e-3, R=2.0)
+profile = lubgap.GapProfile(dimension=3, kind="m-convex", m=2.0, r=0.5, s=0.0, eps=1e-3, R=2.0)
 params = lubgap.ProblemParams(profile=profile, U=(0.0, 0.0, -1.0), omega=(0.0, 0.0, 0.0))
 rep = lubgap.err_sweep(params, (1e-2, 3e-3, 1e-3), QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
 print(rep.pairs == ((3, 3),), any(name.split(".")[0] == "scipy" for name in sys.modules))
@@ -121,10 +121,11 @@ sys.path.insert(0, sys.argv[1])
 import lubgap
 from lubgap.quadrature import QuadSpec
 motion = dict(U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
-for profile in (lubgap.GapProfile.m_convex(3, 2.5, 0.5, 1e-3, 2.0),
-                lubgap.GapProfile.flat_capped(3, 0.5, 0.05, 1e-3, 2.0)):
+shape = dict(dimension=3, r=0.5, eps=1e-3, R=2.0)
+for profile in (lubgap.GapProfile(kind="m-convex", m=2.5, s=0.0, **shape),
+                lubgap.GapProfile(kind="flat-capped", m=2.0, s=0.05, **shape)):
     lubgap.total_numeric(lubgap.ProblemParams(profile=profile, **motion))
-profile = lubgap.GapProfile.m_convex(3, 2.5, 0.5, 1e-2, 2.0)
+profile = lubgap.GapProfile(dimension=3, kind="m-convex", m=2.5, r=0.5, s=0.0, eps=1e-2, R=2.0)
 params = lubgap.ProblemParams(profile=profile, U=(0.0, 0.0, 0.0), omega=(0.15, 0.2, 0.0))
 rep = lubgap.err_sweep(params, (1e-1, 3e-2, 1e-2), QuadSpec(rel_tol=1e-3, abs_tol=1e-8))
 print((6, 6) in rep.pairs, any(name.split(".")[0] == "scipy" for name in sys.modules))
@@ -150,9 +151,9 @@ _NO_SCIPY = """
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 import lubgap, lubgap.cli
-profile = lubgap.GapProfile.m_convex(dimension=2, m=1.2, r=0.5, eps=1e-3, R=2.0)
+profile = lubgap.GapProfile(dimension=2, kind="m-convex", m=1.2, r=0.5, s=0.0, eps=1e-3, R=2.0)
 lubgap.total_numeric(lubgap.ProblemParams(profile=profile, U=(0.4, -0.3), omega=0.25))
-profile = lubgap.GapProfile.flat_capped(dimension=3, r=0.5, s=0.05, eps=1e-4, R=2.0)
+profile = lubgap.GapProfile(dimension=3, kind="flat-capped", m=2.0, r=0.5, s=0.05, eps=1e-4, R=2.0)
 lubgap.total_numeric(lubgap.ProblemParams(profile=profile, U=(0.0, 0.0, -1.0), omega=(0.0, 0.0, 0.0)))
 with contextlib.redirect_stdout(io.StringIO()):
     code = lubgap.cli.main(["verify", "--suite", "bc", "--config", sys.argv[2]])
@@ -200,7 +201,7 @@ import lubgap, lubgap.cli
 from lubgap.fields import _running_integral
 loaded = lambda: sorted(name for name in sys.modules if name.startswith("numpy.polynomial"))
 print(loaded())
-profile = lubgap.GapProfile.m_convex(dimension=3, m=2.5, r=0.5, eps=1e-3, R=2.0)
+profile = lubgap.GapProfile(dimension=3, kind="m-convex", m=2.5, r=0.5, s=0.0, eps=1e-3, R=2.0)
 _running_integral(profile, 3, np.array([0.1]), np.array([0.05]))
 print(loaded())
 with contextlib.redirect_stdout(io.StringIO()):

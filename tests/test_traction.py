@@ -25,20 +25,16 @@ from lubgap.traction import (
 )
 
 from helpers import (
+    flat,
     kronrod_panels,
     leading_coefficient,
+    mconvex,
     mirrored_ring,
     octant_edges,
     octant_panels,
     octant_rule,
     rotation_pressure,
 )
-
-
-def mconvex(m=2.0, eps=1e-3, dimension=3, r=0.5, R=2.0):
-    return GapProfile(
-        kind="m-convex", m=m, s=0.0, eps=eps, r=r, R=R, dimension=dimension
-    )
 
 
 def moments_at(k, params, xprime):
@@ -207,10 +203,10 @@ class TestForceNumeric:
     @pytest.mark.parametrize(
         "profile",
         [
-            GapProfile.m_convex(3, 2.5, 0.5, 1e-6, 2.0),
-            GapProfile.flat_capped(3, 0.5, 0.05, 1e-8, 2.0),
-            GapProfile.m_convex(2, 1.2, 0.5, 1e-6, 2.0),
-            GapProfile.flat_capped(2, 0.5, 0.05, 1e-8, 2.0),
+            mconvex(2.5, 1e-6),
+            flat(0.05, 1e-8),
+            mconvex(1.2, 1e-6, dimension=2),
+            flat(0.05, 1e-8, dimension=2),
         ],
         ids=lambda prof: f"{prof.dimension}d-{prof.kind}",
     )
@@ -784,7 +780,7 @@ class TestRefinementSteps:
             return integrate_vector(lambda x: calls.append(x.size) or fvec(x), *args, **kwargs)
 
         monkeypatch.setattr(traction, "integrate_vector", counted)
-        prof = GapProfile.m_convex(2, 1.2, 0.5, 1e-8, 2.0)
+        prof = mconvex(1.2, 1e-8, dimension=2)
         total_numeric(ProblemParams(profile=prof, U=(0.4, -0.3), omega=0.25), rel_tol=1e-8)
         assert 0 < len(calls) <= 50
 
@@ -804,21 +800,21 @@ def _robustness_cases():
     squeeze = (0.0, 0.0, -1.0)
     for eps in (1e-2, 1e-4, 1e-6, 1e-8):
         for m in (2.0, 2.5, 4.0, 8.0):
-            yield pytest.param(GapProfile.m_convex(3, m, 0.5, eps, 2.0), squeeze, (0.0,) * 3,
+            yield pytest.param(mconvex(m, eps), squeeze, (0.0,) * 3,
                                id=f"3d-m{m}-eps{eps:g}")
         for s in (0.05, 0.15):
-            yield pytest.param(GapProfile.flat_capped(3, 0.5, s, eps, 2.0), squeeze, (0.0,) * 3,
+            yield pytest.param(flat(s, eps), squeeze, (0.0,) * 3,
                                id=f"3d-flat{s}-eps{eps:g}")
         for m in (1.2, 2.0):
-            yield pytest.param(GapProfile.m_convex(2, m, 0.5, eps, 2.0), (0.4, -0.3), 0.25,
+            yield pytest.param(mconvex(m, eps, dimension=2), (0.4, -0.3), 0.25,
                                id=f"2d-m{m}-eps{eps:g}")
         # general motion: the rotation sub-flow k = 6, closed-form at m = 2,
         # a Gauss rule otherwise
         for m in (2.0, 2.5, 4.0, 8.0):
-            yield pytest.param(GapProfile.m_convex(3, m, 0.5, eps, 2.0), (0.3, -0.2, -0.5),
+            yield pytest.param(mconvex(m, eps), (0.3, -0.2, -0.5),
                                (0.15, 0.2, 0.1), id=f"3d-m{m}-general-eps{eps:g}")
         for s in (0.05, 0.15):
-            yield pytest.param(GapProfile.flat_capped(3, 0.5, s, eps, 2.0), (0.3, -0.2, -0.5),
+            yield pytest.param(flat(s, eps), (0.3, -0.2, -0.5),
                                (0.15, 0.2, 0.1), id=f"3d-flat{s}-general-eps{eps:g}")
 
 
@@ -842,7 +838,7 @@ class TestFlatCapBounds:
     @pytest.mark.parametrize("s", [0.05, 0.15])
     @pytest.mark.parametrize("eps", [1e-8, 1e-9])
     def test_default_within_bound(self, d, s, eps):
-        prof = GapProfile.flat_capped(d, 0.5, s, eps, 2.0)
+        prof = flat(s, eps, dimension=d)
         U, omega = ((0.3, -0.2, -0.5), (0.15, 0.2, 0.1)) if d == 3 else ((0.4, -0.3), 0.25)
         params = ProblemParams(profile=prof, U=U, omega=omega)
         got, ref = total_numeric(params), total_numeric(params, rel_tol=1e-13)
