@@ -19,6 +19,7 @@ arrays and are pure functions of their arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -114,14 +115,21 @@ class GapProfile:
 
         Panels that halve toward the layer the integrands fall from
         (:func:`~lubgap.quadrature.halving_splits`).  m-convex: ``delta 2^j
-        < r``, from the layer of width ``delta`` at the axis.  Flat caps:
-        the rim ``s``, then ``s + delta 2^j < r``: the gap doubles over the
-        width ``delta`` beyond the rim (``h = eps`` on the cap).  In 2D,
-        whose radial coordinate is the signed ``x1``, also ``0`` and the
-        mirrors.  The dual check reads only ``delta`` of the m-convex points.
+        < r``, from the layer of width ``delta`` at the axis.  For ``m < 2``
+        (2D only) the curvature ``m (m - 1) |x1|^(m - 2)`` is unbounded at
+        the axis, so the halving goes on into it, from ``w0 = delta
+        2^-J``, ``J = ceil(52 / m)``: there ``w0^m <= 2^-52 eps``, the gap
+        is ``eps`` to roundoff, and the points ``delta 2^j`` stay among the
+        splits.  Flat caps: the rim ``s``, then ``s + delta 2^j < r``: the
+        gap doubles over the width ``delta`` beyond the rim (``h = eps`` on
+        the cap).  In 2D, whose radial coordinate is the signed ``x1``,
+        also ``0`` and the mirrors.  The dual check reads only ``delta``, the
+        first m-convex point in 3D.
         """
         delta = self.boundary_layer_scale()
         if self.kind == "m-convex":
+            if self.m < 2.0:
+                delta *= 2.0 ** -math.ceil(52.0 / self.m)
             pts = list(halving_splits(0.0, delta, self.r))
         else:
             pts = [self.s, *halving_splits(self.s, delta, self.r)]

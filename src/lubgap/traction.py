@@ -19,15 +19,17 @@ sub-flow in a single adaptive pass (:func:`lubgap.quadrature.integrate_vector`)
 radially over ring integrals (:func:`lubgap.quadrature.ring_integrals`),
 from the panels between :meth:`~lubgap.geometry.GapProfile.radial_splits`,
 which halve toward the boundary layer and whose totals fix the absolute
-tolerance.  Each refinement round reduces the rings of all its radial
-nodes in one call: those of every initial panel, then of the halves of
-every panel the round bisects.  A
-ring is its directions plus an angular rule whose embedded rule bounds the
-angular error: in 2D the one node ``x1 = t`` over ``[-r, r]``; in 3D the
-8-point trapezoid, exact with its embedded rule for the translation/spin
-moments, which are trigonometric polynomials of degree at most 2 in the
-angle (``x'``, ``J x'`` and radial functions build the fields; the normal
-and the lever arm add one degree each).  The rotation sub-flow splits its
+tolerance; at ``m < 2`` (2D) they go on halving into the axis, where the
+curvature is unbounded, down to where the gap is ``eps`` to roundoff.
+Each refinement round reduces the rings of all its radial nodes in one
+call: those of every initial panel, then of the halves of every panel
+the round bisects.  A ring is its directions plus an angular rule whose
+embedded rule bounds the angular error: in 2D the one node ``x1 = t``
+over ``[-r, r]``; in 3D the 8-point trapezoid, exact with its embedded
+rule for the translation/spin moments, which are trigonometric
+polynomials of degree at most 2 in the angle (``x'``, ``J x'`` and radial
+functions build the fields; the normal and the lever arm add one degree
+each).  The rotation sub-flow splits its
 pressure: its moments without the running-integral term ``G``, of degree
 at most 4, run on the exact 10-point trapezoid.  ``G`` varies over an
 angular width ``delta/t`` near the cardinal angles, but its moments need no
@@ -208,7 +210,8 @@ def force_numeric(
     """Force and torque of sub-flow ``k`` on the top particle.
 
     Integrates the traction moments over the top gap boundary radially,
-    from panels that halve toward the boundary layer, split at
+    from panels that halve toward the boundary layer (at ``m < 2`` on into
+    the axis singularity of the curvature), split at
     :meth:`GapProfile.radial_splits` for every sub-flow, over ring
     integrals: in 3D the exact 8-point trapezoid ring; in 2D the one-node
     ring ``x1 = t`` over ``[-r, r]``.  The rotation ``k = 6`` takes the

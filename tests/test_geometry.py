@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lubgap.config import MIN_SUBDIVISIONS
 from lubgap.geometry import (
     FlatHypothesisError,
     GapProfile,
@@ -62,14 +63,33 @@ class TestRadialSplits:
             assert min(prof.radial_splits()) == s
 
     def test_2d_mirrored_with_zero(self):
-        delta = 1e-6 ** (1.0 / 1.2)
-        half = tuple(delta * 2.0**j for j in range(60) if delta * 2.0**j < 0.5)
+        # m = 1.2 < 2: the halving starts J = ceil(52 / 1.2) = 44 levels below delta
+        w0 = 1e-6 ** (1.0 / 1.2) * 2.0**-44
+        half = tuple(w0 * 2.0**j for j in range(120) if w0 * 2.0**j < 0.5)
         want = tuple(-p for p in reversed(half)) + (0.0,) + half
         assert mconvex(m=1.2, eps=1e-6, dimension=2).radial_splits() == want
+        delta = 1e-6**0.5
+        half = tuple(delta * 2.0**j for j in range(60) if delta * 2.0**j < 0.5)
+        want = tuple(-p for p in reversed(half)) + (0.0,) + half
+        assert mconvex(m=2.0, eps=1e-6, dimension=2).radial_splits() == want
         assert mconvex(eps=0.5, dimension=2).radial_splits() == (0.0,)
         half = flat(s=0.05, eps=1e-8).radial_splits()
         want = tuple(-p for p in reversed(half)) + (0.0,) + half
         assert flat(s=0.05, eps=1e-8, dimension=2).radial_splits() == want
+
+    @pytest.mark.parametrize("m", [1.01, 1.2, 1.5, 1.95])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
+    def test_2d_graded_to_axis(self, m, eps):
+        # m < 2: the curvature is unbounded at the axis, so the panels halve
+        # on from delta down to where the gap is eps to roundoff
+        prof = mconvex(m=m, eps=eps, dimension=2)
+        pts = prof.radial_splits()
+        delta = prof.boundary_layer_scale()
+        assert {delta * 2.0**j for j in range(60) if delta * 2.0**j < prof.r} <= set(pts)
+        w0 = min(p for p in pts if p > 0.0)
+        assert w0**m <= 2.0**-52 * eps
+        assert np.all(np.diff(pts) > 0.0)
+        assert len(pts) + 1 < MIN_SUBDIVISIONS
 
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_strictly_increasing_inside(self, dimension):

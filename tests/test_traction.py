@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lubgap import fields, traction
+from lubgap.config import MIN_SUBDIVISIONS
 from lubgap.dualcheck import ell
 from lubgap.fields import ProblemParams, subflow_indices
 from lubgap.geometry import GapProfile
@@ -770,10 +771,12 @@ class TestTotalNumeric:
 
 class TestRefinementSteps:
     def test_squeeze_grid_2d_calls(self, monkeypatch):
-        # m-convex radial passes start on panels halving from delta, and a
-        # refinement round bisects every panel the tolerance still needs in
-        # one call: the 2D m = 1.2, eps = 1e-8 solve makes 35 integrand calls
-        # (66 bisecting one panel per call, 249 with delta the only split)
+        # at m < 2 the radial passes start on panels halving from delta down
+        # to where the gap is eps to roundoff, and a refinement round bisects
+        # every panel the tolerance still needs in one call: the 2D m = 1.2,
+        # eps = 1e-8 solve makes one integrand call per sub-flow, 5 (35 with
+        # the halving stopped at delta, 66 bisecting one panel per call, 249
+        # with delta the only split)
         calls = []
 
         def counted(fvec, *args, **kwargs):
@@ -782,7 +785,37 @@ class TestRefinementSteps:
         monkeypatch.setattr(traction, "integrate_vector", counted)
         prof = mconvex(1.2, 1e-8, dimension=2)
         total_numeric(ProblemParams(profile=prof, U=(0.4, -0.3), omega=0.25), rel_tol=1e-8)
-        assert 0 < len(calls) <= 50
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("m", [1.1, 1.2, 1.5, 1.8, 1.95])
+    def test_2d_axis_grading(self, m, eps, rel_tol, monkeypatch):
+        # with panels graded into the axis singularity of m < 2, every total
+        # is honest against a rel_tol = 1e-13 solve and each sub-flow's pass
+        # makes at most two integrand calls
+        params = ProblemParams(profile=mconvex(m, eps, dimension=2), U=(0.4, -0.3), omega=0.25)
+        ref = total_numeric(params, rel_tol=1e-13)
+        passes = []
+
+        def counted(fvec, *args, **kwargs):
+            calls = []
+            passes.append(calls)
+            return integrate_vector(lambda x: calls.append(x.size) or fvec(x), *args, **kwargs)
+
+        monkeypatch.setattr(traction, "integrate_vector", counted)
+        got = total_numeric(params, rel_tol=rel_tol)
+        diff = np.abs(np.r_[got.F, got.T] - np.r_[ref.F, ref.T])
+        assert np.all(diff <= np.r_[got.F_err, got.T_err] + np.r_[ref.F_err, ref.T_err])
+        assert len(passes) == 5
+        assert all(0 < len(calls) <= 2 for calls in passes)
+
+    def test_2d_near_m1_within_min_budget(self):
+        # m = 1.01 at eps = 1e-12 starts on the most initial panels of the
+        # graded splits, 184, and still completes within the smallest budget
+        params = ProblemParams(profile=mconvex(1.01, 1e-12, dimension=2), U=(0.4, -0.3), omega=0.25)
+        res = total_numeric(params, max_subdivisions=MIN_SUBDIVISIONS)
+        assert np.all(np.r_[res.F_err, res.T_err] <= 1e-6 * np.max(np.abs(np.r_[res.F, res.T])))
 
     def test_dual_check_splits_unchanged(self):
         # the dual check's volume integrals split m-convex profiles at delta
