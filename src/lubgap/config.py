@@ -15,10 +15,10 @@ artifact.  Sections:
 ``[quadrature]`` (optional)
     ``rel_tol``, ``max_subdivisions`` of the numeric force route; the
     absolute tolerance is set from the initial panels of each integral,
-    not configured.  The library's own defaults apply, 1e-8 and 2000
-    (:mod:`lubgap.quadrature`); ``rel_tol`` below 1e-12 (the roundoff floor
-    of the force integrals) and ``max_subdivisions`` below 200 are
-    rejected, not raised silently.
+    not configured, and the budget counts the bisections past them.  The
+    library's own defaults apply, 1e-8 and 2000 (:mod:`lubgap.quadrature`);
+    ``rel_tol`` below 1e-12 (the roundoff floor of the force integrals)
+    and ``max_subdivisions`` below 200 are rejected, not raised silently.
 ``[sweep]`` (optional)
     ``eps_from``, ``eps_to``, ``points`` -- a log-spaced epsilon grid.
 ``[output]`` (optional)

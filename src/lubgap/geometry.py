@@ -19,13 +19,12 @@ arrays and are pure functions of their arguments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .quadrature import halving_splits
+from .quadrature import layer_splits
 
 __all__ = ["GapProfile", "SurfacePoint", "surface_sample", "FlatHypothesisError"]
 
@@ -111,28 +110,18 @@ class GapProfile:
         return self.eps ** (1.0 / self.m)
 
     def radial_splits(self) -> tuple[float, ...]:
-        """The radial split points of every gap integral, increasing.
-
-        Panels that halve toward the layer the integrands fall from
-        (:func:`~lubgap.quadrature.halving_splits`).  m-convex: ``delta 2^j
-        < r``, from the layer of width ``delta`` at the axis.  For ``m < 2``
-        (2D only) the curvature ``m (m - 1) |x1|^(m - 2)`` is unbounded at
-        the axis, so the halving goes on into it, from ``w0 = delta
-        2^-J``, ``J = ceil(52 / m)``: there ``w0^m <= 2^-52 eps``, the gap
-        is ``eps`` to roundoff, and the points ``delta 2^j`` stay among the
-        splits.  Flat caps: the rim ``s``, then ``s + delta 2^j < r``: the
-        gap doubles over the width ``delta`` beyond the rim (``h = eps`` on
-        the cap).  In 2D, whose radial coordinate is the signed ``x1``,
-        also ``0`` and the mirrors.  The dual check reads only ``delta``, the
-        first m-convex point in 3D.
+        """The radial split points of every gap integral, increasing:
+        :func:`~lubgap.quadrature.layer_splits` from the axis on m-convex
+        profiles; on flat caps the rim ``s``, then the same from ``s`` at
+        ``m = 2``, as the gap doubles over ``delta`` beyond the rim (``h =
+        eps`` on the cap).  In 2D, whose radial coordinate is the signed
+        ``x1``, also ``0`` and the mirrors.  The dual check reads only
+        ``delta``, the first m-convex point in 3D.
         """
-        delta = self.boundary_layer_scale()
         if self.kind == "m-convex":
-            if self.m < 2.0:
-                delta *= 2.0 ** -math.ceil(52.0 / self.m)
-            pts = list(halving_splits(0.0, delta, self.r))
+            pts = list(layer_splits(self.m, self.eps, self.r))
         else:
-            pts = [self.s, *halving_splits(self.s, delta, self.r)]
+            pts = [self.s, *layer_splits(self.m, self.eps, self.r, start=self.s)]
         if self.dimension == 2:
             pts = [-p for p in reversed(pts)] + [0.0] + pts
         return tuple(pts)

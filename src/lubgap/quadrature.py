@@ -6,7 +6,7 @@
   schedule, its panels held as arrays in creation order.  A refinement
   round bisects, worst first, every panel the tolerance still needs, and
   evaluates and sums the panels it creates at once.
-  :func:`halving_splits` places split points halving toward a layer.
+  :func:`layer_splits` places the split points of every gap integral.
 * :class:`PanelRule` -- a fixed composite rule with an embedded
   lower-order rule, held as data: the nodes of each panel, the
   half-widths, and the node weights on ``[-1, 1]``.
@@ -22,6 +22,7 @@ All engines are stateless and re-entrant; caches are created per call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -36,7 +37,7 @@ __all__ = [
     "QuadratureError",
     "integrate_1d",
     "integrate_vector",
-    "halving_splits",
+    "layer_splits",
     "PanelRule",
     "trapezoid_ring",
     "TRAPEZOID_RING",
@@ -95,7 +96,8 @@ DEFAULT_MAX_SUBDIVISIONS = 2000
 class QuadSpec:
     """Tolerance and subdivision budget for the adaptive engines.
 
-    At least one of ``abs_tol``, ``rel_tol`` must be positive.
+    At least one of ``abs_tol``, ``rel_tol`` must be positive;
+    ``max_subdivisions`` caps the bisections past the initial panels.
     ``split_points`` are breakpoints, held sorted and without repeats;
     panels never straddle those strictly inside the integration interval.
     """
@@ -182,7 +184,7 @@ def integrate_vector(
     by summed checked error, worst first (ties in creation order), and
     bisects the shortest run of the worst whose removal lets the rest meet
     that test, a single one when it holds the excess error, but never more
-    than ``max_subdivisions`` panels allow.  ``fvec`` is called once per
+    than ``max_subdivisions`` bisections in all.  ``fvec`` is called once per
     round, on the 15 Kronrod nodes of each panel the round creates (first
     the initial panels, cut at the split points; then each parent's left
     half and right half), and they are summed in one numpy pass.
@@ -219,7 +221,7 @@ def integrate_vector(
     # the panels in creation order, first the initial ones, cut at the split points
     cuts = np.array([a] + [p for p in spec.split_points if a < p < b] + [b])
     lo, hi = cuts[:-1], cuts[1:]
-    parts, nevals = evaluate(lo, hi), _NODES.size * lo.size
+    parts, nevals, ninitial = evaluate(lo, hi), _NODES.size * lo.size, lo.size
     abs_tol = spec.abs_tol
     if initial_scale:
         scale = float(np.max(np.abs(parts.sum(axis=0)[0, :ncheck])))
@@ -230,7 +232,7 @@ def integrate_vector(
         target = np.maximum(abs_tol, spec.rel_tol * np.abs(values))
         floor = np.maximum(50.0 * _EPS * resabs, _TINY)
         met = lambda err: ((err <= target) | (err <= floor))[..., :ncheck].all(-1)
-        done, room = met(errors), spec.max_subdivisions - lo.size
+        done, room = met(errors), spec.max_subdivisions + ninitial - lo.size
         if done or room <= 0:
             break
         # a round: bisect, worst first, the fewest panels (at most room) whose
@@ -273,10 +275,18 @@ def integrate_1d(
     return QuadResult(float(values[0]), float(errors[0]), nevals)
 
 
-def halving_splits(start: float, width: float, stop: float) -> tuple[float, ...]:
-    """Split points ``start + width 2^j < stop``, ``j = 0, 1, ..``: panels that
-    halve toward ``start``, so that an integrand decaying from a layer of
-    width ``width`` at ``start`` starts on panels of its own scale."""
+def layer_splits(m: float, eps: float, stop: float, start: float = 0.0) -> tuple[float, ...]:
+    """Split points ``start + w 2^j < stop``, ``j = 0, 1, ..``, halving toward
+    a layer of width ``delta = eps^(1/m)`` at ``start``.  ``w = delta`` for
+    ``m >= 2``.  For ``m < 2`` the curvature ``m (m - 1) t^(m - 2)`` is
+    unbounded at the axis, so ``w = delta 2^-ceil(52 / m)``: then ``w^m <=
+    2^-52 eps``, the gap is ``eps`` to roundoff, and every ``delta 2^j`` is
+    still a split.  A ``w`` that underflows to 0 raises :class:`ValueError`."""
+    width = eps ** (1.0 / m)
+    if m < 2.0:
+        width *= 2.0 ** -math.ceil(52.0 / m)
+    if not width > 0.0:
+        raise ValueError(f"the first split width underflows to 0 at m = {m}, eps = {eps}")
     pts, step = [], width
     while start + step < stop:
         pts.append(start + step)

@@ -12,9 +12,9 @@ hydrodynamic force as the gap width ``eps`` closes:
     psi(i, j, s, r, eps) = int_0^r (t + s)^j / (eps + t^2)^i dt
 
 Both families are one layer integral: adaptive Gauss-Kronrod over
-``[0, r]``, split where panels double in width from the layer scale
-(``eps^(1/m)``, ``sqrt(eps)`` for ``psi``) outward
-(:func:`lubgap.quadrature.halving_splits`).
+``[0, r]``, split where the force route's gap integrals split
+(:func:`lubgap.quadrature.layer_splits`, from the layer scale
+``eps^(1/m)``, ``sqrt(eps)`` for ``psi``).
 
 The tails of the ``phi`` kernel are incomplete Beta functions.  With
 ``w = rho^m / eps``, ``a = (j+1)/m`` and ``b = i - a > 0``,
@@ -57,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import QuadSpec, QuadratureError, halving_splits, integrate_1d
+from .quadrature import QuadSpec, QuadratureError, integrate_1d, layer_splits
 
 __all__ = [
     "gamma",
@@ -217,16 +217,14 @@ _PHI_TOL = 1e-10
 
 def _layer_integral(f, m: float, r: float, eps: float, label: str) -> float:
     """``int_0^r f(t) dt`` for an integrand that varies on the layer scale
-    ``delta = eps^(1/m)``: one adaptive pass split at ``halving_splits(0,
-    delta, r)``, so each panel beyond the layer is as wide as its distance
-    from the axis.  Relative error 1e-10, else :class:`ToleranceNotMet`."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    ``delta = eps^(1/m)``: one adaptive pass split at ``layer_splits(m, eps,
+    r)``, so each panel beyond the layer is as wide as its distance from the
+    axis.  Relative error 1e-10, else :class:`ToleranceNotMet`."""
+    if eps <= 0.0 or m <= 0.0:
+        raise ValueError(f"eps and m must be positive, got eps = {eps}, m = {m}")
     if r < 0.0:
         raise ValueError("r must be nonnegative")
-    if r == 0.0:
-        return 0.0
-    splits = halving_splits(0.0, eps ** (1.0 / m), r)
+    splits = layer_splits(m, eps, r)
     try:
         res = integrate_1d(f, 0.0, r, QuadSpec(rel_tol=1e-13, max_subdivisions=400, split_points=splits))
     except QuadratureError as exc:
@@ -242,8 +240,8 @@ def phi(i: float, j: float, m: float, r: float, eps: float) -> float:
     """Blow-up integral ``int_0^r t^j / (eps + t^m)^i dt``.
 
     The integrand varies on the boundary-layer scale ``delta = eps^(1/m)``;
-    one adaptive pass splits at ``delta, 2 delta, 4 delta, .. < r``.
-    Relative error 1e-10.
+    one adaptive pass splits at ``layer_splits(m, eps, r)``.  Relative
+    error 1e-10.
     """
     f = lambda t: t**j / (eps + t**m) ** i
     return _layer_integral(f, m, r, eps, f"phi({i},{j},{m},{r},{eps})")

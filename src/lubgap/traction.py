@@ -20,7 +20,8 @@ radially over ring integrals (:func:`lubgap.quadrature.ring_integrals`),
 from the panels between :meth:`~lubgap.geometry.GapProfile.radial_splits`,
 which halve toward the boundary layer and whose totals fix the absolute
 tolerance; at ``m < 2`` (2D) they go on halving into the axis, where the
-curvature is unbounded, down to where the gap is ``eps`` to roundoff.
+curvature is unbounded, down to where the gap is ``eps`` to roundoff
+(:func:`lubgap.quadrature.layer_splits`); the budget counts bisections past them.
 Each refinement round reduces the rings of all its radial nodes in one
 call: those of every initial panel, then of the halves of every panel
 the round bisects.  A ring is its directions plus an angular rule whose

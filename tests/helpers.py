@@ -142,7 +142,8 @@ def serial_integrate_vector(fvec, a, b, spec, ncomp=None, ncheck=None, initial_s
     evaluated.  The totals are summed over the panels in creation order, as
     the driver sums them.  A round bisects panels, worst first, until the
     panels left would meet the stop test; with ``rounds=False`` it bisects
-    the worst panel alone, one panel per step.  ``initial_scale`` takes two
+    the worst panel alone, one panel per step.  The budget caps the
+    bisections past the initial panels.  ``initial_scale`` takes two
     passes: a probe that stops on the initial panels, whose checked totals
     set the absolute tolerance ``rel_tol * max(|totals|)`` of the second."""
     if a > b:
@@ -169,6 +170,8 @@ def serial_integrate_vector(fvec, a, b, spec, ncomp=None, ncheck=None, initial_s
     cuts = [a] + [p for p in spec.split_points if a < p < b] + [b]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         push(lo, hi)
+    # each bisection adds one panel: the panel count the budget allows
+    budget = spec.max_subdivisions + len(heap)
     while True:
         values, errors, resabs = np.sum(list(alive.values()), axis=0)
         target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))
@@ -178,10 +181,10 @@ def serial_integrate_vector(fvec, a, b, spec, ncomp=None, ncheck=None, initial_s
             return np.all(((err <= target) | (err <= floor))[:ncheck])
 
         done = met(errors)
-        if done or len(heap) >= spec.max_subdivisions:
+        if done or len(heap) >= budget:
             break
         popped, removed = [], 0.0
-        while heap and len(heap) + 2 * len(popped) < spec.max_subdivisions and not met(errors - removed):
+        while heap and len(heap) + 2 * len(popped) < budget and not met(errors - removed):
             _, key, lo, hi = heapq.heappop(heap)
             removed = removed + alive.pop(key)[1]
             popped.append((lo, hi))

@@ -128,6 +128,18 @@ class TestPhi:
         value = float(out.strip().split("=")[-1])
         assert value == pytest.approx(0.5 * math.log(1.0 + 1e4), rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "m, eps, message",
+        [("0", "1e-4", "m must be positive"), ("-2", "1e-4", "m must be positive"),
+         # eps^(1/m) rounds to 0, from which the layer's halving never ends
+         ("0.9", "1e-300", "underflows")],
+    )
+    def test_bad_layer_exits_1(self, m, eps, message, capsys):
+        argv = ["phi", "--i", "1", "--j", "1", "--m", m, "--r", "1", "--eps", eps]
+        assert main(argv) == EXIT_CONFIG == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_psi_variant(self, capsys):
         code = main(
             [

@@ -13,6 +13,7 @@ from lubgap.geometry import (
     GapProfile,
     surface_sample,
 )
+from lubgap.quadrature import layer_splits
 
 from helpers import flat, mconvex
 
@@ -100,6 +101,27 @@ class TestRadialSplits:
             pts = np.array(prof.radial_splits())
             assert np.all(np.diff(pts) > 0.0), prof
             assert np.all(np.abs(pts) < prof.r), prof
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_layer_splits_own_the_grading(self, dimension):
+        # the positive half is layer_splits' own: from the axis on m-convex
+        # profiles; on flat caps the rim, then from the rim at m = 2
+        positive = lambda prof: tuple(p for p in prof.radial_splits() if p > 0.0)
+        ms = (1.01, 1.2, 1.5, 2.0, 4.0) if dimension == 2 else (2.0, 2.5, 4.0, 8.0)
+        for m in ms:
+            for eps in (1e-2, 1e-8, 1e-15):
+                prof = mconvex(m=m, eps=eps, dimension=dimension)
+                assert positive(prof) == layer_splits(m, eps, prof.r), prof
+        for s in (0.05, 0.15):
+            for eps in (1e-2, 1e-9):
+                prof = flat(s=s, eps=eps, dimension=dimension)
+                assert positive(prof) == (s, *layer_splits(2.0, eps, prof.r, start=s)), prof
+
+    def test_underflowing_start_raises(self):
+        # m = 1.0001 at eps = 1e-320: delta 2^-52 underflows to 0, from
+        # which the halving would never reach r
+        with pytest.raises(ValueError, match="underflows"):
+            mconvex(m=1.0001, eps=1e-320, dimension=2).radial_splits()
 
 
 class TestGap:

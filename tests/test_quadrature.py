@@ -13,9 +13,9 @@ from lubgap.quadrature import (
     QuadResult,
     QuadSpec,
     _gauss_legendre,
-    halving_splits,
     integrate_1d,
     integrate_vector,
+    layer_splits,
     trapezoid_ring,
 )
 
@@ -123,13 +123,17 @@ def _scaled_layers(t):
     )
 
 
+def _two_peaks(t):
+    return 1.0 / (1e-4 + (t - 0.25) ** 2) + 1.0 / (1e-4 + (t - 0.75) ** 2)
+
+
 _DRIVER_CASES = {
     "polynomial": (lambda t: 1.0 + 3.0 * t - 2.0 * t**5 + t**29, -1.0, 2.0, QuadSpec(rel_tol=1e-12), {}),
     "layer": (
         lambda t: 1.0 / (_EPS_LAYER + t * t) ** 1.5,
         0.0,
         1.0,
-        QuadSpec(rel_tol=1e-10, split_points=halving_splits(0.0, math.sqrt(_EPS_LAYER), 1.0)),
+        QuadSpec(rel_tol=1e-10, split_points=layer_splits(2.0, _EPS_LAYER, 1.0)),
         {},
     ),
     # 12 components, the first 6 driving refinement
@@ -170,10 +174,14 @@ _DRIVER_CASES = {
     # the two peaks of test_round_bisects_every_peak: the second round wants
     # both halves of [0, 1] but the budget has room for one
     "budget-cuts-round": (
-        lambda t: 1.0 / (1e-4 + (t - 0.25) ** 2) + 1.0 / (1e-4 + (t - 0.75) ** 2),
+        _two_peaks, 0.0, 1.0, QuadSpec(rel_tol=1e-10, max_subdivisions=2), {}
+    ),
+    # more initial panels than the budget: it counts the bisections past them
+    "budget-past-splits": (
+        _two_peaks,
         0.0,
         1.0,
-        QuadSpec(rel_tol=1e-10, max_subdivisions=3),
+        QuadSpec(rel_tol=1e-10, max_subdivisions=4, split_points=(0.1, 0.4, 0.5, 0.6, 0.9)),
         {},
     ),
 }
@@ -218,12 +226,15 @@ class TestIntegrateVector:
         assert sizes[0] == 15 * ninitial
         assert all(n > 0 and n % 30 == 0 for n in sizes[1:])
         assert sum(sizes) == evaluations
+        if case.startswith("budget-"):
+            # the budget's every bisection was spent, past the initial panels
+            assert evaluations == 15 * (ninitial + 2 * spec.max_subdivisions)
 
     def test_round_bisects_every_peak(self):
         # two equal peaks: the round after the first bisects both halves in
         # one call, and the rounds take no more evaluations than bisecting
         # one panel per step
-        f = lambda t: 1.0 / (1e-4 + (t - 0.25) ** 2) + 1.0 / (1e-4 + (t - 0.75) ** 2)
+        f = _two_peaks
         spec = QuadSpec(rel_tol=1e-10)
         sizes = []
         values, _, nevals = integrate_vector(lambda x: sizes.append(x.size) or f(x), 0.0, 1.0, spec)

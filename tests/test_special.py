@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lubgap import special
+from lubgap.quadrature import layer_splits
 from lubgap.special import (
     AsymptoticExpansion,
     AsymptoticTerm,
@@ -67,6 +69,13 @@ PHI_ORACLE = (
     (1.5, 2.0, 3.0, 0.8, 0.0001, 65.73506264855484),
     (3, 4, 2, 0.5, 1e-06, 587.0486305480479),
     (2, 2, 4, 1.0, 0.001, 1561.3106464351677),
+    # m < 2: breakpoints delta 10^k, not the splits under test
+    (1, 0, 1.2, 0.5, 1e-06, 46.61638766985367),
+    (2, 1, 1.2, 0.5, 1e-06, 198.23449670504246),
+    (3, 2, 1.2, 0.5, 1e-06, 979.2215157729465),
+    (1, 0, 1.5, 0.5, 1e-06, 239.01149010647964),
+    (2, 1, 1.5, 0.5, 1e-06, 8059.330512233107),
+    (3, 2, 1.5, 0.5, 1e-06, 333331.44772325014),
 )
 
 # (i, j, s, r, eps, integral) from mpmath.quad, 50 digits
@@ -144,10 +153,38 @@ class TestGammaCoeff:
         assert gamma_coeff(i, j, m) > 0.0
 
 
+@pytest.fixture
+def layer_spy(monkeypatch):
+    """The split points and the integrand call sizes of each layer integral."""
+    splits, calls = [], []
+    real = special.integrate_1d
+
+    def spy(f, a, b, spec):
+        splits.append(spec.split_points)
+        return real(lambda t: calls.append(t.size) or f(t), a, b, spec)
+
+    monkeypatch.setattr(special, "integrate_1d", spy)
+    return splits, calls
+
+
 class TestPhi:
     @pytest.mark.parametrize("i,j,m,r,eps,expected", PHI_ORACLE)
     def test_oracle(self, i, j, m, r, eps, expected):
         assert phi(i, j, m, r, eps) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("i,j,m,r,eps,expected", [row for row in PHI_ORACLE if row[2] < 2.0])
+    def test_graded_layer(self, i, j, m, r, eps, expected, layer_spy):
+        # m < 2 starts on panels graded into the axis, as the force route's
+        # radial passes do: at most 3 integrand calls, split where
+        # layer_splits places the points
+        splits, calls = layer_spy
+        assert phi(i, j, m, r, eps) == pytest.approx(expected, rel=1e-10)
+        assert len(calls) <= 3
+        assert splits == [layer_splits(m, eps, r)]
+
+    def test_psi_splits(self, layer_spy):
+        psi(2, 1, 0.2, 0.5, 1e-4)
+        assert layer_spy[0] == [layer_splits(2.0, 1e-4, 0.5)]
 
     def test_closed_form_m2_log(self):
         # int_0^r t/(eps+t^2) dt = (1/2) ln(1 + r^2/eps)

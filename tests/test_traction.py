@@ -811,11 +811,13 @@ class TestRefinementSteps:
         assert all(0 < len(calls) <= 2 for calls in passes)
 
     def test_2d_near_m1_within_min_budget(self):
-        # m = 1.01 at eps = 1e-12 starts on the most initial panels of the
-        # graded splits, 184, and still completes within the smallest budget
-        params = ProblemParams(profile=mconvex(1.01, 1e-12, dimension=2), U=(0.4, -0.3), omega=0.25)
-        res = total_numeric(params, max_subdivisions=MIN_SUBDIVISIONS)
-        assert np.all(np.r_[res.F_err, res.T_err] <= 1e-6 * np.max(np.abs(np.r_[res.F, res.T])))
+        # m = 1.01 starts on the most initial panels of the graded splits,
+        # 184 at eps = 1e-12 and 204 at 1e-15, and still completes within
+        # the smallest budget, which counts the bisections past them
+        for eps in (1e-12, 1e-15):
+            params = ProblemParams(profile=mconvex(1.01, eps, dimension=2), U=(0.4, -0.3), omega=0.25)
+            res = total_numeric(params, rel_tol=1e-12, max_subdivisions=MIN_SUBDIVISIONS)
+            assert np.all(np.r_[res.F_err, res.T_err] <= 1e-6 * np.max(np.abs(np.r_[res.F, res.T])))
 
     def test_dual_check_splits_unchanged(self):
         # the dual check's volume integrals split m-convex profiles at delta
