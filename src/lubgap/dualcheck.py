@@ -20,26 +20,28 @@ This module evaluates that machinery numerically at desk scale:
 The check computes only the numbers it reports.  For the squeeze and
 rotation sub-flows ``S`` is ``2 mu D(u)`` off the diagonal and
 ``2 mu D(u) - p + q_a`` on it, and ``div u = 0``, so their discrepancy is
-the diagonal ``-(q_a - qbar) / (2 mu)``: their ``ell`` reads the
-corrections alone and evaluates no field at the volume points.  The cross pairs of a translation
-shear with a squeeze or rotation vanish because their integrand is odd
-under ``x3 -> -x3``, and the pair of the two shears because its integrand
-is odd under ``x1 -> -x1``; :func:`err_sweep` records these five as exact
-zeros without integrating them (:func:`ell` still integrates any pair).
+the diagonal ``-(q_a - qbar) / (2 mu)``, a polynomial in ``x3^2`` per planar
+point: their ``ell`` reads the corrections alone, evaluates no field, and
+integrates across the gap by the exact moments of ``x3``; pairs with a
+translation shear take a 5-point Gauss rule.  A shear against a squeeze or
+rotation is odd under ``x3 -> -x3`` and the two shears' product under
+``x1 -> -x1``; :func:`err_sweep` records these five pairs as exact zeros
+without integrating them (:func:`ell` still integrates any pair).
 
 Every construction coefficient is ``c x1^p / h^n`` or its ``x2`` mirror,
 and its planar derivatives are exact; they come from the coefficient engine
-of the fields, :func:`lubgap.fields._coefficient_derivs`, which adds the
-third-order ``d_a lap`` terms the diagonal corrections need.  A dual
-tensor reads the field's own gradient and pressure from one field call.
-The inner integrals defining ``q_1`` and ``q_2`` are exact: the squeeze's are
-closed-form (one vanishes identically, the other is a difference of ``B3``
-values), the rotation's are differences of coefficient derivatives plus
-``d22`` of the running integrals ``Q_1`` and ``Q_3``
+of the fields, :func:`lubgap.fields._coefficient_derivs`, asked only for the
+entries read: ``d_a lap`` for ``q_3``, ``d_a`` for the rotation's
+potentials.  A dual tensor reads the field's own gradient and pressure from
+one field call.  The inner integrals defining ``q_1`` and ``q_2`` are exact:
+the squeeze's are closed-form (one vanishes identically, the other is a
+difference of ``B3`` values), the rotation's are differences of coefficient
+derivatives plus ``d22`` of the running integrals ``Q_1`` and ``Q_3``
 (:func:`lubgap.fields._running_integral`).  Whatever depends on ``x'``
-alone is computed once per planar point of the volume quadrature and shared
-by its vertical Gauss nodes; the rings of planar points are reduced by the
-shared :func:`lubgap.quadrature.ring_integrals`.  :func:`err_sweep` is serial.
+alone is computed once per planar point; the rings of planar points are
+reduced by :func:`lubgap.quadrature.ring_integrals`: the exact 8-point ring
+for the two shears (trigonometric polynomials of degree <= 4 in the angle),
+the 64-point one otherwise.  :func:`err_sweep` is serial.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .fields import (
     subflow_indices,
     subflow_scale,
 )
-from .quadrature import TRAPEZOID_RING, QuadSpec, _gauss_legendre, integrate_1d, ring_integrals
+from .quadrature import SHORT_RING, TRAPEZOID_RING, QuadSpec, _gauss_legendre, integrate_1d, ring_integrals
 
 __all__ = ["EllReport", "dual_tensor", "ell", "err_sweep"]
 
@@ -112,8 +114,9 @@ def _rotation_potentials(profile, c, x1, x2):
     b = 0.25 * profile.r
     n = len(x1)
     lines = np.concatenate([x2, x2])
-    A1, A2, B1, B2 = _coefficient_derivs(
-        profile, 2, c, np.concatenate([x1, np.full_like(x1, -b)]), lines
+    # each coefficient's first derivative along its own axis
+    _, (d2A2,), (d1B1,), (d2B2,) = _coefficient_derivs(
+        profile, 2, c, np.concatenate([x1, np.full_like(x1, -b)]), lines, entries=(1,)
     )
     ends = np.concatenate([x1, np.full_like(x1, b)])
 
@@ -124,8 +127,8 @@ def _rotation_potentials(profile, c, x1, x2):
         f = _running_integral(profile, j, ends, lines, second=True)
         return f[:n] + f[n:]
 
-    QA = -jump(A2[2]) - 0.75 * c[0] * d22(1)
-    QB = 2.0 * jump(B1[1]) + jump(B2[2]) + c[0] * d22(3)
+    QA = -jump(d2A2) - 0.75 * c[0] * d22(1)
+    QB = 2.0 * jump(d1B1) + jump(d2B2) + c[0] * d22(3)
     return QA, QB
 
 
@@ -134,30 +137,33 @@ def _rotation_potentials(profile, c, x1, x2):
 # ---------------------------------------------------------------------------
 
 
-def _corrections(k, params, x1, x2, x3):
-    """Diagonal corrections ``(q1, q2, q3)`` of squeeze-type sub-flow ``k``; (n, g) each.
-
-    The points are given as for :func:`_dual_tensor_many`.  One engine call
-    per planar point gives the third-order ``d_a lap`` terms of ``q3``;
-    ``q_2`` reads the potentials of ``q_1`` at swapped coordinates
-    ``(x2, x1)`` and amplitudes.
-    """
+def _correction_terms(k, params, x1, x2):
+    """Planar parts ``(QA1, QB1, QA2, QB2, lapA3, lapB3)`` of the diagonal
+    corrections of squeeze-type sub-flow ``k``: ``q_a = mu (QA_a + 3 x3^2 QB_a)``
+    (a = 1, 2) and ``q_3 = -mu (lapA3 x3^2 / 2 + lapB3 x3^4 / 4)``, ``lapA3 =
+    sum_a d_a lap A_a``; ``q_2`` reads the potentials of ``q_1`` at swapped
+    ``(x2, x1)`` and amplitudes."""
     prof = params.profile
-    mu = params.mu
     power, c = _squeeze_type(k, params)
-    A1, A2, B1, B2 = _coefficient_derivs(prof, power, c, x1, x2, third=True)
+    (lA1,), (lA2,), (lB1,), (lB2,) = _coefficient_derivs(prof, power, c, x1, x2, entries=(6,))
     if k == 3:
         QA1 = QA2 = 0.0
         QB1, QB2 = _squeeze_qb(prof, c[0], x1, x2), _squeeze_qb(prof, c[1], x2, x1)
     else:
         QA1, QB1 = _rotation_potentials(prof, c, x1, x2)
         QA2, QB2 = _rotation_potentials(prof, c[::-1], x2, x1)
-    lapA3, lapB3 = A1[6] + A2[6], B1[6] + B2[6]
-    x3sq = x3 * x3
-    q1 = mu * (QA1 + 3.0 * x3sq * QB1)
-    q2 = mu * (QA2 + 3.0 * x3sq * QB2)
-    q3 = -mu * (0.5 * lapA3 * x3sq + 0.25 * lapB3 * x3sq * x3sq)
-    return q1, q2, q3
+    return QA1, QB1, QA2, QB2, lA1 + lA2, lB1 + lB2
+
+
+def _diagonal(k, params, x1, x2):
+    """The discrepancy ``d_a = -(q_a - qbar) / (2 mu)`` of squeeze-type sub-flow
+    ``k`` as ``D[a, 0] + D[a, 1] x3^2 + D[a, 2] x3^4``; ``D`` is (3, 3) + x1.shape."""
+    QA1, QB1, QA2, QB2, lapA3, lapB3 = _correction_terms(k, params, x1, x2)
+    q = np.zeros((3, 3) + lapA3.shape)
+    q[0, 0], q[0, 1] = QA1, 3.0 * QB1
+    q[1, 0], q[1, 1] = QA2, 3.0 * QB2
+    q[2, 1], q[2, 2] = -0.5 * lapA3, -0.25 * lapB3
+    return 0.5 * (q.mean(axis=0) - q)
 
 
 def _dual_tensor_many(k, params, x1, x2, x3):
@@ -188,7 +194,12 @@ def _dual_tensor_many(k, params, x1, x2, x3):
     for a in range(3):
         for b in range(a + 1, 3):
             S[a, b] = S[b, a] = mu * (grad[a, b] + grad[b, a])
-    for a, q in enumerate(_corrections(k, params, x1, x2, x3)):
+    QA1, QB1, QA2, QB2, lapA3, lapB3 = _correction_terms(k, params, x1, x2)
+    x3sq = x3 * x3
+    q1 = mu * (QA1 + 3.0 * x3sq * QB1)
+    q2 = mu * (QA2 + 3.0 * x3sq * QB2)
+    q3 = -mu * (0.5 * lapA3 * x3sq + 0.25 * lapB3 * x3sq * x3sq)
+    for a, q in enumerate((q1, q2, q3)):
         S[a, a] = 2.0 * mu * grad[a, a] - p + q
     return np.multiply(S, inside, out=S), grad
 
@@ -207,36 +218,25 @@ def dual_tensor(k: int, params: ProblemParams, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# volume quadrature over the gap (polar x Gauss tensor product)
+# volume quadrature over the gap (polar rings of vertical integrals)
 # ---------------------------------------------------------------------------
 
 
-def _volume_integrate(pointfun, params, rmax, spec):
-    """Integrate ``pointfun(x1, x2, x3)`` over ``{|x'| < rmax, |x3| < h/2}``.
-
-    Radial direction adaptive (Gauss-Kronrod, split inside ``rmax`` at
-    :meth:`GapProfile.radial_splits`, of which m-convex profiles take only
-    ``delta``), the 64-point
-    trapezoid ring reduced by :func:`lubgap.quadrature.ring_integrals`
-    (full rule only), 5-point Gauss rule vertically across the local gap.  ``pointfun`` receives the
-    planar points, shape (n, 1), and the Gauss heights over each, shape
-    (n, 5), and returns the values there, shape (n, 5).
-    """
+def _volume_integrate(column, params, rmax, spec, ring=TRAPEZOID_RING):
+    """Integrate over ``{|x'| < rmax, |x3| < h/2}`` from the vertical integrals
+    ``column(x1, x2, h/2)`` at planar points, shape (n,): radially adaptive
+    (Gauss-Kronrod, split inside ``rmax`` at :meth:`GapProfile.radial_splits`,
+    of which m-convex profiles take only ``delta``), angularly by the
+    trapezoid ``ring`` (:func:`lubgap.quadrature.ring_integrals`, full rule)."""
     prof = params.profile
-    gx, gw = _gauss_legendre(_NGAUSS)
-
-    def column(_t, xprime):
-        x1, x2 = (x[:, None] for x in xprime)
-        half = 0.5 * prof.h(x1, x2)
-        return (pointfun(x1, x2, half * gx) * gw).sum(axis=1) * half[:, 0]
-
+    planar = lambda _t, xprime: column(*xprime, 0.5 * prof.h(*xprime))
     # m-convex: delta alone; on the r/4 core at 1e-7 a graded start costs more than it saves
     splits = prof.radial_splits()[: 1 if prof.kind == "m-convex" else None]
     spec = spec.with_splits([p for p in splits if p < rmax])
     # two panels' radii at a time, as one bisection takes them: a round's rings
-    # would otherwise hold (3, 3, n, 5) arrays for all its panels at once
-    ring = lambda ts: ring_integrals(column, TRAPEZOID_RING, ts)[0]
-    radial = lambda ts: np.concatenate([ring(ts[i:i + 30]) for i in range(0, ts.size, 30)])
+    # would otherwise hold the arrays of all its panels at once
+    rings = lambda ts: ring_integrals(planar, ring, ts)[0]
+    radial = lambda ts: np.concatenate([rings(ts[i:i + 30]) for i in range(0, ts.size, 30)])
     return integrate_1d(radial, 0.0, rmax, spec)
 
 
@@ -244,18 +244,23 @@ def _volume_integrate(pointfun, params, rmax, spec):
 # the error bilinear form
 # ---------------------------------------------------------------------------
 
+# int_{|x3| < h/2} x3^(2k) = 2 (h/2)^(2k + 1) / (2k + 1) at k = p + q of the diagonal products
+_ODD = np.arange(1.0, 10.0, 2.0)[:, None]
+_PQ = np.add.outer(np.arange(3), np.arange(3))
+
 
 def _discrepancy_many(k, params, x1, x2, x3):
     """``D(u(k)) - (S(k) - tr S(k)/3 E) / (2 mu)``; (3, 3, n, g).
 
     The points are given as for :func:`_dual_tensor_many`.  For k = 3, 6 it
-    is the diagonal ``-(q_a - qbar) / (2 mu)`` of the corrections alone,
-    ``qbar`` their mean (see the module docstring).
+    is :func:`_diagonal` at the heights (see the module docstring).
     """
     mu = params.mu
     if k in (3, 6):
-        q = np.stack(_corrections(k, params, x1, x2, x3))
-        return np.eye(3)[:, :, None, None] * ((q.mean(axis=0) - q) / (2.0 * mu))
+        D, x3sq, E = _diagonal(k, params, x1, x2), x3 * x3, np.zeros((3, 3) + x3.shape)
+        for a in range(3):
+            E[a, a] = D[a, 0] + x3sq * (D[a, 1] + x3sq * D[a, 2])
+        return E
     S, grad = _dual_tensor_many(k, params, x1, x2, x3)
     # in place: the (3, 3, n, g) arrays are the largest of the dual check
     D = grad + grad.swapaxes(0, 1)
@@ -285,13 +290,25 @@ def ell(i: int, j: int, params: ProblemParams, spec: QuadSpec | None = None) -> 
         return 0.0
     spec = spec or QuadSpec(rel_tol=1e-7, abs_tol=1e-12)
     mu = params.mu
+    ring = SHORT_RING if i in (1, 2) and j in (1, 2) else TRAPEZOID_RING
 
-    def pointfun(x1, x2, x3):
-        Ei = _discrepancy_many(i, params, x1, x2, x3)
-        Ej = Ei if j == i else _discrepancy_many(j, params, x1, x2, x3)
-        return mu * np.einsum("ab...,ab...->...", Ei, Ej)
+    if i in (3, 6) and j in (3, 6):
+        # polynomials in x3^2 on each diagonal entry: exact vertical moments
+        def column(x1, x2, half):
+            Di = _diagonal(i, params, x1, x2)
+            Dj = Di if j == i else _diagonal(j, params, x1, x2)
+            return mu * np.einsum("apn,aqn,pqn->n", Di, Dj, (2.0 * half**_ODD / _ODD)[_PQ])
 
-    return float(_volume_integrate(pointfun, params, 0.25 * prof.r, spec).value)
+    else:
+        gx, gw = _gauss_legendre(_NGAUSS)
+
+        def column(x1, x2, half):
+            x1, x2, x3 = x1[:, None], x2[:, None], half[:, None] * gx
+            Ei = _discrepancy_many(i, params, x1, x2, x3)
+            Ej = Ei if j == i else _discrepancy_many(j, params, x1, x2, x3)
+            return (mu * np.einsum("ab...,ab...->...", Ei, Ej) * gw).sum(axis=1) * half
+
+    return float(_volume_integrate(column, params, 0.25 * prof.r, spec, ring).value)
 
 
 # ---------------------------------------------------------------------------

@@ -331,57 +331,62 @@ def _squeeze_type(k: int, params: ProblemParams):
     return {2: (1, (-2.0 * params.U[1],)), 4: (2, (-params.omega,))}[k]
 
 
-def _monomial_derivs(p, jet, x, y=None):
-    """``[f, f_x, f_y, f_xx, f_xy, f_yy]`` of ``f = x^p u``, ``p`` in {1, 2}.
+def _monomial_derivs(p, jet, x, y=None, entries=None):
+    """The ``entries`` (all but the last by default) of ``[f, f_x, f_y, f_xx,
+    f_xy, f_yy, d_x (f_xx + f_yy)]`` of ``f = x^p u``, ``p`` in {1, 2}.
 
-    ``u`` is radial with the jet ``jet = (u, a1, a2)`` (see
-    :meth:`GapProfile.radial_jet`); a fourth entry ``a3`` appends ``d_x (f_xx + f_yy)``.
-    Without ``y`` (the line ``y = 0`` of 2D) the ``y`` derivatives are ``None``.
+    ``u`` is radial with the jet ``jet = (u, a1, ..)`` (see
+    :meth:`GapProfile.radial_jet`), as long as the entries read.  Without
+    ``y`` (the line ``y = 0`` of 2D) the ``y`` derivatives are ``None``.
     """
-    u, a1, a2 = jet[:3]
+    u, a1, a2, a3 = (*jet, None, None, None)[:4]
     P, P1, P11 = (x, 1.0, 0.0) if p == 1 else (x * x, 2.0 * x, 2.0)
-    f, f_x = P * u, P1 * u + P * a1 * x
-    f_xx = P * (a1 + a2 * x * x) + 2.0 * P1 * a1 * x + P11 * u
-    if y is None:
-        return [f, f_x, None, f_xx, None, None]
-    out = [f, f_x, P * a1 * y, f_xx, (P * a2 * x + P1 * a1) * y, P * (a1 + a2 * y * y)]
-    if len(jet) == 4:
-        a3 = jet[3]
-        out.append(
-            P * x * (4.0 * a2 + a3 * (x * x + y * y))
-            + P1 * (4.0 * a1 + a2 * (3.0 * x * x + y * y))
-            + 3.0 * P11 * a1 * x
-        )
-    return out
+    entry = (
+        lambda: P * u,
+        lambda: P1 * u + P * a1 * x,
+        lambda: P * a1 * y,
+        lambda: P * (a1 + a2 * x * x) + 2.0 * P1 * a1 * x + P11 * u,
+        lambda: (P * a2 * x + P1 * a1) * y,
+        lambda: P * (a1 + a2 * y * y),
+        lambda: P * x * (4.0 * a2 + a3 * (x * x + y * y))
+        + P1 * (4.0 * a1 + a2 * (3.0 * x * x + y * y))
+        + 3.0 * P11 * a1 * x,
+    )
+    return [None if y is None and i in (2, 4, 5) else entry[i]() for i in entries or range(6)]
 
 
-def _coefficient_derivs(profile, p, c, x1, x2, third=False):
+def _coefficient_derivs(profile, p, c, x1, x2, entries=None):
     """Squeeze-type coefficients and their exact planar derivatives.
 
     ``A_a = -3/4 c_a x_a^p / h`` and ``B_a = c_a x_a^p / h^3`` for each
     entry of ``c`` (axes ``x1``, ``x2``; a one-entry ``c`` is the 2D form on
     ``x1``, with ``x2 = 0``).  Returns ``[A1, A2, B1, B2]`` (``[A1, B1]`` in
     2D, without the ``x2`` derivatives, which are ``None``), each
-    ``[f, d1 f, d2 f, d11 f, d12 f, d22 f]``; ``third`` (3D only) appends
-    ``d_a lap f`` on the coefficient's own axis ``a``.  The chain rule
-    carries the jet of ``h`` over to ``h^-n`` and the Leibniz rule to the
-    product, without dividing by ``rho``.
+    ``[f, d1 f, d2 f, d11 f, d12 f, d22 f]``, or (3D) only the ``entries``
+    of ``[f, d_a f, d_b f, d_aa f, d_ab f, d_bb f, d_a lap f]`` on its own
+    axis ``a``, from only the jet they read.  The chain rule carries the jet
+    of ``h`` over to ``h^-n`` and the Leibniz rule to the product, without
+    dividing by ``rho``.
     """
+    # the order of the jet each entry reads
+    order = max((0, 1, 1, 2, 2, 2, 3)[i] for i in entries) if entries else 2
     rho = np.hypot(x1, x2)
     h = profile.h_radial(rho)
-    e = [H / h for H in profile.radial_jet(rho, 3 if third else 2)]
+    e = [H / h for H in profile.radial_jet(rho, max(order, 1))]
     out = []
     for scale, n in ((-0.75, 1), (1.0, 3)):
         u = 1.0 / h**n
-        jet = [u, -n * u * e[0], n * u * ((n + 1) * e[0] * e[0] - e[1])]
-        if third:
+        jet = [u, -n * u * e[0]]
+        if order > 1:
+            jet.append(n * u * ((n + 1) * e[0] * e[0] - e[1]))
+        if order > 2:
             jet.append(-n * u * ((n + 1) * e[0] * ((n + 2) * e[0] * e[0] - 3.0 * e[1]) + e[2]))
-        jets = [[scale * ca * a for a in jet] for ca in c]
-        out.append(_monomial_derivs(p, jets[0], x1, x2 if len(c) == 2 else None))
+        jets = [[scale * ca * a for a in jet[: order + 1]] for ca in c]
+        out.append(_monomial_derivs(p, jets[0], x1, x2 if len(c) == 2 else None, entries))
         if len(c) == 2:
-            # differentiated along x2 first; reorder to x1, x2
-            f, f2, f1, f22, f12, f11, *lap = _monomial_derivs(p, jets[1], x2, x1)
-            out.append([f, f1, f2, f11, f12, f22, *lap])
+            # on its own axis x2 first; reordered to x1, x2 unless entries are asked for
+            f = _monomial_derivs(p, jets[1], x2, x1, entries)
+            out.append(f if entries else [f[i] for i in (0, 2, 1, 5, 4, 3)])
     return out
 
 

@@ -277,13 +277,13 @@ def integrate_1d(
 
 def layer_splits(m: float, eps: float, stop: float, start: float = 0.0) -> tuple[float, ...]:
     """Split points ``start + w 2^j < stop``, ``j = 0, 1, ..``, halving toward
-    a layer of width ``delta = eps^(1/m)`` at ``start``.  ``w = delta`` for
-    ``m >= 2``.  For ``m < 2`` the curvature ``m (m - 1) t^(m - 2)`` is
-    unbounded at the axis, so ``w = delta 2^-ceil(52 / m)``: then ``w^m <=
+    a layer of width ``delta = eps^(1/m)`` at ``start``.  ``w = delta``, but
+    for ``1 < m < 2``, where the curvature ``m (m - 1) t^(m - 2)`` is
+    unbounded at the axis, ``w = delta 2^-ceil(52 / m)``: then ``w^m <=
     2^-52 eps``, the gap is ``eps`` to roundoff, and every ``delta 2^j`` is
     still a split.  A ``w`` that underflows to 0 raises :class:`ValueError`."""
     width = eps ** (1.0 / m)
-    if m < 2.0:
+    if 1.0 < m < 2.0:
         width *= 2.0 ** -math.ceil(52.0 / m)
     if not width > 0.0:
         raise ValueError(f"the first split width underflows to 0 at m = {m}, eps = {eps}")
@@ -345,9 +345,9 @@ def trapezoid_ring(n: int):
     return np.cos(x), np.sin(x), rule
 
 
-# the rings of ring_integrals: the 64-point trapezoid, ring of the dual
-# check's volume integrals; the 8-point one, exact for the 3D force moments
-# of k != 6 (trigonometric polynomials of degree <= 2); and the 2D line as
+# the rings of ring_integrals: the 64-point trapezoid of the dual check; the
+# 8-point one, exact for the 3D force moments of k != 6 and the dual check's
+# shear pairs (trigonometric polynomials of degree <= 4); and the 2D line as
 # the one-node ring x1 = t, its own embedded rule (angular term 0)
 TRAPEZOID_RING = trapezoid_ring(64)
 SHORT_RING = trapezoid_ring(8)

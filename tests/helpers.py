@@ -4,7 +4,7 @@ import heapq
 
 import numpy as np
 
-from lubgap.dualcheck import _volume_integrate
+from lubgap.dualcheck import _correction_terms, _discrepancy_many, _volume_integrate
 from lubgap.fields import (
     _eval3,
     _running_integral,
@@ -19,10 +19,12 @@ from lubgap.quadrature import (
     _NODES,
     _WEIGHTS_G,
     _WEIGHTS_K,
+    TRAPEZOID_RING,
     PanelRule,
     QuadratureError,
     QuadResult,
     QuadSpec,
+    _gauss_legendre,
     _panel_sums,
     ring_integrals,
 )
@@ -119,7 +121,48 @@ def energy(params, spec=None) -> float:
         D = 0.5 * (total + total.swapaxes(0, 1))
         return params.mu * np.einsum("ab...,ab...->...", D, D)
 
-    return float(_volume_integrate(pointfun, params, prof.r, spec).value)
+    return float(_volume_integrate(gauss_column(pointfun), params, prof.r, spec).value)
+
+
+def gauss_column(pointfun):
+    """The vertical integrals over ``|x3| < h/2`` of ``pointfun(x1, x2, x3)`` by
+    the 5-point Gauss rule, as ``lubgap.dualcheck._volume_integrate`` takes
+    them: ``pointfun`` receives the planar points, shape (n, 1), and the
+    Gauss heights over each, shape (n, 5), and returns the values there."""
+    gx, gw = _gauss_legendre(5)
+
+    def column(x1, x2, half):
+        return (pointfun(x1[:, None], x2[:, None], half[:, None] * gx) * gw).sum(axis=1) * half
+
+    return column
+
+
+def reference_ell(i, j, params, spec=None) -> float:
+    """``lubgap.dualcheck.ell`` as it was built before its exact vertical moments
+    and per-pair rings: the 64-point ring for every pair, the 5-point vertical
+    Gauss rule, and the full ``(3, 3, n, g)`` discrepancies, those of the
+    squeeze types as the identity times ``(qbar - q_a) / (2 mu)``."""
+    prof, mu = params.profile, params.mu
+    if subflow_scale(i, params) == 0.0 or subflow_scale(j, params) == 0.0:
+        return 0.0
+
+    def discrepancy(k, x1, x2, x3):
+        if k in (3, 6):
+            QA1, QB1, QA2, QB2, lapA3, lapB3 = _correction_terms(k, params, x1, x2)
+            x3sq = x3 * x3
+            q = np.stack([
+                mu * (QA1 + 3.0 * x3sq * QB1),
+                mu * (QA2 + 3.0 * x3sq * QB2),
+                -mu * (0.5 * lapA3 * x3sq + 0.25 * lapB3 * x3sq * x3sq),
+            ])
+            return np.eye(3)[:, :, None, None] * ((q.mean(axis=0) - q) / (2.0 * mu))
+        return _discrepancy_many(k, params, x1, x2, x3)
+
+    def pointfun(x1, x2, x3):
+        return mu * np.einsum("ab...,ab...->...", discrepancy(i, x1, x2, x3), discrepancy(j, x1, x2, x3))
+
+    spec = spec or QuadSpec(rel_tol=1e-7, abs_tol=1e-12)
+    return float(_volume_integrate(gauss_column(pointfun), params, 0.25 * prof.r, spec, TRAPEZOID_RING).value)
 
 
 def kronrod_panels(edges: np.ndarray) -> PanelRule:

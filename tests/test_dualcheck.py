@@ -152,7 +152,17 @@ class TestExactDerivatives:
         with mpmath.workdps(30):
             coefs = _mp_coefficients(k, prof, w1, w2)
             for x1, x2 in points:
-                got = fields._coefficient_derivs(prof, p, c, np.array(x1), np.array(x2), third=True)
+                args = (prof, p, c, np.array(x1), np.array(x2))
+                # the entries on each coefficient's own axis, alone or together,
+                # are the full engine's bit for bit; d_a lap is only among them
+                full, own_axis = fields._coefficient_derivs(*args), fields._coefficient_derivs(*args, range(7))
+                for f, o, axis in zip(full, own_axis, (0, 1, 0, 1)):
+                    swap = (0, 1, 2, 3, 4, 5) if axis == 0 else (0, 2, 1, 5, 4, 3)
+                    assert [o[i] for i in swap] == f
+                for i in range(7):
+                    alone = fields._coefficient_derivs(*args, (i,))
+                    assert [a for a, in alone] == [o[i] for o in own_axis]
+                got = [f + o[6:] for f, o in zip(full, own_axis)]
                 for f, own, g in zip(coefs, (0, 1, 0, 1), got):
                     d = lambda i, j: mpmath.diff(f, (x1, x2), (i, j))
                     lap = d(3, 0) + d(1, 2) if own == 0 else d(0, 3) + d(2, 1)
@@ -234,9 +244,9 @@ class TestEll:
     def test_discrepancy_diagonal_trace_free(self, kind, m, s, eps):
         # the squeeze-type dual tensors correct the field's stress on the
         # diagonal only, and div u = 0, so the discrepancy D(u) - dev(S)/(2 mu)
-        # is the trace-free diagonal -(q_a - qbar)/(2 mu) that ell reads; S
-        # carries the pressure, so the reference is exact only to the
-        # roundoff of its diagonal
+        # is the trace-free diagonal -(q_a - qbar)/(2 mu) that ell reads, as
+        # polynomials in x3^2 per planar point; S carries the pressure, so the
+        # reference is exact only to the roundoff of its diagonal
         prof = GapProfile(kind=kind, m=m, s=s, eps=eps, r=0.5, R=2.0, dimension=3)
         mu = 0.7
         params = ProblemParams(profile=prof, mu=mu, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
@@ -250,16 +260,19 @@ class TestEll:
             S = dualcheck._dual_tensor_many(k, params, x1, x2, x3)[0]
             dev = S - np.trace(S) / 3.0 * eye
             want = 0.5 * (grad + grad.swapaxes(0, 1)) - dev / (2.0 * mu)
-            got = dualcheck._discrepancy_many(k, params, x1, x2, x3)
+            D = dualcheck._diagonal(k, params, x1[:, 0], x2[:, 0])[..., None]
+            diagonal = D[:, 0] + D[:, 1] * x3**2 + D[:, 2] * x3**4
+            assert np.max(np.abs(diagonal.sum(axis=0))) <= 1e-12 * np.max(np.abs(diagonal))
+            got = np.eye(3)[:, :, None, None] * diagonal[:, None]
             scale = np.max(np.abs(np.einsum("aa...->a...", S)), axis=0) / (2.0 * mu)
             assert np.all(np.max(np.abs(want - got), axis=(0, 1)) <= 1e-9 * scale)
 
     @pytest.mark.parametrize("i, eps", [(6, 1e-4), (3, 1e-3)])
     def test_rings_two_panels_at_a_time(self, i, eps, monkeypatch):
         # a refinement round may bisect several panels in one integrand call;
-        # the volume integrals still take the 64-point rings of at most two
-        # panels' radii at a time, so the (3, 3, n, 5) discrepancy arrays do
-        # not grow with the round (ell(3, 3) at eps = 1e-3 has a round of 60)
+        # the volume integrals still take the rings of at most two panels'
+        # radii at a time, so the arrays of a ring call do not grow with the
+        # round (ell(3, 3) at eps = 1e-3 has a round of 60)
         outer, rings = [], []
         integrate, ring_integrals = dualcheck.integrate_1d, dualcheck.ring_integrals
         monkeypatch.setattr(dualcheck, "integrate_1d",
@@ -341,15 +354,18 @@ class TestEll:
     def test_potentials_read_once_per_planar_point(self, params3d, monkeypatch):
         # squeeze-type ell evaluates no field and no dual tensor: the
         # corrections come from the coefficient engine, once per planar
-        # point, and the rotation's running integrals see only the planar
-        # points and their line ends, for q_1 and q_2 and for n = 1, 3
-        volume, planar, reads = [], [], []
+        # point, and only the entries they read: d_a lap for q_3, d_a for
+        # the rotation's potentials; the rotation's running integrals see
+        # only the planar points and their line ends, for q_1 and q_2 and
+        # for n = 1, 3
+        volume, planar, reads, asked = [], [], [], []
         engine, integral = dualcheck._coefficient_derivs, dualcheck._running_integral
 
-        def counted_engine(prof, p, c, x1, x2, third=False):
-            if third:
+        def counted_engine(prof, p, c, x1, x2, entries=None):
+            asked.append(entries)
+            if entries == (6,):
                 planar.append((p, x1.size))
-            return engine(prof, p, c, x1, x2, third)
+            return engine(prof, p, c, x1, x2, entries)
 
         def counted_integral(prof, n, a, c, second=False):
             reads.append(a.size)
@@ -362,9 +378,11 @@ class TestEll:
         for pair in ((3, 3), (3, 6), (6, 6)):
             planar.clear()
             reads.clear()
+            asked.clear()
             ell(*pair, params3d, QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
             assert volume == [] and planar, pair
             assert reads == [2 * n for p, n in planar if p == 2 for _ in range(4)], pair
+            assert set(asked) <= {(6,), (1,)}, pair
 
     @pytest.mark.parametrize("kind, m, s, eps", [("m-convex", 2.5, 0.0, 1e-3),
                                                  ("m-convex", 4.0, 0.0, 1e-5),
@@ -377,6 +395,23 @@ class TestEll:
         diag = {i: ell(i, i, params) for i in (1, 2, 3, 6)}
         for i, j in PARITY_ZERO:
             assert abs(ell(i, j, params)) <= 1e-15 * np.sqrt(diag[i] * diag[j]), (i, j)
+
+    @pytest.mark.parametrize("m, s", [(2.0, 0.0), (2.5, 0.0), (4.0, 0.0), (2.0, 0.05)],
+                             ids=["m2", "m2.5", "m4", "flat0.05"])
+    def test_matches_reference_construction(self, m, s):
+        # every pair the sweep integrates, against the construction it
+        # replaced (helpers.reference_ell: the 64-point ring, the 5-point
+        # vertical Gauss rule and full discrepancies): the exact x3 moments
+        # change only the rounding, and 1e-14 also holds the 8-point ring of
+        # the shear pairs exact; both run on the same radial panels, here at a
+        # tolerance that keeps the rotation pairs on flat caps affordable
+        spec = QuadSpec(rel_tol=1e-4, abs_tol=1e-10)
+        for eps in (1e-2, 1e-3, 1e-4):
+            prof = flat(s, eps) if s else mconvex(m, eps)
+            params = ProblemParams(profile=prof, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
+            for pair in ((1, 1), (2, 2), (3, 3), (3, 6), (6, 6)):
+                want = helpers.reference_ell(*pair, params, spec)
+                assert ell(*pair, params, spec) == pytest.approx(want, rel=1e-14, abs=0.0), (eps, pair)
 
 
 class TestEnergy:
@@ -436,18 +471,26 @@ class TestErrSweep:
         rep = err_sweep(params3d, (1e-1, 3e-2, 1e-2), QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
         assert len(calls) == 5 * 3
         zero = (0.0, 0.0, 0.0)
-        assert rep.values == {
+        pinned = {
+            (1, 1): (1.062249032446075e-05, 2.701366556612737e-05, 5.4541324006928335e-05),
+            (2, 2): (1.0622490324460739e-05, 2.7013665566127348e-05, 5.4541324006928274e-05),
+            (3, 3): (0.007806171439382991, 0.03444235004625883, 0.04445659974906069),
+            (3, 6): (3.910939050751126e-05, 8.306475608960257e-06, -5.7450319191019455e-05),
+            (6, 6): (5.609785368805176e-05, 2.5444685611451586e-05, 0.00018104386342161842),
+        }
+        assert rep.values == {**pinned, **{pair: zero for pair in PARITY_ZERO}}
+        # the pins of the 64-point ring, 5-point vertical Gauss rule and full
+        # (3, 3, n, 5) discrepancies: the exact vertical moments and the
+        # 8-point shear ring move only the last digits
+        before = {
             (1, 1): (1.0622490324460752e-05, 2.7013665566127372e-05, 5.4541324006928335e-05),
-            (1, 2): zero,
-            (1, 3): zero,
-            (1, 6): zero,
             (2, 2): (1.062249032446074e-05, 2.7013665566127345e-05, 5.4541324006928274e-05),
-            (2, 3): zero,
-            (2, 6): zero,
             (3, 3): (0.007806171439382986, 0.034442350046258806, 0.04445659974906065),
             (3, 6): (3.910939050751123e-05, 8.306475608960254e-06, -5.745031919101939e-05),
             (6, 6): (5.609785368805172e-05, 2.5444685611451563e-05, 0.00018104386342161825),
         }
+        for pair, values in pinned.items():
+            assert values == pytest.approx(before[pair], rel=1e-14, abs=0.0), pair
         assert all(rep.slopes[pair] is None for pair in PARITY_ZERO)
 
     def test_grid_validation(self, params3d):

@@ -174,13 +174,27 @@ class TestPhi:
 
     @pytest.mark.parametrize("i,j,m,r,eps,expected", [row for row in PHI_ORACLE if row[2] < 2.0])
     def test_graded_layer(self, i, j, m, r, eps, expected, layer_spy):
-        # m < 2 starts on panels graded into the axis, as the force route's
-        # radial passes do: at most 3 integrand calls, split where
-        # layer_splits places the points
+        # 1 < m < 2 starts on panels graded into the axis, as the force
+        # route's radial passes do, m = 1 on the plain splits: at most 3
+        # integrand calls, split where layer_splits places the points
         splits, calls = layer_spy
         assert phi(i, j, m, r, eps) == pytest.approx(expected, rel=1e-10)
         assert len(calls) <= 3
         assert splits == [layer_splits(m, eps, r)]
+
+    @pytest.mark.parametrize("i, j, m, r, eps, evaluations",
+                             [(1, 0, 1.0, 1.0, 0.5, 60), (1, 1, 0.1, 0.5, 1e-2, 1005)])
+    def test_no_grading_at_or_below_m1(self, i, j, m, r, eps, evaluations, layer_spy):
+        # for m <= 1 the curvature of t^m is not steeper at the axis than the
+        # layer's own, so the pass starts on the plain splits delta 2^j: no
+        # more evaluations than that start took (grading into the axis made
+        # 810 and 8805)
+        with mpmath.workdps(50):
+            f = lambda t: t**j / (eps + t**m) ** i
+            want = float(mpmath.quad(f, [0, mpmath.mpf(eps) ** (1 / mpmath.mpf(m)), r]))
+        assert phi(i, j, m, r, eps) == pytest.approx(want, rel=1e-10)
+        assert sum(layer_spy[1]) <= evaluations
+        assert layer_spy[0] == [layer_splits(m, eps, r)]
 
     def test_psi_splits(self, layer_spy):
         psi(2, 1, 0.2, 0.5, 1e-4)
