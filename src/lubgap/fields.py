@@ -31,8 +31,8 @@ functions.  The 3D rotation pressure reads ``Q_3(a, c) = int_0^a t^2 /
 h(sqrt(t^2 + c^2))^3 dt`` from :func:`_running_integral`: an arctan form
 on m-convex profiles with ``m = 2``, a fixed Gauss-Legendre rule exact to
 roundoff otherwise.  The same function gives the dual check its rotation
-potentials and the force route the F3 line integral of the rotation
-pressure (:mod:`lubgap.traction`).  No pressure is tabulated, so none adds an error term.
+potentials; the force route integrates the moments of that pressure term
+in closed-form radial rows instead (:mod:`lubgap.traction`).  No pressure is tabulated, so none adds an error term.
 Velocity gradients are fully analytic -- no finite differences enter the
 stress evaluation.
 
@@ -209,7 +209,7 @@ def _running_integral(profile: GapProfile, n: int, a, c, second: bool = False):
 
     ``n`` is 1 or 3 and the arguments broadcast; ``Q_n`` is odd in ``a``
     and even in ``c``.  The 3D rotation pressure reads ``Q_3``
-    (:func:`_eval_squeeze_type`, :mod:`lubgap.traction`), the rotation's dual
+    (:func:`_eval_squeeze_type`), the rotation's dual
     potentials read ``d22 Q_1`` and ``d22 Q_3`` (:mod:`lubgap.dualcheck`).
 
     * m-convex ``m = 2``: ``h = A + t^2`` with ``A = eps + c^2``, so

@@ -142,13 +142,23 @@ class QuadratureError(RuntimeError):
         self.result = result
 
 
+# bytes of values per pass of _panel_sums: its temporaries stay below glibc's
+# 128 KiB mmap threshold, so they reuse heap memory instead of mapping afresh
+_SUMS_BYTES = 96 << 10
+
+
 def _panel_sums(fx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The 15/7 pair on the panels ``[lo, hi]`` from the values ``fx``, shape
     ``(ncomp, npan, 15)``, at their nodes: per panel, the rows (kronrod, err,
     resabs), shape ``(npan, 3, ncomp)``.  Every sum is ``(fx * w).sum(-1)``
     over a contiguous row, so a panel's sums do not depend on how many
-    panels are stacked with it (``fx @ w`` would)."""
+    panels or components are stacked with it (``fx @ w`` would); many
+    components are summed a block of them at a time."""
     fx = np.ascontiguousarray(fx)
+    step = max(1, _SUMS_BYTES // max(fx[0].nbytes, 1))
+    if fx.shape[0] > step:
+        blocks = [_panel_sums(fx[i : i + step], lo, hi) for i in range(0, fx.shape[0], step)]
+        return np.concatenate(blocks, axis=2)
     half = 0.5 * (hi - lo)
     resk = (fx * _WEIGHTS_K).sum(-1) * half
     resabs = (np.abs(fx) * _WEIGHTS_K).sum(-1) * half
@@ -167,7 +177,7 @@ def integrate_vector(
     spec: QuadSpec,
     ncomp: int | None = None,
     ncheck: int | None = None,
-    initial_scale: bool = False,
+    initial_scale: bool | np.ndarray = False,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Adaptively integrate a vector-valued integrand component-wise.
 
@@ -199,7 +209,11 @@ def integrate_vector(
     1e-300), so that every component is resolved relative to the largest
     one.  Those totals are summed in creation order, as the reported totals
     are, so the tolerance is bit for bit that of a pass stopped on the
-    initial panels.
+    initial panels.  An array ``initial_scale`` of ``ng`` floors splits the
+    checked components into ``ng`` equal consecutive groups, each resolved
+    relative to its own largest initial total, but at least its floor (True
+    is one group with floor 0): so integrands stacked into one pass keep the
+    tolerances of their own passes.
 
     Returns ``(values, errors, evaluations)``.  The per-component error
     includes a roundoff floor of ``1e-15 * int |f_c|`` so that estimates
@@ -223,9 +237,13 @@ def integrate_vector(
     lo, hi = cuts[:-1], cuts[1:]
     parts, nevals, ninitial = evaluate(lo, hi), _NODES.size * lo.size, lo.size
     abs_tol = spec.abs_tol
-    if initial_scale:
-        scale = float(np.max(np.abs(parts.sum(axis=0)[0, :ncheck])))
-        abs_tol = max(abs_tol, spec.rel_tol * max(scale, 1e-300))
+    if initial_scale is not False:
+        floors = np.zeros(1) if initial_scale is True else np.asarray(initial_scale, dtype=float)
+        totals = np.abs(parts.sum(axis=0)[0, :ncheck]).reshape(floors.size, -1)
+        scale = np.maximum(totals.max(axis=1), floors)
+        group = np.maximum(abs_tol, spec.rel_tol * np.maximum(scale, 1e-300))
+        abs_tol = np.full(parts.shape[-1], abs_tol)
+        abs_tol[: totals.size] = group.repeat(totals.shape[1])
 
     while True:
         values, errors, resabs = parts.sum(axis=0)
@@ -355,7 +373,7 @@ _ONE = np.ones(1)
 LINE_RING = (_ONE, PanelRule(np.zeros((1, 1)), _ONE, _ONE, np.zeros(1, int), _ONE))
 
 
-def ring_integrals(f, ring, ts: np.ndarray) -> np.ndarray:
+def ring_integrals(f, ring, ts: np.ndarray) -> np.ndarray | list:
     """Integrals of ``f`` over the rings of radii ``ts``: shape ``(2 nrow, nt)``.
 
     A ring is ``(*directions, rule)``: per planar coordinate the unit
@@ -365,12 +383,19 @@ def ring_integrals(f, ring, ts: np.ndarray) -> np.ndarray:
     of the ring points to their values, shape ``(nrow, n)``.  The first
     ``nrow`` rows are the integrals by the full rule, the rest the summed
     per-panel differences from the embedded rule, which bound the angular
-    error; all carry the polar Jacobian ``t^(d - 2)``.
+    error; all carry the polar Jacobian ``t^(d - 2)``.  Integrands that
+    share the ring points need not stack their values: ``f`` may return a
+    list of such blocks, and then the result is the list of their
+    integrals, each block reduced on its own.
     """
     *dirs, rule = ring
     xprime = tuple((ts[:, None] * c).ravel() for c in dirs)
-    pan = f(np.repeat(ts, dirs[0].shape[-1]), xprime).reshape(-1, ts.size, *rule.x.shape[-2:])
-    full, low = rule.panel_sums(pan)
     # the polar Jacobian t^(d - 2): t on the rings of the plane, 1 on the line
     jacobian = ts if len(dirs) == 2 else 1.0
-    return np.concatenate([full, np.abs(full - low)]).sum(axis=2) * jacobian
+
+    def reduce(values):
+        full, low = rule.panel_sums(values.reshape(-1, ts.size, *rule.x.shape[-2:]))
+        return np.concatenate([full, np.abs(full - low)]).sum(axis=2) * jacobian
+
+    blocks = f(np.repeat(ts, dirs[0].shape[-1]), xprime)
+    return [reduce(b) for b in blocks] if isinstance(blocks, list) else reduce(blocks)

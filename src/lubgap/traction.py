@@ -13,34 +13,37 @@ about its centroid.  In 2D the torque is the scalar
 One integrand serves both dimensions: :func:`traction_moments` evaluates
 ``w = sigma N`` and ``nu x w`` on the boundary ``x3 = h/2``, with the
 area-weighted normal ``N = (grad h / 2, -1)`` (the identity
-``n dS = N dx'`` removes the normalization roundoff).  One driver,
-:func:`force_numeric`, integrates all force and torque components of a
-sub-flow in a single adaptive pass (:func:`lubgap.quadrature.integrate_vector`)
-radially over ring integrals (:func:`lubgap.quadrature.ring_integrals`),
-from the panels between :meth:`~lubgap.geometry.GapProfile.radial_splits`,
-which halve toward the boundary layer and whose totals fix the absolute
-tolerance; at ``m < 2`` (2D) they go on halving into the axis, where the
-curvature is unbounded, down to where the gap is ``eps`` to roundoff
-(:func:`lubgap.quadrature.layer_splits`); the budget counts bisections past them.
-Each refinement round reduces the rings of all its radial nodes in one
-call: those of every initial panel, then of the halves of every panel
-the round bisects.  A ring is its directions plus an angular rule whose
-embedded rule bounds the angular error: in 2D the one node ``x1 = t``
-over ``[-r, r]``; in 3D the 8-point trapezoid, exact with its embedded
-rule for the translation/spin moments, which are trigonometric
-polynomials of degree at most 2 in the angle (``x'``, ``J x'`` and radial
-functions build the fields; the normal and the lever arm add one degree
-each).  The rotation sub-flow splits its
-pressure: its moments without the running-integral term ``G``, of degree
-at most 4, run on the exact 10-point trapezoid.  ``G`` varies over an
-angular width ``delta/t`` near the cardinal angles, but its moments need no
-angular rule: integrated by parts along each line ``x2 = const``, its F1,
-F2, T1 and T2 become radial rows of the same pass
-(:func:`_rotation_pressure_rows`) and its F3 one line integral of ``Q_3``
-(:func:`_rotation_pressure_f3`).  Sub-flows whose velocity scale is zero
-are skipped by :func:`total_numeric`.  Every pressure is closed-form or
-exact to roundoff (:func:`lubgap.fields._running_integral`), so the error
-bounds are the quadrature and angular estimates alone.
+``n dS = N dx'`` removes the normalization roundoff).  A solve
+(:func:`total_numeric`, and :func:`force_numeric` as its one-sub-flow case)
+integrates each part by the rule it needs:
+
+* the rigid mean (``k = 0``) in closed form (:func:`_rigid_mean`);
+* the field moments of every other active sub-flow in one adaptive radial
+  pass (:func:`lubgap.quadrature.integrate_vector`) over ring integrals
+  (:func:`lubgap.quadrature.ring_integrals`), each sub-flow resolved
+  relative to its own largest initial total.  A ring is its directions
+  plus an angular rule whose embedded rule bounds the angular error: in 2D
+  the one node ``x1 = t`` over ``[-r, r]``; in 3D the 8-point trapezoid,
+  exact with its embedded rule for the translation/spin moments, which are
+  trigonometric polynomials of degree at most 2 in the angle (``x'``,
+  ``J x'`` and radial functions build the fields; the normal and the lever
+  arm add one degree each), and for the rotation the 10-point trapezoid,
+  exact for its moments without the running-integral term ``G`` of its
+  pressure, of degree at most 4.  The sub-flows on one ring share its
+  points, gap, normal and lever arm;
+* in 3D, the moments of the rotation's ``G`` in a second radial pass
+  (:func:`_rotation_pressure`).  ``G`` varies over an angular width
+  ``delta/t`` near the cardinal angles, but integrated by parts along each
+  line ``x2 = const`` its moments become closed-form radial rows.
+
+Both passes start on the panels between
+:meth:`~lubgap.geometry.GapProfile.radial_splits`, which halve toward the
+boundary layer (:func:`lubgap.quadrature.layer_splits`, at ``m < 2`` on
+into the axis, where the curvature is unbounded); the budget counts
+bisections past them.  Each refinement round evaluates all its radial
+nodes in one call.  Sub-flows whose velocity scale is zero are skipped by
+:func:`total_numeric`.  Every pressure is closed-form, so the error bounds
+are the quadrature and angular estimates alone.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ import numpy as np
 from .fields import (  # noqa: F401
     ProblemParams,
     _eval_squeeze_type,
-    _running_integral,
     _squeeze_type,
     eval_field_many,
     pressure_cache_error,
@@ -61,11 +63,13 @@ from .fields import (  # noqa: F401
     subflow_scale,
 )
 from .quadrature import (
+    _NODES,
     DEFAULT_MAX_SUBDIVISIONS,
     DEFAULT_REL_TOL,
     LINE_RING,
     SHORT_RING,
     QuadSpec,
+    _panel_sums,
     integrate_vector,
     ring_integrals,
     trapezoid_ring,
@@ -87,8 +91,9 @@ class ForceResult:
     ``T``/``T_err`` are 3-vectors in 3D and scalars in 2D.  The error
     bounds combine the adaptive-quadrature estimate and the
     angular-resolution check.  ``evaluations`` counts the distinct gap
-    points at which the traction was evaluated, plus, for the 3D rotation,
-    the ``Q_3`` reads of its pressure's F3 line integral.
+    points at which the traction was evaluated: 0 for the closed-form rigid
+    mean; for the 3D rotation, its ring points plus the nodes of its ``G``
+    pass and of the corner rule.
     """
 
     F: np.ndarray
@@ -121,22 +126,42 @@ def traction_moments(k: int, params: ProblemParams, xprime, h) -> np.ndarray:
     centroid, ``nu = (x', (h - eps)/2 - R)``: shape ``(6, n)`` in 3D and
     ``(3, n)`` in 2D, where the moment is the scalar ``nu1 w2 - nu2 w1``.
     """
-    return _stress_moments(params, xprime, h, eval_field_many(k, params, *xprime, 0.5 * h))
+    field = eval_field_many(k, params, *xprime, 0.5 * h)
+    return _stress_moments(params.mu, *_boundary(params, xprime, h), field)
 
 
-def _stress_moments(params, xprime, h, field):
-    """:func:`traction_moments` of the field ``(u, p, grad)`` taken at ``x3 = h/2``."""
+def _boundary(params, xprime, h):
+    """The normal ``N`` and lever arm ``nu`` at boundary points: ``(N, nu)``."""
     prof = params.profile
-    mu, eps, R = params.mu, prof.eps, prof.R
     H1 = prof.radial_jet(np.hypot(*xprime) if prof.dimension == 3 else np.abs(xprime[0]), 1)[0]
-    _u, p, grad = field
     njac = np.stack([0.5 * H1 * x for x in xprime] + [-np.ones_like(h)])
+    return njac, np.stack([*xprime, 0.5 * (h - prof.eps) - prof.R])
+
+
+def _stress_moments(mu, njac, nu, field):
+    """:func:`traction_moments` of the field ``(u, p, grad)`` taken at ``x3 = h/2``."""
+    _u, p, grad = field
     two_d = grad + grad.transpose(1, 0, 2)
     w = mu * np.einsum("ijn,jn->in", two_d, njac) - p[None, :] * njac
-    nu = np.stack([*xprime, 0.5 * (h - eps) - R])
-    if prof.dimension == 2:
+    if len(nu) == 2:
         return np.concatenate([w, (nu[0] * w[1] - nu[1] * w[0])[None, :]])
-    return np.concatenate([w, np.cross(nu, w, axis=0)])
+    torque = [nu[1] * w[2] - nu[2] * w[1], nu[2] * w[0] - nu[0] * w[2], nu[0] * w[1] - nu[1] * w[0]]
+    return np.concatenate([w, torque])
+
+
+def _subflow_field(k, params, xprime, z):
+    """Sub-flow ``k`` on the boundary ``z = h/2``; the 3D rotation without ``G``."""
+    if k == 6:
+        return _eval_squeeze_type(6, params, *xprime, z, running=False)
+    return eval_field_many(k, params, *xprime, z)
+
+
+def _ring_moments(params, ks, t, xprime):
+    """The moments of sub-flows ``ks`` at ring points of radii ``t``, one block
+    each, all on one boundary: the gap, normal and lever arm are built once."""
+    h = params.profile.h_radial(t)
+    njac, nu = _boundary(params, xprime, h)
+    return [_stress_moments(params.mu, njac, nu, _subflow_field(k, params, xprime, 0.5 * h)) for k in ks]
 
 
 # the rotation's moments without G, of degree <= 4 in the ring angle, are
@@ -144,62 +169,213 @@ def _stress_moments(params, xprime, h, field):
 _ROTATION_RING = trapezoid_ring(10)
 
 
-def _rotation_field_moments(params, t, xprime):
-    """Traction moments of the 3D rotation, less the running-integral term ``G``
-    of its pressure, at ring points of radius ``t``."""
-    h = params.profile.h_radial(t)
-    field = _eval_squeeze_type(6, params, *xprime, 0.5 * h, running=False)
-    return _stress_moments(params, xprime, h, field)
+def _rigid_mean(params) -> ForceResult:
+    """The rigid mean ``k = 0`` in closed form, with a roundoff bound.
+
+    Its stress reads only ``h'`` and ``l = (h - eps)/2 - R``, so its moments
+    do not depend on ``eps``.  3D: ``F = mu pi I (w2, -w1, 0)`` and ``T = mu
+    pi J (w1, w2, 0)`` with ``I = int_0^r (3/8 h'^2 + 1) rho`` and ``J =
+    int_0^r [h' rho^2/4 + l (3/8 h'^2 + 1) rho]``; 2D: ``F = (-2 mu w0 I, 0)``
+    and ``T = 2 mu w0 J`` with ``I = int_0^r (h'^2/4 + 1/2)`` and ``J =
+    int_0^r [x h'/4 + l (h'^2/4 + 1/2)]``.  On m-convex profiles these are
+    powers of ``r``, on flat caps polynomials in ``u = r - s``.  ``J = a - R
+    I``, and every term of ``I`` and ``a`` is positive, so the bound is
+    ``1e-15`` (the roundoff floor of ``integrate_vector``) times the sum of the
+    terms' magnitudes.  Zero rotation gives exact, unsigned zeros.
+    """
+    prof = params.profile
+    m, r, s, u = prof.m, prof.r, prof.s, prof.r - prof.s
+    flat = prof.kind == "flat-capped"
+    if prof.dimension == 3:
+        if flat:
+            I = 0.5 * r**2 + 0.375 * u**4 + 0.5 * s * u**3
+            a = u**6 / 8 + 0.15 * s * u**5 + 0.25 * u**4 + 0.5 * s * u**3 + 0.25 * s**2 * u**2
+        else:
+            I = 3.0 * m * r ** (2 * m) / 16 + 0.5 * r**2
+            a = 0.25 * r ** (m + 2) + m * r ** (3 * m) / 16
+        w1, w2, _w3 = params.omega
+        f, t = np.pi * params.mu * np.array([[w2, 0.0 - w1, 0.0], [w1, w2, 0.0]])
+    else:
+        if flat:
+            I, a = 0.5 * r + u**3 / 3, 0.1 * u**5 + 0.25 * u**3 + 0.25 * s * u**2
+        else:
+            I = m * m * r ** (2 * m - 1) / (4 * (2 * m - 1)) + 0.5 * r
+            a = 0.25 * r ** (m + 1) + m * m * r ** (3 * m - 1) / (8 * (3 * m - 1))
+        c = 2.0 * params.mu * params.omega
+        f, t = np.array([0.0 - c, 0.0]), np.array([c])
+    T, T_err = (a - prof.R * I) * t + 0.0, 1e-15 * (a + prof.R * I) * np.abs(t)
+    if prof.dimension == 2:
+        T, T_err = float(T[0]), float(T_err[0])
+    return ForceResult(F=I * f + 0.0, T=T, F_err=1e-15 * I * np.abs(f), T_err=T_err, evaluations=0)
+
+
+def _polar_weight(k):
+    """``W / r`` of the F3 row: ``W(rho) = int cos^2 th sqrt(r^2 - rho^2 sin^2
+    th) dth`` over ``|th| < pi/2``, at ``k = rho / r`` in ``[0, 1)``.
+
+    ``W = 2 r (2 - (1 + k^2) S) K / 3`` with ``K`` the complete elliptic
+    integral of the first kind and ``E = K (1 - k^2 S)``, both by the
+    arithmetic-geometric mean of ``a_0 = 1``, ``b_0 = k' = sqrt(1 - k^2)``:
+    ``K = pi / (2 a_N)`` and ``S = sum_n 2^(n-1) c_n^2 / k^2``, ``c_(n+1) = (a_n
+    - b_n)/2`` (A&S 17.6, DLMF 19.8).  ``S`` starts at ``1/2``, and ``c_1^2 /
+    k^2 = k^2 / (4 (1 + k')^2)``, ``c_(n+1)^2 / k^2 = (c_n^2 / k^2)^2 k^2 / (16
+    a_(n+1)^2)``, so nothing divides by ``k``.
+    """
+    k2 = k * k
+    kp = np.sqrt((1.0 - k) * (1.0 + k))
+    a, b = 0.5 * (1.0 + kp), np.sqrt(kp)
+    term = k2 / (4.0 * (1.0 + kp) ** 2)
+    S, q, p = 0.5 + term, k2 / 16.0, 1.0
+    # the means converge quadratically: a - b <= 2e-16 is the mean to roundoff
+    while np.max(a - b) > 2e-16:
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        term = term * term * q / (a * a)
+        p *= 2.0
+        S += p * term
+    return np.pi * (2.0 - (1.0 + k2) * S) / (3.0 * a)
+
+
+# the mean over k in [0, 1] of k'^4 ln(k'^2/16) / 8, k' = sqrt(1 - k^2), by
+# d/da of int_0^1 (1 - k^2)^a dk = sqrt(pi) Gamma(a + 1) / (2 Gamma(a + 3/2))
+_LOG_TERM_MEAN = -2.0 / 15.0 * (np.log(2.0) + 47.0 / 60.0)
 
 
 def _rotation_pressure_rows(params, ts):
-    """Radial integrands of the F1, F2, T1 and T2 moments of ``6 mu G (N, nu x N)``.
+    """Radial integrands of the moments of ``6 mu G (N, nu x N)`` over the disc.
 
     ``-6 mu G`` is the running-integral term of the 3D rotation's pressure,
     ``G = c1 (Q(x1, x2) - Q(r, x2)) + c2 (Q(x2, x1) + Q(r, x1))`` with ``Q =
-    Q_3``, and ``nu x N = a (-x2, x1, 0)`` with ``a = 1 + w H1/2``, ``w = (h -
-    eps)/2 - R``.  The weights are derivatives along the line: ``H1 x1 = d1 h``
-    and ``a x1 = d1 Phi``, ``Phi = x1^2/2 + (h - eps)^2/8 - R h/2``.  On the
-    circle ``|x'| = r`` both take their rim values, so one integration by
-    parts along each line ``x2 = const``, with ``d1 Q(x1, x2) = x1^2/h^3``,
-    leaves radial integrands: with ``k3 = pi mu t^3 / h^3``, ``F1 = 3 c1 k3
-    (h(r) - h)``, ``T2 = 6 c1 k3 Psi``, ``Psi = (r^2 - t^2)/2 + ((h(r) -
-    eps)^2 - (h - eps)^2)/8 - R (h(r) - h)/2``, and by the symmetry ``x1 <->
-    x2``, ``F2`` and ``-T1`` the same with ``c2``.  Their angular estimate is 0.
+    Q_3``, ``Q_3(a, c) = int_0^a t^2 / h(sqrt(t^2 + c^2))^3 dt``, and ``nu x N
+    = a (-x2, x1, 0)`` with ``a = 1 + w H1/2``, ``w = (h - eps)/2 - R``.  The
+    weights are derivatives along the line: ``H1 x1 = d1 h`` and ``a x1 = d1
+    Phi``, ``Phi = x1^2/2 + (h - eps)^2/8 - R h/2``.  On the circle ``|x'| =
+    r`` both take their rim values, so one integration by parts along each
+    line ``x2 = const``, with ``d1 Q(x1, x2) = x1^2/h^3``, leaves radial
+    integrands: with ``k3 = pi mu t^3 / h^3``, ``F1 = 3 c1 k3 (h(r) - h)``,
+    ``T2 = 6 c1 k3 Psi``, ``Psi = (r^2 - t^2)/2 + ((h(r) - eps)^2 - (h -
+    eps)^2)/8 - R (h(r) - h)/2``, and by the symmetry ``x1 <-> x2``, ``F2``
+    and ``-T1`` the same with ``c2``.  ``Q`` is odd in its first argument, so
+    over the disc only the anchor terms of ``G`` remain in F3: ``12 mu (c1 -
+    c2)`` times the integral of ``sqrt(r^2 - y^2) t^2 / h^3`` over the
+    rectangle ``0 < t < r``, ``|y| < r``; in polar form its part in the disc
+    ``t^2 + y^2 < r^2`` is the row ``12 mu (c1 - c2) t^3 W(t) / h^3``
+    (:func:`_polar_weight`), and the rest is :func:`_rotation_corner`.
+    At ``t = r``, the end of the pass, ``W / r`` is not analytic: its leading
+    singular term is ``-k'^4 ln(4/k') / 4``, ``k = t / r``, of order ``(r -
+    t)^2 ln(r - t)``.  The row leaves that term out at the weight ``r^3 /
+    h(r)^3`` of ``t = r``, less its mean over ``[0, r]``, so the integral is
+    unchanged and the rest is an order smoother.  Their angular estimate is 0.
     """
     prof = params.profile
     c1, c2 = _squeeze_type(6, params)[1]
     h, hr, eps = prof.h_radial(ts), prof.h_radial(prof.r), prof.eps
-    k3 = np.pi * params.mu * ts**3 / h**3
+    g = params.mu * ts**3 / h**3
     psi = 0.5 * (prof.r**2 - ts**2) - 0.5 * prof.R * (hr - h)
     psi += 0.125 * ((hr - eps) ** 2 - (h - eps) ** 2)
-    f, t = 3.0 * k3 * (hr - h), 6.0 * k3 * psi
-    zero = np.zeros_like(ts)
-    return np.stack([c1 * f, c2 * f, zero, -c2 * t, c1 * t, zero])
+    f, t = 3.0 * np.pi * g * (hr - h), 6.0 * np.pi * g * psi
+    k = ts / prof.r
+    kp2 = (1.0 - k) * (1.0 + k)
+    log_term = 0.125 * kp2 * kp2 * np.log(kp2 / 16.0) - _LOG_TERM_MEAN
+    f3 = 12.0 * (c1 - c2) * prof.r * (g * _polar_weight(k) - params.mu * (prof.r / hr) ** 3 * log_term)
+    return np.stack([c1 * f, c2 * f, f3, -c2 * t, c1 * t, np.zeros_like(ts)])
 
 
-def _rotation_pressure_f3(params, rel_tol, max_subdivisions):
-    """The F3 moment of ``6 mu G``: ``(value, error, Q_3 reads)``.
+# the corner rule: the 15-point Kronrod rule on four equal panels of phi in
+# [0, pi/2] and on two equal panels of [0, 1], the fraction of [r cos phi, r]
+_CORNER_EDGES = np.linspace(0.0, 0.5 * np.pi, 5)
+_CORNER_PHI = (_CORNER_EDGES[:-1, None] + np.pi / 16 * (_NODES + 1.0)).ravel()
+_CORNER_T = np.array([[0.0], [0.5]]) + 0.25 * (_NODES + 1.0)
 
-    ``Q`` is odd in its first argument, so over the disc only the anchor
-    terms of ``G`` remain: ``F3 = 12 mu (c1 - c2) int_{-r}^{r} sqrt(r^2 - y^2)
-    Q(r, y) dy``, integrated in ``y = r sin phi`` over ``[0, pi/2]``, split
-    where :meth:`GapProfile.radial_splits` cross the line.
+
+def _rotation_corner(params):
+    """The F3 moment of ``6 mu G`` beyond the disc: ``(value, error, nodes)``.
+
+    ``12 mu (c1 - c2)`` times the integral of ``sqrt(r^2 - y^2) t^2 / h^3``
+    over the two corners ``t^2 + y^2 > r^2`` of the rectangle ``0 < t < r``,
+    ``|y| < r`` (see :func:`_rotation_pressure_rows`), in ``y = r sin phi``
+    and ``t`` from ``r cos phi`` to ``r``.  There ``h >= h(r)`` and the
+    integrand is analytic, so a fixed tensor rule serves; its error is the
+    15/7 estimate of the outer rule plus the integrated estimates of the
+    inner one.
     """
     prof = params.profile
     c1, c2 = _squeeze_type(6, params)[1]
-    r, coef = prof.r, 24.0 * params.mu * (c1 - c2) * prof.r**2
+    r, cos = prof.r, np.cos(_CORNER_PHI)
+    # the inner panels [lo, lo + span/2] and their nodes, per phi node
+    base, span = r * cos[:, None], r - r * cos[:, None]
+    lo = (base + span * np.array([0.0, 0.5])).ravel()
+    t = base[..., None] + span[..., None] * _CORNER_T
+    f = t * t / prof.h_radial(np.sqrt(t * t + np.square(r * np.sin(_CORNER_PHI))[:, None, None])) ** 3
+    inner = _panel_sums(f.reshape(1, lo.size, -1), lo, lo + 0.5 * span.repeat(2))
+    inner = inner[:, :2, 0].reshape(cos.size, 2, 2).sum(axis=1)
+    g = (np.square(r * cos)[:, None] * inner).T.reshape(2, _CORNER_EDGES.size - 1, -1)
+    outer = _panel_sums(g, _CORNER_EDGES[:-1], _CORNER_EDGES[1:]).sum(axis=0)
+    coef = 24.0 * params.mu * (c1 - c2)
+    return coef * outer[0, 0], abs(coef) * (outer[1, 0] + outer[0, 1]), f.size
 
-    def line(phi):
-        return coef * np.cos(phi) ** 2 * _running_integral(prof, 3, r, r * np.sin(phi))
 
-    spec = QuadSpec(
-        rel_tol=rel_tol,
-        max_subdivisions=max_subdivisions,
-        split_points=tuple(np.arcsin(np.asarray(prof.radial_splits()) / r)),
-    )
-    vals, errs, nevals = integrate_vector(line, 0.0, 0.5 * np.pi, spec, ncomp=1)
-    return float(vals[0]), float(errs[0]), nevals
+def _rotation_pressure(params, rel_tol, max_subdivisions):
+    """The moments of ``6 mu G``: the ``G`` pass of :func:`_rotation_pressure_rows`
+    plus :func:`_rotation_corner` in F3: ``(values, errors, evaluations)``.
+
+    The F3 row is not analytic at ``rho = r``, so its estimate stays near the
+    pass's tolerance instead of falling far below it as a smooth integrand's
+    does: the pass runs at ``rel_tol / 1e4``, but no finer than 1e-13, so
+    that the F3 bound stays a small part of ``rel_tol |F3|``.
+    """
+    prof = params.profile
+    spec = QuadSpec(rel_tol=max(rel_tol / 1e4, 1e-13), max_subdivisions=max_subdivisions,
+                    split_points=prof.radial_splits())
+    vals, errs, nevals = integrate_vector(lambda ts: _rotation_pressure_rows(params, ts), 0.0, prof.r,
+                                          spec, ncomp=6, initial_scale=True)
+    corner, corner_err, corner_nodes = _rotation_corner(params)
+    vals[2] += corner
+    errs[2] += corner_err
+    return vals, errs, nevals + corner_nodes
+
+
+def _solve(params, ks, rel_tol, max_subdivisions) -> dict:
+    """:class:`ForceResult` of each sub-flow in ``ks``, as the module docstring says."""
+    prof = params.profile
+    d = prof.dimension
+    # the d force components and the torque: 3 moments in 2D, 6 in 3D
+    nmom = 3 * (d - 1)
+    out = {0: _rigid_mean(params)} if 0 in ks else {}
+    ks = [k for k in ks if k != 0]
+    if not ks:
+        return out
+    floors = np.zeros(len(ks))
+    if 6 in ks:
+        g_vals, g_errs, g_nev = _rotation_pressure(params, rel_tol, max_subdivisions)
+        floors[ks.index(6)] = np.max(np.abs(g_vals))
+    # (ring, sub-flows) of the ring pass: the 3D rotation on a ring of its own
+    groups = [(LINE_RING, ks)] if d == 2 else [
+        (SHORT_RING, [k for k in ks if k != 6]), (_ROTATION_RING, [k for k in ks if k == 6])]
+    groups = [(ring, group) for ring, group in groups if group]
+
+    def rings(ts):
+        # each sub-flow's rings reduced on its own, then stacked: first every
+        # sub-flow's moments, then their angular estimates
+        parts = [part for ring, group in groups
+                 for part in ring_integrals(lambda t, xp, g=group: _ring_moments(params, g, t, xp), ring, ts)]
+        return np.concatenate([p[:nmom] for p in parts] + [p[nmom:] for p in parts])
+
+    spec = QuadSpec(rel_tol=rel_tol, max_subdivisions=max_subdivisions, split_points=prof.radial_splits())
+    ncheck = nmom * len(ks)
+    vals, errs, nevals = integrate_vector(rings, 0.0 if d == 3 else -prof.r, prof.r, spec,
+                                          ncomp=2 * ncheck, ncheck=ncheck, initial_scale=floors)
+    vals, errs = vals.reshape(2, len(ks), nmom), errs.reshape(2, len(ks), nmom)
+    err = errs[0] + np.maximum(vals[1], 0.0)
+    nring = {k: ring[0].shape[-1] for ring, group in groups for k in group}
+    for i, k in enumerate(ks):
+        val, bound, nev = vals[0, i].copy(), err[i].copy(), nevals * nring[k]
+        if k == 6:
+            val, bound, nev = val + g_vals, bound + g_errs, nev + g_nev
+        T, T_err = val[d:], bound[d:]
+        if d == 2:
+            T, T_err = float(T[0]), float(T_err[0])
+        out[k] = ForceResult(F=val[:d], T=T, F_err=bound[:d], T_err=T_err, evaluations=nev)
+    return out
 
 
 def force_numeric(
@@ -210,64 +386,22 @@ def force_numeric(
 ) -> ForceResult:
     """Force and torque of sub-flow ``k`` on the top particle.
 
-    Integrates the traction moments over the top gap boundary radially,
-    from panels that halve toward the boundary layer (at ``m < 2`` on into
-    the axis singularity of the curvature), split at
-    :meth:`GapProfile.radial_splits` for every sub-flow, over ring
-    integrals: in 3D the exact 8-point trapezoid ring; in 2D the one-node
-    ring ``x1 = t`` over ``[-r, r]``.  The rotation ``k = 6`` takes the
-    exact 10-point ring plus the radial rows of
-    :func:`_rotation_pressure_rows`, and adds :func:`_rotation_pressure_f3`,
-    at ``rel_tol / 100`` but no finer than 1e-13, to F3.  The absolute
-    tolerance is ``rel_tol`` times the largest force/torque component of the
-    initial panels (``initial_scale`` of
-    :func:`~lubgap.quadrature.integrate_vector`).  The bounds add the
-    quadrature and angular estimates (0 in 2D, roundoff in 3D); see
-    :class:`ForceResult` for ``evaluations``.
+    The one-sub-flow case of :func:`total_numeric`: the rigid mean ``k = 0``
+    in closed form; any other sub-flow by its ring pass, from panels split
+    at :meth:`GapProfile.radial_splits`, in 3D on the exact 8-point ring, in
+    2D on the one-node ring ``x1 = t`` over ``[-r, r]``.  The rotation ``k =
+    6`` takes the exact 10-point ring and adds :func:`_rotation_pressure`.
+    The absolute tolerance of a pass is ``rel_tol`` times the largest
+    force/torque component of its initial panels (``initial_scale`` of
+    :func:`~lubgap.quadrature.integrate_vector`), for the rotation's ring
+    pass at least ``rel_tol`` times the largest moment of ``G``.  The
+    bounds add the quadrature and angular estimates (0 in 2D, roundoff in
+    3D); see :class:`ForceResult` for ``evaluations``.
     """
-    prof = params.profile
-    d = prof.dimension
+    d = params.profile.dimension
     if k not in subflow_indices(d):
         raise ValueError(f"sub-flow index {k} invalid for dimension {d}")
-    ring, lo = (SHORT_RING, 0.0) if d == 3 else (LINE_RING, -prof.r)
-    moments = lambda t, xprime: traction_moments(k, params, xprime, prof.h_radial(t))
-    rings, nring = (lambda ts: ring_integrals(moments, ring, ts)), ring[0].shape[-1]
-    if k == 6:
-        field = lambda t, xprime: _rotation_field_moments(params, t, xprime)
-
-        def rings(ts):
-            out = ring_integrals(field, _ROTATION_RING, ts)
-            out[:6] += _rotation_pressure_rows(params, ts)
-            return out
-
-        nring = _ROTATION_RING[0].size
-    # the d force components and the torque: 3 moments in 2D, 6 in 3D
-    nmom = 3 * (d - 1)
-    spec = QuadSpec(rel_tol=rel_tol, max_subdivisions=max_subdivisions,
-                    split_points=prof.radial_splits())
-    vals, errs, nevals = integrate_vector(rings, lo, prof.r, spec, ncomp=2 * nmom, ncheck=nmom,
-                                          initial_scale=True)
-
-    err = errs[:nmom] + np.maximum(vals[nmom:], 0.0)
-    nev = nevals * nring
-    if k == 6:
-        # below the ring pass's tolerance, so as not to widen the F3 bound, but
-        # no finer than 1e-13, which the line reaches at every eps
-        line_tol = max(rel_tol / 100.0, 1e-13)
-        f3, f3_err, nline = _rotation_pressure_f3(params, line_tol, max_subdivisions)
-        vals[2] += f3
-        err[2] += f3_err
-        nev += nline
-    T, T_err = vals[d:nmom].copy(), err[d:nmom].copy()
-    if d == 2:
-        T, T_err = float(T[0]), float(T_err[0])
-    return ForceResult(
-        F=vals[:d].copy(),
-        T=T,
-        F_err=err[:d].copy(),
-        T_err=T_err,
-        evaluations=nev,
-    )
+    return _solve(params, [k], rel_tol, max_subdivisions)[k]
 
 
 def total_numeric(
@@ -275,25 +409,22 @@ def total_numeric(
     rel_tol: float = DEFAULT_REL_TOL,
     max_subdivisions: int = DEFAULT_MAX_SUBDIVISIONS,
 ) -> TotalResult:
-    """Total force/torque: sum of :func:`force_numeric` over all sub-flows.
+    """Total force/torque: the sum over all sub-flows.
 
-    A sub-flow whose velocity scale is zero vanishes identically; it is
-    not integrated and contributes an
-    all-zero :class:`ForceResult` with ``evaluations = 0``.
+    The rigid mean is closed-form; the field moments of every other active
+    sub-flow share one ring pass, each resolved relative to its own largest
+    initial total as in :func:`force_numeric`, and the 3D rotation adds its
+    ``G`` pass.  A sub-flow whose velocity scale is zero vanishes
+    identically; it is not integrated and contributes an all-zero
+    :class:`ForceResult` with ``evaluations = 0``.
     """
     d = params.profile.dimension
-    per = {}
-    for k in subflow_indices(d):
-        if subflow_scale(k, params) == 0.0:
-            per[k] = ForceResult(
-                F=np.zeros(d),
-                T=np.zeros(3) if d == 3 else 0.0,
-                F_err=np.zeros(d),
-                T_err=np.zeros(3) if d == 3 else 0.0,
-                evaluations=0,
-            )
-        else:
-            per[k] = force_numeric(k, params, rel_tol, max_subdivisions)
+    active = [k for k in subflow_indices(d) if subflow_scale(k, params) != 0.0]
+    solved = _solve(params, active, rel_tol, max_subdivisions)
+    zero = lambda: np.zeros(3) if d == 3 else 0.0
+    per = {k: solved.get(k) or ForceResult(F=np.zeros(d), T=zero(), F_err=np.zeros(d), T_err=zero(),
+                                           evaluations=0)
+           for k in subflow_indices(d)}
     F = np.sum([res.F for res in per.values()], axis=0)
     F_err = np.sum([res.F_err for res in per.values()], axis=0)
     if d == 3:

@@ -26,6 +26,7 @@ from lubgap.quadrature import (
     QuadSpec,
     _gauss_legendre,
     _panel_sums,
+    integrate_vector,
     ring_integrals,
 )
 from lubgap.special import AsymptoticExpansion, AsymptoticTerm, gamma, gamma_coeff
@@ -305,7 +306,7 @@ def graded_line(lo: float, hi: float, centers, delta: float):
 
 # The rotation pressure's graded octant rule: the reference for the force
 # route's closed-form moments of G (lubgap.traction._rotation_pressure_rows,
-# _rotation_pressure_f3).  It integrates the moments of G point by point on
+# _rotation_corner).  It integrates the moments of G point by point on
 # the rings, so it shares none of that code's identities.
 
 # panels of the octant rule, sinh-graded toward the cardinal angle 0
@@ -410,3 +411,26 @@ def rotation_pressure(params, ts, rule=None):
     vals, errs = on_j1 * J1, np.abs(on_j1) * E1
     vals[2], errs[2] = mu6 * (c1 - c2) * J0, mu6 * abs(c1 - c2) * E0
     return np.concatenate([vals, errs])
+
+
+def rotation_f3_line(params, rel_tol=1e-13):
+    """The F3 moment of the 3D rotation's ``6 mu G`` as one line integral of
+    ``Q_3``: ``(value, error)``.
+
+    ``Q`` is odd in its first argument, so over the disc only the anchor
+    terms of ``G`` remain: ``F3 = 12 mu (c1 - c2) int_{-r}^{r} sqrt(r^2 - y^2)
+    Q(r, y) dy``, integrated in ``y = r sin phi`` over ``[0, pi/2]``, split
+    where :meth:`GapProfile.radial_splits` cross the line.  It shares no
+    identity with the force route's polar F3 row and corner rule, whose
+    oracle it is.
+    """
+    prof = params.profile
+    c1, c2 = _squeeze_type(6, params)[1]
+    r, coef = prof.r, 24.0 * params.mu * (c1 - c2) * prof.r**2
+
+    def line(phi):
+        return coef * np.cos(phi) ** 2 * _running_integral(prof, 3, r, r * np.sin(phi))
+
+    spec = QuadSpec(rel_tol=rel_tol, split_points=tuple(np.arcsin(np.asarray(prof.radial_splits()) / r)))
+    vals, errs, _ = integrate_vector(line, 0.0, 0.5 * np.pi, spec, ncomp=1)
+    return float(vals[0]), float(errs[0])

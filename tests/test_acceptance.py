@@ -528,12 +528,15 @@ class TestDualBoundedness:
     # Note: the squeeze (i = 3) and rotation (i = 6) discrepancy forms
     # genuinely grow as the gap closes (like |ln eps| and a high inverse
     # power of eps respectively), so the boundedness assertion fails for
-    # those two indices; the failures are real properties of the
-    # construction, not integration artifacts.  Exact planar derivatives,
-    # closed-form squeeze potentials and the discrepancy from the diagonal
-    # corrections alone left the slopes at -0.3176 and -4.9003 (-0.3175
-    # and -4.9003 with finite differences and a squeeze table), which
-    # rules the numerics out.
+    # those two indices.  Exact planar derivatives, closed-form squeeze
+    # potentials and the discrepancy from the diagonal corrections alone
+    # left the slopes at -0.3176 and -4.9003 (-0.3175 and -4.9003 with
+    # finite differences and a squeeze table).  The (3, 3) slope is resolved
+    # by this grid's 64-point ring: 2048- and 8192-point rings give -0.3176
+    # too, so that failure belongs to the construction.  The (6, 6) slope
+    # is not: the 64-point ring misses the rotation's angular features of
+    # width delta/t, and resolved rings give about -4.45, which still fails
+    # the bound.  So -4.9003 is a ring artefact, not the construction's law.
     @pytest.mark.parametrize("i", [1, 2, 3, 6])
     def test_diagonal_bounded(self, dual_report, i):
         slope = dual_report.slopes[(i, i)]

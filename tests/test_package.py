@@ -34,9 +34,11 @@ import lubgap
 from perfbench.tracing import Tracer, install
 tracer = Tracer()
 install(tracer, lubgap)
-from lubgap.traction import total_numeric
+from lubgap.traction import force_numeric, total_numeric
 profile = lubgap.GapProfile(dimension=2, kind="m-convex", m=2.0, r=0.5, s=0.0, eps=1e-3, R=2.0)
 total_numeric(lubgap.ProblemParams(profile=profile, U=(0.4, -0.3), omega=0.25))
+# total_numeric solves every sub-flow at once, without force_numeric
+force_numeric(1, lubgap.ProblemParams(profile=profile, U=(0.4, -0.3), omega=0.25))
 from lubgap import dualcheck
 profile = lubgap.GapProfile(dimension=3, kind="m-convex", m=2.0, r=0.5, s=0.0, eps=1e-2, R=2.0)
 params = lubgap.ProblemParams(profile=profile, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))

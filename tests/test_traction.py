@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,7 +20,7 @@ from lubgap.quadrature import (
 )
 from lubgap.traction import (
     _ROTATION_RING,
-    _rotation_field_moments,
+    _ring_moments,
     force_numeric,
     total_numeric,
     traction_moments,
@@ -34,6 +35,7 @@ from helpers import (
     octant_edges,
     octant_panels,
     octant_rule,
+    rotation_f3_line,
     rotation_pressure,
 )
 
@@ -175,31 +177,39 @@ class TestForceNumeric:
 
     @pytest.mark.parametrize("d, k", [(d, k) for d in (3, 2) for k in subflow_indices(d)])
     def test_each_panel_evaluated_once(self, d, k, params3d, params2d, monkeypatch):
-        # one adaptive pass per sub-flow, its absolute tolerance from its own
-        # initial panels, and evaluations counts each distinct point once
-        calls, reads = [], []
+        # the rigid mean is closed-form; any other sub-flow makes one ring
+        # pass, its absolute tolerance from its own initial panels, and the
+        # rotation one radial pass of its G rows plus the corner rule;
+        # evaluations counts each distinct point once
+        calls, rows = [], []
+        pressure_rows = traction._rotation_pressure_rows
 
         def spy(f, ring, ts):
             calls.append((ts.tobytes(), ring[0].shape[-1]))
             return ring_integrals(f, ring, ts)
 
-        def spy_q(profile, n, a, c, second=False):
-            reads.append(np.broadcast(a, c).size)
-            return fields._running_integral(profile, n, a, c, second)
+        def spy_rows(params, ts):
+            rows.append(ts.copy())
+            return pressure_rows(params, ts)
 
         monkeypatch.setattr(traction, "ring_integrals", spy)
-        monkeypatch.setattr(traction, "_running_integral", spy_q)
+        monkeypatch.setattr(traction, "_rotation_pressure_rows", spy_rows)
         res = force_numeric(k, params3d if d == 3 else params2d)
+        if k == 0:
+            assert calls == rows == [] and res.evaluations == 0
+            return
         # a call holds every panel of one refinement step: no radial node
         # is evaluated twice, within a call or across calls
         ts = np.concatenate([np.frombuffer(key) for key, _ in calls])
         assert np.unique(ts).size == ts.size
         nring = {size for _, size in calls}
-        # the rotation's field on the 10-point ring, plus the Q_3 reads of its
-        # pressure's F3 line integral (15 Kronrod nodes per panel of a call)
+        # the rotation's field on the 10-point ring, plus the nodes of its G
+        # pass (15 Kronrod nodes per panel of a call) and of the corner rule
         assert nring == {10 if k == 6 else 8 if d == 3 else 1}
-        assert (k == 6) == bool(reads) and all(n % 15 == 0 for n in reads)
-        assert res.evaluations == ts.size * nring.pop() + sum(reads)
+        g = np.concatenate(rows) if rows else np.zeros(0)
+        assert (k == 6) == bool(rows) and np.unique(g).size == g.size and g.size % 15 == 0
+        corner = traction._CORNER_PHI.size * traction._CORNER_T.size if k == 6 else 0
+        assert res.evaluations == ts.size * nring.pop() + g.size + corner
 
     @pytest.mark.parametrize(
         "profile",
@@ -212,9 +222,9 @@ class TestForceNumeric:
         ids=lambda prof: f"{prof.dimension}d-{prof.kind}",
     )
     def test_every_pass_splits_at_radial_splits(self, profile, monkeypatch):
-        # one owner of the split points: each sub-flow's one radial pass
-        # reads radial_splits, and the rotation's F3 line the same radii on
-        # y = r sin phi; no sub-flow adds splits of its own
+        # one owner of the split points: every radial pass, the ring pass and
+        # the rotation's G pass, reads radial_splits; no sub-flow adds splits
+        # of its own, and the rigid mean makes no pass
         d, splits = profile.dimension, profile.radial_splits()
         U, omega = ((0.3, -0.2, -0.5), (0.15, 0.2, 0.1)) if d == 3 else ((0.4, -0.3), 0.25)
         params = ProblemParams(profile=profile, U=U, omega=omega)
@@ -228,9 +238,10 @@ class TestForceNumeric:
         for k in subflow_indices(d):
             passes.clear()
             force_numeric(k, params)
-            assert [p for b, p in passes if b == profile.r] == [splits], k
-            line = [tuple(np.arcsin(np.array(splits) / profile.r))] if k == 6 else []
-            assert [p for b, p in passes if b != profile.r] == line, k
+            assert passes == [(profile.r, splits)] * (0 if k == 0 else 2 if k == 6 else 1), k
+        passes.clear()
+        total_numeric(params)
+        assert passes == [(profile.r, splits)] * (2 if d == 3 else 1)
 
 
 # m-convex profiles, and the flat cap s = 0.05 with radii on both sides of its rim
@@ -251,9 +262,7 @@ def _general_moments(kind, m, s, ks=range(6)):
         params = ProblemParams(profile=prof, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
         for k in ks:
             if k == 6:
-                yield (eps, k), lambda t, xp, params=params: _rotation_field_moments(
-                    params, t, xp
-                )
+                yield (eps, k), lambda t, xp, params=params: _ring_moments(params, [6], t, xp)[0]
             else:
                 yield (eps, k), lambda t, xp, k=k, params=params: traction_moments(
                     k, params, xp, params.profile.h_radial(t)
@@ -328,7 +337,8 @@ class TestRotationSplit:
     # running-integral pressure G (x_a^2 times radial functions, so
     # trigonometric polynomials of degree <= 4) on the 10-point ring, and
     # the moments of G by integration by parts along x1: F1, F2, T1 and T2
-    # as radial rows, F3 as one line integral of Q_3.  The graded octant
+    # as radial rows, F3 as a polar radial row over the disc plus a fixed
+    # tensor rule over the corners of its rectangle.  The graded octant
     # rule (tests/helpers.py), which integrates the moments of G ring by
     # ring, is their reference
 
@@ -384,9 +394,8 @@ class TestRotationSplit:
         # beyond the rim F3 misses at eps = 1e-8 and the radial rows at 1e-9
         params = _rotation_params(kind, m, s, eps)
         prof = params.profile
-        monkeypatch.setattr(
-            traction, "_rotation_field_moments", lambda _p, t, _xp: np.zeros((6, t.size))
-        )
+        zero_field = lambda _k, _p, _xp, z: (None, np.zeros_like(z), np.zeros((3, 3, z.size)))
+        monkeypatch.setattr(traction, "_subflow_field", zero_field)
         res = force_numeric(6, params)
         got, got_err = np.r_[res.F, res.T], np.r_[res.F_err, res.T_err]
         # the reference: the octant rule's ring integrals, radially at 1e-9
@@ -402,14 +411,31 @@ class TestRotationSplit:
         [("m-convex", m, 0.0) for m in (2.0, 2.5, 4.0)] + [("flat-capped", 2.0, 0.05)],
     )
     def test_solves_at_config_floor(self, kind, m, s):
-        # rel_tol = 1e-12 is the config minimum: the F3 line, run finer than
-        # the radial pass, must still converge within the subdivision budget
+        # rel_tol = 1e-12 is the config minimum: the G pass, run finer than
+        # the ring pass, must still converge within the subdivision budget
         for eps in (1e-2, 1e-4, 1e-6, 1e-8):
             params = _rotation_params(kind, m, s, eps)
             tight, default = force_numeric(6, params, rel_tol=1e-12), force_numeric(6, params)
             diff = np.abs(np.r_[tight.F, tight.T] - np.r_[default.F, default.T])
             bound = np.r_[tight.F_err, tight.T_err] + np.r_[default.F_err, default.T_err]
             assert np.all(diff <= bound), eps
+
+    @pytest.mark.parametrize(
+        "kind, m, s",
+        [("m-convex", m, 0.0) for m in (2.0, 2.5, 4.0, 8.0)] + [("flat-capped", 2.0, 0.05)],
+    )
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_f3_row_matches_line(self, kind, m, s, eps):
+        # the polar F3 row over the disc plus the corner rule equal the line
+        # integral of Q_3 over the rectangle they both cover
+        params = _rotation_params(kind, m, s, eps)
+        prof = params.profile
+        spec = QuadSpec(rel_tol=1e-13, split_points=prof.radial_splits())
+        rows = lambda ts: traction._rotation_pressure_rows(params, ts)[2]
+        disc = integrate_vector(rows, 0.0, prof.r, spec, ncomp=1)[0][0]
+        corner = traction._rotation_corner(params)[0]
+        line = rotation_f3_line(params)[0]
+        assert disc + corner == pytest.approx(line, rel=1e-12, abs=0.0)
 
 
 class TestOctantRule:
@@ -538,26 +564,31 @@ class TestRotationRing:
     # the same with the moments of G by integration by parts: F1, F2, T1 and
     # T2 as radial rows, F3 as a line integral.  Each value moved by less
     # than its octant bound.  Pinned again when the radial splits began
-    # halving from delta: each new value lies within the sum of its old and
-    # new bounds
+    # halving from delta, and again when F3 became a polar radial row plus a
+    # corner rule in a G pass of its own, apart from the ring pass of the
+    # field moments: each new value lies within the sum of its old and new
+    # bounds.  The F1, F2, T1 and T2 bounds rose (at eps = 1e-2 from 5.4e-11,
+    # 4.0e-11, 4.0e-11, 5.3e-11), since the field moments now stop on their
+    # first round, within the same tolerance; the F3 bounds fell (from 1.9e-9,
+    # 8.4e-9, 1.7e-7)
     _K6_REFERENCE = {
         0.01: (
-            [11.659655486262764, -8.744741614697073, 75.37550427032953],
-            [-10.112676471945782, -13.483568629261043, -2.4573544597409192e-17],
-            [5.395864059408499e-11, 4.046871616176416e-11, 1.905140239559187e-09],
-            [3.988011307659693e-11, 5.317347411975797e-11, 6.067046426308472e-17],
+            [11.659655486262768, -8.744741614697075, 75.37550427032969],
+            [-10.112676471945786, -13.483568629261047, -2.4622677475471894e-17],
+            [1.6955162878782341e-09, 1.2716370370008075e-09, 4.622864679305821e-11],
+            [2.5597167319682788e-09, 3.412955603020546e-09, 6.083465793187957e-17],
         ),
         0.001: (
-            [117.75384838768386, -88.31538629076286, 815.4689949226838],
-            [-86.3439653897835, -115.125287186378, -2.6099636049952774e-17],
-            [1.39123752527803e-09, 1.0434296124027666e-09, 8.427069255896661e-09],
-            [9.557492333519437e-10, 1.2743314438129702e-09, 8.245545026116196e-17],
+            [117.75384838768386, -88.31538629076287, 815.4689949226841],
+            [-86.3439653897835, -115.12528718637799, -2.6154482037023064e-17],
+            [1.7916396769955124e-09, 1.3437298557099054e-09, 2.917718627692144e-10],
+            [2.6649232328699983e-09, 3.553230471949625e-09, 8.257027359391968e-17],
         ),
         0.0001: (
-            [1178.05544938681, -883.5415870401074, 8235.558371000883],
-            [-833.5015874265703, -1111.3354499020938, -2.7466771801706654e-17],
-            [1.994691888170831e-08, 1.4960189717319662e-08, 1.697113753486689e-07],
-            [1.3906871166417829e-08, 1.8542500797674288e-08, 7.983121214882248e-17],
+            [1178.0554493868099, -883.5415870401073, 8235.558371000887],
+            [-833.5015874265702, -1111.3354499020938, -2.744988970076434e-17],
+            [2.074332140039895e-09, 1.5557475615455185e-09, 2.615433081426319e-09],
+            [2.867866432672615e-09, 3.823823059235448e-09, 7.978484662511029e-17],
         ),
     }
 
@@ -593,19 +624,22 @@ class TestReferenceValues:
     # by parts: each value lies within its octant bound (_OCTANT_K6).  All
     # were pinned again when the radial splits began halving from delta
     # (delta 2^j < r): each new value lies within the sum of its old and new
-    # bounds.  The evaluations count distinct points: each radial panel
-    # once, on the 8-point ring in 3D for k != 6; for k = 6 the 10 field
-    # points of its ring plus one Q_3 read per node of its F3 line integral
-    # (87600 on the octant rule, four running-integral reads per octant
-    # node).
+    # bounds.  The rigid mean (k = 0, 3D and 2D) was pinned again when it
+    # became closed-form, and k = 6 when its F3 became a polar radial row plus
+    # a corner rule in a G pass of its own: each new value lies within the
+    # sum of its old and new bounds.  The evaluations count distinct points:
+    # none for k = 0; each radial panel once, on the 8-point ring in 3D for
+    # k = 1..5; for k = 6 the 10 field points of its ring plus the nodes of
+    # its G pass and of the corner rule (87600 on the octant rule, four
+    # running-integral reads per octant node).
     _REFERENCE = {
         3: {
             0: (
-                [0.09326603190344698, -0.06994952392758524, 1.193647045474458e-18],
-                [-0.13161555160058797, -0.17548740213411734, 1.0270064352601553e-18],
-                [1.134069583382034e-15, 8.495722317931075e-16, 1.5784906541834083e-18],
-                [1.60542120955466e-15, 2.1424424123697923e-15, 2.208553658200288e-18],
-                600,
+                [0.09326603190344698, -0.06994952392758523, 0.0],
+                [-0.13161555160058802, -0.17548740213411737, 0.0],
+                [9.3266031903447e-17, 6.994952392758524e-17, 0.0],
+                [1.4818254410975295e-16, 1.9757672547967062e-16, 0.0],
+                0,
             ),
             1: (
                 [1.8126761802368663, 6.499081609730511e-19, -6.536196112870825e-18],
@@ -643,20 +677,20 @@ class TestReferenceValues:
                 600,
             ),
             6: (
-                [117.75384838768386, -88.31538629076286, 815.4689949226838],
-                [-86.3439653897835, -115.125287186378, -2.6099636049952774e-17],
-                [1.39123752527803e-09, 1.0434296124027666e-09, 8.427069255896661e-09],
-                [9.557492333519437e-10, 1.2743314438129702e-09, 8.245545026116196e-17],
-                1185,
+                [117.75384838768386, -88.31538629076287, 815.4689949226841],
+                [-86.3439653897835, -115.12528718637799, -2.6154482037023064e-17],
+                [1.7916396769955124e-09, 1.3437298557099054e-09, 2.917718627692144e-10],
+                [2.6649232328699983e-09, 3.553230471949625e-09, 8.257027359391968e-17],
+                2805,
             ),
         },
         2: {
             0: (
-                [-0.14583333333333337, 1.7618285302889447e-19],
-                [-0.2744791666666666],
-                [1.7649085775783534e-15, 3.7819469519536143e-16],
-                [3.321810072799258e-15],
-                150,
+                [-0.14583333333333334, 0.0],
+                [-0.27447916666666666],
+                [1.4583333333333334e-16, 0.0],
+                [3.0885416666666673e-16],
+                0,
             ),
             1: (
                 [-86.63026682207214, -1.1102230246251565e-16],
@@ -719,21 +753,147 @@ class TestReferenceValues:
             assert np.all(np.abs(got - np.array(F0 + T0)) <= np.array(F0_err + T0_err))
 
 
+def _rigid_profiles():
+    for m in (2.0, 2.5, 8.0):
+        yield mconvex(m)
+    for s in (0.05, 0.15):
+        yield flat(s)
+    for m in (1.2, 1.5, 2.0):
+        yield mconvex(m, dimension=2)
+    yield flat(0.1, dimension=2)
+
+
+class TestRigidMean:
+    # the rigid mean k = 0 is closed-form: its stress reads only h' and
+    # l = (h - eps)/2 - R, so its moments are eps-independent polynomials
+
+    @staticmethod
+    def _params(prof):
+        if prof.dimension == 3:
+            return ProblemParams(profile=prof, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
+        return ProblemParams(profile=prof, U=(0.4, -0.3), omega=0.25)
+
+    @pytest.mark.parametrize("prof", _rigid_profiles(), ids=lambda p: f"{p.dimension}d-{p.kind}-{p.m}-{p.s}")
+    def test_matches_mpmath(self, prof):
+        # F and T from I and J by mpmath.quad of their defining integrals
+        params = self._params(prof)
+        res = traction._rigid_mean(params)
+        with mpmath.workdps(30):
+            r, R, s = mpmath.mpf(prof.r), mpmath.mpf(prof.R), mpmath.mpf(prof.s)
+            if prof.kind == "m-convex":
+                dh = lambda x: prof.m * x ** (prof.m - 1)
+                lever = lambda x: x**prof.m / 2 - R
+                pts = [0, r]
+            else:
+                dh = lambda x: 2 * (x - s) if x > s else mpmath.mpf(0)
+                lever = lambda x: (x - s) ** 2 / 2 - R if x > s else -R
+                pts = [0, s, r]
+            if prof.dimension == 3:
+                weight = lambda x: (mpmath.mpf(3) / 8 * dh(x) ** 2 + 1) * x
+                I = mpmath.quad(weight, pts)
+                J = mpmath.quad(lambda x: dh(x) * x**2 / 4 + lever(x) * weight(x), pts)
+                w1, w2, _ = params.omega
+                want = [mpmath.pi * I * w2, -mpmath.pi * I * w1, mpmath.pi * J * w1, mpmath.pi * J * w2]
+                got = [*res.F[:2], *res.T[:2]]
+                assert res.F[2] == 0.0 and res.T[2] == 0.0
+            else:
+                weight = lambda x: dh(x) ** 2 / 4 + mpmath.mpf(1) / 2
+                I = mpmath.quad(weight, pts)
+                J = mpmath.quad(lambda x: x * dh(x) / 4 + lever(x) * weight(x), pts)
+                want, got = [-2 * params.omega * I, 2 * params.omega * J], [res.F[0], res.T]
+                assert res.F[1] == 0.0
+            want = [float(w) for w in want]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-14 * abs(w)
+
+    @pytest.mark.parametrize("prof", _rigid_profiles(), ids=lambda p: f"{p.dimension}d-{p.kind}-{p.m}-{p.s}")
+    @pytest.mark.parametrize("eps", [1e-2, 1e-6])
+    def test_matches_ring_pass(self, prof, eps):
+        # against the adaptive pass over the rings of traction_moments(0)
+        prof = GapProfile(kind=prof.kind, m=prof.m, s=prof.s, eps=eps, r=prof.r, R=prof.R,
+                          dimension=prof.dimension)
+        params = self._params(prof)
+        d, nmom = prof.dimension, 3 * (prof.dimension - 1)
+        ring = SHORT_RING if d == 3 else traction.LINE_RING
+        moments = lambda t, xp: traction_moments(0, params, xp, prof.h_radial(t))
+        spec = QuadSpec(rel_tol=1e-8, split_points=prof.radial_splits())
+        vals, errs, _ = integrate_vector(lambda ts: ring_integrals(moments, ring, ts),
+                                         0.0 if d == 3 else -prof.r, prof.r, spec,
+                                         ncomp=2 * nmom, ncheck=nmom, initial_scale=True)
+        res = traction._rigid_mean(params)
+        got = np.r_[res.F, np.atleast_1d(res.T)]
+        bound = np.r_[res.F_err, np.atleast_1d(res.T_err)] + errs[:nmom] + vals[nmom:]
+        # the pass leaves the exactly vanishing components at roundoff of the
+        # largest one, which its per-component floor does not cover
+        assert np.all(np.abs(got - vals[:nmom]) <= bound + 1e-15 * np.max(np.abs(got)))
+
+    @pytest.mark.parametrize("d", [3, 2])
+    def test_zero_rotation_exact_zeros(self, d):
+        # without (w1, w2) in 3D, or w0 in 2D, the rigid mean is exactly
+        # zero, with no negative zeros, whatever the translation and spin
+        prof = mconvex(2.5) if d == 3 else mconvex(1.5, dimension=2)
+        U, omega = ((0.3, -0.2, -0.5), (0.0, 0.0, 0.7)) if d == 3 else ((0.4, -0.3), 0.0)
+        res = force_numeric(0, ProblemParams(profile=prof, U=U, omega=omega))
+        for v in (res.F, res.T, res.F_err, res.T_err):
+            v = np.atleast_1d(v)
+            assert np.all(v == 0.0) and not np.any(np.signbit(v))
+        assert res.evaluations == 0
+
+
+class TestPassCounts:
+    # a solve makes two radial passes in 3D (the ring pass of k = 1..6 and
+    # the rotation's G pass) and one in 2D; the rigid mean makes none
+
+    @staticmethod
+    def _count(params, monkeypatch):
+        passes, reads = [], []
+
+        def counted(fvec, *args, **kwargs):
+            calls = []
+            passes.append(calls)
+            return integrate_vector(lambda x: calls.append(x.size) or fvec(x), *args, **kwargs)
+
+        def spy(*args, **kwargs):
+            reads.append(args)
+            return running(*args, **kwargs)
+
+        running = fields._running_integral
+        monkeypatch.setattr(traction, "integrate_vector", counted)
+        monkeypatch.setattr(fields, "_running_integral", spy)
+        total_numeric(params)
+        return [len(calls) for calls in passes], reads
+
+    def test_general3d(self, monkeypatch):
+        # m = 2, eps = 1e-4, the general motion: the G pass makes two
+        # integrand calls, the ring pass one, and the force route reads no
+        # running integral
+        params = ProblemParams(profile=mconvex(eps=1e-4), U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
+        calls, reads = self._count(params, monkeypatch)
+        assert calls == [2, 1]
+        assert reads == [] and not hasattr(traction, "_running_integral")
+
+    def test_2d(self, monkeypatch):
+        params = ProblemParams(profile=mconvex(1.2, 1e-8, dimension=2), U=(0.4, -0.3), omega=0.25)
+        calls, reads = self._count(params, monkeypatch)
+        assert calls == [1] and reads == []
+
+
 class TestTotalNumeric:
     def test_zero_scale_subflows_skipped(self, monkeypatch):
         # a pure squeeze never integrates the rotation sub-flow, in 3D
-        # (k = 6, nor reads its pressure's running integral) and in 2D (k = 4)
+        # (k = 6, nor its pressure's G rows) and in 2D (k = 4)
         squeeze3 = ProblemParams(profile=mconvex(eps=2e-3), U=(0.0, 0.0, -1.0))
         squeeze2 = ProblemParams(
             profile=mconvex(eps=2e-3, dimension=2), U=(0.0, -1.0), omega=0.0
         )
         reads = []
+        pressure_rows = traction._rotation_pressure_rows
 
         def spy(*args, **kwargs):
             reads.append(args)
-            return fields._running_integral(*args, **kwargs)
+            return pressure_rows(*args, **kwargs)
 
-        monkeypatch.setattr(traction, "_running_integral", spy)
+        monkeypatch.setattr(traction, "_rotation_pressure_rows", spy)
         for params, k, k_squeeze in ((squeeze3, 6, 3), (squeeze2, 4, 2)):
             res = total_numeric(params)
             zero = res.per_subflow[k]
@@ -743,7 +903,7 @@ class TestTotalNumeric:
             assert zero.evaluations == 0
             assert res.per_subflow[k_squeeze].evaluations > 0
         assert reads == []
-        # the spy sits where the rotation's force route reads the running integral
+        # the spy sits where the rotation's force route reads its G rows
         force_numeric(6, ProblemParams(profile=mconvex(eps=2e-3), omega=(0.1, 0.0, 0.0)))
         assert reads
 
@@ -771,10 +931,11 @@ class TestTotalNumeric:
 
 class TestRefinementSteps:
     def test_squeeze_grid_2d_calls(self, monkeypatch):
-        # at m < 2 the radial passes start on panels halving from delta down
+        # at m < 2 the radial pass starts on panels halving from delta down
         # to where the gap is eps to roundoff, and a refinement round bisects
         # every panel the tolerance still needs in one call: the 2D m = 1.2,
-        # eps = 1e-8 solve makes one integrand call per sub-flow, 5 (35 with
+        # eps = 1e-8 solve makes one integrand call, its rigid mean closed-form
+        # and k = 1..4 in one ring pass (5 with one pass per sub-flow, 35 with
         # the halving stopped at delta, 66 bisecting one panel per call, 249
         # with delta the only split)
         calls = []
@@ -785,15 +946,15 @@ class TestRefinementSteps:
         monkeypatch.setattr(traction, "integrate_vector", counted)
         prof = mconvex(1.2, 1e-8, dimension=2)
         total_numeric(ProblemParams(profile=prof, U=(0.4, -0.3), omega=0.25), rel_tol=1e-8)
-        assert len(calls) == 5
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
     @pytest.mark.parametrize("m", [1.1, 1.2, 1.5, 1.8, 1.95])
     def test_2d_axis_grading(self, m, eps, rel_tol, monkeypatch):
         # with panels graded into the axis singularity of m < 2, every total
-        # is honest against a rel_tol = 1e-13 solve and each sub-flow's pass
-        # makes at most two integrand calls
+        # is honest against a rel_tol = 1e-13 solve and the one ring pass of
+        # k = 1..4 makes at most two integrand calls
         params = ProblemParams(profile=mconvex(m, eps, dimension=2), U=(0.4, -0.3), omega=0.25)
         ref = total_numeric(params, rel_tol=1e-13)
         passes = []
@@ -807,7 +968,7 @@ class TestRefinementSteps:
         got = total_numeric(params, rel_tol=rel_tol)
         diff = np.abs(np.r_[got.F, got.T] - np.r_[ref.F, ref.T])
         assert np.all(diff <= np.r_[got.F_err, got.T_err] + np.r_[ref.F_err, ref.T_err])
-        assert len(passes) == 5
+        assert len(passes) == 1
         assert all(0 < len(calls) <= 2 for calls in passes)
 
     def test_2d_near_m1_within_min_budget(self):
