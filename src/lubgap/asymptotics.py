@@ -42,6 +42,7 @@ __all__ = [
     "force_asymptotic_2d_flat",
     "force_asymptotic",
     "fit_exponent",
+    "alpha_coefficients",
 ]
 
 
@@ -76,6 +77,37 @@ class TheoremResult:
     T: tuple | AsymptoticExpansion
     coefficients: CoefficientSet
     warnings: tuple = ()
+
+    def components(self) -> tuple:
+        """The forces' expansions, then the torque's, in the order of
+        :func:`lubgap.report.component_names`."""
+        return (*self.F, *(self.T if isinstance(self.T, tuple) else (self.T,)))
+
+
+# the relative width of the m-convex theorems' marginal branches at m = 5/3 and m = 3
+_BRANCH_TOL = 1e-12
+
+
+def alpha_coefficients(m: float, mu: float) -> dict:
+    """The coefficients of the m-convex theorems that depend on ``m`` and ``mu``
+    alone, each where it is defined: ``alpha12_3d`` and ``alpha34_3d`` at ``m >=
+    2`` (3D profiles), ``alpha11_2d`` and ``alpha33_2d``, ``alpha35_2d`` from
+    within ``1e-12`` below ``m = 5/3`` and ``alpha13_2d`` from ``1e-12`` past
+    ``m = 3``, the thresholds of :func:`force_asymptotic_2d`'s torque branches.
+    """
+    out = {}
+    if m >= 2.0:
+        out["alpha12_3d"] = 2.0 * np.pi * mu * gamma_coeff(1, 2, m)
+        out["alpha34_3d"] = 1.5 * np.pi * mu * gamma_coeff(3, 4, m)
+    out["alpha11_2d"] = 2.0 * mu * gamma_coeff(1, 1, m)
+    out["alpha33_2d"] = 3.0 * mu * gamma_coeff(3, 3, m)
+    if m > 5.0 / 3.0 - _BRANCH_TOL:
+        out["alpha35_2d"] = 3.0 * mu * gamma_coeff(3, 5, m)
+    if m > 3.0 + _BRANCH_TOL:
+        out["alpha13_2d"] = (mu / (2.0 * m)) * (
+            (18.0 + 3.0 * m) * gamma_coeff(1, 3, m) + 6.0 * m * gamma_coeff(2, 3, m)
+        )
+    return out
 
 
 def _terms(*pairs) -> tuple:
@@ -133,8 +165,8 @@ def force_asymptotic_3d(params: ProblemParams) -> TheoremResult:
     U1, U2, U3 = params.U
     w1, w2, _w3 = params.omega
 
-    a12 = 2.0 * np.pi * mu * gamma_coeff(1, 2, m)
-    a34 = 1.5 * np.pi * mu * gamma_coeff(3, 4, m)
+    alphas = alpha_coefficients(m, mu)
+    a12, a34 = alphas["alpha12_3d"], alphas["alpha34_3d"]
     b1 = (
         (3.0 / 16.0)
         * np.pi
@@ -317,10 +349,11 @@ def force_asymptotic_2d(params: ProblemParams) -> TheoremResult:
     U1, U2 = params.U
     w0 = params.omega
 
-    a11 = 2.0 * mu * gamma_coeff(1, 1, m)
-    a33 = 3.0 * mu * gamma_coeff(3, 3, m)
+    alphas = alpha_coefficients(m, mu)
+    a11, a33 = alphas["alpha11_2d"], alphas["alpha33_2d"]
+    a35, a13 = alphas.get("alpha35_2d"), alphas.get("alpha13_2d")
     beta = 3.0 * mu * (1.0 + 0.25 * r ** (2.0 * m - 2.0) - R * r ** (m - 2.0)) * gamma_coeff(3, 3, m)
-    entries = [("alpha11", a11), ("alpha33", a33), ("beta", beta)]
+    entries = [("alpha11", a11), ("alpha33", a33), ("beta", beta), ("alpha35", a35), ("alpha13", a13)]
     cu = U1 + w0 * R
     pshear = 1.0 - 1.0 / m
     psq = 3.0 - 3.0 / m
@@ -332,26 +365,15 @@ def force_asymptotic_2d(params: ProblemParams) -> TheoremResult:
     F1 = AsymptoticExpansion(_terms(*F1_pairs))
     F2 = AsymptoticExpansion(_terms((-2.0 * (2.0 * U2 - w0 * r) * a33, psq)))
 
-    tol = 1e-12
-    a35 = a13 = 0.0
-    if m > 5.0 / 3.0 - tol:
-        a35 = 3.0 * mu * gamma_coeff(3, 5, m)
-        entries.append(("alpha35", a35))
-    if m > 3.0 + tol:
-        a13 = (mu / (2.0 * m)) * (
-            (18.0 + 3.0 * m) * gamma_coeff(1, 3, m) + 6.0 * m * gamma_coeff(2, 3, m)
-        )
-        entries.append(("alpha13", a13))
-
     T_pairs = [(-R * cu * a11, pshear), (w0 * r**2 * beta, psq)]
-    if abs(m - 5.0 / 3.0) <= tol:
+    if abs(m - 5.0 / 3.0) <= _BRANCH_TOL:
         T_pairs = [
             (-(18.0 / 5.0) * mu * w0, "log"),
             (-R * w0 * a33, 0.2),
             (-R * cu * a11, 0.4),
             (w0 * r**2 * beta, 1.2),
         ]
-    elif abs(m - 3.0) <= tol:
+    elif abs(m - 3.0) <= _BRANCH_TOL:
         T_pairs = [
             (1.5 * mu * w0, "log"),
             (-R * cu * a11, 2.0 / 3.0),
@@ -359,14 +381,14 @@ def force_asymptotic_2d(params: ProblemParams) -> TheoremResult:
             (-w0 * a35, 4.0 / 3.0),
             (w0 * r**2 * beta, 2.0),
         ]
-    elif m > 1.5 + tol:
+    elif m > 1.5 + _BRANCH_TOL:
         T_pairs.append((-R * w0 * a33, pmid))
         if m > 5.0 / 3.0:
             T_pairs.append((-w0 * a35, 3.0 - 5.0 / m))
         if m > 3.0:
             T_pairs.append((w0 * a13, 1.0 - 3.0 / m))
     T = AsymptoticExpansion(_terms(*T_pairs))
-    return TheoremResult((F1, F2), T, CoefficientSet(tuple(entries)))
+    return TheoremResult((F1, F2), T, CoefficientSet((k, v) for k, v in entries if v is not None))
 
 
 def force_asymptotic_2d_flat(

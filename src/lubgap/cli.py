@@ -35,7 +35,7 @@ import numpy as np
 import numpy.random  # noqa: F401 - numpy loads it lazily; the bc/div suites need it
 
 from . import dualcheck
-from .asymptotics import force_asymptotic
+from .asymptotics import alpha_coefficients, force_asymptotic
 from .config import MODES, ConfigError, RunConfig, load_config
 from .fields import boundary_target, eval_field_many, subflow_indices
 from .fields import eval_field  # noqa: F401 - a name perfbench wraps and calls
@@ -65,6 +65,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # constants / phi
 # ---------------------------------------------------------------------------
@@ -73,7 +84,8 @@ class _Parser(argparse.ArgumentParser):
 def cmd_constants(m: float) -> list[tuple[str, float]]:
     """Coefficient table for exponent ``m``: Gamma pairs plus derived alphas.
 
-    The derived theorem coefficients are reported per unit viscosity
+    The derived theorem coefficients are those of
+    :func:`~lubgap.asymptotics.alpha_coefficients` per unit viscosity
     (``mu = 1``); entries that only exist for part of the ``m`` range (the
     3D alphas, whose profiles need ``m >= 2``, and the 2D torque ladder
     extras) appear only when defined.
@@ -85,21 +97,7 @@ def cmd_constants(m: float) -> list[tuple[str, float]]:
         except ValueError:
             pass  # pairs below their convergence threshold for this m
 
-    if m >= 2.0:
-        rows.append(("alpha12_3d", 2.0 * np.pi * gamma_coeff(1, 2, m)))
-        rows.append(("alpha34_3d", 1.5 * np.pi * gamma_coeff(3, 4, m)))
-    rows.append(("alpha11_2d", 2.0 * gamma_coeff(1, 1, m)))
-    rows.append(("alpha33_2d", 3.0 * gamma_coeff(3, 3, m)))
-    if m > 5.0 / 3.0:
-        rows.append(("alpha35_2d", 3.0 * gamma_coeff(3, 5, m)))
-    if m > 3.0:
-        rows.append(
-            (
-                "alpha13_2d",
-                ((18.0 + 3.0 * m) * gamma_coeff(1, 3, m) + 6.0 * m * gamma_coeff(2, 3, m))
-                / (2.0 * m),
-            )
-        )
+    rows += alpha_coefficients(m, 1.0).items()
     return rows
 
 
@@ -380,11 +378,8 @@ def _suite_exponents(config: RunConfig) -> tuple[list[dict], Report]:
         )
     report = build_report(replace(config, mode="numeric"))
     theorem = force_asymptotic(config.problem, config.override_flat_hypothesis)
-    dim = config.problem.profile.dimension
-    names = component_names(dim)
-    exps = (*theorem.F, *theorem.T) if dim == 3 else (*theorem.F, theorem.T)
     checks = []
-    for name, exp in zip(names, exps):
+    for name, exp in zip(component_names(config.problem.profile.dimension), theorem.components()):
         if report.exponents is None or name not in report.exponents:
             continue
         powers = [t.power for t in exp.terms if not t.is_log]
@@ -456,7 +451,7 @@ def _add_run_flags(sp, with_eps: bool = True) -> None:
     sp.add_argument("--mode", choices=MODES, default=None, help="override the run mode")
     if with_eps:
         sp.add_argument(
-            "--eps", type=float, default=None, help="override epsilon (single point)"
+            "--eps", type=_finite_float, default=None, help="override epsilon (single point)"
         )
     sp.add_argument("--out-csv", default=None, help="override the CSV artifact path")
     sp.add_argument("--out-json", default=None, help="override the JSON artifact path")
@@ -472,15 +467,15 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("constants", help="coefficient table for an exponent m")
-    sp.add_argument("--m", type=float, default=2.0, help="convexity exponent (> 1)")
+    sp.add_argument("--m", type=_finite_float, default=2.0, help="convexity exponent (> 1)")
 
     sp = sub.add_parser("phi", help="evaluate one gap-moment integral")
-    sp.add_argument("--i", type=float, required=True)
-    sp.add_argument("--j", type=float, required=True)
-    sp.add_argument("--m", type=float, default=2.0)
-    sp.add_argument("--r", type=float, required=True)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--s", type=float, default=None, help="flat radius (psi variant)")
+    sp.add_argument("--i", type=_finite_float, required=True)
+    sp.add_argument("--j", type=_finite_float, required=True)
+    sp.add_argument("--m", type=_finite_float, default=2.0)
+    sp.add_argument("--r", type=_finite_float, required=True)
+    sp.add_argument("--eps", type=_finite_float, required=True)
+    sp.add_argument("--s", type=_finite_float, default=None, help="flat radius (psi variant)")
 
     sp = sub.add_parser("force", help="forces/torques at one epsilon")
     _add_run_flags(sp)

@@ -152,30 +152,34 @@ def _section(cp: configparser.ConfigParser, name: str, source: str, required=Fal
     return cp[name]
 
 
-def _get_float(sec, key: str, source: str, name: str, default=None) -> float:
+def _get_floats(sec, key: str, source: str, name: str, default=None) -> tuple[float, ...]:
+    """The comma-separated numbers of ``key``, each finite, or ``(default,)``."""
     if key not in sec:
         if default is not None:
-            return default
+            return (default,)
         raise ConfigError(f"missing key {key!r}", source=source, where=name)
     try:
-        return float(sec[key])
-    except ValueError as exc:
-        raise ConfigError(
-            f"key {key!r} is not a number: {sec[key]!r}", source=source, where=name
-        ) from exc
+        values = tuple(float(v) for v in sec[key].split(","))
+    except ValueError:
+        values = (np.nan,)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"key {key!r} has a value that is not a finite number: {sec[key]!r}",
+                          source=source, where=name)
+    return values
 
 
-def _get_floats(sec, key: str, source: str, name: str) -> tuple[float, ...]:
-    if key not in sec:
-        raise ConfigError(f"missing key {key!r}", source=source, where=name)
-    try:
-        return tuple(float(v) for v in sec[key].split(","))
-    except ValueError as exc:
-        raise ConfigError(
-            f"key {key!r} is not a comma-separated number list: {sec[key]!r}",
-            source=source,
-            where=name,
-        ) from exc
+def _get_float(sec, key: str, source: str, name: str, default=None) -> float:
+    values = _get_floats(sec, key, source, name, default)
+    if len(values) != 1:
+        raise ConfigError(f"key {key!r} is not a number: {sec[key]!r}", source=source, where=name)
+    return values[0]
+
+
+def _get_int(sec, key: str, source: str, name: str, default=None) -> int:
+    value = _get_float(sec, key, source, name, default)
+    if value != int(value):
+        raise ConfigError(f"key {key!r} is not an integer: {sec[key]!r}", source=source, where=name)
+    return int(value)
 
 
 def _get_bool(sec, key: str, source: str, name: str, default: bool) -> bool:
@@ -207,7 +211,7 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
                 raise ConfigError(f"unknown key {key!r}", source=source, where=name)
 
     prof_sec = _section(cp, "profile", source, required=True)
-    dimension = int(_get_float(prof_sec, "dimension", source, "profile", 3.0))
+    dimension = _get_int(prof_sec, "dimension", source, "profile", 3)
     kind = prof_sec.get("kind", "m-convex").strip()
     try:
         profile = GapProfile(
@@ -244,10 +248,10 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
         quadrature = _default_quadrature()
     else:
         try:
-            get = lambda key, default: _get_float(quad_sec, key, source, "quadrature", default)
             quadrature = QuadSpec(
-                rel_tol=get("rel_tol", DEFAULT_REL_TOL),
-                max_subdivisions=int(get("max_subdivisions", DEFAULT_MAX_SUBDIVISIONS)),
+                rel_tol=_get_float(quad_sec, "rel_tol", source, "quadrature", DEFAULT_REL_TOL),
+                max_subdivisions=_get_int(quad_sec, "max_subdivisions", source, "quadrature",
+                                          DEFAULT_MAX_SUBDIVISIONS),
             )
             _check_quadrature(quadrature)
         except ValueError as exc:
@@ -260,7 +264,7 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
             sweep = SweepSpec(
                 eps_from=_get_float(sweep_sec, "eps_from", source, "sweep"),
                 eps_to=_get_float(sweep_sec, "eps_to", source, "sweep"),
-                points=int(_get_float(sweep_sec, "points", source, "sweep")),
+                points=_get_int(sweep_sec, "points", source, "sweep"),
             )
         except ValueError as exc:
             raise ConfigError(str(exc), source=source, where="sweep") from exc

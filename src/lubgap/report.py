@@ -23,11 +23,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .asymptotics import TheoremResult, fit_exponent, force_asymptotic
+from .asymptotics import fit_exponent, force_asymptotic
 from .config import RunConfig, dump_config
-from .fields import subflow_indices
 from .special import AsymptoticExpansion
-from .traction import TotalResult, total_numeric
+from .traction import total_numeric
 
 __all__ = [
     "Report",
@@ -92,34 +91,6 @@ def _serialize_expansion(exp: AsymptoticExpansion) -> dict:
     return out
 
 
-def _component_expansions(theorem: TheoremResult, dimension: int) -> dict:
-    names = component_names(dimension)
-    if dimension == 3:
-        exps = (*theorem.F, *theorem.T)
-    else:
-        exps = (*theorem.F, theorem.T)
-    return dict(zip(names, exps))
-
-
-def _component_values(total: TotalResult, dimension: int):
-    """Per-component (value, error) for the totals and each sub-flow."""
-    if dimension == 3:
-        tot_vals = (*total.F, *total.T)
-        tot_errs = (*total.F_err, *total.T_err)
-        per = {
-            k: ((*res.F, *res.T), (*res.F_err, *res.T_err))
-            for k, res in total.per_subflow.items()
-        }
-    else:
-        tot_vals = (*total.F, total.T)
-        tot_errs = (*total.F_err, total.T_err)
-        per = {
-            k: ((*res.F, res.T), (*res.F_err, res.T_err))
-            for k, res in total.per_subflow.items()
-        }
-    return tot_vals, tot_errs, per
-
-
 def build_report(config: RunConfig) -> Report:
     """Compute everything the config asks for and assemble a :class:`Report`.
 
@@ -134,13 +105,12 @@ def build_report(config: RunConfig) -> Report:
     want_numeric = config.mode in ("numeric", "both")
     want_asym = config.mode in ("asymptotic", "both")
 
-    theorem = None
     expansions: dict = {}
     coefficients: dict = {}
     warnings: tuple = ()
     if want_asym:
         theorem = force_asymptotic(problem, config.override_flat_hypothesis)
-        expansions = _component_expansions(theorem, dimension)
+        expansions = dict(zip(names, theorem.components()))
         coefficients = theorem.coefficients.as_dict()
         warnings = theorem.warnings
 
@@ -160,24 +130,15 @@ def build_report(config: RunConfig) -> Report:
     rows = []
     for eps in eps_grid:
         total = numeric_results.get(eps)
-        tot_vals = tot_errs = per = None
+        tot_vals = tot_errs = None
+        per = {}
         if total is not None:
-            tot_vals, tot_errs, per = _component_values(total, dimension)
+            tot_vals, tot_errs = total.components()
+            per = {k: res.components() for k, res in total.per_subflow.items()}
         for ci, comp in enumerate(names):
-            if per is not None:
-                for k in subflow_indices(dimension):
-                    vals, errs = per[k]
-                    rows.append(
-                        {
-                            "eps": eps,
-                            "component": comp,
-                            "subflow": str(k),
-                            "numeric": float(vals[ci]),
-                            "error_est": float(errs[ci]),
-                            "asymptotic": None,
-                            "ratio": None,
-                        }
-                    )
+            for k, (vals, errs) in per.items():
+                row = (eps, comp, str(k), float(vals[ci]), float(errs[ci]), None, None)
+                rows.append(dict(zip(_COLUMNS, row)))
             asym = None
             ratio = None
             if want_asym:
@@ -187,26 +148,16 @@ def build_report(config: RunConfig) -> Report:
             numeric = float(tot_vals[ci]) if tot_vals is not None else None
             if numeric is not None and asym not in (None, 0.0):
                 ratio = numeric / asym
-            rows.append(
-                {
-                    "eps": eps,
-                    "component": comp,
-                    "subflow": "total",
-                    "numeric": numeric,
-                    "error_est": float(tot_errs[ci]) if tot_errs is not None else None,
-                    "asymptotic": asym,
-                    "ratio": ratio,
-                }
-            )
+            error_est = float(tot_errs[ci]) if tot_errs is not None else None
+            rows.append(dict(zip(_COLUMNS, (eps, comp, "total", numeric, error_est, asym, ratio))))
 
     exponents = None
     if want_numeric and len(numeric_results) >= 2:
         exponents = {}
         eps_ok = [e for e in eps_grid if e in numeric_results]
+        totals = [numeric_results[e].components()[0] for e in eps_ok]
         for ci, comp in enumerate(names):
-            vals = [
-                _component_values(numeric_results[e], dimension)[0][ci] for e in eps_ok
-            ]
+            vals = [t[ci] for t in totals]
             if all(v != 0.0 for v in vals):
                 exponents[comp] = -fit_exponent(eps_ok, vals)
 
@@ -229,19 +180,7 @@ def render_csv(report: Report) -> str:
     """Versioned, bit-stable CSV rendering of the comparison rows."""
     lines = [CSV_HEADER, ",".join(_COLUMNS)]
     for row in report.rows:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(row["eps"]),
-                    row["component"],
-                    row["subflow"],
-                    _fmt(row["numeric"]),
-                    _fmt(row["error_est"]),
-                    _fmt(row["asymptotic"]),
-                    _fmt(row["ratio"]),
-                )
-            )
-        )
+        lines.append(",".join(row[c] if c in ("component", "subflow") else _fmt(row[c]) for c in _COLUMNS))
     return "\n".join(lines) + "\n"
 
 

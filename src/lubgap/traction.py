@@ -88,12 +88,14 @@ __all__ = [
 class ForceResult:
     """Numeric force/torque of one sub-flow with certified error bounds.
 
-    ``T``/``T_err`` are 3-vectors in 3D and scalars in 2D.  The error
-    bounds combine the adaptive-quadrature estimate and the
-    angular-resolution check.  ``evaluations`` counts the distinct gap
-    points at which the traction was evaluated: 0 for the closed-form rigid
-    mean; for the 3D rotation, its ring points plus the nodes of its ``G``
-    pass and of the corner rule.
+    ``T``/``T_err`` are 3-vectors in 3D and floats in 2D;
+    :meth:`components` gives the values and bounds as flat vectors in the
+    order of :func:`lubgap.report.component_names`.  The error bounds
+    combine the adaptive-quadrature estimate and the angular-resolution
+    check.  ``evaluations`` counts the distinct gap points at which the
+    traction was evaluated: 0 for the closed-form rigid mean; for the 3D
+    rotation, its ring points plus the nodes of its ``G`` pass and of the
+    corner rule.
     """
 
     F: np.ndarray
@@ -102,17 +104,30 @@ class ForceResult:
     T_err: np.ndarray | float
     evaluations: int
 
+    def components(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, bounds)``: the forces, then the torque, as flat vectors."""
+        return np.append(self.F, self.T), np.append(self.F_err, self.T_err)
+
 
 @dataclass(frozen=True)
-class TotalResult:
-    """Sum over sub-flows, with the per-sub-flow results retained."""
+class TotalResult(ForceResult):
+    """Sum over sub-flows, with each sub-flow's :class:`ForceResult` in
+    ``per_subflow``; every total component is the left-to-right sum of the
+    sub-flows' components."""
 
-    F: np.ndarray
-    T: np.ndarray | float
-    F_err: np.ndarray
-    T_err: np.ndarray | float
-    evaluations: int
     per_subflow: dict
+
+
+def _result(values, bounds, evaluations, per_subflow=None):
+    """The result of a moment vector (the forces, then the torque), a
+    :class:`TotalResult` given ``per_subflow``: the one place the torque
+    becomes a 3-vector in 3D and a float in 2D."""
+    d = len(values) // 3 + 1
+    T, T_err = values[d:], bounds[d:]
+    if d == 2:
+        T, T_err = float(T[0]), float(T_err[0])
+    out = dict(F=values[:d], T=T, F_err=bounds[:d], T_err=T_err, evaluations=evaluations)
+    return ForceResult(**out) if per_subflow is None else TotalResult(**out, per_subflow=per_subflow)
 
 
 def traction_moments(k: int, params: ProblemParams, xprime, h) -> np.ndarray:
@@ -169,8 +184,9 @@ def _ring_moments(params, ks, t, xprime):
 _ROTATION_RING = trapezoid_ring(10)
 
 
-def _rigid_mean(params) -> ForceResult:
-    """The rigid mean ``k = 0`` in closed form, with a roundoff bound.
+def _rigid_mean(params):
+    """The rigid mean ``k = 0`` in closed form, with a roundoff bound:
+    ``(values, bounds, 0)``.
 
     Its stress reads only ``h'`` and ``l = (h - eps)/2 - R``, so its moments
     do not depend on ``eps``.  3D: ``F = mu pi I (w2, -w1, 0)`` and ``T = mu
@@ -194,7 +210,7 @@ def _rigid_mean(params) -> ForceResult:
             I = 3.0 * m * r ** (2 * m) / 16 + 0.5 * r**2
             a = 0.25 * r ** (m + 2) + m * r ** (3 * m) / 16
         w1, w2, _w3 = params.omega
-        f, t = np.pi * params.mu * np.array([[w2, 0.0 - w1, 0.0], [w1, w2, 0.0]])
+        v = np.pi * params.mu * np.array([w2, 0.0 - w1, 0.0, w1, w2, 0.0])
     else:
         if flat:
             I, a = 0.5 * r + u**3 / 3, 0.1 * u**5 + 0.25 * u**3 + 0.25 * s * u**2
@@ -202,11 +218,11 @@ def _rigid_mean(params) -> ForceResult:
             I = m * m * r ** (2 * m - 1) / (4 * (2 * m - 1)) + 0.5 * r
             a = 0.25 * r ** (m + 1) + m * m * r ** (3 * m - 1) / (8 * (3 * m - 1))
         c = 2.0 * params.mu * params.omega
-        f, t = np.array([0.0 - c, 0.0]), np.array([c])
-    T, T_err = (a - prof.R * I) * t + 0.0, 1e-15 * (a + prof.R * I) * np.abs(t)
-    if prof.dimension == 2:
-        T, T_err = float(T[0]), float(T_err[0])
-    return ForceResult(F=I * f + 0.0, T=T, F_err=1e-15 * I * np.abs(f), T_err=T_err, evaluations=0)
+        v = np.array([0.0 - c, 0.0, c])
+    # I weighs the d forces, J = a - R I the torque
+    split = (prof.dimension, len(v) - prof.dimension)
+    values = np.repeat([I, a - prof.R * I], split) * v + 0.0
+    return values, np.repeat([1e-15 * I, 1e-15 * (a + prof.R * I)], split) * np.abs(v), 0
 
 
 def _polar_weight(k):
@@ -335,7 +351,8 @@ def _rotation_pressure(params, rel_tol, max_subdivisions):
 
 
 def _solve(params, ks, rel_tol, max_subdivisions) -> dict:
-    """:class:`ForceResult` of each sub-flow in ``ks``, as the module docstring says."""
+    """``(values, bounds, evaluations)`` of each sub-flow in ``ks``, as the
+    module docstring says."""
     prof = params.profile
     d = prof.dimension
     # the d force components and the torque: 3 moments in 2D, 6 in 3D
@@ -371,10 +388,7 @@ def _solve(params, ks, rel_tol, max_subdivisions) -> dict:
         val, bound, nev = vals[0, i].copy(), err[i].copy(), nevals * nring[k]
         if k == 6:
             val, bound, nev = val + g_vals, bound + g_errs, nev + g_nev
-        T, T_err = val[d:], bound[d:]
-        if d == 2:
-            T, T_err = float(T[0]), float(T_err[0])
-        out[k] = ForceResult(F=val[:d], T=T, F_err=bound[:d], T_err=T_err, evaluations=nev)
+        out[k] = (val, bound, nev)
     return out
 
 
@@ -401,7 +415,7 @@ def force_numeric(
     d = params.profile.dimension
     if k not in subflow_indices(d):
         raise ValueError(f"sub-flow index {k} invalid for dimension {d}")
-    return _solve(params, [k], rel_tol, max_subdivisions)[k]
+    return _result(*_solve(params, [k], rel_tol, max_subdivisions)[k])
 
 
 def total_numeric(
@@ -421,17 +435,8 @@ def total_numeric(
     d = params.profile.dimension
     active = [k for k in subflow_indices(d) if subflow_scale(k, params) != 0.0]
     solved = _solve(params, active, rel_tol, max_subdivisions)
-    zero = lambda: np.zeros(3) if d == 3 else 0.0
-    per = {k: solved.get(k) or ForceResult(F=np.zeros(d), T=zero(), F_err=np.zeros(d), T_err=zero(),
-                                           evaluations=0)
-           for k in subflow_indices(d)}
-    F = np.sum([res.F for res in per.values()], axis=0)
-    F_err = np.sum([res.F_err for res in per.values()], axis=0)
-    if d == 3:
-        T = np.sum([res.T for res in per.values()], axis=0)
-        T_err = np.sum([res.T_err for res in per.values()], axis=0)
-    else:
-        T = float(sum(res.T for res in per.values()))
-        T_err = float(sum(res.T_err for res in per.values()))
-    nev = sum(res.evaluations for res in per.values())
-    return TotalResult(F=F, T=T, F_err=F_err, T_err=T_err, evaluations=nev, per_subflow=per)
+    # the d force components and the torque: 3 moments in 2D, 6 in 3D
+    per = {k: solved.get(k) or (*np.zeros((2, 3 * (d - 1))), 0) for k in subflow_indices(d)}
+    values, bounds, nevs = zip(*per.values())
+    return _result(np.sum(values, axis=0), np.sum(bounds, axis=0), sum(nevs),
+                   {k: _result(*part) for k, part in per.items()})

@@ -65,7 +65,7 @@ class TestTranslationOnly3d:
 
     def test_zero_motion_empty(self):
         res = force_asymptotic_3d(params(prof(), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
-        for comp in (*res.F, *res.T):
+        for comp in res.components():
             assert comp.is_empty
 
 
@@ -88,7 +88,7 @@ class TestSandwichResiduals:
             params(prof(m=3.0), (0.1, -0.2, -0.4), (0.3, 0.2, 0.1))
         )
         checked = 0
-        for comp in (*res.F, *res.T):
+        for comp in res.components():
             if comp.residual is None:
                 continue
             checked += 1
@@ -103,7 +103,7 @@ class TestSandwichResiduals:
                 params(prof(m=3.0), (0.1, -0.2, 0.4), (0.3, 0.2, 0.1))
             )
         assert res.warnings
-        for comp in (*res.F, *res.T):
+        for comp in res.components():
             assert comp.residual is None
         # the equality-type terms survive
         assert not res.F[0].is_empty
@@ -116,7 +116,7 @@ class TestSandwichResiduals:
             params(prof(m=3.0), (0.2, -0.4, -0.8), (0.6, 0.4, 0.2))
         )
         eps = 1e-4
-        for a, b in zip((*one.F, *one.T), (*two.F, *two.T)):
+        for a, b in zip(one.components(), two.components()):
             assert b.evaluate(eps) == pytest.approx(2.0 * a.evaluate(eps), abs=1e-12)
 
 
@@ -129,7 +129,7 @@ class TestFlat3d:
             params(prof(kind="flat-capped", s=1e-9), U, w)
         )
         curved = force_asymptotic_3d(params(prof(m=2.0), U, w))
-        for a, b in zip((*flat.F, *flat.T), (*curved.F, *curved.T)):
+        for a, b in zip(flat.components(), curved.components()):
             for eps in (1e-3, 1e-5):
                 assert a.evaluate(eps) == pytest.approx(b.evaluate(eps), rel=1e-6, abs=1e-12)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -370,6 +371,60 @@ class TestVerify:
 
     def test_unknown_suite(self, cfg_path):
         assert main(["verify", "--suite", "bogus", "--config", cfg_path]) == EXIT_CONFIG
+
+
+_PHI_ARGS = {"--i": "1", "--j": "1", "--m": "2", "--r": "1", "--eps": "1e-3"}
+
+
+def _float_flag_argv(command, flag, value, cfg_path):
+    if command == "constants":
+        return ["constants", f"{flag}={value}"]
+    if command == "phi":
+        return ["phi"] + [f"{k}={v}" for k, v in {**_PHI_ARGS, flag: value}.items()]
+    suite = ["--suite", "bc"] if command == "verify" else []
+    return [command, *suite, "--config", cfg_path, f"{flag}={value}"]
+
+
+class TestBadInput:
+    # non-finite and non-integral numbers exit 1 at the input boundary:
+    # an error message, no traceback and no artifact
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("constants", "--m")]
+        + [("phi", flag) for flag in ("--i", "--j", "--m", "--r", "--eps", "--s")]
+        + [("force", "--eps"), ("verify", "--eps")],
+    )
+    def test_non_finite_flag(self, command, flag, value, cfg_path, tmp_path, capsys):
+        csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+        argv = _float_flag_argv(command, flag, value, cfg_path)
+        if command in ("force", "verify"):
+            argv += ["--out-csv", str(csv_path), "--out-json", str(json_path)]
+        assert main(argv) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert f"argument {flag}: not a finite number" in out.err and "Traceback" not in out.err
+        assert out.out == "" and not csv_path.exists() and not json_path.exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        ["eps = inf", "r = nan", "R = inf", "m = nan", "mu = nan", "U = nan, 0.0, -0.5",
+         "rel_tol = nan", "max_subdivisions = inf", "points = inf", "dimension = inf",
+         "dimension = 3.9"],
+    )
+    def test_bad_config_value(self, line, tmp_path, capsys):
+        key = line.split(" = ")[0]
+        text = CFG_SWEEP.replace("rel_tol = 1e-7", "rel_tol = 1e-7\nmax_subdivisions = 2000")
+        text, count = re.subn(rf"^{key} = .*$", line, text, flags=re.M)
+        assert count == 1
+        p = tmp_path / "bad.ini"
+        p.write_text(text, encoding="utf-8")
+        csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+        argv = ["sweep", "--config", str(p), "--out-csv", str(csv_path), "--out-json", str(json_path)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"key '{key}'" in err and "Traceback" not in err
+        assert not csv_path.exists() and not json_path.exists()
 
 
 class TestUsage:

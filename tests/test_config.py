@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +203,51 @@ class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.ini"))
+
+
+# a config holding every numeric key
+FULL_3D = with_sections(
+    "[quadrature]\nrel_tol = 1e-8\nmax_subdivisions = 2000\n\n"
+    "[sweep]\neps_from = 1e-2\neps_to = 1e-4\npoints = 5\n"
+).replace("m = 2.0", "m = 2.0\ns = 0.0")
+NUMERIC_KEYS = ("dimension", "m", "s", "eps", "r", "R", "mu", "U", "omega",
+                "rel_tol", "max_subdivisions", "eps_from", "eps_to", "points")
+
+
+def with_value(key: str, value: str) -> str:
+    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", FULL_3D, flags=re.M)
+    assert count == 1
+    return text
+
+
+class TestNumericValues:
+    # non-finite or non-integral numbers fail at parsing, before they can
+    # reach a solve as nan or inf, or as an OverflowError
+
+    def test_full_config_parses(self):
+        cfg = parse_config(FULL_3D)
+        assert cfg.sweep is not None and cfg.quadrature.max_subdivisions == 2000
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_non_finite_rejected(self, key, value):
+        if key in ("U", "omega"):
+            value = f"0.1, {value}, 0.1"
+        with pytest.raises(ConfigError, match=f"key '{key}' has a value that is not a finite number"):
+            parse_config(with_value(key, value))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dimension", "3.9"), ("dimension", "2.5"), ("points", "4.5"), ("max_subdivisions", "250.5")],
+    )
+    def test_non_integral_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"key '{key}' is not an integer"):
+            parse_config(with_value(key, value))
+
+    def test_integral_floats_accepted(self):
+        text = FULL_3D.replace("dimension = 3", "dimension = 3.0").replace("points = 5", "points = 5.0")
+        cfg = parse_config(text.replace("max_subdivisions = 2000", "max_subdivisions = 2e3"))
+        assert cfg == parse_config(FULL_3D)
 
 
 class TestSweepSpec:

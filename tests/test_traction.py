@@ -18,8 +18,11 @@ from lubgap.quadrature import (
     integrate_vector,
     ring_integrals,
 )
+from lubgap.report import component_names
 from lubgap.traction import (
     _ROTATION_RING,
+    ForceResult,
+    TotalResult,
     _ring_moments,
     force_numeric,
     total_numeric,
@@ -397,7 +400,7 @@ class TestRotationSplit:
         zero_field = lambda _k, _p, _xp, z: (None, np.zeros_like(z), np.zeros((3, 3, z.size)))
         monkeypatch.setattr(traction, "_subflow_field", zero_field)
         res = force_numeric(6, params)
-        got, got_err = np.r_[res.F, res.T], np.r_[res.F_err, res.T_err]
+        got, got_err = res.components()
         # the reference: the octant rule's ring integrals, radially at 1e-9
         spec = QuadSpec(rel_tol=1e-9, split_points=prof.radial_splits())
         fvec = lambda ts: rotation_pressure(params, ts)
@@ -415,10 +418,9 @@ class TestRotationSplit:
         # the ring pass, must still converge within the subdivision budget
         for eps in (1e-2, 1e-4, 1e-6, 1e-8):
             params = _rotation_params(kind, m, s, eps)
-            tight, default = force_numeric(6, params, rel_tol=1e-12), force_numeric(6, params)
-            diff = np.abs(np.r_[tight.F, tight.T] - np.r_[default.F, default.T])
-            bound = np.r_[tight.F_err, tight.T_err] + np.r_[default.F_err, default.T_err]
-            assert np.all(diff <= bound), eps
+            tight, tight_err = force_numeric(6, params, rel_tol=1e-12).components()
+            default, default_err = force_numeric(6, params).components()
+            assert np.all(np.abs(tight - default) <= tight_err + default_err), eps
 
     @pytest.mark.parametrize(
         "kind, m, s",
@@ -741,8 +743,7 @@ class TestReferenceValues:
         F, T, F_err, T_err, nev = self._REFERENCE[d][k]
         ref = np.array(F + T)
         scale = float(np.max(np.abs(ref)))
-        got = np.concatenate([res.F, np.atleast_1d(res.T)])
-        got_err = np.concatenate([res.F_err, np.atleast_1d(res.T_err)])
+        got, got_err = res.components()
         # the rings only sum in a different order: values and bounds agree
         # to roundoff of the sub-flow's largest component
         assert np.max(np.abs(got - ref)) <= 1e-12 * scale
@@ -777,7 +778,7 @@ class TestRigidMean:
     def test_matches_mpmath(self, prof):
         # F and T from I and J by mpmath.quad of their defining integrals
         params = self._params(prof)
-        res = traction._rigid_mean(params)
+        res = force_numeric(0, params)
         with mpmath.workdps(30):
             r, R, s = mpmath.mpf(prof.r), mpmath.mpf(prof.R), mpmath.mpf(prof.s)
             if prof.kind == "m-convex":
@@ -820,9 +821,8 @@ class TestRigidMean:
         vals, errs, _ = integrate_vector(lambda ts: ring_integrals(moments, ring, ts),
                                          0.0 if d == 3 else -prof.r, prof.r, spec,
                                          ncomp=2 * nmom, ncheck=nmom, initial_scale=True)
-        res = traction._rigid_mean(params)
-        got = np.r_[res.F, np.atleast_1d(res.T)]
-        bound = np.r_[res.F_err, np.atleast_1d(res.T_err)] + errs[:nmom] + vals[nmom:]
+        got, got_err = force_numeric(0, params).components()
+        bound = got_err + errs[:nmom] + vals[nmom:]
         # the pass leaves the exactly vanishing components at roundoff of the
         # largest one, which its per-component floor does not cover
         assert np.all(np.abs(got - vals[:nmom]) <= bound + 1e-15 * np.max(np.abs(got)))
@@ -834,10 +834,82 @@ class TestRigidMean:
         prof = mconvex(2.5) if d == 3 else mconvex(1.5, dimension=2)
         U, omega = ((0.3, -0.2, -0.5), (0.0, 0.0, 0.7)) if d == 3 else ((0.4, -0.3), 0.0)
         res = force_numeric(0, ProblemParams(profile=prof, U=U, omega=omega))
-        for v in (res.F, res.T, res.F_err, res.T_err):
-            v = np.atleast_1d(v)
+        for v in res.components():
             assert np.all(v == 0.0) and not np.any(np.signbit(v))
         assert res.evaluations == 0
+
+
+def _contract_params(d, motion):
+    # the general motion solves every sub-flow; the pure squeeze leaves
+    # most of them at zero scale, zero-filled by total_numeric
+    general = motion == "general"
+    if d == 3:
+        U, omega = ((0.3, -0.2, -0.5), (0.15, 0.2, 0.1)) if general else ((0.0, 0.0, -1.0), (0.0,) * 3)
+        return ProblemParams(profile=mconvex(2.5, 1e-4), U=U, omega=omega)
+    U, omega = ((0.4, -0.3), 0.25) if general else ((0.0, -1.0), 0.0)
+    return ProblemParams(profile=mconvex(1.5, 1e-4, dimension=2), U=U, omega=omega)
+
+
+def _component(res, name):
+    # the component named as in the CSV: F1..F3, T1..T3 or T
+    field = getattr(res, name[0])
+    return field if name == "T" else field[int(name[1:]) - 1]
+
+
+class TestResultContract:
+    # one moment vector per result: the torque is a float in 2D and a
+    # 3-vector in 3D, components() lists the forces then the torque, and a
+    # total is the left-to-right sum of its sub-flows
+
+    @staticmethod
+    def _results(d, motion):
+        params = _contract_params(d, motion)
+        total = total_numeric(params)
+        return [force_numeric(k, params) for k in subflow_indices(d)] + [total, *total.per_subflow.values()]
+
+    @pytest.mark.parametrize("motion", ["general", "squeeze"])
+    @pytest.mark.parametrize("d", [3, 2])
+    def test_shapes_and_components(self, d, motion):
+        names = component_names(d)
+        for res in self._results(d, motion):
+            assert isinstance(res, ForceResult)
+            assert res.F.shape == res.F_err.shape == (d,)
+            if d == 2:
+                assert type(res.T) is float and type(res.T_err) is float
+            else:
+                assert res.T.shape == res.T_err.shape == (3,)
+            values, bounds = res.components()
+            assert np.array_equal(values, np.r_[res.F, np.atleast_1d(res.T)])
+            assert np.array_equal(bounds, np.r_[res.F_err, np.atleast_1d(res.T_err)])
+            assert values.shape == bounds.shape == (len(names),)
+            for i, name in enumerate(names):
+                assert values[i] == _component(res, name)
+
+    @pytest.mark.parametrize("motion", ["general", "squeeze"])
+    @pytest.mark.parametrize("d", [3, 2])
+    def test_total_sums_subflows(self, d, motion):
+        total = total_numeric(_contract_params(d, motion))
+        assert isinstance(total, TotalResult) and isinstance(total, ForceResult)
+        assert list(total.per_subflow) == list(subflow_indices(d))
+        parts = [res.components() for res in total.per_subflow.values()]
+        for i, got in enumerate(total.components()):
+            want = parts[0][i]
+            for part in parts[1:]:
+                want = want + part[i]
+            assert got.tobytes() == want.tobytes()
+        assert total.evaluations == sum(res.evaluations for res in total.per_subflow.values())
+
+    @pytest.mark.parametrize("d", [3, 2])
+    def test_zero_filled_subflows(self, d):
+        params = _contract_params(d, "squeeze")
+        total = total_numeric(params)
+        zero = [k for k in subflow_indices(d) if fields.subflow_scale(k, params) == 0.0]
+        assert len(zero) >= 2
+        for k in zero:
+            res = total.per_subflow[k]
+            for v in res.components():
+                assert np.all(v == 0.0) and not np.any(np.signbit(v))
+            assert res.evaluations == 0
 
 
 class TestPassCounts:
@@ -897,8 +969,7 @@ class TestTotalNumeric:
         for params, k, k_squeeze in ((squeeze3, 6, 3), (squeeze2, 4, 2)):
             res = total_numeric(params)
             zero = res.per_subflow[k]
-            for v in (zero.F, zero.T, zero.F_err, zero.T_err):
-                v = np.atleast_1d(v)
+            for v in zero.components():
                 assert np.all(v == 0.0) and not np.any(np.signbit(v))
             assert zero.evaluations == 0
             assert res.per_subflow[k_squeeze].evaluations > 0
@@ -956,7 +1027,7 @@ class TestRefinementSteps:
         # is honest against a rel_tol = 1e-13 solve and the one ring pass of
         # k = 1..4 makes at most two integrand calls
         params = ProblemParams(profile=mconvex(m, eps, dimension=2), U=(0.4, -0.3), omega=0.25)
-        ref = total_numeric(params, rel_tol=1e-13)
+        ref, ref_err = total_numeric(params, rel_tol=1e-13).components()
         passes = []
 
         def counted(fvec, *args, **kwargs):
@@ -965,9 +1036,8 @@ class TestRefinementSteps:
             return integrate_vector(lambda x: calls.append(x.size) or fvec(x), *args, **kwargs)
 
         monkeypatch.setattr(traction, "integrate_vector", counted)
-        got = total_numeric(params, rel_tol=rel_tol)
-        diff = np.abs(np.r_[got.F, got.T] - np.r_[ref.F, ref.T])
-        assert np.all(diff <= np.r_[got.F_err, got.T_err] + np.r_[ref.F_err, ref.T_err])
+        got, got_err = total_numeric(params, rel_tol=rel_tol).components()
+        assert np.all(np.abs(got - ref) <= got_err + ref_err)
         assert len(passes) == 1
         assert all(0 < len(calls) <= 2 for calls in passes)
 
@@ -977,8 +1047,8 @@ class TestRefinementSteps:
         # the smallest budget, which counts the bisections past them
         for eps in (1e-12, 1e-15):
             params = ProblemParams(profile=mconvex(1.01, eps, dimension=2), U=(0.4, -0.3), omega=0.25)
-            res = total_numeric(params, rel_tol=1e-12, max_subdivisions=MIN_SUBDIVISIONS)
-            assert np.all(np.r_[res.F_err, res.T_err] <= 1e-6 * np.max(np.abs(np.r_[res.F, res.T])))
+            vals, errs = total_numeric(params, rel_tol=1e-12, max_subdivisions=MIN_SUBDIVISIONS).components()
+            assert np.all(errs <= 1e-6 * np.max(np.abs(vals)))
 
     def test_dual_check_splits_unchanged(self):
         # the dual check's volume integrals split m-convex profiles at delta
@@ -1024,9 +1094,7 @@ class TestRobustnessGrid:
     # angular rings resolve its pressure on m != 2 and flat caps
     @pytest.mark.parametrize("profile, U, omega", _robustness_cases())
     def test_bounds_small(self, profile, U, omega):
-        res = total_numeric(ProblemParams(profile=profile, U=U, omega=omega))
-        vals = np.concatenate([res.F, np.atleast_1d(res.T)])
-        errs = np.concatenate([res.F_err, np.atleast_1d(res.T_err)])
+        vals, errs = total_numeric(ProblemParams(profile=profile, U=U, omega=omega)).components()
         assert np.max(errs) <= 1e-6 * np.max(np.abs(vals))
 
 
@@ -1041,9 +1109,9 @@ class TestFlatCapBounds:
         prof = flat(s, eps, dimension=d)
         U, omega = ((0.3, -0.2, -0.5), (0.15, 0.2, 0.1)) if d == 3 else ((0.4, -0.3), 0.25)
         params = ProblemParams(profile=prof, U=U, omega=omega)
-        got, ref = total_numeric(params), total_numeric(params, rel_tol=1e-13)
-        diff = np.abs(np.r_[got.F, got.T] - np.r_[ref.F, ref.T])
-        assert np.all(diff <= np.r_[got.F_err, got.T_err])
+        got, got_err = total_numeric(params).components()
+        ref = total_numeric(params, rel_tol=1e-13).components()[0]
+        assert np.all(np.abs(got - ref) <= got_err)
 
 
 class TestLeadingCoefficient:
