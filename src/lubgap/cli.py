@@ -153,12 +153,14 @@ def _load_run_config(args, need_sweep: bool = False) -> RunConfig:
 
 
 def _write_artifacts(config: RunConfig, report: Report) -> None:
-    if config.csv_path is not None:
-        with open(config.csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_csv(report))
-    if config.json_path is not None:
-        with open(config.json_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_json(report))
+    for path, render in ((config.csv_path, render_csv), (config.json_path, render_json)):
+        if path is None:
+            continue
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(render(report))
+        except OSError as exc:
+            raise ConfigError(f"cannot write artifact: {exc.strerror or exc}", source=path) from exc
 
 
 def cmd_force(config: RunConfig) -> tuple[Report, int]:

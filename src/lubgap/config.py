@@ -3,7 +3,9 @@
 A run is described by a single INI-style file with bracketed sections and
 ``key = value`` lines; physics parameters never come from positional
 command-line arguments, so a sweep is always reproducible from its config
-artifact.  Sections:
+artifact.  ``_SCHEMA`` is the format: each section's keys in file order,
+with each key's type and default.  :func:`parse_config` reads every value
+through it and :func:`dump_config` writes every value from it.  Sections:
 
 ``[profile]``
     ``dimension`` (2 or 3), ``kind`` (``m-convex`` or ``flat-capped``),
@@ -28,7 +30,7 @@ artifact.  Sections:
     ``override_flat_hypothesis`` (bool).
 
 Any other section or key is rejected with :class:`ConfigError`, so a typo
-cannot pass for a default.
+cannot pass for a default.  An error names its file and section once.
 
 :func:`dump_config` renders a config back to text such that re-parsing
 yields an equal :class:`RunConfig` (floats are written in shortest
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,15 +61,25 @@ __all__ = [
 
 MODES = ("numeric", "asymptotic", "both")
 
-# the sections a config may hold and the keys of each
-_KEYS = {
-    "profile": ("dimension", "kind", "m", "s", "eps", "r", "R"),
-    "motion": ("mu", "U", "omega"),
-    "quadrature": ("rel_tol", "max_subdivisions"),
-    "sweep": ("eps_from", "eps_to", "points"),
-    "output": ("csv", "json"),
-    "run": ("mode", "override_flat_hypothesis"),
+# the default of a key that the file must give
+_REQUIRED = object()
+
+# the format: each section's keys in file order, each key's (type, default);
+# ``tuple`` reads a comma-separated list of numbers
+_SCHEMA = {
+    "profile": {"dimension": (int, 3), "kind": (str, "m-convex"), "m": (float, 2.0),
+                "s": (float, 0.0), "eps": (float, _REQUIRED), "r": (float, _REQUIRED),
+                "R": (float, _REQUIRED)},
+    "motion": {"mu": (float, 1.0), "U": (tuple, _REQUIRED), "omega": (tuple, None)},
+    "quadrature": {"rel_tol": (float, DEFAULT_REL_TOL),
+                   "max_subdivisions": (int, DEFAULT_MAX_SUBDIVISIONS)},
+    "sweep": {"eps_from": (float, _REQUIRED), "eps_to": (float, _REQUIRED),
+              "points": (int, _REQUIRED)},
+    "output": {"csv": (str, None), "json": (str, None)},
+    "run": {"mode": (str, "both"), "override_flat_hypothesis": (bool, False)},
 }
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
 
 # the smallest force-route tolerance and subdivision budget a config may ask for
 MIN_REL_TOL = 1e-12
@@ -77,13 +90,14 @@ def _default_quadrature() -> QuadSpec:
     return QuadSpec(rel_tol=DEFAULT_REL_TOL)
 
 
-def _check_quadrature(spec: QuadSpec) -> None:
+def _check_quadrature(spec: QuadSpec) -> QuadSpec:
     if spec.rel_tol < MIN_REL_TOL:
         raise ValueError(f"rel_tol must be >= {MIN_REL_TOL:g}, got {spec.rel_tol:g}")
     if spec.max_subdivisions < MIN_SUBDIVISIONS:
         raise ValueError(
             f"max_subdivisions must be >= {MIN_SUBDIVISIONS}, got {spec.max_subdivisions}"
         )
+    return spec
 
 
 class ConfigError(ValueError):
@@ -144,58 +158,41 @@ class RunConfig:
         return (self.problem.profile.eps,)
 
 
-def _section(cp: configparser.ConfigParser, name: str, source: str, required=False):
-    if not cp.has_section(name):
-        if required:
-            raise ConfigError(f"missing required section [{name}]", source=source)
-        return None
-    return cp[name]
-
-
-def _get_floats(sec, key: str, source: str, name: str, default=None) -> tuple[float, ...]:
-    """The comma-separated numbers of ``key``, each finite, or ``(default,)``."""
-    if key not in sec:
-        if default is not None:
-            return (default,)
-        raise ConfigError(f"missing key {key!r}", source=source, where=name)
+def _read(sec, key: str, kind: type, default):
+    """The value of ``key`` in ``sec`` (``None`` for an absent section) as
+    ``kind``, or ``default``; a bad or missing value raises ``ValueError``."""
+    if sec is None or key not in sec:
+        if default is _REQUIRED:
+            raise ValueError(f"missing key {key!r}")
+        return default
+    raw = sec[key]
+    if kind is str:
+        if not raw:
+            raise ValueError(f"key {key!r} is empty")
+        return raw
+    if kind is bool:
+        if raw.lower() not in _BOOLS:
+            raise ValueError(f"key {key!r} is not a boolean: {raw!r}")
+        return _BOOLS[raw.lower()]
     try:
-        values = tuple(float(v) for v in sec[key].split(","))
+        values = tuple(float(v) for v in raw.split(","))
     except ValueError:
         values = (np.nan,)
     if not np.all(np.isfinite(values)):
-        raise ConfigError(f"key {key!r} has a value that is not a finite number: {sec[key]!r}",
-                          source=source, where=name)
-    return values
-
-
-def _get_float(sec, key: str, source: str, name: str, default=None) -> float:
-    values = _get_floats(sec, key, source, name, default)
+        raise ValueError(f"key {key!r} has a value that is not a finite number: {raw!r}")
+    if kind is tuple:
+        return values
     if len(values) != 1:
-        raise ConfigError(f"key {key!r} is not a number: {sec[key]!r}", source=source, where=name)
-    return values[0]
-
-
-def _get_int(sec, key: str, source: str, name: str, default=None) -> int:
-    value = _get_float(sec, key, source, name, default)
-    if value != int(value):
-        raise ConfigError(f"key {key!r} is not an integer: {sec[key]!r}", source=source, where=name)
-    return int(value)
-
-
-def _get_bool(sec, key: str, source: str, name: str, default: bool) -> bool:
-    if key not in sec:
-        return default
-    raw = sec[key].strip().lower()
-    if raw in ("true", "yes", "on", "1"):
-        return True
-    if raw in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"key {key!r} is not a boolean: {sec[key]!r}", source=source, where=name)
+        raise ValueError(f"key {key!r} is not a number: {raw!r}")
+    if kind is int and values[0] != int(values[0]):
+        raise ValueError(f"key {key!r} is not an integer: {raw!r}")
+    return kind(values[0])
 
 
 def parse_config(text: str, source: str = "<string>") -> RunConfig:
     """Parse configuration text into a validated :class:`RunConfig`."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a '%' in a value (an artifact path) is a literal
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     cp.optionxform = str  # keys are case-sensitive: r and R are distinct
     try:
         cp.read_string(text, source=source)
@@ -204,94 +201,33 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
     if cp.defaults():
         raise ConfigError("unknown section [DEFAULT]", source=source)
     for name in cp.sections():
-        if name not in _KEYS:
+        if name not in _SCHEMA:
             raise ConfigError(f"unknown section [{name}]", source=source)
         for key in cp[name]:
-            if key not in _KEYS[name]:
+            if key not in _SCHEMA[name]:
                 raise ConfigError(f"unknown key {key!r}", source=source, where=name)
+    for name in ("profile", "motion"):
+        if not cp.has_section(name):
+            raise ConfigError(f"missing required section [{name}]", source=source)
 
-    prof_sec = _section(cp, "profile", source, required=True)
-    dimension = _get_int(prof_sec, "dimension", source, "profile", 3)
-    kind = prof_sec.get("kind", "m-convex").strip()
-    try:
-        profile = GapProfile(
-            kind=kind,
-            m=_get_float(prof_sec, "m", source, "profile", 2.0),
-            s=_get_float(prof_sec, "s", source, "profile", 0.0),
-            eps=_get_float(prof_sec, "eps", source, "profile"),
-            r=_get_float(prof_sec, "r", source, "profile"),
-            R=_get_float(prof_sec, "R", source, "profile"),
-            dimension=dimension,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), source=source, where="profile") from exc
-
-    mot_sec = _section(cp, "motion", source, required=True)
-    U = _get_floats(mot_sec, "U", source, "motion")
-    if "omega" in mot_sec:
-        omega_vals = _get_floats(mot_sec, "omega", source, "motion")
-    else:
-        omega_vals = (0.0, 0.0, 0.0) if dimension == 3 else (0.0,)
-    omega = omega_vals if dimension == 3 else omega_vals[0]
-    try:
-        problem = ProblemParams(
-            profile=profile,
-            mu=_get_float(mot_sec, "mu", source, "motion", 1.0),
-            U=U,
-            omega=omega,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), source=source, where="motion") from exc
-
-    quad_sec = _section(cp, "quadrature", source)
-    if quad_sec is None:
-        quadrature = _default_quadrature()
-    else:
+    def section(name: str, build):
+        """``build`` called with every key of section ``name`` read through
+        ``_SCHEMA``; the one place a ``ValueError`` gains its location."""
+        sec = cp[name] if cp.has_section(name) else None
         try:
-            quadrature = QuadSpec(
-                rel_tol=_get_float(quad_sec, "rel_tol", source, "quadrature", DEFAULT_REL_TOL),
-                max_subdivisions=_get_int(quad_sec, "max_subdivisions", source, "quadrature",
-                                          DEFAULT_MAX_SUBDIVISIONS),
-            )
-            _check_quadrature(quadrature)
+            return build(**{key: _read(sec, key, *spec) for key, spec in _SCHEMA[name].items()})
         except ValueError as exc:
-            raise ConfigError(str(exc), source=source, where="quadrature") from exc
+            raise ConfigError(str(exc), source=source, where=name) from exc
 
-    sweep_sec = _section(cp, "sweep", source)
-    sweep = None
-    if sweep_sec is not None:
-        try:
-            sweep = SweepSpec(
-                eps_from=_get_float(sweep_sec, "eps_from", source, "sweep"),
-                eps_to=_get_float(sweep_sec, "eps_to", source, "sweep"),
-                points=_get_int(sweep_sec, "points", source, "sweep"),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), source=source, where="sweep") from exc
-
-    out_sec = _section(cp, "output", source)
-    csv_path = out_sec.get("csv") if out_sec is not None else None
-    json_path = out_sec.get("json") if out_sec is not None else None
-
-    run_sec = _section(cp, "run", source)
-    mode = run_sec.get("mode", "both").strip() if run_sec is not None else "both"
-    override = (
-        _get_bool(run_sec, "override_flat_hypothesis", source, "run", False)
-        if run_sec is not None
-        else False
-    )
-    try:
-        return RunConfig(
-            problem=problem,
-            quadrature=quadrature,
-            sweep=sweep,
-            csv_path=csv_path,
-            json_path=json_path,
-            mode=mode,
-            override_flat_hypothesis=override,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), source=source, where="run") from exc
+    profile = section("profile", GapProfile)
+    # omega defaults to no rotation: three zeros in 3D, a scalar in 2D
+    no_spin = (0.0, 0.0, 0.0) if profile.dimension == 3 else 0.0
+    problem = section("motion", lambda omega, **kw: ProblemParams(
+        profile, omega=no_spin if omega is None else omega, **kw))
+    quadrature = section("quadrature", lambda **kw: _check_quadrature(QuadSpec(**kw)))
+    sweep = section("sweep", SweepSpec) if cp.has_section("sweep") else None
+    paths = section("output", lambda csv, json: {"csv_path": csv, "json_path": json})
+    return section("run", lambda **kw: RunConfig(problem, quadrature, sweep, **paths, **kw))
 
 
 def load_config(path: str) -> RunConfig:
@@ -304,57 +240,31 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text, source=str(path))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _format(value, kind: type) -> str:
+    if kind is bool:
+        return str(value).lower()
+    if kind in (float, tuple):  # shortest round-trip form
+        return ", ".join(repr(float(v)) for v in np.atleast_1d(value))
+    return str(value)
 
 
 def dump_config(config: RunConfig) -> str:
-    """Render a config to text; re-parsing yields an equal :class:`RunConfig`."""
-    prof = config.problem.profile
-    lines = [
-        "[profile]",
-        f"dimension = {prof.dimension}",
-        f"kind = {prof.kind}",
-        f"m = {_fmt(prof.m)}",
-        f"s = {_fmt(prof.s)}",
-        f"eps = {_fmt(prof.eps)}",
-        f"r = {_fmt(prof.r)}",
-        f"R = {_fmt(prof.R)}",
-        "",
-        "[motion]",
-        f"mu = {_fmt(config.problem.mu)}",
-        "U = " + ", ".join(_fmt(v) for v in config.problem.U),
-    ]
-    omega = config.problem.omega
-    if prof.dimension == 3:
-        lines.append("omega = " + ", ".join(_fmt(v) for v in omega))
-    else:
-        lines.append(f"omega = {_fmt(omega)}")
-    lines += [
-        "",
-        "[quadrature]",
-        f"rel_tol = {_fmt(config.quadrature.rel_tol)}",
-        f"max_subdivisions = {config.quadrature.max_subdivisions}",
-    ]
-    if config.sweep is not None:
-        lines += [
-            "",
-            "[sweep]",
-            f"eps_from = {_fmt(config.sweep.eps_from)}",
-            f"eps_to = {_fmt(config.sweep.eps_to)}",
-            f"points = {config.sweep.points}",
-        ]
-    if config.csv_path is not None or config.json_path is not None:
-        lines += ["", "[output]"]
-        if config.csv_path is not None:
-            lines.append(f"csv = {config.csv_path}")
-        if config.json_path is not None:
-            lines.append(f"json = {config.json_path}")
-    lines += [
-        "",
-        "[run]",
-        f"mode = {config.mode}",
-        f"override_flat_hypothesis = {str(config.override_flat_hypothesis).lower()}",
-        "",
-    ]
+    """Render a config to text; re-parsing yields an equal :class:`RunConfig`.
+
+    An absent ``[sweep]`` and unset artifact paths are not written."""
+    owners = {
+        "profile": config.problem.profile,
+        "motion": config.problem,
+        "quadrature": config.quadrature,
+        "sweep": config.sweep,
+        "output": SimpleNamespace(csv=config.csv_path, json=config.json_path),
+        "run": config,
+    }
+    lines = []
+    for name, keys in _SCHEMA.items():
+        values = {key: getattr(owners[name], key, None) for key in keys}
+        written = [f"{key} = {_format(v, keys[key][0])}"
+                   for key, v in values.items() if v is not None]
+        if written:
+            lines += [f"[{name}]", *written, ""]
     return "\n".join(lines)

@@ -243,6 +243,8 @@ def phi(i: float, j: float, m: float, r: float, eps: float) -> float:
     one adaptive pass splits at ``layer_splits(m, eps, r)``.  Relative
     error 1e-10.
     """
+    if j <= -1.0:
+        raise ValueError(f"phi diverges at t = 0 for j <= -1, got j = {j}")
     f = lambda t: t**j / (eps + t**m) ** i
     return _layer_integral(f, m, r, eps, f"phi({i},{j},{m},{r},{eps})")
 
@@ -317,5 +319,7 @@ def psi(i: float, j: float, s: float, r: float, eps: float) -> float:
     """
     if s < 0.0:
         raise ValueError("s must be nonnegative")
+    if s == 0.0 and j <= -1.0:
+        raise ValueError(f"psi diverges at t = 0 for s = 0 and j <= -1, got j = {j}")
     f = lambda t: (t + s) ** j / (eps + t**2) ** i
     return _layer_integral(f, 2.0, r, eps, f"psi({i},{j},{s},{r},{eps})")

@@ -12,6 +12,7 @@ import lubgap.report
 from lubgap.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from lubgap.config import load_config
 from lubgap.quadrature import QuadratureError, QuadResult
+from lubgap.special import psi
 from lubgap.traction import total_numeric
 
 CFG = """
@@ -153,6 +154,26 @@ class TestPhi:
 
     def test_missing_required_flag(self, capsys):
         assert main(["phi", "--i", "1", "--j", "1"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(["--j", "-1"], "phi"), (["--j", "-1.5", "--m", "4"], "phi"),
+         (["--j", "-2", "--s", "0"], "psi")],
+    )
+    def test_divergent_at_axis_exits_1(self, flags, name, capsys):
+        # t^j is not integrable at 0 for j <= -1: an input error, not a
+        # quadrature budget spent on a divergent integral
+        argv = ["phi", "--i", "1", "--r", "0.5", "--eps", "1e-3", *flags]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} diverges at t = 0")
+
+    def test_psi_negative_j_with_flat_radius(self, capsys):
+        # (t + s)^j stays bounded at the axis when s > 0
+        argv = ["phi", "--i", "1", "--j", "-2", "--s", "0.1", "--r", "0.5", "--eps", "1e-3"]
+        assert main(argv) == EXIT_OK
+        value = float(capsys.readouterr().out.strip().split("=")[-1])
+        assert value == pytest.approx(psi(1, -2, 0.1, 0.5, 1e-3), rel=1e-12) and value > 0.0
 
 
 class TestForce:
@@ -425,6 +446,24 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"key '{key}'" in err and "Traceback" not in err
         assert not csv_path.exists() and not json_path.exists()
+
+
+class TestArtifactPaths:
+    # a path that cannot be written is an input error (exit 1, one location)
+
+    def test_empty_config_path(self, tmp_path, capsys):
+        p = tmp_path / "run.ini"
+        p.write_text(CFG + "\n[output]\ncsv =\n", encoding="utf-8")
+        assert main(["force", "--config", str(p)]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.err == f"error: {p}[output]: key 'csv' is empty\n" and out.out == ""
+
+    def test_unwritable_flag_path(self, cfg_path, tmp_path, capsys):
+        json_path = tmp_path / "absent" / "x.json"
+        argv = ["force", "--config", cfg_path, "--mode", "asymptotic", "--out-json", str(json_path)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: {json_path}: cannot write artifact: No such file or directory\n"
 
 
 class TestUsage:

@@ -1,14 +1,18 @@
 """Config parsing, validation errors, and round-trip rendering."""
 
+import configparser
 import inspect
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lubgap.config import (
+    _REQUIRED,
+    _SCHEMA,
     ConfigError,
     RunConfig,
     SweepSpec,
@@ -72,6 +76,13 @@ omega = 0.25
         assert cfg.problem.omega == 0.25
         assert cfg.problem.U == (0.4, -0.3)
 
+    def test_2d_omega_is_one_number(self):
+        # a second value is an error, not dropped
+        text = "[profile]\ndimension = 2\neps = 1e-3\nr = 0.5\nR = 2.0\n\n[motion]\nU = 0.4, -0.3\n"
+        assert parse_config(text).problem.omega == 0.0
+        with pytest.raises(ConfigError, match=r"\[motion\]: omega is a scalar in 2D"):
+            parse_config(text + "omega = 0.25, 0.5\n")
+
     def test_omega_defaults_to_zero(self):
         text = BASE_3D.replace("omega = 0.15, 0.2, 0.1\n", "")
         cfg = parse_config(text)
@@ -121,6 +132,12 @@ override_flat_hypothesis = false
     def test_inline_comments(self):
         cfg = parse_config(BASE_3D.replace("eps = 1e-3", "eps = 1e-3  # gap width"))
         assert cfg.problem.profile.eps == 1e-3
+
+    def test_percent_is_literal(self):
+        # no interpolation: a '%' in a path is kept, and survives the round trip
+        cfg = parse_config(with_sections("[output]\ncsv = runs/%d.csv\n"))
+        assert cfg.csv_path == "runs/%d.csv"
+        assert parse_config(dump_config(cfg)) == cfg
 
 
 class TestErrors:
@@ -248,6 +265,78 @@ class TestNumericValues:
         text = FULL_3D.replace("dimension = 3", "dimension = 3.0").replace("points = 5", "points = 5.0")
         cfg = parse_config(text.replace("max_subdivisions = 2000", "max_subdivisions = 2e3"))
         assert cfg == parse_config(FULL_3D)
+
+
+# a config holding every key of the format
+EVERY_KEY = FULL_3D + (
+    "\n[output]\ncsv = out.csv\njson = out.json\n\n"
+    "[run]\nmode = both\noverride_flat_hypothesis = false\n"
+)
+SCHEMA_KEYS = [(name, key) for name, keys in _SCHEMA.items() for key in keys]
+REQUIRED_KEYS = [(name, key) for name, key in SCHEMA_KEYS if _SCHEMA[name][key][1] is _REQUIRED]
+
+
+def _bad_value(section: str, key: str) -> str:
+    if key in ("kind", "mode"):
+        return "quick"
+    # an empty artifact path, a bool that is neither, a number that is not finite
+    return {str: "", bool: "maybe"}.get(_SCHEMA[section][key][0], "nan")
+
+
+class TestErrorLocation:
+    # an error names its source and section once, whichever key it reads
+
+    def _assert_located_once(self, text: str, section: str) -> str:
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="c.ini")
+        message = str(info.value)
+        assert message.startswith(f"c.ini[{section}]: ")
+        assert message.count(f"[{section}]") == 1 and message.count("c.ini") == 1
+        return message
+
+    def test_every_key_parses(self):
+        # so each bad value below is the only fault in its section
+        cfg = parse_config(EVERY_KEY)
+        assert (cfg.csv_path, cfg.json_path) == ("out.csv", "out.json")
+
+    @pytest.mark.parametrize("section, key", SCHEMA_KEYS, ids=[f"{n}.{k}" for n, k in SCHEMA_KEYS])
+    def test_bad_value(self, section, key):
+        line = f"{key} = {_bad_value(section, key)}"
+        text, count = re.subn(rf"^{key} = .*$", line, EVERY_KEY, flags=re.M)
+        assert count == 1
+        self._assert_located_once(text, section)
+
+    @pytest.mark.parametrize(
+        "section, key", REQUIRED_KEYS, ids=[f"{n}.{k}" for n, k in REQUIRED_KEYS]
+    )
+    def test_missing_required_key(self, section, key):
+        text, count = re.subn(rf"^{key} = .*\n", "", EVERY_KEY, flags=re.M)
+        assert count == 1
+        assert self._assert_located_once(text, section).endswith(f"missing key {key!r}")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadmeConfig:
+    # the README's config block shows every key of the format, in order
+
+    def _block(self) -> str:
+        text = README.read_text(encoding="utf-8")
+        section = text.split("### Config format (INI)", 1)[1]
+        return section.split("```ini\n", 1)[1].split("```", 1)[0]
+
+    def test_parses(self):
+        cfg = parse_config(self._block())
+        assert parse_config(dump_config(cfg)) == cfg
+
+    def test_keys_match_schema(self):
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+        cp.optionxform = str
+        cp.read_string(self._block())
+        shown = {name: tuple(cp[name]) for name in cp.sections()}
+        assert shown == {name: tuple(keys) for name, keys in _SCHEMA.items()}
+        assert list(shown) == list(_SCHEMA)
 
 
 class TestSweepSpec:
