@@ -27,12 +27,16 @@ Exit codes: 0 success, 1 configuration error, 2 computation failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import locale  # noqa: F401 - argparse's gettext imports it lazily on the first parse
+import os
 import sys
 from dataclasses import replace
 
 import numpy as np
-import numpy.random  # noqa: F401 - numpy loads it lazily; the bc/div suites need it
+# Both imports stay eager: perfbench's worker imports this module once and forks
+# every operation, so a lazy import would be paid inside each fork, not once.
+import numpy.random  # noqa: F401 - numpy loads it lazily; the bc/div suites draw from it
 
 from . import dualcheck
 from .asymptotics import alpha_coefficients, force_asymptotic
@@ -47,8 +51,6 @@ from .special import TABULATED_PAIRS, ToleranceNotMet, gamma_coeff, phi, psi
 from .traction import total_numeric  # noqa: F401 - a name perfbench.tracing wraps
 
 __all__ = ["main", "cmd_constants", "cmd_force", "cmd_verify", "SUITES"]
-
-SUITES = ("bc", "div", "parity", "dual", "exponents")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -127,14 +129,9 @@ def _run_phi(args) -> int:
 
 def _load_run_config(args, need_sweep: bool = False) -> RunConfig:
     config = load_config(args.config)
-    if args.mode is not None:
-        config = replace(config, mode=args.mode)
-    if args.override_flat_hypothesis:
-        config = replace(config, override_flat_hypothesis=True)
-    if args.out_csv is not None:
-        config = replace(config, csv_path=args.out_csv)
-    if args.out_json is not None:
-        config = replace(config, json_path=args.out_json)
+    flags = {"mode": args.mode, "csv_path": args.out_csv, "json_path": args.out_json,
+             "override_flat_hypothesis": args.override_flat_hypothesis or None}
+    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
     if getattr(args, "eps", None) is not None:
         if args.eps <= 0.0:
             raise ConfigError("--eps must be positive", source="<cli>")
@@ -149,6 +146,12 @@ def _load_run_config(args, need_sweep: bool = False) -> RunConfig:
         raise ConfigError(
             "the sweep command requires a [sweep] section", source=args.config
         )
+    # an artifact that cannot be written fails here, before any computation
+    for path in (p for p in (config.csv_path, config.json_path) if p is not None):
+        missing = path == "" or not os.path.isdir(os.path.dirname(path) or ".")
+        if missing or os.path.isdir(path):
+            reason = os.strerror(errno.ENOENT if missing else errno.EISDIR)
+            raise ConfigError(f"cannot write artifact: {reason}", source=path)
     return config
 
 
@@ -216,7 +219,7 @@ def _motion_scale(params) -> float:
     return max(max(abs(float(v)) for v in vals), 1e-30)
 
 
-def _suite_bc(config: RunConfig, npoints: int = 200) -> list[dict]:
+def _suite_bc(config: RunConfig, npoints: int = 200) -> tuple[list[dict], dict]:
     """Boundary-condition residuals of every sub-flow on both surfaces."""
     params = config.problem
     prof = params.profile
@@ -239,7 +242,7 @@ def _suite_bc(config: RunConfig, npoints: int = 200) -> list[dict]:
             target = boundary_target(k, params, sp)
             worst = max(worst, float(np.max(np.abs(u - target))) / scale)
         checks.append(_check(f"bc-residual-k{k}", worst, 1e-9))
-    return checks
+    return checks, {}
 
 
 def _rigid_mean_divergence(params, x):
@@ -256,7 +259,7 @@ def _rigid_mean_divergence(params, x):
     return -0.25 * params.omega * prof.radial_jet(np.abs(x[0]), 1)[0] * x[0]
 
 
-def _suite_div(config: RunConfig, npoints: int = 100) -> list[dict]:
+def _suite_div(config: RunConfig, npoints: int = 100) -> tuple[list[dict], dict]:
     """Analytic incompressibility at interior points; dual-tensor row check."""
     params = config.problem
     prof = params.profile
@@ -301,10 +304,10 @@ def _suite_div(config: RunConfig, npoints: int = 100) -> list[dict]:
         sscale = np.max(np.abs(dS), axis=(0, 1, 2))
         worst = float(np.max(np.max(np.abs(rowdiv), axis=0) / np.maximum(sscale, 1e-30)))
         checks.append(_check("dual-tensor-div-squeeze", worst, 1e-4))
-    return checks
+    return checks, {}
 
 
-def _suite_parity(config: RunConfig) -> tuple[list[dict], Report]:
+def _suite_parity(config: RunConfig) -> tuple[list[dict], dict]:
     """Vanishing components forced by symmetry, at the configured epsilon.
 
     The checks read the per-sub-flow values and bounds off the rows of the
@@ -325,7 +328,7 @@ def _suite_parity(config: RunConfig) -> tuple[list[dict], Report]:
         return _check(name, abs(row["numeric"]), 10.0 * row["error_est"] + slack)
 
     if params.profile.dimension == 2:
-        return [vanishes("squeeze-subflow-torque", "2", "T")], report
+        return [vanishes("squeeze-subflow-torque", "2", "T")], {"rows": report.rows}
     # The in-plane spin sub-flow (k=4) exerts a genuine O(1) vertical
     # drag torque; every other sub-flow's vertical torque vanishes
     # exactly by the parity of its traction in the polar angle.
@@ -338,7 +341,7 @@ def _suite_parity(config: RunConfig) -> tuple[list[dict], Report]:
         )
     ]
     checks += [vanishes(f"shear-subflow-{comp}", "1", comp) for comp in ("F2", "F3")]
-    return checks, report
+    return checks, {"rows": report.rows}
 
 
 _DUAL_EPS_GRID = (1e-2, 1e-3, 1e-4)
@@ -369,10 +372,10 @@ def _suite_dual(config: RunConfig) -> tuple[list[dict], dict]:
                 continue
             cs_worst = max(cs_worst, v * v / bound)
     checks.append(_check("cauchy-schwarz-max-ratio", cs_worst, 1.0 + 1e-6))
-    return checks, serialize_ell_report(rep)
+    return checks, {"ell_report": serialize_ell_report(rep)}
 
 
-def _suite_exponents(config: RunConfig) -> tuple[list[dict], Report]:
+def _suite_exponents(config: RunConfig) -> tuple[list[dict], dict]:
     """Fitted blow-up exponents of the numeric totals vs the expansions."""
     if config.sweep is None:
         raise ConfigError(
@@ -396,7 +399,13 @@ def _suite_exponents(config: RunConfig) -> tuple[list[dict], Report]:
                 max(0.05 * predicted, 0.05),
             )
         )
-    return checks, report
+    return checks, {"rows": report.rows}
+
+
+# each suite returns its checks and the Report fields it sets
+_SUITES = {"bc": _suite_bc, "div": _suite_div, "parity": _suite_parity, "dual": _suite_dual,
+           "exponents": _suite_exponents}
+SUITES = tuple(_SUITES)
 
 
 def cmd_verify(config: RunConfig, suite: str) -> tuple[Report, int]:
@@ -404,31 +413,10 @@ def cmd_verify(config: RunConfig, suite: str) -> tuple[Report, int]:
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}", source="<cli>")
     base = build_report(replace(config, mode="asymptotic", sweep=None))
-    rows: tuple = ()
-    ell_payload = None
-    if suite == "bc":
-        checks = _suite_bc(config)
-    elif suite == "div":
-        checks = _suite_div(config)
-    elif suite == "parity":
-        checks, numeric_report = _suite_parity(config)
-        rows = numeric_report.rows
-    elif suite == "dual":
-        checks, ell_payload = _suite_dual(config)
-    else:
-        checks, numeric_report = _suite_exponents(config)
-        rows = numeric_report.rows
+    checks, fields = _SUITES[suite](config)
     passed = all(c["passed"] for c in checks)
-    report = Report(
-        config_echo=base.config_echo,
-        mode=config.mode,
-        rows=rows,
-        expansions=base.expansions,
-        coefficients=base.coefficients,
-        warnings=base.warnings,
-        suite={"name": suite, "passed": passed, "checks": checks},
-        ell_report=ell_payload,
-    )
+    suite_out = {"name": suite, "passed": passed, "checks": checks}
+    report = replace(base, mode=config.mode, suite=suite_out, **{"rows": (), **fields})
     _write_artifacts(config, report)
     return report, EXIT_OK if passed else EXIT_VERIFY
 

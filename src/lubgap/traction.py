@@ -357,6 +357,8 @@ def _solve(params, ks, rel_tol, max_subdivisions) -> dict:
     d = prof.dimension
     # the d force components and the torque: 3 moments in 2D, 6 in 3D
     nmom = 3 * (d - 1)
+    # rows per moment: its value and, in 3D, its angular estimate (the line ring's is 0)
+    nrow = 2 if d == 3 else 1
     out = {0: _rigid_mean(params)} if 0 in ks else {}
     ks = [k for k in ks if k != 0]
     if not ks:
@@ -375,14 +377,14 @@ def _solve(params, ks, rel_tol, max_subdivisions) -> dict:
         # sub-flow's moments, then their angular estimates
         parts = [part for ring, group in groups
                  for part in ring_integrals(lambda t, xp, g=group: _ring_moments(params, g, t, xp), ring, ts)]
-        return np.concatenate([p[:nmom] for p in parts] + [p[nmom:] for p in parts])
+        return np.concatenate([p[:nmom] for p in parts] + [p[nmom:] for p in parts if nrow == 2])
 
     spec = QuadSpec(rel_tol=rel_tol, max_subdivisions=max_subdivisions, split_points=prof.radial_splits())
     ncheck = nmom * len(ks)
     vals, errs, nevals = integrate_vector(rings, 0.0 if d == 3 else -prof.r, prof.r, spec,
-                                          ncomp=2 * ncheck, ncheck=ncheck, initial_scale=floors)
-    vals, errs = vals.reshape(2, len(ks), nmom), errs.reshape(2, len(ks), nmom)
-    err = errs[0] + np.maximum(vals[1], 0.0)
+                                          ncomp=nrow * ncheck, ncheck=ncheck, initial_scale=floors)
+    vals, errs = vals.reshape(nrow, len(ks), nmom), errs.reshape(nrow, len(ks), nmom)
+    err = errs[0] + np.maximum(vals[1:], 0.0).sum(axis=0)
     nring = {k: ring[0].shape[-1] for ring, group in groups for k in group}
     for i, k in enumerate(ks):
         val, bound, nev = vals[0, i].copy(), err[i].copy(), nevals * nring[k]
@@ -409,8 +411,8 @@ def force_numeric(
     force/torque component of its initial panels (``initial_scale`` of
     :func:`~lubgap.quadrature.integrate_vector`), for the rotation's ring
     pass at least ``rel_tol`` times the largest moment of ``G``.  The
-    bounds add the quadrature and angular estimates (0 in 2D, roundoff in
-    3D); see :class:`ForceResult` for ``evaluations``.
+    bounds add the quadrature and, in 3D, the angular estimates (roundoff
+    there); see :class:`ForceResult` for ``evaluations``.
     """
     d = params.profile.dimension
     if k not in subflow_indices(d):

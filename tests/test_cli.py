@@ -465,6 +465,37 @@ class TestArtifactPaths:
         err = capsys.readouterr().err
         assert err == f"error: {json_path}: cannot write artifact: No such file or directory\n"
 
+    @pytest.mark.parametrize("command", [["force"], ["sweep"], ["verify", "--suite", "parity"]])
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [("absent/x.json", "No such file or directory"), ("", "No such file or directory"),
+         (".", "Is a directory")],
+    )
+    def test_checked_before_any_solve(self, command, bad, reason, tmp_path, monkeypatch, capsys):
+        # the path is rejected before the computation, and the writable CSV
+        # is not left behind without its JSON
+        p = tmp_path / "run.ini"
+        p.write_text(CFG_SWEEP, encoding="utf-8")
+        solves = []
+        monkeypatch.setattr(lubgap.report, "total_numeric", lambda *a, **k: solves.append(a))
+        monkeypatch.setattr(lubgap.cli, "total_numeric", lambda *a, **k: solves.append(a))
+        csv_path, json_path = tmp_path / "left.csv", str(tmp_path / bad) if bad else ""
+        argv = [*command, "--config", str(p), "--out-csv", str(csv_path), "--out-json", json_path]
+        assert main(argv) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.err == f"error: {json_path}: cannot write artifact: {reason}\n"
+        assert out.out == "" and solves == [] and not csv_path.exists()
+        assert not (tmp_path / "absent").exists()
+
+    def test_config_path_checked_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        p = tmp_path / "run.ini"
+        p.write_text(CFG + f"\n[output]\ncsv = {tmp_path / 'absent' / 'x.csv'}\n", encoding="utf-8")
+        solves = []
+        monkeypatch.setattr(lubgap.report, "total_numeric", lambda *a, **k: solves.append(a))
+        assert main(["force", "--config", str(p)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot write artifact: No such file or directory" in err and solves == []
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):

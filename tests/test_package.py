@@ -228,3 +228,26 @@ def test_import_never_loads_numpy_polynomial(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "[]", "True", "[]"]
+
+
+_EAGER_IMPORTS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import lubgap.cli
+print("numpy.random" in sys.modules, "lubgap.dualcheck" in sys.modules)
+"""
+
+
+def test_cli_import_loads_forked_dependencies():
+    # perfbench's worker imports lubgap.cli once and forks every operation:
+    # numpy.random (bc/div suites) and lubgap.dualcheck (dual suite) must be
+    # loaded by the import, so that no forked operation pays for them
+    proc = subprocess.run(
+        [sys.executable, "-c", _EAGER_IMPORTS, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
