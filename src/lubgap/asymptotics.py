@@ -508,14 +508,26 @@ def force_asymptotic(
 def fit_exponent(eps_values, values) -> float:
     """Least-squares blow-up exponent ``p`` with ``|v| ~ C eps^-p``.
 
-    Fits ``log |v|`` against ``-log eps``; a vanishing sequence (any zero
-    value) raises ``ValueError``.
+    The closed-form least-squares slope of ``y = log |v|`` against ``x =
+    -log eps``, ``sum((x - xm) (y - ym)) / sum((x - xm)^2)`` about the
+    means; centred, it changes sign exactly with ``x``.  Raises
+    ``ValueError`` on sequences of different lengths, a non-finite or
+    non-positive ``eps``, fewer than two distinct ``eps``, and a
+    non-finite or zero value.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     values = np.asarray(values, dtype=float)
     if eps_values.size != values.size or eps_values.size < 2:
         raise ValueError("need matching sequences of at least two samples")
+    if not np.all(np.isfinite(eps_values) & (eps_values > 0.0)):
+        raise ValueError("eps values must be finite and positive")
+    if eps_values.min() == eps_values.max():
+        raise ValueError("need at least two distinct eps values")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
     if np.any(values == 0.0):
         raise ValueError("cannot fit an exponent through zero values")
-    slope, _ = np.polyfit(-np.log(eps_values), np.log(np.abs(values)), 1)
-    return float(slope)
+    x = -np.log(eps_values)
+    y = np.log(np.abs(values))
+    x -= x.mean()
+    return float(np.sum(x * (y - y.mean())) / np.sum(x * x))

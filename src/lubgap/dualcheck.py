@@ -50,6 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .asymptotics import fit_exponent
 from .fields import (
     ProblemParams,
     _coefficient_derivs,
@@ -350,8 +351,10 @@ def err_sweep(params: ProblemParams, eps_list, spec: QuadSpec | None = None) -> 
     dual tensors and every cross pair among them whose velocity scales are
     nonzero.  Only the diagonal pairs and (3, 6) are integrated, serially,
     one epsilon after another; the parity-zero pairs read exactly 0.0.
-    A pair with a zero value gets no slope; a fitted slope below -0.2
-    flags a boundedness violation.
+    A pair with a zero value gets no slope; the others get the
+    least-squares slope of ``log |ell|`` against ``log eps``, which is
+    ``-fit_exponent`` to the bit; a slope below -0.2 flags a boundedness
+    violation.
     """
     eps_grid = tuple(sorted((float(e) for e in eps_list), reverse=True))
     if len(eps_grid) < 3:
@@ -375,13 +378,11 @@ def err_sweep(params: ProblemParams, eps_list, spec: QuadSpec | None = None) -> 
 
     slopes = {}
     violations = []
-    log_eps = np.log(eps_grid)
     for pair, vals in values.items():
-        arr = np.abs(np.asarray(vals))
-        if np.any(arr == 0.0):
+        if 0.0 in vals:
             slopes[pair] = None
             continue
-        slope = float(np.polyfit(log_eps, np.log(arr), 1)[0])
+        slope = -fit_exponent(eps_grid, vals)
         slopes[pair] = slope
         if slope < -0.2:
             violations.append(pair)

@@ -299,3 +299,43 @@ class TestFitExponent:
     def test_mismatched_rejected(self):
         with pytest.raises(ValueError):
             fit_exponent([1e-2, 1e-3, 1e-4], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "eps, vals",
+        [
+            ([1e-3, 1e-3, 1e-3], [1.0, 2.0, 3.0]),
+            ([1e-2, math.nan, 1e-4], [1.0, 2.0, 3.0]),
+            ([1e-2, 0.0, 1e-4], [1.0, 2.0, 3.0]),
+            ([1e-2, -1e-3, 1e-4], [1.0, 2.0, 3.0]),
+            ([1e-2, math.inf, 1e-4], [1.0, 2.0, 3.0]),
+            ([1e-2, 1e-3, 1e-4], [1.0, math.inf, 3.0]),
+            ([1e-2, 1e-3, 1e-4], [1.0, -math.inf, 3.0]),
+            ([1e-2, 1e-3, 1e-4], [1.0, math.nan, 3.0]),
+        ],
+        ids=["one-eps", "nan-eps", "zero-eps", "negative-eps", "inf-eps",
+             "inf-value", "-inf-value", "nan-value"],
+    )
+    def test_bad_input_rejected(self, eps, vals):
+        # once a RankWarning and 0.0432, LAPACK's LinAlgError (a ValueError
+        # subclass) after an error message on stderr, or nan
+        with pytest.raises(ValueError) as info:
+            fit_exponent(eps, vals)
+        assert info.type is ValueError
+
+    @pytest.mark.parametrize("p", [-1.0, 0.5, 1.0, 2.0, 3.0])
+    def test_power_laws_to_roundoff(self, p):
+        for eps in (np.array([1e-2, 1e-3, 1e-4, 1e-5]), np.geomspace(1e-2, 1e-4, 5), 2.0 ** -np.arange(1.0, 8.0)):
+            assert fit_exponent(eps, 3.0 * eps**-p) == pytest.approx(p, rel=2e-15, abs=0.0)
+
+    def test_matches_polyfit(self):
+        # the closed-form slope is polyfit's least-squares line on grids
+        # spanning at least a decade
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(3, 7))
+            hi = rng.uniform(1.0, 3.0)
+            eps = np.geomspace(10.0**-hi, 10.0 ** -(hi + rng.uniform(1.0, 6.0)), n)
+            p = rng.uniform(0.5, 3.0)
+            vals = -rng.uniform(0.1, 10.0) * eps**-p * np.exp(0.2 * rng.standard_normal(n))
+            want = np.polyfit(-np.log(eps), np.log(np.abs(vals)), 1)[0]
+            assert fit_exponent(eps, vals) == pytest.approx(want, rel=1e-14, abs=0.0)

@@ -472,8 +472,8 @@ class TestErrSweep:
         assert len(calls) == 5 * 3
         zero = (0.0, 0.0, 0.0)
         pinned = {
-            (1, 1): (1.062249032446075e-05, 2.701366556612737e-05, 5.4541324006928335e-05),
-            (2, 2): (1.0622490324460739e-05, 2.7013665566127348e-05, 5.4541324006928274e-05),
+            (1, 1): (1.0622490324460754e-05, 2.701366556612738e-05, 5.4541324006928335e-05),
+            (2, 2): (1.0622490324460742e-05, 2.7013665566127348e-05, 5.454132400692829e-05),
             (3, 3): (0.007806171439382991, 0.03444235004625883, 0.04445659974906069),
             (3, 6): (3.910939050751126e-05, 8.306475608960257e-06, -5.7450319191019455e-05),
             (6, 6): (5.609785368805176e-05, 2.5444685611451586e-05, 0.00018104386342161842),
@@ -492,6 +492,19 @@ class TestErrSweep:
         for pair, values in pinned.items():
             assert values == pytest.approx(before[pair], rel=1e-14, abs=0.0), pair
         assert all(rep.slopes[pair] is None for pair in PARITY_ZERO)
+
+    def test_slopes_are_fit_exponent(self, params3d):
+        # one fit helper: each slope against log eps is fit_exponent's
+        # against -log eps negated, bit for bit, and polyfit's line
+        rep = err_sweep(params3d, (1e-1, 3e-2, 1e-2), QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
+        fitted = [pair for pair in rep.pairs if pair not in PARITY_ZERO]
+        assert fitted == [(1, 1), (2, 2), (3, 3), (3, 6), (6, 6)]
+        for pair in fitted:
+            slope = rep.slopes[pair]
+            assert slope == -fit_exponent(rep.eps_grid, rep.values[pair])
+            want = np.polyfit(np.log(rep.eps_grid), np.log(np.abs(rep.values[pair])), 1)[0]
+            assert slope == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert rep.violations == tuple(pair for pair in fitted if rep.slopes[pair] < -0.2)
 
     def test_grid_validation(self, params3d):
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 """Package metadata, module layout, and the perfbench trace hook."""
 
+import contextlib
 import importlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lubgap
@@ -213,9 +216,9 @@ print(code in (0, 3), loaded())
 
 
 def test_import_never_loads_numpy_polynomial(tmp_path):
-    # the Gauss-Legendre rules come from numpy.linalg: importing the package
-    # and the CLI, the running integral off m = 2 and the dual suite do not
-    # pay for numpy.polynomial
+    # the Gauss-Legendre rules come from the Legendre recurrence: importing
+    # the package and the CLI, the running integral off m = 2 and the dual
+    # suite do not pay for numpy.polynomial
     cfg = tmp_path / "dual.ini"
     cfg.write_text(_BC_CONFIG, encoding="utf-8")
     proc = subprocess.run(
@@ -228,6 +231,71 @@ def test_import_never_loads_numpy_polynomial(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "[]", "True", "[]"]
+
+
+_GENERAL3D = """
+[profile]
+dimension = 3
+kind = m-convex
+m = 2.0
+eps = 1e-4
+r = 0.5
+R = 2.0
+
+[motion]
+mu = 1.0
+U = 0.3, -0.2, -0.5
+omega = 0.15, 0.2, 0.1
+
+[quadrature]
+rel_tol = 1e-8
+max_subdivisions = 2000
+"""
+
+
+def test_m2_paths_never_call_numpy_linalg(tmp_path, monkeypatch):
+    # a forked operation's peak RSS grows by the LAPACK pages it touches:
+    # the general3d sweep's fitted exponents, err_sweep's slopes and 5-point
+    # vertical rule and the dual suite run with every numpy.linalg function
+    # and numpy.polyfit raising, the rule caches cleared.  Off m = 2 the
+    # force route still reaches special._gauss_jacobi, which stays on
+    # numpy.linalg.eigh: the control below
+    from lubgap import fields, quadrature, special
+    from lubgap.cli import EXIT_VERIFY, main
+    from lubgap.dualcheck import err_sweep
+
+    calls = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+
+        return call
+
+    for name in np.linalg.__all__:
+        if name != "LinAlgError":
+            monkeypatch.setattr(np.linalg, name, refuse(name))
+    monkeypatch.setattr(np, "polyfit", refuse("polyfit"))
+    for cached in (quadrature._gauss_legendre, fields._sinh_rule, special._gauss_jacobi):
+        cached.cache_clear()
+
+    cfg = tmp_path / "general3d.ini"
+    cfg.write_text(_GENERAL3D, encoding="utf-8")
+    sweep = tmp_path / "sweep.ini"
+    sweep.write_text(_GENERAL3D + "\n[sweep]\neps_from = 1e-2\neps_to = 1e-4\npoints = 5\n", encoding="utf-8")
+    report = lubgap.build_report(lubgap.load_config(str(sweep)))
+    assert not report.errors and len(report.exponents) == 6
+    rep = err_sweep(lubgap.load_config(str(cfg)).problem, (1e-2, 1e-3, 1e-4))
+    assert rep.slopes[(1, 1)] is not None
+    argv = ["verify", "--suite", "dual", "--config", str(cfg),
+            "--out-csv", str(tmp_path / "dual.csv"), "--out-json", str(tmp_path / "dual.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == EXIT_VERIFY
+    assert calls == []
+    with pytest.raises(AssertionError):
+        special._gauss_jacobi(1.5)
+    assert calls == ["eigh"]
 
 
 _EAGER_IMPORTS = """

@@ -3,12 +3,15 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lubgap.quadrature import (
+    SHORT_RING,
+    TRAPEZOID_RING,
     QuadratureError,
     QuadResult,
     QuadSpec,
@@ -16,6 +19,7 @@ from lubgap.quadrature import (
     integrate_1d,
     integrate_vector,
     layer_splits,
+    ring_integrals,
     trapezoid_ring,
 )
 
@@ -269,12 +273,30 @@ class TestPanelRules:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 16, 32])
     def test_gauss_legendre(self, n):
-        # Golub-Welsch against numpy.polynomial's rule, symmetric bit for bit
+        # the Newton rule against numpy.polynomial's, symmetric bit for bit
         x, w = _gauss_legendre(n)
         want_x, want_w = np.polynomial.legendre.leggauss(n)
         assert np.max(np.abs(x - want_x)) <= 1e-14
         assert np.max(np.abs(w - want_w)) <= 1e-14
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 16, 32])
+    def test_gauss_legendre_against_mpmath(self, n):
+        # 40-digit Newton on the same recurrence from each double node: the
+        # nodes within 2.3e-16 and the weights within 1e-15 relative of the
+        # exact rule
+        x, w = _gauss_legendre(n)
+        with mpmath.workdps(40):
+            for xi, wi in zip(x, w):
+                z = mpmath.mpf(float(xi))
+                for _ in range(6):
+                    p0, p1 = mpmath.mpf(1), z
+                    for j in range(1, n):
+                        p0, p1 = p1, ((2 * j + 1) * z * p1 - j * p0) / (j + 1)
+                    dp = n * (p0 - z * p1) / (1 - z * z)
+                    z -= p1 / dp
+                assert abs(xi - z) <= 2.3e-16
+                assert abs(wi / (2 / ((1 - z * z) * dp * dp)) - 1) <= 1e-15
 
     def test_trapezoid_ring(self):
         # the ring is one panel of [0, 2pi]; its embedded rule the even nodes
@@ -286,6 +308,32 @@ class TestPanelRules:
         full, low, _ = cumulative_sums(ring, np.cos(16.0 * ring.x) ** 2)
         assert full[0] == pytest.approx(np.pi, rel=1e-14)
         assert low[0] == pytest.approx(2.0 * np.pi, rel=1e-14)
+
+    @pytest.mark.parametrize("ring", [SHORT_RING, TRAPEZOID_RING], ids=["8", "64"])
+    @pytest.mark.parametrize("nrow", [1, 3])
+    def test_ring_sums_do_not_depend_on_stacking(self, ring, nrow):
+        # integrate_vector's integrand must give each node values that do
+        # not depend on the other nodes of the call; PanelRule.panel_sums
+        # reduces with BLAS @, so pin that every radius's full and embedded
+        # sums are the same bits alone as stacked with 30 others.  One row
+        # at one radius is a single contiguous vector, which numpy hands to
+        # ddot rather than gemv, in other last bits; integrate_vector never
+        # passes fewer than 15 radii, so one row is reduced with a neighbour
+        rng = np.random.default_rng(nrow)
+        ts = rng.uniform(0.01, 1.0, 31)
+        a = rng.standard_normal((nrow, 5))
+
+        def f(t, xprime):
+            x1, x2 = xprime
+            return np.stack([c[0] + x1 * (c[1] + x2 * (c[2] + x1 * c[3])) + c[4] * t * x2**3 for c in a])
+
+        stacked = ring_integrals(f, ring, ts)
+        for i in range(ts.size):
+            if nrow > 1:
+                alone = ring_integrals(f, ring, ts[i : i + 1])
+            else:
+                alone = ring_integrals(f, ring, ts[[i, i - 1]])[:, :1]
+            assert alone[:, 0].tobytes() == stacked[:, i].tobytes(), i
 
     def test_short_ring(self):
         # both rules of the 8-point ring are exact below degree 4; the

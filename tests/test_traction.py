@@ -1055,11 +1055,13 @@ class TestRefinementSteps:
         # alone, not at the force route's splits halving from delta: these
         # values, bit for bit, are those of the delta split (the squeeze-type
         # pairs with exact vertical moments, within 1e-14 of the Gauss rule's
-        # 2.787815956672281 and -0.08793403108999849)
+        # 2.787815956672281 and -0.08793403108999849; the shear pair within
+        # 1e-14 of its value by the Golub-Welsch 5-point rule)
         params = ProblemParams(
             profile=mconvex(eps=1e-4), mu=1.0, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1)
         )
-        assert ell(1, 1, params) == 0.00013225807500226474
+        assert ell(1, 1, params) == 0.00013225807500226477
+        assert 0.00013225807500226477 == pytest.approx(0.00013225807500226474, rel=1e-14, abs=0.0)
         assert ell(3, 3, params) == 2.787815956672283
         assert ell(3, 6, params) == -0.08793403108999875
         assert 2.787815956672283 == pytest.approx(2.787815956672281, rel=1e-14, abs=0.0)
