@@ -38,10 +38,12 @@ the squeeze's are closed-form (one vanishes identically, the other is a
 difference of ``B3`` values), the rotation's are differences of coefficient
 derivatives plus ``d22`` of the running integrals ``Q_1`` and ``Q_3``
 (:func:`lubgap.fields._running_integral`).  Whatever depends on ``x'``
-alone is computed once per planar point; the rings of planar points are
-reduced by :func:`lubgap.quadrature.ring_integrals`: the exact 8-point ring
-for the two shears (trigonometric polynomials of degree <= 4 in the angle),
-the 64-point one otherwise.  :func:`err_sweep` is serial.
+alone is computed once per planar point: each ring call builds one planar
+gap record (:meth:`GapProfile.at`) for both sub-flows of a pair, and only
+the line ends of the corrections take their own.  The rings of planar
+points are reduced by :func:`lubgap.quadrature.ring_integrals`: the exact
+8-point ring for the two shears (trigonometric polynomials of degree <= 4
+in the angle), the 64-point one otherwise.  :func:`err_sweep` is serial.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .asymptotics import fit_exponent
 from .fields import (
     ProblemParams,
     _coefficient_derivs,
-    _eval3,
+    _eval,
     _running_integral,
     _squeeze_type,
     subflow_indices,
@@ -72,24 +74,23 @@ _NGAUSS = 5
 # ---------------------------------------------------------------------------
 
 
-def _squeeze_qb(profile, c, x1, x2):
+def _squeeze_qb(c, gap, end):
     """``QB`` of the squeeze correction ``q_1`` (see :func:`_rotation_potentials`), in closed form.
 
     The squeeze coefficients ``B_a = c x_a / h^3`` have ``d2 A1 = d1 A2`` and
     ``d2 B1 = d1 B2`` because ``h`` is radial, so the integrand of ``QA``
     vanishes and that of ``QB`` is ``2 d1 B3``: ``QB = 2 (B3(x1, x2) -
     B3(-r/4, x2))``, with the radial ``B3 = c (2 - 3 rho^2 H1 / h) / h^3``
-    and ``H1 = h'/rho``.
+    and ``H1 = h'/rho``, from the gap records of the points and their line ends.
     """
 
-    def b3(rho):
-        h = profile.h_radial(rho)
-        return c * (2.0 - 3.0 * rho * rho * profile.radial_jet(rho, 1)[0] / h) / h**3
+    def b3(g):
+        return c * (2.0 - 3.0 * g.rho * g.rho * g.jet[0] / g.h) / g.h**3
 
-    return 2.0 * (b3(np.hypot(x1, x2)) - b3(np.hypot(0.25 * profile.r, x2)))
+    return 2.0 * (b3(gap) - b3(end))
 
 
-def _rotation_potentials(profile, c, x1, x2):
+def _rotation_potentials(profile, c, gap, end):
     """``(QA, QB)`` of the rotation correction ``q_1`` at planar points, exact.
 
     ``q_1 = mu (QA(x') + 3 x3^2 QB(x'))`` with
@@ -104,7 +105,8 @@ def _rotation_potentials(profile, c, x1, x2):
 
     where ``d22`` acts on ``x2``.  The coefficients are the rotation's,
     ``p = 2`` with the amplitudes ``c = (c1, c2)``; ``q_2`` reads the
-    potentials of the swapped amplitudes at swapped coordinates ``(x2, x1)``.
+    potentials of the swapped amplitudes at swapped coordinates ``(x2, x1)``;
+    ``gap`` and ``end`` are the gap records of the points and of ``(-b, x2)``.
     Anchoring each line at the core edge ``x1 = -b`` keeps the potentials at
     the local antiderivative scale: ``q_1`` is gauge-free up to an additive
     function of ``x2``, and an anchor at ``x1 = 0`` would inject an
@@ -112,24 +114,20 @@ def _rotation_potentials(profile, c, x1, x2):
     ``x3^2`` profile, is not pure trace, and destroys the boundedness of
     the error form.
     """
-    b = 0.25 * profile.r
+    x1, x2 = gap.xprime
     n = len(x1)
+    # each coefficient's first derivative along its own axis, at the points and at the line ends
+    (_, (d2A2,), (d1B1,), (d2B2,)), (_, (e2A2,), (e1B1,), (e2B2,)) = (
+        _coefficient_derivs(g, 2, c, entries=(1,)) for g in (gap, end))
+    ends = np.concatenate([x1, np.full_like(x1, 0.25 * profile.r)])
     lines = np.concatenate([x2, x2])
-    # each coefficient's first derivative along its own axis
-    _, (d2A2,), (d1B1,), (d2B2,) = _coefficient_derivs(
-        profile, 2, c, np.concatenate([x1, np.full_like(x1, -b)]), lines, entries=(1,)
-    )
-    ends = np.concatenate([x1, np.full_like(x1, b)])
-
-    def jump(f):
-        return f[:n] - f[n:]
 
     def d22(j):
         f = _running_integral(profile, j, ends, lines, second=True)
         return f[:n] + f[n:]
 
-    QA = -jump(d2A2) - 0.75 * c[0] * d22(1)
-    QB = 2.0 * jump(d1B1) + jump(d2B2) + c[0] * d22(3)
+    QA = -(d2A2 - e2A2) - 0.75 * c[0] * d22(1)
+    QB = 2.0 * (d1B1 - e1B1) + (d2B2 - e2B2) + c[0] * d22(3)
     return QA, QB
 
 
@@ -138,28 +136,31 @@ def _rotation_potentials(profile, c, x1, x2):
 # ---------------------------------------------------------------------------
 
 
-def _correction_terms(k, params, x1, x2):
+def _correction_terms(k, params, gap):
     """Planar parts ``(QA1, QB1, QA2, QB2, lapA3, lapB3)`` of the diagonal
-    corrections of squeeze-type sub-flow ``k``: ``q_a = mu (QA_a + 3 x3^2 QB_a)``
-    (a = 1, 2) and ``q_3 = -mu (lapA3 x3^2 / 2 + lapB3 x3^4 / 4)``, ``lapA3 =
-    sum_a d_a lap A_a``; ``q_2`` reads the potentials of ``q_1`` at swapped
-    ``(x2, x1)`` and amplitudes."""
+    corrections of squeeze-type sub-flow ``k`` at the points of ``gap`` (jet
+    order 3): ``q_a = mu (QA_a + 3 x3^2 QB_a)`` (a = 1, 2) and ``q_3 = -mu
+    (lapA3 x3^2 / 2 + lapB3 x3^4 / 4)``, ``lapA3 = sum_a d_a lap A_a``; ``q_2``
+    reads the potentials of ``q_1`` at swapped ``(x2, x1)`` and amplitudes."""
     prof = params.profile
     power, c = _squeeze_type(k, params)
-    (lA1,), (lA2,), (lB1,), (lB2,) = _coefficient_derivs(prof, power, c, x1, x2, entries=(6,))
+    (lA1,), (lA2,), (lB1,), (lB2,) = _coefficient_derivs(gap, power, c, entries=(6,))
+    x1, x2 = gap.xprime
+    ends = [prof.at((np.full_like(x1, -0.25 * prof.r), line), 1) for line in (x2, x1)]
+    swapped = replace(gap, xprime=(x2, x1))
     if k == 3:
         QA1 = QA2 = 0.0
-        QB1, QB2 = _squeeze_qb(prof, c[0], x1, x2), _squeeze_qb(prof, c[1], x2, x1)
+        QB1, QB2 = _squeeze_qb(c[0], gap, ends[0]), _squeeze_qb(c[1], swapped, ends[1])
     else:
-        QA1, QB1 = _rotation_potentials(prof, c, x1, x2)
-        QA2, QB2 = _rotation_potentials(prof, c[::-1], x2, x1)
+        QA1, QB1 = _rotation_potentials(prof, c, gap, ends[0])
+        QA2, QB2 = _rotation_potentials(prof, c[::-1], swapped, ends[1])
     return QA1, QB1, QA2, QB2, lA1 + lA2, lB1 + lB2
 
 
-def _diagonal(k, params, x1, x2):
+def _diagonal(k, params, gap):
     """The discrepancy ``d_a = -(q_a - qbar) / (2 mu)`` of squeeze-type sub-flow
-    ``k`` as ``D[a, 0] + D[a, 1] x3^2 + D[a, 2] x3^4``; ``D`` is (3, 3) + x1.shape."""
-    QA1, QB1, QA2, QB2, lapA3, lapB3 = _correction_terms(k, params, x1, x2)
+    ``k`` as ``D[a, 0] + D[a, 1] x3^2 + D[a, 2] x3^4``; ``D`` is (3, 3) + gap.h.shape."""
+    QA1, QB1, QA2, QB2, lapA3, lapB3 = _correction_terms(k, params, gap)
     q = np.zeros((3, 3) + lapA3.shape)
     q[0, 0], q[0, 1] = QA1, 3.0 * QB1
     q[1, 0], q[1, 1] = QA2, 3.0 * QB2
@@ -167,22 +168,22 @@ def _diagonal(k, params, x1, x2):
     return 0.5 * (q.mean(axis=0) - q)
 
 
-def _dual_tensor_many(k, params, x1, x2, x3):
+def _dual_tensor_many(k, params, gap, x3):
     """Dual tensor ``S(k)`` and the field gradient of sub-flow ``k``; (3, 3, n, g) each.
 
-    The points are the planar points ``(x1, x2)``, shape (n, 1), each under
-    the heights ``x3``, shape (n, g); whatever depends on ``x'`` alone is
-    evaluated once per planar point.  The tensor is zero outside the core
+    The points are the planar points of ``gap`` (jet order 3), shape (n, 1),
+    each under the heights ``x3``, shape (n, g); whatever depends on ``x'``
+    alone is evaluated once per planar point.  The tensor is zero outside the core
     region ``{|x'| < r/4, |x3| < h/2}`` and for the sub-flows 0, 4, 5.
     """
     prof = params.profile
     mu = params.mu
-    _u, p, grad = _eval3(k, params, x1, x2, x3)
+    _u, p, grad = _eval(k, params, gap, x3)
     S = np.zeros_like(grad)
     if k in (0, 4, 5) or subflow_scale(k, params) == 0.0:
         return S, grad
 
-    inside = (np.hypot(x1, x2) < 0.25 * prof.r) & (np.abs(x3) < 0.5 * prof.h(x1, x2))
+    inside = (gap.rho < 0.25 * prof.r) & (np.abs(x3) < 0.5 * gap.h)
 
     if k in (1, 2):
         # the shear's own viscous stress in the (row, 3) plane
@@ -195,7 +196,7 @@ def _dual_tensor_many(k, params, x1, x2, x3):
     for a in range(3):
         for b in range(a + 1, 3):
             S[a, b] = S[b, a] = mu * (grad[a, b] + grad[b, a])
-    QA1, QB1, QA2, QB2, lapA3, lapB3 = _correction_terms(k, params, x1, x2)
+    QA1, QB1, QA2, QB2, lapA3, lapB3 = _correction_terms(k, params, gap)
     x3sq = x3 * x3
     q1 = mu * (QA1 + 3.0 * x3sq * QB1)
     q2 = mu * (QA2 + 3.0 * x3sq * QB2)
@@ -215,7 +216,8 @@ def dual_tensor(k: int, params: ProblemParams, x) -> np.ndarray:
         raise ValueError("dual tensors are defined for 3D problems")
     if k not in subflow_indices(3):
         raise ValueError(f"unknown sub-flow index {k}")
-    return _dual_tensor_many(k, params, *(np.full((1, 1), float(v)) for v in x))[0][:, :, 0, 0]
+    x1, x2, x3 = (np.full((1, 1), float(v)) for v in x)
+    return _dual_tensor_many(k, params, params.profile.at((x1, x2), 3), x3)[0][:, :, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +227,13 @@ def dual_tensor(k: int, params: ProblemParams, x) -> np.ndarray:
 
 def _volume_integrate(column, params, rmax, spec, ring=TRAPEZOID_RING):
     """Integrate over ``{|x'| < rmax, |x3| < h/2}`` from the vertical integrals
-    ``column(x1, x2, h/2)`` at planar points, shape (n,): radially adaptive
-    (Gauss-Kronrod, split inside ``rmax`` at :meth:`GapProfile.radial_splits`,
-    of which m-convex profiles take only ``delta``), angularly by the
-    trapezoid ``ring`` (:func:`lubgap.quadrature.ring_integrals`, full rule)."""
+    ``column(gap)`` at planar points, shape (n,), from their gap record of jet
+    order 3: radially adaptive (Gauss-Kronrod, split inside ``rmax`` at
+    :meth:`GapProfile.radial_splits`, of which m-convex profiles take only
+    ``delta``), angularly by the trapezoid ``ring``
+    (:func:`lubgap.quadrature.ring_integrals`, full rule)."""
     prof = params.profile
-    planar = lambda _t, xprime: column(*xprime, 0.5 * prof.h(*xprime))
+    planar = lambda _t, xprime: column(prof.at(xprime, 3))
     # m-convex: delta alone; on the r/4 core at 1e-7 a graded start costs more than it saves
     splits = prof.radial_splits()[: 1 if prof.kind == "m-convex" else None]
     spec = spec.with_splits([p for p in splits if p < rmax])
@@ -250,7 +253,7 @@ _ODD = np.arange(1.0, 10.0, 2.0)[:, None]
 _PQ = np.add.outer(np.arange(3), np.arange(3))
 
 
-def _discrepancy_many(k, params, x1, x2, x3):
+def _discrepancy_many(k, params, gap, x3):
     """``D(u(k)) - (S(k) - tr S(k)/3 E) / (2 mu)``; (3, 3, n, g).
 
     The points are given as for :func:`_dual_tensor_many`.  For k = 3, 6 it
@@ -258,11 +261,11 @@ def _discrepancy_many(k, params, x1, x2, x3):
     """
     mu = params.mu
     if k in (3, 6):
-        D, x3sq, E = _diagonal(k, params, x1, x2), x3 * x3, np.zeros((3, 3) + x3.shape)
+        D, x3sq, E = _diagonal(k, params, gap), x3 * x3, np.zeros((3, 3) + x3.shape)
         for a in range(3):
             E[a, a] = D[a, 0] + x3sq * (D[a, 1] + x3sq * D[a, 2])
         return E
-    S, grad = _dual_tensor_many(k, params, x1, x2, x3)
+    S, grad = _dual_tensor_many(k, params, gap, x3)
     # in place: the (3, 3, n, g) arrays are the largest of the dual check
     D = grad + grad.swapaxes(0, 1)
     D *= 0.5
@@ -295,18 +298,19 @@ def ell(i: int, j: int, params: ProblemParams, spec: QuadSpec | None = None) -> 
 
     if i in (3, 6) and j in (3, 6):
         # polynomials in x3^2 on each diagonal entry: exact vertical moments
-        def column(x1, x2, half):
-            Di = _diagonal(i, params, x1, x2)
-            Dj = Di if j == i else _diagonal(j, params, x1, x2)
-            return mu * np.einsum("apn,aqn,pqn->n", Di, Dj, (2.0 * half**_ODD / _ODD)[_PQ])
+        def column(gap):
+            Di = _diagonal(i, params, gap)
+            Dj = Di if j == i else _diagonal(j, params, gap)
+            return mu * np.einsum("apn,aqn,pqn->n", Di, Dj, (2.0 * (0.5 * gap.h)**_ODD / _ODD)[_PQ])
 
     else:
         gx, gw = _gauss_legendre(_NGAUSS)
 
-        def column(x1, x2, half):
-            x1, x2, x3 = x1[:, None], x2[:, None], half[:, None] * gx
-            Ei = _discrepancy_many(i, params, x1, x2, x3)
-            Ej = Ei if j == i else _discrepancy_many(j, params, x1, x2, x3)
+        def column(gap):
+            half = 0.5 * gap.h
+            rows, x3 = gap[:, None], half[:, None] * gx
+            Ei = _discrepancy_many(i, params, rows, x3)
+            Ej = Ei if j == i else _discrepancy_many(j, params, rows, x3)
             return (mu * np.einsum("ab...,ab...->...", Ei, Ej) * gw).sum(axis=1) * half
 
     return float(_volume_integrate(column, params, 0.25 * prof.r, spec, ring).value)

@@ -24,6 +24,10 @@ families:
   names its ``(p, c)`` (:func:`_squeeze_type`) and its pressure integral.
   The dual check (:mod:`lubgap.dualcheck`) reads the same engine.
 
+One evaluator, :func:`_eval`, serves both dimensions.  The engines read
+``rho``, ``h`` and the radial jet from the caller's planar gap record
+(:meth:`GapProfile.at`), so sub-flows on shared points share one record.
+
 The squeeze-type sub-flows carry a pressure built from running integrals of
 ``t^j / h^3`` kernels.  The radial ones (3D squeeze, 2D squeeze and
 rotation) are differences of closed-form kernel tails, incomplete Beta
@@ -77,31 +81,15 @@ def subflow_indices(dimension: int) -> tuple[int, ...]:
 
 
 def subflow_scale(k: int, params: ProblemParams) -> float:
-    """Velocity scale of sub-flow ``k``; zero means the field vanishes."""
-    prof = params.profile
-    if prof.dimension == 2:
-        U1, U2 = params.U
-        w0 = params.omega
-        if k == 0:
-            return max(abs(U1), abs(U2), abs(w0))
-        if k == 1:
-            return abs(U1 + w0 * prof.R)
-        if k == 2:
-            return abs(U2)
-        return abs(w0)  # k in (3, 4)
-    U1, U2, U3 = params.U
-    w1, w2, w3 = params.omega
+    """Velocity scale of sub-flow ``k``, zero exactly when the field vanishes: the largest
+    motion component for the rigid mean, else from the amplitudes the sub-flow names."""
     if k == 0:
-        return max(abs(v) for v in (*params.U, *params.omega))
-    if k == 1:
-        return abs(U1 - w2 * prof.R)
-    if k == 2:
-        return abs(U2 + w1 * prof.R)
-    if k == 3:
-        return abs(U3)
-    if k == 4:
-        return abs(w3)
-    return max(abs(w1), abs(w2))  # k in (5, 6)
+        return float(np.max(np.abs(np.append(params.U, params.omega))))
+    squeeze = _squeeze_type(k, params)
+    if squeeze:
+        return max(abs(v) for v in squeeze[1])
+    a, b, e, g = _shear_type(k, params)
+    return max(abs(a), abs(b)) * max(abs(v) for v in e) + abs(g)
 
 
 @dataclass(frozen=True)
@@ -320,15 +308,16 @@ def pressure_cache_error(k: int, profile: GapProfile) -> float:
 
 
 def _squeeze_type(k: int, params: ProblemParams):
-    """``(p, c)`` of squeeze-type sub-flow ``k``: 3D ``k = 3, 6``, 2D ``k = 2, 4``.
+    """``(p, c)`` of squeeze-type sub-flow ``k``: 3D ``k = 3, 6``, 2D ``k = 2, 4``;
+    ``None`` for the other sub-flows.
 
     Each planar axis ``a`` has ``B_a = c_a x_a^p / h^3`` and
     ``A_a = -3/4 h^2 B_a``.
     """
     if params.profile.dimension == 3:
         U3, (w1, w2, _w3) = params.U[2], params.omega
-        return {3: (1, (-U3, -U3)), 6: (2, (w2, -w1))}[k]
-    return {2: (1, (-2.0 * params.U[1],)), 4: (2, (-params.omega,))}[k]
+        return {3: (1, (-U3, -U3)), 6: (2, (w2, -w1))}.get(k)
+    return {2: (1, (-2.0 * params.U[1],)), 4: (2, (-params.omega,))}.get(k)
 
 
 def _monomial_derivs(p, jet, x, y=None, entries=None):
@@ -355,24 +344,24 @@ def _monomial_derivs(p, jet, x, y=None, entries=None):
     return [None if y is None and i in (2, 4, 5) else entry[i]() for i in entries or range(6)]
 
 
-def _coefficient_derivs(profile, p, c, x1, x2, entries=None):
+def _coefficient_derivs(gap, p, c, entries=None):
     """Squeeze-type coefficients and their exact planar derivatives.
 
     ``A_a = -3/4 c_a x_a^p / h`` and ``B_a = c_a x_a^p / h^3`` for each
-    entry of ``c`` (axes ``x1``, ``x2``; a one-entry ``c`` is the 2D form on
-    ``x1``, with ``x2 = 0``).  Returns ``[A1, A2, B1, B2]`` (``[A1, B1]`` in
-    2D, without the ``x2`` derivatives, which are ``None``), each
-    ``[f, d1 f, d2 f, d11 f, d12 f, d22 f]``, or (3D) only the ``entries``
-    of ``[f, d_a f, d_b f, d_aa f, d_ab f, d_bb f, d_a lap f]`` on its own
-    axis ``a``, from only the jet they read.  The chain rule carries the jet
-    of ``h`` over to ``h^-n`` and the Leibniz rule to the product, without
-    dividing by ``rho``.
+    entry of ``c`` at the planar points of the gap record ``gap`` (axes
+    ``x1``, ``x2``; a one-entry ``c`` is the 2D form on ``x1``).  Returns
+    ``[A1, A2, B1, B2]`` (``[A1, B1]`` in 2D, without the ``x2`` derivatives,
+    which are ``None``), each ``[f, d1 f, d2 f, d11 f, d12 f, d22 f]``, or
+    (3D) only the ``entries`` of ``[f, d_a f, d_b f, d_aa f, d_ab f, d_bb f,
+    d_a lap f]`` on its own axis ``a``, from only the jet they read.  The
+    chain rule carries the jet of ``h`` over to ``h^-n`` and the Leibniz
+    rule to the product, without dividing by ``rho``.
     """
     # the order of the jet each entry reads
     order = max((0, 1, 1, 2, 2, 2, 3)[i] for i in entries) if entries else 2
-    rho = np.hypot(x1, x2)
-    h = profile.h_radial(rho)
-    e = [H / h for H in profile.radial_jet(rho, max(order, 1))]
+    h = gap.h
+    x1, x2 = (*gap.xprime, None)[:2]
+    e = [H / h for H in gap.jet[: max(order, 1)]]
     out = []
     for scale, n in ((-0.75, 1), (1.0, 3)):
         u = 1.0 / h**n
@@ -382,7 +371,7 @@ def _coefficient_derivs(profile, p, c, x1, x2, entries=None):
         if order > 2:
             jet.append(-n * u * ((n + 1) * e[0] * ((n + 2) * e[0] * e[0] - 3.0 * e[1]) + e[2]))
         jets = [[scale * ca * a for a in jet[: order + 1]] for ca in c]
-        out.append(_monomial_derivs(p, jets[0], x1, x2 if len(c) == 2 else None, entries))
+        out.append(_monomial_derivs(p, jets[0], x1, x2, entries))
         if len(c) == 2:
             # on its own axis x2 first; reordered to x1, x2 unless entries are asked for
             f = _monomial_derivs(p, jets[1], x2, x1, entries)
@@ -390,21 +379,20 @@ def _coefficient_derivs(profile, p, c, x1, x2, entries=None):
     return out
 
 
-def _eval_squeeze_type(k, params, x1, x2, z, running=True):
+def _eval_squeeze_type(k, params, gap, z, running=True):
     """``(u, pressure, grad)`` of a squeeze-type sub-flow at heights ``z``.
 
     ``u_a = -(A_a + 3 B_a z^2)`` on the planar axes and ``A3 z + B3 z^3``
     vertically, with ``A3 = sum_a d_a A_a`` and ``B3 = sum_a d_a B_a``, so the
     field is divergence-free.  The pressure is ``mu (3 B3 z^2 - A3 - 6 G)``,
     where ``G`` integrates ``B_a`` along ``x_a``; ``G`` is all that differs
-    between the sub-flows (``running=False`` leaves it out).  In 2D ``x2``
-    is 0 and ``z`` is the second coordinate; the planar coordinates
-    broadcast against ``z``.
+    between the sub-flows (``running=False`` leaves it out).  In 2D ``z`` is
+    the second coordinate.
     """
     prof = params.profile
     p, c = _squeeze_type(k, params)
     d = len(c)
-    coefs = _coefficient_derivs(prof, p, c, x1, x2)
+    coefs = _coefficient_derivs(gap, p, c)
     A, B = coefs[:d], coefs[d:]
     zsq = z * z
     u = np.empty((d + 1,) + z.shape)
@@ -425,15 +413,16 @@ def _eval_squeeze_type(k, params, x1, x2, z, running=True):
         G = 0.0
     elif p == 1:
         # radial: c int_r^|x'| t / h^3 dt, a difference of kernel tails
-        G = -c[0] * (_kernel_tail(prof, 1, np.hypot(x1, x2)) - _kernel_tail_at(prof, 1, prof.r))
+        G = -c[0] * (_kernel_tail(prof, 1, gap.rho) - _kernel_tail_at(prof, 1, prof.r))
     elif d == 2:
+        x1, x2 = gap.xprime
         q = lambda a, b: _running_integral(prof, 3, a, b)
         G = c[0] * (q(x1, x2) - q(prof.r, x2)) + c[1] * (q(x2, x1) + q(prof.r, x1))
     else:
         # int_0^x t^2 / h^3 dt = T(0) - T(x) for the kernel tail T
         T0, Tr = (_kernel_tail_at(prof, 2, t) for t in (0.0, prof.r))
-        Tx = _kernel_tail(prof, 2, np.abs(x1))
-        G = c[0] * (np.sign(x1) * (T0 - Tx) + (T0 - Tr))
+        Tx = _kernel_tail(prof, 2, gap.rho)
+        G = c[0] * (np.sign(gap.xprime[0]) * (T0 - Tx) + (T0 - Tr))
     return u, params.mu * (3.0 * B3 * zsq - A3 - 6.0 * G), grad
 
 
@@ -461,20 +450,18 @@ def _shear_type(k: int, params: ProblemParams):
     }[k]
 
 
-def _eval_shear_type(k, params, xp, z):
-    """``(u, pressure, grad)`` of a shear-type sub-flow at planar points ``xp``, heights ``z``.
+def _eval_shear_type(k, params, gap, z):
+    """``(u, pressure, grad)`` of a shear-type sub-flow at heights ``z``.
 
-    ``xp`` is ``(x1,)`` in 2D; its arrays broadcast against ``z``.  The n = 1
-    chain rule of :func:`_coefficient_derivs` gives ``d_i (1/h) = f1 x_i``
-    and ``d_ij (1/h) = f1 delta_ij + f2 x_i x_j``.
+    The n = 1 chain rule of :func:`_coefficient_derivs` gives ``d_i (1/h) =
+    f1 x_i`` and ``d_ij (1/h) = f1 delta_ij + f2 x_i x_j``.
     The ``J`` part of ``V`` is divergence-free for radial ``h``, so ``div V =
     b f1 (e . x')`` and the vertical spin (3D ``k = 4``) has ``u_z = 0`` exactly.
     """
     a, b, e, g = _shear_type(k, params)
+    xp, h = gap.xprime, gap.h
     d = len(xp)
-    rho = np.hypot(*xp) if d == 2 else np.abs(xp[0])
-    h = params.profile.h_radial(rho)
-    H1, H2 = params.profile.radial_jet(rho, 2)
+    H1, H2 = gap.jet[:2]
     inv = 1.0 / h
     f1 = -H1 * inv * inv
     f2 = inv * inv * (2.0 * H1 * H1 * inv - H2)
@@ -507,58 +494,42 @@ def _eval_shear_type(k, params, xp, z):
 
 
 # ---------------------------------------------------------------------------
-# sub-flow dispatch: the rigid mean k = 0 is the only hand-written field
+# one evaluator for both dimensions: the rigid mean k = 0 is the only
+# hand-written field
 # ---------------------------------------------------------------------------
 
 
-def _eval3(k: int, params: ProblemParams, x1, x2, x3):
-    """Sub-flow ``k`` at the points ``(x1, x2, x3)``; the arrays broadcast.
-
-    Planar arrays of shape ``(n, 1)`` under heights of shape ``(n, g)``
-    evaluate whatever depends on ``x'`` alone once per planar point.
-    """
-    if k in (3, 6):
-        return _eval_squeeze_type(k, params, x1, x2, x3)
+def _eval(k: int, params: ProblemParams, gap, z, running=True):
+    """``(u, pressure, grad)`` of sub-flow ``k`` at heights ``z`` over the points of
+    ``gap`` (jet order 2 or more), whose planar rows ``(n, 1)`` broadcast against
+    heights ``(n, g)``; ``running=False`` leaves out a squeeze type's ``G``."""
+    d = len(gap.xprime)
+    if k not in subflow_indices(d + 1):
+        raise ValueError(f"sub-flow index {k} invalid for dimension {d + 1}")
+    if _squeeze_type(k, params):
+        return _eval_squeeze_type(k, params, gap, z, running)
     if k:
-        return _eval_shear_type(k, params, (x1, x2), x3)
-    prof = params.profile
-    U1, U2, U3 = params.U
-    w1, w2, w3 = params.omega
-    rho = np.hypot(x1, x2)
-    H1 = prof.radial_jet(rho, 1)[0]
-    g1, g2 = H1 * x1, H1 * x2
-    w = 0.5 * (prof.h_radial(rho) - prof.eps) - prof.R
-    shape = np.broadcast_shapes(x1.shape, x2.shape, x3.shape)
-    u = np.empty((3,) + shape)
-    u[0] = 0.5 * (U1 + w2 * w - w3 * x2)
-    u[1] = 0.5 * (U2 + w3 * x1 - w1 * w)
-    u[2] = 0.5 * (U3 + w1 * x2 - w2 * x1)
-    grad = np.zeros((3, 3) + shape)
-    grad[0, 0] = 0.25 * w2 * g1
-    grad[0, 1] = 0.25 * w2 * g2 - 0.5 * w3
-    grad[1, 0] = 0.5 * w3 - 0.25 * w1 * g1
-    grad[1, 1] = -0.25 * w1 * g2
-    grad[2, 0] = -0.5 * w2
-    grad[2, 1] = 0.5 * w1
-    return u, np.zeros(shape), grad
-
-
-def _eval2(k: int, params: ProblemParams, x1, x2):
-    if k in (2, 4):
-        return _eval_squeeze_type(k, params, x1, 0.0, x2)
-    if k:
-        return _eval_shear_type(k, params, (x1,), x2)
-    prof = params.profile
-    U1, U2 = params.U
-    w0 = params.omega
-    rho = np.abs(x1)
-    shape = np.broadcast_shapes(x1.shape, x2.shape)
-    u = np.empty((2,) + shape)
-    u[0] = 0.5 * (U1 + w0 * (prof.R - 0.5 * (prof.h_radial(rho) - prof.eps)))
-    u[1] = 0.5 * (U2 + w0 * x1)
-    grad = np.zeros((2, 2) + shape)
-    grad[0, 0] = -0.25 * w0 * prof.radial_jet(rho, 1)[0] * x1
-    grad[1, 0] = 0.5 * w0
+        return _eval_shear_type(k, params, gap, z)
+    # the rigid mean: u = (U + omega x nu) / 2 with the lever arm nu = (x', (h -
+    # eps)/2 - R) and omega x nu = Omega nu, each row summed from its cyclic
+    # predecessor on, as boundary_target sums it; grad u = Omega (grad nu) / 2
+    prof, w = params.profile, params.omega
+    spin = ((0.0, -w[2], w[1]), (w[2], 0.0, -w[0]), (-w[1], w[0], 0.0)) if d == 2 else ((0.0, -w), (w, 0.0))
+    nu = (*gap.xprime, 0.5 * (gap.h - prof.eps) - prof.R)
+    g = [gap.jet[0] * x for x in gap.xprime]
+    shape = np.broadcast_shapes(np.shape(gap.h), z.shape)
+    u = np.empty((d + 1,) + shape)
+    grad = np.zeros((d + 1, d + 1) + shape)
+    for i in range(d + 1):
+        total = params.U[i]
+        for j in ((i + s) % (d + 1) for s in range(d, 0, -1)):
+            total = total + spin[i][j] * nu[j]
+        u[i] = 0.5 * total
+        for j in range(d):
+            # d_j nu = e_j + e_d H1 x_j / 2; the zero entries Omega_ii add no term
+            grad[i, j] = 0.5 * spin[i][j] if i == d else 0.25 * spin[i][d] * g[j]
+            if i != j and i != d:
+                grad[i, j] += 0.5 * spin[i][j]
     return u, np.zeros(shape), grad
 
 
@@ -575,14 +546,10 @@ def eval_field_many(k: int, params: ProblemParams, *coords):
     with shapes ``(d, n)``, ``(n,)``, ``(d, d, n)``.
     """
     d = params.profile.dimension
-    if k not in subflow_indices(d):
-        raise ValueError(f"sub-flow index {k} invalid for dimension {d}")
     if len(coords) != d:
         raise ValueError(f"expected {d} coordinate arrays")
-    arrs = [np.asarray(c, dtype=float).ravel() for c in coords]
-    if d == 3:
-        return _eval3(k, params, *arrs)
-    return _eval2(k, params, *arrs)
+    *xprime, z = (np.asarray(c, dtype=float).ravel() for c in coords)
+    return _eval(k, params, params.profile.at(xprime, 2), z)
 
 
 def eval_field(k: int, params: ProblemParams, x) -> FieldEval:

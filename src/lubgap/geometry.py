@@ -26,13 +26,29 @@ import numpy as np
 
 from .quadrature import layer_splits
 
-__all__ = ["GapProfile", "SurfacePoint", "surface_sample", "FlatHypothesisError"]
+__all__ = ["GapProfile", "PlanarGap", "SurfacePoint", "surface_sample", "FlatHypothesisError"]
 
 _SQRT2M1 = np.sqrt(2.0) - 1.0
 
 
 class FlatHypothesisError(ValueError):
     """Flat radius violates the s < (sqrt(2)-1) r hypothesis of the flat asymptotics."""
+
+
+@dataclass(frozen=True)
+class PlanarGap:
+    """The gap at planar points (:meth:`GapProfile.at`): their coordinates ``xprime``,
+    ``rho = |x'|``, ``h`` and the radial jet ``(H1, .., H_order)``, all of one shape."""
+
+    xprime: tuple
+    rho: np.ndarray
+    h: np.ndarray
+    jet: tuple
+
+    def __getitem__(self, index) -> PlanarGap:
+        """``index`` applied to every array: ``gap[:, None]`` are rows under heights ``(n, g)``."""
+        return PlanarGap(tuple(x[index] for x in self.xprime), self.rho[index], self.h[index],
+                         tuple(H[index] for H in self.jet))
 
 
 @dataclass(frozen=True)
@@ -133,6 +149,13 @@ class GapProfile:
             return self.h_radial(x1)
         return self.h_radial(np.hypot(x1, x2))
 
+    def at(self, xprime, order: int) -> PlanarGap:
+        """The :class:`PlanarGap` of planar points ``xprime``, ``(x1, x2)`` or ``(x1,)``,
+        with ``order`` jet entries: the one map from planar coordinates to
+        ``rho``, ``h`` and the jet, read by every field, normal and dual correction."""
+        rho = np.hypot(*xprime) if self.dimension == 3 else np.abs(xprime[0])
+        return PlanarGap(tuple(xprime), rho, self.h_radial(rho), self.radial_jet(rho, order))
+
     def radial_jet(self, rho, order):
         """``(H1, .., H_order)`` of the gap: ``H1 = h'/rho`` and ``H(j+1) = H(j)'/rho``.
 
@@ -203,13 +226,13 @@ def surface_sample(profile: GapProfile, side: str, xprime) -> SurfacePoint:
     sign = 1.0 if side == "top" else -1.0
     d = profile.dimension
     planar = tuple(np.asarray(v, dtype=float) for v in (xprime if d == 3 else (xprime,)))
-    rho = np.hypot(*planar) if d == 3 else np.abs(planar[0])
+    gap = profile.at(planar, 1)
+    rho, h = gap.rho, gap.h
     if np.any(rho > profile.r):
         name = "|x'|" if d == 3 else "|x1|"
         raise ValueError(f"{name} = {np.max(rho)} outside the gap region r = {profile.r}")
-    h = profile.h_radial(rho)
     # grad of the surface height h/2
-    half_H1 = 0.5 * profile.radial_jet(rho, 1)[0]
+    half_H1 = 0.5 * gap.jet[0]
     g = [half_H1 * x for x in planar]
     jac = np.sqrt(sum((gi * gi for gi in g), 1.0))
     # the lever arm is always taken about the top centroid (torque on D1)

@@ -30,7 +30,8 @@ integrates each part by the rule it needs:
   arm add one degree each), and for the rotation the 10-point trapezoid,
   exact for its moments without the running-integral term ``G`` of its
   pressure, of degree at most 4.  The sub-flows on one ring share its
-  points, gap, normal and lever arm;
+  points, their planar gap record (:meth:`GapProfile.at`), the normal and
+  the lever arm;
 * in 3D, the moments of the rotation's ``G`` in a second radial pass
   (:func:`_rotation_pressure`).  ``G`` varies over an angular width
   ``delta/t`` near the cardinal angles, but integrated by parts along each
@@ -52,10 +53,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# pressure_cache_error stays importable here: the perfbench tracer wraps it by name
+# eval_field_many and pressure_cache_error stay importable here: perfbench wraps them by name
 from .fields import (  # noqa: F401
     ProblemParams,
-    _eval_squeeze_type,
+    _eval,
     _squeeze_type,
     eval_field_many,
     pressure_cache_error,
@@ -141,16 +142,14 @@ def traction_moments(k: int, params: ProblemParams, xprime, h) -> np.ndarray:
     centroid, ``nu = (x', (h - eps)/2 - R)``: shape ``(6, n)`` in 3D and
     ``(3, n)`` in 2D, where the moment is the scalar ``nu1 w2 - nu2 w1``.
     """
-    field = eval_field_many(k, params, *xprime, 0.5 * h)
-    return _stress_moments(params.mu, *_boundary(params, xprime, h), field)
+    gap = params.profile.at(xprime, 2)
+    return _stress_moments(params.mu, *_boundary(params, gap, h), _eval(k, params, gap, 0.5 * h))
 
 
-def _boundary(params, xprime, h):
-    """The normal ``N`` and lever arm ``nu`` at boundary points: ``(N, nu)``."""
-    prof = params.profile
-    H1 = prof.radial_jet(np.hypot(*xprime) if prof.dimension == 3 else np.abs(xprime[0]), 1)[0]
-    njac = np.stack([0.5 * H1 * x for x in xprime] + [-np.ones_like(h)])
-    return njac, np.stack([*xprime, 0.5 * (h - prof.eps) - prof.R])
+def _boundary(params, gap, h):
+    """The normal ``N`` and lever arm ``nu`` over the points of ``gap`` at the boundary gap ``h``."""
+    njac = np.stack([0.5 * gap.jet[0] * x for x in gap.xprime] + [-np.ones_like(h)])
+    return njac, np.stack([*gap.xprime, 0.5 * (h - params.profile.eps) - params.profile.R])
 
 
 def _stress_moments(mu, njac, nu, field):
@@ -164,19 +163,14 @@ def _stress_moments(mu, njac, nu, field):
     return np.concatenate([w, torque])
 
 
-def _subflow_field(k, params, xprime, z):
-    """Sub-flow ``k`` on the boundary ``z = h/2``; the 3D rotation without ``G``."""
-    if k == 6:
-        return _eval_squeeze_type(6, params, *xprime, z, running=False)
-    return eval_field_many(k, params, *xprime, z)
-
-
 def _ring_moments(params, ks, t, xprime):
     """The moments of sub-flows ``ks`` at ring points of radii ``t``, one block
-    each, all on one boundary: the gap, normal and lever arm are built once."""
+    each, the 3D rotation without ``G``: the planar gap, normal and lever arm
+    are built once.  The boundary height ``h(t)`` comes from the ring radius."""
     h = params.profile.h_radial(t)
-    njac, nu = _boundary(params, xprime, h)
-    return [_stress_moments(params.mu, njac, nu, _subflow_field(k, params, xprime, 0.5 * h)) for k in ks]
+    gap = params.profile.at(xprime, 2)
+    njac, nu = _boundary(params, gap, h)
+    return [_stress_moments(params.mu, njac, nu, _eval(k, params, gap, 0.5 * h, running=k != 6)) for k in ks]
 
 
 # the rotation's moments without G, of degree <= 4 in the ring angle, are

@@ -6,7 +6,7 @@ import numpy as np
 
 from lubgap.dualcheck import _correction_terms, _discrepancy_many, _volume_integrate
 from lubgap.fields import (
-    _eval3,
+    _eval,
     _running_integral,
     _squeeze_type,
     eval_field,
@@ -114,11 +114,11 @@ def energy(params, spec=None) -> float:
         raise ValueError("energy is implemented for 3D problems")
     spec = spec or QuadSpec(rel_tol=1e-8)
 
-    def pointfun(x1, x2, x3):
+    def pointfun(gap, x3):
         total = np.zeros((3, 3) + x3.shape)
         for k in subflow_indices(3):
             if subflow_scale(k, params) != 0.0:
-                total += _eval3(k, params, x1, x2, x3)[2]
+                total += _eval(k, params, gap, x3)[2]
         D = 0.5 * (total + total.swapaxes(0, 1))
         return params.mu * np.einsum("ab...,ab...->...", D, D)
 
@@ -126,14 +126,16 @@ def energy(params, spec=None) -> float:
 
 
 def gauss_column(pointfun):
-    """The vertical integrals over ``|x3| < h/2`` of ``pointfun(x1, x2, x3)`` by
+    """The vertical integrals over ``|x3| < h/2`` of ``pointfun(gap, x3)`` by
     the 5-point Gauss rule, as ``lubgap.dualcheck._volume_integrate`` takes
-    them: ``pointfun`` receives the planar points, shape (n, 1), and the
-    Gauss heights over each, shape (n, 5), and returns the values there."""
+    them: ``pointfun`` receives the planar gap record of the points, shape
+    (n, 1), and the Gauss heights over each, shape (n, 5), and returns the
+    values there."""
     gx, gw = _gauss_legendre(5)
 
-    def column(x1, x2, half):
-        return (pointfun(x1[:, None], x2[:, None], half[:, None] * gx) * gw).sum(axis=1) * half
+    def column(gap):
+        half = 0.5 * gap.h
+        return (pointfun(gap[:, None], half[:, None] * gx) * gw).sum(axis=1) * half
 
     return column
 
@@ -147,9 +149,9 @@ def reference_ell(i, j, params, spec=None) -> float:
     if subflow_scale(i, params) == 0.0 or subflow_scale(j, params) == 0.0:
         return 0.0
 
-    def discrepancy(k, x1, x2, x3):
+    def discrepancy(k, gap, x3):
         if k in (3, 6):
-            QA1, QB1, QA2, QB2, lapA3, lapB3 = _correction_terms(k, params, x1, x2)
+            QA1, QB1, QA2, QB2, lapA3, lapB3 = _correction_terms(k, params, gap)
             x3sq = x3 * x3
             q = np.stack([
                 mu * (QA1 + 3.0 * x3sq * QB1),
@@ -157,10 +159,10 @@ def reference_ell(i, j, params, spec=None) -> float:
                 -mu * (0.5 * lapA3 * x3sq + 0.25 * lapB3 * x3sq * x3sq),
             ])
             return np.eye(3)[:, :, None, None] * ((q.mean(axis=0) - q) / (2.0 * mu))
-        return _discrepancy_many(k, params, x1, x2, x3)
+        return _discrepancy_many(k, params, gap, x3)
 
-    def pointfun(x1, x2, x3):
-        return mu * np.einsum("ab...,ab...->...", discrepancy(i, x1, x2, x3), discrepancy(j, x1, x2, x3))
+    def pointfun(gap, x3):
+        return mu * np.einsum("ab...,ab...->...", discrepancy(i, gap, x3), discrepancy(j, gap, x3))
 
     spec = spec or QuadSpec(rel_tol=1e-7, abs_tol=1e-12)
     return float(_volume_integrate(gauss_column(pointfun), params, 0.25 * prof.r, spec, TRAPEZOID_RING).value)

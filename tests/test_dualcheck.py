@@ -152,7 +152,7 @@ class TestExactDerivatives:
         with mpmath.workdps(30):
             coefs = _mp_coefficients(k, prof, w1, w2)
             for x1, x2 in points:
-                args = (prof, p, c, np.array(x1), np.array(x2))
+                args = (prof.at((np.array(x1), np.array(x2)), 3), p, c)
                 # the entries on each coefficient's own axis, alone or together,
                 # are the full engine's bit for bit; d_a lap is only among them
                 full, own_axis = fields._coefficient_derivs(*args), fields._coefficient_derivs(*args, range(7))
@@ -190,11 +190,13 @@ class TestExactDerivatives:
             edges = np.union1d(edges, x1)
             line = kronrod_panels(edges)
             lx, ly = line.x, np.full_like(line.x, x2)
-            A1, A2, B1, B2 = fields._coefficient_derivs(prof, 1, (-1.0, -1.0), lx, ly)
+            A1, A2, B1, B2 = fields._coefficient_derivs(prof.at((lx, ly), 2), 1, (-1.0, -1.0))
             at = np.searchsorted(edges, x1)
             lineA = cumulative_sums(line, A1[3] + A1[5] - A1[3] - A2[4])[2][at]
             lineB = cumulative_sums(line, B1[3] + B1[5] + B1[3] + B2[4])[2][at]
-            QB = dualcheck._squeeze_qb(prof, -1.0, x1, np.full_like(x1, x2))
+            lines = np.full_like(x1, x2)
+            QB = dualcheck._squeeze_qb(-1.0, prof.at((x1, lines), 1),
+                                       prof.at((np.full_like(x1, -bound), lines), 1))
             scale = np.max(np.abs(lineB))
             assert np.max(np.abs(lineA)) <= 1e-10 * scale
             assert np.max(np.abs(QB - lineB)) <= 1e-10 * scale
@@ -216,11 +218,13 @@ class TestExactDerivatives:
                 centers += list(np.array([-1.0, 1.0]) * np.sqrt(prof.s**2 - x2**2))
             edges = np.union1d(graded_line(-bound, bound, centers, delta), x1)
             line = kronrod_panels(edges)
-            A1, A2, B1, B2 = fields._coefficient_derivs(prof, 2, c, line.x, np.full_like(line.x, x2))
+            A1, A2, B1, B2 = fields._coefficient_derivs(prof.at((line.x, np.full_like(line.x, x2)), 2), 2, c)
             at = np.searchsorted(edges, x1)
             lineA = cumulative_sums(line, A1[5] - A2[4])[2][at]
             lineB = cumulative_sums(line, 2.0 * B1[3] + B1[5] + B2[4])[2][at]
-            QA, QB = dualcheck._rotation_potentials(prof, c, x1, np.full_like(x1, x2))
+            lines = np.full_like(x1, x2)
+            QA, QB = dualcheck._rotation_potentials(prof, c, prof.at((x1, lines), 1),
+                                                    prof.at((np.full_like(x1, -bound), lines), 1))
             assert np.max(np.abs(QA - lineA)) <= 1e-10 * np.max(np.abs(lineA)), x2
             assert np.max(np.abs(QB - lineB)) <= 1e-10 * np.max(np.abs(lineB)), x2
 
@@ -255,12 +259,13 @@ class TestEll:
         x1, x2 = pts[:, :1], pts[:, 1:2]
         x3 = prof.h(x1, x2) * np.linspace(-0.45, 0.45, 5)
         eye = np.eye(3)[:, :, None, None]
+        gap = prof.at((x1, x2), 3)
         for k in (3, 6):
-            grad = fields._eval3(k, params, x1, x2, x3)[2]
-            S = dualcheck._dual_tensor_many(k, params, x1, x2, x3)[0]
+            grad = fields._eval(k, params, gap, x3)[2]
+            S = dualcheck._dual_tensor_many(k, params, gap, x3)[0]
             dev = S - np.trace(S) / 3.0 * eye
             want = 0.5 * (grad + grad.swapaxes(0, 1)) - dev / (2.0 * mu)
-            D = dualcheck._diagonal(k, params, x1[:, 0], x2[:, 0])[..., None]
+            D = dualcheck._diagonal(k, params, gap[:, 0])[..., None]
             diagonal = D[:, 0] + D[:, 1] * x3**2 + D[:, 2] * x3**4
             assert np.max(np.abs(diagonal.sum(axis=0))) <= 1e-12 * np.max(np.abs(diagonal))
             got = np.eye(3)[:, :, None, None] * diagonal[:, None]
@@ -289,42 +294,63 @@ class TestEll:
 
     def test_planar_quantities_once_per_planar_point(self, params3d, monkeypatch):
         # the discrepancy and the energy take the radial jet of h once per
-        # planar point, on the rows of the heights, not once per Gauss height
-        calls = []
-        jet, eval3 = GapProfile.radial_jet, dualcheck._eval3
+        # planar point, for the rows of the heights, not once per Gauss
+        # height; a column of ell(3, 6) takes one jet for its planar points,
+        # for both sub-flows, and the only other jets are those of the line
+        # ends (-r/4, x2) and (-r/4, x1) of each sub-flow's corrections
+        calls, columns = [], []
+        jet, evaluate, rings = GapProfile.radial_jet, dualcheck._eval, dualcheck.ring_integrals
 
         def spy_jet(self, rho, order):
-            calls.append(("jet", np.size(rho)))
+            calls.append(("jet", np.array(rho)))
             return jet(self, rho, order)
 
-        def spy_eval3(k, params, x1, x2, x3):
+        def spy_eval(k, params, gap, x3, running=True):
             calls.append(("heights", x3.shape))
-            return eval3(k, params, x1, x2, x3)
+            return evaluate(k, params, gap, x3, running)
+
+        def spy_rings(f, ring, ts):
+            def column(t, xprime):
+                start = len(calls)
+                out = f(t, xprime)
+                columns.append((xprime, [rho for _kind, rho in calls[start:]]))
+                return out
+
+            return rings(column, ring, ts)
 
         monkeypatch.setattr(GapProfile, "radial_jet", spy_jet)
-        monkeypatch.setattr(dualcheck, "_eval3", spy_eval3)
-        monkeypatch.setattr(helpers, "_eval3", spy_eval3)
+        monkeypatch.setattr(dualcheck, "_eval", spy_eval)
+        monkeypatch.setattr(helpers, "_eval", spy_eval)
 
         def assert_planar_rows():
-            jets = 0
+            heights = 0
             for kind, value in calls:
-                if kind == "heights":
-                    rows, gauss = value
-                    assert gauss == 5
+                if kind == "jet":
+                    rows = value.size
                 else:
-                    assert value == rows
-                    jets += 1
-            assert jets > 0
+                    assert value == (rows, 5)
+                    heights += 1
+            assert heights > 0
             calls.clear()
 
         prof = params3d.profile
         pts = np.array(core_points(prof, 30, np.random.default_rng(RNG_SEED + 7)))
         x1, x2 = pts[:, :1], pts[:, 1:2]
         x3 = prof.h(x1, x2) * np.linspace(-0.45, 0.45, 5)
-        dualcheck._discrepancy_many(1, params3d, x1, x2, x3)
+        dualcheck._discrepancy_many(1, params3d, prof.at((x1, x2), 3), x3)
         assert_planar_rows()
         energy(params3d, QuadSpec(rel_tol=1e-3))
         assert_planar_rows()
+
+        monkeypatch.setattr(dualcheck, "ring_integrals", spy_rings)
+        ell(3, 6, params3d, QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
+        b = 0.25 * prof.r
+        assert columns
+        for (x1, x2), jets in columns:
+            ends = [np.hypot(b, x2), np.hypot(b, x1)]
+            assert len(jets) == 5
+            for got, want in zip(jets, [np.hypot(x1, x2)] + 2 * ends):
+                assert np.array_equal(got, want)
 
     def test_symmetry(self, params3d):
         assert ell(1, 2, params3d) == pytest.approx(ell(2, 1, params3d), rel=1e-12)
@@ -361,17 +387,17 @@ class TestEll:
         volume, planar, reads, asked = [], [], [], []
         engine, integral = dualcheck._coefficient_derivs, dualcheck._running_integral
 
-        def counted_engine(prof, p, c, x1, x2, entries=None):
+        def counted_engine(gap, p, c, entries=None):
             asked.append(entries)
             if entries == (6,):
-                planar.append((p, x1.size))
-            return engine(prof, p, c, x1, x2, entries)
+                planar.append((p, gap.rho.size))
+            return engine(gap, p, c, entries)
 
         def counted_integral(prof, n, a, c, second=False):
             reads.append(a.size)
             return integral(prof, n, a, c, second)
 
-        monkeypatch.setattr(dualcheck, "_eval3", lambda *args: volume.append(args))
+        monkeypatch.setattr(dualcheck, "_eval", lambda *args: volume.append(args))
         monkeypatch.setattr(dualcheck, "_dual_tensor_many", lambda *args: volume.append(args))
         monkeypatch.setattr(dualcheck, "_coefficient_derivs", counted_engine)
         monkeypatch.setattr(dualcheck, "_running_integral", counted_integral)

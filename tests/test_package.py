@@ -1,5 +1,6 @@
 """Package metadata, module layout, and the perfbench trace hook."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -46,6 +47,9 @@ from lubgap import dualcheck
 profile = lubgap.GapProfile(dimension=3, kind="m-convex", m=2.0, r=0.5, s=0.0, eps=1e-2, R=2.0)
 params = lubgap.ProblemParams(profile=profile, U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
 dualcheck.ell(1, 1, params, lubgap.QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
+# the solves and ell evaluate their fields past eval_field_many, from one
+# planar gap record per point set; the public evaluator still goes through it
+lubgap.eval_field(1, params, (0.1, 0.05, 0.0))
 print(json.dumps(sorted({span[0] for span in tracer.spans})))
 """
 
@@ -319,3 +323,19 @@ def test_cli_import_loads_forked_dependencies():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "True"]
+
+
+def test_planar_gap_has_one_owner():
+    # rho = |x'|, h and the radial jet of planar points come from
+    # GapProfile.at alone; boundary_target keeps its own h on purpose, as the
+    # independent derivation that the boundary checks compare against
+    owners = {"GapProfile", "boundary_target"}
+    found = []
+    for path in sorted((ROOT / "src" / "lubgap").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in ("hypot", "radial_jet") and getattr(top, "name", None) not in owners:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []

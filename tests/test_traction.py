@@ -397,8 +397,8 @@ class TestRotationSplit:
         # beyond the rim F3 misses at eps = 1e-8 and the radial rows at 1e-9
         params = _rotation_params(kind, m, s, eps)
         prof = params.profile
-        zero_field = lambda _k, _p, _xp, z: (None, np.zeros_like(z), np.zeros((3, 3, z.size)))
-        monkeypatch.setattr(traction, "_subflow_field", zero_field)
+        zero_field = lambda _k, _p, _gap, z, running: (None, np.zeros_like(z), np.zeros((3, 3, z.size)))
+        monkeypatch.setattr(traction, "_eval", zero_field)
         res = force_numeric(6, params)
         got, got_err = res.components()
         # the reference: the octant rule's ring integrals, radially at 1e-9
@@ -914,11 +914,13 @@ class TestResultContract:
 
 class TestPassCounts:
     # a solve makes two radial passes in 3D (the ring pass of k = 1..6 and
-    # the rotation's G pass) and one in 2D; the rigid mean makes none
+    # the rotation's G pass) and one in 2D; the rigid mean makes none.  The
+    # ring pass takes the radial jet of h once per ring point set, for all
+    # its sub-flows and the boundary normal
 
     @staticmethod
     def _count(params, monkeypatch):
-        passes, reads = [], []
+        passes, reads, jets, point_sets = [], [], [], []
 
         def counted(fvec, *args, **kwargs):
             calls = []
@@ -929,25 +931,38 @@ class TestPassCounts:
             reads.append(args)
             return running(*args, **kwargs)
 
-        running = fields._running_integral
+        def spy_jet(self, rho, order):
+            jets.append(np.size(rho))
+            return jet(self, rho, order)
+
+        def spy_rings(f, ring, ts):
+            point_sets.append(ts.size * ring[0].shape[-1])
+            return rings(f, ring, ts)
+
+        running, jet, rings = fields._running_integral, GapProfile.radial_jet, traction.ring_integrals
         monkeypatch.setattr(traction, "integrate_vector", counted)
         monkeypatch.setattr(fields, "_running_integral", spy)
+        monkeypatch.setattr(GapProfile, "radial_jet", spy_jet)
+        monkeypatch.setattr(traction, "ring_integrals", spy_rings)
         total_numeric(params)
-        return [len(calls) for calls in passes], reads
+        return [len(calls) for calls in passes], reads, jets, point_sets
 
     def test_general3d(self, monkeypatch):
         # m = 2, eps = 1e-4, the general motion: the G pass makes two
         # integrand calls, the ring pass one, and the force route reads no
-        # running integral
+        # running integral; the ring pass's two point sets (the 8-point ring
+        # of k = 1..5, the 10-point ring of the rotation) take one jet each
         params = ProblemParams(profile=mconvex(eps=1e-4), U=(0.3, -0.2, -0.5), omega=(0.15, 0.2, 0.1))
-        calls, reads = self._count(params, monkeypatch)
+        calls, reads, jets, point_sets = self._count(params, monkeypatch)
         assert calls == [2, 1]
         assert reads == [] and not hasattr(traction, "_running_integral")
+        assert len(point_sets) == 2 and jets == point_sets
 
     def test_2d(self, monkeypatch):
         params = ProblemParams(profile=mconvex(1.2, 1e-8, dimension=2), U=(0.4, -0.3), omega=0.25)
-        calls, reads = self._count(params, monkeypatch)
+        calls, reads, jets, point_sets = self._count(params, monkeypatch)
         assert calls == [1] and reads == []
+        assert len(point_sets) == 1 and jets == point_sets
 
 
 class TestTotalNumeric:
