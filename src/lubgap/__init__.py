@@ -39,12 +39,7 @@ Module map
     line front end.
 """
 
-from .asymptotics import (
-    CoefficientSet,
-    TheoremResult,
-    fit_exponent,
-    force_asymptotic,
-)
+from .asymptotics import TheoremResult, fit_exponent, force_asymptotic
 from .config import ConfigError, RunConfig, SweepSpec, dump_config, load_config, parse_config
 from .dualcheck import EllReport, dual_tensor, ell, err_sweep
 from .fields import (
@@ -71,7 +66,6 @@ from .traction import ForceResult, TotalResult, force_numeric, total_numeric
 __all__ = [
     "AsymptoticExpansion",
     "AsymptoticTerm",
-    "CoefficientSet",
     "ConfigError",
     "EllReport",
     "FieldEval",

@@ -34,7 +34,6 @@ from .fields import ProblemParams
 from .special import AsymptoticExpansion, AsymptoticTerm, IntervalResidual, gamma_coeff
 
 __all__ = [
-    "CoefficientSet",
     "TheoremResult",
     "force_asymptotic_3d",
     "force_asymptotic_3d_flat",
@@ -47,35 +46,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CoefficientSet:
-    """Named closed-form coefficients entering one expansion family."""
-
-    entries: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-
-    def __getitem__(self, name: str) -> float:
-        for key, value in self.entries:
-            if key == name:
-                return value
-        raise KeyError(name)
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
-
-@dataclass(frozen=True)
 class TheoremResult:
     """Asymptotic force/torque expansions for one configuration.
 
     ``F`` holds one expansion per force component; ``T`` holds three
     expansions in 3D and a single one in 2D (scalar torque).
+    ``coefficients`` maps each named closed-form coefficient of the theorem
+    to its value; every term of the expansions reads its coefficient there.
     """
 
     F: tuple
     T: tuple | AsymptoticExpansion
-    coefficients: CoefficientSet
+    coefficients: dict
     warnings: tuple = ()
 
     def components(self) -> tuple:
@@ -133,6 +115,23 @@ def _interval(lower_pairs, upper_pairs, keep: bool) -> IntervalResidual | None:
     return IntervalResidual(lo, up)
 
 
+# the power p of the term eps^-p that each 2D flat-cap coefficient name's
+# suffix names; the suffix 0 names the logarithmic term
+_LADDER_POWERS = {"0": "log", "1/2": 0.5, "1": 1.0, "3/2": 1.5, "2": 2.0, "5/2": 2.5, "3": 3.0}
+
+
+def _ladder(coeffs: dict, family: str) -> AsymptoticExpansion:
+    """``-sum_p coeffs[family_p] eps^-p`` over the names of ``family``, in
+    their order; the log term is ``-coeff ln eps = +coeff |ln eps|``."""
+    pairs = []
+    for name, value in coeffs.items():
+        head, _, suffix = name.partition("_")
+        if head == family:
+            power = _LADDER_POWERS[suffix]
+            pairs.append((value if power == "log" else -value, power))
+    return AsymptoticExpansion(_terms(*pairs))
+
+
 def _sign_normalized(params: ProblemParams) -> tuple[bool, tuple]:
     """Check the sandwich sign hypothesis; return (ok, warnings)."""
     if params.profile.dimension == 3:
@@ -166,24 +165,14 @@ def force_asymptotic_3d(params: ProblemParams) -> TheoremResult:
     w1, w2, _w3 = params.omega
 
     alphas = alpha_coefficients(m, mu)
-    a12, a34 = alphas["alpha12_3d"], alphas["alpha34_3d"]
-    b1 = (
-        (3.0 / 16.0)
-        * np.pi
-        * mu
-        * gamma_coeff(3, 4, m)
-        * (1.0 - 2.0 ** (m / 2.0 + 2.0) * R * r ** (m - 2.0) + 2.0 ** (-2.0 * m) * r ** (2.0 * m - 2.0))
-    )
-    b2 = (
-        3.0
-        * np.pi
-        * mu
-        * gamma_coeff(3, 4, m)
-        * (1.0 - 2.0 ** (-m) * R * r ** (m - 2.0) + 2.0 ** (m - 2.0) * r ** (2.0 * m - 2.0))
-    )
-    coeffs = CoefficientSet(
-        (("alpha12", a12), ("alpha34", a34), ("beta1", b1), ("beta2", b2))
-    )
+    c = {
+        "alpha12": alphas["alpha12_3d"],
+        "alpha34": alphas["alpha34_3d"],
+        "beta1": (3.0 / 16.0) * np.pi * mu * gamma_coeff(3, 4, m)
+        * (1.0 - 2.0 ** (m / 2.0 + 2.0) * R * r ** (m - 2.0) + 2.0 ** (-2.0 * m) * r ** (2.0 * m - 2.0)),
+        "beta2": 3.0 * np.pi * mu * gamma_coeff(3, 4, m)
+        * (1.0 - 2.0 ** (-m) * R * r ** (m - 2.0) + 2.0 ** (m - 2.0) * r ** (2.0 * m - 2.0)),
+    }
     cu1 = U1 - w2 * R
     cu2 = U2 + w1 * R
     keep, warns = _sign_normalized(params)
@@ -196,33 +185,31 @@ def force_asymptotic_3d(params: ProblemParams) -> TheoremResult:
         shear_pow = 1.0 - 2.0 / m
         lo1, up1 = 2.0 ** (-m) * r**m, 2.0 ** (m / 2.0) * r**m
 
-    extra_F1 = () if m == 2.0 else ((w2 * a34, 2.0 - 4.0 / m),)
-    extra_F2 = () if m == 2.0 else ((-w1 * a34, 2.0 - 4.0 / m),)
+    extra_F1 = () if m == 2.0 else ((w2 * c["alpha34"], 2.0 - 4.0 / m),)
+    extra_F2 = () if m == 2.0 else ((-w1 * c["alpha34"], 2.0 - 4.0 / m),)
 
     F1 = AsymptoticExpansion(
-        _terms((-cu1 * a12, shear_pow), *extra_F1),
-        _interval([(w2 * lo1 * a34, p3)], [(w2 * up1 * a34, p3)], keep),
+        _terms((-cu1 * c["alpha12"], shear_pow), *extra_F1),
+        _interval([(w2 * lo1 * c["alpha34"], p3)], [(w2 * up1 * c["alpha34"], p3)], keep),
     )
     F2 = AsymptoticExpansion(
-        _terms((-cu2 * a12, shear_pow), *extra_F2),
-        _interval([(-w1 * up1 * a34, p3)], [(-w1 * lo1 * a34, p3)], keep),
+        _terms((-cu2 * c["alpha12"], shear_pow), *extra_F2),
+        _interval([(-w1 * up1 * c["alpha34"], p3)], [(-w1 * lo1 * c["alpha34"], p3)], keep),
     )
     F3 = AsymptoticExpansion(
-        _terms((-2.0 * U3 * a34, p3)),
-        _interval(
-            [((w1 + w2) * r * a34, p3)], [(2.0 * (w1 + w2) * r * a34, p3)], keep
-        ),
+        _terms((-2.0 * U3 * c["alpha34"], p3)),
+        _interval([((w1 + w2) * r * c["alpha34"], p3)], [(2.0 * (w1 + w2) * r * c["alpha34"], p3)], keep),
     )
     T1 = AsymptoticExpansion(
-        _terms((-R * cu2 * a12, shear_pow)),
-        _interval([(w1 * r**2 * b1, p3)], [(w1 * r**2 * b2, p3)], keep),
+        _terms((-R * cu2 * c["alpha12"], shear_pow)),
+        _interval([(w1 * r**2 * c["beta1"], p3)], [(w1 * r**2 * c["beta2"], p3)], keep),
     )
     T2 = AsymptoticExpansion(
-        _terms((R * cu1 * a12, shear_pow)),
-        _interval([(w2 * r**2 * b1, p3)], [(w2 * r**2 * b2, p3)], keep),
+        _terms((R * cu1 * c["alpha12"], shear_pow)),
+        _interval([(w2 * r**2 * c["beta1"], p3)], [(w2 * r**2 * c["beta2"], p3)], keep),
     )
     T3 = AsymptoticExpansion(())
-    return TheoremResult((F1, F2, F3), (T1, T2, T3), coeffs, warns)
+    return TheoremResult((F1, F2, F3), (T1, T2, T3), c, warns)
 
 
 def force_asymptotic_3d_flat(
@@ -246,49 +233,28 @@ def force_asymptotic_3d_flat(
     G21 = gamma_coeff(2, 1, 2)
     G32 = gamma_coeff(3, 2, 2)
     pim = np.pi * mu
-    coeffs = CoefficientSet(
-        (
-            ("B1_1", (3.0 / 16.0) * pim * (r - s) ** 2),
-            ("B1_3", (3.0 / 16.0) * pim * (r - s) ** 2 * s**4),
-            ("B2_1", (3.0 / 4.0) * pim * (2.0 * r - s) ** 2),
-            ("B2_3", (3.0 / 4.0) * pim * (2.0 * r - s) ** 2 * 2.0 * s**4),
-            ("C1_1", (3.0 / 4.0) * pim * (r + s)),
-            ("C1_3", (3.0 / 4.0) * pim * (r + s) * s**4),
-            ("C2_1", (3.0 / 2.0) * pim * r),
-            ("C2_3", (3.0 / 2.0) * pim * r * 2.0 * s**4),
-            (
-                "D1_1",
-                (3.0 / 32.0)
-                * pim
-                * (-4.0 * R * (np.sqrt(2.0) * r - s) ** 2 + (r + s) ** 2 + (r - s) ** 4 / 16.0),
-            ),
-            (
-                "D1_3",
-                -(3.0 / 16.0)
-                * pim
-                * s**4
-                * (
-                    4.0 * R * (np.sqrt(2.0) * r - s) ** 2
-                    + (s - r) ** 2
-                    - 2.0 * r**2
-                    - (r - s) ** 4 / 16.0
-                ),
-            ),
-            (
-                "D2_1",
-                (3.0 / 8.0)
-                * pim
-                * (-R * (r - s) ** 2 + 4.0 * r**2 + (np.sqrt(2.0) * r - s) ** 4),
-            ),
-            (
-                "D2_3",
-                -(3.0 / 16.0)
-                * pim
-                * s**4
-                * (R * (r - s) ** 2 - 4.0 * r**2 + 2.0 * s**2 - (np.sqrt(2.0) * r - s) ** 4),
-            ),
-        )
-    )
+    c = {
+        "B1_1": (3.0 / 16.0) * pim * (r - s) ** 2,
+        "B1_3": (3.0 / 16.0) * pim * (r - s) ** 2 * s**4,
+        "B2_1": (3.0 / 4.0) * pim * (2.0 * r - s) ** 2,
+        "B2_3": (3.0 / 4.0) * pim * (2.0 * r - s) ** 2 * 2.0 * s**4,
+        "C1_1": (3.0 / 4.0) * pim * (r + s),
+        "C1_3": (3.0 / 4.0) * pim * (r + s) * s**4,
+        "C2_1": (3.0 / 2.0) * pim * r,
+        "C2_3": (3.0 / 2.0) * pim * r * 2.0 * s**4,
+        "D1_1": (3.0 / 32.0)
+        * pim
+        * (-4.0 * R * (np.sqrt(2.0) * r - s) ** 2 + (r + s) ** 2 + (r - s) ** 4 / 16.0),
+        "D1_3": -(3.0 / 16.0)
+        * pim
+        * s**4
+        * (4.0 * R * (np.sqrt(2.0) * r - s) ** 2 + (s - r) ** 2 - 2.0 * r**2 - (r - s) ** 4 / 16.0),
+        "D2_1": (3.0 / 8.0) * pim * (-R * (r - s) ** 2 + 4.0 * r**2 + (np.sqrt(2.0) * r - s) ** 4),
+        "D2_3": -(3.0 / 16.0)
+        * pim
+        * s**4
+        * (R * (r - s) ** 2 - 4.0 * r**2 + 2.0 * s**2 - (np.sqrt(2.0) * r - s) ** 4),
+    }
     keep, warns = _sign_normalized(params)
 
     def bracket(coeff):
@@ -300,7 +266,7 @@ def force_asymptotic_3d_flat(
         )
 
     def pair(prefix, scale):
-        return [(scale * coeffs[prefix + "_1"], 1.0), (scale * coeffs[prefix + "_3"], 3.0)]
+        return [(scale * c[prefix + "_1"], 1.0), (scale * c[prefix + "_3"], 3.0)]
 
     F1 = AsymptoticExpansion(
         _terms(*bracket(-pim * (U1 - w2 * R))),
@@ -332,7 +298,7 @@ def force_asymptotic_3d_flat(
         _interval(pair("D1", w2), pair("D2", w2), keep),
     )
     T3 = AsymptoticExpansion(())
-    return TheoremResult((F1, F2, F3), (T1, T2, T3), coeffs, warns)
+    return TheoremResult((F1, F2, F3), (T1, T2, T3), c, warns)
 
 
 def force_asymptotic_2d(params: ProblemParams) -> TheoremResult:
@@ -350,45 +316,49 @@ def force_asymptotic_2d(params: ProblemParams) -> TheoremResult:
     w0 = params.omega
 
     alphas = alpha_coefficients(m, mu)
-    a11, a33 = alphas["alpha11_2d"], alphas["alpha33_2d"]
-    a35, a13 = alphas.get("alpha35_2d"), alphas.get("alpha13_2d")
-    beta = 3.0 * mu * (1.0 + 0.25 * r ** (2.0 * m - 2.0) - R * r ** (m - 2.0)) * gamma_coeff(3, 3, m)
-    entries = [("alpha11", a11), ("alpha33", a33), ("beta", beta), ("alpha35", a35), ("alpha13", a13)]
+    c = {
+        "alpha11": alphas["alpha11_2d"],
+        "alpha33": alphas["alpha33_2d"],
+        "beta": 3.0 * mu * (1.0 + 0.25 * r ** (2.0 * m - 2.0) - R * r ** (m - 2.0)) * gamma_coeff(3, 3, m),
+    }
+    c.update((name, alphas[name + "_2d"]) for name in ("alpha35", "alpha13") if name + "_2d" in alphas)
     cu = U1 + w0 * R
     pshear = 1.0 - 1.0 / m
     psq = 3.0 - 3.0 / m
     pmid = 2.0 - 3.0 / m
+    # the eps^-pmid terms of force and torque start past the low branch
+    has_pmid = m > 1.5 + _BRANCH_TOL
 
-    F1_pairs = [(-cu * a11, pshear), (-w0 * r**m * a33, psq)]
-    if m > 1.5:
-        F1_pairs.append((-w0 * a33, pmid))
+    F1_pairs = [(-cu * c["alpha11"], pshear), (-w0 * r**m * c["alpha33"], psq)]
+    if has_pmid:
+        F1_pairs.append((-w0 * c["alpha33"], pmid))
     F1 = AsymptoticExpansion(_terms(*F1_pairs))
-    F2 = AsymptoticExpansion(_terms((-2.0 * (2.0 * U2 - w0 * r) * a33, psq)))
+    F2 = AsymptoticExpansion(_terms((-2.0 * (2.0 * U2 - w0 * r) * c["alpha33"], psq)))
 
-    T_pairs = [(-R * cu * a11, pshear), (w0 * r**2 * beta, psq)]
+    T_pairs = [(-R * cu * c["alpha11"], pshear), (w0 * r**2 * c["beta"], psq)]
     if abs(m - 5.0 / 3.0) <= _BRANCH_TOL:
         T_pairs = [
             (-(18.0 / 5.0) * mu * w0, "log"),
-            (-R * w0 * a33, 0.2),
-            (-R * cu * a11, 0.4),
-            (w0 * r**2 * beta, 1.2),
+            (-R * w0 * c["alpha33"], 0.2),
+            (-R * cu * c["alpha11"], 0.4),
+            (w0 * r**2 * c["beta"], 1.2),
         ]
     elif abs(m - 3.0) <= _BRANCH_TOL:
         T_pairs = [
             (1.5 * mu * w0, "log"),
-            (-R * cu * a11, 2.0 / 3.0),
-            (-R * w0 * a33, 1.0),
-            (-w0 * a35, 4.0 / 3.0),
-            (w0 * r**2 * beta, 2.0),
+            (-R * cu * c["alpha11"], 2.0 / 3.0),
+            (-R * w0 * c["alpha33"], 1.0),
+            (-w0 * c["alpha35"], 4.0 / 3.0),
+            (w0 * r**2 * c["beta"], 2.0),
         ]
-    elif m > 1.5 + _BRANCH_TOL:
-        T_pairs.append((-R * w0 * a33, pmid))
-        if m > 5.0 / 3.0:
-            T_pairs.append((-w0 * a35, 3.0 - 5.0 / m))
-        if m > 3.0:
-            T_pairs.append((w0 * a13, 1.0 - 3.0 / m))
+    elif has_pmid:
+        T_pairs.append((-R * w0 * c["alpha33"], pmid))
+        if "alpha35" in c:
+            T_pairs.append((-w0 * c["alpha35"], 3.0 - 5.0 / m))
+        if "alpha13" in c:
+            T_pairs.append((w0 * c["alpha13"], 1.0 - 3.0 / m))
     T = AsymptoticExpansion(_terms(*T_pairs))
-    return TheoremResult((F1, F2), T, CoefficientSet((k, v) for k, v in entries if v is not None))
+    return TheoremResult((F1, F2), T, c)
 
 
 def force_asymptotic_2d_flat(
@@ -413,82 +383,40 @@ def force_asymptotic_2d_flat(
     G33 = gamma_coeff(3, 3, 2)
     G35 = gamma_coeff(3, 5, 2)
     cu = U1 + w0 * R
-
-    a_half = 2.0 * mu * cu * G11 + 3.0 * mu * w0 * G33
-    a_1 = 2.0 * mu * cu * s + 3.0 * mu * w0 * s
-    a_32 = mu * w0 * (3.0 * (r - s) ** 2 * G33 + 3.0 * s**2 * G31)
-    a_2 = mu * w0 * (3.0 * s * (r - s) ** 2 + 2.0 * s**3)
-    a_52 = 3.0 * mu * w0 * s**2 * (r - s) ** 2 * G31
-    a_3 = 2.0 * mu * w0 * s**3 * (r - s) ** 2
     # The squeeze-type force ladder is exactly -12 mu (2 U2 - w0 r) times the
     # expansion of  int_0^r t^2 / h^3 dt  (cap term s^3/(3 eps^3) plus
     # half-integer annulus moments); every beta shares the 2 U2 - w0 r factor.
-    b_32 = 6.0 * mu * (2.0 * U2 - w0 * r) * G33
-    b_2 = 6.0 * mu * s * (2.0 * U2 - w0 * r)
-    b_52 = 6.0 * mu * s**2 * (2.0 * U2 - w0 * r) * G31
-    b_3 = 4.0 * mu * s**3 * (2.0 * U2 - w0 * r)
-    g_0 = mu * w0 * s * (4.5 - 3.0 * s**2 - 15.0 * R) - mu * cu * s
-    g_half = 2.0 * mu * R * cu * G11 + 0.75 * mu * w0 * (
-        (16.0 * R - 7.0) * s**2 * G31 + 4.0 * R * G33 + 4.0 * G35
-    )
-    g_1 = mu * w0 * s * (3.0 * R - s**2 + 6.0) + 2.0 * mu * R * cu * s
-    g_32 = 0.25 * mu * w0 * (
-        (12.0 * R * (r - s) ** 2 - 3.0 * (r - s) ** 4 - 12.0 * r**2 + 72.0 * s**2) * G33
-        + 12.0 * R * s**2 * G31
-    )
-    g_2 = 0.25 * mu * w0 * (
-        8.0 * s**3 * R - 12.0 * s * r**2 + 24.0 * s**3 + 12.0 * R * s * (r - s) ** 2 - 3.0 * s * (r - s) ** 4
-    )
-    g_52 = (
-        0.25
-        * mu
-        * w0
+    sq = 2.0 * U2 - w0 * r
+    c = {
+        "alpha_1/2": 2.0 * mu * cu * G11 + 3.0 * mu * w0 * G33,
+        "alpha_1": 2.0 * mu * cu * s + 3.0 * mu * w0 * s,
+        "alpha_3/2": mu * w0 * (3.0 * (r - s) ** 2 * G33 + 3.0 * s**2 * G31),
+        "alpha_2": mu * w0 * (3.0 * s * (r - s) ** 2 + 2.0 * s**3),
+        "alpha_5/2": 3.0 * mu * w0 * s**2 * (r - s) ** 2 * G31,
+        "alpha_3": 2.0 * mu * w0 * s**3 * (r - s) ** 2,
+        "beta_3/2": 6.0 * mu * sq * G33,
+        "beta_2": 6.0 * mu * s * sq,
+        "beta_5/2": 6.0 * mu * s**2 * sq * G31,
+        "beta_3": 4.0 * mu * s**3 * sq,
+        "gamma_0": mu * w0 * s * (4.5 - 3.0 * s**2 - 15.0 * R) - mu * cu * s,
+        "gamma_1/2": 2.0 * mu * R * cu * G11
+        + 0.75 * mu * w0 * ((16.0 * R - 7.0) * s**2 * G31 + 4.0 * R * G33 + 4.0 * G35),
+        "gamma_1": mu * w0 * s * (3.0 * R - s**2 + 6.0) + 2.0 * mu * R * cu * s,
+        "gamma_3/2": 0.25 * mu * w0 * (
+            (12.0 * R * (r - s) ** 2 - 3.0 * (r - s) ** 4 - 12.0 * r**2 + 72.0 * s**2) * G33
+            + 12.0 * R * s**2 * G31
+        ),
+        "gamma_2": 0.25 * mu * w0 * (
+            8.0 * s**3 * R - 12.0 * s * r**2 + 24.0 * s**3 + 12.0 * R * s * (r - s) ** 2 - 3.0 * s * (r - s) ** 4
+        ),
+        "gamma_5/2": 0.25 * mu * w0
         * (-12.0 * s**2 * r**2 + 12.0 * s**4 + 12.0 * R * s**2 * (r - s) ** 2 - 3.0 * s**2 * (r - s) ** 4)
-        * G31
-    )
-    g_3 = 0.1 * mu * w0 * (
-        -20.0 * r**2 * s**3 + 12.0 * s**5 + 20.0 * R * s**3 * (r - s) ** 2 - 5.0 * s**3 * (r - s) ** 4
-    )
-    coeffs = CoefficientSet(
-        (
-            ("alpha_1/2", a_half),
-            ("alpha_1", a_1),
-            ("alpha_3/2", a_32),
-            ("alpha_2", a_2),
-            ("alpha_5/2", a_52),
-            ("alpha_3", a_3),
-            ("beta_3/2", b_32),
-            ("beta_2", b_2),
-            ("beta_5/2", b_52),
-            ("beta_3", b_3),
-            ("gamma_0", g_0),
-            ("gamma_1/2", g_half),
-            ("gamma_1", g_1),
-            ("gamma_3/2", g_32),
-            ("gamma_2", g_2),
-            ("gamma_5/2", g_52),
-            ("gamma_3", g_3),
-        )
-    )
-    F1 = AsymptoticExpansion(
-        _terms((-a_half, 0.5), (-a_1, 1.0), (-a_32, 1.5), (-a_2, 2.0), (-a_52, 2.5), (-a_3, 3.0))
-    )
-    F2 = AsymptoticExpansion(
-        _terms((-b_32, 1.5), (-b_2, 2.0), (-b_52, 2.5), (-b_3, 3.0))
-    )
-    # -gamma0 ln(eps) = +gamma0 |ln eps| for eps < 1
-    T = AsymptoticExpansion(
-        _terms(
-            (g_0, "log"),
-            (-g_half, 0.5),
-            (-g_1, 1.0),
-            (-g_32, 1.5),
-            (-g_2, 2.0),
-            (-g_52, 2.5),
-            (-g_3, 3.0),
-        )
-    )
-    return TheoremResult((F1, F2), T, coeffs)
+        * G31,
+        "gamma_3": 0.1 * mu * w0 * (
+            -20.0 * r**2 * s**3 + 12.0 * s**5 + 20.0 * R * s**3 * (r - s) ** 2 - 5.0 * s**3 * (r - s) ** 4
+        ),
+    }
+    return TheoremResult((_ladder(c, "alpha"), _ladder(c, "beta")), _ladder(c, "gamma"), c)
 
 
 def force_asymptotic(

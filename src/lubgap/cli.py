@@ -41,9 +41,9 @@ import numpy.random  # noqa: F401 - numpy loads it lazily; the bc/div suites dra
 from . import dualcheck
 from .asymptotics import alpha_coefficients, force_asymptotic
 from .config import MODES, ConfigError, RunConfig, load_config
-from .fields import boundary_target, eval_field_many, subflow_indices
+from .fields import boundary_target, eval_field_many, subflow_indices, subflow_scale
 from .fields import eval_field  # noqa: F401 - a name perfbench wraps and calls
-from .geometry import FlatHypothesisError, surface_sample
+from .geometry import surface_sample
 from .quadrature import QuadratureError, QuadResult
 from .report import Report, build_report, component_names, render_csv, render_json
 from .report import serialize_ell_report
@@ -214,18 +214,13 @@ def _check(name: str, value: float, tolerance: float) -> dict:
     }
 
 
-def _motion_scale(params) -> float:
-    vals = np.atleast_1d(params.U).tolist() + np.atleast_1d(params.omega).tolist()
-    return max(max(abs(float(v)) for v in vals), 1e-30)
-
-
 def _suite_bc(config: RunConfig, npoints: int = 200) -> tuple[list[dict], dict]:
     """Boundary-condition residuals of every sub-flow on both surfaces."""
     params = config.problem
     prof = params.profile
     d = prof.dimension
     rng = np.random.default_rng(20240811)
-    scale = _motion_scale(params)
+    scale = max(subflow_scale(0, params), 1e-30)
     checks = []
     for k in subflow_indices(d):
         worst = 0.0
@@ -280,7 +275,7 @@ def _suite_div(config: RunConfig, npoints: int = 100) -> tuple[list[dict], dict]
         div = np.trace(grad)
         if k == 0:
             div = np.abs(div - _rigid_mean_divergence(params, x))
-            gscale = _motion_scale(params)
+            gscale = subflow_scale(0, params)
         else:
             div = np.abs(div)
             gscale = np.max(np.abs(grad), axis=(0, 1))
@@ -321,7 +316,7 @@ def _suite_parity(config: RunConfig) -> tuple[list[dict], dict]:
             QuadResult(float("nan"), float("inf"), 0),
         )
     cell = {(row["subflow"], row["component"]): row for row in report.rows}
-    slack = 1e-13 * _motion_scale(params)
+    slack = 1e-13 * max(subflow_scale(0, params), 1e-30)
 
     def vanishes(name, subflow, comp):
         row = cell[subflow, comp]
@@ -493,7 +488,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _run_force(args, need_sweep=True)
         return _run_verify(args)
-    except (_UsageError, ConfigError, FlatHypothesisError, ValueError) as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (QuadratureError, ToleranceNotMet) as exc:

@@ -136,17 +136,26 @@ def _rotation_potentials(profile, c, gap, end):
 # ---------------------------------------------------------------------------
 
 
-def _correction_terms(k, params, gap):
+def _line_ends(prof, gap):
+    """The gap records (jet order 1) of the line ends ``(-r/4, x2)`` and
+    ``(-r/4, x1)`` of the points of ``gap``, where the corrections' potentials
+    of ``q_1`` and ``q_2`` are anchored."""
+    x1, x2 = gap.xprime
+    return [prof.at((np.full_like(x1, -0.25 * prof.r), line), 1) for line in (x2, x1)]
+
+
+def _correction_terms(k, params, gap, ends=None):
     """Planar parts ``(QA1, QB1, QA2, QB2, lapA3, lapB3)`` of the diagonal
     corrections of squeeze-type sub-flow ``k`` at the points of ``gap`` (jet
     order 3): ``q_a = mu (QA_a + 3 x3^2 QB_a)`` (a = 1, 2) and ``q_3 = -mu
     (lapA3 x3^2 / 2 + lapB3 x3^4 / 4)``, ``lapA3 = sum_a d_a lap A_a``; ``q_2``
-    reads the potentials of ``q_1`` at swapped ``(x2, x1)`` and amplitudes."""
+    reads the potentials of ``q_1`` at swapped ``(x2, x1)`` and amplitudes.
+    ``ends`` is :func:`_line_ends` of ``gap``, built here when not given."""
     prof = params.profile
     power, c = _squeeze_type(k, params)
     (lA1,), (lA2,), (lB1,), (lB2,) = _coefficient_derivs(gap, power, c, entries=(6,))
     x1, x2 = gap.xprime
-    ends = [prof.at((np.full_like(x1, -0.25 * prof.r), line), 1) for line in (x2, x1)]
+    ends = ends or _line_ends(prof, gap)
     swapped = replace(gap, xprime=(x2, x1))
     if k == 3:
         QA1 = QA2 = 0.0
@@ -157,10 +166,11 @@ def _correction_terms(k, params, gap):
     return QA1, QB1, QA2, QB2, lA1 + lA2, lB1 + lB2
 
 
-def _diagonal(k, params, gap):
+def _diagonal(k, params, gap, ends=None):
     """The discrepancy ``d_a = -(q_a - qbar) / (2 mu)`` of squeeze-type sub-flow
-    ``k`` as ``D[a, 0] + D[a, 1] x3^2 + D[a, 2] x3^4``; ``D`` is (3, 3) + gap.h.shape."""
-    QA1, QB1, QA2, QB2, lapA3, lapB3 = _correction_terms(k, params, gap)
+    ``k`` as ``D[a, 0] + D[a, 1] x3^2 + D[a, 2] x3^4``; ``D`` is (3, 3) + gap.h.shape;
+    ``ends`` as for :func:`_correction_terms`."""
+    QA1, QB1, QA2, QB2, lapA3, lapB3 = _correction_terms(k, params, gap, ends)
     q = np.zeros((3, 3) + lapA3.shape)
     q[0, 0], q[0, 1] = QA1, 3.0 * QB1
     q[1, 0], q[1, 1] = QA2, 3.0 * QB2
@@ -299,8 +309,10 @@ def ell(i: int, j: int, params: ProblemParams, spec: QuadSpec | None = None) -> 
     if i in (3, 6) and j in (3, 6):
         # polynomials in x3^2 on each diagonal entry: exact vertical moments
         def column(gap):
-            Di = _diagonal(i, params, gap)
-            Dj = Di if j == i else _diagonal(j, params, gap)
+            # both sub-flows anchor their potentials at the same line ends
+            ends = _line_ends(prof, gap)
+            Di = _diagonal(i, params, gap, ends)
+            Dj = Di if j == i else _diagonal(j, params, gap, ends)
             return mu * np.einsum("apn,aqn,pqn->n", Di, Dj, (2.0 * (0.5 * gap.h)**_ODD / _ODD)[_PQ])
 
     else:

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -123,6 +123,8 @@ class ProblemParams:
             if om.size != 1:
                 raise ValueError("omega is a scalar in 2D")
             om = float(om[0])
+        if not all(map(isfinite, (self.mu, *U, *np.atleast_1d(om)))):
+            raise ValueError("mu, U, omega must be finite")
         object.__setattr__(self, "omega", om)
 
 

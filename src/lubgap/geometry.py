@@ -19,6 +19,7 @@ arrays and are pure functions of their arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -80,6 +81,8 @@ class GapProfile:
             raise ValueError("dimension must be 2 or 3")
         if self.kind not in ("m-convex", "flat-capped"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.m, self.r, self.s, self.eps, self.R))):
+            raise ValueError("m, r, s, eps, R must be finite")
         if self.eps <= 0.0 or self.r <= 0.0 or self.R <= 0.0:
             raise ValueError("eps, r, R must be positive")
         if self.kind == "m-convex":

@@ -17,7 +17,11 @@
   :data:`TRAPEZOID_RING` (64 points) and :data:`SHORT_RING` (8 points) in
   3D, :data:`LINE_RING`, the one-node ring ``x1 = t``, in 2D.
 
-All engines are stateless and re-entrant; caches are created per call.
+All engines are stateless and re-entrant.  The only caches are
+module-level ``functools.lru_cache`` wrappers of fixed rules and kernel
+tails, shared by every call: :func:`_gauss_legendre` here,
+``fields._sinh_rule``, ``fields._kernel_tail_at`` and
+``special._gauss_jacobi``.
 """
 
 from __future__ import annotations

@@ -111,7 +111,7 @@ def build_report(config: RunConfig) -> Report:
     if want_asym:
         theorem = force_asymptotic(problem, config.override_flat_hypothesis)
         expansions = dict(zip(names, theorem.components()))
-        coefficients = theorem.coefficients.as_dict()
+        coefficients = theorem.coefficients
         warnings = theorem.warnings
 
     numeric_results: dict = {}

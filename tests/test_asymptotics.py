@@ -2,6 +2,7 @@
 residuals, and exponent fitting."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -207,12 +208,31 @@ class Test2d:
         res_hi = force_asymptotic_2d(params(prof(m=1.6, dimension=2), (0.0, 0.0), 1.0))
         assert coeff_of(res_hi.F[0], 2.0 - 3.0 / 1.6) != 0.0
 
+    @pytest.mark.parametrize("dm, present", [(5e-13, False), (2e-12, True)])
+    def test_mid_terms_share_their_branch(self, dm, present):
+        # force and torque take their eps^-(2-3/m) terms on the same side of
+        # the low branch's edge just past m = 3/2
+        m = 1.5 + dm
+        res = force_asymptotic_2d(params(prof(m=m, dimension=2), (0.0, 0.0), 1.0))
+        for exp in (res.F[0], res.T):
+            assert any(t.power == 2.0 - 3.0 / m for t in exp.terms) is present
+
+    @pytest.mark.parametrize("m", [3.0 + 1e-12, 3.0 + 2e-12, 5.0 / 3.0 - 1e-12, 5.0 / 3.0 + 2e-12])
+    def test_torque_reads_the_alphas_that_exist(self, m):
+        # at the edges of the marginal bands the torque carries its alpha13
+        # and alpha35 terms exactly where the theorem defines the coefficient
+        res = force_asymptotic_2d(params(prof(m=m, dimension=2), (0.0, 0.0), 1.0))
+        powers = {t.power for t in res.T.terms}
+        if abs(m - 5.0 / 3.0) > 1e-12:
+            assert (3.0 - 5.0 / m in powers) == ("alpha35" in res.coefficients)
+        assert (1.0 - 3.0 / m in powers) == ("alpha13" in res.coefficients)
+
     def test_torque_high_m_extra_term(self):
         # for m > 3 the torque gains a positive-exponent alpha13 term
         m = 4.0
         res = force_asymptotic_2d(params(prof(m=m, dimension=2), (0.0, 0.0), 1.0))
         assert coeff_of(res.T, 1.0 - 3.0 / m) != 0.0
-        assert "alpha13" in res.coefficients.as_dict()
+        assert "alpha13" in res.coefficients
 
 
 class TestFlat2d:
@@ -260,14 +280,115 @@ class TestFlat2d:
             )
 
 
+def by_power(terms):
+    return {"log" if t.is_log else t.power: t.coeff for t in terms}
+
+
+class TestCoefficientContract:
+    """Every expansion term is a named coefficient of its theorem times its
+    motion factor, so the JSON ``coefficients`` name what the terms carry."""
+
+    U3, W3 = (0.3, -0.2, -0.5), (0.15, 0.2, 0.1)
+
+    @pytest.mark.parametrize("s", [0.05, 0.15])
+    def test_flat_2d(self, s):
+        # F1, F2 and T are -sum_p c[family_p] eps^-p; gamma_0 multiplies ln eps
+        res = force_asymptotic_2d_flat(
+            params(prof(dimension=2, kind="flat-capped", s=s), (0.4, -0.3), 0.25, mu=1.3)
+        )
+        c = res.coefficients
+        rungs = ["1/2", "1", "3/2", "2", "5/2", "3"]
+        assert list(c) == (
+            [f"alpha_{p}" for p in rungs] + [f"beta_{p}" for p in rungs[2:]]
+            + ["gamma_0"] + [f"gamma_{p}" for p in rungs]
+        )
+        for exp, family in zip(res.components(), ("alpha", "beta", "gamma")):
+            want = {
+                float(Fraction(name.partition("_")[2])): -value
+                for name, value in c.items()
+                if name.startswith(family + "_") and name != "gamma_0"
+            }
+            if family == "gamma":
+                want["log"] = c["gamma_0"]  # -gamma_0 ln eps = gamma_0 |ln eps|
+            assert by_power(exp.terms) == want
+            assert exp.residual is None
+
+    def test_mconvex_2d(self):
+        m, r, R, (U1, U2), w0 = 4.0, 0.5, 2.0, (0.4, -0.3), 0.25
+        res = force_asymptotic_2d(params(prof(m=m, dimension=2, r=r, R=R), (U1, U2), w0, mu=1.3))
+        c = res.coefficients
+        assert list(c) == ["alpha11", "alpha33", "beta", "alpha35", "alpha13"]
+        cu = U1 + w0 * R
+        F1, F2 = res.F
+        assert by_power(F1.terms) == pytest.approx({
+            1 - 1 / m: -cu * c["alpha11"], 3 - 3 / m: -w0 * r**m * c["alpha33"],
+            2 - 3 / m: -w0 * c["alpha33"],
+        }, rel=1e-14)
+        assert by_power(F2.terms) == pytest.approx(
+            {3 - 3 / m: -2.0 * (2.0 * U2 - w0 * r) * c["alpha33"]}, rel=1e-14
+        )
+        assert by_power(res.T.terms) == pytest.approx({
+            1 - 1 / m: -R * cu * c["alpha11"], 3 - 3 / m: w0 * r**2 * c["beta"],
+            2 - 3 / m: -R * w0 * c["alpha33"], 3 - 5 / m: -w0 * c["alpha35"],
+            1 - 3 / m: w0 * c["alpha13"],
+        }, rel=1e-14)
+
+    def test_mconvex_3d(self):
+        m, r, R = 4.0, 0.5, 2.0
+        res = force_asymptotic_3d(params(prof(m=m, r=r, R=R), self.U3, self.W3, mu=1.3))
+        c = res.coefficients
+        assert list(c) == ["alpha12", "alpha34", "beta1", "beta2"]
+        (U1, U2, U3), (w1, w2, _) = self.U3, self.W3
+        cu1, cu2 = U1 - w2 * R, U2 + w1 * R
+        shear, rot, p3 = 1 - 2 / m, 2 - 4 / m, 3 - 4 / m
+        lo, up = 2.0 ** -m * r**m, 2.0 ** (m / 2) * r**m
+        a12, a34 = c["alpha12"], c["alpha34"]
+        want = [  # (known terms, lower, upper) per component
+            ({shear: -cu1 * a12, rot: w2 * a34}, {p3: w2 * lo * a34}, {p3: w2 * up * a34}),
+            ({shear: -cu2 * a12, rot: -w1 * a34}, {p3: -w1 * up * a34}, {p3: -w1 * lo * a34}),
+            ({p3: -2.0 * U3 * a34}, {p3: (w1 + w2) * r * a34}, {p3: 2.0 * (w1 + w2) * r * a34}),
+            ({shear: -R * cu2 * a12}, {p3: w1 * r**2 * c["beta1"]}, {p3: w1 * r**2 * c["beta2"]}),
+            ({shear: R * cu1 * a12}, {p3: w2 * r**2 * c["beta1"]}, {p3: w2 * r**2 * c["beta2"]}),
+        ]
+        for exp, (known, lower, upper) in zip(res.components(), want):
+            assert by_power(exp.terms) == pytest.approx(known, rel=1e-14)
+            assert by_power(exp.residual.lower) == pytest.approx(lower, rel=1e-14)
+            assert by_power(exp.residual.upper) == pytest.approx(upper, rel=1e-14)
+        assert res.T[2].is_empty
+
+    def test_flat_3d_sandwiches(self):
+        # each sandwich is a pair of named coefficients, at eps^-1 and eps^-3,
+        # times its rotation factor
+        res = force_asymptotic_3d_flat(
+            params(prof(kind="flat-capped", s=0.15), self.U3, self.W3, mu=1.3)
+        )
+        c = res.coefficients
+        assert sorted(c) == [f"{x}{a}_{p}" for x in "BCD" for a in "12" for p in "13"]
+        w1, w2, _ = self.W3
+
+        def pair(prefix, scale):
+            return {1.0: scale * c[prefix + "_1"], 3.0: scale * c[prefix + "_3"]}
+
+        want = [
+            (pair("B1", w2), pair("B2", w2)),
+            (pair("B2", -w1), pair("B1", -w1)),
+            (pair("C1", w1 + w2), pair("C2", w1 + w2)),
+            (pair("D1", w1), pair("D2", w1)),
+            (pair("D1", w2), pair("D2", w2)),
+        ]
+        for exp, (lower, upper) in zip(res.components(), want):
+            assert by_power(exp.residual.lower) == pytest.approx(lower, rel=1e-14)
+            assert by_power(exp.residual.upper) == pytest.approx(upper, rel=1e-14)
+
+
 class TestDispatch:
     def test_routes_by_profile(self, params3d, params2d, params3d_flat):
-        assert force_asymptotic(params3d).coefficients.as_dict().keys() >= {
+        assert force_asymptotic(params3d).coefficients.keys() >= {
             "alpha12",
             "alpha34",
         }
-        assert "alpha11" in force_asymptotic(params2d).coefficients.as_dict()
-        assert "B1_1" in force_asymptotic(params3d_flat).coefficients.as_dict()
+        assert "alpha11" in force_asymptotic(params2d).coefficients
+        assert "B1_1" in force_asymptotic(params3d_flat).coefficients
 
     def test_wrong_profile_rejected(self, params3d, params2d):
         with pytest.raises(ValueError):

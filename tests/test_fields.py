@@ -1,6 +1,9 @@
 """Constructed gap velocity/pressure fields: boundary data, analytic
 gradients, incompressibility, and pressure-gradient consistency."""
 
+import math
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -87,6 +90,22 @@ class TestSubflowIndices:
             eval_field_many(k, params, *coords)
         with pytest.raises(ValueError):
             eval_field(k, params, [0.01] * dim)
+
+
+class TestProblemParams:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_motion_rejected(self, value, params3d, params2d):
+        # a NaN viscosity or an infinite velocity used to pass, and failed
+        # later as an exhausted quadrature budget
+        for params in (params3d, params2d):
+            d = params.profile.dimension
+            with pytest.raises(ValueError, match="finite"):
+                replace(params, mu=value)
+            with pytest.raises(ValueError, match="finite"):
+                replace(params, U=(value,) + params.U[1:])
+            omega = (value, 0.0, 0.0) if d == 3 else value
+            with pytest.raises(ValueError, match="finite"):
+                replace(params, omega=omega)
 
 
 class TestBoundaryConditions:

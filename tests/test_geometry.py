@@ -1,6 +1,7 @@
 """Gap profiles, surface sampling, normals, lever arms, and Jacobians."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,15 @@ class TestGapProfile:
     def test_flat_radius_below_gap_radius(self):
         with pytest.raises(ValueError):
             flat(s=0.6)
+
+    @pytest.mark.parametrize("field", ["m", "r", "s", "eps", "R"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        # a NaN or infinite field used to pass, and failed later as an
+        # exhausted quadrature budget or a quiet NaN expansion value
+        for good in (mconvex(), flat()):
+            with pytest.raises(ValueError, match="finite"):
+                replace(good, **{field: value})
 
     def test_flat_hypothesis_check(self):
         # s < (sqrt(2)-1) r is required by the flat-cap expansions

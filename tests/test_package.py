@@ -5,6 +5,7 @@ import contextlib
 import importlib
 import io
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,15 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     meta = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert lubgap.__version__ == meta["project"]["version"]
+
+
+def test_every_all_name_resolves():
+    # a public name dropped from a module must also leave its __all__
+    modules = [lubgap] + [
+        importlib.import_module(f"lubgap.{info.name}") for info in pkgutil.iter_modules(lubgap.__path__)
+    ]
+    for module in modules:
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], module.__name__
 
 
 def test_traction_module_not_shadowed():
