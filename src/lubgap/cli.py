@@ -34,10 +34,9 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-# Both imports stay eager: perfbench's worker imports this module once and forks
-# every operation, so a lazy import would be paid inside each fork, not once.
-import numpy.random  # noqa: F401 - numpy loads it lazily; the bc/div suites draw from it
 
+# eager: perfbench's worker imports this module once and forks every operation,
+# so a lazy import of the dual suite's module would be paid inside each fork
 from . import dualcheck
 from .asymptotics import alpha_coefficients, force_asymptotic
 from .config import MODES, ConfigError, RunConfig, load_config
@@ -214,24 +213,42 @@ def _check(name: str, value: float, tolerance: float) -> dict:
     }
 
 
+def _sampler():
+    """``draw(lo, hi, n)``: the next ``n`` points of one low-discrepancy
+    sequence in the box ``[lo, hi]`` of dimension ``d``, shape ``(n, d)``: the
+    additive recurrence ``frac(0.5 + i alpha)``, ``i = 1, 2, ..``, with
+    ``alpha_j = phi^-j`` and ``phi`` the root of ``x^(d + 1) = x + 1``.
+    Plain arithmetic, so every run draws the same points."""
+    drawn = 0
+
+    def draw(lo, hi, n):
+        nonlocal drawn
+        lo, hi, phi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), 2.0
+        for _ in range(64):
+            phi = (1.0 + phi) ** (1.0 / (lo.size + 1))
+        i, drawn = np.arange(drawn + 1.0, drawn + n + 1.0)[:, None], drawn + n
+        return lo + (hi - lo) * ((0.5 + i * phi ** -np.arange(1.0, lo.size + 1.0)) % 1.0)
+
+    return draw
+
+
 def _suite_bc(config: RunConfig, npoints: int = 200) -> tuple[list[dict], dict]:
     """Boundary-condition residuals of every sub-flow on both surfaces."""
     params = config.problem
     prof = params.profile
     d = prof.dimension
-    rng = np.random.default_rng(20240811)
+    draw = _sampler()
     scale = max(subflow_scale(0, params), 1e-30)
     checks = []
     for k in subflow_indices(d):
         worst = 0.0
         for side in ("top", "bottom"):
-            # one row of draws per point, in the order of one draw at a time
             if d == 3:
-                t, th = rng.uniform([0.0, 0.0], [0.9025, 2.0 * np.pi], (npoints, 2)).T
+                t, th = draw([0.0, 0.0], [0.9025, 2.0 * np.pi], npoints).T
                 t = prof.r * np.sqrt(t)
                 xps = (t * np.cos(th), t * np.sin(th))
             else:
-                xps = rng.uniform(-0.95, 0.95, npoints) * prof.r
+                xps = draw([-0.95], [0.95], npoints)[:, 0] * prof.r
             sp = surface_sample(prof, side, xps)
             u = eval_field_many(k, params, *np.atleast_2d(sp.xprime), sp.x3)[0]
             target = boundary_target(k, params, sp)
@@ -258,17 +275,16 @@ def _suite_div(config: RunConfig, npoints: int = 100) -> tuple[list[dict], dict]
     """Analytic incompressibility at interior points; dual-tensor row check."""
     params = config.problem
     prof = params.profile
-    rng = np.random.default_rng(20240812)
+    draw = _sampler()
     checks = []
-    # one row of draws per point, in the order of one draw at a time
     for k in subflow_indices(prof.dimension):
         if prof.dimension == 3:
-            t, th, z = rng.uniform([0.0, 0.0, -0.45], [1.0, 2.0 * np.pi, 0.45], (npoints, 3)).T
+            t, th, z = draw([0.0, 0.0, -0.45], [1.0, 2.0 * np.pi, 0.45], npoints).T
             t = 0.9 * prof.r * np.sqrt(t)
             x1, x2 = t * np.cos(th), t * np.sin(th)
             x = (x1, x2, z * prof.h(x1, x2))
         else:
-            x1, z = rng.uniform([-0.9, -0.45], [0.9, 0.45], (npoints, 2)).T
+            x1, z = draw([-0.9, -0.45], [0.9, 0.45], npoints).T
             x1 = x1 * prof.r
             x = (x1, z * prof.h(x1))
         grad = eval_field_many(k, params, *x)[2]
@@ -282,7 +298,7 @@ def _suite_div(config: RunConfig, npoints: int = 100) -> tuple[list[dict], dict]
         worst = float(np.max(div / np.maximum(gscale, 1e-30)))
         checks.append(_check(f"divergence-k{k}", worst, 1e-11))
     if prof.dimension == 3 and abs(params.U[2]) > 0.0:
-        t, th, z = rng.uniform([0.3, 0.0, -0.4], [0.9, 2.0 * np.pi, 0.4], (20, 3)).T
+        t, th, z = draw([0.3, 0.0, -0.4], [0.9, 2.0 * np.pi, 0.4], 20).T
         t = t * 0.25 * prof.r
         x1, x2 = t * np.cos(th), t * np.sin(th)
         h = prof.h(x1, x2)

@@ -62,11 +62,9 @@ from .fields import (
     subflow_indices,
     subflow_scale,
 )
-from .quadrature import SHORT_RING, TRAPEZOID_RING, QuadSpec, _gauss_legendre, integrate_1d, ring_integrals
+from .quadrature import SHORT_RING, TRAPEZOID_RING, QuadSpec, _GAUSS_LEGENDRE_5, integrate_1d, ring_integrals
 
 __all__ = ["EllReport", "dual_tensor", "ell", "err_sweep"]
-
-_NGAUSS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +314,7 @@ def ell(i: int, j: int, params: ProblemParams, spec: QuadSpec | None = None) -> 
             return mu * np.einsum("apn,aqn,pqn->n", Di, Dj, (2.0 * (0.5 * gap.h)**_ODD / _ODD)[_PQ])
 
     else:
-        gx, gw = _gauss_legendre(_NGAUSS)
+        gx, gw = _GAUSS_LEGENDRE_5
 
         def column(gap):
             half = 0.5 * gap.h

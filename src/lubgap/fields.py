@@ -56,7 +56,7 @@ import numpy as np
 
 from .geometry import GapProfile, SurfacePoint
 # lubgap.fields.integrate_1d stays importable: the perfbench tracer wraps it by name
-from .quadrature import _gauss_legendre, integrate_1d  # noqa: F401
+from .quadrature import _GAUSS_LEGENDRE_16, integrate_1d  # noqa: F401
 from .special import gap_tail
 
 __all__ = [
@@ -171,8 +171,6 @@ def _kernel_tail_at(profile: GapProfile, j: int, rho: float) -> float:
     return float(_kernel_tail(profile, j, rho))
 
 
-# Gauss-Legendre nodes per panel of the running-integral rule
-_GL_NODES = 16
 # pairs (a, c) per block of the running-integral rule
 _PAIR_BLOCK = 128
 
@@ -190,7 +188,7 @@ def _sinh_rule(graded: bool):
     if graded:
         edges = np.concatenate([[0.0], edges[1] * 0.15 ** np.arange(4.0, 0.0, -1.0), edges[1:]])
     lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
-    x, w = _gauss_legendre(_GL_NODES)
+    x, w = _GAUSS_LEGENDRE_16
     return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 

@@ -19,16 +19,14 @@
 
 All engines are stateless and re-entrant.  The only caches are
 module-level ``functools.lru_cache`` wrappers of fixed rules and kernel
-tails, shared by every call: :func:`_gauss_legendre` here,
-``fields._sinh_rule``, ``fields._kernel_tail_at`` and
-``special._gauss_jacobi``.
+tails, shared by every call: ``fields._sinh_rule``,
+``fields._kernel_tail_at`` and ``special._gauss_jacobi``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -51,28 +49,18 @@ __all__ = [
 ]
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1]
-# (public-domain QUADPACK table).  Odd-indexed abscissae carry the
-# embedded Gauss weights.
-_XK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-])
-_WK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-])
+# (public-domain QUADPACK table): rows (node x >= 0, Kronrod weight), x
+# descending.  Odd-indexed abscissae carry the embedded Gauss weights.
+_XK, _WK = np.array([
+    [0.991455371120812639206854697526329, 0.022935322010529224963732008058970],
+    [0.949107912342758524526189684047851, 0.063092092629978553290700663189204],
+    [0.864864423359769072789712788640926, 0.104790010322250183839876322541518],
+    [0.741531185599394439863864773280788, 0.140653259715525918745189590510238],
+    [0.586087235467691130294144838258730, 0.169004726639267902826583426598550],
+    [0.405845151377397166906606412076961, 0.190350578064785409913256402421014],
+    [0.207784955007898467600689403773245, 0.204432940075298892414161999234649],
+    [0.000000000000000000000000000000000, 0.209482141084727828012999174891714],
+]).T
 _WG = np.array([
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
@@ -80,11 +68,40 @@ _WG = np.array([
     0.417959183673469387755102040816327,
 ])
 
+
+def _symmetric(x, w):
+    """The rule on ``[-1, 1]``, ascending, from the nodes ``x >= 0`` of a
+    symmetric rule, descending, and their weights ``w``: the negative half is
+    the mirror image of the positive, so the rule is symmetric bit for bit,
+    and an odd rule's middle node 0, last in ``x``, is not mirrored."""
+    half = x.size - (x[-1] == 0.0)
+    return np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]])
+
+
 # full node vector on [-1, 1], ascending
-_NODES = np.concatenate([-_XK[:-1], [0.0], _XK[:-1][::-1]])
-_WEIGHTS_K = np.concatenate([_WK[:-1], [_WK[-1]], _WK[:-1][::-1]])
+_NODES, _WEIGHTS_K = _symmetric(_XK, _WK)
 _GAUSS_IDX = np.arange(1, 15, 2)  # positions of the embedded 7-point rule
-_WEIGHTS_G = np.concatenate([_WG[:-1], [_WG[-1]], _WG[:-1][::-1]])
+_WEIGHTS_G = _symmetric(_XK[1::2], _WG)[1]
+
+# The 5- and 16-point Gauss-Legendre rules on [-1, 1], the vertical rule of the
+# dual check and the panel rule of the running integrals, held as tables like
+# the Kronrod rule, so no run builds them: rows (node x >= 0, weight), x
+# descending, each exact to 33 decimals, so that it rounds correctly to double.
+_GAUSS_LEGENDRE_5 = _symmetric(*np.array([
+    [0.906179845938663992797626878299393, 0.236926885056189087514264040719917],
+    [0.538469310105683091036314420700209, 0.478628670499366468041291514835638],
+    [0.000000000000000000000000000000000, 0.568888888888888888888888888888889],
+]).T)
+_GAUSS_LEGENDRE_16 = _symmetric(*np.array([
+    [0.989400934991649932596154173450333, 0.027152459411754094851780572456018],
+    [0.944575023073232576077988415534608, 0.062253523938647892862843836994378],
+    [0.865631202387831743880467897712393, 0.095158511682492784809925107602246],
+    [0.755404408355003033895101194847442, 0.124628971255533872052476282192016],
+    [0.617876244402643748446671764048791, 0.149595988816576732081501730547479],
+    [0.458016777657227386342419442983578, 0.169156519395002538189312079030360],
+    [0.281603550779258913230460501460496, 0.182603415044923588866763667969220],
+    [0.095012509837637440185319335424958, 0.189450610455068496285396723208283],
+]).T)
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny  # floor of the roundoff floor, which underflows on subnormal f
@@ -136,7 +153,8 @@ class QuadResult:
 
 
 class QuadratureError(RuntimeError):
-    """Subdivision budget exhausted before the tolerance was met.
+    """Subdivision budget exhausted before the tolerance was met, or an
+    integrand that is not finite.
 
     Carries the best estimate obtained so far in ``result``.
     """
@@ -222,6 +240,8 @@ def integrate_vector(
     Returns ``(values, errors, evaluations)``.  The per-component error
     includes a roundoff floor of ``1e-15 * int |f_c|`` so that estimates
     for components that vanish only after cancellation remain honest.
+    Raises :class:`QuadratureError` when the budget is spent, or in the
+    first round whose summed ``int |f_c|`` is not finite.
     """
     if a == b:
         z = np.zeros(ncomp or 1)
@@ -251,6 +271,9 @@ def integrate_vector(
 
     while True:
         values, errors, resabs = parts.sum(axis=0)
+        if not np.isfinite(resabs).all():
+            result = QuadResult(float(values[0]), float(errors[0]), nevals)
+            raise QuadratureError("the integrand is not finite", result)
         target = np.maximum(abs_tol, spec.rel_tol * np.abs(values))
         floor = np.maximum(50.0 * _EPS * resabs, _TINY)
         met = lambda err: ((err <= target) | (err <= floor))[..., :ncheck].all(-1)
@@ -258,11 +281,13 @@ def integrate_vector(
         if done or room <= 0:
             break
         # a round: bisect, worst first, the fewest panels (at most room) whose
-        # errors keep the rest from the stop test
-        worst = np.argsort(-parts[:, 1, :ncheck].sum(-1), kind="stable")[:room]
-        enough = met(errors - np.cumsum(parts[worst, 1], axis=0))
+        # errors keep the rest from the stop test; Python's stable sort keeps
+        # ties in creation order and, unlike numpy's, maps no sort kernel
+        err = parts[:, 1, :ncheck].sum(-1).tolist()
+        worst = sorted(range(lo.size), key=err.__getitem__, reverse=True)[:room]
+        enough = met(errors - np.cumsum(parts[worst, 1], axis=0)).tolist()
         enough[-1] = True
-        worst = worst[: 1 + np.argmax(enough)]
+        worst = worst[: 1 + enough.index(True)]
         keep = np.ones(lo.size, bool)
         keep[worst] = False
         # each parent's left half, then its right half, after the panels kept
@@ -290,7 +315,7 @@ def integrate_1d(
     ``f`` maps an array of nodes to the array of its values there.
     ``spec.split_points`` inside the interval become hard panel boundaries.
     Raises :class:`QuadratureError` (carrying the best estimate) if the
-    subdivision budget is exhausted.
+    subdivision budget is exhausted or the integrand is not finite.
     """
     spec = spec or QuadSpec()
     values, errors, nevals = integrate_vector(f, a, b, spec, ncomp=1)
@@ -314,44 +339,6 @@ def layer_splits(m: float, eps: float, stop: float, start: float = 0.0) -> tuple
         pts.append(start + step)
         step *= 2.0
     return tuple(pts)
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int):
-    """The ``n``-point Gauss-Legendre rule on ``[-1, 1]``: ascending nodes and weights.
-
-    Newton's method on the three-term recurrence of ``P_n`` finds the roots
-    ``x >= 0`` from ``cos(pi (k - 1/4) / (n + 1/2))``, ``k = 1 .. ceil(n/2)``;
-    the weights are ``2 / ((1 - x^2) P_n'(x)^2)``.  Both are computed in
-    ``numpy.longdouble`` (80-bit extended on x86-64) and then rounded: the
-    weight's relative condition number in its node, ``2x / (1 - x^2)``,
-    would cost a few units in the last place near ``x = 1`` at a double
-    node.  The negative half is the mirror image of the positive, so the
-    rule is symmetric bit for bit.  Neither LAPACK nor ``numpy.polynomial``
-    is loaded."""
-    k = np.arange(1, (n + 1) // 2 + 1, dtype=np.longdouble)
-    x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
-    # the middle node of an odd rule, a root of P_n to the last bit
-    x[n // 2 :] = 0.0
-
-    def legendre(x):
-        # P_n(x) and P_n'(x) = n (P_(n-1)(x) - x P_n(x)) / (1 - x^2)
-        p0, p1 = np.ones_like(x), x
-        for j in range(1, n):
-            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
-        return p1, n * (p0 - x * p1) / ((1 - x) * (1 + x))
-
-    tol = 64 * np.finfo(x.dtype).eps
-    for _ in range(100):
-        p, dp = legendre(x)
-        step = p / dp
-        x -= step
-        if np.all(np.abs(step) <= tol):
-            break
-    dp = legendre(x)[1]
-    w = 2 / ((1 - x) * (1 + x) * dp * dp)
-    x, w, half = x.astype(float), w.astype(float), n // 2
-    return np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]])
 
 
 class PanelRule(NamedTuple):

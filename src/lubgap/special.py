@@ -228,7 +228,7 @@ def _layer_integral(f, m: float, r: float, eps: float, label: str) -> float:
     try:
         res = integrate_1d(f, 0.0, r, QuadSpec(rel_tol=1e-13, max_subdivisions=400, split_points=splits))
     except QuadratureError as exc:
-        raise ToleranceNotMet(f"{label} quadrature budget exhausted", exc.result.error_estimate)
+        raise ToleranceNotMet(f"{label} quadrature: {exc}", exc.result.error_estimate)
     if res.error_estimate > _PHI_TOL * abs(res.value):
         raise ToleranceNotMet(
             f"{label} achieved {res.error_estimate:.3e} > {_PHI_TOL:.0e} rel", res.error_estimate

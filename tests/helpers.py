@@ -24,7 +24,6 @@ from lubgap.quadrature import (
     QuadratureError,
     QuadResult,
     QuadSpec,
-    _gauss_legendre,
     _panel_sums,
     integrate_vector,
     ring_integrals,
@@ -125,13 +124,50 @@ def energy(params, spec=None) -> float:
     return float(_volume_integrate(gauss_column(pointfun), params, prof.r, spec).value)
 
 
+def gauss_legendre(n: int):
+    """The ``n``-point Gauss-Legendre rule on ``[-1, 1]``: ascending nodes and
+    weights, the oracle of the tables in :mod:`lubgap.quadrature`.
+
+    Newton's method on the three-term recurrence of ``P_n`` finds the roots
+    ``x >= 0`` from ``cos(pi (k - 1/4) / (n + 1/2))``, ``k = 1 .. ceil(n/2)``;
+    the weights are ``2 / ((1 - x^2) P_n'(x)^2)``.  Both are computed in
+    ``numpy.longdouble`` (80-bit extended on x86-64) and then rounded: the
+    weight's relative condition number in its node, ``2x / (1 - x^2)``,
+    would cost a few units in the last place near ``x = 1`` at a double
+    node.  The negative half is the mirror image of the positive, so the
+    rule is symmetric bit for bit."""
+    k = np.arange(1, (n + 1) // 2 + 1, dtype=np.longdouble)
+    x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
+    # the middle node of an odd rule, a root of P_n to the last bit
+    x[n // 2 :] = 0.0
+
+    def legendre(x):
+        # P_n(x) and P_n'(x) = n (P_(n-1)(x) - x P_n(x)) / (1 - x^2)
+        p0, p1 = np.ones_like(x), x
+        for j in range(1, n):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        return p1, n * (p0 - x * p1) / ((1 - x) * (1 + x))
+
+    tol = 64 * np.finfo(x.dtype).eps
+    for _ in range(100):
+        p, dp = legendre(x)
+        step = p / dp
+        x -= step
+        if np.all(np.abs(step) <= tol):
+            break
+    dp = legendre(x)[1]
+    w = 2 / ((1 - x) * (1 + x) * dp * dp)
+    x, w, half = x.astype(float), w.astype(float), n // 2
+    return np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]])
+
+
 def gauss_column(pointfun):
     """The vertical integrals over ``|x3| < h/2`` of ``pointfun(gap, x3)`` by
     the 5-point Gauss rule, as ``lubgap.dualcheck._volume_integrate`` takes
     them: ``pointfun`` receives the planar gap record of the points, shape
     (n, 1), and the Gauss heights over each, shape (n, 5), and returns the
     values there."""
-    gx, gw = _gauss_legendre(5)
+    gx, gw = gauss_legendre(5)
 
     def column(gap):
         half = 0.5 * gap.h

@@ -3,6 +3,9 @@
 import json
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ import lubgap.cli
 import lubgap.report
 from lubgap.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from lubgap.config import load_config
+from lubgap.fields import subflow_indices
 from lubgap.quadrature import QuadratureError, QuadResult
 from lubgap.special import psi
 from lubgap.traction import total_numeric
@@ -296,6 +300,61 @@ class TestVerify:
         checks = {c["name"]: c for c in json.loads(json_path.read_text())["suite"]["checks"]}
         assert checks["dual-tensor-div-squeeze"]["value"] < 1e-4
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("text", [CFG, CFG_2D], ids=["3d", "2d"])
+    def test_bc_div_sample_points(self, text, tmp_path, monkeypatch):
+        # the bc points lie on the surfaces over |x'| < 0.95 r, the div points
+        # inside the gap over |x'| < 0.9 r and |x3| < 0.45 h; every
+        # (sub-flow, side) evaluates points of its own
+        p = tmp_path / "run.ini"
+        p.write_text(text, encoding="utf-8")
+        config = load_config(str(p))
+        prof = config.problem.profile
+        planar = []
+
+        def surface_sample(profile, side, xps):
+            planar.append(np.atleast_2d(xps))
+            return real_sample(profile, side, xps)
+
+        real_sample = lubgap.cli.surface_sample
+        monkeypatch.setattr(lubgap.cli, "surface_sample", surface_sample)
+        assert all(c["passed"] for c in lubgap.cli._suite_bc(config)[0])
+        interior = []
+
+        def eval_field_many(k, params, *x):
+            interior.append(np.stack(x))
+            return real_eval(k, params, *x)
+
+        real_eval = lubgap.cli.eval_field_many
+        monkeypatch.setattr(lubgap.cli, "eval_field_many", eval_field_many)
+        assert all(c["passed"] for c in lubgap.cli._suite_div(config)[0])
+        nk = len(subflow_indices(prof.dimension))
+        assert len(planar) == 2 * nk and len(interior) == nk
+        for xps in planar:
+            assert xps.shape == (prof.dimension - 1, 200)
+            assert np.all(np.hypot.reduce(xps) < 0.95 * prof.r)
+        for x in interior:
+            assert x.shape == (prof.dimension, 100)
+            assert np.all(np.hypot.reduce(x[:-1]) < 0.9 * prof.r)
+            assert np.all(np.abs(x[-1]) < 0.45 * prof.h(*x[:-1]))
+        for points in (planar, interior):
+            assert len({x.tobytes() for x in points}) == len(points)
+
+    def test_bc_div_artifacts_repeat(self, cfg_path, tmp_path):
+        # the sample is a fixed sequence: two fresh interpreters write the
+        # same bytes
+        src = str(Path(lubgap.cli.__file__).resolve().parents[1])
+        script = "import sys; sys.path.insert(0, sys.argv[1]); from lubgap.cli import main; sys.exit(main(sys.argv[2:]))"
+        for suite in ("bc", "div"):
+            outs = []
+            for run in range(2):
+                out = tmp_path / f"{suite}{run}.json"
+                argv = ["verify", "--suite", suite, "--config", cfg_path, "--out-json", str(out)]
+                proc = subprocess.run([sys.executable, "-c", script, src, *argv], capture_output=True,
+                                      text=True, timeout=300, check=False)
+                assert proc.returncode == EXIT_OK, proc.stderr
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]
 
     def test_parity_suite_passes_2d(self, tmp_path, capsys):
         p = tmp_path / "run2d.ini"

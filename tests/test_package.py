@@ -268,13 +268,14 @@ max_subdivisions = 2000
 
 
 def test_m2_paths_never_call_numpy_linalg(tmp_path, monkeypatch):
-    # a forked operation's peak RSS grows by the LAPACK pages it touches:
-    # the general3d sweep's fitted exponents, err_sweep's slopes and 5-point
-    # vertical rule and the dual suite run with every numpy.linalg function
-    # and numpy.polyfit raising, the rule caches cleared.  Off m = 2 the
-    # force route still reaches special._gauss_jacobi, which stays on
-    # numpy.linalg.eigh: the control below
-    from lubgap import fields, quadrature, special
+    # a forked operation's peak RSS grows by the LAPACK and sort-kernel pages
+    # it touches: the general3d sweep's fitted exponents, err_sweep's slopes
+    # and 5-point vertical rule and the dual suite run with every
+    # numpy.linalg function, numpy.polyfit and numpy's sorts and argmax
+    # raising, the rule caches cleared.  Off m = 2 the force route still
+    # reaches special._gauss_jacobi, which stays on numpy.linalg.eigh: the
+    # control below
+    from lubgap import fields, special
     from lubgap.cli import EXIT_VERIFY, main
     from lubgap.dualcheck import err_sweep
 
@@ -290,8 +291,9 @@ def test_m2_paths_never_call_numpy_linalg(tmp_path, monkeypatch):
     for name in np.linalg.__all__:
         if name != "LinAlgError":
             monkeypatch.setattr(np.linalg, name, refuse(name))
-    monkeypatch.setattr(np, "polyfit", refuse("polyfit"))
-    for cached in (quadrature._gauss_legendre, fields._sinh_rule, special._gauss_jacobi):
+    for name in ("polyfit", "argsort", "sort", "argpartition", "lexsort", "argmax"):
+        monkeypatch.setattr(np, name, refuse(name))
+    for cached in (fields._sinh_rule, special._gauss_jacobi):
         cached.cache_clear()
 
     cfg = tmp_path / "general3d.ini"
@@ -322,8 +324,9 @@ print("numpy.random" in sys.modules, "lubgap.dualcheck" in sys.modules)
 
 def test_cli_import_loads_forked_dependencies():
     # perfbench's worker imports lubgap.cli once and forks every operation:
-    # numpy.random (bc/div suites) and lubgap.dualcheck (dual suite) must be
-    # loaded by the import, so that no forked operation pays for them
+    # lubgap.dualcheck (dual suite) must be loaded by the import, so that no
+    # forked operation pays for it; numpy.random is loaded by no operation
+    # (the bc/div suites sample a fixed sequence), so not by the import either
     proc = subprocess.run(
         [sys.executable, "-c", _EAGER_IMPORTS, str(ROOT / "src")],
         capture_output=True,
@@ -332,7 +335,7 @@ def test_cli_import_loads_forked_dependencies():
         check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "True"]
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_planar_gap_has_one_owner():
@@ -348,4 +351,27 @@ def test_planar_gap_has_one_owner():
                 name = getattr(func, "attr", getattr(func, "id", None))
                 if name in ("hypot", "radial_jet") and getattr(top, "name", None) not in owners:
                     found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_no_random_longdouble_or_sort_kernel():
+    # a forked operation's peak RSS grows by every numpy module and kernel it
+    # touches: src/lubgap draws no random numbers, builds no rule in
+    # extended precision, and calls no numpy sort or argmax
+    numpy_names = {"random", "longdouble", "sort", "argsort", "argpartition", "partition", "lexsort", "argmax"}
+    methods = {"argsort", "argpartition", "argmax"}
+    found = []
+    for path in sorted((ROOT / "src" / "lubgap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                on_numpy = getattr(node.value, "id", None) in ("np", "numpy")
+                if node.attr in methods or (on_numpy and node.attr in numpy_names):
+                    found.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                # import numpy.random, from numpy import random, from numpy.random import ...
+                prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+                for alias in node.names:
+                    top, *rest = (prefix + alias.name).split(".")
+                    if top == "numpy" and numpy_names & set(rest):
+                        found.append(f"{path.name}:{node.lineno} import {prefix}{alias.name}")
     assert found == []

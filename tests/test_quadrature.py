@@ -15,7 +15,8 @@ from lubgap.quadrature import (
     QuadratureError,
     QuadResult,
     QuadSpec,
-    _gauss_legendre,
+    _GAUSS_LEGENDRE_5,
+    _GAUSS_LEGENDRE_16,
     integrate_1d,
     integrate_vector,
     layer_splits,
@@ -23,7 +24,7 @@ from lubgap.quadrature import (
     trapezoid_ring,
 )
 
-from helpers import cumulative_sums, kronrod_panels, serial_integrate_vector
+from helpers import cumulative_sums, gauss_legendre, kronrod_panels, serial_integrate_vector
 
 
 class TestQuadSpec:
@@ -84,6 +85,18 @@ class TestIntegrate1d:
             )
         # best-effort result travels with the error
         assert isinstance(exc.value.result, QuadResult)
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda t: 1.0 / (t - 0.5), lambda t: np.where(t < 0.6, t, np.nan), lambda t: np.full_like(t, 1e308)],
+        ids=["pole-at-node", "nan-on-part", "sum-overflows"],
+    )
+    def test_not_finite(self, f):
+        # a non-finite panel sum stops the first round: it neither passes
+        # the stop test as inf <= inf nor spends the subdivision budget
+        with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="not finite") as exc:
+            integrate_1d(f, 0.0, 1.0)
+        assert exc.value.result.evaluations == 15
 
     def test_split_invariance(self):
         spec = QuadSpec(rel_tol=1e-12, max_subdivisions=200)
@@ -273,8 +286,8 @@ class TestPanelRules:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 16, 32])
     def test_gauss_legendre(self, n):
-        # the Newton rule against numpy.polynomial's, symmetric bit for bit
-        x, w = _gauss_legendre(n)
+        # the Newton oracle against numpy.polynomial's, symmetric bit for bit
+        x, w = gauss_legendre(n)
         want_x, want_w = np.polynomial.legendre.leggauss(n)
         assert np.max(np.abs(x - want_x)) <= 1e-14
         assert np.max(np.abs(w - want_w)) <= 1e-14
@@ -285,7 +298,7 @@ class TestPanelRules:
         # 40-digit Newton on the same recurrence from each double node: the
         # nodes within 2.3e-16 and the weights within 1e-15 relative of the
         # exact rule
-        x, w = _gauss_legendre(n)
+        x, w = gauss_legendre(n)
         with mpmath.workdps(40):
             for xi, wi in zip(x, w):
                 z = mpmath.mpf(float(xi))
@@ -297,6 +310,12 @@ class TestPanelRules:
                     z -= p1 / dp
                 assert abs(xi - z) <= 2.3e-16
                 assert abs(wi / (2 / ((1 - z * z) * dp * dp)) - 1) <= 1e-15
+
+    @pytest.mark.parametrize("n, table", [(5, _GAUSS_LEGENDRE_5), (16, _GAUSS_LEGENDRE_16)])
+    def test_gauss_legendre_tables(self, n, table):
+        # the literal rules are the Newton oracle's, bit for bit
+        for got, want in zip(table, gauss_legendre(n)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_trapezoid_ring(self):
         # the ring is one panel of [0, 2pi]; its embedded rule the even nodes
