@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ProblemParams
-from .special import AsymptoticExpansion, AsymptoticTerm, IntervalResidual, gamma_coeff
+from .special import AsymptoticExpansion, AsymptoticTerm, IntervalResidual, gamma, gamma_coeff
 
 __all__ = [
     "TheoremResult",
@@ -66,58 +66,48 @@ class TheoremResult:
         return (*self.F, *(self.T if isinstance(self.T, tuple) else (self.T,)))
 
 
-# the relative width of the m-convex theorems' marginal branches at m = 5/3 and m = 3
-_BRANCH_TOL = 1e-12
+# the lowest exponent q at which a log-type term continued past its branch
+# point is kept: its b carries Gamma(1 + q), whose pole is at q = -1.  The
+# edges fall at m = 15/11 (b35) and m = 9/5 (b13).
+_Q_MIN = -2.0 / 3.0
+
+
+def _pole_free(i, j, m) -> float:
+    """``Gamma(1 + q) Gamma(j/m) / m`` with ``q = i - j/m``: ``q`` times
+    :func:`gamma_coeff`, finite through ``q = 0``."""
+    return gamma(1.0 + i - j / m) * gamma(j / m) / m
 
 
 def alpha_coefficients(m: float, mu: float) -> dict:
     """The coefficients of the m-convex theorems that depend on ``m`` and ``mu``
-    alone, each where it is defined: ``alpha12_3d`` and ``alpha34_3d`` at ``m >=
-    2`` (3D profiles), ``alpha11_2d`` and ``alpha33_2d``, ``alpha35_2d`` from
-    within ``1e-12`` below ``m = 5/3`` and ``alpha13_2d`` from ``1e-12`` past
-    ``m = 3``, the thresholds of :func:`force_asymptotic_2d`'s torque branches.
+    alone.  A term ``c eps^-q`` whose exponent ``q = i - j/m`` crosses 0 is
+    read in the log-type form ``b (eps^-q - 1)/q`` with the pole-free ``b = q
+    c``: ``b12_3d``, ``b11_2d``, ``b35_2d`` and ``b13_2d``, each wherever it is
+    finite (``q > -1``).  ``alpha34_3d`` is given at ``m >= 2`` (3D profiles),
+    ``alpha33_2d`` at every ``m``.
     """
-    out = {}
+    out = {"b12_3d": 2.0 * np.pi * mu * _pole_free(1, 2, m)}
     if m >= 2.0:
-        out["alpha12_3d"] = 2.0 * np.pi * mu * gamma_coeff(1, 2, m)
         out["alpha34_3d"] = 1.5 * np.pi * mu * gamma_coeff(3, 4, m)
-    out["alpha11_2d"] = 2.0 * mu * gamma_coeff(1, 1, m)
+    out["b11_2d"] = 2.0 * mu * _pole_free(1, 1, m)
     out["alpha33_2d"] = 3.0 * mu * gamma_coeff(3, 3, m)
-    if m > 5.0 / 3.0 - _BRANCH_TOL:
-        out["alpha35_2d"] = 3.0 * mu * gamma_coeff(3, 5, m)
-    if m > 3.0 + _BRANCH_TOL:
-        out["alpha13_2d"] = (mu / (2.0 * m)) * (
-            (18.0 + 3.0 * m) * gamma_coeff(1, 3, m) + 6.0 * m * gamma_coeff(2, 3, m)
-        )
+    # b13 is q (mu/2m) ((18 + 3m) Gamma(1,3;m) + 6m Gamma(2,3;m)), and
+    # Gamma(2,3;m) = q Gamma(1,3;m) folds the bracket to 9m
+    for name, scale, i, j in (("b35_2d", 3.0, 3, 5), ("b13_2d", 4.5, 1, 3)):
+        if 1.0 + i - j / m > 0.0:
+            out[name] = scale * mu * _pole_free(i, j, m)
     return out
 
 
 def _terms(*pairs) -> tuple:
-    """Build terms from (coeff, power) or (coeff, "log") pairs, dropping
-    exact zeros so that empty components stay empty."""
-    out = []
-    for coeff, power in pairs:
-        if coeff == 0.0:
-            continue
-        if power == "log":
-            out.append(AsymptoticTerm(float(coeff), is_log=True))
-        else:
-            out.append(AsymptoticTerm(float(coeff), power=float(power)))
-    return tuple(out)
-
-
-def _interval(lower_pairs, upper_pairs, keep: bool) -> IntervalResidual | None:
-    if not keep:
-        return None
-    lo, up = _terms(*lower_pairs), _terms(*upper_pairs)
-    if not lo and not up:
-        return None
-    return IntervalResidual(lo, up)
+    """Build terms from (coeff, power) pairs, or (coeff, power, True) for the
+    log-type form, dropping exact zeros so that empty components stay empty."""
+    return tuple(AsymptoticTerm(float(c), float(p), *log) for c, p, *log in pairs if c != 0.0)
 
 
 # the power p of the term eps^-p that each 2D flat-cap coefficient name's
 # suffix names; the suffix 0 names the logarithmic term
-_LADDER_POWERS = {"0": "log", "1/2": 0.5, "1": 1.0, "3/2": 1.5, "2": 2.0, "5/2": 2.5, "3": 3.0}
+_LADDER_POWERS = {"1/2": 0.5, "1": 1.0, "3/2": 1.5, "2": 2.0, "5/2": 2.5, "3": 3.0}
 
 
 def _ladder(coeffs: dict, family: str) -> AsymptoticExpansion:
@@ -127,89 +117,83 @@ def _ladder(coeffs: dict, family: str) -> AsymptoticExpansion:
     for name, value in coeffs.items():
         head, _, suffix = name.partition("_")
         if head == family:
-            power = _LADDER_POWERS[suffix]
-            pairs.append((value if power == "log" else -value, power))
+            pairs.append((value, 0.0, True) if suffix == "0" else (-value, _LADDER_POWERS[suffix]))
     return AsymptoticExpansion(_terms(*pairs))
 
 
-def _sign_normalized(params: ProblemParams) -> tuple[bool, tuple]:
-    """Check the sandwich sign hypothesis; return (ok, warnings)."""
-    if params.profile.dimension == 3:
-        U3 = params.U[2]
-        bad = U3 > 0.0 or min(params.omega) < 0.0
-    else:
-        bad = params.omega < 0.0
-    if bad:
-        msg = (
+def _sandwich_3d(params: ProblemParams, shear, extra, f3, bounds, c: dict) -> TheoremResult:
+    """F1..T3 of a 3D theorem.  ``shear(f, cu)`` gives the shear terms of
+    factor ``f cu`` (``cu1 = U1 - w2 R``, ``cu2 = U2 + w1 R``), ``extra`` the
+    forces' unit rotation terms, ``f3`` F3's known terms, and ``bounds`` the
+    unit sandwich bounds ``(B1, B2, C1, C2, D1, D2)``, with ``B1 <= B2`` and
+    so on; a component scales its unit terms by its rotation factor.
+
+    The sandwiches hold under the sign normalization ``U3 <= 0``, ``omega_i
+    >= 0``; otherwise they are dropped with a warning.
+    """
+    w1, w2, _w3 = params.omega
+    R = params.profile.R
+    cu1, cu2 = params.U[0] - w2 * R, params.U[1] + w1 * R
+    B1, B2, C1, C2, D1, D2 = bounds
+    warns = ()
+    if params.U[2] > 0.0 or min(params.omega) < 0.0:
+        warns = (
             "motion violates the sign normalization (U3 <= 0, omega >= 0); "
-            "interval residuals are suppressed, known terms remain valid"
+            "interval residuals are suppressed, known terms remain valid",
         )
-        _warnings.warn(msg, stacklevel=3)
-        return False, (msg,)
-    return True, ()
+        _warnings.warn(warns[0], stacklevel=3)
+
+    def scaled(w, unit):
+        return [(w * k, *rest) for k, *rest in unit]
+
+    def component(known, w, lower, upper):
+        lo, up = _terms(*scaled(w, lower)), _terms(*scaled(w, upper))
+        residual = IntervalResidual(lo, up) if (lo or up) and not warns else None
+        return AsymptoticExpansion(_terms(*known), residual)
+
+    F = (
+        component(shear(-1.0, cu1) + scaled(w2, extra), w2, B1, B2),
+        component(shear(-1.0, cu2) + scaled(-w1, extra), -w1, B2, B1),
+        component(f3, w1 + w2, C1, C2),
+    )
+    T = (component(shear(-R, cu2), w1, D1, D2), component(shear(R, cu1), w2, D1, D2))
+    return TheoremResult(F, (*T, AsymptoticExpansion(())), c, warns)
 
 
 def force_asymptotic_3d(params: ProblemParams) -> TheoremResult:
     """Blow-up expansion for a 3D profile ``h = eps + |x'|^m``.
 
-    For ``m = 2`` the shear terms are logarithmic; for ``m > 2`` they decay
-    as ``eps^-(1-2/m)`` and an extra rotation term ``eps^-(2-4/m)`` appears
-    in the horizontal force components.  The rotation-driven leading terms
-    at ``eps^-(3-4/m)`` are sandwich residuals.
+    The shear terms are log-type in ``eps^-(1-2/m)``, ``|ln eps|`` at ``m =
+    2``; so is the horizontal forces' extra rotation term in ``eps^-(2-4/m)``,
+    which vanishes at ``m = 2``.  The rotation-driven leading terms at
+    ``eps^-(3-4/m)`` are sandwich residuals.
     """
     prof = params.profile
     if prof.dimension != 3 or prof.kind != "m-convex":
         raise ValueError("requires a 3D m-convex profile")
     mu, r, R, m = params.mu, prof.r, prof.R, prof.m
-    U1, U2, U3 = params.U
-    w1, w2, _w3 = params.omega
 
     alphas = alpha_coefficients(m, mu)
+    a34 = alphas["alpha34_3d"]
     c = {
-        "alpha12": alphas["alpha12_3d"],
-        "alpha34": alphas["alpha34_3d"],
+        "b12": alphas["b12_3d"],
+        "alpha34": a34,
         "beta1": (3.0 / 16.0) * np.pi * mu * gamma_coeff(3, 4, m)
         * (1.0 - 2.0 ** (m / 2.0 + 2.0) * R * r ** (m - 2.0) + 2.0 ** (-2.0 * m) * r ** (2.0 * m - 2.0)),
         "beta2": 3.0 * np.pi * mu * gamma_coeff(3, 4, m)
         * (1.0 - 2.0 ** (-m) * R * r ** (m - 2.0) + 2.0 ** (m - 2.0) * r ** (2.0 * m - 2.0)),
     }
-    cu1 = U1 - w2 * R
-    cu2 = U2 + w1 * R
-    keep, warns = _sign_normalized(params)
-
-    p3 = 3.0 - 4.0 / m
-    if m == 2.0:
-        shear_pow = "log"
-        lo1, up1 = 0.25 * r**2, 2.0 * r**2
-    else:
-        shear_pow = 1.0 - 2.0 / m
-        lo1, up1 = 2.0 ** (-m) * r**m, 2.0 ** (m / 2.0) * r**m
-
-    extra_F1 = () if m == 2.0 else ((w2 * c["alpha34"], 2.0 - 4.0 / m),)
-    extra_F2 = () if m == 2.0 else ((-w1 * c["alpha34"], 2.0 - 4.0 / m),)
-
-    F1 = AsymptoticExpansion(
-        _terms((-cu1 * c["alpha12"], shear_pow), *extra_F1),
-        _interval([(w2 * lo1 * c["alpha34"], p3)], [(w2 * up1 * c["alpha34"], p3)], keep),
+    q1, q2, p3 = 1.0 - 2.0 / m, 2.0 - 4.0 / m, 3.0 - 4.0 / m
+    unit = lambda k: [(k, p3)]
+    return _sandwich_3d(
+        params,
+        lambda f, cu: [(f * cu * c["b12"], q1, True)],
+        [(q2 * a34, q2, True)],
+        [(-2.0 * params.U[2] * a34, p3)],
+        (unit(2.0 ** (-m) * r**m * a34), unit(2.0 ** (m / 2.0) * r**m * a34), unit(r * a34),
+         unit(2.0 * r * a34), unit(r**2 * c["beta1"]), unit(r**2 * c["beta2"])),
+        c,
     )
-    F2 = AsymptoticExpansion(
-        _terms((-cu2 * c["alpha12"], shear_pow), *extra_F2),
-        _interval([(-w1 * up1 * c["alpha34"], p3)], [(-w1 * lo1 * c["alpha34"], p3)], keep),
-    )
-    F3 = AsymptoticExpansion(
-        _terms((-2.0 * U3 * c["alpha34"], p3)),
-        _interval([((w1 + w2) * r * c["alpha34"], p3)], [(2.0 * (w1 + w2) * r * c["alpha34"], p3)], keep),
-    )
-    T1 = AsymptoticExpansion(
-        _terms((-R * cu2 * c["alpha12"], shear_pow)),
-        _interval([(w1 * r**2 * c["beta1"], p3)], [(w1 * r**2 * c["beta2"], p3)], keep),
-    )
-    T2 = AsymptoticExpansion(
-        _terms((R * cu1 * c["alpha12"], shear_pow)),
-        _interval([(w2 * r**2 * c["beta1"], p3)], [(w2 * r**2 * c["beta2"], p3)], keep),
-    )
-    T3 = AsymptoticExpansion(())
-    return TheoremResult((F1, F2, F3), (T1, T2, T3), c, warns)
 
 
 def force_asymptotic_3d_flat(
@@ -226,11 +210,11 @@ def force_asymptotic_3d_flat(
         raise ValueError("requires a 3D flat-capped profile")
     prof.check_flat_hypothesis(override_flat_hypothesis)
     mu, r, R, s = params.mu, prof.r, prof.R, prof.s
-    U1, U2, U3 = params.U
-    w1, w2, _w3 = params.omega
+    U3 = params.U[2]
 
     G11 = gamma_coeff(1, 1, 2)
     G21 = gamma_coeff(2, 1, 2)
+    G31 = gamma_coeff(3, 1, 2)
     G32 = gamma_coeff(3, 2, 2)
     pim = np.pi * mu
     c = {
@@ -255,58 +239,32 @@ def force_asymptotic_3d_flat(
         * s**4
         * (R * (r - s) ** 2 - 4.0 * r**2 + 2.0 * s**2 - (np.sqrt(2.0) * r - s) ** 4),
     }
-    keep, warns = _sign_normalized(params)
 
-    def bracket(coeff):
-        """coeff * (|ln eps| + 2 s G11 / eps^1/2 + s^2 / eps)"""
-        return (
-            (coeff, "log"),
-            (coeff * 2.0 * s * G11, 0.5),
-            (coeff * s**2, 1.0),
-        )
+    def bracket(f, cu):
+        """coeff * (|ln eps| + 2 s G11 / eps^1/2 + s^2 / eps), coeff = pi mu f cu"""
+        coeff = pim * f * cu
+        return [(coeff, 0.0, True), (coeff * 2.0 * s * G11, 0.5), (coeff * s**2, 1.0)]
 
-    def pair(prefix, scale):
-        return [(scale * c[prefix + "_1"], 1.0), (scale * c[prefix + "_3"], 3.0)]
-
-    F1 = AsymptoticExpansion(
-        _terms(*bracket(-pim * (U1 - w2 * R))),
-        _interval(pair("B1", w2), pair("B2", w2), keep),
-    )
-    F2 = AsymptoticExpansion(
-        _terms(*bracket(-pim * (U2 + w1 * R))),
-        _interval(
-            [(-c, p) for c, p in pair("B2", w1)], [(-c, p) for c, p in pair("B1", w1)], keep
-        ),
-    )
-    G31 = gamma_coeff(3, 1, 2)
-    F3 = AsymptoticExpansion(
-        _terms(
-            (-3.0 * pim * U3 * 0.5, 1.0),
-            (-3.0 * pim * U3 * 1.5 * s * G21, 1.5),
-            (-3.0 * pim * U3 * 3.0 * s**2 * G32, 2.0),
-            (-3.0 * pim * U3 * s**3 * G31, 2.5),
-            (-3.0 * pim * U3 * 0.5 * s**4, 3.0),
-        ),
-        _interval(pair("C1", w1 + w2), pair("C2", w1 + w2), keep),
-    )
-    T1 = AsymptoticExpansion(
-        _terms(*bracket(-pim * R * (U2 + w1 * R))),
-        _interval(pair("D1", w1), pair("D2", w1), keep),
-    )
-    T2 = AsymptoticExpansion(
-        _terms(*bracket(pim * R * (U1 - w2 * R))),
-        _interval(pair("D1", w2), pair("D2", w2), keep),
-    )
-    T3 = AsymptoticExpansion(())
-    return TheoremResult((F1, F2, F3), (T1, T2, T3), c, warns)
+    f3 = [
+        (-3.0 * pim * U3 * 0.5, 1.0),
+        (-3.0 * pim * U3 * 1.5 * s * G21, 1.5),
+        (-3.0 * pim * U3 * 3.0 * s**2 * G32, 2.0),
+        (-3.0 * pim * U3 * s**3 * G31, 2.5),
+        (-3.0 * pim * U3 * 0.5 * s**4, 3.0),
+    ]
+    bounds = tuple([(c[f"{x}_1"], 1.0), (c[f"{x}_3"], 3.0)] for x in ("B1", "B2", "C1", "C2", "D1", "D2"))
+    return _sandwich_3d(params, bracket, [], f3, bounds, c)
 
 
 def force_asymptotic_2d(params: ProblemParams) -> TheoremResult:
     """Blow-up expansion for a 2D profile ``h = eps + |x1|^m`` (m > 1).
 
-    The force expansion is exact up to O(1) (no sandwich residuals); the
-    torque goes through six regimes in ``m``, with logarithmic marginal
-    cases at ``m = 5/3`` and ``m = 3``.  ``m = 3/2`` sits in the low branch.
+    The force and torque expansions are exact up to O(1) (no sandwich
+    residuals).  Every term whose exponent crosses 0 is log-type: the shear
+    terms (``1 - 1/m``), the mid terms (``2 - 3/m``, through ``m = 3/2``) and
+    the torque's ``b35`` (``3 - 5/m``, ``|ln eps|`` at ``m = 5/3``) and ``b13``
+    (``1 - 3/m``, ``|ln eps|`` at ``m = 3``) terms, these two while their
+    exponent exceeds ``-2/3``.
     """
     prof = params.profile
     if prof.dimension != 2 or prof.kind != "m-convex":
@@ -317,47 +275,30 @@ def force_asymptotic_2d(params: ProblemParams) -> TheoremResult:
 
     alphas = alpha_coefficients(m, mu)
     c = {
-        "alpha11": alphas["alpha11_2d"],
+        "b11": alphas["b11_2d"],
         "alpha33": alphas["alpha33_2d"],
         "beta": 3.0 * mu * (1.0 + 0.25 * r ** (2.0 * m - 2.0) - R * r ** (m - 2.0)) * gamma_coeff(3, 3, m),
     }
-    c.update((name, alphas[name + "_2d"]) for name in ("alpha35", "alpha13") if name + "_2d" in alphas)
-    cu = U1 + w0 * R
     pshear = 1.0 - 1.0 / m
     psq = 3.0 - 3.0 / m
     pmid = 2.0 - 3.0 / m
-    # the eps^-pmid terms of force and torque start past the low branch
-    has_pmid = m > 1.5 + _BRANCH_TOL
+    q35, q13 = 3.0 - 5.0 / m, 1.0 - 3.0 / m
+    c.update((name, alphas[name + "_2d"]) for name, q in (("b35", q35), ("b13", q13)) if q > _Q_MIN)
+    cu = U1 + w0 * R
 
-    F1_pairs = [(-cu * c["alpha11"], pshear), (-w0 * r**m * c["alpha33"], psq)]
-    if has_pmid:
-        F1_pairs.append((-w0 * c["alpha33"], pmid))
-    F1 = AsymptoticExpansion(_terms(*F1_pairs))
+    F1 = AsymptoticExpansion(_terms(
+        (-cu * c["b11"], pshear, True),
+        (-w0 * r**m * c["alpha33"], psq),
+        (-w0 * pmid * c["alpha33"], pmid, True),
+    ))
     F2 = AsymptoticExpansion(_terms((-2.0 * (2.0 * U2 - w0 * r) * c["alpha33"], psq)))
-
-    T_pairs = [(-R * cu * c["alpha11"], pshear), (w0 * r**2 * c["beta"], psq)]
-    if abs(m - 5.0 / 3.0) <= _BRANCH_TOL:
-        T_pairs = [
-            (-(18.0 / 5.0) * mu * w0, "log"),
-            (-R * w0 * c["alpha33"], 0.2),
-            (-R * cu * c["alpha11"], 0.4),
-            (w0 * r**2 * c["beta"], 1.2),
-        ]
-    elif abs(m - 3.0) <= _BRANCH_TOL:
-        T_pairs = [
-            (1.5 * mu * w0, "log"),
-            (-R * cu * c["alpha11"], 2.0 / 3.0),
-            (-R * w0 * c["alpha33"], 1.0),
-            (-w0 * c["alpha35"], 4.0 / 3.0),
-            (w0 * r**2 * c["beta"], 2.0),
-        ]
-    elif has_pmid:
-        T_pairs.append((-R * w0 * c["alpha33"], pmid))
-        if "alpha35" in c:
-            T_pairs.append((-w0 * c["alpha35"], 3.0 - 5.0 / m))
-        if "alpha13" in c:
-            T_pairs.append((w0 * c["alpha13"], 1.0 - 3.0 / m))
-    T = AsymptoticExpansion(_terms(*T_pairs))
+    T = AsymptoticExpansion(_terms(
+        (-R * cu * c["b11"], pshear, True),
+        (w0 * r**2 * c["beta"], psq),
+        (-R * w0 * pmid * c["alpha33"], pmid, True),
+        (-w0 * c.get("b35", 0.0), q35, True),
+        (w0 * c.get("b13", 0.0), q13, True),
+    ))
     return TheoremResult((F1, F2), T, c)
 
 

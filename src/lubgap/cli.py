@@ -83,13 +83,13 @@ def _finite_float(text: str) -> float:
 
 
 def cmd_constants(m: float) -> list[tuple[str, float]]:
-    """Coefficient table for exponent ``m``: Gamma pairs plus derived alphas.
+    """Coefficient table for exponent ``m``: Gamma pairs plus derived coefficients.
 
     The derived theorem coefficients are those of
     :func:`~lubgap.asymptotics.alpha_coefficients` per unit viscosity
-    (``mu = 1``); entries that only exist for part of the ``m`` range (the
-    3D alphas, whose profiles need ``m >= 2``, and the 2D torque ladder
-    extras) appear only when defined.
+    (``mu = 1``): the pole-free ``b12_3d``, ``b11_2d``, ``b35_2d`` and
+    ``b13_2d`` wherever they are finite, ``alpha34_3d`` at ``m >= 2`` (3D
+    profiles) and ``alpha33_2d``.
     """
     rows = []
     for i, j in TABULATED_PAIRS:
@@ -398,7 +398,7 @@ def _suite_exponents(config: RunConfig) -> tuple[list[dict], dict]:
     for name, exp in zip(component_names(config.problem.profile.dimension), theorem.components()):
         if report.exponents is None or name not in report.exponents:
             continue
-        powers = [t.power for t in exp.terms if not t.is_log]
+        powers = [t.power for t in exp.terms if t.power > 0.0]
         if not powers:
             continue
         predicted = max(powers)

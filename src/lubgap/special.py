@@ -133,22 +133,25 @@ def gamma_coeff(i, j, m) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticTerm:
-    """One term ``coeff * eps^(-power)`` or ``coeff * |ln eps|``."""
+    """One term ``coeff * eps^(-power)``, or with ``is_log`` the log-type
+    ``coeff * (eps^-power - 1) / power``, which is ``coeff * |ln eps|`` at
+    ``power = 0`` and continuous through it; its power may be negative."""
 
     coeff: float
     power: float = 0.0
     is_log: bool = False
 
     def __post_init__(self) -> None:
-        if self.is_log and self.power != 0.0:
-            raise ValueError("log terms carry power = 0")
         if not self.is_log and self.power < 0.0:
             raise ValueError("powers are recorded as nonnegative exponents of 1/eps")
 
     def evaluate(self, eps: float) -> float:
-        if self.is_log:
-            return self.coeff * abs(math.log(eps))
-        return self.coeff * eps ** (-self.power)
+        if not self.is_log:
+            return self.coeff * eps ** (-self.power)
+        log = abs(math.log(eps))
+        if self.power == 0.0:
+            return self.coeff * log
+        return self.coeff * math.expm1(self.power * log) / self.power
 
 
 def _evaluate_terms(terms, eps: float) -> float:
@@ -181,11 +184,8 @@ class AsymptoticExpansion:
     residual: IntervalResidual | None = None
 
     def __post_init__(self) -> None:
-        terms = tuple(self.terms)
-        if sum(1 for t in terms if t.is_log) > 1:
-            raise ValueError("at most one log term per expansion")
         key = lambda t: (-t.power, t.is_log)
-        object.__setattr__(self, "terms", tuple(sorted(terms, key=key)))
+        object.__setattr__(self, "terms", tuple(sorted(self.terms, key=key)))
 
     @property
     def is_empty(self) -> bool:

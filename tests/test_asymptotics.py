@@ -17,6 +17,7 @@ from lubgap.asymptotics import (
 )
 from lubgap.fields import ProblemParams
 from lubgap.geometry import FlatHypothesisError, GapProfile
+from lubgap.special import gamma_coeff
 
 
 def prof(m=2.0, dimension=3, kind="m-convex", s=0.0, eps=1e-3, r=0.5, R=2.0):
@@ -27,19 +28,14 @@ def params(profile, U, omega, mu=1.0):
     return ProblemParams(profile=profile, mu=mu, U=U, omega=omega)
 
 
-def coeff_of(exp, power=None, is_log=False):
-    """Total coefficient at the requested exponent, or 0.0 if absent.
+def coeff_of(exp, power):
+    """Total coefficient at the requested exponent, or 0.0 if absent; the
+    marginal ``|ln eps|`` term is the one at power 0.
 
     Distinct source terms may share an exponent (e.g. the 2D shear and
     mid exponents coincide at m = 2), so matches are summed.
     """
-    total = 0.0
-    for t in exp.terms:
-        if is_log and t.is_log:
-            total += t.coeff
-        elif not is_log and not t.is_log and t.power == pytest.approx(power):
-            total += t.coeff
-    return total
+    return sum(t.coeff for t in exp.terms if t.power == pytest.approx(power))
 
 
 class TestTranslationOnly3d:
@@ -73,7 +69,7 @@ class TestTranslationOnly3d:
 class TestCoefficients3d:
     def test_m2_values(self):
         res = force_asymptotic_3d(params(prof(m=2.0), (0.0, 0.0, -1.0), (0.0, 0.0, 0.0)))
-        assert res.coefficients["alpha12"] == pytest.approx(math.pi, rel=1e-13)
+        assert res.coefficients["b12"] == pytest.approx(math.pi, rel=1e-13)
         assert res.coefficients["alpha34"] == pytest.approx(0.75 * math.pi, rel=1e-13)
 
     def test_vertical_torque_always_empty(self):
@@ -97,6 +93,18 @@ class TestSandwichResiduals:
                 lo, hi = comp.evaluate_bounds(eps)
                 assert lo <= hi
         assert checked >= 4
+
+    def test_m2_sandwich(self):
+        # at m = 2 the extra rotation term's b = (2 - 4/m) alpha34 vanishes,
+        # and the F1 sandwich's 2^-m r^m and 2^(m/2) r^m are r^2/4 and 2 r^2
+        r, w2 = 0.5, 0.2
+        res = force_asymptotic_3d(params(prof(m=2.0, r=r), (0.0, 0.0, 0.0), (0.0, w2, 0.0)))
+        F1 = res.F[0]
+        (term,) = F1.terms
+        assert term.is_log and term.power == 0.0
+        a34 = res.coefficients["alpha34"]
+        assert F1.residual.lower[0].coeff == w2 * (r**2 / 4.0 * a34)
+        assert F1.residual.upper[0].coeff == w2 * (2.0 * r**2 * a34)
 
     def test_sign_violation_warns_and_suppresses(self):
         with pytest.warns(UserWarning):
@@ -160,7 +168,7 @@ class TestFlat3d:
         )
         F1 = res.F[0]
         c = -math.pi  # -pi mu (U1 - w2 R)
-        assert coeff_of(F1, is_log=True) == pytest.approx(c, rel=1e-13)
+        assert coeff_of(F1, 0.0) == pytest.approx(c, rel=1e-13)
         assert coeff_of(F1, 0.5) == pytest.approx(c * 2.0 * s * math.pi / 2.0, rel=1e-13)
         assert coeff_of(F1, 1.0) == pytest.approx(c * s**2, rel=1e-13)
 
@@ -178,15 +186,17 @@ class Test2d:
     def test_rotation_m2_force(self):
         # mu=1, w0=1, U=0, r=0.5, R=1:
         # F1 = -(alpha11 R + alpha33) eps^-1/2 - r^2 alpha33 eps^-3/2
-        # with alpha11 = pi, alpha33 = 3 pi / 8
+        # with alpha11 = pi, alpha33 = 3 pi / 8; the eps^-1/2 terms are
+        # log-type, so they carry b = (1/2) alpha
         p = params(prof(m=2.0, dimension=2, R=1.0), (0.0, 0.0), 1.0)
         res = force_asymptotic_2d(p)
         a11, a33 = math.pi, 3.0 * math.pi / 8.0
-        assert res.coefficients["alpha11"] == pytest.approx(a11, rel=1e-13)
+        assert res.coefficients["b11"] == pytest.approx(0.5 * a11, rel=1e-13)
         assert res.coefficients["alpha33"] == pytest.approx(a33, rel=1e-13)
         F1 = res.F[0]
-        assert coeff_of(F1, 0.5) == pytest.approx(-(a11 * 1.0 + a33), rel=1e-13)
+        assert coeff_of(F1, 0.5) == pytest.approx(-0.5 * (a11 * 1.0 + a33), rel=1e-13)
         assert coeff_of(F1, 1.5) == pytest.approx(-0.25 * a33, rel=1e-13)
+        assert [t.is_log for t in F1.terms] == [False, True, True]
 
     def test_translation_only_second_component(self):
         # U = (U1, 0), w0 = 0: the squeeze-type force has a zero factor
@@ -195,44 +205,92 @@ class Test2d:
 
     def test_torque_log_case_m53(self):
         res = force_asymptotic_2d(params(prof(m=5.0 / 3.0, dimension=2), (0.0, 0.0), 1.0))
-        assert coeff_of(res.T, is_log=True) == pytest.approx(-18.0 / 5.0, rel=1e-13)
+        assert coeff_of(res.T, 0.0) == pytest.approx(-18.0 / 5.0, rel=1e-14)
 
     def test_torque_log_case_m3(self):
         res = force_asymptotic_2d(params(prof(m=3.0, dimension=2), (0.0, 0.0), 1.0))
-        assert coeff_of(res.T, is_log=True) == pytest.approx(1.5, rel=1e-13)
+        assert coeff_of(res.T, 0.0) == pytest.approx(1.5, rel=1e-14)
 
     def test_force_branch_boundary_m32(self):
-        # m = 3/2 sits in the low branch: no eps^-(2-3/m) force term
-        res_lo = force_asymptotic_2d(params(prof(m=1.5, dimension=2), (0.0, 0.0), 1.0))
-        assert coeff_of(res_lo.F[0], 2.0 - 3.0 / 1.5) == 0.0
-        res_hi = force_asymptotic_2d(params(prof(m=1.6, dimension=2), (0.0, 0.0), 1.0))
-        assert coeff_of(res_hi.F[0], 2.0 - 3.0 / 1.6) != 0.0
+        # the eps^-(2-3/m) force term is log-type on both sides of m = 3/2,
+        # with b = (2 - 3/m) times -w0 alpha33: it vanishes at m = 3/2
+        # itself and tends to the constant w0 alpha33 below it
+        for m in (1.2, 1.4, 1.5, 1.6, 2.5):
+            res = force_asymptotic_2d(params(prof(m=m, dimension=2), (0.0, 0.0), 1.0))
+            q = 2.0 - 3.0 / m
+            mid = [t for t in res.F[0].terms if t.power == q]
+            if m == 1.5:
+                assert mid == []
+                continue
+            (term,) = mid
+            assert term.is_log
+            assert term.coeff == pytest.approx(-q * res.coefficients["alpha33"], rel=1e-15)
 
-    @pytest.mark.parametrize("dm, present", [(5e-13, False), (2e-12, True)])
-    def test_mid_terms_share_their_branch(self, dm, present):
-        # force and torque take their eps^-(2-3/m) terms on the same side of
-        # the low branch's edge just past m = 3/2
-        m = 1.5 + dm
+    @pytest.mark.parametrize("dm, above", [(5e-13, False), (2e-12, True)])
+    def test_mid_terms_share_their_branch(self, dm, above):
+        # force and torque take their eps^-(2-3/m) terms in the same
+        # log-type form on either side of m = 3/2: there is no edge
+        m = 1.5 + dm if above else 1.5 - dm
         res = force_asymptotic_2d(params(prof(m=m, dimension=2), (0.0, 0.0), 1.0))
         for exp in (res.F[0], res.T):
-            assert any(t.power == 2.0 - 3.0 / m for t in exp.terms) is present
+            (mid,) = [t for t in exp.terms if t.power == 2.0 - 3.0 / m]
+            assert mid.is_log
 
-    @pytest.mark.parametrize("m", [3.0 + 1e-12, 3.0 + 2e-12, 5.0 / 3.0 - 1e-12, 5.0 / 3.0 + 2e-12])
+    @pytest.mark.parametrize(
+        "m", [3.0 + 1e-12, 3.0 + 2e-12, 5.0 / 3.0 - 1e-12, 5.0 / 3.0 + 2e-12,
+              15.0 / 11.0 - 1e-9, 15.0 / 11.0 + 1e-9, 1.8 - 1e-9, 1.8 + 1e-9, 3.0 - 1e-12]
+    )
     def test_torque_reads_the_alphas_that_exist(self, m):
-        # at the edges of the marginal bands the torque carries its alpha13
-        # and alpha35 terms exactly where the theorem defines the coefficient
+        # the torque carries its log-type b35 and b13 terms exactly while
+        # their exponents 3 - 5/m and 1 - 3/m exceed -2/3 (edges at m = 15/11
+        # and m = 9/5), and the coefficients dict names what it reads
         res = force_asymptotic_2d(params(prof(m=m, dimension=2), (0.0, 0.0), 1.0))
-        powers = {t.power for t in res.T.terms}
-        if abs(m - 5.0 / 3.0) > 1e-12:
-            assert (3.0 - 5.0 / m in powers) == ("alpha35" in res.coefficients)
-        assert (1.0 - 3.0 / m in powers) == ("alpha13" in res.coefficients)
+        for name, q in (("b35", 3.0 - 5.0 / m), ("b13", 1.0 - 3.0 / m)):
+            assert (name in res.coefficients) == (q > -2.0 / 3.0)
+            term = [t for t in res.T.terms if t.power == q]
+            assert bool(term) == (name in res.coefficients)
+            assert all(t.is_log for t in term)
 
     def test_torque_high_m_extra_term(self):
-        # for m > 3 the torque gains a positive-exponent alpha13 term
+        # for m > 3 the torque's b13 term has a positive exponent 1 - 3/m,
+        # with b13 = (9/2) mu Gamma(1 + 1 - 3/m) Gamma(3/m) / m
         m = 4.0
         res = force_asymptotic_2d(params(prof(m=m, dimension=2), (0.0, 0.0), 1.0))
-        assert coeff_of(res.T, 1.0 - 3.0 / m) != 0.0
-        assert "alpha13" in res.coefficients
+        b13 = 4.5 * math.gamma(1.25) * math.gamma(0.75) / 4.0
+        assert res.coefficients["b13"] == pytest.approx(b13, rel=1e-14)
+        assert coeff_of(res.T, 1.0 - 3.0 / m) == pytest.approx(b13, rel=1e-14)
+
+
+class TestBranchPointContinuity:
+    """The expansions are continuous in m through every branch point.
+
+    The numeric route is continuous in m, so a jump of the expansion is a
+    jump of the remainder.  Only the terms whose exponent passes 0 at the
+    branch point can jump (every other term is a plain power with a smooth
+    coefficient, and below eps = 1e-8 their genuine change across 2 delta
+    dwarfs any O(1)); those are the terms with |power| < 0.1 here.  Their
+    smooth change is about b ln(eps)^2 q'(m) delta, below 1.3e3 delta for
+    these motions down to eps = 1e-12.  The pole ~1/(m - m*) of a power
+    written on one side of m*, or an |ln eps| present only at m*, breaks the
+    bound by orders of magnitude.
+    """
+
+    @staticmethod
+    def _near_zero(m, dimension):
+        motion = ((0.3, -0.2, -0.5), (0.15, 0.2, 0.1)) if dimension == 3 else ((0.4, -0.3), 0.25)
+        res = force_asymptotic(params(prof(m=m, dimension=dimension), *motion))
+        return [[t for t in exp.terms if abs(t.power) < 0.1] for exp in res.components()]
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-3])
+    @pytest.mark.parametrize("dimension, m_star", [(3, 2.0), (2, 1.5), (2, 5.0 / 3.0), (2, 3.0)])
+    def test_no_jump(self, dimension, m_star, delta):
+        # 3D m = 2 is one-sided: 3D profiles need m >= 2
+        lower = self._near_zero(m_star if dimension == 3 else m_star - delta, dimension)
+        upper = self._near_zero(m_star + delta, dimension)
+        for eps in [10.0**-k for k in range(4, 13)]:
+            for lo, up in zip(lower, upper):
+                jump = sum(t.evaluate(eps) for t in up) - sum(t.evaluate(eps) for t in lo)
+                assert abs(jump) <= 2e3 * delta, (eps, jump)
 
 
 class TestFlat2d:
@@ -245,7 +303,7 @@ class TestFlat2d:
         # - mu (U1 + w0 R) s
         expected_g0 = 0.1 * (4.5 - 3.0 * 0.01 - 15.0 * 2.0) - 2.0 * 0.1
         assert res.coefficients["gamma_0"] == pytest.approx(expected_g0, rel=1e-12)
-        assert coeff_of(res.T, is_log=True) == pytest.approx(expected_g0, rel=1e-12)
+        assert coeff_of(res.T, 0.0) == pytest.approx(expected_g0, rel=1e-12)
 
     def test_squeeze_ladder_shares_motion_factor(self):
         # every F2 rung is proportional to 2 U2 - w0 r
@@ -266,14 +324,19 @@ class TestFlat2d:
         assert res0.F[1].is_empty
 
     def test_small_cap_reduces_to_curved(self):
+        # the curved theorem writes its two eps^-1/2 force terms in the
+        # log-type form, which differs from the ladder's powers by the
+        # constant (U1 + w0 R) alpha11 + w0 alpha33
         U, w0 = (0.4, -0.3), 0.25
         flat = force_asymptotic_2d_flat(
             params(prof(dimension=2, kind="flat-capped", s=1e-9), U, w0)
         )
         curved = force_asymptotic_2d(params(prof(m=2.0, dimension=2), U, w0))
+        c = curved.coefficients
+        shift = (U[0] + w0 * 2.0) * c["b11"] / 0.5 + w0 * c["alpha33"]
         for eps in (1e-3, 1e-5):
             assert flat.F[0].evaluate(eps) == pytest.approx(
-                curved.F[0].evaluate(eps), rel=1e-6
+                curved.F[0].evaluate(eps) - shift, rel=1e-6
             )
             assert flat.F[1].evaluate(eps) == pytest.approx(
                 curved.F[1].evaluate(eps), rel=1e-6
@@ -281,7 +344,8 @@ class TestFlat2d:
 
 
 def by_power(terms):
-    return {"log" if t.is_log else t.power: t.coeff for t in terms}
+    """``{power: coeff}``, a log-type term keyed ``("log", power)``."""
+    return {("log", t.power) if t.is_log else t.power: t.coeff for t in terms}
 
 
 class TestCoefficientContract:
@@ -309,7 +373,7 @@ class TestCoefficientContract:
                 if name.startswith(family + "_") and name != "gamma_0"
             }
             if family == "gamma":
-                want["log"] = c["gamma_0"]  # -gamma_0 ln eps = gamma_0 |ln eps|
+                want["log", 0.0] = c["gamma_0"]  # -gamma_0 ln eps = gamma_0 |ln eps|
             assert by_power(exp.terms) == want
             assert exp.residual is None
 
@@ -317,38 +381,49 @@ class TestCoefficientContract:
         m, r, R, (U1, U2), w0 = 4.0, 0.5, 2.0, (0.4, -0.3), 0.25
         res = force_asymptotic_2d(params(prof(m=m, dimension=2, r=r, R=R), (U1, U2), w0, mu=1.3))
         c = res.coefficients
-        assert list(c) == ["alpha11", "alpha33", "beta", "alpha35", "alpha13"]
+        assert list(c) == ["b11", "alpha33", "beta", "b35", "b13"]
+        # each b is its exponent times the paper's coefficient
+        q11, q35, q13 = 1 - 1 / m, 3 - 5 / m, 1 - 3 / m
+        paper = {
+            "b11": 2.0 * 1.3 * gamma_coeff(1, 1, m) * q11,
+            "b35": 3.0 * 1.3 * gamma_coeff(3, 5, m) * q35,
+            "b13": 1.3 / (2.0 * m) * ((18.0 + 3.0 * m) * gamma_coeff(1, 3, m)
+                                      + 6.0 * m * gamma_coeff(2, 3, m)) * q13,
+        }
+        assert {name: c[name] for name in paper} == pytest.approx(paper, rel=1e-13)
         cu = U1 + w0 * R
         F1, F2 = res.F
         assert by_power(F1.terms) == pytest.approx({
-            1 - 1 / m: -cu * c["alpha11"], 3 - 3 / m: -w0 * r**m * c["alpha33"],
-            2 - 3 / m: -w0 * c["alpha33"],
+            ("log", q11): -cu * c["b11"], 3 - 3 / m: -w0 * r**m * c["alpha33"],
+            ("log", 2 - 3 / m): -w0 * (2 - 3 / m) * c["alpha33"],
         }, rel=1e-14)
         assert by_power(F2.terms) == pytest.approx(
             {3 - 3 / m: -2.0 * (2.0 * U2 - w0 * r) * c["alpha33"]}, rel=1e-14
         )
         assert by_power(res.T.terms) == pytest.approx({
-            1 - 1 / m: -R * cu * c["alpha11"], 3 - 3 / m: w0 * r**2 * c["beta"],
-            2 - 3 / m: -R * w0 * c["alpha33"], 3 - 5 / m: -w0 * c["alpha35"],
-            1 - 3 / m: w0 * c["alpha13"],
+            ("log", q11): -R * cu * c["b11"], 3 - 3 / m: w0 * r**2 * c["beta"],
+            ("log", 2 - 3 / m): -R * w0 * (2 - 3 / m) * c["alpha33"],
+            ("log", q35): -w0 * c["b35"], ("log", q13): w0 * c["b13"],
         }, rel=1e-14)
 
     def test_mconvex_3d(self):
         m, r, R = 4.0, 0.5, 2.0
         res = force_asymptotic_3d(params(prof(m=m, r=r, R=R), self.U3, self.W3, mu=1.3))
         c = res.coefficients
-        assert list(c) == ["alpha12", "alpha34", "beta1", "beta2"]
+        assert list(c) == ["b12", "alpha34", "beta1", "beta2"]
         (U1, U2, U3), (w1, w2, _) = self.U3, self.W3
         cu1, cu2 = U1 - w2 * R, U2 + w1 * R
-        shear, rot, p3 = 1 - 2 / m, 2 - 4 / m, 3 - 4 / m
+        q1, q2, p3 = 1 - 2 / m, 2 - 4 / m, 3 - 4 / m
+        b12, a34 = c["b12"], c["alpha34"]
+        assert b12 == pytest.approx(2.0 * math.pi * 1.3 * gamma_coeff(1, 2, m) * q1, rel=1e-13)
         lo, up = 2.0 ** -m * r**m, 2.0 ** (m / 2) * r**m
-        a12, a34 = c["alpha12"], c["alpha34"]
+        shear, rot = ("log", q1), ("log", q2)
         want = [  # (known terms, lower, upper) per component
-            ({shear: -cu1 * a12, rot: w2 * a34}, {p3: w2 * lo * a34}, {p3: w2 * up * a34}),
-            ({shear: -cu2 * a12, rot: -w1 * a34}, {p3: -w1 * up * a34}, {p3: -w1 * lo * a34}),
+            ({shear: -cu1 * b12, rot: w2 * q2 * a34}, {p3: w2 * lo * a34}, {p3: w2 * up * a34}),
+            ({shear: -cu2 * b12, rot: -w1 * q2 * a34}, {p3: -w1 * up * a34}, {p3: -w1 * lo * a34}),
             ({p3: -2.0 * U3 * a34}, {p3: (w1 + w2) * r * a34}, {p3: 2.0 * (w1 + w2) * r * a34}),
-            ({shear: -R * cu2 * a12}, {p3: w1 * r**2 * c["beta1"]}, {p3: w1 * r**2 * c["beta2"]}),
-            ({shear: R * cu1 * a12}, {p3: w2 * r**2 * c["beta1"]}, {p3: w2 * r**2 * c["beta2"]}),
+            ({shear: -R * cu2 * b12}, {p3: w1 * r**2 * c["beta1"]}, {p3: w1 * r**2 * c["beta2"]}),
+            ({shear: R * cu1 * b12}, {p3: w2 * r**2 * c["beta1"]}, {p3: w2 * r**2 * c["beta2"]}),
         ]
         for exp, (known, lower, upper) in zip(res.components(), want):
             assert by_power(exp.terms) == pytest.approx(known, rel=1e-14)
@@ -384,10 +459,10 @@ class TestCoefficientContract:
 class TestDispatch:
     def test_routes_by_profile(self, params3d, params2d, params3d_flat):
         assert force_asymptotic(params3d).coefficients.keys() >= {
-            "alpha12",
+            "b12",
             "alpha34",
         }
-        assert "alpha11" in force_asymptotic(params2d).coefficients
+        assert "b11" in force_asymptotic(params2d).coefficients
         assert "B1_1" in force_asymptotic(params3d_flat).coefficients
 
     def test_wrong_profile_rejected(self, params3d, params2d):

@@ -103,21 +103,31 @@ class TestConstants:
         assert main(["constants", "--m", "4"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "Gamma(1,3)" in out
-        assert "alpha13_2d" in out
+        assert "b13_2d" in out and "b35_2d" in out
 
     def test_m_within_roundoff_of_2(self):
         # the degenerate Gamma branch is detected on both sides of m = 2
         assert main(["constants", "--m", "1.9999999999999"]) == EXIT_OK
         assert main(["constants", "--m", "2.0000000000001"]) == EXIT_OK
 
-    @pytest.mark.parametrize("m", ["1.5", "1.6666666666666667"])
+    @pytest.mark.parametrize("m", ["1.2", "1.5", "1.6666666666666667"])
     def test_2d_only_exponent(self, m, capsys):
-        # 1 < m < 2 admits 2D profiles only: the 2D alphas print, and the 3D
-        # ones, whose Gamma pairs have a pole there, are left out
+        # 1 < m < 2 admits 2D profiles only: alpha34_3d, for m >= 2 profiles,
+        # is left out; each pole-free b prints wherever it is finite, b35_2d
+        # past m = 5/4 and b13_2d past m = 3/2
+        rows = {"b12_3d", "b11_2d", "alpha33_2d"}
+        rows |= {"1.2": set(), "1.5": {"b35_2d"}}.get(m, {"b35_2d", "b13_2d"})
         assert main(["constants", "--m", m]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "alpha11_2d" in out and "alpha33_2d" in out
-        assert "_3d" not in out
+        assert {line.split()[0] for line in out.splitlines() if "Gamma" not in line} == rows
+
+    @pytest.mark.parametrize("m, name, value", [("2", "b12_3d", math.pi), ("3", "b13_2d", 1.5),
+                                                ("1.6666666666666667", "b35_2d", 3.6)])
+    def test_marginal_b(self, m, name, value, capsys):
+        # at its branch point each b is the coefficient of the |ln eps| term
+        assert main(["constants", "--m", m]) == EXIT_OK
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith(name))
+        assert float(line.split()[-1]) == pytest.approx(value, rel=1e-14)
 
     def test_invalid_m(self, capsys):
         assert main(["constants", "--m", "0.5"]) == EXIT_CONFIG

@@ -379,6 +379,39 @@ class TestAsymptoticExpansion:
             2.0e3 + 3.0 * abs(math.log(eps)), rel=1e-14
         )
 
+    @pytest.mark.parametrize("eps", [0.3, 1e-3, 1e-8, 1e-12])
+    def test_log_type_at_power_zero(self, eps):
+        # the log-type form at q = 0 is the plain |ln eps| term, bit for bit
+        assert AsymptoticTerm(-2.7, is_log=True).evaluate(eps) == -2.7 * abs(math.log(eps))
+
+    @pytest.mark.parametrize("q", [1e-8, -1e-8, 3e-9, -3e-12, 1e-16, 0.3, -0.3])
+    @pytest.mark.parametrize("eps", [0.3, 1e-4, 1e-8])
+    def test_log_type_matches_oracle(self, q, eps):
+        # b (eps^-q - 1)/q, through and away from q = 0, against 50 digits
+        with mpmath.workdps(50):
+            want = float((mpmath.mpf(eps) ** -mpmath.mpf(q) - 1) / mpmath.mpf(q))
+        got = AsymptoticTerm(1.0, power=q, is_log=True).evaluate(eps)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_negative_power(self):
+        # a negative power is admissible only in the log-type form, which
+        # then tends to the constant -1/q
+        assert AsymptoticTerm(1.0, power=-0.5, is_log=True).evaluate(1e-12) == pytest.approx(2.0, rel=1e-5)
+        with pytest.raises(ValueError):
+            AsymptoticTerm(1.0, power=-0.5)
+
+    def test_several_log_type_terms(self):
+        terms = (
+            AsymptoticTerm(1.5, is_log=True),
+            AsymptoticTerm(-0.5, power=0.2, is_log=True),
+            AsymptoticTerm(0.25, power=-0.3, is_log=True),
+            AsymptoticTerm(2.0, power=1.0),
+        )
+        exp = AsymptoticExpansion(terms)
+        assert [t.power for t in exp.terms] == [1.0, 0.2, 0.0, -0.3]
+        eps = 1e-6
+        assert exp.evaluate(eps) == pytest.approx(sum(t.evaluate(eps) for t in terms), rel=1e-15)
+
     def test_empty(self):
         exp = AsymptoticExpansion(())
         assert exp.is_empty
